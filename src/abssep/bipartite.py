@@ -74,35 +74,17 @@ def operator_schmidt(x, m: int, n: int) -> OperatorSchmidt:
     """Operator-Schmidt decomposition X = sum_i c_i A_i ⊗ B_i.
 
     Returns min(m², n²) terms; coefficients are the singular values of the
-    realignment. Terms with (near-)zero coefficient get an arbitrary
-    orthonormal completion for the left operators.
+    realignment, with those below the SVD rank tolerance set to exactly 0.
+    Zero-coefficient terms carry the remaining singular vectors, which
+    complete both operator families orthonormally.
     """
     r = realign(x, m, n)
     k = min(m * m, n * n)
-    w, v = matcore.eigh(r.conj().T @ r)
-    coeffs = np.sqrt(np.clip(w[:k], 0.0, None))
-    # the A†A route resolves singular values only down to ~sqrt(eps); below
-    # that they are numerically zero and get an orthonormal completion
-    cutoff = 1e-8 * max(1.0, coeffs[0] if k else 1.0)
-    coeffs[coeffs <= cutoff] = 0.0
-    left_cols = np.zeros((m * m, k), dtype=np.complex128)
-    good = []
-    for i in range(k):
-        if coeffs[i] > 0.0:
-            left_cols[:, i] = (r @ v[:, i]) / coeffs[i]
-            good.append(i)
-    if len(good) < k:
-        # complete the left family orthonormally; zero-coefficient terms do
-        # not affect the reconstruction
-        basis = np.linalg.qr(
-            np.concatenate([left_cols[:, good], np.eye(m * m)], axis=1)
-        )[0]
-        fill = iter(range(len(good), m * m))
-        for i in range(k):
-            if coeffs[i] == 0.0:
-                left_cols[:, i] = basis[:, next(fill)]
-    left_ops = [left_cols[:, i].reshape(m, m) for i in range(k)]
-    right_ops = [v[:, i].conj().reshape(n, n) for i in range(k)]
+    u, coeffs, vh = np.linalg.svd(r, full_matrices=True)
+    # the numpy.linalg.matrix_rank default tolerance
+    coeffs[coeffs <= coeffs[0] * max(m * m, n * n) * np.finfo(np.float64).eps] = 0.0
+    left_ops = [u[:, i].reshape(m, m) for i in range(k)]
+    right_ops = [vh[i].reshape(n, n) for i in range(k)]
     return OperatorSchmidt(coeffs, left_ops, right_ops)
 
 

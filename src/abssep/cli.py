@@ -171,7 +171,11 @@ def cmd_witness_analyze(args) -> int:
 
 
 def _certificate_jobs(bh_dims, grid):
-    """(name, callable) pairs covering every analytic certificate."""
+    """(name, callable) pairs covering every analytic certificate.
+
+    Each callable returns (value, expected, residual); residual is the
+    verifier's equality residual where the certificate has equalities.
+    """
     jobs = []
     ell_specials = [-0.5, -2.0 / 5.0, witness.SPLIT_LOW, -0.3, witness.SPLIT_HIGH,
                     -1.0 / 6.0, -1.0 / 5.0, 0.0]
@@ -180,8 +184,8 @@ def _certificate_jobs(bh_dims, grid):
         def run():
             mu1 = witness.detection_threshold(ell)
             cert = witness.detection_dual_certificate(ell, mu1, 9)
-            witness.verify_detection_certificate(cert, 9)
-            return 0.0, 0.0  # certified optimum lower bound, expected
+            residual = witness.verify_detection_certificate(cert, 9)
+            return cert.t, 0.0, residual  # certified optimum lower bound, expected
         return run
 
     for ell in ell_specials:
@@ -190,14 +194,14 @@ def _certificate_jobs(bh_dims, grid):
     def diamond_job(phi, expected):
         def run():
             value = sdpsolve.verify_diamond_certificate(phi, sdpsolve.diamond_certificate(phi))
-            return value, expected
+            return value, expected, 0.0
         return run
 
     def maxeig_job(phi):
         def run():
             cert = sdpsolve.max_eig_certificate(phi)
             value = sdpsolve.verify_max_eig_certificate(phi, cert)
-            return value, cert.expected_value
+            return value, cert.expected_value, 0.0
         return run
 
     choi_dual = posmaps.dual_map(posmaps.choi_map())
@@ -227,8 +231,10 @@ def cmd_verify_certificates(args) -> int:
     failures = 0
     for name, job in _certificate_jobs(args.bh_dims or [4, 6], grid):
         try:
-            value, expected = job()
-            status = "ok" if abs(value - expected) <= cfg.tol("certificate", 1e-12) else "mismatch"
+            value, expected, residual = job()
+            tol = cfg.tol("certificate", 1e-12)
+            ok = abs(value - expected) <= tol and residual <= tol
+            status = "ok" if ok else "mismatch"
         except CertificateRejected as exc:
             value, expected, status = math.nan, math.nan, f"rejected: {exc}"
         if status != "ok":
@@ -303,13 +309,12 @@ def _fig_gen_choi_ub(grid_n: int) -> str:
         for c in axis:
             b, c = float(b), float(c)
             if 2.0 * b + c >= 3.0 or b + 2.0 * c >= 3.0:
-                case, bound = 1, max(b, c) / 2.0
+                case = 1
             elif b + c >= 2.0 / 3.0:
                 case = 2
-                bound = (b * b + c * c - 6.0 * (b + c) + b * c + 9.0) / (6.0 * (2.0 - b - c))
             else:
-                case, bound = 0, math.nan
-            rows.append([b, c, case, bound])
+                case = 0
+            rows.append([b, c, case, sdpsolve.gen_choi_max_eig_bound(b, c)])
     return _csv(["b", "c", "case", "mu1_bound"], rows)
 
 

@@ -113,17 +113,7 @@ def validate_upb(vectors: list[np.ndarray], tol: float = 1e-10) -> None:
             raise InvalidVector("UPB vectors must live in C³ ⊗ C³")
         if abs(np.linalg.norm(vv) - 1.0) > tol:
             raise InvalidVector("UPB vectors must be unit norm")
-        # rank-1 check via 2x2 minors; singular values only resolve to
-        # ~sqrt(eps) so the Schmidt coefficient itself is checked loosely
-        mat = vv.reshape(3, 3)
-        for r in range(2):
-            for s in range(r + 1, 3):
-                for u in range(2):
-                    for w in range(u + 1, 3):
-                        minor = mat[r, u] * mat[s, w] - mat[r, w] * mat[s, u]
-                        if abs(minor) > tol:
-                            raise InvalidVector("UPB vectors must be product vectors")
-        if bipartite.vector_schmidt(vv, 3, 3)[1] > 1e-7:
+        if bipartite.vector_schmidt(vv, 3, 3)[1] > tol:
             raise InvalidVector("UPB vectors must be product vectors")
     for i in range(5):
         for j in range(i + 1, 5):

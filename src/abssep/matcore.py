@@ -1,8 +1,9 @@
 """Dense complex Hermitian linear algebra.
 
-Eigendecomposition is done by Householder tridiagonalization followed by
-implicit-shift QL iteration. Dimensions in this package stay below ~100,
-so the routine favours robustness and determinism over speed.
+Eigenvalues and singular values come from LAPACK through numpy
+(``numpy.linalg.eigh``/``eigvalsh`` and ``svd``); this module adds the
+package's contract on top: Hermitian gating, descending order with a
+deterministic tie order, and PSD tests with explicit tolerances.
 
 Matrices are plain numpy arrays throughout; ``hermitize`` is the gateway
 that enforces the Hermitian contract (inputs further than HERMITIZE_TOL
@@ -11,7 +12,6 @@ from their Hermitian part are rejected, anything closer is symmetrized).
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -20,9 +20,6 @@ from .errors import InvalidMatrix
 
 HERMITIZE_TOL = 1e-8
 DEFAULT_PSD_TOL = 1e-9
-
-_EPS = float(np.finfo(np.float64).eps)
-_MAX_QL_SWEEPS = 64
 
 
 class EigenDecomposition(NamedTuple):
@@ -51,7 +48,7 @@ def as_complex_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise InvalidMatrix(f"expected a 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise InvalidMatrix("matrix has non-finite entries")
     return m
 
@@ -61,133 +58,32 @@ def hermitize(a, tol: float = HERMITIZE_TOL) -> np.ndarray:
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise InvalidMatrix(f"Hermitian matrix must be square, got {m.shape}")
-    defect = np.linalg.norm(m - m.conj().T)
+    mh = m.conj().T
+    defect = np.linalg.norm(m - mh)
     if defect > tol * (1.0 + np.linalg.norm(m)):
         raise InvalidMatrix(f"matrix is not Hermitian (defect {defect:.3e})")
-    return (m + m.conj().T) / 2.0
-
-
-def _tridiagonalize(a: np.ndarray):
-    """Reduce Hermitian A to real symmetric tridiagonal form.
-
-    Returns (d, e, q) with A = Q T Q†, diag(T) = d and subdiag(T) = e >= 0.
-    """
-    n = a.shape[0]
-    a = a.copy()
-    q = np.eye(n, dtype=np.complex128)
-    for k in range(n - 2):
-        x = a[k + 1:, k]
-        nx = math.sqrt(float(np.real(np.vdot(x, x))))
-        if nx == 0.0:
-            continue
-        ax0 = abs(x[0])
-        phase = x[0] / ax0 if ax0 > 0.0 else 1.0
-        v = x.copy()
-        v[0] += phase * nx
-        nv = math.sqrt(float(np.real(np.vdot(v, v))))
-        if nv == 0.0:
-            continue
-        v /= nv
-        # two-sided reflector I - 2vv† on the trailing block
-        w = v.conj() @ a[k + 1:, k:]
-        a[k + 1:, k:] -= 2.0 * np.outer(v, w)
-        w2 = a[k:, k + 1:] @ v
-        a[k:, k + 1:] -= 2.0 * np.outer(w2, v.conj())
-        q[:, k + 1:] -= 2.0 * np.outer(q[:, k + 1:] @ v, v.conj())
-    d = a.diagonal().real.copy()
-    if n == 1:
-        return d, np.zeros(0), q
-    e = a.diagonal(-1).copy()
-    # rotate away subdiagonal phases so the tridiagonal matrix is real
-    ph = np.ones(n, dtype=np.complex128)
-    for i in range(n - 1):
-        mag = abs(e[i])
-        ph[i + 1] = ph[i] * (e[i] / mag) if mag > 0.0 else ph[i]
-    q *= ph[np.newaxis, :]
-    return d, np.abs(e), q
-
-
-def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray | None):
-    """Implicit-shift QL on a real symmetric tridiagonal matrix, in place.
-
-    d: diagonal (overwritten with eigenvalues), e: subdiagonal (destroyed),
-    z: optional matrix whose columns accumulate the eigenvectors.
-    """
-    n = d.size
-    if n == 1:
-        return
-    e = np.append(e, 0.0)
-    for low in range(n):
-        for sweep in range(_MAX_QL_SWEEPS + 1):
-            for m in range(low, n - 1):
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-            else:
-                m = n - 1
-            if m == low:
-                break
-            if sweep == _MAX_QL_SWEEPS:
-                raise InvalidMatrix("QL iteration failed to converge")
-            g = (d[low + 1] - d[low]) / (2.0 * e[low])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[low] + e[low] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            interrupted = False
-            for i in range(m - 1, low - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    interrupted = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if z is not None:
-                    zc = z[:, i + 1].copy()
-                    z[:, i + 1] = s * z[:, i] + c * zc
-                    z[:, i] = c * z[:, i] - s * zc
-            if interrupted:
-                continue
-            d[low] -= p
-            e[low] = g
-            e[m] = 0.0
+    return (m + mh) / 2.0
 
 
 def eigh(a, tol: float = HERMITIZE_TOL) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    Ties are broken deterministically by the pre-sort index.
+    Ties are broken deterministically by LAPACK's ascending index.
     """
-    h = hermitize(a, tol=tol)
-    d, e, q = _tridiagonalize(h)
-    _ql_implicit(d, e, q)
+    d, q = np.linalg.eigh(hermitize(a, tol=tol))
     order = np.argsort(-d, kind="stable")
     return EigenDecomposition(d[order], np.ascontiguousarray(q[:, order]))
 
 
 def eigvalsh(a, tol: float = HERMITIZE_TOL) -> np.ndarray:
-    """Eigenvalues only (descending); skips eigenvector accumulation."""
-    h = hermitize(a, tol=tol)
-    d, e, _ = _tridiagonalize(h)
-    _ql_implicit(d, e, None)
+    """Eigenvalues only (descending)."""
+    d = np.linalg.eigvalsh(hermitize(a, tol=tol))
     return d[np.argsort(-d, kind="stable")]
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values (descending) via the eigenvalues of A†A, clamped at 0."""
-    m = as_complex_matrix(a)
-    w = eigvalsh(m.conj().T @ m)
-    return np.sqrt(np.clip(w, 0.0, None))
+    """Singular values (descending), computed by SVD."""
+    return np.linalg.svd(as_complex_matrix(a), compute_uv=False)
 
 
 def schatten_norm(a, kind: str) -> float:

@@ -104,35 +104,37 @@ def breuer_hall_map(n: int, v: np.ndarray | None = None) -> MapSpec:
     return MapSpec("breuer_hall", n, v=v)
 
 
+def _act(phi: MapSpec, x: np.ndarray) -> np.ndarray:
+    """The map's closed-form action on a stack x[..., d, d] of matrices."""
+    if phi.kind == "identity":
+        return x.copy()
+    if phi.kind == "transpose":
+        return np.swapaxes(x, -1, -2).copy()
+    if phi.kind in {"choi", "generalized_choi"}:
+        b, c = (1.0, 0.0) if phi.kind == "choi" else (phi.b, phi.c)
+        a = 2.0 - b - c
+        d0, d1, d2 = x[..., 0, 0], x[..., 1, 1], x[..., 2, 2]
+        out = -x
+        out[..., 0, 0] = a * d0 + b * d1 + c * d2
+        out[..., 1, 1] = c * d0 + a * d1 + b * d2
+        out[..., 2, 2] = b * d0 + c * d1 + a * d2
+        return out / 2.0
+    n = phi.dim
+    trace_part = np.trace(x, axis1=-2, axis2=-1)[..., np.newaxis, np.newaxis] * np.eye(n)
+    if phi.kind == "reduction":
+        return (trace_part - x) / (n - 1)
+    if phi.kind == "breuer_hall":
+        v = phi.v
+        return (trace_part - x - v @ np.swapaxes(x, -1, -2) @ v.conj().T) / (n - 2)
+    raise AssertionError(phi.kind)
+
+
 def apply(phi: MapSpec, x) -> np.ndarray:
     """Apply the map's closed-form action to an in_dim x in_dim matrix."""
     x = matcore.as_complex_matrix(x)
     if x.shape != (phi.in_dim, phi.in_dim):
         raise InvalidDim(f"matrix shape {x.shape} does not match map dim {phi.in_dim}")
-    if phi.kind == "identity":
-        return x.copy()
-    if phi.kind == "transpose":
-        return x.T.copy()
-    if phi.kind == "reduction":
-        return (np.trace(x) * np.eye(phi.dim) - x) / (phi.dim - 1)
-    if phi.kind == "choi":
-        out = -x.copy()
-        out[0, 0] = x[0, 0] + x[1, 1]
-        out[1, 1] = x[1, 1] + x[2, 2]
-        out[2, 2] = x[2, 2] + x[0, 0]
-        return out / 2.0
-    if phi.kind == "generalized_choi":
-        b, c = phi.b, phi.c
-        a = 2.0 - b - c
-        out = -x.copy()
-        out[0, 0] = a * x[0, 0] + b * x[1, 1] + c * x[2, 2]
-        out[1, 1] = c * x[0, 0] + a * x[1, 1] + b * x[2, 2]
-        out[2, 2] = b * x[0, 0] + c * x[1, 1] + a * x[2, 2]
-        return out / 2.0
-    if phi.kind == "breuer_hall":
-        n, v = phi.dim, phi.v
-        return (np.trace(x) * np.eye(n) - x - v @ x.T @ v.conj().T) / (n - 2)
-    raise AssertionError(phi.kind)
+    return _act(phi, x)
 
 
 def dual_map(phi: MapSpec) -> MapSpec:
@@ -147,15 +149,12 @@ def dual_map(phi: MapSpec) -> MapSpec:
 
 
 def apply_id_tensor(phi: MapSpec, x, id_dim: int) -> np.ndarray:
-    """(id_{id_dim} ⊗ Phi)(X), applying the map block-wise to the second factor."""
+    """(id_{id_dim} ⊗ Phi)(X), applying the map to every d x d block at once."""
     d = phi.in_dim
     x = bipartite._check_dims(x, id_dim, d)
-    blocks = x.reshape(id_dim, d, id_dim, d)
-    out = np.empty((id_dim, phi.out_dim, id_dim, phi.out_dim), dtype=np.complex128)
-    for i in range(id_dim):
-        for j in range(id_dim):
-            out[i, :, j, :] = apply(phi, blocks[i, :, j, :])
-    return out.reshape(id_dim * phi.out_dim, id_dim * phi.out_dim)
+    blocks = x.reshape(id_dim, d, id_dim, d).transpose(0, 2, 1, 3)
+    out = _act(phi, blocks)
+    return out.transpose(0, 2, 1, 3).reshape(id_dim * phi.out_dim, id_dim * phi.out_dim)
 
 
 def choi_matrix(phi: MapSpec) -> np.ndarray:

@@ -496,6 +496,24 @@ def gen_choi_xy(b: float, c: float) -> tuple[float, float]:
     return (3.0 - 2.0 * b - c) ** 2 / den, (3.0 - b - 2.0 * c) ** 2 / den
 
 
+def gen_choi_max_eig_bound(b: float, c: float) -> float:
+    """Max-eigenvalue bound certified for the dual of Phi_{b,c}.
+
+    max{b,c}/2 when 2b+c >= 3 or b+2c >= 3. Otherwise the certificate's
+    shifted matrix is ((b+2x) I + 3(2 sqrt(xy) - 1) psi+)/2: for b+c >= 2/3
+    the sqrt(xy) term is nonpositive and (b+2x)/2 is the bound, below that
+    the psi+ direction adds 1.5 (2 sqrt(xy) - 1).
+    """
+    if 2.0 * b + c >= 3.0 or b + 2.0 * c >= 3.0:
+        return max(b, c) / 2.0
+    x, y = gen_choi_xy(b, c)
+    bound = (b * b + c * c - 6.0 * (b + c) + b * c + 9.0) / (6.0 * (2.0 - b - c))
+    root = math.sqrt(x * y)
+    if 2.0 * root > 1.0:
+        bound += 1.5 * (2.0 * root - 1.0)
+    return bound
+
+
 def _gen_choi_params_of_dual(phi: posmaps.MapSpec) -> tuple[float, float]:
     """Recover (b, c) with phi = dual of the generalized Choi map Phi_{b,c}."""
     if phi.kind == "choi":
@@ -508,10 +526,9 @@ def _gen_choi_params_of_dual(phi: posmaps.MapSpec) -> tuple[float, float]:
 def max_eig_certificate(phi: posmaps.MapSpec) -> DualCertificate:
     """Feasible Y >= 0 for the PPT max-eigenvalue SDP of the given map.
 
-    For the generalized Choi family the two parameter regimes use Y = 0
-    (certifying max{b,c}/2) and the sqrt(xy)-patterned Y (certifying
-    (b² + c² - 6(b+c) + bc + 9) / (6(2-b-c))); for Breuer-Hall the rank-one
-    rotated maximally entangled Y certifies 1/(n-2).
+    For the generalized Choi family the two parameter regimes use Y = 0 and
+    the sqrt(xy)-patterned Y, certifying gen_choi_max_eig_bound(b, c); for
+    Breuer-Hall the rank-one rotated maximally entangled Y certifies 1/(n-2).
     """
     if phi.kind == "breuer_hall":
         n = phi.dim
@@ -524,27 +541,20 @@ def max_eig_certificate(phi: posmaps.MapSpec) -> DualCertificate:
             name="max-eig-breuer-hall", values={"Y": y}, expected_value=1.0 / (n - 2.0)
         )
     b, c = _gen_choi_params_of_dual(phi)
-    if 2.0 * b + c >= 3.0 or b + 2.0 * c >= 3.0:
-        y = np.zeros((9, 9), dtype=np.complex128)
-        expected = max(b, c) / 2.0
-    else:
+    y = np.zeros((9, 9), dtype=np.complex128)
+    if 2.0 * b + c < 3.0 and b + 2.0 * c < 3.0:
         x, yv = gen_choi_xy(b, c)
         root = math.sqrt(x * yv)
-        y = np.zeros((9, 9), dtype=np.complex128)
         for idx in (1, 5, 6):
             y[idx, idx] = x
         for idx in (2, 3, 7):
             y[idx, idx] = yv
         for r, s in ((1, 3), (2, 6), (5, 7)):
             y[r, s] = y[s, r] = root
-        # the shifted matrix is ((b+2x) I + 3(2 sqrt(xy) - 1) psi+)/2; for
-        # b+c >= 2/3 the sqrt(xy) term is nonpositive and (b+2x)/2 is the
-        # certified bound, below that the psi+ direction takes over
-        expected = (b * b + c * c - 6.0 * (b + c) + b * c + 9.0) / (6.0 * (2.0 - b - c))
-        if 2.0 * root > 1.0:
-            expected += 1.5 * (2.0 * root - 1.0)
     return DualCertificate(
-        name=f"max-eig-gen-choi({b:g},{c:g})", values={"Y": y}, expected_value=expected
+        name=f"max-eig-gen-choi({b:g},{c:g})",
+        values={"Y": y},
+        expected_value=gen_choi_max_eig_bound(b, c),
     )
 
 

@@ -272,3 +272,34 @@ def test_min_unitary_overlap_validation():
         bipartite.min_unitary_overlap([1.0, 0.0], [1.0])
     with pytest.raises(InvalidMatrix):
         bipartite.min_unitary_overlap([0.0, 1.0], [1.0, 0.0])
+
+
+def test_realign_trace_norm_exact_on_product_pure_states():
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(300):
+        a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+        rho = np.outer(v, v.conj())
+        worst = max(worst, abs(bipartite.realign_trace_norm(rho, 3, 3) - 1.0))
+    assert worst <= 1e-12
+
+
+def test_realign_trace_norm_of_maximally_mixed_state():
+    value = bipartite.realign_trace_norm(np.eye(9) / 9.0, 3, 3)
+    assert abs(value - 1.0 / 3.0) <= 1e-15
+
+
+def test_operator_schmidt_zeroes_only_below_rank_tolerance():
+    rng = np.random.default_rng(12)
+    # operator-Schmidt rank 2: two product terms
+    x = sum(
+        bipartite.kron(random_state(rng, 3), random_state(rng, 2)) for _ in range(2)
+    )
+    os = bipartite.operator_schmidt(x, 3, 2)
+    assert len(os.left_ops) == len(os.right_ops) == os.coefficients.size == 4
+    assert np.all(os.coefficients[:2] > 0.0)
+    assert np.all(os.coefficients[2:] == 0.0)
+    ref = np.linalg.svd(bipartite.realign(x, 3, 2), compute_uv=False)
+    assert np.allclose(os.coefficients[:2], ref[:2], atol=1e-14)

@@ -105,6 +105,10 @@ def test_verify_certificates_small_grid(tmp_path, capsys):
     assert np.isclose(by_name["diamond choi-dual"]["value"], 4.0 / 3.0, atol=1e-12)
     assert np.isclose(by_name["max-eig choi-dual"]["value"], 2.0 / 3.0, atol=1e-12)
     assert np.isclose(by_name["diamond breuer-hall n=4"]["value"], 1.5, atol=1e-12)
+    # witness-dual rows carry the certificate's own lower bound t = 0
+    witness_rows = [r for r in rows if r["name"].startswith("witness-dual")]
+    assert len(witness_rows) == 8
+    assert all(r["value"] == 0.0 == r["expected"] for r in witness_rows)
 
 
 def test_verify_certificates_rejection_exits_2(monkeypatch, capsys):
@@ -124,6 +128,30 @@ def test_verify_certificates_rejection_exits_2(monkeypatch, capsys):
     )
     assert code == 2
     assert "rejected: injected failure" in out
+
+
+@pytest.mark.parametrize("shift, status", [(1e-6, "rejected"), (1e-11, "mismatch")])
+def test_verify_certificates_flags_corrupted_witness_dual(monkeypatch, capsys, shift, status):
+    from abssep import witness
+
+    real = witness.detection_dual_certificate
+
+    def corrupted(ell, mu1, mn):
+        cert = real(ell, mu1, mn)
+        y = cert.y.copy()
+        y[-1] += shift
+        return witness.DetectionDualCertificate(
+            cert.case, cert.ell, cert.mu1, cert.t, cert.aa, cert.bb, cert.cc, y
+        )
+
+    monkeypatch.setattr(witness, "detection_dual_certificate", corrupted)
+    code, out = run_cli(
+        ["verify-certificates", "--grid", "2", "--bh-dims", "4", "--format", "json"], capsys
+    )
+    assert code == 2
+    rows = [r for r in json.loads(out) if r["name"].startswith("witness-dual")]
+    assert len(rows) == 8
+    assert all(r["status"].startswith(status) for r in rows)
 
 
 def test_fig_data_f_curve(tmp_path, capsys):
@@ -161,6 +189,20 @@ def test_fig_data_gen_choi_ub_values(tmp_path, capsys):
     case2 = table[("1", "0")]
     assert case2[2] == "2"
     assert np.isclose(float(case2[3]), 2.0 / 3.0, atol=1e-12)
+
+
+def test_fig_data_gen_choi_ub_case0_rows_are_certified(capsys):
+    from abssep import sdpsolve
+
+    code, out = run_cli(["fig-data", "gen_choi_ub", "--grid", "21"], capsys)
+    assert code == 0
+    case0 = [l.split(",") for l in out.splitlines()[1:] if l.split(",")[2] == "0"]
+    assert len(case0) == 55
+    for b, c, _, bound in case0:
+        assert math.isfinite(float(bound))
+        phi = posmaps.dual_map(posmaps.generalized_choi_map(float(b), float(c)))
+        value = sdpsolve.verify_max_eig_certificate(phi, sdpsolve.max_eig_certificate(phi))
+        assert abs(float(bound) - value) <= 1e-10
 
 
 def test_fig_data_upb_interval(tmp_path, capsys):

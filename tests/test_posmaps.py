@@ -261,3 +261,69 @@ def test_breuer_hall_custom_v():
     v = u @ posmaps.breuer_hall_default_v(n) @ u.T
     phi = posmaps.breuer_hall_map(n, v=v)
     assert np.allclose(posmaps.apply(phi, np.eye(n)), np.eye(n), atol=1e-12)
+
+
+def random_antisymmetric_unitary(rng, n):
+    """U J U^T with U Haar and J the standard symplectic form."""
+    u = bipartite.haar_unitary(n, rng)
+    j = np.kron(np.eye(n // 2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    return u @ j @ u.T
+
+
+def reference_action(phi, x):
+    """Each map's defining formula on one matrix, written out independently."""
+    n = phi.dim
+    if phi.kind == "identity":
+        return x
+    if phi.kind == "transpose":
+        return x.T
+    if phi.kind == "reduction":
+        return (np.trace(x) * np.eye(n) - x) / (n - 1)
+    if phi.kind in ("choi", "generalized_choi"):
+        b, c = (1.0, 0.0) if phi.kind == "choi" else (phi.b, phi.c)
+        a = 2.0 - b - c
+        diag = np.diag(x)
+        mixed = [
+            a * diag[0] + b * diag[1] + c * diag[2],
+            c * diag[0] + a * diag[1] + b * diag[2],
+            b * diag[0] + c * diag[1] + a * diag[2],
+        ]
+        return (np.diag(mixed) + np.diag(diag) - x) / 2.0
+    if phi.kind == "breuer_hall":
+        v = phi.v
+        return (np.trace(x) * np.eye(n) - x - v @ x.T @ v.conj().T) / (n - 2)
+    raise AssertionError(phi.kind)
+
+
+@pytest.mark.parametrize(
+    "make_phi",
+    [
+        lambda rng: posmaps.identity_map(3),
+        lambda rng: posmaps.transpose_map(4),
+        lambda rng: posmaps.reduction_map(3),
+        lambda rng: posmaps.choi_map(),
+        lambda rng: posmaps.generalized_choi_map(0.7, 0.4),
+        lambda rng: posmaps.breuer_hall_map(4),
+        lambda rng: posmaps.breuer_hall_map(4, random_antisymmetric_unitary(rng, 4)),
+        lambda rng: posmaps.breuer_hall_map(6, random_antisymmetric_unitary(rng, 6)),
+    ],
+    ids=["identity", "transpose", "reduction", "choi", "gen_choi", "bh4", "bh4_v", "bh6_v"],
+)
+@pytest.mark.parametrize("id_dim", [1, 2, 3])
+def test_stacked_apply_id_tensor_matches_blockwise_loop(make_phi, id_dim):
+    rng = np.random.default_rng(30 + id_dim)
+    phi = make_phi(rng)
+    d = phi.dim
+    x = rng.standard_normal((id_dim * d,) * 2) + 1j * rng.standard_normal((id_dim * d,) * 2)
+    x0 = x.copy()
+    expect = np.zeros_like(x)
+    for i in range(id_dim):
+        for j in range(id_dim):
+            block = x[i * d:(i + 1) * d, j * d:(j + 1) * d]
+            expect[i * d:(i + 1) * d, j * d:(j + 1) * d] = reference_action(phi, block)
+    out = posmaps.apply_id_tensor(phi, x, id_dim)
+    assert np.allclose(out, expect, rtol=0.0, atol=1e-13)
+    single = posmaps.apply(phi, x[:d, :d])
+    assert np.allclose(single, reference_action(phi, x[:d, :d]), rtol=0.0, atol=1e-13)
+    # the action never writes into its input
+    assert np.array_equal(x, x0)

@@ -126,6 +126,10 @@ def test_gen_choi_certificates_on_grid():
             cert = sdpsolve.max_eig_certificate(phi)
             mval = sdpsolve.verify_max_eig_certificate(phi, cert)
             assert abs(mval - cert.expected_value) <= 1e-12
+            assert cert.expected_value == sdpsolve.gen_choi_max_eig_bound(float(b), float(c))
+    # the psi+ correction below b + c = 2/3, and the first case
+    assert sdpsolve.gen_choi_max_eig_bound(0.0, 0.0) == 1.5
+    assert sdpsolve.gen_choi_max_eig_bound(1.2, 1.2) == 0.6
 
 
 def test_gen_choi_xy_identity():
