@@ -7,7 +7,7 @@ realignment criterion, and classifies Werner, isotropic and UPB-mixture
 state families against their closed-form thresholds.
 """
 
-from . import absppt, bipartite, cli, families, matcore, posmaps, sdpsolve, witness
+from . import absppt, bipartite, families, matcore, posmaps, sdpsolve, witness
 from .absppt import AbsPptVerdict, Spectrum, is_abs_ppt, sample_abs_ppt_spectrum
 from .bipartite import (
     haar_unitary,
@@ -57,7 +57,6 @@ __all__ = [
     "cannot_detect_abs_ppt",
     "choi_map",
     "choi_matrix",
-    "cli",
     "detection_threshold",
     "diamond_norm_ub",
     "dual_map",

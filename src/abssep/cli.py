@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import sys
@@ -463,6 +464,7 @@ def _add_common(sub):
     sub.add_argument("--workers", type=int, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abssep",
@@ -519,8 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ToolkitError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -2,11 +2,14 @@
 
 Two complementary paths:
 
-* a log-det barrier solver (path-following, infeasible-start Newton) for
-  the problem shapes used in this package: linear objective, affine
-  Hermitian PSD blocks, affine equalities, scalar inequalities folded in
-  as 1x1 blocks. Problems stay below a few hundred variables and blocks
-  below ~100x100, so a dense Newton method is both adequate and robust;
+* a log-det barrier solver for the problem shapes used in this package:
+  linear objective, affine Hermitian PSD blocks, affine equalities, scalar
+  inequalities stacked into one diagonal block. Every problem builder
+  supplies a strictly feasible start that also satisfies the equalities,
+  so each stage centres by feasible-start damped Newton steps and stops on
+  the Newton decrement (Boyd & Vandenberghe, Convex Optimization, ch. 9-11).
+  Problems stay below a few hundred variables and blocks below ~100x100,
+  so dense Newton steps are both adequate and robust;
 
 * verifiers for the analytic dual-feasible points (diamond-norm and
   max-eigenvalue certificates for the Choi, generalized Choi and
@@ -32,6 +35,12 @@ from .errors import (
 DEFAULT_GAP_TOL = 1e-7
 CERT_PSD_TOL = 1e-10
 _MU_REDUCTION = 0.2  # barrier parameter shrink per outer step
+# a stage is centred once lambda^2/2 (half the squared Newton decrement, an
+# affine-invariant estimate of the barrier objective's excess over its
+# minimum) falls below this
+_CENTERED = 1e-10
+# damped steps 1/(1+lambda) until lambda drops below this, then full steps
+_QUADRATIC_PHASE = 0.25
 
 
 @dataclass
@@ -51,37 +60,23 @@ class AffineBlock:
 
 @dataclass
 class SdpProblem:
-    """minimize objective @ x + offset over the blocks/equality constraints."""
+    """minimize objective @ x + offset over the blocks/equality constraints.
+
+    interior_point must make every block positive definite and satisfy the
+    equalities.
+    """
 
     objective: np.ndarray
     blocks: list[AffineBlock]
+    interior_point: np.ndarray
     eq_mat: np.ndarray | None = None
     eq_rhs: np.ndarray | None = None
-    interior_point: np.ndarray | None = None
     offset: float = 0.0
     name: str = ""
 
     @property
     def n_vars(self) -> int:
         return self.objective.size
-
-    def to_json(self) -> dict:
-        """Debugging dump: objective plus block descriptions (not a stable format)."""
-        return {
-            "name": self.name,
-            "n_vars": int(self.n_vars),
-            "objective": [float(v) for v in self.objective],
-            "offset": float(self.offset),
-            "equalities": 0 if self.eq_mat is None else int(self.eq_mat.shape[0]),
-            "blocks": [
-                {
-                    "size": int(b.size),
-                    "const_fro": float(np.linalg.norm(b.const)),
-                    "coeff_fro": [float(np.linalg.norm(c)) for c in b.coeffs],
-                }
-                for b in self.blocks
-            ],
-        }
 
 
 @dataclass
@@ -102,20 +97,34 @@ class DualCertificate:
     expected_value: float = math.nan
 
 
-def scalar_inequality(nv: int, coeffs: np.ndarray, lower: float) -> AffineBlock:
-    """coeffs @ x >= lower as a 1x1 block."""
-    c = np.zeros((nv, 1, 1), dtype=np.complex128)
-    c[:, 0, 0] = coeffs
-    return AffineBlock(const=np.array([[-lower]], dtype=np.complex128), coeffs=c)
+def scalar_inequality(rows: np.ndarray, lower: float) -> AffineBlock:
+    """rows @ x >= lower for a (k, nv) row matrix, as one k x k diagonal block."""
+    k, nv = rows.shape
+    coeffs = np.zeros((nv, k, k), dtype=np.complex128)
+    coeffs[:, np.arange(k), np.arange(k)] = rows.T
+    return AffineBlock(const=-lower * np.eye(k, dtype=np.complex128), coeffs=coeffs)
 
 
-def _feasible(blocks: list[AffineBlock], x: np.ndarray) -> bool:
+def _barrier_derivatives(
+    blocks: list[AffineBlock], x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of -sum_i log det F_i(x).
+
+    With F_i = L L^H and M_k = L^-1 A_k L^-H, the gradient is -tr(M_k) and
+    the Hessian tr(M_k M_l). Raises LinAlgError when a block is not
+    positive definite at x.
+    """
+    nv = x.size
+    grad = np.zeros(nv)
+    hess = np.zeros((nv, nv))
     for b in blocks:
-        try:
-            np.linalg.cholesky(b.eval(x))
-        except np.linalg.LinAlgError:
-            return False
-    return True
+        lo = np.linalg.cholesky(b.eval(x))
+        lo_inv = np.linalg.solve(lo, np.eye(b.size))
+        mid = lo_inv @ b.coeffs @ lo_inv.conj().T
+        grad -= np.real(np.einsum("kii->k", mid))
+        mflat = mid.reshape(nv, -1)
+        hess += np.real(mflat @ mflat.conj().T)
+    return grad, hess
 
 
 def solve(
@@ -123,107 +132,61 @@ def solve(
     tol: float = DEFAULT_GAP_TOL,
     max_newton: int = 5000,
 ) -> SdpSolution:
-    """Barrier method; returns values bracketing the optimum within ~tol."""
-    nv = problem.n_vars
+    """Barrier method; returns values bracketing the optimum within ~tol.
+
+    Stage t centres t c.x - sum_i log det F_i(x) over {A x = b}. Steps of
+    length 1/(1+lambda) keep x strictly feasible by self-concordance, so no
+    line search is needed; once lambda <= 1/4 full steps converge
+    quadratically. t grows by 1/_MU_REDUCTION until m/t <= tol, where m is
+    the total block size.
+    """
     c = np.asarray(problem.objective, dtype=np.float64)
+    nv = c.size
     blocks = problem.blocks
-    m_total = sum(b.size for b in blocks)
-    a_mat = problem.eq_mat
-    b_rhs = problem.eq_rhs
+    a_mat, b_rhs = problem.eq_mat, problem.eq_rhs
     p = 0 if a_mat is None else a_mat.shape[0]
 
-    x = problem.interior_point
-    if x is None:
-        x = np.zeros(nv)
-        if p and not np.allclose(a_mat @ x, b_rhs):
-            x = np.linalg.lstsq(a_mat, b_rhs, rcond=None)[0]
-    x = np.asarray(x, dtype=np.float64).copy()
-    if not _feasible(blocks, x):
+    x = np.asarray(problem.interior_point, dtype=np.float64).copy()
+    if p and not np.allclose(a_mat @ x, b_rhs):
+        raise NoInteriorPoint(
+            f"starting point violates the equalities of problem {problem.name!r}"
+        )
+    try:
+        grad, hess = _barrier_derivatives(blocks, x)
+    except np.linalg.LinAlgError:
         raise NoInteriorPoint(
             f"starting point is not strictly feasible for problem {problem.name!r}"
-        )
-    nu = np.zeros(p)
+        ) from None
 
-    flat_coeffs = [b.coeffs.reshape(nv, -1) for b in blocks]
+    # KKT system of the equality-constrained Newton step; the primal
+    # residual is zero because every iterate satisfies A x = b
+    kkt = np.zeros((nv + p, nv + p))
+    if p:
+        kkt[:nv, nv:] = a_mat.T
+        kkt[nv:, :nv] = a_mat
+    rhs = np.zeros(nv + p)
+
+    m_total = sum(b.size for b in blocks)
     t = 1.0
     steps = 0
-
-    def residual(xv, nuv, tv):
-        g = tv * c
-        for b, cf in zip(blocks, flat_coeffs):
-            f = b.eval(xv)
-            finv = np.linalg.inv(f)
-            g = g - np.real(cf.conj() @ finv.ravel())
-        r_dual = g if p == 0 else g + a_mat.T @ nuv
-        r_pri = np.zeros(0) if p == 0 else a_mat @ xv - b_rhs
-        return r_dual, r_pri
-
     while True:
-        # center at the current barrier parameter; intermediate stages only
-        # need loose centering, the final stage is polished
-        final_stage = m_total / t <= tol
-        scale = max(1.0, t * (1.0 + float(np.linalg.norm(c))))
-        center_tol = (1e-9 if final_stage else 1e-5) * scale
-        for _ in range(400):
-            grad = t * c
-            hess = np.zeros((nv, nv))
-            for b, cf in zip(blocks, flat_coeffs):
-                f = b.eval(x)
-                lo = np.linalg.cholesky(f)
-                finv = np.linalg.inv(f)
-                grad = grad - np.real(cf.conj() @ finv.ravel())
-                half = np.linalg.solve(lo[np.newaxis, :, :], b.coeffs)
-                mid = np.linalg.solve(
-                    lo[np.newaxis, :, :], half.conj().transpose(0, 2, 1)
-                ).conj().transpose(0, 2, 1)
-                mflat = mid.reshape(nv, -1)
-                hess = hess + np.real(mflat @ mflat.conj().T)
-            r_dual = grad if p == 0 else grad + a_mat.T @ nu
-            r_pri = np.zeros(0) if p == 0 else a_mat @ x - b_rhs
-            r_norm = math.sqrt(
-                float(np.dot(r_dual, r_dual)) + float(np.dot(r_pri, r_pri))
-            )
-            if r_norm <= center_tol:
+        while True:
+            kkt[:nv, :nv] = hess
+            rhs[:nv] = -(t * c + grad)
+            dx = np.linalg.solve(kkt, rhs)[:nv]
+            decrement_sq = float(dx @ hess @ dx)
+            if decrement_sq / 2.0 <= _CENTERED:
                 break
             if steps >= max_newton:
                 raise MaxIterations(
                     f"Newton budget exhausted in problem {problem.name!r}"
                 )
-            ridge = 1e-13 * max(1.0, float(np.trace(hess)) / nv)
-            hess[np.diag_indices_from(hess)] += ridge
-            if p:
-                kkt = np.zeros((nv + p, nv + p))
-                kkt[:nv, :nv] = hess
-                kkt[:nv, nv:] = a_mat.T
-                kkt[nv:, :nv] = a_mat
-                rhs = -np.concatenate([r_dual, r_pri])
-                try:
-                    step = np.linalg.solve(kkt, rhs)
-                except np.linalg.LinAlgError:
-                    step = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-                dx, dnu = step[:nv], step[nv:]
-            else:
-                try:
-                    dx = np.linalg.solve(hess, -r_dual)
-                except np.linalg.LinAlgError:
-                    dx = np.linalg.lstsq(hess, -r_dual, rcond=None)[0]
-                dnu = np.zeros(0)
-            alpha = 1.0
-            while alpha > 1e-13 and not _feasible(blocks, x + alpha * dx):
-                alpha *= 0.5
-            while alpha > 1e-13:
-                rd, rp = residual(x + alpha * dx, nu + alpha * dnu, t)
-                new_norm = math.sqrt(
-                    float(np.dot(rd, rd)) + float(np.dot(rp, rp))
-                )
-                if new_norm <= (1.0 - 0.25 * alpha) * r_norm + 1e-16 * scale:
-                    break
-                alpha *= 0.5
-            if alpha <= 1e-13:
-                break  # stalled; current point is as centered as we can get
-            x = x + alpha * dx
-            nu = nu + alpha * dnu
+            decrement = math.sqrt(decrement_sq)
+            if decrement > _QUADRATIC_PHASE:
+                dx /= 1.0 + decrement
+            x = x + dx
             steps += 1
+            grad, hess = _barrier_derivatives(blocks, x)
         gap = m_total / t
         if gap <= tol:
             break
@@ -283,13 +246,8 @@ def min_witness_problem(
             coeffs[minus - 1, r, s] -= 1.0
             coeffs[minus - 1, s, r] -= 1.0
         blocks.append(AffineBlock(np.zeros((q, q), dtype=np.complex128), coeffs))
-    for j in range(total - 1):
-        row = np.zeros(nv)
-        row[j], row[j + 1] = 1.0, -1.0
-        blocks.append(scalar_inequality(nv, row, 0.0))
-    last = np.zeros(nv)
-    last[total - 1] = 1.0
-    blocks.append(scalar_inequality(nv, last, 0.0))
+    # lambda_1 >= ... >= lambda_mn >= 0: rows e_j - e_{j+1}, then e_mn
+    blocks.append(scalar_inequality(np.eye(nv) - np.eye(nv, k=1), 0.0))
 
     tilt = 1.0 + 0.01 * np.linspace(1.0, -1.0, total)
     start = tilt / tilt.sum()
@@ -408,11 +366,11 @@ def max_eig_problem(phi: posmaps.MapSpec) -> SdpProblem:
     pt_basis = np.stack(
         [bipartite.partial_transpose(basis[k], n, m) for k in range(nv)]
     )
-    trace_row = -np.real(np.einsum("kaa->k", basis))
+    trace_row = -np.real(np.einsum("kaa->k", basis))[np.newaxis, :]
     blocks = [
         AffineBlock(np.zeros((d, d), dtype=np.complex128), basis.copy()),
         AffineBlock(np.zeros((d, d), dtype=np.complex128), pt_basis),
-        scalar_inequality(nv, trace_row, -1.0),
+        scalar_inequality(trace_row, -1.0),
     ]
     start = np.zeros(nv)
     start[:d] = 1.0 / (2.0 * d)

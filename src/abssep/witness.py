@@ -84,8 +84,10 @@ def summarize(w, trace_tol: float = 1e-9) -> WitnessSummary:
     ell_from_trace_norm = (1.0 - float(np.sum(np.abs(eigs)))) / 2.0
     if abs(ell - ell_from_trace_norm) > 1e-9:
         raise ToolkitError("negative-eigenvalue sum disagrees with trace-norm formula")
+    # count only eigenvalues beyond the eigensolver's backward error, size*eps*max|lambda|
+    noise = eigs.size * np.finfo(np.float64).eps * float(np.max(np.abs(eigs)))
     return WitnessSummary(
-        mu1=float(eigs[0]), ell=ell, neg_count=int(neg.size), trace=trace
+        mu1=float(eigs[0]), ell=ell, neg_count=int(np.count_nonzero(neg < -noise)), trace=trace
     )
 
 

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import abssep
 from abssep import bipartite, cli, families, matcore, posmaps
 
 
@@ -232,6 +237,15 @@ def test_orbit_scan_deterministic_and_parallel(tmp_path, capsys):
     assert json.loads(out1)["max_violation"] == json.loads(out2)["max_violation"]
 
 
+def test_orbit_scan_tolerance_does_not_leak_between_calls(tmp_path, capsys):
+    path = write_spectrum(tmp_path, families.isotropic_spectrum(3, 0.1))
+    args = ["orbit-scan", path, "--criterion", "realignment", "--samples", "4", "--seed", "5"]
+    code, out = run_cli(args + ["--tol", "violation=1"], capsys)
+    assert code == 0 and json.loads(out)["tolerance"] == 1.0
+    code, out = run_cli(args, capsys)
+    assert code == 0 and json.loads(out)["tolerance"] == 1e-8
+
+
 def test_orbit_scan_finds_violation_for_entangled_family(tmp_path, capsys):
     path = write_spectrum(tmp_path, families.isotropic_spectrum(3, 0.5))
     code, out = run_cli(
@@ -289,3 +303,18 @@ def test_config_file_and_flag_override(tmp_path, capsys):
         capsys,
     )
     assert json.loads(out)["samples"] == 3
+
+
+def test_module_entry_points_run_without_warnings():
+    env = dict(os.environ, PYTHONPATH=str(Path(abssep.__file__).resolve().parents[1]))
+    argv = ["family", "werner", "--n", "3", "--alpha", "-0.45"]
+    outputs = []
+    for module in ("abssep.cli", "abssep"):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", module, *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["classification"] == "Unknown"

@@ -12,20 +12,14 @@ R2 = math.sqrt(2.0)
 
 
 def _ordering_problem(nv):
-    blocks = []
-    for j in range(nv - 1):
-        row = np.zeros(nv)
-        row[j], row[j + 1] = 1.0, -1.0
-        blocks.append(sdpsolve.scalar_inequality(nv, row, 0.0))
-    last = np.zeros(nv)
-    last[-1] = 1.0
-    blocks.append(sdpsolve.scalar_inequality(nv, last, 0.0))
+    # x_1 >= x_2 >= ... >= x_nv >= 0 as one stacked diagonal block
+    rows = np.eye(nv) - np.eye(nv, k=1)
     obj = np.zeros(nv)
     obj[0] = 1.0
     tilt = 1.0 + 0.01 * np.linspace(1.0, -1.0, nv)
     return sdpsolve.SdpProblem(
         objective=obj,
-        blocks=blocks,
+        blocks=[sdpsolve.scalar_inequality(rows, 0.0)],
         eq_mat=np.ones((1, nv)),
         eq_rhs=np.ones(1),
         interior_point=tilt / tilt.sum(),
@@ -45,6 +39,42 @@ def test_solve_requires_interior_point():
     prob.interior_point = np.array([0.4, 0.3, 0.2, 0.1])[::-1].copy()  # not descending
     with pytest.raises(NoInteriorPoint):
         sdpsolve.solve(prob)
+
+
+def test_solve_rejects_start_off_the_equalities():
+    prob = _ordering_problem(4)
+    prob.interior_point = np.array([0.4, 0.3, 0.2, 0.05])  # strictly ordered, sums to 0.95
+    with pytest.raises(NoInteriorPoint):
+        sdpsolve.solve(prob)
+
+
+def test_scalar_inequality_stacks_rows_into_one_diagonal_block():
+    rows = np.array([[1.0, -1.0, 0.0], [0.0, 2.0, 1.0]])
+    block = sdpsolve.scalar_inequality(rows, 0.5)
+    assert block.size == 2
+    x = np.array([0.3, 0.7, -0.4])
+    assert np.allclose(block.eval(x), np.diag(rows @ x - 0.5))
+
+
+def test_threshold_witness_solve_takes_few_newton_steps():
+    # the branch-a midpoint, and 40 of these 60 seeded points, once ran the
+    # final stage into a 400-step stall
+    ells = [(-0.5 + witness.SPLIT_LOW) / 2.0]
+    ells += [float(np.random.default_rng(seed).uniform(-0.5, 0.0)) for seed in range(60)]
+    for ell in ells:
+        spec = witness.extremal_witness_spectrum(ell, witness.detection_threshold(ell), 9)
+        sol = sdpsolve.solve(sdpsolve.min_witness_problem(spec, (3, 3), "full"), tol=1e-8)
+        assert sol.newton_steps <= 200
+        assert sol.primal_value >= -1e-9
+        assert sol.gap <= 1e-8
+
+
+def test_max_eig_solve_takes_few_newton_steps():
+    phi = posmaps.dual_map(posmaps.generalized_choi_map(6.0 / 5.0, 6.0 / 5.0))
+    sol = sdpsolve.solve(sdpsolve.max_eig_problem(phi), tol=1e-7)
+    assert sol.newton_steps <= 200
+    # the maximization's bracket is [-primal, -dual]
+    assert -sol.primal_value <= 0.6 <= -sol.dual_value
 
 
 def test_min_witness_uniform_spectrum():
@@ -222,10 +252,3 @@ def test_max_eig_solver_path():
     cert_value = sdpsolve.verify_max_eig_certificate(phi, sdpsolve.max_eig_certificate(phi))
     assert value >= cert_value - 1e-6
 
-
-def test_problem_json_dump():
-    prob = _ordering_problem(4)
-    dump = prob.to_json()
-    assert dump["n_vars"] == 4
-    assert dump["equalities"] == 1
-    assert len(dump["blocks"]) == 4

@@ -66,6 +66,16 @@ def test_summarize_choi_dual_witness_at_max_entangled():
     assert ws.neg_count == 1
 
 
+def test_summarize_neg_count_ignores_rounding_noise():
+    # five exact zeros come back from the eigensolver as +-1e-17-sized values
+    spectrum = np.diag([0.6, 0.5, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0, -0.4])
+    for seed in range(40):
+        u = bipartite.haar_unitary(9, bipartite.rng_stream(seed))
+        ws = witness.summarize(u @ spectrum @ u.conj().T)
+        assert ws.neg_count == 1
+        assert abs(ws.ell + 0.4) <= 1e-12
+
+
 def test_summarize_realignment_witness_bound():
     rng = bipartite.rng_stream(5)
     for _ in range(50):
