@@ -206,9 +206,12 @@ def sample_abs_ppt_spectrum(
 ) -> Spectrum:
     """Random spectrum passing the exact absolute-PPT test (min{m,n} <= 3).
 
-    A flat-Dirichlet draw is mixed toward the uniform spectrum; binary search
-    finds the largest admissible mixing weight and a uniform sub-weight is
-    returned, which covers the boundary of the feasible region.
+    A flat-Dirichlet draw is mixed toward the uniform spectrum with a weight
+    drawn uniformly below the largest admissible one, which covers the
+    boundary of the feasible region. The LMIs are linear in the spectrum and
+    equal (2/mn)·I at the uniform one, so along the mix each LMI's minimum
+    eigenvalue is (1 − β)·2/mn + β·λ_min(L(draw)), and the largest weight
+    keeping every one >= −tol comes in closed form from one LMI evaluation.
     """
     if min(m, n) > 3:
         raise Unsupported("exact absolute-PPT sampling needs min{m,n} <= 3")
@@ -216,21 +219,9 @@ def sample_abs_ppt_spectrum(
     total = m * n
     uniform = np.full(total, 1.0 / total)
     draw = np.sort(rng.dirichlet(np.ones(total)))[::-1]
-
-    def passes(beta: float) -> bool:
-        mix = (1.0 - beta) * uniform + beta * draw
-        return is_abs_ppt(Spectrum(m, n, mix), tol=tol) is AbsPptVerdict.YES
-
-    if passes(1.0):
-        beta_ok = 1.0
-    else:
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = (lo + hi) / 2.0
-            if passes(mid):
-                lo = mid
-            else:
-                hi = mid
-        beta_ok = lo
+    at_uniform = 2.0 / total
+    slope = at_uniform - lmi_min_eigenvalues(Spectrum(m, n, draw))
+    falling = slope[slope > 0.0]
+    beta_ok = min(1.0, float(np.min((at_uniform + tol) / falling))) if falling.size else 1.0
     beta = rng.uniform(0.0, beta_ok)
     return Spectrum(m, n, (1.0 - beta) * uniform + beta * draw)

@@ -28,11 +28,11 @@ class OperatorSchmidt(NamedTuple):
     right_ops: list[np.ndarray]    # HS-orthonormal, n x n
 
 
-def _check_dims(x: np.ndarray, m: int, n: int) -> np.ndarray:
-    x = matcore.as_complex_matrix(x)
+def _check_dims(x: np.ndarray, m: int, n: int, stack: bool = False) -> np.ndarray:
+    x = matcore.as_complex_matrix(x, stack=stack)
     if m < 1 or n < 1:
         raise InvalidDim(f"factor dims must be positive, got ({m}, {n})")
-    if x.shape != (m * n, m * n):
+    if x.shape[-2:] != (m * n, m * n):
         raise InvalidDim(f"operator shape {x.shape} does not match dims ({m}, {n})")
     return x
 
@@ -60,9 +60,13 @@ def partial_trace(x, m: int, n: int, subsystem: str = "second") -> np.ndarray:
 
 
 def realign(x, m: int, n: int) -> np.ndarray:
-    """Realignment rearrangement, an m² x n² matrix with the same entries as X."""
-    x = _check_dims(x, m, n)
-    return x.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
+    """Realignment rearrangement, an m² x n² matrix with the same entries as X.
+
+    Accepts a stack X[..., mn, mn] and realigns each operator.
+    """
+    x = _check_dims(x, m, n, stack=True)
+    lead = x.shape[:-2]
+    return x.reshape(lead + (m, n, m, n)).swapaxes(-3, -2).reshape(lead + (m * m, n * n))
 
 
 def realign_trace_norm(x, m: int, n: int) -> float:
@@ -140,15 +144,27 @@ def rng_stream(seed: int, stream: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def haar_unitary(n: int, seed: int | np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via complex Ginibre + phase-fixed QR."""
+def haar_unitaries(n: int, rngs) -> np.ndarray:
+    """A stack of Haar-distributed unitaries, one per generator in rngs.
+
+    Each slice is a complex Ginibre draw from its own generator, so a slice
+    does not depend on the stack it sits in; one stacked QR with the phase
+    of R's diagonal divided out makes them Haar (Mezzadri, Notices AMS 54, 2007).
+    """
     if n < 1:
         raise InvalidDim("n must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else rng_stream(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    z = np.empty((len(rngs), n, n), dtype=np.complex128)
+    for k, rng in enumerate(rngs):
+        z[k] = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))[np.newaxis, :]
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., np.newaxis, :]
+
+
+def haar_unitary(n: int, seed: int | np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary: the stack-of-one case of haar_unitaries."""
+    rng = seed if isinstance(seed, np.random.Generator) else rng_stream(seed)
+    return haar_unitaries(n, [rng])[0]
 
 
 def random_density(dim: int, seed: int | np.random.Generator) -> np.ndarray:

@@ -11,7 +11,6 @@ certificate, violation found), 3 input error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import math
@@ -26,6 +25,8 @@ from .errors import CertificateRejected, ToolkitError
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
 EXIT_INPUT = 3
+
+ORBIT_CHUNK = 16  # Haar samples per stacked draw; bounds orbit-scan's working memory
 
 HULL_POINTS = (
     (0.0, 0.0),
@@ -42,13 +43,15 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     out: str | None = None
     fmt: str = "csv"
-    workers: int = 1
 
     def tol(self, name: str, default: float) -> float:
         return float(self.tolerances.get(name, default))
 
     def sample_count(self, default: int) -> int:
-        return default if self.samples is None else self.samples
+        count = default if self.samples is None else self.samples
+        if count < 1:
+            raise ValueError(f"--samples must be at least 1, got {count}")
+        return count
 
 
 def _fmt(value) -> str:
@@ -110,8 +113,6 @@ def _build_config(args) -> RunConfig:
         cfg.out = raw["out"]
     if "format" in raw:
         cfg.fmt = raw["format"]
-    if "workers" in raw:
-        cfg.workers = int(raw["workers"])
     for key, value in raw.items():
         if key.startswith("tol."):
             cfg.tolerances[key[4:]] = float(value)
@@ -123,8 +124,6 @@ def _build_config(args) -> RunConfig:
         cfg.out = args.out
     if getattr(args, "format", None) is not None:
         cfg.fmt = args.format
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
     for item in getattr(args, "tol", None) or []:
         if "=" not in item:
             raise ValueError(f"--tol expects name=value, got {item!r}")
@@ -345,13 +344,17 @@ def cmd_fig_data(args) -> int:
     return EXIT_OK
 
 
-def _orbit_violation(values, m, n, criterion, b, c, seed, index) -> float:
-    rng = bipartite.rng_stream(seed, stream=index)
-    u = bipartite.haar_unitary(m * n, rng)
-    rho = (u * values) @ u.conj().T
+def _orbit_violations(spec, criterion, b, c, seed, count) -> np.ndarray:
+    """Violation of the criterion on each of count Haar rotations of the spectrum.
+
+    Sample i is rotated by a unitary drawn from rng_stream(seed, i); samples
+    are processed ORBIT_CHUNK at a time as one stack, so the result does not
+    depend on the chunking.
+    """
+    m, n = spec.m, spec.n
     if criterion == "realignment":
-        return bipartite.realign_trace_norm(rho, m, n) - 1.0
-    if criterion == "choi":
+        phi = None
+    elif criterion == "choi":
         phi = posmaps.choi_map()
     elif criterion == "gen_choi":
         phi = posmaps.generalized_choi_map(b, c)
@@ -359,18 +362,18 @@ def _orbit_violation(values, m, n, criterion, b, c, seed, index) -> float:
         phi = posmaps.breuer_hall_map(n)
     else:
         raise ValueError(f"unknown criterion {criterion!r}")
-    mapped = posmaps.apply_id_tensor(phi, rho, m)
-    return -float(matcore.eigvalsh(mapped)[-1])
-
-
-def _orbit_args(spec, criterion, b, c, seed, count):
-    return [
-        (spec.values, spec.m, spec.n, criterion, b, c, seed, i) for i in range(count)
-    ]
-
-
-def _orbit_worker(packed):
-    return _orbit_violation(*packed)
+    out = np.empty(count)
+    for start in range(0, count, ORBIT_CHUNK):
+        stop = min(start + ORBIT_CHUNK, count)
+        rngs = [bipartite.rng_stream(seed, stream=i) for i in range(start, stop)]
+        u = bipartite.haar_unitaries(m * n, rngs)
+        rho = (u * spec.values) @ u.conj().swapaxes(-1, -2)
+        if phi is None:
+            trace_norms = matcore.singular_values(bipartite.realign(rho, m, n)).sum(axis=-1)
+            out[start:stop] = trace_norms - 1.0
+        else:
+            out[start:stop] = -matcore.eigvalsh(posmaps.apply_id_tensor(phi, rho, m))[..., -1]
+    return out
 
 
 def cmd_orbit_scan(args) -> int:
@@ -382,12 +385,7 @@ def cmd_orbit_scan(args) -> int:
         if spec.m != spec.n or spec.n % 2 != 0 or spec.n < 4:
             raise ValueError("Breuer-Hall criterion needs (n, n) dims with even n >= 4")
     count = cfg.sample_count(200)
-    jobs = _orbit_args(spec, args.criterion, args.b, args.c, cfg.seed, count)
-    if cfg.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            violations = list(pool.map(_orbit_worker, jobs, chunksize=16))
-    else:
-        violations = [_orbit_worker(job) for job in jobs]
+    violations = _orbit_violations(spec, args.criterion, args.b, args.c, cfg.seed, count)
     tol = cfg.tol("violation", 1e-8)
     max_violation = float(np.max(violations))
     report = {
@@ -461,7 +459,6 @@ def _add_common(sub):
     sub.add_argument("--out", default=None)
     sub.add_argument("--format", choices=["csv", "json"], default=None)
     sub.add_argument("--config", default=None, help="key=value config file")
-    sub.add_argument("--workers", type=int, default=None)
 
 
 @functools.cache

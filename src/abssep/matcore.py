@@ -43,47 +43,60 @@ class PsdReport:
         return f"PsdReport(ok={self.ok}, min_eigenvalue={self.min_eigenvalue:.3e})"
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Validate and return a finite 2-d complex array."""
+def as_complex_matrix(a, stack: bool = False) -> np.ndarray:
+    """Validate and return a finite complex matrix, or with stack=True a stack [..., r, c]."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+    if (m.ndim < 2 if stack else m.ndim != 2) or m.shape[-2] < 1 or m.shape[-1] < 1:
         raise InvalidMatrix(f"expected a 2-d matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InvalidMatrix("matrix has non-finite entries")
     return m
 
 
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack x[..., r, c]."""
+    return np.sqrt(np.square(np.abs(x)).sum(axis=(-2, -1)))
+
+
 def hermitize(a, tol: float = HERMITIZE_TOL) -> np.ndarray:
-    """Return the exactly Hermitian form (A + A†)/2, rejecting far-from-Hermitian input."""
-    m = as_complex_matrix(a)
-    if m.shape[0] != m.shape[1]:
+    """Return the exactly Hermitian form (A + A†)/2, rejecting far-from-Hermitian input.
+
+    Accepts a stack [..., n, n]; the defect gate applies to each matrix.
+    """
+    m = as_complex_matrix(a, stack=True)
+    if m.shape[-2] != m.shape[-1]:
         raise InvalidMatrix(f"Hermitian matrix must be square, got {m.shape}")
-    mh = m.conj().T
-    defect = np.linalg.norm(m - mh)
-    if defect > tol * (1.0 + np.linalg.norm(m)):
-        raise InvalidMatrix(f"matrix is not Hermitian (defect {defect:.3e})")
+    mh = m.conj().swapaxes(-1, -2)
+    defect = _frobenius(m - mh)
+    if (defect > tol).any():  # a defect within tol passes whatever the norm of the matrix
+        bad = defect > tol * (1.0 + _frobenius(m))
+        if bad.any():
+            raise InvalidMatrix(f"matrix is not Hermitian (defect {defect[bad].flat[0]:.3e})")
     return (m + mh) / 2.0
 
 
 def eigh(a, tol: float = HERMITIZE_TOL) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues descending.
+    """Full eigendecomposition of a Hermitian matrix (or stack), eigenvalues descending.
 
     Ties are broken deterministically by LAPACK's ascending index.
     """
     d, q = np.linalg.eigh(hermitize(a, tol=tol))
-    order = np.argsort(-d, kind="stable")
-    return EigenDecomposition(d[order], np.ascontiguousarray(q[:, order]))
+    order = np.argsort(-d, axis=-1, kind="stable")
+    return EigenDecomposition(
+        np.take_along_axis(d, order, -1),
+        np.ascontiguousarray(np.take_along_axis(q, order[..., np.newaxis, :], -1)),
+    )
 
 
 def eigvalsh(a, tol: float = HERMITIZE_TOL) -> np.ndarray:
-    """Eigenvalues only (descending)."""
+    """Eigenvalues only (descending), of a matrix or of each matrix of a stack."""
     d = np.linalg.eigvalsh(hermitize(a, tol=tol))
-    return d[np.argsort(-d, kind="stable")]
+    return -np.sort(-d, axis=-1, kind="stable")  # the same tie order as eigh
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values (descending), computed by SVD."""
-    return np.linalg.svd(as_complex_matrix(a), compute_uv=False)
+    """Singular values (descending), of a matrix or of each matrix of a stack, by SVD."""
+    return np.linalg.svd(as_complex_matrix(a, stack=True), compute_uv=False)
 
 
 def schatten_norm(a, kind: str) -> float:
@@ -101,6 +114,8 @@ def schatten_norm(a, kind: str) -> float:
 def is_psd(a, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     """PSD test with relative tolerance: min eig >= -tol * max(1, operator norm)."""
     w = eigvalsh(a)
+    if w.ndim != 1:
+        raise InvalidMatrix(f"is_psd takes one matrix, got a stack of shape {w.shape[:-1]}")
     lam_min = float(w[-1])
     op = max(abs(float(w[0])), abs(lam_min))
     return PsdReport(lam_min >= -tol * max(1.0, op), lam_min)

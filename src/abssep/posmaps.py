@@ -149,12 +149,16 @@ def dual_map(phi: MapSpec) -> MapSpec:
 
 
 def apply_id_tensor(phi: MapSpec, x, id_dim: int) -> np.ndarray:
-    """(id_{id_dim} ⊗ Phi)(X), applying the map to every d x d block at once."""
+    """(id_{id_dim} ⊗ Phi)(X), applying the map to every d x d block at once.
+
+    Accepts a stack X[..., id_dim·d, id_dim·d] and maps each operator.
+    """
     d = phi.in_dim
-    x = bipartite._check_dims(x, id_dim, d)
-    blocks = x.reshape(id_dim, d, id_dim, d).transpose(0, 2, 1, 3)
-    out = _act(phi, blocks)
-    return out.transpose(0, 2, 1, 3).reshape(id_dim * phi.out_dim, id_dim * phi.out_dim)
+    x = bipartite._check_dims(x, id_dim, d, stack=True)
+    lead = x.shape[:-2]
+    blocks = x.reshape(lead + (id_dim, d, id_dim, d)).swapaxes(-3, -2)
+    out = _act(phi, blocks).swapaxes(-3, -2)
+    return out.reshape(lead + (id_dim * phi.out_dim, id_dim * phi.out_dim))
 
 
 def choi_matrix(phi: MapSpec) -> np.ndarray:

@@ -211,6 +211,50 @@ def test_sampler_reaches_uniform_and_requires_small_dims():
         absppt.sample_abs_ppt_spectrum(4, 4, 0)
 
 
+def bisection_sample(m, n, rng, tol=absppt.LMI_PSD_TOL):
+    """The sampler as a 60-step bisection on the mixing weight.
+
+    Returns (beta_ok, beta, draw), consuming the generator as the sampler does.
+    """
+    total = m * n
+    uniform = np.full(total, 1.0 / total)
+    draw = np.sort(rng.dirichlet(np.ones(total)))[::-1]
+    lmis = absppt.build_lmis(m, n).matrices
+
+    def passes(beta):
+        mix = (1.0 - beta) * uniform + beta * draw
+        return all(np.linalg.eigvalsh(t.evaluate(mix))[0] >= -tol for t in lmis)
+
+    lo, hi = 0.0, 1.0
+    if passes(1.0):
+        lo = 1.0
+    else:
+        for _ in range(60):
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return lo, rng.uniform(0.0, lo), draw
+
+
+def test_closed_form_sampler_matches_bisection():
+    capped = 0
+    for m, n in [(2, 2), (2, 3), (3, 3), (3, 4), (2, 5)]:
+        total = m * n
+        uniform = np.full(total, 1.0 / total)
+        rng = np.random.default_rng(100 + total)
+        ref_rng = np.random.default_rng(100 + total)
+        for _ in range(200):
+            s = absppt.sample_abs_ppt_spectrum(m, n, rng)
+            beta_ok, beta, draw = bisection_sample(m, n, ref_rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert absppt.is_abs_ppt(s) is AbsPptVerdict.YES
+            # the same draw and the same uniform variate, so beta scales with beta_ok
+            step = draw - uniform
+            drawn_beta = float(np.dot(s.values - uniform, step) / np.dot(step, step))
+            assert abs(drawn_beta * beta_ok / beta - beta_ok) <= 1e-12
+            capped += beta_ok == 1.0
+    assert 0 < capped < 1000  # draws that pass outright and draws that need mixing
+
+
 def test_spectrum_validation_and_json():
     with pytest.raises(InvalidState):
         Spectrum(3, 3, np.full(8, 1.0 / 8.0))

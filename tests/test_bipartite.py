@@ -303,3 +303,27 @@ def test_operator_schmidt_zeroes_only_below_rank_tolerance():
     assert np.all(os.coefficients[2:] == 0.0)
     ref = np.linalg.svd(bipartite.realign(x, 3, 2), compute_uv=False)
     assert np.allclose(os.coefficients[:2], ref[:2], atol=1e-14)
+
+
+def test_haar_unitaries_stack_matches_single_draws():
+    rngs = [bipartite.rng_stream(4, stream=i) for i in range(5)]
+    stack = bipartite.haar_unitaries(6, rngs)
+    assert stack.shape == (5, 6, 6)
+    for i in range(5):
+        assert np.array_equal(stack[i], bipartite.haar_unitary(6, bipartite.rng_stream(4, stream=i)))
+        assert np.linalg.norm(stack[i].conj().T @ stack[i] - np.eye(6)) <= 1e-10
+    with pytest.raises(InvalidDim):
+        bipartite.haar_unitaries(0, rngs)
+
+
+def test_stacked_realign_matches_per_matrix():
+    rng = np.random.default_rng(14)
+    stack = np.array([random_state(rng, 6) for _ in range(4)])
+    out = bipartite.realign(stack, 2, 3)
+    assert out.shape == (4, 4, 9)
+    for i in range(4):
+        assert np.array_equal(out[i], bipartite.realign(stack[i], 2, 3))
+    with pytest.raises(InvalidDim):
+        bipartite.realign(stack, 3, 2 + 1)
+    with pytest.raises(InvalidMatrix):
+        bipartite.partial_transpose(stack, 2, 3)  # single-matrix operations stay 2-d only

@@ -228,13 +228,108 @@ def test_fig_data_byte_stable(tmp_path, capsys):
     assert out_path.read_text() == first
 
 
-def test_orbit_scan_deterministic_and_parallel(tmp_path, capsys):
+def test_orbit_scan_deterministic(tmp_path, capsys):
     path = write_spectrum(tmp_path, families.isotropic_spectrum(3, 0.1))
     args = ["orbit-scan", path, "--criterion", "realignment", "--samples", "24", "--seed", "5"]
     code1, out1 = run_cli(args, capsys)
-    code2, out2 = run_cli(args + ["--workers", "2"], capsys)
+    code2, out2 = run_cli(args, capsys)
     assert code1 == code2 == 0
-    assert json.loads(out1)["max_violation"] == json.loads(out2)["max_violation"]
+    assert out1 == out2
+
+
+SPEC_33 = [0.2, 0.15, 0.12, 0.11, 0.1, 0.1, 0.08, 0.07, 0.07]
+SPEC_44 = [0.08, 0.075, 0.07, 0.068, 0.066, 0.064, 0.062, 0.062,
+           0.06, 0.06, 0.058, 0.056, 0.055, 0.054, 0.052, 0.058]
+PURE_33 = [1.0] + [0.0] * 8
+
+# orbit-scan output captured from the per-sample loop the chunked scan replaced
+GOLDEN_ORBIT = [
+    ((3, 3, SPEC_33), ["--criterion", "realignment", "--samples", "40", "--seed", "9"], 0,
+     '{"criterion": "realignment", "max_violation": -0.3853543398703815, "samples": 40, '
+     '"seed": 9, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
+    ((3, 3, SPEC_33), ["--criterion", "choi", "--samples", "40", "--seed", "9"], 0,
+     '{"criterion": "choi", "max_violation": -0.07418105524737659, "samples": 40, '
+     '"seed": 9, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
+    ((3, 3, SPEC_33), ["--criterion", "gen_choi", "--samples", "40", "--seed", "9",
+                       "--b", "1.2", "--c", "1.2"], 0,
+     '{"criterion": "gen_choi", "max_violation": -0.05637078935413884, "samples": 40, '
+     '"seed": 9, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
+    ((4, 4, SPEC_44), ["--criterion", "breuer_hall", "--samples", "40", "--seed", "9"], 0,
+     '{"criterion": "breuer_hall", "max_violation": -0.05344286061810128, "samples": 40, '
+     '"seed": 9, "tolerance": 1e-08, "verdict": "NecessaryPassedOnly", "violated": false}\n'),
+    ((4, 4, SPEC_44), ["--criterion", "realignment", "--samples", "40", "--seed", "9"], 0,
+     '{"criterion": "realignment", "max_violation": -0.6523471509714702, "samples": 40, '
+     '"seed": 9, "tolerance": 1e-08, "verdict": "NecessaryPassedOnly", "violated": false}\n'),
+    ((3, 3, PURE_33), ["--criterion", "realignment", "--samples", "17", "--seed", "2"], 2,
+     '{"criterion": "realignment", "max_violation": 1.6566826138580582, "samples": 17, '
+     '"seed": 2, "tolerance": 1e-08, "verdict": "No", "violated": true}\n'),
+    ((3, 3, PURE_33), ["--criterion", "choi", "--samples", "17", "--seed", "2"], 2,
+     '{"criterion": "choi", "max_violation": 0.146834349316344, "samples": 17, '
+     '"seed": 2, "tolerance": 1e-08, "verdict": "No", "violated": true}\n'),
+]
+
+
+@pytest.mark.parametrize("spec, argv, code, expected", GOLDEN_ORBIT)
+def test_orbit_scan_golden_bytes(tmp_path, capsys, spec, argv, code, expected):
+    from abssep.absppt import Spectrum
+
+    path = write_spectrum(tmp_path, Spectrum(*spec))
+    assert run_cli(["orbit-scan", path, *argv], capsys) == (code, expected)
+
+
+def reference_violations(spec, criterion, seed, count, b=1.2, c=1.2):
+    """One Haar rotation at a time, through the single-matrix kernels."""
+    phi = {
+        "choi": posmaps.choi_map,
+        "gen_choi": lambda: posmaps.generalized_choi_map(b, c),
+        "breuer_hall": lambda: posmaps.breuer_hall_map(spec.n),
+    }.get(criterion, lambda: None)()
+    out = []
+    for i in range(count):
+        u = bipartite.haar_unitary(spec.m * spec.n, bipartite.rng_stream(seed, stream=i))
+        rho = (u * spec.values) @ u.conj().T
+        if phi is None:
+            out.append(bipartite.realign_trace_norm(rho, spec.m, spec.n) - 1.0)
+        else:
+            out.append(-float(matcore.eigvalsh(posmaps.apply_id_tensor(phi, rho, spec.m))[-1]))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("criterion, dims, values", [
+    ("realignment", (3, 3), SPEC_33),
+    ("realignment", (2, 3), [0.3, 0.2, 0.15, 0.15, 0.1, 0.1]),
+    ("choi", (3, 3), SPEC_33),
+    ("gen_choi", (3, 3), SPEC_33),
+    ("breuer_hall", (4, 4), SPEC_44),
+])
+@pytest.mark.parametrize("count", [1, 15, 16, 17, 40])
+def test_orbit_violations_match_per_sample_loop(criterion, dims, values, count):
+    from abssep.absppt import Spectrum
+
+    spec = Spectrum(*dims, values)
+    got = cli._orbit_violations(spec, criterion, 1.2, 1.2, 13, count)
+    assert np.array_equal(got, reference_violations(spec, criterion, 13, count))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_orbit_violations_do_not_depend_on_chunk_size(monkeypatch, chunk):
+    from abssep.absppt import Spectrum
+
+    spec = Spectrum(3, 3, SPEC_33)
+    expected = cli._orbit_violations(spec, "choi", 1.0, 0.0, 4, 33)
+    monkeypatch.setattr(cli, "ORBIT_CHUNK", chunk)
+    assert np.array_equal(cli._orbit_violations(spec, "choi", 1.0, 0.0, 4, 33), expected)
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_below_one_is_an_input_error(tmp_path, capsys, samples):
+    path = write_spectrum(tmp_path, families.isotropic_spectrum(3, 0.1))
+    for argv in (["orbit-scan", path, "--criterion", "realignment"], ["fig-data", "upb_interval"]):
+        code = cli.main(argv + ["--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
 
 
 def test_orbit_scan_tolerance_does_not_leak_between_calls(tmp_path, capsys):

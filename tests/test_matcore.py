@@ -187,3 +187,43 @@ def test_matrix_json_rejects_mismatch():
         matcore.matrix_from_json({"rows": 2, "cols": 2, "re": [1.0, 2.0, 3.0]})
     with pytest.raises(InvalidMatrix):
         matcore.matrix_from_json({"rows": 2, "cols": 2, "re": [0.0] * 4, "im": [0.0] * 3})
+
+
+def test_stacked_eigvalsh_and_singular_values_match_per_matrix():
+    rng = np.random.default_rng(12)
+    stack = np.array([[random_hermitian(rng, 5) for _ in range(3)] for _ in range(2)])
+    eigs = matcore.eigvalsh(stack)
+    svals = matcore.singular_values(stack)
+    assert eigs.shape == svals.shape == (2, 3, 5)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(eigs[i, j], matcore.eigvalsh(stack[i, j]))
+            assert np.array_equal(svals[i, j], matcore.singular_values(stack[i, j]))
+    dec = matcore.eigh(stack)
+    assert np.array_equal(dec.eigenvalues[1, 2], matcore.eigh(stack[1, 2]).eigenvalues)
+    assert np.array_equal(dec.eigenvectors[1, 2], matcore.eigh(stack[1, 2]).eigenvectors)
+
+
+def test_stack_gates_apply_to_each_matrix():
+    rng = np.random.default_rng(13)
+    stack = np.array([random_hermitian(rng, 4) for _ in range(16)])
+    skewed = stack.copy()
+    skewed[9, 0, 1] += 1e-3  # one matrix far from Hermitian
+    with pytest.raises(InvalidMatrix, match="not Hermitian"):
+        matcore.eigvalsh(skewed)
+    # a defect that the norm of the whole stack would hide is still caught
+    mixed = 1e6 * stack
+    mixed[3] = np.eye(4)
+    mixed[3, 0, 1] = 1e-4
+    with pytest.raises(InvalidMatrix, match="not Hermitian"):
+        matcore.eigvalsh(mixed)
+    broken = stack.copy()
+    broken[15, 2, 2] = np.nan
+    with pytest.raises(InvalidMatrix, match="non-finite"):
+        matcore.eigvalsh(broken)
+    with pytest.raises(InvalidMatrix, match="non-finite"):
+        matcore.singular_values(broken)
+    with pytest.raises(InvalidMatrix):
+        matcore.is_psd(stack)
+    with pytest.raises(InvalidMatrix):
+        matcore.schatten_norm(stack, "trace")

@@ -327,3 +327,8 @@ def test_stacked_apply_id_tensor_matches_blockwise_loop(make_phi, id_dim):
     assert np.allclose(single, reference_action(phi, x[:d, :d]), rtol=0.0, atol=1e-13)
     # the action never writes into its input
     assert np.array_equal(x, x0)
+    # a stack of operators maps each one as a single operator would
+    stack = np.array([x, 2.0 * x0.conj(), x0.T])
+    out_stack = posmaps.apply_id_tensor(phi, stack, id_dim)
+    for k in range(3):
+        assert np.array_equal(out_stack[k], posmaps.apply_id_tensor(phi, stack[k], id_dim))
