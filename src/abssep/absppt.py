@@ -10,6 +10,7 @@ deliberately not constructed here.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -76,24 +77,29 @@ class Spectrum:
         return json.dumps(self.to_json())
 
 
-@dataclass(frozen=True)
 class LmiTemplate:
     """One spectral LMI: 2*lambda_j on the diagonal, lambda_j - lambda_k off it.
 
-    Indices are 1-based positions in the descending spectrum.
+    diag[i] = j puts 2*lambda_j at (i, i); off[(r, c)] = (j, k) puts
+    lambda_j - lambda_k at (r, c) and (c, r), with 1-based positions in the
+    descending spectrum. coeffs[r, j, c] is the coefficient of lambda_{j+1}
+    in entry (r, c), so the matrix is values @ coeffs; the same tensor is
+    the LMI's block in sdpsolve.min_witness_problem.
     """
 
-    diag: tuple[int, ...]
-    off: dict[tuple[int, int], tuple[int, int]]
+    def __init__(self, total: int, diag: tuple[int, ...], off: dict):
+        q = len(diag)
+        coeffs = np.zeros((q, total, q))
+        for i, idx in enumerate(diag):
+            coeffs[i, idx - 1, i] = 2.0
+        for (r, c), (plus, minus) in off.items():
+            coeffs[r, plus - 1, c] = coeffs[c, plus - 1, r] = 1.0
+            coeffs[r, minus - 1, c] = coeffs[c, minus - 1, r] = -1.0
+        coeffs.flags.writeable = False
+        self.coeffs = coeffs
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
-        q = len(self.diag)
-        out = np.zeros((q, q))
-        for i, idx in enumerate(self.diag):
-            out[i, i] = 2.0 * values[idx - 1]
-        for (r, c), (plus, minus) in self.off.items():
-            out[r, c] = out[c, r] = values[plus - 1] - values[minus - 1]
-        return out
+        return values @ self.coeffs
 
 
 @dataclass(frozen=True)
@@ -104,10 +110,13 @@ class LmiSet:
     matrices: tuple[LmiTemplate, ...]
 
 
-def _necessary_template(total: int) -> LmiTemplate:
-    return LmiTemplate(diag=(total, total - 2), off={(0, 1): (total - 1, 1)})
+@functools.cache
+def necessary_template(total: int) -> LmiTemplate:
+    """The universal top-left 2x2 condition on an mn = total spectrum."""
+    return LmiTemplate(total, diag=(total, total - 2), off={(0, 1): (total - 1, 1)})
 
 
+@functools.cache
 def build_lmis(m: int, n: int) -> LmiSet:
     """The LMI family deciding absolute PPT (exact for min{m,n} <= 3)."""
     if m < 1 or n < 1:
@@ -117,9 +126,10 @@ def build_lmis(m: int, n: int) -> LmiSet:
     if q == 1:
         return LmiSet(m, n, True, ())
     if q == 2:
-        return LmiSet(m, n, True, (_necessary_template(total),))
+        return LmiSet(m, n, True, (necessary_template(total),))
     if q == 3:
         l1 = LmiTemplate(
+            total,
             diag=(total, total - 2, total - 5),
             off={
                 (0, 1): (total - 1, 1),
@@ -128,6 +138,7 @@ def build_lmis(m: int, n: int) -> LmiSet:
             },
         )
         l2 = LmiTemplate(
+            total,
             diag=(total, total - 3, total - 5),
             off={
                 (0, 1): (total - 1, 1),
@@ -136,7 +147,7 @@ def build_lmis(m: int, n: int) -> LmiSet:
             },
         )
         return LmiSet(m, n, True, (l1, l2))
-    return LmiSet(m, n, False, (_necessary_template(total),))
+    return LmiSet(m, n, False, (necessary_template(total),))
 
 
 def lmi_min_eigenvalues(s: Spectrum) -> np.ndarray:
@@ -156,7 +167,7 @@ def is_abs_ppt(s: Spectrum, tol: float = LMI_PSD_TOL) -> AbsPptVerdict:
 
 
 def necessary_2x2_matrix(s: Spectrum) -> np.ndarray:
-    return _necessary_template(s.m * s.n).evaluate(s.values)
+    return necessary_template(s.m * s.n).evaluate(s.values)
 
 
 def necessary_2x2(s: Spectrum, tol: float = LMI_PSD_TOL) -> bool:

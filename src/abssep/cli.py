@@ -5,7 +5,8 @@ orbit-scan, family. All file I/O uses the shared matrix/spectrum JSON
 formats; CSV output is byte-stable (%.12g, LF line endings).
 
 Exit codes: 0 success, 2 verdict-negative (failed check, rejected
-certificate, violation found), 3 input error.
+certificate, violation found), 3 input error, including a bad flag or
+config-file line.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,24 +36,6 @@ HULL_POINTS = (
 )  # counterclockwise
 
 
-@dataclass
-class RunConfig:
-    seed: int = 2024
-    samples: int | None = None  # commands pick their own default
-    tolerances: dict = field(default_factory=dict)
-    out: str | None = None
-    fmt: str = "csv"
-
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
-
-    def sample_count(self, default: int) -> int:
-        count = default if self.samples is None else self.samples
-        if count < 1:
-            raise ValueError(f"--samples must be at least 1, got {count}")
-        return count
-
-
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
@@ -62,14 +44,6 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return "%.12g" % float(value)
-
-
-def _write_text(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
@@ -87,49 +61,12 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _parse_config_file(path: str) -> dict:
-    """key=value lines; '#' starts a comment."""
-    out: dict = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed config line {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            out[key] = value
-    return out
-
-
-def _build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    raw = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    if "seed" in raw:
-        cfg.seed = int(raw["seed"])
-    if "samples" in raw:
-        cfg.samples = int(raw["samples"])
-    if "out" in raw:
-        cfg.out = raw["out"]
-    if "format" in raw:
-        cfg.fmt = raw["format"]
-    for key, value in raw.items():
-        if key.startswith("tol."):
-            cfg.tolerances[key[4:]] = float(value)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "samples", None) is not None:
-        cfg.samples = args.samples
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
-    if getattr(args, "format", None) is not None:
-        cfg.fmt = args.format
-    for item in getattr(args, "tol", None) or []:
-        if "=" not in item:
-            raise ValueError(f"--tol expects name=value, got {item!r}")
-        name, value = item.split("=", 1)
-        cfg.tolerances[name.strip()] = float(value)
-    return cfg
+def _count(args, name: str) -> int:
+    """The value of --name, which must be at least 1."""
+    value = getattr(args, name)
+    if value < 1:
+        raise ValueError(f"--{name} must be at least 1, got {value}")
+    return value
 
 
 # ----------------------------------------------------------------------------
@@ -137,22 +74,19 @@ def _build_config(args) -> RunConfig:
 # ----------------------------------------------------------------------------
 
 
-def cmd_check_spectrum(args) -> int:
-    cfg = _build_config(args)
+def cmd_check_spectrum(args) -> tuple[str, int]:
     spec = absppt.Spectrum.from_json(_load_json(args.file))
-    verdict = absppt.is_abs_ppt(spec, tol=cfg.tol("lmi", absppt.LMI_PSD_TOL))
+    verdict = absppt.is_abs_ppt(spec, tol=args.tol["lmi"])
     mins = absppt.lmi_min_eigenvalues(spec)
     report = {
         "verdict": verdict.value,
         "lmi_min_eigenvalue": float(np.min(mins)) if mins.size else None,
         "dims": [spec.m, spec.n],
     }
-    _write_text(_json_report(report), cfg.out)
-    return EXIT_OK if verdict is not absppt.AbsPptVerdict.NO else EXIT_NEGATIVE
+    return _json_report(report), EXIT_NEGATIVE if verdict is absppt.AbsPptVerdict.NO else EXIT_OK
 
 
-def cmd_witness_analyze(args) -> int:
-    cfg = _build_config(args)
+def cmd_witness_analyze(args) -> tuple[str, int]:
     w = matcore.matrix_from_json(_load_json(args.file))
     summary = witness.summarize(w)
     verdict = witness.cannot_detect_abs_ppt(summary)
@@ -166,8 +100,8 @@ def cmd_witness_analyze(args) -> int:
         "threshold": threshold,
         "verdict": verdict.value,
     }
-    _write_text(_json_report(report), cfg.out)
-    return EXIT_OK if verdict is witness.DetectionVerdict.GUARANTEED else EXIT_NEGATIVE
+    code = EXIT_OK if verdict is witness.DetectionVerdict.GUARANTEED else EXIT_NEGATIVE
+    return _json_report(report), code
 
 
 def _certificate_jobs(bh_dims, grid):
@@ -222,17 +156,15 @@ def _certificate_jobs(bh_dims, grid):
     return jobs
 
 
-def cmd_verify_certificates(args) -> int:
-    cfg = _build_config(args)
-    grid_n = args.grid if args.grid is not None else 21
-    axis = np.linspace(0.0, 4.0 / 3.0, grid_n)
+def cmd_verify_certificates(args) -> tuple[str, int]:
+    axis = np.linspace(0.0, 4.0 / 3.0, _count(args, "grid"))
     grid = [(float(b), float(c)) for b in axis for c in axis]
+    tol = args.tol["certificate"]
     rows = []
     failures = 0
-    for name, job in _certificate_jobs(args.bh_dims or [4, 6], grid):
+    for name, job in _certificate_jobs(args.bh_dims, grid):
         try:
             value, expected, residual = job()
-            tol = cfg.tol("certificate", 1e-12)
             ok = abs(value - expected) <= tol and residual <= tol
             status = "ok" if ok else "mismatch"
         except CertificateRejected as exc:
@@ -240,7 +172,7 @@ def cmd_verify_certificates(args) -> int:
         if status != "ok":
             failures += 1
         rows.append([name, value, expected, status])
-    if cfg.fmt == "json":
+    if args.format == "json":
         text = _json_report(
             [
                 {"name": r[0], "value": None if math.isnan(r[1]) else r[1],
@@ -250,8 +182,7 @@ def cmd_verify_certificates(args) -> int:
         )
     else:
         text = _csv(["name", "value", "expected", "status"], rows)
-    _write_text(text, cfg.out)
-    return EXIT_NEGATIVE if failures else EXIT_OK
+    return text, EXIT_NEGATIVE if failures else EXIT_OK
 
 
 def _point_in_hull(b: float, c: float, slack: float = 1e-12) -> bool:
@@ -308,7 +239,7 @@ def _fig_gen_choi_ub(grid_n: int) -> str:
     for b in axis:
         for c in axis:
             b, c = float(b), float(c)
-            if 2.0 * b + c >= 3.0 or b + 2.0 * c >= 3.0:
+            if sdpsolve.gen_choi_outer(b, c):
                 case = 1
             elif b + c >= 2.0 / 3.0:
                 case = 2
@@ -328,20 +259,16 @@ def _fig_upb_interval(samples: int) -> str:
     return _csv(["p", "lmi_min_eig", "abs_ppt", "classification"], rows)
 
 
-def cmd_fig_data(args) -> int:
-    cfg = _build_config(args)
+def cmd_fig_data(args) -> tuple[str, int]:
     if args.figure == "f_curve":
         text = _fig_f_curve()
     elif args.figure == "phi_bc_region":
-        text = _fig_phi_bc_region(args.grid if args.grid is not None else 121)
+        text = _fig_phi_bc_region(_count(args, "grid"))
     elif args.figure == "gen_choi_ub":
-        text = _fig_gen_choi_ub(args.grid if args.grid is not None else 121)
-    elif args.figure == "upb_interval":
-        text = _fig_upb_interval(cfg.sample_count(301))
-    else:
-        raise ValueError(f"unknown figure {args.figure!r}")
-    _write_text(text, cfg.out)
-    return EXIT_OK
+        text = _fig_gen_choi_ub(_count(args, "grid"))
+    else:  # upb_interval; argparse admits only the four figures
+        text = _fig_upb_interval(_count(args, "samples"))
+    return text, EXIT_OK
 
 
 def _orbit_violations(spec, criterion, b, c, seed, count) -> np.ndarray:
@@ -376,33 +303,30 @@ def _orbit_violations(spec, criterion, b, c, seed, count) -> np.ndarray:
     return out
 
 
-def cmd_orbit_scan(args) -> int:
-    cfg = _build_config(args)
+def cmd_orbit_scan(args) -> tuple[str, int]:
     spec = absppt.Spectrum.from_json(_load_json(args.file))
     if args.criterion in {"choi", "gen_choi"} and (spec.m, spec.n) != (3, 3):
         raise ValueError("Choi-family criteria need a (3, 3) spectrum")
     if args.criterion == "breuer_hall":
         if spec.m != spec.n or spec.n % 2 != 0 or spec.n < 4:
             raise ValueError("Breuer-Hall criterion needs (n, n) dims with even n >= 4")
-    count = cfg.sample_count(200)
-    violations = _orbit_violations(spec, args.criterion, args.b, args.c, cfg.seed, count)
-    tol = cfg.tol("violation", 1e-8)
+    count = _count(args, "samples")
+    violations = _orbit_violations(spec, args.criterion, args.b, args.c, args.seed, count)
+    tol = args.tol["violation"]
     max_violation = float(np.max(violations))
     report = {
         "criterion": args.criterion,
         "samples": count,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "max_violation": max_violation,
         "tolerance": tol,
         "violated": bool(max_violation > tol),
         "verdict": absppt.is_abs_ppt(spec).value,
     }
-    _write_text(_json_report(report), cfg.out)
-    return EXIT_NEGATIVE if max_violation > tol else EXIT_OK
+    return _json_report(report), EXIT_NEGATIVE if max_violation > tol else EXIT_OK
 
 
-def cmd_family(args) -> int:
-    cfg = _build_config(args)
+def cmd_family(args) -> tuple[str, int]:
     if args.kind == "werner":
         if args.n is None or args.alpha is None:
             raise ValueError("werner needs --n and --alpha")
@@ -425,10 +349,10 @@ def cmd_family(args) -> int:
             "n": args.n,
             "alpha": args.alpha,
             "classification": families.isotropic_classify(args.n, args.alpha).value,
-            "threshold": 2.0 / (2.0 + args.n**2),
+            "threshold": families.isotropic_threshold(args.n),
             "spectrum": [float(v) for v in spec.values],
         }
-    elif args.kind == "upb":
+    else:  # upb; argparse admits only the three kinds
         if args.p is None:
             raise ValueError("upb needs --p")
         spec = families.upb_spectrum(args.p)
@@ -441,10 +365,7 @@ def cmd_family(args) -> int:
             "lmi_min_eig": float(matcore.eigvalsh(families.upb_lmi_matrix(args.p))[-1]),
             "spectrum": [float(v) for v in spec.values],
         }
-    else:
-        raise ValueError(f"unknown family {args.kind!r}")
-    _write_text(_json_report(report), cfg.out)
-    return EXIT_OK
+    return _json_report(report), EXIT_OK
 
 
 # ----------------------------------------------------------------------------
@@ -452,18 +373,63 @@ def cmd_family(args) -> int:
 # ----------------------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--samples", type=int, default=None)
-    sub.add_argument("--tol", action="append", metavar="NAME=VALUE")
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--format", choices=["csv", "json"], default=None)
-    sub.add_argument("--config", default=None, help="key=value config file")
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, so main reports them as input errors."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+class _TolAction(argparse.Action):
+    """--tol NAME=VALUE; the names are the keys of the command's default."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        tols = dict(getattr(namespace, self.dest))  # the default belongs to the cached parser
+        name, sep, number = value.partition("=")
+        if not sep or name not in tols:
+            names = ", ".join(tols)
+            raise argparse.ArgumentError(self, f"expected NAME=VALUE, NAME in {names}: {value!r}")
+        try:
+            tols[name] = float(number)
+        except ValueError:
+            tols[name] = math.nan
+        if not math.isfinite(tols[name]):
+            raise argparse.ArgumentError(self, f"expected a finite value: {value!r}")
+        setattr(namespace, self.dest, tols)
+
+
+def _add_tol(sub, **defaults):
+    listed = ", ".join(f"{name}={value:g}" for name, value in defaults.items())
+    sub.add_argument("--tol", action=_TolAction, default=defaults, metavar="NAME=VALUE",
+                     help=f"override a tolerance (default: {listed}); tol.NAME=VALUE in --config")
+
+
+def _config_flags(path: str) -> list[str]:
+    """The config file as flags: key=value is --key=value, tol.NAME=V is --tol=NAME=V.
+
+    Each flag is one token, so a value can never be taken for a positional.
+    '#' starts a comment.
+    """
+    flags = []
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep:
+                raise ValueError(f"malformed config line {raw!r}")
+            if key == "config":
+                raise ValueError("a config file cannot name another config file")
+            if key.startswith("tol."):
+                key, value = "tol", f"{key[4:]}={value}"
+            flags.append(f"--{key}={value}")
+    return flags
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="abssep",
         description="Spectral separability toolkit: absolute-PPT checks, "
         "witness analysis, SDP certificates and parametric families.",
@@ -472,26 +438,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("check-spectrum", help="absolute-PPT verdict for a spectrum file")
     p.add_argument("file")
-    _add_common(p)
+    _add_tol(p, lmi=absppt.LMI_PSD_TOL)
     p.set_defaults(func=cmd_check_spectrum)
 
     p = subs.add_parser("witness-analyze", help="eigenvalue summary and detection verdict")
     p.add_argument("file")
-    _add_common(p)
     p.set_defaults(func=cmd_witness_analyze)
 
     p = subs.add_parser("verify-certificates", help="verify all analytic SDP certificates")
-    p.add_argument("--bh-dims", type=int, nargs="*", default=None)
-    p.add_argument("--grid", type=int, default=None, help="grid points per (b, c) axis")
-    _add_common(p)
+    p.add_argument("--bh-dims", type=int, nargs="+", default=(4, 6), help="default: 4 6")
+    p.add_argument("--grid", type=int, default=21, help="points per (b, c) axis; default: 21")
+    p.add_argument("--format", choices=["csv", "json"], default="csv", help="default: csv")
+    _add_tol(p, certificate=1e-12)
     p.set_defaults(func=cmd_verify_certificates)
 
     p = subs.add_parser("fig-data", help="emit figure data as CSV")
     p.add_argument(
         "figure", choices=["f_curve", "phi_bc_region", "gen_choi_ub", "upb_interval"]
     )
-    p.add_argument("--grid", type=int, default=None)
-    _add_common(p)
+    p.add_argument("--grid", type=int, default=121, help="points per (b, c) axis; default: 121")
+    p.add_argument("--samples", type=int, default=301, help="upb_interval points; default: 301")
     p.set_defaults(func=cmd_fig_data)
 
     p = subs.add_parser("orbit-scan", help="test a criterion over Haar orbits of a spectrum")
@@ -503,7 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--c", type=float, default=0.0)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=2024, help="default: 2024")
+    p.add_argument("--samples", type=int, default=200, help="Haar samples; default: 200")
+    _add_tol(p, violation=1e-8)
     p.set_defaults(func=cmd_orbit_scan)
 
     p = subs.add_parser("family", help="parametric family reports")
@@ -511,17 +479,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_family)
 
+    for p in subs.choices.values():
+        p.add_argument("--out", help="write the report here instead of to stdout")
+        p.add_argument("--config", metavar="FILE",
+                       help="key=value lines, each one of these flags; the command line wins")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
-        return args.func(args)
-    except (ToolkitError, ValueError, OSError, json.JSONDecodeError) as exc:
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            at = argv.index(args.command) + 1  # the file's flags go first, so later ones win
+            args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
+        text, code = args.func(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", newline="\n") as fh:
+                fh.write(text)
+        return code
+    except (ToolkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

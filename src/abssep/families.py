@@ -190,10 +190,15 @@ def werner_abs_ppt_verdict(n: int, alpha: float) -> absppt.AbsPptVerdict:
     return absppt.is_abs_ppt(werner_spectrum(n, alpha))
 
 
+def isotropic_threshold(n: int) -> float:
+    """2/(2+n²): the isotropic state is absolutely separable iff alpha <= this."""
+    return 2.0 / (2.0 + n * n)
+
+
 def isotropic_classify(n: int, alpha: float) -> IsotropicClass:
     """Absolutely separable iff absolutely PPT iff alpha <= 2/(2+n²)."""
     _check_isotropic(n, alpha)
-    if alpha <= 2.0 / (2.0 + n * n) + THRESHOLD_SLACK:
+    if alpha <= isotropic_threshold(n) + THRESHOLD_SLACK:
         return IsotropicClass.ABS_SEP
     return IsotropicClass.NOT_ABS_PPT
 

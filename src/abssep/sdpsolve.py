@@ -229,22 +229,15 @@ def min_witness_problem(
             raise Unsupported("full LMI mode requires min{m,n} <= 3")
         templates = lmis.matrices
     elif lmi_mode == "submatrix2x2":
-        templates = (absppt._necessary_template(total),)
+        templates = (absppt.necessary_template(total),)
     else:
         raise ValueError(f"unknown lmi_mode {lmi_mode!r}")
 
     nv = total
     blocks = []
     for tpl in templates:
-        q = len(tpl.diag)
-        coeffs = np.zeros((nv, q, q), dtype=np.complex128)
-        for i, idx in enumerate(tpl.diag):
-            coeffs[idx - 1, i, i] += 2.0
-        for (r, s), (plus, minus) in tpl.off.items():
-            coeffs[plus - 1, r, s] += 1.0
-            coeffs[plus - 1, s, r] += 1.0
-            coeffs[minus - 1, r, s] -= 1.0
-            coeffs[minus - 1, s, r] -= 1.0
+        q = tpl.coeffs.shape[0]
+        coeffs = np.ascontiguousarray(tpl.coeffs.swapaxes(0, 1), dtype=np.complex128)
         blocks.append(AffineBlock(np.zeros((q, q), dtype=np.complex128), coeffs))
     # lambda_1 >= ... >= lambda_mn >= 0: rows e_j - e_{j+1}, then e_mn
     blocks.append(scalar_inequality(np.eye(nv) - np.eye(nv, k=1), 0.0))
@@ -446,9 +439,15 @@ def verify_diamond_certificate(
     return 0.5 * (val0 + val1)
 
 
+def gen_choi_outer(b: float, c: float) -> bool:
+    """2b+c >= 3 or b+2c >= 3: the max-eigenvalue certificate for the dual of
+    Phi_{b,c} is Y = 0 and its bound max{b,c}/2."""
+    return 2.0 * b + c >= 3.0 or b + 2.0 * c >= 3.0
+
+
 def gen_choi_xy(b: float, c: float) -> tuple[float, float]:
     """The (x, y) entries of the max-eigenvalue certificate, second case."""
-    if 2.0 * b + c >= 3.0 or b + 2.0 * c >= 3.0:
+    if gen_choi_outer(b, c):
         raise ValueError("x, y are only defined when 2b+c < 3 and b+2c < 3")
     den = 6.0 * (2.0 - b - c)
     return (3.0 - 2.0 * b - c) ** 2 / den, (3.0 - b - 2.0 * c) ** 2 / den
@@ -462,7 +461,7 @@ def gen_choi_max_eig_bound(b: float, c: float) -> float:
     the sqrt(xy) term is nonpositive and (b+2x)/2 is the bound, below that
     the psi+ direction adds 1.5 (2 sqrt(xy) - 1).
     """
-    if 2.0 * b + c >= 3.0 or b + 2.0 * c >= 3.0:
+    if gen_choi_outer(b, c):
         return max(b, c) / 2.0
     x, y = gen_choi_xy(b, c)
     bound = (b * b + c * c - 6.0 * (b + c) + b * c + 9.0) / (6.0 * (2.0 - b - c))
@@ -500,7 +499,7 @@ def max_eig_certificate(phi: posmaps.MapSpec) -> DualCertificate:
         )
     b, c = _gen_choi_params_of_dual(phi)
     y = np.zeros((9, 9), dtype=np.complex128)
-    if 2.0 * b + c < 3.0 and b + 2.0 * c < 3.0:
+    if not gen_choi_outer(b, c):
         x, yv = gen_choi_xy(b, c)
         root = math.sqrt(x * yv)
         for idx in (1, 5, 6):

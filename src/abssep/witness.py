@@ -174,8 +174,7 @@ def verify_detection_certificate(
     if lam_min < -tol:
         raise CertificateRejected(f"2x2 dual block not PSD (min eig {lam_min:.3e})")
 
-    mu2 = min(mu1, 1.0 - mu1 - ell)
-    mu3 = max(0.0, 1.0 - 2.0 * mu1 - ell)
+    mu2, mu3 = extremal_witness_spectrum(ell, mu1, mn)[1:3]
     # y[i] stores y_{i+1}
     residuals = [
         t - 2.0 * cert.bb + y[0] - ell,

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -398,6 +399,108 @@ def test_config_file_and_flag_override(tmp_path, capsys):
         capsys,
     )
     assert json.loads(out)["samples"] == 3
+    code, out = run_cli(
+        ["orbit-scan", path, "--criterion", "realignment", "--config", str(cfg),
+         "--tol", "violation=0.5"],
+        capsys,
+    )
+    report = json.loads(out)
+    assert report["tolerance"] == 0.5 and report["samples"] == 6
+
+
+# every flag each command reads, and no other
+COMMAND_FLAGS = {
+    "check-spectrum": {"--tol", "--out", "--config"},
+    "witness-analyze": {"--out", "--config"},
+    "verify-certificates": {"--bh-dims", "--grid", "--format", "--tol", "--out", "--config"},
+    "fig-data": {"--grid", "--samples", "--out", "--config"},
+    "orbit-scan": {"--criterion", "--b", "--c", "--seed", "--samples", "--tol", "--out",
+                   "--config"},
+    "family": {"--n", "--alpha", "--p", "--out", "--config"},
+}
+TOLERANCE_HELP = {
+    "check-spectrum": "lmi=1e-10",
+    "verify-certificates": "certificate=1e-12",
+    "orbit-scan": "violation=1e-08",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_exactly_the_command_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    options = text.split("options:", 1)[1]
+    listed = set(re.findall(r"^  (?:-h, )?(--[a-z-]+)", options, re.M))
+    assert listed == COMMAND_FLAGS[command] | {"--help"}
+    if command in TOLERANCE_HELP:
+        assert TOLERANCE_HELP[command] in " ".join(options.split())
+
+
+def input_error(argv, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.endswith("\n")
+    return captured.err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["family", "werner", "--n", "3", "--alpha", "0.1", "--seed", "5"], "--seed"),
+    (["fig-data", "f_curve", "--format", "json"], "--format"),
+    (["check-spectrum", "SPEC", "--samples", "3"], "--samples"),
+    (["orbit-scan", "SPEC", "--criterion", "realignment", "--tol", "violaton=1"], "violaton"),
+    (["orbit-scan", "SPEC", "--criterion", "realignment", "--tol", "violation"], "--tol"),
+    (["orbit-scan", "SPEC", "--criterion", "realignment", "--tol", "violation=nan"], "--tol"),
+    (["check-spectrum", "SPEC", "--tol", "lmi=abc"], "--tol"),
+    (["orbit-scan", "SPEC", "--criterion", "choi", "--samples", "abc"], "--samples"),
+    (["orbit-scan", "SPEC", "--criterion", "nope"], "--criterion"),
+    (["verify-certificates", "--grid", "2", "--bh-dims"], "--bh-dims"),
+])
+def test_usage_errors_exit_3(tmp_path, capsys, argv, named):
+    path = write_spectrum(tmp_path, families.isotropic_spectrum(3, 0.1))
+    assert named in input_error([path if a == "SPEC" else a for a in argv], capsys)
+
+
+@pytest.mark.parametrize("grid", ["0", "-2"])
+@pytest.mark.parametrize("argv", [["fig-data", "phi_bc_region"], ["fig-data", "gen_choi_ub"],
+                                  ["verify-certificates"]])
+def test_grid_below_one_is_an_input_error(capsys, argv, grid):
+    err = input_error(argv + ["--grid", grid], capsys)
+    assert err == f"error: --grid must be at least 1, got {grid}\n"
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (["orbit-scan", "SPEC", "--criterion", "realignment"], "sampels=5\n", "--sampels=5"),
+    (["orbit-scan", "SPEC", "--criterion", "realignment"], "tol.violaton=1\n", "violaton"),
+    (["orbit-scan", "SPEC", "--criterion", "realignment"], "seed=abc\n", "--seed"),
+    (["verify-certificates", "--grid", "2"], "format=xml\n", "--format"),
+    (["family", "werner", "--n", "3", "--alpha", "0.1"], "seed=\n", "--seed="),
+    (["check-spectrum", "SPEC"], "config=other.cfg\n", "config"),
+    (["check-spectrum", "SPEC"], "tol.lmi\n", "malformed config line"),
+])
+def test_config_errors_exit_3(tmp_path, capsys, argv, config, named):
+    path = write_spectrum(tmp_path, families.isotropic_spectrum(3, 0.1))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    argv = [path if a == "SPEC" else a for a in argv] + ["--config", str(cfg)]
+    assert named in input_error(argv, capsys)
+
+
+def test_config_file_sets_any_flag_of_its_command(tmp_path, capsys):
+    out = tmp_path / "certs.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"grid=2\nbh-dims=4\nformat=json\ntol.certificate=1e-11\nout={out}\n")
+    assert run_cli(["verify-certificates", "--config", str(cfg)], capsys) == (0, "")
+    rows = json.loads(out.read_text())
+    assert len(rows) == 8 + 2 + 2 * 2 * 2 + 2
+    assert rows[-1]["name"] == "max-eig breuer-hall n=4"
+
+
+def test_out_into_missing_directory_exits_3(tmp_path, capsys):
+    input_error(["fig-data", "f_curve", "--out", str(tmp_path / "missing" / "curve.csv")], capsys)
 
 
 def test_module_entry_points_run_without_warnings():
