@@ -104,55 +104,41 @@ def cmd_witness_analyze(args) -> tuple[str, int]:
     return _json_report(report), code
 
 
-def _certificate_jobs(bh_dims, grid):
-    """(name, callable) pairs covering every analytic certificate.
+def _verify_witness_dual(cert) -> float:
+    problem = sdpsolve.min_witness_problem(cert.values["mu"], (3, 3), "submatrix2x2")
+    return sdpsolve.verify_min_witness_certificate(problem, [cert.values["Z"]])
 
-    Each callable returns (value, expected, residual); residual is the
-    verifier's equality residual where the certificate has equalities.
+
+def _certificate_jobs(bh_dims, grid):
+    """(name, build, verify) triples covering every analytic certificate.
+
+    build() returns a sdpsolve.DualCertificate and verify(cert) the value it
+    certifies, which must equal cert.expected_value: the lower bound 0 on the
+    (3, 3) witness minimization for the witness-dual rows, the upper bound
+    for the diamond and max-eig rows.
     """
     jobs = []
     ell_specials = [-0.5, -2.0 / 5.0, witness.SPLIT_LOW, -0.3, witness.SPLIT_HIGH,
                     -1.0 / 6.0, -1.0 / 5.0, 0.0]
-
-    def witness_job(ell):
-        def run():
-            mu1 = witness.detection_threshold(ell)
-            cert = witness.detection_dual_certificate(ell, mu1, 9)
-            residual = witness.verify_detection_certificate(cert, 9)
-            return cert.t, 0.0, residual  # certified optimum lower bound, expected
-        return run
-
     for ell in ell_specials:
-        jobs.append((f"witness-dual ell={ell:.6g}", witness_job(ell)))
-
-    def diamond_job(phi, expected):
-        def run():
-            value = sdpsolve.verify_diamond_certificate(phi, sdpsolve.diamond_certificate(phi))
-            return value, expected, 0.0
-        return run
-
-    def maxeig_job(phi):
-        def run():
-            cert = sdpsolve.max_eig_certificate(phi)
-            value = sdpsolve.verify_max_eig_certificate(phi, cert)
-            return value, cert.expected_value, 0.0
-        return run
-
-    choi_dual = posmaps.dual_map(posmaps.choi_map())
-    jobs.append(("diamond choi-dual", diamond_job(choi_dual, 4.0 / 3.0)))
-    jobs.append(("max-eig choi-dual", maxeig_job(choi_dual)))
-    for b, c in grid:
-        if b + c > 3.0:
-            continue
-        phi = posmaps.dual_map(posmaps.generalized_choi_map(b, c))
-        jobs.append(
-            (f"diamond gen-choi({b:.6g},{c:.6g})", diamond_job(phi, (3.0 + b + c) / 3.0))
+        build = functools.partial(
+            witness.detection_dual_certificate, ell, witness.detection_threshold(ell), 9
         )
-        jobs.append((f"max-eig gen-choi({b:.6g},{c:.6g})", maxeig_job(phi)))
+        jobs.append((f"witness-dual ell={ell:.6g}", build, _verify_witness_dual))
+
+    def map_jobs(label, phi):
+        jobs.append((f"diamond {label}", functools.partial(sdpsolve.diamond_certificate, phi),
+                     functools.partial(sdpsolve.verify_diamond_certificate, phi)))
+        jobs.append((f"max-eig {label}", functools.partial(sdpsolve.max_eig_certificate, phi),
+                     functools.partial(sdpsolve.verify_max_eig_certificate, phi)))
+
+    map_jobs("choi-dual", posmaps.dual_map(posmaps.choi_map()))
+    for b, c in grid:
+        if b + c <= 3.0:
+            map_jobs(f"gen-choi({b:.6g},{c:.6g})",
+                     posmaps.dual_map(posmaps.generalized_choi_map(b, c)))
     for n in bh_dims:
-        phi = posmaps.dual_map(posmaps.breuer_hall_map(n))
-        jobs.append((f"diamond breuer-hall n={n}", diamond_job(phi, (n + 2.0) / n)))
-        jobs.append((f"max-eig breuer-hall n={n}", maxeig_job(phi)))
+        map_jobs(f"breuer-hall n={n}", posmaps.dual_map(posmaps.breuer_hall_map(n)))
     return jobs
 
 
@@ -162,11 +148,11 @@ def cmd_verify_certificates(args) -> tuple[str, int]:
     tol = args.tol["certificate"]
     rows = []
     failures = 0
-    for name, job in _certificate_jobs(args.bh_dims, grid):
+    for name, build, verify in _certificate_jobs(args.bh_dims, grid):
         try:
-            value, expected, residual = job()
-            ok = abs(value - expected) <= tol and residual <= tol
-            status = "ok" if ok else "mismatch"
+            cert = build()
+            value, expected = verify(cert), cert.expected_value
+            status = "ok" if abs(value - expected) <= tol else "mismatch"
         except CertificateRejected as exc:
             value, expected, status = math.nan, math.nan, f"rejected: {exc}"
         if status != "ok":
@@ -311,6 +297,8 @@ def cmd_orbit_scan(args) -> tuple[str, int]:
         if spec.m != spec.n or spec.n % 2 != 0 or spec.n < 4:
             raise ValueError("Breuer-Hall criterion needs (n, n) dims with even n >= 4")
     count = _count(args, "samples")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     violations = _orbit_violations(spec, args.criterion, args.b, args.c, args.seed, count)
     tol = args.tol["violation"]
     max_violation = float(np.max(violations))

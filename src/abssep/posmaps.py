@@ -9,6 +9,7 @@ id ⊗ map applications are materialized on demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,10 @@ class MapSpec:
         if self.kind == "generalized_choi":
             if self.dim != 3:
                 raise InvalidDim("generalized Choi maps live on M_3")
+            if not (math.isfinite(self.b) and math.isfinite(self.c)):
+                raise ValueError(
+                    f"generalized Choi parameters must be finite, got b={self.b}, c={self.c}"
+                )
             if self.b < 0 or self.c < 0:
                 raise ValueError("generalized Choi parameters must satisfy b, c >= 0")
         if self.kind == "breuer_hall":

@@ -11,9 +11,11 @@ Two complementary paths:
   Problems stay below a few hundred variables and blocks below ~100x100,
   so dense Newton steps are both adequate and robust;
 
-* verifiers for the analytic dual-feasible points (diamond-norm and
-  max-eigenvalue certificates for the Choi, generalized Choi and
-  Breuer-Hall maps). Certificates are exact closed forms, so their
+* one verifier per problem shape (min-witness, diamond norm, max
+  eigenvalue), each checking a dual-feasible point against the problem's
+  own data and returning the bound it certifies. The analytic certificates
+  (the threshold-curve witness duals, and the Choi, generalized Choi and
+  Breuer-Hall map certificates) are exact closed forms, so their
   verification tolerances are much tighter than the solver's.
 """
 
@@ -221,6 +223,8 @@ def min_witness_problem(
     mu = np.asarray(witness_spectrum, dtype=np.float64)
     if mu.size != total:
         raise ValueError(f"witness spectrum must have length {total}")
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("witness spectrum must be finite")
     if np.any(np.diff(mu) > 1e-12):
         raise ValueError("witness spectrum must be sorted descending")
     if lmi_mode == "full":
@@ -267,6 +271,33 @@ def min_witness_over_abs_ppt(
     to ~1e-8.
     """
     return solve(min_witness_problem(witness_spectrum, dims, lmi_mode), tol=tol).primal_value
+
+
+def verify_min_witness_certificate(
+    problem: SdpProblem, zs, tol: float = CERT_PSD_TOL
+) -> float:
+    """Verify Z_i >= 0, one per LMI block of a min_witness_problem, and return
+    the certified lower bound on its optimum.
+
+    With r = c - sum_i A_i*(Z_i), the dual equality asks D^T y + t 1 = r for
+    the ordering rows D (e_j - e_{j+1}, then e_mn; the last block). D^T is
+    bidiagonal, so y_k = cumsum(r)_k - k t, and y >= 0 holds exactly for
+    t <= min_k cumsum(r)_k / k. By weak duality every feasible spectrum
+    scores at least that t.
+    """
+    lmi_blocks = problem.blocks[:-1]
+    if len(zs) != len(lmi_blocks):
+        raise CertificateRejected(f"expected {len(lmi_blocks)} dual blocks, got {len(zs)}")
+    r = np.array(problem.objective, dtype=np.float64)
+    bound = problem.offset
+    for i, (block, z) in enumerate(zip(lmi_blocks, zs)):
+        z = np.asarray(z)
+        if z.shape != block.const.shape:
+            raise CertificateRejected(f"Z{i} has shape {z.shape}, expected {block.const.shape}")
+        _psd_or_reject(z, f"Z{i}", tol)
+        r -= np.real(np.einsum("kab,ba->k", block.coeffs, z))
+        bound -= float(np.real(np.trace(block.const @ z)))
+    return bound + float(np.min(np.cumsum(r) / np.arange(1, r.size + 1)))
 
 
 # ----------------------------------------------------------------------------

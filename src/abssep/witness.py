@@ -5,7 +5,9 @@ sum ell of its negative eigenvalues. The piecewise threshold curve gives,
 for each ell in [-1/2, 0], the largest mu1 for which the witness provably
 cannot detect entanglement in any absolutely PPT state; the guarantee is
 certified by an explicit feasible point of the dual of the corresponding
-witness-minimization SDP (see sdpsolve.min_witness_over_abs_ppt).
+witness-minimization SDP: detection_dual_certificate builds it as a
+sdpsolve.DualCertificate, and sdpsolve.verify_min_witness_certificate
+checks it against sdpsolve.min_witness_problem in submatrix2x2 mode.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from . import matcore
-from .errors import CertificateRejected, DomainError, ToolkitError, UnnormalizedWitness
+from . import matcore, sdpsolve
+from .errors import DomainError, ToolkitError, UnnormalizedWitness
 
 # branch split points of the threshold curve
 SPLIT_LOW = -1.0 / (2.0 * math.sqrt(2.0))   # approx -0.353553
@@ -37,24 +39,6 @@ class WitnessSummary:
     ell: float        # sum of negative eigenvalues, equals (1 - ||W||_tr)/2
     neg_count: int
     trace: float
-
-
-@dataclass(frozen=True)
-class DetectionDualCertificate:
-    """Feasible point (t=0) of the dual witness-minimization SDP.
-
-    ell/mu1 are the parameters the certificate is verified against; for the
-    middle branch they are the delegated values at the low split point.
-    """
-
-    case: str       # 'a', 'b' or 'c'
-    ell: float
-    mu1: float
-    t: float
-    aa: float
-    bb: float
-    cc: float
-    y: np.ndarray   # y_1 .. y_{mn-1}
 
 
 def detection_threshold(x: float) -> float:
@@ -119,11 +103,14 @@ def extremal_witness_spectrum(ell: float, mu1: float, mn: int) -> np.ndarray:
     return spec
 
 
-def detection_dual_certificate(ell: float, mu1: float, mn: int) -> DetectionDualCertificate:
-    """Analytic dual feasible point with t = 0 at the threshold mu1 = f(ell).
+def detection_dual_certificate(ell: float, mu1: float, mn: int) -> sdpsolve.DualCertificate:
+    """Analytic dual feasible point of the witness minimization at mu1 = f(ell).
 
-    The middle branch delegates to the low branch at SPLIT_LOW (monotonicity
-    of the threshold covers the gap).
+    values["mu"] is the extremal witness spectrum it certifies and values["Z"]
+    the 2x2 dual block [[aa, bb], [bb, cc]] of the submatrix2x2 LMI of
+    sdpsolve.min_witness_problem; verify_min_witness_certificate turns it into
+    the lower bound 0 on the overlap. The middle branch delegates to the low
+    branch at SPLIT_LOW (monotonicity of the threshold covers the gap).
     """
     if not (-0.5 - _DOMAIN_SLACK <= ell <= _DOMAIN_SLACK):
         raise DomainError(f"ell = {ell} outside [-1/2, 0]")
@@ -135,60 +122,22 @@ def detection_dual_certificate(ell: float, mu1: float, mn: int) -> DetectionDual
         case, ell, mu1 = "b", SPLIT_LOW, detection_threshold(SPLIT_LOW)
     else:
         case = "c"
-
-    y = np.zeros(mn - 1)
     if case in ("a", "b"):
         aa = (ell + 2.0 * mu1) / 2.0
         bb = -ell / 2.0
         cc = (1.0 - 2.0 * mu1 - ell) / 2.0
-        y[mn - 2] = mu1 + ell
     else:
         aa = mu1 / 2.0
         bb = (1.0 - mu1 - ell) / 2.0
         cc = (1.0 - mu1) / 2.0
-        y[: mn - 3] = 1.0 - mu1
-    return DetectionDualCertificate(
-        case=case, ell=ell, mu1=mu1, t=0.0, aa=aa, bb=bb, cc=cc, y=y
+    return sdpsolve.DualCertificate(
+        name=f"witness-dual-{case}",
+        values={
+            "mu": extremal_witness_spectrum(ell, mu1, mn),
+            "Z": np.array([[aa, bb], [bb, cc]]),
+        },
+        expected_value=0.0,
     )
-
-
-def verify_detection_certificate(
-    cert: DetectionDualCertificate, mn: int, tol: float = 1e-10
-) -> float:
-    """Check every dual constraint; returns the worst equality residual.
-
-    Raises CertificateRejected on any sign/PSD violation, so a verified
-    certificate proves (weak duality) that no witness with the certified
-    summary attains a negative overlap with an absolutely PPT spectrum.
-    """
-    if mn < 4:
-        raise CertificateRejected("dual certificate verification needs mn >= 4")
-    ell, mu1, t = cert.ell, cert.mu1, cert.t
-    y = np.asarray(cert.y, dtype=np.float64)
-    if y.size != mn - 1:
-        raise CertificateRejected(f"expected {mn - 1} multipliers, got {y.size}")
-    if np.min(y) < -1e-12:
-        raise CertificateRejected(f"negative multiplier y = {np.min(y):.3e}")
-    block = np.array([[cert.aa, cert.bb], [cert.bb, cert.cc]])
-    lam_min = float(matcore.eigvalsh(block)[-1])
-    if lam_min < -tol:
-        raise CertificateRejected(f"2x2 dual block not PSD (min eig {lam_min:.3e})")
-
-    mu2, mu3 = extremal_witness_spectrum(ell, mu1, mn)[1:3]
-    # y[i] stores y_{i+1}
-    residuals = [
-        t - 2.0 * cert.bb + y[0] - ell,
-        t + 2.0 * cert.bb + y[mn - 2] - y[mn - 3] - mu2,
-        t + 2.0 * cert.cc + y[mn - 3] - y[mn - 4] - mu3,
-    ]
-    residuals.extend(t + y[i + 1] - y[i] for i in range(mn - 4))
-    slack = mu1 - (t + 2.0 * cert.aa - y[mn - 2])
-    if slack < -tol:
-        raise CertificateRejected(f"inequality constraint violated by {slack:.3e}")
-    residual = float(np.max(np.abs(residuals)))
-    if residual > tol:
-        raise CertificateRejected(f"equality residual {residual:.3e} exceeds {tol:.1e}")
-    return residual
 
 
 def realignment_witness_bounds(m: int, n: int) -> tuple[float, float]:

@@ -38,8 +38,10 @@ def test_criterion_01_threshold_special_values():
 
 
 def test_criterion_02_dual_certificates_and_weak_duality():
-    """50 threshold points per case: certificates verify with residual <= 1e-10
-    and bb² = aa*cc to 1e-12; the witness-minimization SDP stays >= -1e-9."""
+    """50 threshold points per case: each certificate's certified lower bound
+    on the 2x2 witness minimization is 0 to 1e-10 and at most the solver's
+    value, its dual block has bb² = aa*cc to 1e-12, and the SDP stays
+    >= -1e-9."""
     mn = 9
     eps = 1e-6
     samples = {
@@ -52,16 +54,19 @@ def test_criterion_02_dual_certificates_and_weak_duality():
             ell = float(ell)
             mu1 = witness.detection_threshold(ell)
             cert = witness.detection_dual_certificate(ell, mu1, mn)
-            assert cert.case == case
-            residual = witness.verify_detection_certificate(cert, mn)
-            assert residual <= 1e-10
-            assert abs(cert.bb**2 - cert.aa * cert.cc) <= 1e-12
+            assert cert.name == f"witness-dual-{case}"
+            problem = sdpsolve.min_witness_problem(cert.values["mu"], (3, 3), "submatrix2x2")
+            lb = sdpsolve.verify_min_witness_certificate(problem, [cert.values["Z"]])
+            assert abs(lb) <= 1e-10
+            (aa, bb), (_, cc) = cert.values["Z"]
+            assert abs(bb**2 - aa * cc) <= 1e-12
             spec = witness.extremal_witness_spectrum(ell, mu1, mn)
             value = sdpsolve.min_witness_over_abs_ppt(
                 spec, (3, 3), "submatrix2x2", tol=1e-6
             )
             assert value >= -1e-9
-    _report(2, "150 dual certificates verified; SDP optimum stays >= -1e-9")
+            assert lb <= value
+    _report(2, "150 certified lower bounds of 0 verified; SDP optimum stays >= -1e-9")
 
 
 def test_criterion_03_threshold_sharpness():

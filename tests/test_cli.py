@@ -144,11 +144,11 @@ def test_verify_certificates_flags_corrupted_witness_dual(monkeypatch, capsys, s
 
     def corrupted(ell, mu1, mn):
         cert = real(ell, mu1, mn)
-        y = cert.y.copy()
-        y[-1] += shift
-        return witness.DetectionDualCertificate(
-            cert.case, cert.ell, cert.mu1, cert.t, cert.aa, cert.bb, cert.cc, y
-        )
+        if status == "rejected":
+            cert.values["Z"][1, 1] -= shift  # the rank-one block loses PSD
+        else:
+            cert.values["Z"][0, 0] += shift  # still PSD, but certifies less than 0
+        return cert
 
     monkeypatch.setattr(witness, "detection_dual_certificate", corrupted)
     code, out = run_cli(
@@ -458,6 +458,9 @@ def input_error(argv, capsys):
     (["orbit-scan", "SPEC", "--criterion", "choi", "--samples", "abc"], "--samples"),
     (["orbit-scan", "SPEC", "--criterion", "nope"], "--criterion"),
     (["verify-certificates", "--grid", "2", "--bh-dims"], "--bh-dims"),
+    (["orbit-scan", "SPEC", "--criterion", "realignment", "--seed", "-1"], "--seed"),
+    (["orbit-scan", "SPEC", "--criterion", "gen_choi", "--b", "nan"], "b=nan"),
+    (["orbit-scan", "SPEC", "--criterion", "gen_choi", "--c", "inf"], "c=inf"),
 ])
 def test_usage_errors_exit_3(tmp_path, capsys, argv, named):
     path = write_spectrum(tmp_path, families.isotropic_spectrum(3, 0.1))

@@ -1,5 +1,7 @@
 """Positive maps: actions, Choi matrices, duals, witnesses, (b,c) predicates."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,9 @@ def test_mapspec_validation():
         posmaps.breuer_hall_map(2)
     with pytest.raises(ValueError):
         posmaps.generalized_choi_map(-0.1, 0.0)
+    for b, c in ((math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            posmaps.generalized_choi_map(b, c)
     with pytest.raises(InvalidMatrix):
         posmaps.breuer_hall_map(4, v=np.eye(4))  # symmetric, not skew
     with pytest.raises(InvalidVector):

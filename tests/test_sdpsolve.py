@@ -108,6 +108,41 @@ def test_min_witness_relaxation_dominated_on_random_witnesses():
         assert relaxed <= full + 1e-6
 
 
+def test_min_witness_rejects_non_finite_spectrum():
+    for bad in (math.nan, math.inf):
+        mu = np.full(9, 1.0 / 9.0)
+        mu[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sdpsolve.min_witness_problem(mu, (3, 3), "submatrix2x2")
+
+
+def test_verify_min_witness_certificate_closed_form_multipliers():
+    # with no LMI blocks the bound is min_k cumsum(c)_k / k; for c = e_1 that
+    # is 1/4, the optimum of the toy ordering problem
+    problem = _ordering_problem(4)
+    assert sdpsolve.verify_min_witness_certificate(problem, []) == 0.25
+    # Z = 0 certifies a bound no solver point can beat
+    rng = bipartite.rng_stream(7)
+    for mode in ("full", "submatrix2x2"):
+        mu = np.sort(rng.standard_normal(9))[::-1]
+        problem = sdpsolve.min_witness_problem(mu - (mu.sum() - 1.0) / 9.0, (3, 3), mode)
+        zs = [np.zeros((b.size, b.size)) for b in problem.blocks[:-1]]
+        lb = sdpsolve.verify_min_witness_certificate(problem, zs)
+        assert lb <= sdpsolve.solve(problem, tol=1e-7).primal_value
+
+
+def test_verify_min_witness_certificate_rejects_malformed_duals():
+    problem = sdpsolve.min_witness_problem(np.full(9, 1.0 / 9.0), (3, 3), "full")
+    q = [b.size for b in problem.blocks[:-1]]
+    with pytest.raises(CertificateRejected, match="dual blocks"):
+        sdpsolve.verify_min_witness_certificate(problem, [np.eye(q[0])])
+    with pytest.raises(CertificateRejected, match="shape"):
+        zs = [np.eye(q[0] + 1)] + [np.eye(k) for k in q[1:]]
+        sdpsolve.verify_min_witness_certificate(problem, zs)
+    with pytest.raises(CertificateRejected, match="Z1 is not PSD"):
+        sdpsolve.verify_min_witness_certificate(problem, [np.eye(q[0]), -np.eye(q[1])])
+
+
 def test_min_witness_full_mode_needs_small_dims():
     with pytest.raises(Unsupported):
         sdpsolve.min_witness_over_abs_ppt(np.full(16, 1.0 / 16.0), (4, 4), "full")
@@ -202,6 +237,19 @@ def test_certificates_reject_perturbations():
     cert2.values["Y"][1, 1] -= 1e-3  # drives an eigenvalue of Y negative
     with pytest.raises(CertificateRejected):
         sdpsolve.verify_max_eig_certificate(phi, cert2)
+
+
+def test_gen_choi_bound_never_below_the_solver_value():
+    # the solver's value is attained at a feasible point, so an analytic
+    # bound below it would be wrong; the last four points are where the
+    # bound is loose (b + c < 2/3)
+    axis = np.linspace(0.0, 4.0 / 3.0, 4)
+    points = [(float(b), float(c)) for b in axis for c in axis]
+    points += [(0.2, 0.2), (0.1, 0.3), (0.3, 0.3), (0.0, 0.5)]
+    for b, c in points:
+        phi = posmaps.dual_map(posmaps.generalized_choi_map(b, c))
+        attained = -sdpsolve.solve(sdpsolve.max_eig_problem(phi)).primal_value
+        assert sdpsolve.gen_choi_max_eig_bound(b, c) >= attained - 1e-9
 
 
 def test_max_eig_certificate_dominates_sampled_witnesses():

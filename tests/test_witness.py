@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from abssep import bipartite, matcore, posmaps, witness
+from abssep import bipartite, matcore, posmaps, sdpsolve, witness
 from abssep.errors import CertificateRejected, DomainError, UnnormalizedWitness
 from abssep.witness import DetectionVerdict
 
@@ -122,6 +122,11 @@ def test_extremal_witness_spectrum_boundary_case():
         assert np.all(np.diff(spec) <= 1e-12)
 
 
+def _certified_bound(cert, dims=(3, 3)):
+    problem = sdpsolve.min_witness_problem(cert.values["mu"], dims, "submatrix2x2")
+    return sdpsolve.verify_min_witness_certificate(problem, [cert.values["Z"]])
+
+
 @pytest.mark.parametrize(
     "ell",
     [-0.5, -0.45, -1.0 / (2.0 * R2), -0.3, -0.25, (1.0 - R2) / 2.0, -0.15, -1.0 / 6.0, 0.0],
@@ -129,39 +134,42 @@ def test_extremal_witness_spectrum_boundary_case():
 def test_dual_certificate_verifies(ell):
     mu1 = witness.detection_threshold(ell)
     cert = witness.detection_dual_certificate(ell, mu1, 9)
-    residual = witness.verify_detection_certificate(cert, 9)
-    assert residual <= 1e-10
-    assert abs(cert.bb**2 - cert.aa * cert.cc) <= 1e-12
-    assert cert.t == 0.0
+    assert cert.expected_value == 0.0
+    assert abs(_certified_bound(cert)) <= 1e-10
+    # the dual block is rank one: bb^2 = aa cc
+    assert abs(np.linalg.det(cert.values["Z"])) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 4), (4, 4)])
+def test_dual_certificate_verifies_for_other_sizes(dims):
+    mn = dims[0] * dims[1]
+    for ell in np.linspace(-0.5, 0.0, 21):
+        cert = witness.detection_dual_certificate(float(ell), witness.detection_threshold(ell), mn)
+        assert abs(_certified_bound(cert, dims)) <= 1e-10
 
 
 def test_dual_certificate_case_assignment():
-    assert witness.detection_dual_certificate(-0.5, 0.5, 9).case == "a"
+    assert witness.detection_dual_certificate(-0.5, 0.5, 9).name == "witness-dual-a"
     mid = witness.detection_dual_certificate(-0.3, (1.0 + R2) / 4.0, 9)
-    assert mid.case == "b"
-    assert np.isclose(mid.ell, witness.SPLIT_LOW)
-    hi = witness.detection_dual_certificate(-0.1, witness.detection_threshold(-0.1), 9)
-    assert hi.case == "c"
-    assert np.allclose(hi.y[:6], 1.0 - hi.mu1)
-    assert hi.y[6] == 0.0 and hi.y[7] == 0.0
+    assert mid.name == "witness-dual-b"
+    split = witness.extremal_witness_spectrum(
+        witness.SPLIT_LOW, witness.detection_threshold(witness.SPLIT_LOW), 9
+    )
+    assert np.array_equal(mid.values["mu"], split)
+    mu1 = witness.detection_threshold(-0.1)
+    hi = witness.detection_dual_certificate(-0.1, mu1, 9)
+    assert hi.name == "witness-dual-c"
+    assert np.array_equal(hi.values["mu"], witness.extremal_witness_spectrum(-0.1, mu1, 9))
 
 
 def test_dual_certificate_rejects_perturbations():
     cert = witness.detection_dual_certificate(-0.45, witness.detection_threshold(-0.45), 9)
-    tampered = witness.DetectionDualCertificate(
-        case=cert.case, ell=cert.ell, mu1=cert.mu1, t=cert.t,
-        aa=cert.aa - 1e-3, bb=cert.bb, cc=cert.cc, y=cert.y,
-    )
+    z = cert.values["Z"]
+    cert.values["Z"] = z - np.diag([1e-3, 0.0])  # no longer PSD
     with pytest.raises(CertificateRejected):
-        witness.verify_detection_certificate(tampered, 9)
-    shifted_y = cert.y.copy()
-    shifted_y[0] += 1e-3
-    tampered2 = witness.DetectionDualCertificate(
-        case=cert.case, ell=cert.ell, mu1=cert.mu1, t=cert.t,
-        aa=cert.aa, bb=cert.bb, cc=cert.cc, y=shifted_y,
-    )
-    with pytest.raises(CertificateRejected):
-        witness.verify_detection_certificate(tampered2, 9)
+        _certified_bound(cert)
+    cert.values["Z"] = z + np.diag([1e-3, 0.0])  # PSD, but certifies less than 0
+    assert _certified_bound(cert) < -1e-5
 
 
 def test_dual_certificate_requires_threshold_mu1():
