@@ -105,8 +105,9 @@ def cmd_witness_analyze(args) -> tuple[str, int]:
 
 
 def _verify_witness_dual(cert) -> float:
-    problem = sdpsolve.min_witness_problem(cert.values["mu"], (3, 3), "submatrix2x2")
-    return sdpsolve.verify_min_witness_certificate(problem, [cert.values["Z"]])
+    return sdpsolve.verify_min_witness_certificate(
+        cert.values["mu"], (3, 3), "submatrix2x2", [cert.values["Z"]]
+    )
 
 
 def _certificate_jobs(bh_dims, grid):

@@ -274,27 +274,30 @@ def min_witness_over_abs_ppt(
 
 
 def verify_min_witness_certificate(
-    problem: SdpProblem, zs, tol: float = CERT_PSD_TOL
+    witness_spectrum, dims: tuple[int, int], lmi_mode: str, zs
 ) -> float:
-    """Verify Z_i >= 0, one per LMI block of a min_witness_problem, and return
-    the certified lower bound on its optimum.
+    """Verify Z_i >= 0, one per LMI block of min_witness_problem(witness_spectrum,
+    dims, lmi_mode), and return the certified lower bound on its optimum.
 
     With r = c - sum_i A_i*(Z_i), the dual equality asks D^T y + t 1 = r for
-    the ordering rows D (e_j - e_{j+1}, then e_mn; the last block). D^T is
-    bidiagonal, so y_k = cumsum(r)_k - k t, and y >= 0 holds exactly for
+    the ordering rows D (e_j - e_{j+1}, then e_mn). D^T is bidiagonal, so
+    y_k = cumsum(r)_k - k t, and y >= 0 holds exactly for
     t <= min_k cumsum(r)_k / k. By weak duality every feasible spectrum
-    scores at least that t.
+    scores at least that t. A Z_i whose least eigenvalue is negative but
+    above -CERT_PSD_TOL is used as given, so the bound is certified only up
+    to CERT_PSD_TOL times the size of A_i*(I).
     """
+    problem = min_witness_problem(witness_spectrum, dims, lmi_mode)
     lmi_blocks = problem.blocks[:-1]
     if len(zs) != len(lmi_blocks):
         raise CertificateRejected(f"expected {len(lmi_blocks)} dual blocks, got {len(zs)}")
-    r = np.array(problem.objective, dtype=np.float64)
+    r = problem.objective.copy()
     bound = problem.offset
     for i, (block, z) in enumerate(zip(lmi_blocks, zs)):
         z = np.asarray(z)
         if z.shape != block.const.shape:
             raise CertificateRejected(f"Z{i} has shape {z.shape}, expected {block.const.shape}")
-        _psd_or_reject(z, f"Z{i}", tol)
+        _psd_or_reject(z, f"Z{i}")
         r -= np.real(np.einsum("kab,ba->k", block.coeffs, z))
         bound -= float(np.real(np.trace(block.const @ z)))
     return bound + float(np.min(np.cumsum(r) / np.arange(1, r.size + 1)))
@@ -411,8 +414,8 @@ def max_eig_problem(phi: posmaps.MapSpec) -> SdpProblem:
 # ----------------------------------------------------------------------------
 
 
-def _psd_or_reject(mat: np.ndarray, what: str, tol: float = CERT_PSD_TOL) -> float:
-    report = matcore.is_psd(mat, tol=tol)
+def _psd_or_reject(mat: np.ndarray, what: str) -> float:
+    report = matcore.is_psd(mat, tol=CERT_PSD_TOL)
     if not report:
         raise CertificateRejected(
             f"{what} is not PSD (min eigenvalue {report.min_eigenvalue:.3e})"
@@ -449,22 +452,20 @@ def diamond_certificate(phi: posmaps.MapSpec) -> DualCertificate:
     )
 
 
-def verify_diamond_certificate(
-    phi: posmaps.MapSpec, cert: DualCertificate, tol: float = CERT_PSD_TOL
-) -> float:
+def verify_diamond_certificate(phi: posmaps.MapSpec, cert: DualCertificate) -> float:
     """Verify SDP feasibility of (Y0, Y1) and return the certified upper bound."""
     n, m = phi.in_dim, phi.out_dim
     d = n * m
     jmat = posmaps.choi_matrix(phi)
     y0, y1 = cert.values["Y0"], cert.values["Y1"]
-    _psd_or_reject(y0, "Y0", tol)
-    _psd_or_reject(y1, "Y1", tol)
+    _psd_or_reject(y0, "Y0")
+    _psd_or_reject(y1, "Y1")
     big = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     big[:d, :d] = y0
     big[d:, d:] = y1
     big[:d, d:] = -jmat
     big[d:, :d] = -jmat.conj().T
-    _psd_or_reject(big, "diamond block matrix", tol)
+    _psd_or_reject(big, "diamond block matrix")
     val0 = matcore.schatten_norm(bipartite.partial_trace(y0, n, m, "second"), "operator")
     val1 = matcore.schatten_norm(bipartite.partial_trace(y1, n, m, "second"), "operator")
     return 0.5 * (val0 + val1)
@@ -546,13 +547,11 @@ def max_eig_certificate(phi: posmaps.MapSpec) -> DualCertificate:
     )
 
 
-def verify_max_eig_certificate(
-    phi: posmaps.MapSpec, cert: DualCertificate, tol: float = CERT_PSD_TOL
-) -> float:
+def verify_max_eig_certificate(phi: posmaps.MapSpec, cert: DualCertificate) -> float:
     """Verify Y >= 0 and return lambda_max((id ⊗ T)(Y) + J(phi))."""
     n, m = phi.in_dim, phi.out_dim
     y = cert.values["Y"]
-    _psd_or_reject(y, "Y", tol)
+    _psd_or_reject(y, "Y")
     shifted = bipartite.partial_transpose(y, n, m) + posmaps.choi_matrix(phi)
     return float(matcore.eigvalsh(shifted)[0])
 

@@ -55,8 +55,9 @@ def test_criterion_02_dual_certificates_and_weak_duality():
             mu1 = witness.detection_threshold(ell)
             cert = witness.detection_dual_certificate(ell, mu1, mn)
             assert cert.name == f"witness-dual-{case}"
-            problem = sdpsolve.min_witness_problem(cert.values["mu"], (3, 3), "submatrix2x2")
-            lb = sdpsolve.verify_min_witness_certificate(problem, [cert.values["Z"]])
+            lb = sdpsolve.verify_min_witness_certificate(
+                cert.values["mu"], (3, 3), "submatrix2x2", [cert.values["Z"]]
+            )
             assert abs(lb) <= 1e-10
             (aa, bb), (_, cc) = cert.values["Z"]
             assert abs(bb**2 - aa * cc) <= 1e-12

@@ -123,10 +123,10 @@ def test_verify_certificates_rejection_exits_2(monkeypatch, capsys):
 
     real = sdpsolve.verify_max_eig_certificate
 
-    def flaky(phi, cert, tol=sdpsolve.CERT_PSD_TOL):
+    def flaky(phi, cert):
         if cert.name == "max-eig-breuer-hall":
             raise CertificateRejected("injected failure")
-        return real(phi, cert, tol)
+        return real(phi, cert)
 
     monkeypatch.setattr(sdpsolve, "verify_max_eig_certificate", flaky)
     code, out = run_cli(

@@ -117,30 +117,31 @@ def test_min_witness_rejects_non_finite_spectrum():
 
 
 def test_verify_min_witness_certificate_closed_form_multipliers():
-    # with no LMI blocks the bound is min_k cumsum(c)_k / k; for c = e_1 that
-    # is 1/4, the optimum of the toy ordering problem
-    problem = _ordering_problem(4)
-    assert sdpsolve.verify_min_witness_certificate(problem, []) == 0.25
-    # Z = 0 certifies a bound no solver point can beat
     rng = bipartite.rng_stream(7)
     for mode in ("full", "submatrix2x2"):
         mu = np.sort(rng.standard_normal(9))[::-1]
-        problem = sdpsolve.min_witness_problem(mu - (mu.sum() - 1.0) / 9.0, (3, 3), mode)
-        zs = [np.zeros((b.size, b.size)) for b in problem.blocks[:-1]]
-        lb = sdpsolve.verify_min_witness_certificate(problem, zs)
-        assert lb <= sdpsolve.solve(problem, tol=1e-7).primal_value
+        mu = mu - (mu.sum() - 1.0) / 9.0
+        zs = [np.zeros((b.size, b.size))
+              for b in sdpsolve.min_witness_problem(mu, (3, 3), mode).blocks[:-1]]
+        # with Z = 0 the bound is min_k cumsum(c)_k / k; c = mu reversed is
+        # ascending, so that is c_1 = mu_9, the ordering-only optimum at e_1
+        lb = sdpsolve.verify_min_witness_certificate(mu, (3, 3), mode, zs)
+        assert abs(lb - mu[-1]) <= 1e-15
+        assert lb <= sdpsolve.min_witness_over_abs_ppt(mu, (3, 3), mode, tol=1e-7)
 
 
 def test_verify_min_witness_certificate_rejects_malformed_duals():
-    problem = sdpsolve.min_witness_problem(np.full(9, 1.0 / 9.0), (3, 3), "full")
-    q = [b.size for b in problem.blocks[:-1]]
+    mu = np.full(9, 1.0 / 9.0)
+    q = [b.size for b in sdpsolve.min_witness_problem(mu, (3, 3), "full").blocks[:-1]]
     with pytest.raises(CertificateRejected, match="dual blocks"):
-        sdpsolve.verify_min_witness_certificate(problem, [np.eye(q[0])])
+        sdpsolve.verify_min_witness_certificate(mu, (3, 3), "full", [np.eye(q[0])])
     with pytest.raises(CertificateRejected, match="shape"):
         zs = [np.eye(q[0] + 1)] + [np.eye(k) for k in q[1:]]
-        sdpsolve.verify_min_witness_certificate(problem, zs)
+        sdpsolve.verify_min_witness_certificate(mu, (3, 3), "full", zs)
     with pytest.raises(CertificateRejected, match="Z1 is not PSD"):
-        sdpsolve.verify_min_witness_certificate(problem, [np.eye(q[0]), -np.eye(q[1])])
+        sdpsolve.verify_min_witness_certificate(
+            mu, (3, 3), "full", [np.eye(q[0]), -np.eye(q[1])]
+        )
 
 
 def test_min_witness_full_mode_needs_small_dims():

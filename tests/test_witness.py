@@ -123,8 +123,9 @@ def test_extremal_witness_spectrum_boundary_case():
 
 
 def _certified_bound(cert, dims=(3, 3)):
-    problem = sdpsolve.min_witness_problem(cert.values["mu"], dims, "submatrix2x2")
-    return sdpsolve.verify_min_witness_certificate(problem, [cert.values["Z"]])
+    return sdpsolve.verify_min_witness_certificate(
+        cert.values["mu"], dims, "submatrix2x2", [cert.values["Z"]]
+    )
 
 
 @pytest.mark.parametrize(
