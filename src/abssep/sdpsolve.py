@@ -9,18 +9,23 @@ Two complementary paths:
   so each stage centres by feasible-start damped Newton steps and stops on
   the Newton decrement (Boyd & Vandenberghe, Convex Optimization, ch. 9-11).
   Problems stay below a few hundred variables and blocks below ~100x100,
-  so dense Newton steps are both adequate and robust;
+  so dense Newton steps are both adequate and robust. The Hessian is one
+  real Gram product per block, over the h*h real coordinates of each
+  L^-1 A_k L^-H. The diamond SDP keeps only the blocks it needs;
 
 * one verifier per problem shape (min-witness, diamond norm, max
   eigenvalue), each checking a dual-feasible point against the problem's
   own data and returning the bound it certifies. The analytic certificates
   (the threshold-curve witness duals, and the Choi, generalized Choi and
   Breuer-Hall map certificates) are exact closed forms, so their
-  verification tolerances are much tighter than the solver's.
+  verification tolerances are much tighter than the solver's. Without a
+  certificate, diamond_norm_ub and max_eig_ub verify the solver's own
+  (Y0, Y1) and central-path Y in the same way.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -59,6 +64,12 @@ class AffineBlock:
     def eval(self, x: np.ndarray) -> np.ndarray:
         return self.const + np.tensordot(x, self.coeffs, axes=1)
 
+    @functools.cached_property
+    def left(self) -> np.ndarray:
+        """coeffs as (h, nv*h), left[a, k*h + b] = coeffs[k, a, b], so that one
+        GEMM multiplies every A_k on the left; built on first use."""
+        return np.ascontiguousarray(self.coeffs.transpose(1, 0, 2)).reshape(self.size, -1)
+
 
 @dataclass
 class SdpProblem:
@@ -76,10 +87,6 @@ class SdpProblem:
     offset: float = 0.0
     name: str = ""
 
-    @property
-    def n_vars(self) -> int:
-        return self.objective.size
-
 
 @dataclass
 class SdpSolution:
@@ -92,7 +99,7 @@ class SdpSolution:
 
 @dataclass
 class DualCertificate:
-    """An analytic dual-feasible point with its claimed objective value."""
+    """A dual-feasible point, analytic or from the solver, with its claimed value."""
 
     name: str
     values: dict[str, np.ndarray] = field(default_factory=dict)
@@ -107,25 +114,43 @@ def scalar_inequality(rows: np.ndarray, lower: float) -> AffineBlock:
     return AffineBlock(const=-lower * np.eye(k, dtype=np.complex128), coeffs=coeffs)
 
 
+@functools.cache
+def _hermitian_coordinates(h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fancy index (rows, cols) and weights reading the h*h real coordinates Re M_aa,
+    sqrt2 Re M_ab, sqrt2 Im M_ab (a < b) of a Hermitian M from its (h, 2h) float64
+    view; their dot product over two matrices is tr(M_k M_l)."""
+    diag = np.arange(h)
+    upper, right = np.triu_indices(h, 1)
+    rows = np.concatenate([diag, upper, upper])
+    cols = np.concatenate([2 * diag, 2 * right, 2 * right + 1])
+    weights = np.concatenate([np.ones(h), np.full(2 * upper.size, math.sqrt(2.0))])
+    return rows, cols, weights[:, np.newaxis]
+
+
 def _barrier_derivatives(
     blocks: list[AffineBlock], x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of -sum_i log det F_i(x).
 
     With F_i = L L^H and M_k = L^-1 A_k L^-H, the gradient is -tr(M_k) and
-    the Hessian tr(M_k M_l). Raises LinAlgError when a block is not
+    the Hessian tr(M_k M_l). Each M_k is Hermitian, so the Hessian is the
+    real Gram matrix V^T V of the columns of V, which hold the h*h real
+    coordinates of each M_k. Raises LinAlgError when a block is not
     positive definite at x.
     """
     nv = x.size
     grad = np.zeros(nv)
     hess = np.zeros((nv, nv))
     for b in blocks:
-        lo = np.linalg.cholesky(b.eval(x))
-        lo_inv = np.linalg.solve(lo, np.eye(b.size))
-        mid = lo_inv @ b.coeffs @ lo_inv.conj().T
-        grad -= np.real(np.einsum("kii->k", mid))
-        mflat = mid.reshape(nv, -1)
-        hess += np.real(mflat @ mflat.conj().T)
+        h = b.size
+        lo_inv = np.linalg.solve(np.linalg.cholesky(b.eval(x)), np.eye(h))
+        # mid[a, k, :] = row a of M_k, as interleaved real and imaginary parts
+        mid = ((lo_inv @ b.left).reshape(h * nv, h) @ lo_inv.conj().T).view(np.float64)
+        rows, cols, weights = _hermitian_coordinates(h)
+        v = mid.reshape(h, nv, 2 * h)[rows, :, cols]
+        v *= weights
+        grad -= v[:h].sum(0)
+        hess += v.T @ v  # v itself on both sides, so numpy calls syrk
     return grad, hess
 
 
@@ -326,7 +351,9 @@ def _hermitian_basis(h: int) -> np.ndarray:
 
 
 def diamond_norm_problem(phi: posmaps.MapSpec) -> SdpProblem:
-    """Standard diamond-norm SDP for the map phi (via its Choi matrix)."""
+    """Diamond-norm SDP of phi: minimize (s0 + s1)/2 over Hermitian Y0, Y1 with
+    [[Y0, -J], [-J^H, Y1]] >= 0 and s_i I >= Tr_2 Y_i. The block matrix implies
+    Y0, Y1 >= 0 (Watrous, Theory of Computing 5, 2009), so they get no blocks."""
     n, m = phi.in_dim, phi.out_dim
     d = n * m
     jmat = posmaps.choi_matrix(phi)
@@ -341,21 +368,13 @@ def diamond_norm_problem(phi: posmaps.MapSpec) -> SdpProblem:
     big_coeffs[:nb, :d, :d] = basis
     big_coeffs[nb : 2 * nb, d:, d:] = basis
 
-    y0_coeffs = np.zeros((nv, d, d), dtype=np.complex128)
-    y0_coeffs[:nb] = basis
-    y1_coeffs = np.zeros((nv, d, d), dtype=np.complex128)
-    y1_coeffs[nb : 2 * nb] = basis
-
-    traced = np.stack(
-        [bipartite.partial_trace(basis[k], n, m, "second") for k in range(nb)]
-    )
-    cap0 = np.zeros((nv, n, n), dtype=np.complex128)
-    cap0[:nb] = -traced
-    cap0[2 * nb, :, :] = np.eye(n)
-    cap1 = np.zeros((nv, n, n), dtype=np.complex128)
-    cap1[nb : 2 * nb] = -traced
-    cap1[2 * nb + 1, :, :] = np.eye(n)
-    zero_n = np.zeros((n, n), dtype=np.complex128)
+    traced = np.stack([bipartite.partial_trace(basis[k], n, m, "second") for k in range(nb)])
+    blocks = [AffineBlock(big_const, big_coeffs)]
+    for i in (0, 1):  # s_i I - Tr_2 Y_i >= 0
+        cap = np.zeros((nv, n, n), dtype=np.complex128)
+        cap[i * nb : (i + 1) * nb] = -traced
+        cap[2 * nb + i] = np.eye(n)
+        blocks.append(AffineBlock(np.zeros((n, n), dtype=np.complex128), cap))
 
     objective = np.zeros(nv)
     objective[2 * nb] = objective[2 * nb + 1] = 0.5
@@ -368,13 +387,7 @@ def diamond_norm_problem(phi: posmaps.MapSpec) -> SdpProblem:
 
     return SdpProblem(
         objective=objective,
-        blocks=[
-            AffineBlock(big_const, big_coeffs),
-            AffineBlock(np.zeros((d, d), dtype=np.complex128), y0_coeffs),
-            AffineBlock(np.zeros((d, d), dtype=np.complex128), y1_coeffs),
-            AffineBlock(zero_n.copy(), cap0),
-            AffineBlock(zero_n.copy(), cap1),
-        ],
+        blocks=blocks,
         interior_point=start,
         name="diamond-norm",
     )
@@ -423,16 +436,6 @@ def _psd_or_reject(mat: np.ndarray, what: str) -> float:
     return max(0.0, -report.min_eigenvalue)
 
 
-def _diamond_shift(phi: posmaps.MapSpec) -> float:
-    if phi.kind == "choi":
-        return 1.0
-    if phi.kind == "generalized_choi":
-        return phi.b + phi.c
-    if phi.kind == "breuer_hall":
-        return 2.0
-    raise Unsupported(f"no analytic diamond certificate for map kind {phi.kind!r}")
-
-
 def diamond_certificate(phi: posmaps.MapSpec) -> DualCertificate:
     """Feasible (Y0, Y1) for the diamond-norm SDP of the given map.
 
@@ -440,13 +443,13 @@ def diamond_certificate(phi: posmaps.MapSpec) -> DualCertificate:
     (generalized) Choi family and kappa = 2 for Breuer-Hall; the certified
     values are (3 + b + c)/3 and (n + 2)/n respectively.
     """
-    kappa = _diamond_shift(phi)
     n = phi.in_dim
-    y0 = posmaps.choi_matrix(phi) + kappa * bipartite.max_entangled_projector(n)
     if phi.kind == "breuer_hall":
-        expected = (n + 2.0) / n
-    else:
+        kappa, expected = 2.0, (n + 2.0) / n
+    else:  # Unsupported outside the generalized Choi family
+        kappa = sum(_gen_choi_params_of_dual(phi))
         expected = (3.0 + kappa) / 3.0
+    y0 = posmaps.choi_matrix(phi) + kappa * bipartite.max_entangled_projector(n)
     return DualCertificate(
         name=f"diamond-{phi.kind}", values={"Y0": y0, "Y1": y0.copy()}, expected_value=expected
     )
@@ -561,10 +564,15 @@ def diamond_norm_ub(
     cert: DualCertificate | None = None,
     tol: float = DEFAULT_GAP_TOL,
 ) -> float:
-    """Upper bound on the diamond norm: verified certificate or SDP solve."""
-    if cert is not None:
-        return verify_diamond_certificate(phi, cert)
-    return solve(diamond_norm_problem(phi), tol=tol).primal_value
+    """Upper bound on the diamond norm, verified: of the certificate if one is
+    given, else of the solver's (Y0, Y1), the diagonal blocks of its block
+    matrix."""
+    if cert is None:
+        problem = diamond_norm_problem(phi)
+        big = problem.blocks[0].eval(solve(problem, tol=tol).x)
+        d = big.shape[0] // 2
+        cert = DualCertificate("diamond-solver", {"Y0": big[:d, :d], "Y1": big[d:, d:]})
+    return verify_diamond_certificate(phi, cert)
 
 
 def max_eig_ub(
@@ -572,11 +580,17 @@ def max_eig_ub(
     cert: DualCertificate | None = None,
     tol: float = DEFAULT_GAP_TOL,
 ) -> float:
-    """Upper bound on eigenvalues of (id ⊗ phi)(|v><v|) over unit vectors."""
-    if cert is not None:
-        return verify_max_eig_certificate(phi, cert)
-    sol = solve(max_eig_problem(phi), tol=tol)
-    return -sol.dual_value  # upper bracket of the maximization
+    """Upper bound on eigenvalues of (id ⊗ phi)(|v><v|) over unit vectors,
+    verified: of the certificate if one is given, else of the solver's
+    central-path dual Y = F_pt(x)^-1 / t of the partial-transpose block,
+    where t = m_total / gap (Boyd & Vandenberghe, section 11.2.2)."""
+    if cert is None:
+        problem = max_eig_problem(phi)
+        sol = solve(problem, tol=tol)
+        m_total = sum(b.size for b in problem.blocks)
+        y = np.linalg.inv(problem.blocks[1].eval(sol.x)) * sol.gap / m_total
+        cert = DualCertificate("max-eig-solver", {"Y": y})
+    return verify_max_eig_certificate(phi, cert)
 
 
 def min_eig_lb_from_diamond(diamond_ub: float) -> float:

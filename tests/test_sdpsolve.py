@@ -288,16 +288,85 @@ def test_min_eig_lb_from_diamond():
 
 
 def test_diamond_norm_solver_path():
+    # the verified bound of the solver's (Y0, Y1) can only be at or below the
+    # primal value, since each s_i >= ||Tr_2 Y_i|| at a feasible point
     phi = posmaps.dual_map(posmaps.choi_map())
     value = sdpsolve.diamond_norm_ub(phi, tol=1e-7)
+    primal = sdpsolve.solve(sdpsolve.diamond_norm_problem(phi), tol=1e-7).primal_value
+    assert value <= primal
     assert abs(value - 4.0 / 3.0) <= 1e-6
+    for b, c in ((1.2, 1.2), (0.5, 0.9)):
+        phi = posmaps.dual_map(posmaps.generalized_choi_map(b, c))
+        value = sdpsolve.diamond_norm_ub(phi, tol=1e-7)
+        assert abs(value - (3.0 + b + c) / 3.0) <= 1e-6
 
 
 def test_max_eig_solver_path():
+    # the verified bound of the central-path dual Y dominates the value the
+    # solver attains at a feasible point
     phi = posmaps.dual_map(posmaps.choi_map())
     value = sdpsolve.max_eig_ub(phi, tol=1e-7)
+    sol = sdpsolve.solve(sdpsolve.max_eig_problem(phi), tol=1e-7)
+    assert value >= -sol.primal_value
     assert abs(value - 2.0 / 3.0) <= 1e-6
-    # solver bracket dominates the certificate value
     cert_value = sdpsolve.verify_max_eig_certificate(phi, sdpsolve.max_eig_certificate(phi))
     assert value >= cert_value - 1e-6
+
+
+def test_diamond_solve_takes_few_newton_steps():
+    # the block matrix implies Y0, Y1 >= 0; blocks of their own would raise
+    # the total block size from 24 to 42, and the steps to 171
+    phi = posmaps.dual_map(posmaps.choi_map())
+    problem = sdpsolve.diamond_norm_problem(phi)
+    assert [b.size for b in problem.blocks] == [18, 3, 3]
+    sol = sdpsolve.solve(problem, tol=1e-7)
+    assert sol.newton_steps <= 150
+    assert sol.gap <= 1e-7
+    assert sol.primal_value - sol.gap <= 4.0 / 3.0 <= sol.primal_value
+
+
+def _reference_barrier_derivatives(blocks, x):
+    # -tr(F^-1 A_k) and tr(F^-1 A_k F^-1 A_l), one block and one (k, l) at a
+    # time. F^-1 is formed from the Cholesky factor as L^-H L^-1: near the
+    # optimum F has condition numbers of ~1e8, and inverses of F by two
+    # routes differ by ~1e-9 relative, far above the 1e-12 checked here
+    nv = x.size
+    grad = np.zeros(nv)
+    hess = np.zeros((nv, nv))
+    for block in blocks:
+        lo_inv = np.linalg.inv(np.linalg.cholesky(block.eval(x)))
+        f_inv = lo_inv.conj().T @ lo_inv
+        fa = [f_inv @ block.coeffs[k] for k in range(nv)]
+        for k in range(nv):
+            grad[k] -= np.trace(fa[k]).real
+            for l in range(nv):
+                hess[k, l] += np.sum(fa[k] * fa[l].T).real  # tr(F^-1 A_k F^-1 A_l)
+    return grad, hess
+
+
+def _threshold_problem(dims, mode):
+    ell = -0.3
+    spec = witness.extremal_witness_spectrum(ell, witness.detection_threshold(ell), dims[0] * dims[1])
+    return sdpsolve.min_witness_problem(spec, dims, mode)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _threshold_problem((3, 3), "full"),
+        lambda: _threshold_problem((3, 4), "full"),
+        lambda: _threshold_problem((3, 3), "submatrix2x2"),
+        lambda: sdpsolve.max_eig_problem(posmaps.dual_map(posmaps.choi_map())),
+        lambda: sdpsolve.diamond_norm_problem(posmaps.dual_map(posmaps.choi_map())),
+    ],
+    ids=["min-witness-full-3x3", "min-witness-full-3x4", "min-witness-2x2", "max-eig", "diamond"],
+)
+def test_barrier_derivatives_match_reference(build):
+    problem = build()
+    late = sdpsolve.solve(problem, tol=1e-7).x
+    for x in (problem.interior_point, late):
+        grad, hess = sdpsolve._barrier_derivatives(problem.blocks, x)
+        ref_grad, ref_hess = _reference_barrier_derivatives(problem.blocks, x)
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+        assert np.abs(hess - ref_hess).max() <= 1e-12 * np.abs(ref_hess).max()
 
