@@ -11,7 +11,8 @@ Two complementary paths:
   Problems stay below a few hundred variables and blocks below ~100x100,
   so dense Newton steps are both adequate and robust. The Hessian is one
   real Gram product per block, over the h*h real coordinates of each
-  L^-1 A_k L^-H. The diamond SDP keeps only the blocks it needs;
+  L^-1 A_k L^-H. The diamond SDP is Watrous's in its symmetric form, one
+  Hermitian Y with blocks Y - J, Y + J and s I - Tr_2 Y;
 
 * one verifier per problem shape (min-witness, diamond norm, max
   eigenvalue), each checking a dual-feasible point against the problem's
@@ -20,7 +21,7 @@ Two complementary paths:
   Breuer-Hall map certificates) are exact closed forms, so their
   verification tolerances are much tighter than the solver's. Without a
   certificate, diamond_norm_ub and max_eig_ub verify the solver's own
-  (Y0, Y1) and central-path Y in the same way.
+  Y, passed as (Y0, Y1) = (Y, Y), and central-path Y in the same way.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class AffineBlock:
         return self.const.shape[0]
 
     def eval(self, x: np.ndarray) -> np.ndarray:
-        return self.const + np.tensordot(x, self.coeffs, axes=1)
+        return self.const + (x @ self.coeffs.reshape(x.size, -1)).reshape(self.const.shape)
 
     @functools.cached_property
     def left(self) -> np.ndarray:
@@ -351,40 +352,36 @@ def _hermitian_basis(h: int) -> np.ndarray:
 
 
 def diamond_norm_problem(phi: posmaps.MapSpec) -> SdpProblem:
-    """Diamond-norm SDP of phi: minimize (s0 + s1)/2 over Hermitian Y0, Y1 with
-    [[Y0, -J], [-J^H, Y1]] >= 0 and s_i I >= Tr_2 Y_i. The block matrix implies
-    Y0, Y1 >= 0 (Watrous, Theory of Computing 5, 2009), so they get no blocks."""
+    """Diamond-norm SDP of phi (Watrous, Theory of Computing 5, 2009) in its
+    symmetric form: minimize s over Hermitian Y with Y - J >= 0, Y + J >= 0
+    and s I >= Tr_2 Y, for J = J(phi).
+
+    Watrous's form, minimize (s0 + s1)/2 over [[Y0, -J], [-J, Y1]] >= 0 and
+    s_i I >= Tr_2 Y_i, is convex and keeps its constraints under swapping Y0
+    and Y1 when J is Hermitian, so the average Y0 = Y1 = Y is optimal too;
+    conjugating [[Y, -J], [-J, Y]] by (1/sqrt2) [[I, I], [I, -I]] gives
+    diag(Y - J, Y + J).
+    """
     n, m = phi.in_dim, phi.out_dim
     d = n * m
     jmat = posmaps.choi_matrix(phi)
     basis = _hermitian_basis(d)
-    nb = d * d
-    nv = 2 * nb + 2  # Y0 coeffs, Y1 coeffs, s0, s1
-
-    big_const = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    big_const[:d, d:] = -jmat
-    big_const[d:, :d] = -jmat.conj().T
-    big_coeffs = np.zeros((nv, 2 * d, 2 * d), dtype=np.complex128)
-    big_coeffs[:nb, :d, :d] = basis
-    big_coeffs[nb : 2 * nb, d:, d:] = basis
-
+    nb = d * d  # x = (Y coeffs, s)
+    coeffs = np.concatenate([basis, np.zeros((1, d, d))])
     traced = np.stack([bipartite.partial_trace(basis[k], n, m, "second") for k in range(nb)])
-    blocks = [AffineBlock(big_const, big_coeffs)]
-    for i in (0, 1):  # s_i I - Tr_2 Y_i >= 0
-        cap = np.zeros((nv, n, n), dtype=np.complex128)
-        cap[i * nb : (i + 1) * nb] = -traced
-        cap[2 * nb + i] = np.eye(n)
-        blocks.append(AffineBlock(np.zeros((n, n), dtype=np.complex128), cap))
+    cap = np.concatenate([-traced, np.eye(n)[np.newaxis]])  # s I - Tr_2 Y
+    blocks = [
+        AffineBlock(-jmat, coeffs),
+        AffineBlock(jmat, coeffs),
+        AffineBlock(np.zeros((n, n), dtype=np.complex128), cap),
+    ]
 
-    objective = np.zeros(nv)
-    objective[2 * nb] = objective[2 * nb + 1] = 0.5
-
+    objective = np.zeros(nb + 1)
+    objective[nb] = 1.0
     kappa = matcore.schatten_norm(jmat, "operator") + 1.0
-    start = np.zeros(nv)
-    start[: d] = kappa          # diagonal coefficients of Y0 = kappa I
-    start[nb : nb + d] = kappa
-    start[2 * nb] = start[2 * nb + 1] = kappa * m + 1.0
-
+    start = np.zeros(nb + 1)
+    start[:d] = kappa  # diagonal coefficients of Y = kappa I
+    start[nb] = kappa * m + 1.0
     return SdpProblem(
         objective=objective,
         blocks=blocks,
@@ -565,13 +562,13 @@ def diamond_norm_ub(
     tol: float = DEFAULT_GAP_TOL,
 ) -> float:
     """Upper bound on the diamond norm, verified: of the certificate if one is
-    given, else of the solver's (Y0, Y1), the diagonal blocks of its block
-    matrix."""
+    given, else of the solver's Y, read off its Y - J block as F_0(x) + J and
+    passed as (Y0, Y1) = (Y, Y)."""
     if cert is None:
         problem = diamond_norm_problem(phi)
-        big = problem.blocks[0].eval(solve(problem, tol=tol).x)
-        d = big.shape[0] // 2
-        cert = DualCertificate("diamond-solver", {"Y0": big[:d, :d], "Y1": big[d:, d:]})
+        block = problem.blocks[0]
+        y = block.eval(solve(problem, tol=tol).x) - block.const
+        cert = DualCertificate("diamond-solver", {"Y0": y, "Y1": y})
     return verify_diamond_certificate(phi, cert)
 
 

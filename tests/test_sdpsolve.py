@@ -288,8 +288,8 @@ def test_min_eig_lb_from_diamond():
 
 
 def test_diamond_norm_solver_path():
-    # the verified bound of the solver's (Y0, Y1) can only be at or below the
-    # primal value, since each s_i >= ||Tr_2 Y_i|| at a feasible point
+    # the verified bound of the solver's Y can only be at or below the primal
+    # value, since s >= ||Tr_2 Y|| at a feasible point
     phi = posmaps.dual_map(posmaps.choi_map())
     value = sdpsolve.diamond_norm_ub(phi, tol=1e-7)
     primal = sdpsolve.solve(sdpsolve.diamond_norm_problem(phi), tol=1e-7).primal_value
@@ -314,15 +314,80 @@ def test_max_eig_solver_path():
 
 
 def test_diamond_solve_takes_few_newton_steps():
-    # the block matrix implies Y0, Y1 >= 0; blocks of their own would raise
-    # the total block size from 24 to 42, and the steps to 171
     phi = posmaps.dual_map(posmaps.choi_map())
     problem = sdpsolve.diamond_norm_problem(phi)
-    assert [b.size for b in problem.blocks] == [18, 3, 3]
+    assert [b.size for b in problem.blocks] == [9, 9, 3]
     sol = sdpsolve.solve(problem, tol=1e-7)
     assert sol.newton_steps <= 150
     assert sol.gap <= 1e-7
     assert sol.primal_value - sol.gap <= 4.0 / 3.0 <= sol.primal_value
+
+
+def _watrous_two_variable_problem(phi):
+    # minimize (s0 + s1)/2 over Hermitian Y0, Y1 with [[Y0, -J], [-J^H, Y1]] >= 0
+    # and s_i I >= Tr_2 Y_i, the form diamond_norm_problem reduces
+    n, m = phi.in_dim, phi.out_dim
+    d = n * m
+    jmat = posmaps.choi_matrix(phi)
+    basis = sdpsolve._hermitian_basis(d)
+    nb = d * d
+    nv = 2 * nb + 2  # Y0 coeffs, Y1 coeffs, s0, s1
+    big_const = np.zeros((2 * d, 2 * d), dtype=np.complex128)
+    big_const[:d, d:] = -jmat
+    big_const[d:, :d] = -jmat.conj().T
+    big_coeffs = np.zeros((nv, 2 * d, 2 * d), dtype=np.complex128)
+    big_coeffs[:nb, :d, :d] = basis
+    big_coeffs[nb : 2 * nb, d:, d:] = basis
+    traced = np.stack([bipartite.partial_trace(basis[k], n, m, "second") for k in range(nb)])
+    blocks = [sdpsolve.AffineBlock(big_const, big_coeffs)]
+    for i in (0, 1):
+        cap = np.zeros((nv, n, n), dtype=np.complex128)
+        cap[i * nb : (i + 1) * nb] = -traced
+        cap[2 * nb + i] = np.eye(n)
+        blocks.append(sdpsolve.AffineBlock(np.zeros((n, n), dtype=np.complex128), cap))
+    objective = np.zeros(nv)
+    objective[2 * nb] = objective[2 * nb + 1] = 0.5
+    kappa = matcore.schatten_norm(jmat, "operator") + 1.0
+    start = np.zeros(nv)
+    start[:d] = start[nb : nb + d] = kappa
+    start[2 * nb] = start[2 * nb + 1] = kappa * m + 1.0
+    return sdpsolve.SdpProblem(objective=objective, blocks=blocks, interior_point=start)
+
+
+def test_diamond_symmetric_form_matches_two_variable_watrous_sdp():
+    # each primal value lies within its gap above the common optimum
+    phi = posmaps.dual_map(posmaps.choi_map())
+    full = _watrous_two_variable_problem(phi)
+    assert [b.size for b in full.blocks] == [18, 3, 3]
+    old = sdpsolve.solve(full, tol=1e-7)
+    new = sdpsolve.solve(sdpsolve.diamond_norm_problem(phi), tol=1e-7)
+    assert abs(old.primal_value - new.primal_value) <= old.gap + new.gap
+
+
+def test_diamond_norm_ub_breuer_hall():
+    # outside the generalized Choi family; the analytic value is (n + 2)/n
+    value = sdpsolve.diamond_norm_ub(posmaps.breuer_hall_map(4))
+    assert 1.5 <= value <= 1.5 + 1e-6
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        posmaps.identity_map(3),
+        posmaps.transpose_map(3),
+        posmaps.choi_map(),
+        posmaps.generalized_choi_map(1.2, 1.2),
+        posmaps.generalized_choi_map(0.2, 0.3),  # b + c < 2/3
+        posmaps.reduction_map(3),
+        posmaps.breuer_hall_map(4),
+        posmaps.breuer_hall_map(6),
+    ],
+    ids=lambda phi: f"{phi.kind}-{phi.dim}-{phi.b:g}-{phi.c:g}",
+)
+def test_choi_matrix_is_hermitian(phi):
+    # diamond_norm_problem's symmetric form needs a Hermiticity-preserving map
+    jmat = posmaps.choi_matrix(phi)
+    assert np.abs(jmat - jmat.conj().T).max() <= 1e-12
 
 
 def _reference_barrier_derivatives(blocks, x):
