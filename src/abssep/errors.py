@@ -41,6 +41,10 @@ class NoInteriorPoint(ToolkitError):
     """No strictly feasible starting point is available for the solver."""
 
 
+class Unbounded(ToolkitError):
+    """The objective falls without bound over the feasible set."""
+
+
 class MaxIterations(ToolkitError):
     """Iteration budget exhausted before reaching the requested tolerance."""
 

@@ -6,13 +6,15 @@ Two complementary paths:
   linear objective, affine Hermitian PSD blocks, affine equalities, scalar
   inequalities stacked into one diagonal block. Every problem builder
   supplies a strictly feasible start that also satisfies the equalities,
-  so each stage centres by feasible-start damped Newton steps and stops on
-  the Newton decrement (Boyd & Vandenberghe, Convex Optimization, ch. 9-11).
+  so each stage centres by feasible-start Newton steps and stops on the
+  Newton decrement (Boyd & Vandenberghe, Convex Optimization, ch. 9-11).
   Problems stay below a few hundred variables and blocks below ~100x100,
   so dense Newton steps are both adequate and robust. The Hessian is one
   real Gram product per block, over the h*h real coordinates of each
-  L^-1 A_k L^-H. The diamond SDP is Watrous's in its symmetric form, one
-  Hermitian Y with blocks Y - J, Y + J and s I - Tr_2 Y;
+  L^-1 A_k L^-H, or w^T w for a diagonal block's rows w scaled by their
+  slacks. Far from the centre an exact line search sets the step length.
+  The diamond SDP is Watrous's in its symmetric form, one Hermitian Y with
+  blocks Y - J, Y + J and s I - Tr_2 Y;
 
 * one verifier per problem shape (min-witness, diamond norm, max
   eigenvalue), each checking a dual-feasible point against the problem's
@@ -21,7 +23,8 @@ Two complementary paths:
   Breuer-Hall map certificates) are exact closed forms, so their
   verification tolerances are much tighter than the solver's. Without a
   certificate, diamond_norm_ub and max_eig_ub verify the solver's own
-  Y, passed as (Y0, Y1) = (Y, Y), and central-path Y in the same way.
+  Y, passed as (Y0, Y1) = (Y, Y), and the Newton-corrected central-path
+  Y in the same way.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .errors import (
     CertificateRejected,
     MaxIterations,
     NoInteriorPoint,
+    Unbounded,
     Unsupported,
 )
 
@@ -47,7 +51,7 @@ _MU_REDUCTION = 0.2  # barrier parameter shrink per outer step
 # affine-invariant estimate of the barrier objective's excess over its
 # minimum) falls below this
 _CENTERED = 1e-10
-# damped steps 1/(1+lambda) until lambda drops below this, then full steps
+# exact line searches until lambda drops below this, then full steps
 _QUADRATIC_PHASE = 0.25
 
 
@@ -57,13 +61,17 @@ class AffineBlock:
 
     const: np.ndarray   # (h, h)
     coeffs: np.ndarray  # (nv, h, h)
+    rows: np.ndarray | None = None  # (h, nv) on a diagonal block: diag(rows @ x) + const
 
     @property
     def size(self) -> int:
         return self.const.shape[0]
 
+    def lin(self, x: np.ndarray) -> np.ndarray:
+        return (x @ self.coeffs.reshape(x.size, -1)).reshape(self.const.shape)
+
     def eval(self, x: np.ndarray) -> np.ndarray:
-        return self.const + (x @ self.coeffs.reshape(x.size, -1)).reshape(self.const.shape)
+        return self.const + self.lin(x)
 
     @functools.cached_property
     def left(self) -> np.ndarray:
@@ -96,6 +104,7 @@ class SdpSolution:
     x: np.ndarray
     gap: float
     newton_steps: int
+    newton_step: np.ndarray | None = None  # the step at x that met the centring stop
 
 
 @dataclass
@@ -112,7 +121,7 @@ def scalar_inequality(rows: np.ndarray, lower: float) -> AffineBlock:
     k, nv = rows.shape
     coeffs = np.zeros((nv, k, k), dtype=np.complex128)
     coeffs[:, np.arange(k), np.arange(k)] = rows.T
-    return AffineBlock(const=-lower * np.eye(k, dtype=np.complex128), coeffs=coeffs)
+    return AffineBlock(-lower * np.eye(k, dtype=np.complex128), coeffs, rows)
 
 
 @functools.cache
@@ -130,21 +139,34 @@ def _hermitian_coordinates(h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _barrier_derivatives(
     blocks: list[AffineBlock], x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of -sum_i log det F_i(x).
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Gradient and Hessian of -sum_i log det F_i(x), and per block the
+    factor the line search scales by: L^-1, or a diagonal block's slacks.
 
     With F_i = L L^H and M_k = L^-1 A_k L^-H, the gradient is -tr(M_k) and
     the Hessian tr(M_k M_l). Each M_k is Hermitian, so the Hessian is the
     real Gram matrix V^T V of the columns of V, which hold the h*h real
-    coordinates of each M_k. Raises LinAlgError when a block is not
-    positive definite at x.
+    coordinates of each M_k. A diagonal block has M_k = diag(w[:, k]) for
+    w = rows / slack, so its terms are -w.sum(0) and w^T w. Raises
+    LinAlgError when a block is not positive definite at x.
     """
     nv = x.size
     grad = np.zeros(nv)
     hess = np.zeros((nv, nv))
+    scales = []
     for b in blocks:
+        f = b.eval(x)
+        if b.rows is not None:
+            slack = f.diagonal().real
+            if not np.all(slack > 0.0):
+                raise np.linalg.LinAlgError("diagonal block is not positive")
+            w = b.rows / slack[:, np.newaxis]
+            grad -= w.sum(0)
+            hess += w.T @ w
+            scales.append(slack)
+            continue
         h = b.size
-        lo_inv = np.linalg.solve(np.linalg.cholesky(b.eval(x)), np.eye(h))
+        lo_inv = np.linalg.solve(np.linalg.cholesky(f), np.eye(h))
         # mid[a, k, :] = row a of M_k, as interleaved real and imaginary parts
         mid = ((lo_inv @ b.left).reshape(h * nv, h) @ lo_inv.conj().T).view(np.float64)
         rows, cols, weights = _hermitian_coordinates(h)
@@ -152,7 +174,29 @@ def _barrier_derivatives(
         v *= weights
         grad -= v[:h].sum(0)
         hess += v.T @ v  # v itself on both sides, so numpy calls syrk
-    return grad, hess
+        scales.append(lo_inv)
+    return grad, hess, scales
+
+
+def _line_search(slope: float, gamma: np.ndarray) -> float:
+    """Step length along a Newton direction: minimizes
+    phi(a) = slope a - sum_j log(1 + a gamma_j), which needs some gamma_j < 0
+    or slope > 0, by 1-D Newton steps from a = 0, damped by 1/(1 + delta)
+    until their decrement delta is at most _QUADRATIC_PHASE, then one full
+    step. At a = 0, delta is lambda, so the first iterate is 1/(1 + lambda).
+    gamma is short, so Python floats beat numpy calls."""
+    gamma = gamma.tolist()
+    a = 0.0
+    while True:
+        d1, d2 = slope, 0.0  # phi'(a), phi''(a)
+        for g in gamma:
+            ratio = g / (1.0 + a * g)
+            d1 -= ratio
+            d2 += ratio * ratio
+        decrement = abs(d1) / math.sqrt(d2)
+        if decrement <= _QUADRATIC_PHASE:
+            return a - d1 / d2
+        a -= d1 / d2 / (1.0 + decrement)
 
 
 def solve(
@@ -162,11 +206,14 @@ def solve(
 ) -> SdpSolution:
     """Barrier method; returns values bracketing the optimum within ~tol.
 
-    Stage t centres t c.x - sum_i log det F_i(x) over {A x = b}. Steps of
-    length 1/(1+lambda) keep x strictly feasible by self-concordance, so no
-    line search is needed; once lambda <= 1/4 full steps converge
+    Stage t centres t c.x - sum_i log det F_i(x) over {A x = b}. While the
+    Newton decrement lambda exceeds 1/4, x moves to x + a dx, a from
+    _line_search on that objective along the Newton direction dx: the
+    barrier keeps x strictly feasible, and a decreases the objective at least
+    as much as the damped step 1/(1+lambda) does. Then full steps converge
     quadratically. t grows by 1/_MU_REDUCTION until m/t <= tol, where m is
-    the total block size.
+    the total block size. Raises Unbounded on a ray the objective falls along
+    without bound.
     """
     c = np.asarray(problem.objective, dtype=np.float64)
     nv = c.size
@@ -180,7 +227,7 @@ def solve(
             f"starting point violates the equalities of problem {problem.name!r}"
         )
     try:
-        grad, hess = _barrier_derivatives(blocks, x)
+        grad, hess, scales = _barrier_derivatives(blocks, x)
     except np.linalg.LinAlgError:
         raise NoInteriorPoint(
             f"starting point is not strictly feasible for problem {problem.name!r}"
@@ -209,12 +256,23 @@ def solve(
                 raise MaxIterations(
                     f"Newton budget exhausted in problem {problem.name!r}"
                 )
-            decrement = math.sqrt(decrement_sq)
-            if decrement > _QUADRATIC_PHASE:
-                dx /= 1.0 + decrement
+            if math.sqrt(decrement_sq) > _QUADRATIC_PHASE:
+                # eigenvalues of each L^-1 F_lin(dx) L^-H: the barrier along
+                # x + a dx is -sum_j log(1 + a gamma_j) plus a constant
+                gamma = np.concatenate([
+                    (b.rows @ dx) / scale if b.rows is not None
+                    else np.linalg.eigvalsh(scale @ b.lin(dx) @ scale.conj().T)
+                    for b, scale in zip(blocks, scales)
+                ])
+                slope = t * float(c @ dx)
+                if gamma.min() >= 0.0 and slope <= 0.0:
+                    raise Unbounded(
+                        f"objective of problem {problem.name!r} is unbounded below"
+                    )
+                dx *= _line_search(slope, gamma)
             x = x + dx
             steps += 1
-            grad, hess = _barrier_derivatives(blocks, x)
+            grad, hess, scales = _barrier_derivatives(blocks, x)
         gap = m_total / t
         if gap <= tol:
             break
@@ -227,6 +285,7 @@ def solve(
         x=x,
         gap=gap,
         newton_steps=steps,
+        newton_step=dx,
     )
 
 
@@ -397,12 +456,8 @@ def max_eig_problem(phi: posmaps.MapSpec) -> SdpProblem:
     jmat = posmaps.choi_matrix(phi)
     basis = _hermitian_basis(d)
     nv = d * d
-    objective = -np.real(
-        np.einsum("kab,ba->k", basis, jmat)
-    )
-    pt_basis = np.stack(
-        [bipartite.partial_transpose(basis[k], n, m) for k in range(nv)]
-    )
+    objective = -np.real(np.einsum("kab,ba->k", basis, jmat))
+    pt_basis = np.stack([bipartite.partial_transpose(basis[k], n, m) for k in range(nv)])
     trace_row = -np.real(np.einsum("kaa->k", basis))[np.newaxis, :]
     blocks = [
         AffineBlock(np.zeros((d, d), dtype=np.complex128), basis.copy()),
@@ -579,13 +634,17 @@ def max_eig_ub(
 ) -> float:
     """Upper bound on eigenvalues of (id ⊗ phi)(|v><v|) over unit vectors,
     verified: of the certificate if one is given, else of the solver's
-    central-path dual Y = F_pt(x)^-1 / t of the partial-transpose block,
-    where t = m_total / gap (Boyd & Vandenberghe, section 11.2.2)."""
+    central-path dual Y = (F^-1 - F^-1 F_lin(dx) F^-1)/t of the
+    partial-transpose block, corrected by the Newton step dx at x, t = m_total
+    / gap. The Newton equations make it meet the dual equality exactly,
+    however well x is centred (cf. Boyd & Vandenberghe, section 11.2.2)."""
     if cert is None:
         problem = max_eig_problem(phi)
         sol = solve(problem, tol=tol)
-        m_total = sum(b.size for b in problem.blocks)
-        y = np.linalg.inv(problem.blocks[1].eval(sol.x)) * sol.gap / m_total
+        t = sum(b.size for b in problem.blocks) / sol.gap
+        block = problem.blocks[1]
+        f_inv = np.linalg.inv(block.eval(sol.x))
+        y = (f_inv - f_inv @ block.lin(sol.newton_step) @ f_inv) / t
         cert = DualCertificate("max-eig-solver", {"Y": y})
     return verify_max_eig_certificate(phi, cert)
 
