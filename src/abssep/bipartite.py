@@ -2,7 +2,10 @@
 
 Kronecker products, partial trace/transpose, the realignment rearrangement,
 operator- and vector-Schmidt decompositions, standard states and operators,
-and Haar-random unitary sampling.
+and Haar-random unitary sampling. A stack of Haar draws takes its Philox keys
+from stream_keys, which derives SeedSequence(seed, spawn_key=(i,))'s key for
+every stream i in one vectorized pass, and re-keys one generator per draw; the
+draws equal those from one rng_stream(seed, i) per stream.
 
 Index convention: an operator X on M_m ⊗ M_n is an (mn)x(mn) array whose
 row index is the row-major pair (i, k) with i in [m], k in [n]. The
@@ -144,27 +147,83 @@ def rng_stream(seed: int, stream: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def haar_unitaries(n: int, rngs) -> np.ndarray:
-    """A stack of Haar-distributed unitaries, one per generator in rngs.
+# numpy's SeedSequence on 32-bit words: its k-th hash XORs a word with INIT·MULT^k,
+# multiplies by INIT·MULT^(k+1) and folds the high half in. Entropy words are hashed
+# (A) and mixed (MIX) into a pool of 4; the output is the pool hashed again (B).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
-    Each slice is a complex Ginibre draw from its own generator, so a slice
-    does not depend on the stack it sits in; one stacked QR with the phase
-    of R's diagonal divided out makes them Haar (Mezzadri, Notices AMS 54, 2007).
+
+def _hash(words: np.ndarray, init: int, mult: int, first: int) -> np.ndarray:
+    """Hashes first, ..., first + 3 of words[..., 0], ..., words[..., 3]."""
+    h = [init * pow(mult, k, 1 << 32) & _MASK32 for k in range(first, first + 5)]
+    h = np.array(h, dtype=np.uint64)
+    words = (words ^ h[:4]) * h[1:] & _MASK32
+    return words ^ words >> 16
+
+
+def stream_keys(seed: int, streams) -> np.ndarray:
+    """Philox keys of rng_stream(seed, s) for each s in streams, a (k, 2) uint64 array.
+
+    Row i is SeedSequence(seed, spawn_key=(streams[i],)).generate_state(2, np.uint64).
+    Only the stream word's mix and the output hash differ between streams.
     """
-    if n < 1:
-        raise InvalidDim("n must be >= 1")
-    z = np.empty((len(rngs), n, n), dtype=np.complex128)
-    for k, rng in enumerate(rngs):
-        z[k] = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    seed, s = int(seed), np.asarray(streams)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if s.ndim != 1 or s.size and (s.dtype.kind not in "iu" or s.min() < 0 or s.max() > _MASK32):
+        raise ValueError("streams must be a 1-d sequence of integers in [0, 2**32)")
+    # A spawned sequence pads the seed words with zeros to the pool size, so its pool
+    # before the stream word is that of the padded words alone, after 4 hashes each.
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    pool = np.random.SeedSequence(words).pool.astype(np.uint64)
+    v = _hash(s.astype(np.uint64)[:, np.newaxis], _INIT_A, _MULT_A, 4 * len(words))
+    v = _MIX_L * pool - _MIX_R * v & _MASK32  # mix the stream word into each pool word
+    v = _hash(v ^ v >> 16, _INIT_B, _MULT_B, 0)  # generate_state's output hash
+    return v[:, 0::2] | v[:, 1::2] << 32
+
+
+def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Complex Ginibre matrix A + iB, A and B drawn from rng in one call."""
+    g = rng.standard_normal((2, n, n))
+    return g[0] + 1j * g[1]
+
+
+def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from Ginibre draws z[..., n, n]: QR with the phases of R's diagonal
+    divided out (Mezzadri, Notices AMS 54, 2007)."""
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., np.newaxis, :]
 
 
+def haar_unitaries(n: int, keys) -> np.ndarray:
+    """A stack of Haar-distributed unitaries, one per Philox key in keys (see stream_keys).
+
+    Slice i equals haar_unitary(n, g) for g a fresh Philox generator keyed keys[i],
+    whatever the stack; one generator is re-keyed per slice, and one QR does all.
+    """
+    if n < 1:
+        raise InvalidDim("n must be >= 1")
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state  # counter 0 and an empty buffer, as in any fresh generator
+    g = np.empty((len(keys), 2, n, n))
+    for k, key in enumerate(keys):
+        state["state"]["key"] = key
+        bitgen.state = state
+        rng.standard_normal(out=g[k])
+    return _haar_from_ginibre(g[:, 0] + 1j * g[:, 1])
+
+
 def haar_unitary(n: int, seed: int | np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: the stack-of-one case of haar_unitaries."""
+    """Haar-distributed unitary from a seed or a generator."""
+    if n < 1:
+        raise InvalidDim("n must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else rng_stream(seed)
-    return haar_unitaries(n, [rng])[0]
+    return _haar_from_ginibre(_ginibre(rng, n))
 
 
 def random_density(dim: int, seed: int | np.random.Generator) -> np.ndarray:
@@ -172,7 +231,7 @@ def random_density(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     if dim < 1:
         raise InvalidDim("dim must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else rng_stream(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = _ginibre(rng, dim)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 

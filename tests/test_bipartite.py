@@ -306,14 +306,37 @@ def test_operator_schmidt_zeroes_only_below_rank_tolerance():
 
 
 def test_haar_unitaries_stack_matches_single_draws():
-    rngs = [bipartite.rng_stream(4, stream=i) for i in range(5)]
-    stack = bipartite.haar_unitaries(6, rngs)
-    assert stack.shape == (5, 6, 6)
-    for i in range(5):
-        assert np.array_equal(stack[i], bipartite.haar_unitary(6, bipartite.rng_stream(4, stream=i)))
-        assert np.linalg.norm(stack[i].conj().T @ stack[i] - np.eye(6)) <= 1e-10
+    streams = [5, 0, 2**32 - 1]
+    keys = bipartite.stream_keys(4, streams)
+    for n in (1, 4, 9, 16):
+        stack = bipartite.haar_unitaries(n, keys)
+        assert stack.shape == (3, n, n)
+        for u, s in zip(stack, streams):
+            assert np.array_equal(u, bipartite.haar_unitary(n, bipartite.rng_stream(4, stream=s)))
+            assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-10
     with pytest.raises(InvalidDim):
-        bipartite.haar_unitaries(0, rngs)
+        bipartite.haar_unitaries(0, keys)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5])
+def test_stream_keys_match_seed_sequence(seed):
+    # 2**130 + 5 has five 32-bit words, one more than SeedSequence's pool
+    streams = [*range(41), 2**32 - 1]
+    expected = [
+        np.random.SeedSequence(seed, spawn_key=(s,)).generate_state(2, np.uint64) for s in streams
+    ]
+    keys = bipartite.stream_keys(seed, streams)
+    assert keys.dtype == np.uint64
+    assert np.array_equal(keys, expected)
+    # the key Philox takes from that sequence
+    philox = bipartite.rng_stream(seed, streams[-1]).bit_generator
+    assert np.array_equal(keys[-1], philox.state["state"]["key"])
+
+
+@pytest.mark.parametrize("seed, stream", [(3, -1), (3, 2**32), (-1, 0)])
+def test_stream_keys_reject_negative_seeds_and_streams_outside_one_word(seed, stream):
+    with pytest.raises(ValueError):
+        bipartite.stream_keys(seed, [0, stream])
 
 
 def test_stacked_realign_matches_per_matrix():

@@ -50,6 +50,16 @@ def test_eigenvalues_invariant_under_unitary_conjugation(n, seed):
 
 
 @PROPERTY
+@given(
+    seed=st.integers(min_value=0, max_value=2**160 - 1),
+    stream=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_stream_keys_match_seed_sequence(seed, stream):
+    expected = np.random.SeedSequence(seed, spawn_key=(stream,)).generate_state(2, np.uint64)
+    assert np.array_equal(bipartite.stream_keys(seed, [stream])[0], expected)
+
+
+@PROPERTY
 @given(m=factor_dims, n=factor_dims, seed=seeds)
 def test_partial_transpose_is_an_involution(m, n, seed):
     x = random_matrix(seed, m * n)
