@@ -22,9 +22,8 @@ Two complementary paths:
   (the threshold-curve witness duals, and the Choi, generalized Choi and
   Breuer-Hall map certificates) are exact closed forms, so their
   verification tolerances are much tighter than the solver's. Without a
-  certificate, diamond_norm_ub and max_eig_ub verify the solver's own
-  Y, passed as (Y0, Y1) = (Y, Y), and the Newton-corrected central-path
-  Y in the same way.
+  certificate, diamond_norm_ub verifies the solver's own Y and max_eig_ub
+  the Newton-corrected central-path Y.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ class AffineBlock:
 
 @dataclass
 class SdpProblem:
-    """minimize objective @ x + offset over the blocks/equality constraints.
+    """minimize objective @ x over the blocks/equality constraints.
 
     interior_point must make every block positive definite and satisfy the
     equalities.
@@ -93,7 +92,6 @@ class SdpProblem:
     interior_point: np.ndarray
     eq_mat: np.ndarray | None = None
     eq_rhs: np.ndarray | None = None
-    offset: float = 0.0
     name: str = ""
 
 
@@ -278,7 +276,7 @@ def solve(
             break
         t /= _MU_REDUCTION
 
-    primal = float(c @ x) + problem.offset
+    primal = float(c @ x)
     return SdpSolution(
         primal_value=primal,
         dual_value=primal - gap,
@@ -377,7 +375,7 @@ def verify_min_witness_certificate(
     if len(zs) != len(lmi_blocks):
         raise CertificateRejected(f"expected {len(lmi_blocks)} dual blocks, got {len(zs)}")
     r = problem.objective.copy()
-    bound = problem.offset
+    bound = 0.0
     for i, (block, z) in enumerate(zip(lmi_blocks, zs)):
         z = np.asarray(z)
         if z.shape != block.const.shape:
@@ -489,11 +487,11 @@ def _psd_or_reject(mat: np.ndarray, what: str) -> float:
 
 
 def diamond_certificate(phi: posmaps.MapSpec) -> DualCertificate:
-    """Feasible (Y0, Y1) for the diamond-norm SDP of the given map.
+    """Feasible Y for the diamond-norm SDP of the given map.
 
-    Y0 = Y1 = J(phi) + kappa |psi+><psi+| with kappa = b + c for the
-    (generalized) Choi family and kappa = 2 for Breuer-Hall; the certified
-    values are (3 + b + c)/3 and (n + 2)/n respectively.
+    Y = J(phi) + kappa |psi+><psi+| with kappa = b + c for the (generalized)
+    Choi family and kappa = 2 for Breuer-Hall; the certified values are
+    (3 + b + c)/3 and (n + 2)/n respectively.
     """
     n = phi.in_dim
     if phi.kind == "breuer_hall":
@@ -501,29 +499,24 @@ def diamond_certificate(phi: posmaps.MapSpec) -> DualCertificate:
     else:  # Unsupported outside the generalized Choi family
         kappa = sum(_gen_choi_params_of_dual(phi))
         expected = (3.0 + kappa) / 3.0
-    y0 = posmaps.choi_matrix(phi) + kappa * bipartite.max_entangled_projector(n)
-    return DualCertificate(
-        name=f"diamond-{phi.kind}", values={"Y0": y0, "Y1": y0.copy()}, expected_value=expected
-    )
+    y = posmaps.choi_matrix(phi) + kappa * bipartite.max_entangled_projector(n)
+    return DualCertificate(name=f"diamond-{phi.kind}", values={"Y": y}, expected_value=expected)
 
 
 def verify_diamond_certificate(phi: posmaps.MapSpec, cert: DualCertificate) -> float:
-    """Verify SDP feasibility of (Y0, Y1) and return the certified upper bound."""
+    """Verify Y - J >= 0 and Y + J >= 0, the PSD blocks of diamond_norm_problem,
+    and return the certified upper bound ||Tr_2 Y||_op.
+
+    J = J(phi) must be Hermitian: then conjugating Watrous's block matrix
+    [[Y, -J], [-J, Y]] by (1/sqrt2) [[I, I], [I, -I]] gives diag(Y - J, Y + J),
+    so the two checks are his constraint, and their sum 2Y is PSD too.
+    """
     n, m = phi.in_dim, phi.out_dim
-    d = n * m
     jmat = posmaps.choi_matrix(phi)
-    y0, y1 = cert.values["Y0"], cert.values["Y1"]
-    _psd_or_reject(y0, "Y0")
-    _psd_or_reject(y1, "Y1")
-    big = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    big[:d, :d] = y0
-    big[d:, d:] = y1
-    big[:d, d:] = -jmat
-    big[d:, :d] = -jmat.conj().T
-    _psd_or_reject(big, "diamond block matrix")
-    val0 = matcore.schatten_norm(bipartite.partial_trace(y0, n, m, "second"), "operator")
-    val1 = matcore.schatten_norm(bipartite.partial_trace(y1, n, m, "second"), "operator")
-    return 0.5 * (val0 + val1)
+    y = cert.values["Y"]
+    _psd_or_reject(y - jmat, "Y - J")
+    _psd_or_reject(y + jmat, "Y + J")
+    return matcore.schatten_norm(bipartite.partial_trace(y, n, m, "second"), "operator")
 
 
 def gen_choi_outer(b: float, c: float) -> bool:
@@ -544,9 +537,10 @@ def gen_choi_max_eig_bound(b: float, c: float) -> float:
     """Max-eigenvalue bound certified for the dual of Phi_{b,c}.
 
     max{b,c}/2 when 2b+c >= 3 or b+2c >= 3. Otherwise the certificate's
-    shifted matrix is ((b+2x) I + 3(2 sqrt(xy) - 1) psi+)/2: for b+c >= 2/3
-    the sqrt(xy) term is nonpositive and (b+2x)/2 is the bound, below that
-    the psi+ direction adds 1.5 (2 sqrt(xy) - 1).
+    shifted matrix is ((b+2x) I + 3(2 sqrt(xy) - 1) psi+)/2, so (b+2x)/2 is
+    the bound, plus 1.5 (2 sqrt(xy) - 1) where 2 sqrt(xy) > 1. That needs
+    b+c < 2/3 but is not implied by it: at (0, 0.65), 2 sqrt(xy) ~ 0.987
+    and nothing is added.
     """
     if gen_choi_outer(b, c):
         return max(b, c) / 2.0
@@ -560,11 +554,10 @@ def gen_choi_max_eig_bound(b: float, c: float) -> float:
 
 def _gen_choi_params_of_dual(phi: posmaps.MapSpec) -> tuple[float, float]:
     """Recover (b, c) with phi = dual of the generalized Choi map Phi_{b,c}."""
-    if phi.kind == "choi":
-        return 0.0, 1.0  # the Choi map is the dual of Phi_{0,1}
-    if phi.kind == "generalized_choi":
-        return phi.c, phi.b
-    raise Unsupported(f"map kind {phi.kind!r} is not in the generalized Choi family")
+    if phi.kind not in {"choi", "generalized_choi"}:
+        raise Unsupported(f"map kind {phi.kind!r} is not in the generalized Choi family")
+    dual = posmaps.dual_map(phi)
+    return dual.b, dual.c
 
 
 def max_eig_certificate(phi: posmaps.MapSpec) -> DualCertificate:
@@ -617,13 +610,12 @@ def diamond_norm_ub(
     tol: float = DEFAULT_GAP_TOL,
 ) -> float:
     """Upper bound on the diamond norm, verified: of the certificate if one is
-    given, else of the solver's Y, read off its Y - J block as F_0(x) + J and
-    passed as (Y0, Y1) = (Y, Y)."""
+    given, else of the solver's Y, read off its Y - J block as F_0(x) + J."""
     if cert is None:
         problem = diamond_norm_problem(phi)
         block = problem.blocks[0]
         y = block.eval(solve(problem, tol=tol).x) - block.const
-        cert = DualCertificate("diamond-solver", {"Y0": y, "Y1": y})
+        cert = DualCertificate("diamond-solver", {"Y": y})
     return verify_diamond_certificate(phi, cert)
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: verdicts, exit codes, figure data, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -115,6 +116,23 @@ def test_verify_certificates_small_grid(tmp_path, capsys):
     witness_rows = [r for r in rows if r["name"].startswith("witness-dual")]
     assert len(witness_rows) == 8
     assert all(r["value"] == 0.0 == r["expected"] for r in witness_rows)
+
+
+@pytest.mark.parametrize(
+    "argv, lines, digest",
+    [
+        ([], 897, "27a99714b399c9f49e1fd4e817161ad3b45590991cb25cb009ce735a2a252334"),
+        (["--grid", "31", "--bh-dims", "4", "6", "8", "--format", "json"], None,
+         "240146440dca90ee8cdfbc7ad681750ed43ab78e32f39d4c4f8ef10af2bbbf2e"),
+    ],
+)
+def test_verify_certificates_golden_bytes(capsys, argv, lines, digest):
+    # every certified value, byte for byte; a change to any row shows here
+    code, out = run_cli(["verify-certificates", *argv], capsys)
+    assert code == 0
+    if lines is not None:
+        assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_certificates_rejection_exits_2(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Barrier solver and analytic certificate verifiers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -197,7 +198,7 @@ def test_diamond_certificate_choi_dual():
 
 def test_diamond_certificate_matches_literal_display():
     phi = posmaps.dual_map(posmaps.choi_map())
-    y0 = sdpsolve.diamond_certificate(phi).values["Y0"]
+    y = sdpsolve.diamond_certificate(phi).values["Y"]
     literal = np.zeros((9, 9))
     sixth = [
         (0, 0, 5.0), (1, 1, 3.0), (4, 4, 5.0), (5, 5, 3.0), (6, 6, 3.0), (8, 8, 5.0),
@@ -205,7 +206,7 @@ def test_diamond_certificate_matches_literal_display():
     ]
     for r, s, v in sixth:
         literal[r, s] = literal[s, r] = v / 6.0
-    assert np.allclose(y0, literal, atol=1e-14)
+    assert np.allclose(y, literal, atol=1e-14)
 
 
 def test_max_eig_certificate_choi_dual():
@@ -238,6 +239,17 @@ def test_gen_choi_certificates_on_grid():
     assert sdpsolve.gen_choi_max_eig_bound(1.2, 1.2) == 0.6
 
 
+def test_gen_choi_psi_term_is_added_only_where_2_sqrt_xy_exceeds_1():
+    # b + c < 2/3 here, yet 2 sqrt(xy) ~ 0.987 < 1: no psi+ term, and the bound
+    # is the (b + 2x)/2 formula of the b + c >= 2/3 regime
+    b, c = 0.0, 0.65
+    x, y = sdpsolve.gen_choi_xy(b, c)
+    assert 0.98 < 2.0 * math.sqrt(x * y) < 1.0
+    plain = (b * b + c * c - 6.0 * (b + c) + b * c + 9.0) / (6.0 * (2.0 - b - c))
+    assert sdpsolve.gen_choi_max_eig_bound(b, c) == plain
+    assert abs(plain - (b + 2.0 * x) / 2.0) <= 1e-12
+
+
 def test_gen_choi_xy_identity():
     # b + 2x = c + 2y = 2 - b - c - (2 sqrt(xy) - 1) across the second case
     for b in np.linspace(0.0, 1.3, 14):
@@ -258,8 +270,8 @@ def test_breuer_hall_certificates():
         cert = sdpsolve.diamond_certificate(phi)
         dval = sdpsolve.verify_diamond_certificate(phi, cert)
         assert abs(dval - (n + 2.0) / n) <= 1e-12
-        # the partial trace of Y0 collapses to ((n+2)/n) I
-        traced = bipartite.partial_trace(cert.values["Y0"], n, n, "second")
+        # the partial trace of Y collapses to ((n+2)/n) I
+        traced = bipartite.partial_trace(cert.values["Y"], n, n, "second")
         assert np.allclose(traced, (n + 2.0) / n * np.eye(n), atol=1e-12)
         mcert = sdpsolve.max_eig_certificate(phi)
         mval = sdpsolve.verify_max_eig_certificate(phi, mcert)
@@ -269,8 +281,8 @@ def test_breuer_hall_certificates():
 def test_certificates_reject_perturbations():
     phi = posmaps.dual_map(posmaps.choi_map())
     cert = sdpsolve.diamond_certificate(phi)
-    cert.values["Y0"] = cert.values["Y0"].copy()
-    cert.values["Y0"][2, 2] -= 1e-3  # breaks PSD of the block matrix
+    cert.values["Y"] = cert.values["Y"].copy()
+    cert.values["Y"][2, 2] -= 1e-3  # breaks PSD of the Y - J block
     with pytest.raises(CertificateRejected):
         sdpsolve.verify_diamond_certificate(phi, cert)
     cert2 = sdpsolve.max_eig_certificate(phi)
@@ -278,6 +290,42 @@ def test_certificates_reject_perturbations():
     cert2.values["Y"][1, 1] -= 1e-3  # drives an eigenvalue of Y negative
     with pytest.raises(CertificateRejected):
         sdpsolve.verify_max_eig_certificate(phi, cert2)
+
+
+def _watrous_block_bound(phi, y0, y1):
+    # Watrous's general two-variable check: [[Y0, -J], [-J^H, Y1]] >= 0, then
+    # the bound (||Tr_2 Y0||_op + ||Tr_2 Y1||_op)/2
+    n, m = phi.in_dim, phi.out_dim
+    jmat = posmaps.choi_matrix(phi)
+    big = np.block([[y0, -jmat], [-jmat.conj().T, y1]])
+    sdpsolve._psd_or_reject(big, "diamond block matrix")
+    val0 = matcore.schatten_norm(bipartite.partial_trace(y0, n, m, "second"), "operator")
+    val1 = matcore.schatten_norm(bipartite.partial_trace(y1, n, m, "second"), "operator")
+    return 0.5 * (val0 + val1)
+
+
+def test_diamond_verifier_equals_watrous_block_reference():
+    axis = np.linspace(0.0, 4.0 / 3.0, 21)
+    maps = [posmaps.dual_map(posmaps.generalized_choi_map(float(b), float(c)))
+            for b in axis for c in axis]
+    maps += [posmaps.dual_map(posmaps.breuer_hall_map(n)) for n in (4, 6)]
+    for phi in maps:
+        cert = sdpsolve.diamond_certificate(phi)
+        y = cert.values["Y"]
+        assert sdpsolve.verify_diamond_certificate(phi, cert) == _watrous_block_bound(phi, y, y)
+
+
+@pytest.mark.parametrize("sign, failing", [(1.0, "Y + J"), (-1.0, "Y - J")])
+def test_diamond_verifier_and_reference_reject_the_same_y(sign, failing):
+    # Y = +-J + 1e-3 I: one block is 1e-3 I and the other +-2J + 1e-3 I, which
+    # fails because J has eigenvalues of both signs
+    phi = posmaps.dual_map(posmaps.choi_map())
+    jmat = posmaps.choi_matrix(phi)
+    y = sign * jmat + 1e-3 * np.eye(9)
+    with pytest.raises(CertificateRejected):
+        _watrous_block_bound(phi, y, y)
+    with pytest.raises(CertificateRejected, match=re.escape(f"{failing} is not PSD")):
+        sdpsolve.verify_diamond_certificate(phi, sdpsolve.DualCertificate("perturbed", {"Y": y}))
 
 
 def test_gen_choi_bound_never_below_the_solver_value():
