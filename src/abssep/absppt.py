@@ -191,18 +191,16 @@ def gurvits_barnum_value(x, m: int, n: int) -> float:
     return float(np.sqrt(max(0.0, m * n - tr * tr / fro2)))
 
 
-def gurvits_barnum_abs_sep(x, m: int, n: int, slack: float = 1e-12) -> bool:
+def gurvits_barnum_abs_sep(x, m: int, n: int) -> bool:
     """True certifies absolute separability (ball of radius 1 around I)."""
-    return gurvits_barnum_value(x, m, n) <= 1.0 + slack
+    return gurvits_barnum_value(x, m, n) <= 1.0 + 1e-12
 
 
-def rank_deficient_classification(
-    s: Spectrum, zero_tol: float = 1e-12
-) -> RankVerdict:
+def rank_deficient_classification(s: Spectrum) -> RankVerdict:
     """Rank logic: a rank-deficient spectrum can only be absolutely PPT if it
     is the uniform rank-(mn-1) projector spectrum, which sits inside the
     separable ball; full-rank spectra carry no such shortcut."""
-    if s.values[-1] > zero_tol:
+    if s.values[-1] > 1e-12:
         return RankVerdict.FULL_RANK_REQUIRED
     if not necessary_2x2(s):
         raise InvalidState(
@@ -212,9 +210,7 @@ def rank_deficient_classification(
     return RankVerdict.ABSOLUTELY_SEPARABLE
 
 
-def sample_abs_ppt_spectrum(
-    m: int, n: int, seed: int | np.random.Generator, tol: float = LMI_PSD_TOL
-) -> Spectrum:
+def sample_abs_ppt_spectrum(m: int, n: int, seed: int | np.random.Generator) -> Spectrum:
     """Random spectrum passing the exact absolute-PPT test (min{m,n} <= 3).
 
     A flat-Dirichlet draw is mixed toward the uniform spectrum with a weight
@@ -222,7 +218,7 @@ def sample_abs_ppt_spectrum(
     boundary of the feasible region. The LMIs are linear in the spectrum and
     equal (2/mn)·I at the uniform one, so along the mix each LMI's minimum
     eigenvalue is (1 − β)·2/mn + β·λ_min(L(draw)), and the largest weight
-    keeping every one >= −tol comes in closed form from one LMI evaluation.
+    keeping every one >= −LMI_PSD_TOL comes in closed form from one LMI evaluation.
     """
     if min(m, n) > 3:
         raise Unsupported("exact absolute-PPT sampling needs min{m,n} <= 3")
@@ -233,6 +229,6 @@ def sample_abs_ppt_spectrum(
     at_uniform = 2.0 / total
     slope = at_uniform - lmi_min_eigenvalues(Spectrum(m, n, draw))
     falling = slope[slope > 0.0]
-    beta_ok = min(1.0, float(np.min((at_uniform + tol) / falling))) if falling.size else 1.0
+    beta_ok = min(1.0, float(np.min((at_uniform + LMI_PSD_TOL) / falling))) if falling.size else 1.0
     beta = rng.uniform(0.0, beta_ok)
     return Spectrum(m, n, (1.0 - beta) * uniform + beta * draw)

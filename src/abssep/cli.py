@@ -172,13 +172,13 @@ def cmd_verify_certificates(args) -> tuple[str, int]:
     return text, EXIT_NEGATIVE if failures else EXIT_OK
 
 
-def _point_in_hull(b: float, c: float, slack: float = 1e-12) -> bool:
+def _point_in_hull(b: float, c: float) -> bool:
     pts = HULL_POINTS
     for i in range(len(pts)):
         x0, y0 = pts[i]
         x1, y1 = pts[(i + 1) % len(pts)]
         cross = (x1 - x0) * (c - y0) - (y1 - y0) * (b - x0)
-        if cross < -slack:
+        if cross < -1e-12:
             return False
     return True
 

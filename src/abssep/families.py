@@ -103,8 +103,9 @@ def tiles_upb() -> list[np.ndarray]:
     return vecs
 
 
-def validate_upb(vectors: list[np.ndarray], tol: float = 1e-10) -> None:
+def validate_upb(vectors: list[np.ndarray]) -> None:
     """Check five mutually orthogonal product unit vectors in C³ ⊗ C³."""
+    tol = 1e-10
     if len(vectors) != 5:
         raise InvalidVector("a UPB in C³ ⊗ C³ has exactly five vectors")
     for v in vectors:

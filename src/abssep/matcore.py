@@ -58,7 +58,7 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.square(np.abs(x)).sum(axis=(-2, -1)))
 
 
-def hermitize(a, tol: float = HERMITIZE_TOL) -> np.ndarray:
+def hermitize(a) -> np.ndarray:
     """Return the exactly Hermitian form (A + A†)/2, rejecting far-from-Hermitian input.
 
     Accepts a stack [..., n, n]; the defect gate applies to each matrix.
@@ -68,19 +68,19 @@ def hermitize(a, tol: float = HERMITIZE_TOL) -> np.ndarray:
         raise InvalidMatrix(f"Hermitian matrix must be square, got {m.shape}")
     mh = m.conj().swapaxes(-1, -2)
     defect = _frobenius(m - mh)
-    if (defect > tol).any():  # a defect within tol passes whatever the norm of the matrix
-        bad = defect > tol * (1.0 + _frobenius(m))
+    if (defect > HERMITIZE_TOL).any():  # a smaller defect passes whatever the norm of the matrix
+        bad = defect > HERMITIZE_TOL * (1.0 + _frobenius(m))
         if bad.any():
             raise InvalidMatrix(f"matrix is not Hermitian (defect {defect[bad].flat[0]:.3e})")
     return (m + mh) / 2.0
 
 
-def eigh(a, tol: float = HERMITIZE_TOL) -> EigenDecomposition:
+def eigh(a) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix (or stack), eigenvalues descending.
 
     Ties are broken deterministically by LAPACK's ascending index.
     """
-    d, q = np.linalg.eigh(hermitize(a, tol=tol))
+    d, q = np.linalg.eigh(hermitize(a))
     order = np.argsort(-d, axis=-1, kind="stable")
     return EigenDecomposition(
         np.take_along_axis(d, order, -1),
@@ -88,9 +88,9 @@ def eigh(a, tol: float = HERMITIZE_TOL) -> EigenDecomposition:
     )
 
 
-def eigvalsh(a, tol: float = HERMITIZE_TOL) -> np.ndarray:
+def eigvalsh(a) -> np.ndarray:
     """Eigenvalues only (descending), of a matrix or of each matrix of a stack."""
-    d = np.linalg.eigvalsh(hermitize(a, tol=tol))
+    d = np.linalg.eigvalsh(hermitize(a))
     return -np.sort(-d, axis=-1, kind="stable")  # the same tie order as eigh
 
 

@@ -102,7 +102,6 @@ class SdpSolution:
     x: np.ndarray
     gap: float
     newton_steps: int
-    newton_step: np.ndarray | None = None  # the step at x that met the centring stop
 
 
 @dataclass
@@ -283,7 +282,6 @@ def solve(
         x=x,
         gap=gap,
         newton_steps=steps,
-        newton_step=dx,
     )
 
 
@@ -408,6 +406,20 @@ def _hermitian_basis(h: int) -> np.ndarray:
     return out
 
 
+def _min_s_problem(
+    d: int, blocks: list[AffineBlock], y_diag: float, s: float, name: str
+) -> SdpProblem:
+    """minimize s over x = (coefficients of a Hermitian d x d Y in
+    _hermitian_basis(d), s), from the start Y = y_diag I and the given s."""
+    nb = d * d
+    objective = np.zeros(nb + 1)
+    objective[nb] = 1.0
+    start = np.zeros(nb + 1)
+    start[:d] = y_diag  # diagonal coefficients of Y = y_diag I
+    start[nb] = s
+    return SdpProblem(objective=objective, blocks=blocks, interior_point=start, name=name)
+
+
 def diamond_norm_problem(phi: posmaps.MapSpec) -> SdpProblem:
     """Diamond-norm SDP of phi (Watrous, Theory of Computing 5, 2009) in its
     symmetric form: minimize s over Hermitian Y with Y - J >= 0, Y + J >= 0
@@ -432,19 +444,8 @@ def diamond_norm_problem(phi: posmaps.MapSpec) -> SdpProblem:
         AffineBlock(jmat, coeffs),
         AffineBlock(np.zeros((n, n), dtype=np.complex128), cap),
     ]
-
-    objective = np.zeros(nb + 1)
-    objective[nb] = 1.0
     kappa = matcore.schatten_norm(jmat, "operator") + 1.0
-    start = np.zeros(nb + 1)
-    start[:d] = kappa  # diagonal coefficients of Y = kappa I
-    start[nb] = kappa * m + 1.0
-    return SdpProblem(
-        objective=objective,
-        blocks=blocks,
-        interior_point=start,
-        name="diamond-norm",
-    )
+    return _min_s_problem(d, blocks, kappa, kappa * m + 1.0, "diamond-norm")
 
 
 def max_eig_problem(phi: posmaps.MapSpec) -> SdpProblem:
@@ -470,6 +471,26 @@ def max_eig_problem(phi: posmaps.MapSpec) -> SdpProblem:
         interior_point=start,
         name="max-eig-ppt",
     )
+
+
+def max_eig_dual_problem(phi: posmaps.MapSpec) -> SdpProblem:
+    """Dual of sup Tr(J rho) over PPT states rho, whose feasible Y are the
+    certificates verify_max_eig_certificate checks: minimize s over Hermitian
+    Y with Y >= 0 and s I - J - Y^Gamma >= 0, for J = J(phi) and Gamma the
+    partial transpose. Y = I, s = ||J||_op + 2 is strictly feasible, as
+    I^Gamma = I.
+    """
+    n, m = phi.in_dim, phi.out_dim
+    d = n * m
+    jmat = posmaps.choi_matrix(phi)
+    basis = _hermitian_basis(d)
+    nb = d * d  # x = (Y coeffs, s)
+    pt_basis = np.stack([bipartite.partial_transpose(basis[k], n, m) for k in range(nb)])
+    coeffs = np.concatenate([basis, np.zeros((1, d, d))])
+    cap = np.concatenate([-pt_basis, np.eye(d)[np.newaxis]])  # s I - J - Y^Gamma
+    blocks = [AffineBlock(np.zeros((d, d), dtype=np.complex128), coeffs), AffineBlock(-jmat, cap)]
+    s = matcore.schatten_norm(jmat, "operator") + 2.0
+    return _min_s_problem(d, blocks, 1.0, s, "max-eig-dual")
 
 
 # ----------------------------------------------------------------------------
@@ -604,41 +625,20 @@ def verify_max_eig_certificate(phi: posmaps.MapSpec, cert: DualCertificate) -> f
     return float(matcore.eigvalsh(shifted)[0])
 
 
-def diamond_norm_ub(
-    phi: posmaps.MapSpec,
-    cert: DualCertificate | None = None,
-    tol: float = DEFAULT_GAP_TOL,
-) -> float:
-    """Upper bound on the diamond norm, verified: of the certificate if one is
-    given, else of the solver's Y, read off its Y - J block as F_0(x) + J."""
-    if cert is None:
-        problem = diamond_norm_problem(phi)
-        block = problem.blocks[0]
-        y = block.eval(solve(problem, tol=tol).x) - block.const
-        cert = DualCertificate("diamond-solver", {"Y": y})
-    return verify_diamond_certificate(phi, cert)
+def _solver_certificate(problem: SdpProblem, tol: float) -> DualCertificate:
+    """The solver's Y for a min-s problem whose block 0 is Y plus a constant."""
+    return DualCertificate(problem.name, {"Y": problem.blocks[0].lin(solve(problem, tol=tol).x)})
 
 
-def max_eig_ub(
-    phi: posmaps.MapSpec,
-    cert: DualCertificate | None = None,
-    tol: float = DEFAULT_GAP_TOL,
-) -> float:
-    """Upper bound on eigenvalues of (id ⊗ phi)(|v><v|) over unit vectors,
-    verified: of the certificate if one is given, else of the solver's
-    central-path dual Y = (F^-1 - F^-1 F_lin(dx) F^-1)/t of the
-    partial-transpose block, corrected by the Newton step dx at x, t = m_total
-    / gap. The Newton equations make it meet the dual equality exactly,
-    however well x is centred (cf. Boyd & Vandenberghe, section 11.2.2)."""
-    if cert is None:
-        problem = max_eig_problem(phi)
-        sol = solve(problem, tol=tol)
-        t = sum(b.size for b in problem.blocks) / sol.gap
-        block = problem.blocks[1]
-        f_inv = np.linalg.inv(block.eval(sol.x))
-        y = (f_inv - f_inv @ block.lin(sol.newton_step) @ f_inv) / t
-        cert = DualCertificate("max-eig-solver", {"Y": y})
-    return verify_max_eig_certificate(phi, cert)
+def diamond_norm_ub(phi: posmaps.MapSpec, tol: float = DEFAULT_GAP_TOL) -> float:
+    """Upper bound on the diamond norm: the verified bound of the solver's Y."""
+    return verify_diamond_certificate(phi, _solver_certificate(diamond_norm_problem(phi), tol))
+
+
+def max_eig_ub(phi: posmaps.MapSpec, tol: float = DEFAULT_GAP_TOL) -> float:
+    """Upper bound on eigenvalues of (id ⊗ phi)(|v><v|) over unit vectors:
+    the verified bound of the solver's Y for max_eig_dual_problem."""
+    return verify_max_eig_certificate(phi, _solver_certificate(max_eig_dual_problem(phi), tol))
 
 
 def min_eig_lb_from_diamond(diamond_ub: float) -> float:

@@ -57,11 +57,11 @@ def detection_threshold(x: float) -> float:
     return (math.sqrt(max(0.0, 1.0 + 4.0 * x - 4.0 * x * x)) - 2.0 * x + 3.0) / 4.0
 
 
-def summarize(w, trace_tol: float = 1e-9) -> WitnessSummary:
+def summarize(w) -> WitnessSummary:
     """Eigenvalue summary of a unit-trace Hermitian witness."""
     eigs = matcore.eigvalsh(w)
     trace = float(np.sum(eigs))
-    if abs(trace - 1.0) > trace_tol:
+    if abs(trace - 1.0) > 1e-9:
         raise UnnormalizedWitness(f"witness trace is {trace:.12g}, expected 1")
     neg = eigs[eigs < 0.0]
     ell = float(np.sum(neg))
@@ -154,7 +154,7 @@ def realignment_witness_bounds(m: int, n: int) -> tuple[float, float]:
     return ell_lower, mu1_upper
 
 
-def schmidt_trace_bound(a_ops, b_ops, ortho_tol: float = 1e-8) -> float:
+def schmidt_trace_bound(a_ops, b_ops) -> float:
     """|Tr(sum_i A_i ⊗ B_i)| for HS-orthonormal families; at most sqrt(mn)."""
     if len(a_ops) != len(b_ops) or not a_ops:
         raise ValueError("need equally many nonzero left and right operators")
@@ -163,7 +163,7 @@ def schmidt_trace_bound(a_ops, b_ops, ortho_tol: float = 1e-8) -> float:
         gram = np.array(
             [[np.trace(ops[i].conj().T @ ops[j]) for j in range(k)] for i in range(k)]
         )
-        if np.linalg.norm(gram - np.eye(k)) > ortho_tol * k:
+        if np.linalg.norm(gram - np.eye(k)) > 1e-8 * k:
             raise ValueError("operator family is not Hilbert-Schmidt orthonormal")
     m = a_ops[0].shape[0]
     n = b_ops[0].shape[0]

@@ -390,7 +390,7 @@ def test_diamond_norm_solver_path():
 
 
 def test_max_eig_solver_path():
-    # the verified bound of the central-path dual Y dominates the value the
+    # the verified bound of the dual form's Y dominates the value the primal
     # solver attains at a feasible point
     phi = posmaps.dual_map(posmaps.choi_map())
     value = sdpsolve.max_eig_ub(phi, tol=1e-7)
@@ -401,22 +401,44 @@ def test_max_eig_solver_path():
     assert value >= cert_value - 1e-6
 
 
+def _tol_cases(maps):
+    # each map at the default tol under its own id, then at 1e-8 and 1e-9
+    return [
+        pytest.param(phi, optimum, tol, id=name if tol == sdpsolve.DEFAULT_GAP_TOL else f"{name}-{tol:g}")
+        for tol in (sdpsolve.DEFAULT_GAP_TOL, 1e-8, 1e-9)
+        for name, phi, optimum in maps
+    ]
+
+
 @pytest.mark.parametrize(
-    "phi, optimum",
-    [
-        (posmaps.dual_map(posmaps.choi_map()), 2.0 / 3.0),
-        (posmaps.dual_map(posmaps.generalized_choi_map(1.2, 1.2)), 0.6),
-        (posmaps.dual_map(posmaps.generalized_choi_map(0.2, 0.2)), 0.8),
-        (posmaps.dual_map(posmaps.breuer_hall_map(4)), 0.5),
-    ],
-    ids=["choi-dual", "gen-choi-1.2-1.2", "gen-choi-0.2-0.2", "breuer-hall-4"],
+    "phi, optimum, tol",
+    _tol_cases([
+        ("choi-dual", posmaps.dual_map(posmaps.choi_map()), 2.0 / 3.0),
+        ("gen-choi-1.2-1.2", posmaps.dual_map(posmaps.generalized_choi_map(1.2, 1.2)), 0.6),
+        ("gen-choi-0.2-0.2", posmaps.dual_map(posmaps.generalized_choi_map(0.2, 0.2)), 0.8),
+        ("breuer-hall-4", posmaps.dual_map(posmaps.breuer_hall_map(4)), 0.5),
+    ]),
 )
-def test_max_eig_ub_certifies_within_the_gap(phi, optimum):
-    # the Newton-corrected dual meets the dual equality exactly, so the
-    # certified bound sits within the solver's gap of the optimum; the
-    # uncorrected F^-1/t certified 0.80000064 for (0.2, 0.2)
-    value = sdpsolve.max_eig_ub(phi)
-    assert optimum <= value <= optimum + 1e-7
+def test_max_eig_ub_certifies_within_the_gap(phi, optimum, tol):
+    # the solver's Y is feasible for the dual form and its s is within the
+    # gap of the optimum, so the certified bound lambda_max(Y^Gamma + J) <= s
+    # is too
+    value = sdpsolve.max_eig_ub(phi, tol=tol)
+    assert optimum <= value <= optimum + tol
+
+
+@pytest.mark.parametrize(
+    "phi, optimum, tol",
+    _tol_cases([
+        ("choi-dual", posmaps.dual_map(posmaps.choi_map()), 4.0 / 3.0),
+        ("gen-choi-1.2-1.2", posmaps.dual_map(posmaps.generalized_choi_map(1.2, 1.2)), 1.8),
+        ("breuer-hall-4", posmaps.breuer_hall_map(4), 1.5),
+    ]),
+)
+def test_diamond_norm_ub_certifies_within_the_gap(phi, optimum, tol):
+    # (3 + b + c)/3 for the generalized Choi duals, (n + 2)/n for Breuer-Hall
+    value = sdpsolve.diamond_norm_ub(phi, tol=tol)
+    assert optimum <= value <= optimum + tol
 
 
 def test_diamond_solve_takes_few_newton_steps():
@@ -528,9 +550,13 @@ def _threshold_problem(dims, mode):
         lambda: _threshold_problem((3, 4), "full"),
         lambda: _threshold_problem((3, 3), "submatrix2x2"),
         lambda: sdpsolve.max_eig_problem(posmaps.dual_map(posmaps.choi_map())),
+        lambda: sdpsolve.max_eig_dual_problem(posmaps.dual_map(posmaps.choi_map())),
         lambda: sdpsolve.diamond_norm_problem(posmaps.dual_map(posmaps.choi_map())),
     ],
-    ids=["min-witness-full-3x3", "min-witness-full-3x4", "min-witness-2x2", "max-eig", "diamond"],
+    ids=[
+        "min-witness-full-3x3", "min-witness-full-3x4", "min-witness-2x2", "max-eig", "max-eig-dual",
+        "diamond",
+    ],
 )
 def test_barrier_derivatives_match_reference(build):
     problem = build()
