@@ -46,19 +46,20 @@ def kron(a, b) -> np.ndarray:
 
 
 def partial_transpose(x, m: int, n: int) -> np.ndarray:
-    """Transpose the second tensor factor."""
-    x = _check_dims(x, m, n)
-    return x.reshape(m, n, m, n).transpose(0, 3, 2, 1).reshape(m * n, m * n)
+    """Transpose the second tensor factor, of X or of each operator of a stack X[..., mn, mn]."""
+    x = _check_dims(x, m, n, stack=True)
+    return x.reshape(x.shape[:-2] + (m, n, m, n)).swapaxes(-3, -1).reshape(x.shape)
 
 
 def partial_trace(x, m: int, n: int, subsystem: str = "second") -> np.ndarray:
-    """Trace out one tensor factor; 'second' leaves an m x m matrix."""
-    x = _check_dims(x, m, n)
-    t = x.reshape(m, n, m, n)
+    """Trace out one tensor factor, of X or of each operator of a stack X[..., mn, mn];
+    'second' leaves an m x m matrix."""
+    x = _check_dims(x, m, n, stack=True)
+    t = x.reshape(x.shape[:-2] + (m, n, m, n))
     if subsystem == "second":
-        return np.einsum("ikjk->ij", t)
+        return np.einsum("...ikjk->...ij", t)
     if subsystem == "first":
-        return np.einsum("ikil->kl", t)
+        return np.einsum("...ikil->...kl", t)
     raise ValueError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -27,6 +28,7 @@ EXIT_NEGATIVE = 2
 EXIT_INPUT = 3
 
 ORBIT_CHUNK = 16  # Haar samples per stacked draw; bounds orbit-scan's working memory
+CERT_CHUNK = 64  # maps per stacked certificate check; bounds verify-certificates' working memory
 
 HULL_POINTS = (
     (0.0, 0.0),
@@ -104,61 +106,83 @@ def cmd_witness_analyze(args) -> tuple[str, int]:
     return _json_report(report), code
 
 
-def _verify_witness_dual(cert) -> float:
-    return sdpsolve.verify_min_witness_certificate(
-        cert.values["mu"], (3, 3), "submatrix2x2", [cert.values["Z"]]
-    )
+def _certificate_row(name: str, result, expected: float, tol: float) -> list:
+    """One verify-certificates row: result is the certified value or the rejection."""
+    if isinstance(result, CertificateRejected):
+        return [name, math.nan, math.nan, f"rejected: {result}"]
+    return [name, result, expected, "ok" if abs(result - expected) <= tol else "mismatch"]
 
 
-def _certificate_jobs(bh_dims, grid):
-    """(name, build, verify) triples covering every analytic certificate.
+def _witness_dual_rows(tol: float) -> list[list]:
+    """The lower bound 0 on the (3, 3) witness minimization, certified at special ell."""
+    rows = []
+    for ell in (-0.5, -2.0 / 5.0, witness.SPLIT_LOW, -0.3, witness.SPLIT_HIGH,
+                -1.0 / 6.0, -1.0 / 5.0, 0.0):
+        cert = witness.detection_dual_certificate(ell, witness.detection_threshold(ell), 9)
+        try:
+            result = sdpsolve.verify_min_witness_certificate(
+                cert.values["mu"], (3, 3), "submatrix2x2", [cert.values["Z"]])
+        except CertificateRejected as exc:
+            result = exc
+        rows.append(_certificate_row(f"witness-dual ell={ell:.6g}", result, cert.expected_value, tol))
+    return rows
 
-    build() returns a sdpsolve.DualCertificate and verify(cert) the value it
-    certifies, which must equal cert.expected_value: the lower bound 0 on the
-    (3, 3) witness minimization for the witness-dual rows, the upper bound
-    for the diamond and max-eig rows.
-    """
-    jobs = []
-    ell_specials = [-0.5, -2.0 / 5.0, witness.SPLIT_LOW, -0.3, witness.SPLIT_HIGH,
-                    -1.0 / 6.0, -1.0 / 5.0, 0.0]
-    for ell in ell_specials:
-        build = functools.partial(
-            witness.detection_dual_certificate, ell, witness.detection_threshold(ell), 9
-        )
-        jobs.append((f"witness-dual ell={ell:.6g}", build, _verify_witness_dual))
 
-    def map_jobs(label, phi):
-        jobs.append((f"diamond {label}", functools.partial(sdpsolve.diamond_certificate, phi),
-                     functools.partial(sdpsolve.verify_diamond_certificate, phi)))
-        jobs.append((f"max-eig {label}", functools.partial(sdpsolve.max_eig_certificate, phi),
-                     functools.partial(sdpsolve.verify_max_eig_certificate, phi)))
-
-    map_jobs("choi-dual", posmaps.dual_map(posmaps.choi_map()))
-    for b, c in grid:
-        if b + c <= 3.0:
-            map_jobs(f"gen-choi({b:.6g},{c:.6g})",
-                     posmaps.dual_map(posmaps.generalized_choi_map(b, c)))
-    for n in bh_dims:
-        map_jobs(f"breuer-hall n={n}", posmaps.dual_map(posmaps.breuer_hall_map(n)))
+def _certificate_jobs(bh_dims, grid) -> list[tuple[str, posmaps.MapSpec]]:
+    """(label, map) for every map whose analytic diamond and max-eig certificates
+    verify-certificates checks, in row order: the Choi dual, the duals of the
+    generalized Choi maps on the grid, then Breuer-Hall for each n in bh_dims."""
+    jobs = [("choi-dual", posmaps.dual_map(posmaps.choi_map()))]
+    jobs += [(f"gen-choi({b:.6g},{c:.6g})", posmaps.dual_map(posmaps.generalized_choi_map(b, c)))
+             for b, c in grid if b + c <= 3.0]
+    jobs += [(f"breuer-hall n={n}", posmaps.dual_map(posmaps.breuer_hall_map(n)))
+             for n in bh_dims]
     return jobs
 
 
+def _verify_stack(verify, phis, jmats, certs) -> list:
+    """verify's per-map results for the certificates' Y stack; a rejection of the
+    whole stack rejects each map."""
+    try:
+        return verify(phis, jmats, np.stack([cert.values["Y"] for cert in certs]))
+    except CertificateRejected as exc:
+        return [exc] * len(certs)
+
+
+def _map_certificate_rows(jobs, tol: float) -> list[list]:
+    """The diamond and max-eig rows of each (label, map) job. Consecutive maps of
+    one kind and dimension are verified CERT_CHUNK at a time as stacks, from one
+    Choi matrix per map; every map keeps its own row and status, whatever the
+    chunking."""
+    rows = []
+    for _, run in itertools.groupby(jobs, key=lambda job: (job[1].kind, job[1].dim)):
+        run = list(run)
+        for start in range(0, len(run), CERT_CHUNK):
+            labels, phis = zip(*run[start:start + CERT_CHUNK])
+            jmats = posmaps.choi_matrices(phis)
+            diamond = sdpsolve.diamond_certificates(phis, jmats)
+            max_eig = [sdpsolve.max_eig_certificate(phi) for phi in phis]
+            checked = zip(labels, diamond, max_eig,
+                          _verify_stack(sdpsolve.verify_diamond_certificates, phis, jmats, diamond),
+                          _verify_stack(sdpsolve.verify_max_eig_certificates, phis, jmats, max_eig))
+            for label, dcert, mcert, dres, mres in checked:
+                rows.append(_certificate_row(f"diamond {label}", dres, dcert.expected_value, tol))
+                rows.append(_certificate_row(f"max-eig {label}", mres, mcert.expected_value, tol))
+    return rows
+
+
 def cmd_verify_certificates(args) -> tuple[str, int]:
+    """Check every analytic certificate and print one row each: the witness-dual
+    rows, then a diamond and a max-eig row per map of _certificate_jobs. A row is
+    ok when the verified value is within --tol certificate of the expected one,
+    mismatch when it is not, and rejected when a PSD block or the shape of Y fails;
+    any row that is not ok makes the exit code 2."""
     axis = np.linspace(0.0, 4.0 / 3.0, _count(args, "grid"))
     grid = [(float(b), float(c)) for b in axis for c in axis]
     tol = args.tol["certificate"]
-    rows = []
-    failures = 0
-    for name, build, verify in _certificate_jobs(args.bh_dims, grid):
-        try:
-            cert = build()
-            value, expected = verify(cert), cert.expected_value
-            status = "ok" if abs(value - expected) <= tol else "mismatch"
-        except CertificateRejected as exc:
-            value, expected, status = math.nan, math.nan, f"rejected: {exc}"
-        if status != "ok":
-            failures += 1
-        rows.append([name, value, expected, status])
+    jobs = _certificate_jobs(args.bh_dims, grid)
+    rows = _witness_dual_rows(tol) + _map_certificate_rows(jobs, tol)
+    failures = sum(1 for row in rows if row[3] != "ok")
     if args.format == "json":
         text = _json_report(
             [

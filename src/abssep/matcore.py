@@ -111,14 +111,21 @@ def schatten_norm(a, kind: str) -> float:
     raise ValueError(f"unknown Schatten norm selector {kind!r}")
 
 
-def is_psd(a, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
-    """PSD test with relative tolerance: min eig >= -tol * max(1, operator norm)."""
+def psd_test(a, tol: float = DEFAULT_PSD_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """PSD test of a matrix, or of each matrix of a stack, with relative tolerance:
+    (min eig >= -tol * max(1, operator norm), min eig)."""
     w = eigvalsh(a)
-    if w.ndim != 1:
-        raise InvalidMatrix(f"is_psd takes one matrix, got a stack of shape {w.shape[:-1]}")
-    lam_min = float(w[-1])
-    op = max(abs(float(w[0])), abs(lam_min))
-    return PsdReport(lam_min >= -tol * max(1.0, op), lam_min)
+    lam_min = w[..., -1]
+    op = np.maximum(np.abs(w[..., 0]), np.abs(lam_min))
+    return lam_min >= -tol * np.maximum(1.0, op), lam_min
+
+
+def is_psd(a, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
+    """psd_test of one matrix, as a PsdReport."""
+    ok, lam_min = psd_test(a, tol)
+    if ok.ndim != 0:
+        raise InvalidMatrix(f"is_psd takes one matrix, got a stack of shape {ok.shape}")
+    return PsdReport(ok, lam_min)
 
 
 def matrix_to_json(a) -> dict:

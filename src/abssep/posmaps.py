@@ -109,14 +109,19 @@ def breuer_hall_map(n: int, v: np.ndarray | None = None) -> MapSpec:
     return MapSpec("breuer_hall", n, v=v)
 
 
-def _act(phi: MapSpec, x: np.ndarray) -> np.ndarray:
-    """The map's closed-form action on a stack x[..., d, d] of matrices."""
-    if phi.kind == "identity":
+def _act(phis, x: np.ndarray) -> np.ndarray:
+    """The closed-form action of a group of maps of one kind and dimension on a
+    stack x[k, ..., d, d]: phis[k] maps every matrix of x[k]. Per-map parameters
+    are broadcast over the stack, so the whole group takes one pass."""
+    kind = phis[0].kind
+    if kind == "identity":
         return x.copy()
-    if phi.kind == "transpose":
+    if kind == "transpose":
         return np.swapaxes(x, -1, -2).copy()
-    if phi.kind in {"choi", "generalized_choi"}:
-        b, c = (1.0, 0.0) if phi.kind == "choi" else (phi.b, phi.c)
+    per_map = (len(phis),) + (1,) * (x.ndim - 3)  # one value per map, broadcast over x[k]
+    if kind in {"choi", "generalized_choi"}:
+        bc = [(1.0, 0.0) if phi.kind == "choi" else (phi.b, phi.c) for phi in phis]
+        b, c = np.array(bc).T.reshape((2,) + per_map)
         a = 2.0 - b - c
         d0, d1, d2 = x[..., 0, 0], x[..., 1, 1], x[..., 2, 2]
         out = -x
@@ -124,14 +129,15 @@ def _act(phi: MapSpec, x: np.ndarray) -> np.ndarray:
         out[..., 1, 1] = c * d0 + a * d1 + b * d2
         out[..., 2, 2] = b * d0 + c * d1 + a * d2
         return out / 2.0
-    n = phi.dim
+    n = phis[0].dim
     trace_part = np.trace(x, axis1=-2, axis2=-1)[..., np.newaxis, np.newaxis] * np.eye(n)
-    if phi.kind == "reduction":
+    if kind == "reduction":
         return (trace_part - x) / (n - 1)
-    if phi.kind == "breuer_hall":
-        v = phi.v
-        return (trace_part - x - v @ np.swapaxes(x, -1, -2) @ v.conj().T) / (n - 2)
-    raise AssertionError(phi.kind)
+    if kind == "breuer_hall":
+        v = np.stack([phi.v for phi in phis]).reshape(per_map + (n, n))
+        vh = v.conj().swapaxes(-1, -2)
+        return (trace_part - x - v @ np.swapaxes(x, -1, -2) @ vh) / (n - 2)
+    raise AssertionError(kind)
 
 
 def apply(phi: MapSpec, x) -> np.ndarray:
@@ -139,7 +145,7 @@ def apply(phi: MapSpec, x) -> np.ndarray:
     x = matcore.as_complex_matrix(x)
     if x.shape != (phi.in_dim, phi.in_dim):
         raise InvalidDim(f"matrix shape {x.shape} does not match map dim {phi.in_dim}")
-    return _act(phi, x)
+    return _act((phi,), x[np.newaxis])[0]
 
 
 def dual_map(phi: MapSpec) -> MapSpec:
@@ -153,23 +159,38 @@ def dual_map(phi: MapSpec) -> MapSpec:
     raise AssertionError(phi.kind)
 
 
+def _id_tensor(phis, x: np.ndarray, id_dim: int) -> np.ndarray:
+    """(id_{id_dim} ⊗ phis[k])(X) for every operator X of a checked stack
+    x[k, ..., id_dim·d, id_dim·d], applying each map to all d x d blocks at once."""
+    d = phis[0].in_dim
+    lead = x.shape[:-2]
+    blocks = x.reshape(lead + (id_dim, d, id_dim, d)).swapaxes(-3, -2)
+    out = _act(phis, blocks).swapaxes(-3, -2)
+    return out.reshape(lead + (id_dim * d, id_dim * d))
+
+
 def apply_id_tensor(phi: MapSpec, x, id_dim: int) -> np.ndarray:
     """(id_{id_dim} ⊗ Phi)(X), applying the map to every d x d block at once.
 
     Accepts a stack X[..., id_dim·d, id_dim·d] and maps each operator.
     """
-    d = phi.in_dim
-    x = bipartite._check_dims(x, id_dim, d, stack=True)
-    lead = x.shape[:-2]
-    blocks = x.reshape(lead + (id_dim, d, id_dim, d)).swapaxes(-3, -2)
-    out = _act(phi, blocks).swapaxes(-3, -2)
-    return out.reshape(lead + (id_dim * phi.out_dim, id_dim * phi.out_dim))
+    x = bipartite._check_dims(x, id_dim, phi.in_dim, stack=True)
+    return _id_tensor((phi,), x[np.newaxis], id_dim)[0]
+
+
+def choi_matrices(phis) -> np.ndarray:
+    """J(Phi) = n (id_n ⊗ Phi)(|psi+><psi+|) of each map of a group of one kind
+    and dimension, as a [k, n², n²] stack built in one pass."""
+    kind, n = phis[0].kind, phis[0].in_dim
+    if any((phi.kind, phi.in_dim) != (kind, n) for phi in phis):
+        raise ValueError("choi_matrices takes maps of one kind and dimension")
+    p = bipartite.max_entangled_projector(n)
+    return n * _id_tensor(phis, np.broadcast_to(p, (len(phis),) + p.shape), n)
 
 
 def choi_matrix(phi: MapSpec) -> np.ndarray:
     """J(Phi) = n (id_n ⊗ Phi)(|psi+><psi+|)."""
-    n = phi.in_dim
-    return n * apply_id_tensor(phi, bipartite.max_entangled_projector(n), n)
+    return choi_matrices((phi,))[0]
 
 
 def witness_from_map(phi: MapSpec, v) -> np.ndarray:

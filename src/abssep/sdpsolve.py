@@ -21,9 +21,12 @@ Two complementary paths:
   own data and returning the bound it certifies. The analytic certificates
   (the threshold-curve witness duals, and the Choi, generalized Choi and
   Breuer-Hall map certificates) are exact closed forms, so their
-  verification tolerances are much tighter than the solver's. Without a
-  certificate, diamond_norm_ub verifies the solver's own Y and max_eig_ub
-  the Newton-corrected central-path Y.
+  verification tolerances are much tighter than the solver's. The diamond
+  and max-eig verifiers also take a group of maps of one kind and
+  dimension as [k, d, d] stacks of Choi matrices and Y, with one stacked
+  eigvalsh per PSD block, and report each map's bound or rejection; the
+  one-map verifiers are that code on a stack of one. diamond_norm_ub and
+  max_eig_ub verify the solver's own Y.
 """
 
 from __future__ import annotations
@@ -435,9 +438,8 @@ def diamond_norm_problem(phi: posmaps.MapSpec) -> SdpProblem:
     d = n * m
     jmat = posmaps.choi_matrix(phi)
     basis = _hermitian_basis(d)
-    nb = d * d  # x = (Y coeffs, s)
-    coeffs = np.concatenate([basis, np.zeros((1, d, d))])
-    traced = np.stack([bipartite.partial_trace(basis[k], n, m, "second") for k in range(nb)])
+    coeffs = np.concatenate([basis, np.zeros((1, d, d))])  # x = (Y coeffs, s)
+    traced = bipartite.partial_trace(basis, n, m, "second")
     cap = np.concatenate([-traced, np.eye(n)[np.newaxis]])  # s I - Tr_2 Y
     blocks = [
         AffineBlock(-jmat, coeffs),
@@ -456,7 +458,7 @@ def max_eig_problem(phi: posmaps.MapSpec) -> SdpProblem:
     basis = _hermitian_basis(d)
     nv = d * d
     objective = -np.real(np.einsum("kab,ba->k", basis, jmat))
-    pt_basis = np.stack([bipartite.partial_transpose(basis[k], n, m) for k in range(nv)])
+    pt_basis = bipartite.partial_transpose(basis, n, m)
     trace_row = -np.real(np.einsum("kaa->k", basis))[np.newaxis, :]
     blocks = [
         AffineBlock(np.zeros((d, d), dtype=np.complex128), basis.copy()),
@@ -484,9 +486,8 @@ def max_eig_dual_problem(phi: posmaps.MapSpec) -> SdpProblem:
     d = n * m
     jmat = posmaps.choi_matrix(phi)
     basis = _hermitian_basis(d)
-    nb = d * d  # x = (Y coeffs, s)
-    pt_basis = np.stack([bipartite.partial_transpose(basis[k], n, m) for k in range(nb)])
-    coeffs = np.concatenate([basis, np.zeros((1, d, d))])
+    pt_basis = bipartite.partial_transpose(basis, n, m)
+    coeffs = np.concatenate([basis, np.zeros((1, d, d))])  # x = (Y coeffs, s)
     cap = np.concatenate([-pt_basis, np.eye(d)[np.newaxis]])  # s I - J - Y^Gamma
     blocks = [AffineBlock(np.zeros((d, d), dtype=np.complex128), coeffs), AffineBlock(-jmat, cap)]
     s = matcore.schatten_norm(jmat, "operator") + 2.0
@@ -498,13 +499,52 @@ def max_eig_dual_problem(phi: posmaps.MapSpec) -> SdpProblem:
 # ----------------------------------------------------------------------------
 
 
-def _psd_or_reject(mat: np.ndarray, what: str) -> float:
-    report = matcore.is_psd(mat, tol=CERT_PSD_TOL)
-    if not report:
-        raise CertificateRejected(
-            f"{what} is not PSD (min eigenvalue {report.min_eigenvalue:.3e})"
-        )
-    return max(0.0, -report.min_eigenvalue)
+def _certified(values: list[float], blocks) -> list[float | CertificateRejected]:
+    """Entry i is values[i] when matrix i of every (what, stack) block is PSD up to
+    CERT_PSD_TOL, or else a CertificateRejected naming the first block that is not."""
+    tests = [(what, *matcore.psd_test(stack, CERT_PSD_TOL)) for what, stack in blocks]
+    results = []
+    for i, value in enumerate(values):
+        for what, ok, lam_min in tests:
+            if not ok[i]:
+                value = CertificateRejected(f"{what} is not PSD (min eigenvalue {lam_min[i]:.3e})")
+                break
+        results.append(value)
+    return results
+
+
+def _one(results: list) -> float:
+    """The value certified for a one-certificate stack; raises its rejection."""
+    (result,) = results
+    if isinstance(result, CertificateRejected):
+        raise result
+    return result
+
+
+def _psd_or_reject(mat: np.ndarray, what: str) -> None:
+    _one(_certified([0.0], [(what, np.asarray(mat)[np.newaxis])]))
+
+
+def _y_stack(ys, d: int) -> np.ndarray:
+    """ys as a [k, d, d] stack; a Y of another shape is rejected."""
+    ys = np.asarray(ys)
+    if ys.shape[1:] != (d, d):
+        raise CertificateRejected(f"Y has shape {ys.shape[1:]}, expected {(d, d)}")
+    return ys
+
+
+def diamond_certificates(phis, jmats: np.ndarray) -> list[DualCertificate]:
+    """diamond_certificate of each map of a group of one kind and dimension, given
+    their Choi matrices jmats[k]."""
+    n, k = phis[0].in_dim, len(phis)
+    if phis[0].kind == "breuer_hall":
+        kappa, expected = np.full(k, 2.0), np.full(k, (n + 2.0) / n)
+    else:  # Unsupported outside the generalized Choi family
+        kappa = np.array([sum(_gen_choi_params_of_dual(phi)) for phi in phis])
+        expected = (3.0 + kappa) / 3.0
+    ys = jmats + kappa[:, np.newaxis, np.newaxis] * bipartite.max_entangled_projector(n)
+    return [DualCertificate(f"diamond-{phi.kind}", {"Y": y}, e)
+            for phi, y, e in zip(phis, ys, expected.tolist())]
 
 
 def diamond_certificate(phi: posmaps.MapSpec) -> DualCertificate:
@@ -514,14 +554,20 @@ def diamond_certificate(phi: posmaps.MapSpec) -> DualCertificate:
     Choi family and kappa = 2 for Breuer-Hall; the certified values are
     (3 + b + c)/3 and (n + 2)/n respectively.
     """
-    n = phi.in_dim
-    if phi.kind == "breuer_hall":
-        kappa, expected = 2.0, (n + 2.0) / n
-    else:  # Unsupported outside the generalized Choi family
-        kappa = sum(_gen_choi_params_of_dual(phi))
-        expected = (3.0 + kappa) / 3.0
-    y = posmaps.choi_matrix(phi) + kappa * bipartite.max_entangled_projector(n)
-    return DualCertificate(name=f"diamond-{phi.kind}", values={"Y": y}, expected_value=expected)
+    return diamond_certificates((phi,), posmaps.choi_matrices((phi,)))[0]
+
+
+def verify_diamond_certificates(phis, jmats: np.ndarray, ys) -> list[float | CertificateRejected]:
+    """verify_diamond_certificate for a group of maps of one kind and dimension,
+    given their Choi matrices jmats[k] and certificates ys[k], with one stacked
+    eigvalsh per block, one partial trace and one SVD. Entry k is the bound
+    certified for phis[k], or the CertificateRejected naming the block that
+    ys[k] fails; a stack of wrong-shaped Y is rejected as a whole.
+    """
+    n, m = phis[0].in_dim, phis[0].out_dim
+    ys = _y_stack(ys, n * m)
+    values = matcore.singular_values(bipartite.partial_trace(ys, n, m, "second"))[:, 0]
+    return _certified(values.tolist(), [("Y - J", ys - jmats), ("Y + J", ys + jmats)])
 
 
 def verify_diamond_certificate(phi: posmaps.MapSpec, cert: DualCertificate) -> float:
@@ -532,12 +578,8 @@ def verify_diamond_certificate(phi: posmaps.MapSpec, cert: DualCertificate) -> f
     [[Y, -J], [-J, Y]] by (1/sqrt2) [[I, I], [I, -I]] gives diag(Y - J, Y + J),
     so the two checks are his constraint, and their sum 2Y is PSD too.
     """
-    n, m = phi.in_dim, phi.out_dim
-    jmat = posmaps.choi_matrix(phi)
-    y = cert.values["Y"]
-    _psd_or_reject(y - jmat, "Y - J")
-    _psd_or_reject(y + jmat, "Y + J")
-    return matcore.schatten_norm(bipartite.partial_trace(y, n, m, "second"), "operator")
+    return _one(verify_diamond_certificates(
+        (phi,), posmaps.choi_matrices((phi,)), [cert.values["Y"]]))
 
 
 def gen_choi_outer(b: float, c: float) -> bool:
@@ -616,13 +658,23 @@ def max_eig_certificate(phi: posmaps.MapSpec) -> DualCertificate:
     )
 
 
+def verify_max_eig_certificates(phis, jmats: np.ndarray, ys) -> list[float | CertificateRejected]:
+    """verify_max_eig_certificate for a group of maps of one kind and dimension,
+    given their Choi matrices jmats[k] and certificates ys[k], with one stacked
+    eigvalsh per constraint and one partial transpose. Entry k is the bound
+    certified for phis[k], or the CertificateRejected of ys[k]; a stack of
+    wrong-shaped Y is rejected as a whole.
+    """
+    n, m = phis[0].in_dim, phis[0].out_dim
+    ys = _y_stack(ys, n * m)
+    values = matcore.eigvalsh(bipartite.partial_transpose(ys, n, m) + jmats)[:, 0]
+    return _certified(values.tolist(), [("Y", ys)])
+
+
 def verify_max_eig_certificate(phi: posmaps.MapSpec, cert: DualCertificate) -> float:
     """Verify Y >= 0 and return lambda_max((id ⊗ T)(Y) + J(phi))."""
-    n, m = phi.in_dim, phi.out_dim
-    y = cert.values["Y"]
-    _psd_or_reject(y, "Y")
-    shifted = bipartite.partial_transpose(y, n, m) + posmaps.choi_matrix(phi)
-    return float(matcore.eigvalsh(shifted)[0])
+    return _one(verify_max_eig_certificates(
+        (phi,), posmaps.choi_matrices((phi,)), [cert.values["Y"]]))
 
 
 def _solver_certificate(problem: SdpProblem, tol: float) -> DualCertificate:

@@ -349,4 +349,20 @@ def test_stacked_realign_matches_per_matrix():
     with pytest.raises(InvalidDim):
         bipartite.realign(stack, 3, 2 + 1)
     with pytest.raises(InvalidMatrix):
-        bipartite.partial_transpose(stack, 2, 3)  # single-matrix operations stay 2-d only
+        bipartite.kron(stack, stack)  # single-matrix operations stay 2-d only
+
+
+def test_stacked_partial_transpose_and_trace_match_per_matrix():
+    rng = np.random.default_rng(15)
+    stack = np.array([random_state(rng, 6) for _ in range(5)])
+    pt = bipartite.partial_transpose(stack, 2, 3)
+    traces = {sub: bipartite.partial_trace(stack, 2, 3, sub) for sub in ("first", "second")}
+    assert pt.shape == (5, 6, 6)
+    assert traces["second"].shape == (5, 2, 2) and traces["first"].shape == (5, 3, 3)
+    for i in range(5):
+        t = stack[i].reshape(2, 3, 2, 3)
+        assert np.array_equal(pt[i], t.transpose(0, 3, 2, 1).reshape(6, 6))
+        assert np.array_equal(traces["second"][i], np.einsum("ikjk->ij", t))
+        assert np.array_equal(traces["first"][i], np.einsum("ikil->kl", t))
+    with pytest.raises(InvalidDim):
+        bipartite.partial_transpose(stack, 3, 3)

@@ -139,19 +139,123 @@ def test_verify_certificates_rejection_exits_2(monkeypatch, capsys):
     from abssep import sdpsolve
     from abssep.errors import CertificateRejected
 
-    real = sdpsolve.verify_max_eig_certificate
+    real = sdpsolve.verify_max_eig_certificates
 
-    def flaky(phi, cert):
-        if cert.name == "max-eig-breuer-hall":
+    def flaky(phis, jmats, ys):
+        if phis[0].kind == "breuer_hall":
             raise CertificateRejected("injected failure")
-        return real(phi, cert)
+        return real(phis, jmats, ys)
 
-    monkeypatch.setattr(sdpsolve, "verify_max_eig_certificate", flaky)
+    monkeypatch.setattr(sdpsolve, "verify_max_eig_certificates", flaky)
     code, out = run_cli(
         ["verify-certificates", "--grid", "2", "--bh-dims", "4"], capsys
     )
     assert code == 2
     assert "rejected: injected failure" in out
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--grid", "31", "--bh-dims", "4", "6", "8", "--format", "json"],
+    ["--grid", "6", "--bh-dims", "4", "4", "6", "6", "6"],
+], ids=["default", "grid31-json", "repeated-bh"])
+def test_verify_certificates_bytes_do_not_depend_on_chunk_size(monkeypatch, capsys, argv, chunk):
+    # 442, 962 and 37 generalized Choi maps, none a multiple of 7 or 64; the
+    # reference checks each run of maps of one kind as a single stack
+    monkeypatch.setattr(cli, "CERT_CHUNK", 10**6)
+    expected = run_cli(["verify-certificates", *argv], capsys)
+    monkeypatch.setattr(cli, "CERT_CHUNK", chunk)
+    assert run_cli(["verify-certificates", *argv], capsys) == expected
+
+
+def _same_map(a, b):
+    return (a.kind, a.dim, a.b, a.c) == (b.kind, b.dim, b.b, b.c)
+
+
+def _grid5_chunk7_jobs(monkeypatch):
+    # 26 generalized Choi maps, the Choi dual first, checked 7 at a time: jobs 9
+    # and 10 sit inside the second chunk, which holds jobs 7 to 13
+    monkeypatch.setattr(cli, "CERT_CHUNK", 7)
+    axis = np.linspace(0.0, 4.0 / 3.0, 5)
+    return cli._certificate_jobs((4,), [(float(b), float(c)) for b in axis for c in axis])
+
+
+def _rows_by_name(out):
+    return {row.pop("name"): row for row in json.loads(out)}
+
+
+def test_verify_certificates_rejects_one_map_inside_a_chunk(monkeypatch, capsys):
+    from abssep import sdpsolve
+    from abssep.errors import CertificateRejected
+
+    jobs = _grid5_chunk7_jobs(monkeypatch)
+    (diamond_label, diamond_phi), (max_eig_label, max_eig_phi) = jobs[10], jobs[9]
+    broken = {}
+    real_diamond, real_max_eig = sdpsolve.diamond_certificates, sdpsolve.max_eig_certificate
+
+    def perturbed_diamond(phis, jmats):
+        certs = real_diamond(phis, jmats)
+        for phi, cert in zip(phis, certs):
+            if _same_map(phi, diamond_phi):
+                cert.values["Y"] = cert.values["Y"].copy()
+                cert.values["Y"][2, 2] -= 1e-3  # breaks PSD of the Y - J block
+                broken["diamond"] = (phi, cert)
+        return certs
+
+    def perturbed_max_eig(phi):
+        cert = real_max_eig(phi)
+        if _same_map(phi, max_eig_phi):
+            cert.values["Y"][1, 1] -= 1e-3  # drives an eigenvalue of Y negative
+            broken["max-eig"] = (phi, cert)
+        return cert
+
+    monkeypatch.setattr(sdpsolve, "diamond_certificates", perturbed_diamond)
+    monkeypatch.setattr(sdpsolve, "max_eig_certificate", perturbed_max_eig)
+    code, out = run_cli(
+        ["verify-certificates", "--grid", "5", "--bh-dims", "4", "--format", "json"], capsys)
+    assert code == 2
+    rows = _rows_by_name(out)
+    assert len(rows) == 8 + 2 * 27
+    expected_rejections = {}
+    for kind, label in (("diamond", diamond_label), ("max-eig", max_eig_label)):
+        phi, cert = broken[kind]
+        verify = (sdpsolve.verify_diamond_certificate if kind == "diamond"
+                  else sdpsolve.verify_max_eig_certificate)
+        with pytest.raises(CertificateRejected) as info:
+            verify(phi, cert)  # the one-map verifier's message
+        expected_rejections[f"{kind} {label}"] = {
+            "value": None, "expected": None, "status": f"rejected: {info.value}"}
+    assert "Y - J is not PSD" in expected_rejections[f"diamond {diamond_label}"]["status"]
+    assert "Y is not PSD" in expected_rejections[f"max-eig {max_eig_label}"]["status"]
+    for name, row in rows.items():
+        if name in expected_rejections:
+            assert row == expected_rejections[name]
+        else:
+            assert row["status"] == "ok", name
+
+
+def test_verify_certificates_flags_one_mismatch_inside_a_chunk(monkeypatch, capsys):
+    from abssep import sdpsolve
+
+    jobs = _grid5_chunk7_jobs(monkeypatch)
+    label, target = jobs[10]
+    real = sdpsolve.diamond_certificates
+
+    def shifted(phis, jmats):
+        certs = real(phis, jmats)
+        for phi, cert in zip(phis, certs):
+            if _same_map(phi, target):
+                cert.expected_value += 1e-11  # ten times --tol certificate
+        return certs
+
+    monkeypatch.setattr(sdpsolve, "diamond_certificates", shifted)
+    code, out = run_cli(
+        ["verify-certificates", "--grid", "5", "--bh-dims", "4", "--format", "json"], capsys)
+    assert code == 2
+    rows = _rows_by_name(out)
+    assert rows[f"diamond {label}"]["status"] == "mismatch"
+    assert sum(row["status"] != "ok" for row in rows.values()) == 1
 
 
 @pytest.mark.parametrize("shift, status", [(1e-6, "rejected"), (1e-11, "mismatch")])

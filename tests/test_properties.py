@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abssep import bipartite, matcore
+from abssep import bipartite, matcore, posmaps
 
 PROPERTY = settings(derandomize=True, max_examples=20, deadline=None, database=None)
 
@@ -77,3 +77,32 @@ def test_realignment_is_an_entry_permutation(m, n, seed):
     r = bipartite.realign(x, m, n)
     assert r.shape == (m * m, n * n)
     assert np.array_equal(r.ravel(), x.ravel()[perm])
+
+
+bc_params = st.floats(min_value=0.0, max_value=4.0 / 3.0)
+
+
+@PROPERTY
+@given(points=st.lists(st.tuples(bc_params, bc_params), min_size=1, max_size=12))
+def test_stacked_choi_matrices_equal_one_map_builds(points):
+    maps = [posmaps.dual_map(posmaps.choi_map())]
+    maps += [posmaps.dual_map(posmaps.generalized_choi_map(b, c)) for b, c in points]
+    stacked = posmaps.choi_matrices(maps)
+    assert stacked.shape == (len(maps), 9, 9)
+    for phi, jmat in zip(maps, stacked):
+        assert np.array_equal(jmat, posmaps.choi_matrix(phi))
+
+
+@PROPERTY
+@given(n=st.sampled_from([4, 6, 8]), seed=seeds)
+def test_stacked_breuer_hall_choi_matrices_equal_one_map_builds(n, seed):
+    # the default V beside a rotated one, U V U^T, in one group: each map's V
+    # must reach its own slice
+    u = bipartite.haar_unitary(n, seed)
+    v = posmaps.breuer_hall_default_v(n)
+    maps = [posmaps.breuer_hall_map(n), posmaps.breuer_hall_map(n, u @ v @ u.T)]
+    stacked = posmaps.choi_matrices(maps)
+    assert stacked.shape == (2, n * n, n * n)
+    for phi, jmat in zip(maps, stacked):
+        assert np.array_equal(jmat, posmaps.choi_matrix(phi))
+    assert not np.allclose(stacked[0], stacked[1])

@@ -292,6 +292,20 @@ def test_certificates_reject_perturbations():
         sdpsolve.verify_max_eig_certificate(phi, cert2)
 
 
+@pytest.mark.parametrize("kind", ["diamond", "max_eig"])
+def test_verifiers_reject_a_wrong_shaped_y(kind):
+    # a 4 x 4 Y for the 9 x 9 Choi dual is a failed certificate, not a numpy or
+    # dimension error, in the one-map verifier and in the stacked one
+    phi = posmaps.dual_map(posmaps.choi_map())
+    message = re.escape("Y has shape (4, 4), expected (9, 9)")
+    with pytest.raises(CertificateRejected, match=message):
+        getattr(sdpsolve, f"verify_{kind}_certificate")(
+            phi, sdpsolve.DualCertificate("wrong shape", {"Y": np.eye(4)}))
+    with pytest.raises(CertificateRejected, match=message):
+        getattr(sdpsolve, f"verify_{kind}_certificates")(
+            (phi, phi), posmaps.choi_matrices((phi, phi)), np.stack([np.eye(4)] * 2))
+
+
 def _watrous_block_bound(phi, y0, y1):
     # Watrous's general two-variable check: [[Y0, -J], [-J^H, Y1]] >= 0, then
     # the bound (||Tr_2 Y0||_op + ||Tr_2 Y1||_op)/2
