@@ -134,7 +134,7 @@ def _certificate_jobs(bh_dims, grid) -> list[tuple[str, posmaps.MapSpec]]:
     generalized Choi maps on the grid, then Breuer-Hall for each n in bh_dims."""
     jobs = [("choi-dual", posmaps.dual_map(posmaps.choi_map()))]
     jobs += [(f"gen-choi({b:.6g},{c:.6g})", posmaps.dual_map(posmaps.generalized_choi_map(b, c)))
-             for b, c in grid if b + c <= 3.0]
+             for b, c in grid]
     jobs += [(f"breuer-hall n={n}", posmaps.dual_map(posmaps.breuer_hall_map(n)))
              for n in bh_dims]
     return jobs

@@ -1,10 +1,11 @@
-"""Positive linear maps as first-class objects.
+"""Positive linear maps as first-class objects, one MapSpec each.
 
 Ships the maps used throughout the toolkit: identity, transpose, the
-reduction map, the Choi map on M_3, its two-parameter generalization
-Phi_{b,c} (with a := 2-b-c), and the Breuer-Hall map on even dimensions.
-Each map exposes a closed-form action; Choi matrices, duals and
-id ⊗ map applications are materialized on demand.
+reduction map, the two-parameter generalized Choi family Phi_{b,c} on M_3
+(a := 2-b-c; the Choi map is Phi_{1,0}), which alone reads b and c, and the
+Breuer-Hall map on even dimensions, which alone reads V. Each map exposes a
+closed-form action; Choi matrices, duals and id ⊗ map applications are
+materialized on demand.
 """
 
 from __future__ import annotations
@@ -19,11 +20,23 @@ from .errors import DegenerateWitness, InvalidDim, InvalidMatrix, InvalidVector
 
 BC_PREDICATE_TOL = 1e-9
 
+# kind: (the fields it reads, its rule on the dimension n >= 1, the error when n
+# breaks that rule); a field that a kind does not read must keep its default
+_KINDS = {
+    "identity": ((), lambda n: True, None),
+    "transpose": ((), lambda n: True, None),
+    "reduction": ((), lambda n: n >= 2, "reduction map needs n >= 2"),
+    "generalized_choi": (("b", "c"), lambda n: n == 3, "generalized Choi maps live on M_3"),
+    "breuer_hall": (("v",), lambda n: n >= 4 and n % 2 == 0,
+                    "Breuer-Hall dimension must be even and >= 4"),
+}
+
 
 def breuer_hall_default_v(n: int) -> np.ndarray:
     """The anti-diagonal skew-symmetric unitary (+1 top half, -1 bottom half)."""
-    if n < 4 or n % 2 != 0:
-        raise InvalidDim("Breuer-Hall dimension must be even and >= 4")
+    _, admits, message = _KINDS["breuer_hall"]
+    if not admits(n):
+        raise InvalidDim(message)
     v = np.zeros((n, n), dtype=np.complex128)
     for i in range(n):
         v[i, n - 1 - i] = 1.0 if i < n // 2 else -1.0
@@ -32,7 +45,10 @@ def breuer_hall_default_v(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MapSpec:
-    """A positive linear map given by kind and parameters; dims are equal in/out."""
+    """A positive linear map on M_dim, checked against its kind's rules in
+    _KINDS: only generalized_choi reads b and c (finite, >= 0), and only
+    breuer_hall reads v (a skew-symmetric unitary, default
+    breuer_hall_default_v(dim))."""
 
     kind: str
     dim: int
@@ -41,30 +57,27 @@ class MapSpec:
     v: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in {
-            "identity", "transpose", "reduction", "choi",
-            "generalized_choi", "breuer_hall",
-        }:
-            raise ValueError(f"unknown map kind {self.kind!r}")
-        if self.dim < 1:
+        kind, n = self.kind, self.dim
+        rule = _KINDS.get(kind)
+        if rule is None:
+            raise ValueError(f"unknown map kind {kind!r}")
+        reads, admits, message = rule
+        if n < 1:
             raise InvalidDim("map dimension must be positive")
-        if self.kind == "choi" and self.dim != 3:
-            raise InvalidDim("the Choi map lives on M_3")
-        if self.kind == "generalized_choi":
-            if self.dim != 3:
-                raise InvalidDim("generalized Choi maps live on M_3")
+        if not admits(n):
+            raise InvalidDim(message)
+        if (self.b or self.c) and "b" not in reads:
+            raise ValueError(f"map kind {kind!r} reads no b or c, got b={self.b}, c={self.c}")
+        if self.v is not None and "v" not in reads:
+            raise ValueError(f"map kind {kind!r} reads no V")
+        if kind == "generalized_choi":
             if not (math.isfinite(self.b) and math.isfinite(self.c)):
                 raise ValueError(
-                    f"generalized Choi parameters must be finite, got b={self.b}, c={self.c}"
-                )
+                    f"generalized Choi parameters must be finite, got b={self.b}, c={self.c}")
             if self.b < 0 or self.c < 0:
                 raise ValueError("generalized Choi parameters must satisfy b, c >= 0")
-        if self.kind == "breuer_hall":
-            n = self.dim
-            if n < 4 or n % 2 != 0:
-                raise InvalidDim("Breuer-Hall dimension must be even and >= 4")
-            v = self.v if self.v is not None else breuer_hall_default_v(n)
-            v = matcore.as_complex_matrix(v)
+        elif kind == "breuer_hall":
+            v = matcore.as_complex_matrix(breuer_hall_default_v(n) if self.v is None else self.v)
             if v.shape != (n, n):
                 raise InvalidMatrix("Breuer-Hall V has the wrong shape")
             if np.linalg.norm(v.T + v) > 1e-10:
@@ -72,14 +85,6 @@ class MapSpec:
             if np.linalg.norm(v.conj().T @ v - np.eye(n)) > 1e-10:
                 raise InvalidMatrix("Breuer-Hall V must be unitary")
             object.__setattr__(self, "v", v)
-
-    @property
-    def in_dim(self) -> int:
-        return self.dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.dim
 
 
 def identity_map(n: int) -> MapSpec:
@@ -92,17 +97,16 @@ def transpose_map(n: int) -> MapSpec:
 
 def reduction_map(n: int) -> MapSpec:
     """X -> (Tr(X) I - X) / (n - 1); on M_3 this equals Phi_{1,1}."""
-    if n < 2:
-        raise InvalidDim("reduction map needs n >= 2")
     return MapSpec("reduction", n)
 
 
 def choi_map() -> MapSpec:
-    return MapSpec("choi", 3)
+    """The Choi map, Phi_{1,0} of the generalized Choi family."""
+    return generalized_choi_map(1.0, 0.0)
 
 
 def generalized_choi_map(b: float, c: float) -> MapSpec:
-    return MapSpec("generalized_choi", 3, b=float(b), c=float(c))
+    return MapSpec("generalized_choi", 3, float(b), float(c))
 
 
 def breuer_hall_map(n: int, v: np.ndarray | None = None) -> MapSpec:
@@ -119,9 +123,8 @@ def _act(phis, x: np.ndarray) -> np.ndarray:
     if kind == "transpose":
         return np.swapaxes(x, -1, -2).copy()
     per_map = (len(phis),) + (1,) * (x.ndim - 3)  # one value per map, broadcast over x[k]
-    if kind in {"choi", "generalized_choi"}:
-        bc = [(1.0, 0.0) if phi.kind == "choi" else (phi.b, phi.c) for phi in phis]
-        b, c = np.array(bc).T.reshape((2,) + per_map)
+    if kind == "generalized_choi":
+        b, c = np.array([(phi.b, phi.c) for phi in phis]).T.reshape((2,) + per_map)
         a = 2.0 - b - c
         d0, d1, d2 = x[..., 0, 0], x[..., 1, 1], x[..., 2, 2]
         out = -x
@@ -141,28 +144,25 @@ def _act(phis, x: np.ndarray) -> np.ndarray:
 
 
 def apply(phi: MapSpec, x) -> np.ndarray:
-    """Apply the map's closed-form action to an in_dim x in_dim matrix."""
+    """Apply the map's closed-form action to a dim x dim matrix."""
     x = matcore.as_complex_matrix(x)
-    if x.shape != (phi.in_dim, phi.in_dim):
-        raise InvalidDim(f"matrix shape {x.shape} does not match map dim {phi.in_dim}")
+    if x.shape != (phi.dim, phi.dim):
+        raise InvalidDim(f"matrix shape {x.shape} does not match map dim {phi.dim}")
     return _act((phi,), x[np.newaxis])[0]
 
 
 def dual_map(phi: MapSpec) -> MapSpec:
-    """Adjoint in the Hilbert-Schmidt inner product: Tr(Phi(X)Y) = Tr(X Phi†(Y))."""
-    if phi.kind in {"identity", "transpose", "reduction", "breuer_hall"}:
-        return phi
-    if phi.kind == "choi":
-        return generalized_choi_map(0.0, 1.0)
+    """Adjoint in the Hilbert-Schmidt inner product: Tr(Phi(X)Y) = Tr(X Phi†(Y)).
+    The dual of Phi_{b,c} is Phi_{c,b}; every other kind is self-dual."""
     if phi.kind == "generalized_choi":
         return generalized_choi_map(phi.c, phi.b)
-    raise AssertionError(phi.kind)
+    return phi
 
 
 def _id_tensor(phis, x: np.ndarray, id_dim: int) -> np.ndarray:
     """(id_{id_dim} ⊗ phis[k])(X) for every operator X of a checked stack
     x[k, ..., id_dim·d, id_dim·d], applying each map to all d x d blocks at once."""
-    d = phis[0].in_dim
+    d = phis[0].dim
     lead = x.shape[:-2]
     blocks = x.reshape(lead + (id_dim, d, id_dim, d)).swapaxes(-3, -2)
     out = _act(phis, blocks).swapaxes(-3, -2)
@@ -174,15 +174,15 @@ def apply_id_tensor(phi: MapSpec, x, id_dim: int) -> np.ndarray:
 
     Accepts a stack X[..., id_dim·d, id_dim·d] and maps each operator.
     """
-    x = bipartite._check_dims(x, id_dim, phi.in_dim, stack=True)
+    x = bipartite._check_dims(x, id_dim, phi.dim, stack=True)
     return _id_tensor((phi,), x[np.newaxis], id_dim)[0]
 
 
 def choi_matrices(phis) -> np.ndarray:
     """J(Phi) = n (id_n ⊗ Phi)(|psi+><psi+|) of each map of a group of one kind
     and dimension, as a [k, n², n²] stack built in one pass."""
-    kind, n = phis[0].kind, phis[0].in_dim
-    if any((phi.kind, phi.in_dim) != (kind, n) for phi in phis):
+    kind, n = phis[0].kind, phis[0].dim
+    if any((phi.kind, phi.dim) != (kind, n) for phi in phis):
         raise ValueError("choi_matrices takes maps of one kind and dimension")
     p = bipartite.max_entangled_projector(n)
     return n * _id_tensor(phis, np.broadcast_to(p, (len(phis),) + p.shape), n)
@@ -199,10 +199,10 @@ def witness_from_map(phi: MapSpec, v) -> np.ndarray:
     Callers interested in the witness of a map's dual pass dual_map(phi).
     """
     v = np.asarray(v, dtype=np.complex128).ravel()
-    if v.size % phi.in_dim != 0:
+    if v.size % phi.dim != 0:
         raise InvalidVector("vector length is not a multiple of the map dimension")
-    m = v.size // phi.in_dim
-    v = bipartite._check_unit_vector(v, m * phi.in_dim)
+    m = v.size // phi.dim
+    v = bipartite._check_unit_vector(v, m * phi.dim)
     return apply_id_tensor(phi, np.outer(v, v.conj()), m)
 
 

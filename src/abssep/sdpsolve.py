@@ -434,12 +434,12 @@ def diamond_norm_problem(phi: posmaps.MapSpec) -> SdpProblem:
     conjugating [[Y, -J], [-J, Y]] by (1/sqrt2) [[I, I], [I, -I]] gives
     diag(Y - J, Y + J).
     """
-    n, m = phi.in_dim, phi.out_dim
-    d = n * m
+    n = phi.dim
+    d = n * n
     jmat = posmaps.choi_matrix(phi)
     basis = _hermitian_basis(d)
     coeffs = np.concatenate([basis, np.zeros((1, d, d))])  # x = (Y coeffs, s)
-    traced = bipartite.partial_trace(basis, n, m, "second")
+    traced = bipartite.partial_trace(basis, n, n, "second")
     cap = np.concatenate([-traced, np.eye(n)[np.newaxis]])  # s I - Tr_2 Y
     blocks = [
         AffineBlock(-jmat, coeffs),
@@ -447,18 +447,18 @@ def diamond_norm_problem(phi: posmaps.MapSpec) -> SdpProblem:
         AffineBlock(np.zeros((n, n), dtype=np.complex128), cap),
     ]
     kappa = matcore.schatten_norm(jmat, "operator") + 1.0
-    return _min_s_problem(d, blocks, kappa, kappa * m + 1.0, "diamond-norm")
+    return _min_s_problem(d, blocks, kappa, kappa * n + 1.0, "diamond-norm")
 
 
 def max_eig_problem(phi: posmaps.MapSpec) -> SdpProblem:
     """sup Tr(J(phi) rho) over PPT rho with Tr(rho) <= 1, as a minimization."""
-    n, m = phi.in_dim, phi.out_dim
-    d = n * m
+    n = phi.dim
+    d = n * n
     jmat = posmaps.choi_matrix(phi)
     basis = _hermitian_basis(d)
     nv = d * d
     objective = -np.real(np.einsum("kab,ba->k", basis, jmat))
-    pt_basis = bipartite.partial_transpose(basis, n, m)
+    pt_basis = bipartite.partial_transpose(basis, n, n)
     trace_row = -np.real(np.einsum("kaa->k", basis))[np.newaxis, :]
     blocks = [
         AffineBlock(np.zeros((d, d), dtype=np.complex128), basis.copy()),
@@ -482,11 +482,11 @@ def max_eig_dual_problem(phi: posmaps.MapSpec) -> SdpProblem:
     partial transpose. Y = I, s = ||J||_op + 2 is strictly feasible, as
     I^Gamma = I.
     """
-    n, m = phi.in_dim, phi.out_dim
-    d = n * m
+    n = phi.dim
+    d = n * n
     jmat = posmaps.choi_matrix(phi)
     basis = _hermitian_basis(d)
-    pt_basis = bipartite.partial_transpose(basis, n, m)
+    pt_basis = bipartite.partial_transpose(basis, n, n)
     coeffs = np.concatenate([basis, np.zeros((1, d, d))])  # x = (Y coeffs, s)
     cap = np.concatenate([-pt_basis, np.eye(d)[np.newaxis]])  # s I - J - Y^Gamma
     blocks = [AffineBlock(np.zeros((d, d), dtype=np.complex128), coeffs), AffineBlock(-jmat, cap)]
@@ -536,7 +536,7 @@ def _y_stack(ys, d: int) -> np.ndarray:
 def diamond_certificates(phis, jmats: np.ndarray) -> list[DualCertificate]:
     """diamond_certificate of each map of a group of one kind and dimension, given
     their Choi matrices jmats[k]."""
-    n, k = phis[0].in_dim, len(phis)
+    n, k = phis[0].dim, len(phis)
     if phis[0].kind == "breuer_hall":
         kappa, expected = np.full(k, 2.0), np.full(k, (n + 2.0) / n)
     else:  # Unsupported outside the generalized Choi family
@@ -564,9 +564,9 @@ def verify_diamond_certificates(phis, jmats: np.ndarray, ys) -> list[float | Cer
     certified for phis[k], or the CertificateRejected naming the block that
     ys[k] fails; a stack of wrong-shaped Y is rejected as a whole.
     """
-    n, m = phis[0].in_dim, phis[0].out_dim
-    ys = _y_stack(ys, n * m)
-    values = matcore.singular_values(bipartite.partial_trace(ys, n, m, "second"))[:, 0]
+    n = phis[0].dim
+    ys = _y_stack(ys, n * n)
+    values = matcore.singular_values(bipartite.partial_trace(ys, n, n, "second"))[:, 0]
     return _certified(values.tolist(), [("Y - J", ys - jmats), ("Y + J", ys + jmats)])
 
 
@@ -617,10 +617,9 @@ def gen_choi_max_eig_bound(b: float, c: float) -> float:
 
 def _gen_choi_params_of_dual(phi: posmaps.MapSpec) -> tuple[float, float]:
     """Recover (b, c) with phi = dual of the generalized Choi map Phi_{b,c}."""
-    if phi.kind not in {"choi", "generalized_choi"}:
+    if phi.kind != "generalized_choi":
         raise Unsupported(f"map kind {phi.kind!r} is not in the generalized Choi family")
-    dual = posmaps.dual_map(phi)
-    return dual.b, dual.c
+    return phi.c, phi.b  # the dual of Phi_{b,c} is Phi_{c,b}
 
 
 def max_eig_certificate(phi: posmaps.MapSpec) -> DualCertificate:
@@ -665,9 +664,9 @@ def verify_max_eig_certificates(phis, jmats: np.ndarray, ys) -> list[float | Cer
     certified for phis[k], or the CertificateRejected of ys[k]; a stack of
     wrong-shaped Y is rejected as a whole.
     """
-    n, m = phis[0].in_dim, phis[0].out_dim
-    ys = _y_stack(ys, n * m)
-    values = matcore.eigvalsh(bipartite.partial_transpose(ys, n, m) + jmats)[:, 0]
+    n = phis[0].dim
+    ys = _y_stack(ys, n * n)
+    values = matcore.eigvalsh(bipartite.partial_transpose(ys, n, n) + jmats)[:, 0]
     return _certified(values.tolist(), [("Y", ys)])
 
 

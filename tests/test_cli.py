@@ -135,6 +135,27 @@ def test_verify_certificates_golden_bytes(capsys, argv, lines, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "figure, lines, digest",
+    [
+        ("f_curve", 1009, "500192ae0ed0c41d018e5478fed3ff1cc8145d0912ce59be7b98027d3991c73b"),
+        ("phi_bc_region", 14642,
+         "74f7f81533c55c6f2f78e2ae99db3edbbcb46656fbe844f2b31d2d60e29cd1a4"),
+        ("gen_choi_ub", 14642,
+         "6f002553439f07dee080909579989c2ee980fcc93ffd96edcde9b316c9ae87f7"),
+        ("upb_interval", 302, "a5fe85a6aecf23de7e14d184f83853788214fb761a62312e93c67d98269c0c5b"),
+    ],
+)
+def test_fig_data_golden_bytes(capsys, figure, lines, digest):
+    # the default CSV of each figure, byte for byte; its values are closed forms,
+    # plus upb_interval's eigenvalues of a small matrix (all above 1e-4 in
+    # magnitude), printed with %.12g, far coarser than LAPACK's rounding
+    code, out = run_cli(["fig-data", figure], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_certificates_rejection_exits_2(monkeypatch, capsys):
     from abssep import sdpsolve
     from abssep.errors import CertificateRejected

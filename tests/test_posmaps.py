@@ -44,6 +44,7 @@ def test_generalized_at_10_equals_choi():
     rng = np.random.default_rng(1)
     gen = posmaps.generalized_choi_map(1.0, 0.0)
     choi = posmaps.choi_map()
+    assert choi == gen  # one representation: the Choi map is Phi_{1,0}
     for _ in range(10):
         x = random_hermitian(rng, 3)
         assert np.array_equal(posmaps.apply(gen, x), posmaps.apply(choi, x))
@@ -60,7 +61,7 @@ def test_maps_are_linear_and_hermiticity_preserving():
         posmaps.breuer_hall_map(4),
     ]
     for phi in maps:
-        d = phi.in_dim
+        d = phi.dim
         x, y = random_hermitian(rng, d), random_hermitian(rng, d)
         lhs = posmaps.apply(phi, 2.0 * x - 0.5 * y)
         rhs = 2.0 * posmaps.apply(phi, x) - 0.5 * posmaps.apply(phi, y)
@@ -106,7 +107,7 @@ def test_dual_identity_on_random_pairs():
         posmaps.breuer_hall_map(4),
     ]
     for phi in maps:
-        d = phi.in_dim
+        d = phi.dim
         dual = posmaps.dual_map(phi)
         for _ in range(100):
             x, y = random_hermitian(rng, d), random_hermitian(rng, d)
@@ -181,7 +182,7 @@ def test_witness_property_on_product_states():
         posmaps.dual_map(posmaps.breuer_hall_map(4)),
     ]
     for phi in maps:
-        d = phi.in_dim
+        d = phi.dim
         w = posmaps.witness_from_map(phi, random_unit(rng, d * d))
         for _ in range(1000):
             sigma = np.kron(
@@ -256,6 +257,23 @@ def test_mapspec_validation():
         posmaps.witness_from_map(posmaps.choi_map(), np.ones(9))
     with pytest.raises(InvalidDim):
         posmaps.apply(posmaps.choi_map(), np.eye(4))
+    # the reduction map divides by n - 1, so M_1 is rejected by MapSpec itself
+    for make in (lambda: posmaps.MapSpec("reduction", 1), lambda: posmaps.reduction_map(1)):
+        with pytest.raises(InvalidDim, match="n >= 2"):
+            make()
+    # a field that the kind never reads is an error, not silently kept
+    with pytest.raises(ValueError, match="'identity'"):
+        posmaps.MapSpec("identity", 3, b=2.0, c=5.0)
+    with pytest.raises(ValueError, match="'reduction'"):
+        posmaps.MapSpec("reduction", 3, c=0.5)
+    with pytest.raises(ValueError, match="'transpose'"):
+        posmaps.MapSpec("transpose", 3, v=np.eye(3))
+    with pytest.raises(ValueError, match="'generalized_choi'"):
+        posmaps.MapSpec("generalized_choi", 3, b=0.3, v=np.eye(3))
+    with pytest.raises(ValueError, match="'breuer_hall'"):
+        posmaps.MapSpec("breuer_hall", 4, b=0.1)
+    with pytest.raises(ValueError, match="unknown map kind 'choi'"):
+        posmaps.MapSpec("choi", 3, b=0.3)
 
 
 def test_breuer_hall_custom_v():
@@ -284,8 +302,8 @@ def reference_action(phi, x):
         return x.T
     if phi.kind == "reduction":
         return (np.trace(x) * np.eye(n) - x) / (n - 1)
-    if phi.kind in ("choi", "generalized_choi"):
-        b, c = (1.0, 0.0) if phi.kind == "choi" else (phi.b, phi.c)
+    if phi.kind == "generalized_choi":
+        b, c = phi.b, phi.c
         a = 2.0 - b - c
         diag = np.diag(x)
         mixed = [

@@ -85,7 +85,7 @@ bc_params = st.floats(min_value=0.0, max_value=4.0 / 3.0)
 @PROPERTY
 @given(points=st.lists(st.tuples(bc_params, bc_params), min_size=1, max_size=12))
 def test_stacked_choi_matrices_equal_one_map_builds(points):
-    maps = [posmaps.dual_map(posmaps.choi_map())]
+    maps = [posmaps.choi_map(), posmaps.dual_map(posmaps.choi_map())]
     maps += [posmaps.dual_map(posmaps.generalized_choi_map(b, c)) for b, c in points]
     stacked = posmaps.choi_matrices(maps)
     assert stacked.shape == (len(maps), 9, 9)

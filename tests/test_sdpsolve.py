@@ -309,7 +309,7 @@ def test_verifiers_reject_a_wrong_shaped_y(kind):
 def _watrous_block_bound(phi, y0, y1):
     # Watrous's general two-variable check: [[Y0, -J], [-J^H, Y1]] >= 0, then
     # the bound (||Tr_2 Y0||_op + ||Tr_2 Y1||_op)/2
-    n, m = phi.in_dim, phi.out_dim
+    n = m = phi.dim
     jmat = posmaps.choi_matrix(phi)
     big = np.block([[y0, -jmat], [-jmat.conj().T, y1]])
     sdpsolve._psd_or_reject(big, "diamond block matrix")
@@ -468,7 +468,7 @@ def test_diamond_solve_takes_few_newton_steps():
 def _watrous_two_variable_problem(phi):
     # minimize (s0 + s1)/2 over Hermitian Y0, Y1 with [[Y0, -J], [-J^H, Y1]] >= 0
     # and s_i I >= Tr_2 Y_i, the form diamond_norm_problem reduces
-    n, m = phi.in_dim, phi.out_dim
+    n = m = phi.dim
     d = n * m
     jmat = posmaps.choi_matrix(phi)
     basis = sdpsolve._hermitian_basis(d)
