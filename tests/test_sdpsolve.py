@@ -517,7 +517,8 @@ def test_diamond_norm_ub_breuer_hall():
     [
         posmaps.identity_map(3),
         posmaps.transpose_map(3),
-        posmaps.choi_map(),
+        # choi_map() is Phi_{1,0}; its case keeps the name "choi"
+        pytest.param(posmaps.choi_map(), id="choi-3-0-0"),
         posmaps.generalized_choi_map(1.2, 1.2),
         posmaps.generalized_choi_map(0.2, 0.3),  # b + c < 2/3
         posmaps.reduction_map(3),
