@@ -161,7 +161,7 @@ def _map_certificate_rows(jobs, tol: float) -> list[list]:
             labels, phis = zip(*run[start:start + CERT_CHUNK])
             jmats = posmaps.choi_matrices(phis)
             diamond = sdpsolve.diamond_certificates(phis, jmats)
-            max_eig = [sdpsolve.max_eig_certificate(phi) for phi in phis]
+            max_eig = sdpsolve.max_eig_certificates(phis)
             checked = zip(labels, diamond, max_eig,
                           _verify_stack(sdpsolve.verify_diamond_certificates, phis, jmats, diamond),
                           _verify_stack(sdpsolve.verify_max_eig_certificates, phis, jmats, max_eig))
@@ -177,8 +177,8 @@ def cmd_verify_certificates(args) -> tuple[str, int]:
     ok when the verified value is within --tol certificate of the expected one,
     mismatch when it is not, and rejected when a PSD block or the shape of Y fails;
     any row that is not ok makes the exit code 2."""
-    axis = np.linspace(0.0, 4.0 / 3.0, _count(args, "grid"))
-    grid = [(float(b), float(c)) for b in axis for c in axis]
+    b, c = _bc_grid(_count(args, "grid"))
+    grid = list(zip(b.tolist(), c.tolist()))
     tol = args.tol["certificate"]
     jobs = _certificate_jobs(args.bh_dims, grid)
     rows = _witness_dual_rows(tol) + _map_certificate_rows(jobs, tol)
@@ -196,68 +196,50 @@ def cmd_verify_certificates(args) -> tuple[str, int]:
     return text, EXIT_NEGATIVE if failures else EXIT_OK
 
 
-def _point_in_hull(b: float, c: float) -> bool:
-    pts = HULL_POINTS
-    for i in range(len(pts)):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % len(pts)]
-        cross = (x1 - x0) * (c - y0) - (y1 - y0) * (b - x0)
-        if cross < -1e-12:
-            return False
-    return True
+def _bc_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid_n x grid_n (b, c) grid over [0, 4/3]² as two flat arrays, b-major."""
+    axis = np.linspace(0.0, 4.0 / 3.0, grid_n)
+    b, c = np.meshgrid(axis, axis, indexing="ij")
+    return b.ravel(), c.ravel()
+
+
+def _in_hull(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Elementwise: (b, c) lies in the convex hull of HULL_POINTS."""
+    inside = np.ones(b.shape, dtype=bool)
+    for (x0, y0), (x1, y1) in zip(HULL_POINTS, HULL_POINTS[1:] + HULL_POINTS[:1]):
+        inside &= (x1 - x0) * (c - y0) - (y1 - y0) * (b - x0) >= -1e-12
+    return inside
+
+
+def _columns_csv(header: list[str], columns) -> str:
+    """A CSV whose columns are equal-length arrays."""
+    return _csv(header, list(zip(*(column.tolist() for column in columns))))
 
 
 def _fig_f_curve() -> str:
-    rows = []
-    for ell in np.linspace(-0.5, 0.0, 1001):
-        rows.append([float(ell), witness.detection_threshold(float(ell)), ""])
-    r2 = math.sqrt(2.0)
-    labeled = [
-        (-0.5, 0.5, "i"),
-        (-0.4, 0.6, "ii"),
-        (witness.SPLIT_LOW, (1.0 + r2) / 4.0, "iii"),
-        (witness.SPLIT_HIGH, (1.0 + r2) / 4.0, "iv"),   # left limit at the jump
-        (witness.SPLIT_HIGH, (2.0 + r2) / 4.0, "v"),
-        (-0.2, 0.9, "vi"),
-        (0.0, 1.0, "vii"),
-    ]
-    rows.extend([ell, mu, label] for ell, mu, label in labeled)
+    rows = [[ell, witness.detection_threshold(ell), ""]
+            for ell in np.linspace(-0.5, 0.0, 1001).tolist()]
+    low, high = witness.SPLIT_LOW, witness.SPLIT_HIGH
+    # (ell, the ell whose threshold is printed, label); iv is the left limit at the jump
+    labeled = [(-0.5, -0.5, "i"), (-0.4, -0.4, "ii"), (low, low, "iii"), (high, low, "iv"),
+               (high, high, "v"), (-0.2, -0.2, "vi"), (0.0, 0.0, "vii")]
+    rows.extend([ell, witness.detection_threshold(at), label] for ell, at, label in labeled)
     return _csv(["ell", "mu1_bound", "label"], rows)
 
 
 def _fig_phi_bc_region(grid_n: int) -> str:
-    axis = np.linspace(0.0, 4.0 / 3.0, grid_n)
-    rows = []
-    for b in axis:
-        for c in axis:
-            b, c = float(b), float(c)
-            rows.append(
-                [
-                    b,
-                    c,
-                    posmaps.is_positive_bc(b, c),
-                    posmaps.is_indecomposable_bc(b, c),
-                    posmaps.is_exposed_bc(b, c),
-                    _point_in_hull(b, c),
-                ]
-            )
-    return _csv(["b", "c", "positive", "indecomposable", "exposed", "hull_member"], rows)
+    b, c = _bc_grid(grid_n)
+    return _columns_csv(
+        ["b", "c", "positive", "indecomposable", "exposed", "hull_member"],
+        [b, c, posmaps.is_positive_bc(b, c), posmaps.is_indecomposable_bc(b, c),
+         posmaps.is_exposed_bc(b, c), _in_hull(b, c)])
 
 
 def _fig_gen_choi_ub(grid_n: int) -> str:
-    axis = np.linspace(0.0, 4.0 / 3.0, grid_n)
-    rows = []
-    for b in axis:
-        for c in axis:
-            b, c = float(b), float(c)
-            if sdpsolve.gen_choi_outer(b, c):
-                case = 1
-            elif b + c >= 2.0 / 3.0:
-                case = 2
-            else:
-                case = 0
-            rows.append([b, c, case, sdpsolve.gen_choi_max_eig_bound(b, c)])
-    return _csv(["b", "c", "case", "mu1_bound"], rows)
+    b, c = _bc_grid(grid_n)
+    case = np.where(sdpsolve.gen_choi_outer(b, c), 1, np.where(b + c >= 2.0 / 3.0, 2, 0))
+    return _columns_csv(["b", "c", "case", "mu1_bound"],
+                        [b, c, case, sdpsolve.gen_choi_max_eig_bound(b, c)])
 
 
 def _fig_upb_interval(samples: int) -> str:

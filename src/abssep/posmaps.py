@@ -48,13 +48,15 @@ class MapSpec:
     """A positive linear map on M_dim, checked against its kind's rules in
     _KINDS: only generalized_choi reads b and c (finite, >= 0), and only
     breuer_hall reads v (a skew-symmetric unitary, default
-    breuer_hall_default_v(dim))."""
+    breuer_hall_default_v(dim), stored as a read-only copy). Equal maps hash
+    equal; two V compare as np.array_equal does."""
 
     kind: str
     dim: int
     b: float = 0.0
     c: float = 0.0
-    v: np.ndarray | None = field(default=None, repr=False)
+    v: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _v_key: bytes | None = field(default=None, init=False, repr=False)  # compares v
 
     def __post_init__(self):
         kind, n = self.kind, self.dim
@@ -84,7 +86,11 @@ class MapSpec:
                 raise InvalidMatrix("Breuer-Hall V must be skew-symmetric")
             if np.linalg.norm(v.conj().T @ v - np.eye(n)) > 1e-10:
                 raise InvalidMatrix("Breuer-Hall V must be unitary")
+            v = v.copy()
+            v.flags.writeable = False
             object.__setattr__(self, "v", v)
+            # + 0.0 turns -0.0 into 0.0, so equal keys are exactly np.array_equal
+            object.__setattr__(self, "_v_key", (v + 0.0).tobytes())
 
 
 def identity_map(n: int) -> MapSpec:
@@ -228,33 +234,37 @@ def witness_from_schmidt(
     return matcore.hermitize(w / tr)
 
 
-def is_positive_bc(b: float, c: float) -> bool:
+def _bc(b, c) -> tuple[np.ndarray, np.ndarray]:
+    """b and c as float arrays, over which the predicates below work elementwise; a
+    negative entry is a ValueError. Their np.float_power calls libm pow as Python's
+    ** does, so each verdict matches the scalar formula's."""
+    b, c = np.asarray(b, dtype=np.float64), np.asarray(c, dtype=np.float64)
+    if np.any(b < 0) or np.any(c < 0):
+        raise ValueError("parameters must satisfy b, c >= 0")
+    return b, c
+
+
+def is_positive_bc(b, c):
     """Positivity of Phi_{b,c}: b+c <= 1 or bc >= (b+c-1)²."""
-    if b < 0 or c < 0:
-        raise ValueError("parameters must satisfy b, c >= 0")
-    return b + c <= 1.0 + BC_PREDICATE_TOL or b * c >= (b + c - 1.0) ** 2 - BC_PREDICATE_TOL
+    b, c = _bc(b, c)
+    return (b + c <= 1.0 + BC_PREDICATE_TOL) | (
+        b * c >= np.float_power(b + c - 1.0, 2) - BC_PREDICATE_TOL)
 
 
-def is_completely_positive_bc(b: float, c: float) -> bool:
+def is_completely_positive_bc(b, c):
     """Phi_{b,c} is completely positive only at (0, 0)."""
-    return abs(b) <= BC_PREDICATE_TOL and abs(c) <= BC_PREDICATE_TOL
+    return (np.abs(b) <= BC_PREDICATE_TOL) & (np.abs(c) <= BC_PREDICATE_TOL)
 
 
-def is_indecomposable_bc(b: float, c: float) -> bool:
+def is_indecomposable_bc(b, c):
     """Among positive non-CP members, indecomposability holds exactly for b != c."""
-    return (
-        is_positive_bc(b, c)
-        and not is_completely_positive_bc(b, c)
-        and abs(b - c) > BC_PREDICATE_TOL
-    )
+    b, c = _bc(b, c)
+    return (is_positive_bc(b, c) & ~is_completely_positive_bc(b, c)
+            & (np.abs(b - c) > BC_PREDICATE_TOL))
 
 
-def is_exposed_bc(b: float, c: float) -> bool:
+def is_exposed_bc(b, c):
     """Exposedness: b != c, b+c > 1 and bc = (b+c-1)² (within tolerance)."""
-    if b < 0 or c < 0:
-        raise ValueError("parameters must satisfy b, c >= 0")
-    return (
-        abs(b - c) > BC_PREDICATE_TOL
-        and b + c > 1.0 + BC_PREDICATE_TOL
-        and abs(b * c - (b + c - 1.0) ** 2) <= BC_PREDICATE_TOL
-    )
+    b, c = _bc(b, c)
+    return ((np.abs(b - c) > BC_PREDICATE_TOL) & (b + c > 1.0 + BC_PREDICATE_TOL)
+            & (np.abs(b * c - np.float_power(b + c - 1.0, 2)) <= BC_PREDICATE_TOL))

@@ -21,12 +21,14 @@ Two complementary paths:
   own data and returning the bound it certifies. The analytic certificates
   (the threshold-curve witness duals, and the Choi, generalized Choi and
   Breuer-Hall map certificates) are exact closed forms, so their
-  verification tolerances are much tighter than the solver's. The diamond
-  and max-eig verifiers also take a group of maps of one kind and
-  dimension as [k, d, d] stacks of Choi matrices and Y, with one stacked
-  eigvalsh per PSD block, and report each map's bound or rejection; the
-  one-map verifiers are that code on a stack of one. diamond_norm_ub and
-  max_eig_ub verify the solver's own Y.
+  verification tolerances are much tighter than the solver's. Both
+  certificate builders, diamond_certificates and max_eig_certificates, take
+  a group of maps of one kind and dimension and build its Y as one
+  [k, d, d] stack (Breuer-Hall's max-eig Y map by map). The diamond and
+  max-eig verifiers take the group with [k, d, d] stacks of Choi matrices
+  and Y, with one stacked eigvalsh per PSD block, and report each map's
+  bound or rejection. The one-map builders and verifiers are that code on
+  a stack of one. diamond_norm_ub and max_eig_ub verify the solver's own Y.
 """
 
 from __future__ import annotations
@@ -540,7 +542,7 @@ def diamond_certificates(phis, jmats: np.ndarray) -> list[DualCertificate]:
     if phis[0].kind == "breuer_hall":
         kappa, expected = np.full(k, 2.0), np.full(k, (n + 2.0) / n)
     else:  # Unsupported outside the generalized Choi family
-        kappa = np.array([sum(_gen_choi_params_of_dual(phi)) for phi in phis])
+        kappa = sum(_gen_choi_params_of_duals(phis))  # b + c
         expected = (3.0 + kappa) / 3.0
     ys = jmats + kappa[:, np.newaxis, np.newaxis] * bipartite.max_entangled_projector(n)
     return [DualCertificate(f"diamond-{phi.kind}", {"Y": y}, e)
@@ -582,22 +584,40 @@ def verify_diamond_certificate(phi: posmaps.MapSpec, cert: DualCertificate) -> f
         (phi,), posmaps.choi_matrices((phi,)), [cert.values["Y"]]))
 
 
-def gen_choi_outer(b: float, c: float) -> bool:
-    """2b+c >= 3 or b+2c >= 3: the max-eigenvalue certificate for the dual of
-    Phi_{b,c} is Y = 0 and its bound max{b,c}/2."""
-    return 2.0 * b + c >= 3.0 or b + 2.0 * c >= 3.0
+def gen_choi_outer(b, c):
+    """2b+c >= 3 or b+2c >= 3, elementwise: where it holds, the max-eigenvalue
+    certificate for the dual of Phi_{b,c} is Y = 0 and its bound max{b,c}/2."""
+    return (2.0 * b + c >= 3.0) | (b + 2.0 * c >= 3.0)
 
 
-def gen_choi_xy(b: float, c: float) -> tuple[float, float]:
-    """The (x, y) entries of the max-eigenvalue certificate, second case."""
-    if gen_choi_outer(b, c):
+def _gen_choi_closed_forms(b, c) -> tuple[np.ndarray, ...]:
+    """Elementwise over (b, c) arrays: the certificate entries x, y and sqrt(xy),
+    zero where gen_choi_outer, and the bound gen_choi_max_eig_bound. np.float_power
+    calls libm pow as Python's ** does, so each value is the scalar formula's.
+    Where gen_choi_outer fails, 6(2-b-c) is positive, in rounded arithmetic too;
+    where it holds, 1 stands in for it, so nothing divides by 0.
+    """
+    b, c = np.broadcast_arrays(np.asarray(b, dtype=np.float64), np.asarray(c, dtype=np.float64))
+    outer = gen_choi_outer(b, c)
+    den = np.where(outer, 1.0, 6.0 * (2.0 - b - c))
+    x = np.where(outer, 0.0, np.float_power(3.0 - 2.0 * b - c, 2) / den)
+    y = np.where(outer, 0.0, np.float_power(3.0 - b - 2.0 * c, 2) / den)
+    root = np.sqrt(x * y)
+    inner = (b * b + c * c - 6.0 * (b + c) + b * c + 9.0) / den
+    inner = np.where(2.0 * root > 1.0, inner + 1.5 * (2.0 * root - 1.0), inner)
+    return x, y, root, np.where(outer, np.maximum(b, c) / 2.0, inner)
+
+
+def gen_choi_xy(b, c) -> tuple:
+    """The (x, y) entries of the max-eigenvalue certificate, second case, elementwise."""
+    if np.any(gen_choi_outer(b, c)):
         raise ValueError("x, y are only defined when 2b+c < 3 and b+2c < 3")
-    den = 6.0 * (2.0 - b - c)
-    return (3.0 - 2.0 * b - c) ** 2 / den, (3.0 - b - 2.0 * c) ** 2 / den
+    x, y, _, _ = _gen_choi_closed_forms(b, c)
+    return x[()], y[()]
 
 
-def gen_choi_max_eig_bound(b: float, c: float) -> float:
-    """Max-eigenvalue bound certified for the dual of Phi_{b,c}.
+def gen_choi_max_eig_bound(b, c):
+    """Max-eigenvalue bound certified for the dual of Phi_{b,c}, elementwise.
 
     max{b,c}/2 when 2b+c >= 3 or b+2c >= 3. Otherwise the certificate's
     shifted matrix is ((b+2x) I + 3(2 sqrt(xy) - 1) psi+)/2, so (b+2x)/2 is
@@ -605,56 +625,43 @@ def gen_choi_max_eig_bound(b: float, c: float) -> float:
     b+c < 2/3 but is not implied by it: at (0, 0.65), 2 sqrt(xy) ~ 0.987
     and nothing is added.
     """
-    if gen_choi_outer(b, c):
-        return max(b, c) / 2.0
-    x, y = gen_choi_xy(b, c)
-    bound = (b * b + c * c - 6.0 * (b + c) + b * c + 9.0) / (6.0 * (2.0 - b - c))
-    root = math.sqrt(x * y)
-    if 2.0 * root > 1.0:
-        bound += 1.5 * (2.0 * root - 1.0)
-    return bound
+    return _gen_choi_closed_forms(b, c)[3][()]
 
 
-def _gen_choi_params_of_dual(phi: posmaps.MapSpec) -> tuple[float, float]:
-    """Recover (b, c) with phi = dual of the generalized Choi map Phi_{b,c}."""
-    if phi.kind != "generalized_choi":
-        raise Unsupported(f"map kind {phi.kind!r} is not in the generalized Choi family")
-    return phi.c, phi.b  # the dual of Phi_{b,c} is Phi_{c,b}
+def _gen_choi_params_of_duals(phis) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (b, c) with phis[k] the dual of the generalized Choi map Phi_{b[k],c[k]}."""
+    if phis[0].kind != "generalized_choi":
+        raise Unsupported(f"map kind {phis[0].kind!r} is not in the generalized Choi family")
+    c, b = np.array([(phi.b, phi.c) for phi in phis]).T  # the dual of Phi_{b,c} is Phi_{c,b}
+    return b, c
+
+
+def max_eig_certificates(phis) -> list[DualCertificate]:
+    """Feasible Y >= 0 for the PPT max-eigenvalue SDP of each map of a group of one
+    kind and dimension. For the generalized Choi family the two parameter regimes
+    use Y = 0 and the sqrt(xy)-patterned Y, built as one [k, 9, 9] stack, certifying
+    gen_choi_max_eig_bound(b, c); for Breuer-Hall the rank-one rotated maximally
+    entangled Y certifies 1/(n-2)."""
+    if phis[0].kind == "breuer_hall":
+        n = phis[0].dim
+        psi = bipartite.max_entangled(n)
+        p = np.outer(psi, psi.conj())
+        rotations = [bipartite.kron(np.eye(n), phi.v) for phi in phis]
+        return [DualCertificate("max-eig-breuer-hall", {"Y": n / (n - 2.0) * (r @ p @ r.conj().T)},
+                                1.0 / (n - 2.0)) for r in rotations]
+    b, c = _gen_choi_params_of_duals(phis)
+    x, y, root, bound = _gen_choi_closed_forms(b, c)
+    ys = np.zeros((len(phis), 9, 9), dtype=np.complex128)
+    ys[:, [1, 5, 6], [1, 5, 6]] = x[:, np.newaxis]
+    ys[:, [2, 3, 7], [2, 3, 7]] = y[:, np.newaxis]
+    ys[:, [1, 2, 5, 3, 6, 7], [3, 6, 7, 1, 2, 5]] = root[:, np.newaxis]  # (1,3), (2,6), (5,7)
+    return [DualCertificate(f"max-eig-gen-choi({bk:g},{ck:g})", {"Y": yk}, e)
+            for bk, ck, yk, e in zip(b.tolist(), c.tolist(), ys, bound.tolist())]
 
 
 def max_eig_certificate(phi: posmaps.MapSpec) -> DualCertificate:
-    """Feasible Y >= 0 for the PPT max-eigenvalue SDP of the given map.
-
-    For the generalized Choi family the two parameter regimes use Y = 0 and
-    the sqrt(xy)-patterned Y, certifying gen_choi_max_eig_bound(b, c); for
-    Breuer-Hall the rank-one rotated maximally entangled Y certifies 1/(n-2).
-    """
-    if phi.kind == "breuer_hall":
-        n = phi.dim
-        psi = bipartite.max_entangled(n)
-        rotated = bipartite.kron(np.eye(n), phi.v) @ np.outer(psi, psi.conj()) @ bipartite.kron(
-            np.eye(n), phi.v
-        ).conj().T
-        y = n / (n - 2.0) * rotated
-        return DualCertificate(
-            name="max-eig-breuer-hall", values={"Y": y}, expected_value=1.0 / (n - 2.0)
-        )
-    b, c = _gen_choi_params_of_dual(phi)
-    y = np.zeros((9, 9), dtype=np.complex128)
-    if not gen_choi_outer(b, c):
-        x, yv = gen_choi_xy(b, c)
-        root = math.sqrt(x * yv)
-        for idx in (1, 5, 6):
-            y[idx, idx] = x
-        for idx in (2, 3, 7):
-            y[idx, idx] = yv
-        for r, s in ((1, 3), (2, 6), (5, 7)):
-            y[r, s] = y[s, r] = root
-    return DualCertificate(
-        name=f"max-eig-gen-choi({b:g},{c:g})",
-        values={"Y": y},
-        expected_value=gen_choi_max_eig_bound(b, c),
-    )
+    """max_eig_certificates for one map."""
+    return max_eig_certificates((phi,))[0]
 
 
 def verify_max_eig_certificates(phis, jmats: np.ndarray, ys) -> list[float | CertificateRejected]:

@@ -156,6 +156,32 @@ def test_fig_data_golden_bytes(capsys, figure, lines, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, lines, digest",
+    [
+        (["fig-data", "phi_bc_region", "--grid", "2"], 5,
+         "83516e3b3da812f8ecc03512584d8f2322cff2419e4bc75095a2c9de862b6913"),
+        (["fig-data", "phi_bc_region", "--grid", "37"], 1370,
+         "e70d9b3ad44d52d4887ff54e1857764cd1abceb408d5823a6c83d82229856a51"),
+        (["fig-data", "gen_choi_ub", "--grid", "1"], 2,
+         "b891cf741df19e8e79119d3536b4ca4519a9a8c09eee7c5d3d8e27016feb7a0c"),
+        (["fig-data", "gen_choi_ub", "--grid", "46"], 2117,
+         "9972b39c02edc4a8c313e0258b46c81397f04db5987ff93763c6098e322a210a"),
+        # every value at full precision; a port that squares with numpy's ** 2
+        # instead of libm pow changes rows here
+        (["verify-certificates", "--grid", "80", "--bh-dims", "4", "--format", "json"], 1,
+         "d4c0131381499f0cc42b514f1947b62d2747bea2ec1262c3d7fb631c50812543"),
+    ],
+    ids=["phi_bc_region-2", "phi_bc_region-37", "gen_choi_ub-1", "gen_choi_ub-46",
+         "verify-certificates-80-json"],
+)
+def test_golden_bytes_at_other_grids(capsys, argv, lines, digest):
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_certificates_rejection_exits_2(monkeypatch, capsys):
     from abssep import sdpsolve
     from abssep.errors import CertificateRejected
@@ -213,7 +239,7 @@ def test_verify_certificates_rejects_one_map_inside_a_chunk(monkeypatch, capsys)
     jobs = _grid5_chunk7_jobs(monkeypatch)
     (diamond_label, diamond_phi), (max_eig_label, max_eig_phi) = jobs[10], jobs[9]
     broken = {}
-    real_diamond, real_max_eig = sdpsolve.diamond_certificates, sdpsolve.max_eig_certificate
+    real_diamond, real_max_eig = sdpsolve.diamond_certificates, sdpsolve.max_eig_certificates
 
     def perturbed_diamond(phis, jmats):
         certs = real_diamond(phis, jmats)
@@ -224,15 +250,16 @@ def test_verify_certificates_rejects_one_map_inside_a_chunk(monkeypatch, capsys)
                 broken["diamond"] = (phi, cert)
         return certs
 
-    def perturbed_max_eig(phi):
-        cert = real_max_eig(phi)
-        if _same_map(phi, max_eig_phi):
-            cert.values["Y"][1, 1] -= 1e-3  # drives an eigenvalue of Y negative
-            broken["max-eig"] = (phi, cert)
-        return cert
+    def perturbed_max_eig(phis):
+        certs = real_max_eig(phis)
+        for phi, cert in zip(phis, certs):
+            if _same_map(phi, max_eig_phi):
+                cert.values["Y"][1, 1] -= 1e-3  # drives an eigenvalue of Y negative
+                broken["max-eig"] = (phi, cert)
+        return certs
 
     monkeypatch.setattr(sdpsolve, "diamond_certificates", perturbed_diamond)
-    monkeypatch.setattr(sdpsolve, "max_eig_certificate", perturbed_max_eig)
+    monkeypatch.setattr(sdpsolve, "max_eig_certificates", perturbed_max_eig)
     code, out = run_cli(
         ["verify-certificates", "--grid", "5", "--bh-dims", "4", "--format", "json"], capsys)
     assert code == 2

@@ -276,6 +276,31 @@ def test_mapspec_validation():
         posmaps.MapSpec("choi", 3, b=0.3)
 
 
+def test_mapspec_equality_and_hash():
+    # Breuer-Hall maps compare V entrywise and hash it by value; two default
+    # maps are equal, and a rotated V, U V U^T, makes another map
+    first, second = posmaps.breuer_hall_map(4), posmaps.breuer_hall_map(4)
+    assert first == second and hash(first) == hash(second)
+    assert first.v is not second.v and not first.v.flags.writeable
+    v = posmaps.breuer_hall_default_v(4)
+    signed_zero = v.copy()
+    signed_zero[0, 0] = complex(-0.0, -0.0)  # np.array_equal to v
+    assert posmaps.breuer_hall_map(4, signed_zero) == first
+    assert hash(posmaps.breuer_hall_map(4, signed_zero)) == hash(first)
+    u = bipartite.haar_unitary(4, 5)
+    assert posmaps.breuer_hall_map(4, u @ v @ u.T) != first
+    assert posmaps.breuer_hall_map(6) != first
+    assert len({first, second, posmaps.breuer_hall_map(6)}) == 2
+    # the other kinds, as before: equal fields, equal maps
+    assert posmaps.choi_map() == posmaps.generalized_choi_map(1.0, 0.0)
+    assert hash(posmaps.choi_map()) == hash(posmaps.generalized_choi_map(1.0, 0.0))
+    assert posmaps.generalized_choi_map(0.3, 0.7) != posmaps.generalized_choi_map(0.7, 0.3)
+    assert posmaps.identity_map(3) == posmaps.identity_map(3)
+    assert posmaps.identity_map(3) != posmaps.transpose_map(3)
+    assert posmaps.reduction_map(3) != posmaps.reduction_map(4)
+    assert posmaps.identity_map(3) != "identity"
+
+
 def test_breuer_hall_custom_v():
     # any skew-symmetric unitary is accepted; rotate the default one
     n = 4

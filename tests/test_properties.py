@@ -5,11 +5,14 @@ a bounded example count, so the suite stays deterministic and its run time
 stays flat. Matrices are drawn from numpy generators seeded by hypothesis.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abssep import bipartite, matcore, posmaps
+from abssep import bipartite, matcore, posmaps, sdpsolve
 
 PROPERTY = settings(derandomize=True, max_examples=20, deadline=None, database=None)
 
@@ -106,3 +109,132 @@ def test_stacked_breuer_hall_choi_matrices_equal_one_map_builds(n, seed):
     for phi, jmat in zip(maps, stacked):
         assert np.array_equal(jmat, posmaps.choi_matrix(phi))
     assert not np.allclose(stacked[0], stacked[1])
+
+
+# (b, c) stacks over [0, 2]², with points on the lines where the closed forms
+# switch case: 2b + c = 3 and b + 2c = 3 (gen_choi_outer), b + c = 2 (the
+# second-case denominator 6(2 - b - c) is 0) and b = c (indecomposability)
+bc_free = st.floats(min_value=0.0, max_value=2.0)
+bc_half = st.floats(min_value=0.5, max_value=1.5)
+bc_points = st.one_of(
+    st.tuples(bc_free, bc_free),
+    bc_half.map(lambda t: (t, 3.0 - 2.0 * t)),
+    bc_half.map(lambda t: (3.0 - 2.0 * t, t)),
+    bc_free.map(lambda t: (t, 2.0 - t)),
+    bc_free.map(lambda t: (t, t)),
+    st.sampled_from([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (1.5, 0.0), (0.2, 0.2), (1.2, 1.2),
+                     # libm pow and an exact multiply round (3 - 2b - c)² apart here
+                     (0.03917829033376763, 0.3457169660282551),
+                     (0.3457169660282551, 0.03917829033376763)]),
+)
+bc_stacks = st.lists(bc_points, min_size=1, max_size=12)
+
+
+# the scalar closed forms, one (b, c) at a time, as stated before they took arrays
+
+
+def scalar_outer(b, c):
+    return 2.0 * b + c >= 3.0 or b + 2.0 * c >= 3.0
+
+
+def scalar_xy(b, c):
+    den = 6.0 * (2.0 - b - c)
+    return (3.0 - 2.0 * b - c) ** 2 / den, (3.0 - b - 2.0 * c) ** 2 / den
+
+
+def scalar_bound(b, c):
+    if scalar_outer(b, c):
+        return max(b, c) / 2.0
+    x, y = scalar_xy(b, c)
+    bound = (b * b + c * c - 6.0 * (b + c) + b * c + 9.0) / (6.0 * (2.0 - b - c))
+    root = math.sqrt(x * y)
+    if 2.0 * root > 1.0:
+        bound += 1.5 * (2.0 * root - 1.0)
+    return bound
+
+
+def scalar_certificate_y(b, c):
+    y = np.zeros((9, 9), dtype=np.complex128)
+    if not scalar_outer(b, c):
+        x, yv = scalar_xy(b, c)
+        root = math.sqrt(x * yv)
+        for idx in (1, 5, 6):
+            y[idx, idx] = x
+        for idx in (2, 3, 7):
+            y[idx, idx] = yv
+        for r, s in ((1, 3), (2, 6), (5, 7)):
+            y[r, s] = y[s, r] = root
+    return y
+
+
+def scalar_predicates(b, c):
+    tol = posmaps.BC_PREDICATE_TOL
+    positive = b + c <= 1.0 + tol or b * c >= (b + c - 1.0) ** 2 - tol
+    cp = abs(b) <= tol and abs(c) <= tol
+    indecomposable = positive and not cp and abs(b - c) > tol
+    exposed = (abs(b - c) > tol and b + c > 1.0 + tol
+               and abs(b * c - (b + c - 1.0) ** 2) <= tol)
+    return positive, cp, indecomposable, exposed
+
+
+def bc_arrays(points):
+    return tuple(np.array(axis) for axis in zip(*points))
+
+
+@PROPERTY
+@given(points=bc_stacks)
+def test_gen_choi_closed_forms_match_the_scalar_formulas(points):
+    bs, cs = bc_arrays(points)
+    assert sdpsolve.gen_choi_outer(bs, cs).tolist() == [scalar_outer(b, c) for b, c in points]
+    bounds = sdpsolve.gen_choi_max_eig_bound(bs, cs)
+    assert bounds.shape == bs.shape
+    assert bounds.tolist() == [scalar_bound(b, c) for b, c in points]  # exact, not close
+    b, c = points[0]
+    assert sdpsolve.gen_choi_max_eig_bound(b, c) == scalar_bound(b, c)
+    inner = [(b, c) for b, c in points if not scalar_outer(b, c)]
+    if inner:
+        x, y = sdpsolve.gen_choi_xy(*bc_arrays(inner))
+        assert list(zip(x.tolist(), y.tolist())) == [scalar_xy(b, c) for b, c in inner]
+    if len(inner) < len(points):
+        with pytest.raises(ValueError, match="only defined"):
+            sdpsolve.gen_choi_xy(bs, cs)
+
+
+@PROPERTY
+@given(points=bc_stacks)
+def test_bc_predicates_match_the_scalar_formulas(points):
+    bs, cs = bc_arrays(points)
+    stacked = [posmaps.is_positive_bc(bs, cs), posmaps.is_completely_positive_bc(bs, cs),
+               posmaps.is_indecomposable_bc(bs, cs), posmaps.is_exposed_bc(bs, cs)]
+    assert [p.tolist() for p in stacked] == [list(v) for v in zip(*map(scalar_predicates, bs, cs))]
+    b, c = points[0]
+    one = (posmaps.is_positive_bc(b, c), posmaps.is_completely_positive_bc(b, c),
+           posmaps.is_indecomposable_bc(b, c), posmaps.is_exposed_bc(b, c))
+    assert tuple(bool(v) for v in one) == scalar_predicates(b, c)
+
+
+@PROPERTY
+@given(points=bc_stacks)
+def test_max_eig_certificates_match_the_scalar_build(points):
+    # phis[k] is the dual of Phi_{b,c}, which max_eig_certificates reads back as (b, c)
+    phis = [posmaps.dual_map(posmaps.generalized_choi_map(b, c)) for b, c in points]
+    certs = sdpsolve.max_eig_certificates(phis)
+    assert len(certs) == len(points)
+    for (b, c), cert in zip(points, certs):
+        assert np.array_equal(cert.values["Y"], scalar_certificate_y(b, c))
+        assert cert.expected_value == scalar_bound(b, c)
+        assert cert.name == f"max-eig-gen-choi({b:g},{c:g})"
+
+
+@PROPERTY
+@given(points=bc_stacks, data=st.data())
+def test_bc_predicates_reject_a_negative_parameter(points, data):
+    k = data.draw(st.integers(min_value=0, max_value=len(points) - 1))
+    negative = data.draw(st.floats(min_value=-2.0, max_value=-5e-324))
+    bs, cs = bc_arrays(points)
+    (bs if data.draw(st.booleans()) else cs)[k] = negative
+    for predicate in (posmaps.is_positive_bc, posmaps.is_indecomposable_bc, posmaps.is_exposed_bc):
+        with pytest.raises(ValueError, match="b, c >= 0"):
+            predicate(bs, cs)
+        with pytest.raises(ValueError, match="b, c >= 0"):
+            predicate(float(bs[k]), float(cs[k]))
