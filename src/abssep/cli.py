@@ -131,10 +131,10 @@ def _witness_dual_rows(tol: float) -> list[list]:
 def _certificate_jobs(bh_dims, grid) -> list[tuple[str, posmaps.MapSpec]]:
     """(label, map) for every map whose analytic diamond and max-eig certificates
     verify-certificates checks, in row order: the Choi dual, the duals of the
-    generalized Choi maps on the grid, then Breuer-Hall for each n in bh_dims."""
+    generalized Choi maps on the grid, then Breuer-Hall for each n in bh_dims.
+    The dual of Phi_{b,c} is Phi_{c,b}."""
     jobs = [("choi-dual", posmaps.dual_map(posmaps.choi_map()))]
-    jobs += [(f"gen-choi({b:.6g},{c:.6g})", posmaps.dual_map(posmaps.generalized_choi_map(b, c)))
-             for b, c in grid]
+    jobs += [(f"gen-choi({b:.6g},{c:.6g})", posmaps.generalized_choi_map(c, b)) for b, c in grid]
     jobs += [(f"breuer-hall n={n}", posmaps.dual_map(posmaps.breuer_hall_map(n)))
              for n in bh_dims]
     return jobs

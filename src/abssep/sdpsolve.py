@@ -3,18 +3,23 @@
 Two complementary paths:
 
 * a log-det barrier solver for the problem shapes used in this package:
-  linear objective, affine Hermitian PSD blocks, affine equalities, scalar
+  linear objective, affine PSD blocks, affine equalities, scalar
   inequalities stacked into one diagonal block. Every problem builder
   supplies a strictly feasible start that also satisfies the equalities,
   so each stage centres by feasible-start Newton steps and stops on the
   Newton decrement (Boyd & Vandenberghe, Convex Optimization, ch. 9-11).
   Problems stay below a few hundred variables and blocks below ~100x100,
-  so dense Newton steps are both adequate and robust. The Hessian is one
-  real Gram product per block, over the h*h real coordinates of each
+  so dense Newton steps are both adequate and robust. A block whose data
+  is real is stored and solved in float64; only truly complex data, such
+  as a Breuer-Hall map with a complex V, runs in complex arithmetic. The
+  Hessian is one real Gram product per block, over the entries of each
   L^-1 A_k L^-H, or w^T w for a diagonal block's rows w scaled by their
   slacks. Far from the centre an exact line search sets the step length.
-  The diamond SDP is Watrous's in its symmetric form, one Hermitian Y with
-  blocks Y - J, Y + J and s I - Tr_2 Y;
+  The diamond SDP is Watrous's in its symmetric form, one Y with blocks
+  Y - J, Y + J and s I - Tr_2 Y. Y is real symmetric when J is real, since
+  the average of an optimal Y and its conjugate is then optimal too
+  (the simplest case of symmetry reduction: Gatermann & Parrilo, J. Pure
+  Appl. Algebra 192, 2004), and Hermitian otherwise;
 
 * one verifier per problem shape (min-witness, diamond norm, max
   eigenvalue), each checking a dual-feasible point against the problem's
@@ -33,7 +38,6 @@ Two complementary paths:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -61,11 +65,17 @@ _QUADRATIC_PHASE = 0.25
 
 @dataclass
 class AffineBlock:
-    """PSD constraint const + sum_i x_i coeffs[i] >= 0 (Hermitian h x h)."""
+    """PSD constraint const + sum_i x_i coeffs[i] >= 0 (Hermitian h x h). Data
+    whose imaginary part is all zero is stored as float64."""
 
     const: np.ndarray   # (h, h)
     coeffs: np.ndarray  # (nv, h, h)
     rows: np.ndarray | None = None  # (h, nv) on a diagonal block: diag(rows @ x) + const
+
+    def __post_init__(self):
+        if not (np.imag(self.const).any() or np.imag(self.coeffs).any()):
+            self.const = np.ascontiguousarray(np.real(self.const), dtype=np.float64)
+            self.coeffs = np.ascontiguousarray(np.real(self.coeffs), dtype=np.float64)
 
     @property
     def size(self) -> int:
@@ -76,12 +86,6 @@ class AffineBlock:
 
     def eval(self, x: np.ndarray) -> np.ndarray:
         return self.const + self.lin(x)
-
-    @functools.cached_property
-    def left(self) -> np.ndarray:
-        """coeffs as (h, nv*h), left[a, k*h + b] = coeffs[k, a, b], so that one
-        GEMM multiplies every A_k on the left; built on first use."""
-        return np.ascontiguousarray(self.coeffs.transpose(1, 0, 2)).reshape(self.size, -1)
 
 
 @dataclass
@@ -121,22 +125,9 @@ class DualCertificate:
 def scalar_inequality(rows: np.ndarray, lower: float) -> AffineBlock:
     """rows @ x >= lower for a (k, nv) row matrix, as one k x k diagonal block."""
     k, nv = rows.shape
-    coeffs = np.zeros((nv, k, k), dtype=np.complex128)
+    coeffs = np.zeros((nv, k, k))
     coeffs[:, np.arange(k), np.arange(k)] = rows.T
-    return AffineBlock(-lower * np.eye(k, dtype=np.complex128), coeffs, rows)
-
-
-@functools.cache
-def _hermitian_coordinates(h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fancy index (rows, cols) and weights reading the h*h real coordinates Re M_aa,
-    sqrt2 Re M_ab, sqrt2 Im M_ab (a < b) of a Hermitian M from its (h, 2h) float64
-    view; their dot product over two matrices is tr(M_k M_l)."""
-    diag = np.arange(h)
-    upper, right = np.triu_indices(h, 1)
-    rows = np.concatenate([diag, upper, upper])
-    cols = np.concatenate([2 * diag, 2 * right, 2 * right + 1])
-    weights = np.concatenate([np.ones(h), np.full(2 * upper.size, math.sqrt(2.0))])
-    return rows, cols, weights[:, np.newaxis]
+    return AffineBlock(-lower * np.eye(k), coeffs, rows)
 
 
 def _barrier_derivatives(
@@ -146,11 +137,15 @@ def _barrier_derivatives(
     factor the line search scales by: L^-1, or a diagonal block's slacks.
 
     With F_i = L L^H and M_k = L^-1 A_k L^-H, the gradient is -tr(M_k) and
-    the Hessian tr(M_k M_l). Each M_k is Hermitian, so the Hessian is the
-    real Gram matrix V^T V of the columns of V, which hold the h*h real
-    coordinates of each M_k. A diagonal block has M_k = diag(w[:, k]) for
-    w = rows / slack, so its terms are -w.sum(0) and w^T w. Raises
-    LinAlgError when a block is not positive definite at x.
+    the Hessian tr(M_k M_l). One GEMM forms every A_k L^-H and one stacked
+    matmul every M_k^T = (A_k L^-H)^T L^-T. M_k^T is Hermitian as M_k is, so
+    tr(M_k M_l) is the sum over entries of N_k N_l for N_k = Re M_k^T +
+    Im M_k^T: the cross terms pair a symmetric with an antisymmetric matrix
+    and vanish. The Hessian is thus the real Gram matrix V V^T, row k of V
+    the h*h entries of N_k, which in a float64 block is M_k^T itself. A
+    diagonal block has M_k = diag(w[:, k]) for w = rows / slack, so its
+    terms are -w.sum(0) and w^T w. Raises LinAlgError when a block is not
+    positive definite at x.
     """
     nv = x.size
     grad = np.zeros(nv)
@@ -169,13 +164,13 @@ def _barrier_derivatives(
             continue
         h = b.size
         lo_inv = np.linalg.solve(np.linalg.cholesky(f), np.eye(h))
-        # mid[a, k, :] = row a of M_k, as interleaved real and imaginary parts
-        mid = ((lo_inv @ b.left).reshape(h * nv, h) @ lo_inv.conj().T).view(np.float64)
-        rows, cols, weights = _hermitian_coordinates(h)
-        v = mid.reshape(h, nv, 2 * h)[rows, :, cols]
-        v *= weights
-        grad -= v[:h].sum(0)
-        hess += v.T @ v  # v itself on both sides, so numpy calls syrk
+        right = (b.coeffs.reshape(nv * h, h) @ lo_inv.conj().T).reshape(nv, h, h)
+        mt = np.matmul(right.swapaxes(1, 2), lo_inv.T)  # mt[k] = M_k^T
+        grad -= np.trace(mt, axis1=1, axis2=2).real
+        if np.iscomplexobj(mt):
+            mt = mt.real + mt.imag
+        v = mt.reshape(nv, h * h)
+        hess += v @ v.T  # v itself on both sides, so numpy calls syrk
         scales.append(lo_inv)
     return grad, hess, scales
 
@@ -327,8 +322,7 @@ def min_witness_problem(
     blocks = []
     for tpl in templates:
         q = tpl.coeffs.shape[0]
-        coeffs = np.ascontiguousarray(tpl.coeffs.swapaxes(0, 1), dtype=np.complex128)
-        blocks.append(AffineBlock(np.zeros((q, q), dtype=np.complex128), coeffs))
+        blocks.append(AffineBlock(np.zeros((q, q)), tpl.coeffs.swapaxes(0, 1)))
     # lambda_1 >= ... >= lambda_mn >= 0: rows e_j - e_{j+1}, then e_mn
     blocks.append(scalar_inequality(np.eye(nv) - np.eye(nv, k=1), 0.0))
 
@@ -394,9 +388,13 @@ def verify_min_witness_certificate(
 # ----------------------------------------------------------------------------
 
 
-def _hermitian_basis(h: int) -> np.ndarray:
-    """Real basis of the Hermitian h x h matrices: E_ii, symmetric, antisymmetric."""
-    out = np.zeros((h * h, h, h), dtype=np.complex128)
+def _hermitian_basis(h: int, real: bool = False) -> np.ndarray:
+    """Real basis of the Hermitian h x h matrices: E_ii, symmetric, antisymmetric.
+    With real, of the real symmetric ones, h(h+1)/2 of them: E_ii, symmetric.
+    A builder passes real when its data J is real: then the average of an
+    optimal Hermitian Y and its conjugate is feasible and optimal too."""
+    out = np.zeros((h * (h + 1) // 2 if real else h * h, h, h),
+                   dtype=np.float64 if real else np.complex128)
     k = 0
     for i in range(h):
         out[k, i, i] = 1.0
@@ -405,18 +403,19 @@ def _hermitian_basis(h: int) -> np.ndarray:
         for j in range(i + 1, h):
             out[k, i, j] = out[k, j, i] = 1.0
             k += 1
-            out[k, i, j] = 1.0j
-            out[k, j, i] = -1.0j
-            k += 1
+            if not real:
+                out[k, i, j] = 1.0j
+                out[k, j, i] = -1.0j
+                k += 1
     return out
 
 
 def _min_s_problem(
     d: int, blocks: list[AffineBlock], y_diag: float, s: float, name: str
 ) -> SdpProblem:
-    """minimize s over x = (coefficients of a Hermitian d x d Y in
-    _hermitian_basis(d), s), from the start Y = y_diag I and the given s."""
-    nb = d * d
+    """minimize s over x = (coefficients of a d x d Y in the _hermitian_basis(d)
+    of blocks[0], s), from the start Y = y_diag I and the given s."""
+    nb = blocks[0].coeffs.shape[0] - 1
     objective = np.zeros(nb + 1)
     objective[nb] = 1.0
     start = np.zeros(nb + 1)
@@ -434,20 +433,16 @@ def diamond_norm_problem(phi: posmaps.MapSpec) -> SdpProblem:
     s_i I >= Tr_2 Y_i, is convex and keeps its constraints under swapping Y0
     and Y1 when J is Hermitian, so the average Y0 = Y1 = Y is optimal too;
     conjugating [[Y, -J], [-J, Y]] by (1/sqrt2) [[I, I], [I, -I]] gives
-    diag(Y - J, Y + J).
+    diag(Y - J, Y + J). For a real J, Y is taken real symmetric.
     """
     n = phi.dim
     d = n * n
     jmat = posmaps.choi_matrix(phi)
-    basis = _hermitian_basis(d)
+    basis = _hermitian_basis(d, real=not jmat.imag.any())
     coeffs = np.concatenate([basis, np.zeros((1, d, d))])  # x = (Y coeffs, s)
     traced = bipartite.partial_trace(basis, n, n, "second")
     cap = np.concatenate([-traced, np.eye(n)[np.newaxis]])  # s I - Tr_2 Y
-    blocks = [
-        AffineBlock(-jmat, coeffs),
-        AffineBlock(jmat, coeffs),
-        AffineBlock(np.zeros((n, n), dtype=np.complex128), cap),
-    ]
+    blocks = [AffineBlock(-jmat, coeffs), AffineBlock(jmat, coeffs), AffineBlock(np.zeros((n, n)), cap)]
     kappa = matcore.schatten_norm(jmat, "operator") + 1.0
     return _min_s_problem(d, blocks, kappa, kappa * n + 1.0, "diamond-norm")
 
@@ -457,17 +452,16 @@ def max_eig_problem(phi: posmaps.MapSpec) -> SdpProblem:
     n = phi.dim
     d = n * n
     jmat = posmaps.choi_matrix(phi)
-    basis = _hermitian_basis(d)
-    nv = d * d
+    basis = _hermitian_basis(d, real=not jmat.imag.any())
     objective = -np.real(np.einsum("kab,ba->k", basis, jmat))
     pt_basis = bipartite.partial_transpose(basis, n, n)
     trace_row = -np.real(np.einsum("kaa->k", basis))[np.newaxis, :]
     blocks = [
-        AffineBlock(np.zeros((d, d), dtype=np.complex128), basis.copy()),
-        AffineBlock(np.zeros((d, d), dtype=np.complex128), pt_basis),
+        AffineBlock(np.zeros((d, d)), basis),
+        AffineBlock(np.zeros((d, d)), pt_basis),
         scalar_inequality(trace_row, -1.0),
     ]
-    start = np.zeros(nv)
+    start = np.zeros(len(basis))
     start[:d] = 1.0 / (2.0 * d)
     return SdpProblem(
         objective=objective,
@@ -479,19 +473,19 @@ def max_eig_problem(phi: posmaps.MapSpec) -> SdpProblem:
 
 def max_eig_dual_problem(phi: posmaps.MapSpec) -> SdpProblem:
     """Dual of sup Tr(J rho) over PPT states rho, whose feasible Y are the
-    certificates verify_max_eig_certificate checks: minimize s over Hermitian
-    Y with Y >= 0 and s I - J - Y^Gamma >= 0, for J = J(phi) and Gamma the
-    partial transpose. Y = I, s = ||J||_op + 2 is strictly feasible, as
-    I^Gamma = I.
+    certificates verify_max_eig_certificate checks: minimize s over Y (real
+    symmetric when J is real, else Hermitian) with Y >= 0 and
+    s I - J - Y^Gamma >= 0, for J = J(phi) and Gamma the partial transpose.
+    Y = I, s = ||J||_op + 2 is strictly feasible, as I^Gamma = I.
     """
     n = phi.dim
     d = n * n
     jmat = posmaps.choi_matrix(phi)
-    basis = _hermitian_basis(d)
+    basis = _hermitian_basis(d, real=not jmat.imag.any())
     pt_basis = bipartite.partial_transpose(basis, n, n)
     coeffs = np.concatenate([basis, np.zeros((1, d, d))])  # x = (Y coeffs, s)
     cap = np.concatenate([-pt_basis, np.eye(d)[np.newaxis]])  # s I - J - Y^Gamma
-    blocks = [AffineBlock(np.zeros((d, d), dtype=np.complex128), coeffs), AffineBlock(-jmat, cap)]
+    blocks = [AffineBlock(np.zeros((d, d)), coeffs), AffineBlock(-jmat, cap)]
     s = matcore.schatten_norm(jmat, "operator") + 2.0
     return _min_s_problem(d, blocks, 1.0, s, "max-eig-dual")
 

@@ -512,6 +512,28 @@ def test_diamond_norm_ub_breuer_hall():
     assert 1.5 <= value <= 1.5 + 1e-6
 
 
+@pytest.mark.parametrize("build", [sdpsolve.diamond_norm_problem, sdpsolve.max_eig_dual_problem])
+def test_real_choi_matrix_gives_a_real_symmetric_y(build):
+    # a real J takes the d(d+1)/2 coefficients of a real symmetric Y, plus s,
+    # and every block is float64
+    for phi, nv in ((posmaps.dual_map(posmaps.choi_map()), 46), (posmaps.breuer_hall_map(4), 137)):
+        problem = build(phi)
+        assert problem.objective.size == nv
+        assert all(b.const.dtype == b.coeffs.dtype == np.float64 for b in problem.blocks)
+
+
+def test_solvers_on_a_complex_breuer_hall_map():
+    # V = U V0 U^T, U Haar, is again a skew-symmetric unitary, and
+    # Phi_V = Ad_U . Phi_V0 . Ad_U^dagger, so both optima are those of V0
+    u = bipartite.haar_unitary(4, 7)
+    phi = posmaps.breuer_hall_map(4, u @ posmaps.breuer_hall_default_v(4) @ u.T)
+    assert posmaps.choi_matrix(phi).imag.any()
+    assert sdpsolve.diamond_norm_problem(phi).blocks[0].coeffs.dtype == np.complex128
+    tol = sdpsolve.DEFAULT_GAP_TOL
+    assert 1.5 <= sdpsolve.diamond_norm_ub(phi, tol) <= 1.5 + tol
+    assert 0.5 <= sdpsolve.max_eig_ub(phi, tol) <= 0.5 + tol
+
+
 @pytest.mark.parametrize(
     "phi",
     [
@@ -552,6 +574,19 @@ def _reference_barrier_derivatives(blocks, x):
     return grad, hess
 
 
+def _complex_block_problem():
+    # minimize tr Y over Hermitian 3x3 Y with Y + C >= 0 for a complex C: one
+    # block that stays complex128
+    c = np.array([[1.0, 0.5j, 0.2 - 0.3j], [-0.5j, 0.4, 0.1j], [0.2 + 0.3j, -0.1j, -0.6]])
+    basis = sdpsolve._hermitian_basis(3)
+    start = np.zeros(9)
+    start[:3] = matcore.schatten_norm(c, "operator") + 1.0  # Y = start I
+    block = sdpsolve.AffineBlock(c, basis)
+    assert block.coeffs.dtype == np.complex128
+    return sdpsolve.SdpProblem(objective=np.real(np.einsum("kaa->k", basis)), blocks=[block],
+                               interior_point=start, name="complex-block")
+
+
 def _threshold_problem(dims, mode):
     ell = -0.3
     spec = witness.extremal_witness_spectrum(ell, witness.detection_threshold(ell), dims[0] * dims[1])
@@ -567,10 +602,11 @@ def _threshold_problem(dims, mode):
         lambda: sdpsolve.max_eig_problem(posmaps.dual_map(posmaps.choi_map())),
         lambda: sdpsolve.max_eig_dual_problem(posmaps.dual_map(posmaps.choi_map())),
         lambda: sdpsolve.diamond_norm_problem(posmaps.dual_map(posmaps.choi_map())),
+        _complex_block_problem,
     ],
     ids=[
         "min-witness-full-3x3", "min-witness-full-3x4", "min-witness-2x2", "max-eig", "max-eig-dual",
-        "diamond",
+        "diamond", "complex-block",
     ],
 )
 def test_barrier_derivatives_match_reference(build):
