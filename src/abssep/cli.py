@@ -268,8 +268,9 @@ def _orbit_violations(spec, criterion, b, c, seed, count) -> np.ndarray:
     """Violation of the criterion on each of count Haar rotations of the spectrum.
 
     Sample i is rotated by a unitary drawn from rng_stream(seed, i), keyed by
-    one stream_keys call for all samples; samples are processed ORBIT_CHUNK at
-    a time as one stack, so the result does not depend on the chunking.
+    one stream_keys call for all samples and drawn by one re-keyed generator;
+    samples are processed ORBIT_CHUNK at a time as one stack, so the result
+    does not depend on the chunking.
     """
     m, n = spec.m, spec.n
     if criterion == "realignment":
@@ -284,9 +285,10 @@ def _orbit_violations(spec, criterion, b, c, seed, count) -> np.ndarray:
         raise ValueError(f"unknown criterion {criterion!r}")
     out = np.empty(count)
     keys = bipartite.stream_keys(seed, np.arange(count))
+    haar_unitaries = bipartite._haar_sampler(m * n)
     for start in range(0, count, ORBIT_CHUNK):
         stop = min(start + ORBIT_CHUNK, count)
-        u = bipartite.haar_unitaries(m * n, keys[start:stop])
+        u = haar_unitaries(keys[start:stop])
         rho = (u * spec.values) @ u.conj().swapaxes(-1, -2)
         if phi is None:
             trace_norms = matcore.singular_values(bipartite.realign(rho, m, n)).sum(axis=-1)

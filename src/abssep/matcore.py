@@ -43,14 +43,25 @@ class PsdReport:
         return f"PsdReport(ok={self.ok}, min_eigenvalue={self.min_eigenvalue:.3e})"
 
 
-def as_complex_matrix(a, stack: bool = False) -> np.ndarray:
-    """Validate and return a finite complex matrix, or with stack=True a stack [..., r, c]."""
-    m = np.asarray(a, dtype=np.complex128)
+def _finite_matrix(m: np.ndarray, stack: bool) -> np.ndarray:
     if (m.ndim < 2 if stack else m.ndim != 2) or m.shape[-2] < 1 or m.shape[-1] < 1:
         raise InvalidMatrix(f"expected a 2-d matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InvalidMatrix("matrix has non-finite entries")
     return m
+
+
+def as_complex_matrix(a, stack: bool = False) -> np.ndarray:
+    """Validate and return a finite complex matrix, or with stack=True a stack [..., r, c]."""
+    return _finite_matrix(np.asarray(a, dtype=np.complex128), stack)
+
+
+def _as_matrix(a, stack: bool = False) -> np.ndarray:
+    """as_complex_matrix, but float64 where a is real: for entry maps such as a
+    partial transpose, which keep a real matrix real."""
+    m = np.asarray(a)
+    m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
+    return _finite_matrix(m, stack)
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:

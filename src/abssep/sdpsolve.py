@@ -7,7 +7,9 @@ Two complementary paths:
   inequalities stacked into one diagonal block. Every problem builder
   supplies a strictly feasible start that also satisfies the equalities,
   so each stage centres by feasible-start Newton steps and stops on the
-  Newton decrement (Boyd & Vandenberghe, Convex Optimization, ch. 9-11).
+  Newton decrement (Boyd & Vandenberghe, Convex Optimization, ch. 9-11):
+  the final stage, whose gap is reported, tightly, and the earlier ones,
+  which only supply the next start, loosely (ibid. 11.3.1).
   Problems stay below a few hundred variables and blocks below ~100x100,
   so dense Newton steps are both adequate and robust. A block whose data
   is real is stored and solved in float64; only truly complex data, such
@@ -55,10 +57,16 @@ from .errors import (
 DEFAULT_GAP_TOL = 1e-7
 CERT_PSD_TOL = 1e-10
 _MU_REDUCTION = 0.2  # barrier parameter shrink per outer step
-# a stage is centred once lambda^2/2 (half the squared Newton decrement, an
-# affine-invariant estimate of the barrier objective's excess over its
-# minimum) falls below this
+# the final stage is centred once lambda^2/2 (half the squared Newton
+# decrement, an affine-invariant estimate of the barrier objective's excess
+# over its minimum) falls below this: the reported gap m/t holds at its centre
 _CENTERED = 1e-10
+# an earlier stage only gives the next one its start, so it stops here
+# (Boyd & Vandenberghe, Convex Optimization, 11.3.1, "accuracy of centering"),
+# which skips its 2-3 quadratic-phase steps. lambda is then about 0.045, well
+# inside the full-step region lambda <= _QUADRATIC_PHASE (lambda^2/2 ~ 3e-2);
+# stopping near that edge left the primal max-eig solve a singular KKT system
+_STAGE_CENTERED = 1e-3
 # exact line searches until lambda drops below this, then full steps
 _QUADRATIC_PHASE = 0.25
 
@@ -209,8 +217,13 @@ def solve(
     barrier keeps x strictly feasible, and a decreases the objective at least
     as much as the damped step 1/(1+lambda) does. Then full steps converge
     quadratically. t grows by 1/_MU_REDUCTION until m/t <= tol, where m is
-    the total block size. Raises Unbounded on a ray the objective falls along
-    without bound.
+    the total block size. That final stage is centred until lambda^2/2 <=
+    _CENTERED (1e-10), so the gap m/t holds at the returned x; each earlier
+    stage only gives the next its start, so it stops at lambda^2/2 <=
+    _STAGE_CENTERED (1e-3), which skips its last 2-3 quadratic-phase steps
+    (Boyd & Vandenberghe, Convex Optimization, 11.3.1, "accuracy of
+    centering"). Raises Unbounded on a ray the objective falls along without
+    bound.
     """
     c = np.asarray(problem.objective, dtype=np.float64)
     nv = c.size
@@ -242,12 +255,14 @@ def solve(
     t = 1.0
     steps = 0
     while True:
+        gap = m_total / t
+        centered = _CENTERED if gap <= tol else _STAGE_CENTERED
         while True:
             kkt[:nv, :nv] = hess
             rhs[:nv] = -(t * c + grad)
             dx = np.linalg.solve(kkt, rhs)[:nv]
             decrement_sq = float(dx @ hess @ dx)
-            if decrement_sq / 2.0 <= _CENTERED:
+            if decrement_sq / 2.0 <= centered:
                 break
             if steps >= max_newton:
                 raise MaxIterations(
@@ -270,7 +285,6 @@ def solve(
             x = x + dx
             steps += 1
             grad, hess, scales = _barrier_derivatives(blocks, x)
-        gap = m_total / t
         if gap <= tol:
             break
         t /= _MU_REDUCTION

@@ -366,3 +366,33 @@ def test_stacked_partial_transpose_and_trace_match_per_matrix():
         assert np.array_equal(traces["first"][i], np.einsum("ikil->kl", t))
     with pytest.raises(InvalidDim):
         bipartite.partial_transpose(stack, 3, 3)
+
+
+def test_partial_transpose_and_trace_keep_real_input_real():
+    # a real stack stays float64, with the entries the complex path gives;
+    # complex input, and integer input, come out as before
+    stack = np.random.default_rng(16).standard_normal((4, 6, 6))
+    for op in (lambda x: bipartite.partial_transpose(x, 2, 3),
+               lambda x: bipartite.partial_trace(x, 2, 3, "first"),
+               lambda x: bipartite.partial_trace(x, 2, 3, "second")):
+        real = op(stack)
+        assert real.dtype == np.float64
+        assert np.array_equal(real, op(stack.astype(np.complex128)).real)
+        assert op(stack + 0j).dtype == np.complex128
+        assert op(np.eye(6, dtype=int)).dtype == np.float64
+    with pytest.raises(InvalidMatrix):
+        bipartite.partial_transpose(np.full((6, 6), np.nan), 2, 3)
+
+
+def test_haar_sampler_reuses_one_generator_across_stacks():
+    # the orbit scan draws chunk after chunk from one sampler; each chunk
+    # equals a fresh haar_unitaries stack and the single rng_stream draws
+    keys = bipartite.stream_keys(9, np.arange(7))
+    draw = bipartite._haar_sampler(4)
+    chunks = [draw(keys[:3]), draw(keys[3:4]), draw(keys[4:])]
+    assert np.array_equal(np.concatenate(chunks), bipartite.haar_unitaries(4, keys))
+    for i, u in enumerate(np.concatenate(chunks)):
+        assert np.array_equal(u, bipartite.haar_unitary(4, bipartite.rng_stream(9, stream=i)))
+    assert draw(keys[:0]).shape == (0, 4, 4)
+    with pytest.raises(InvalidDim):
+        bipartite._haar_sampler(0)
