@@ -2,7 +2,8 @@
 
 Commands: check-spectrum, witness-analyze, verify-certificates, fig-data,
 orbit-scan, family. All file I/O uses the shared matrix/spectrum JSON
-formats; CSV output is byte-stable (%.12g, LF line endings).
+formats; CSV output is byte-stable (%.12g, LF line endings) and written
+column by column, each distinct float formatted once.
 
 Exit codes: 0 success, 2 verdict-negative (failed check, rejected
 certificate, violation found), 3 input error, including a bad flag or
@@ -38,20 +39,25 @@ HULL_POINTS = (
 )  # counterclockwise
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.12g" % float(value)
+def _column_strings(column) -> list[str]:
+    """The CSV fields of a column: bools as 1/0, ints by str, strings as given, floats
+    by %.12g, once per distinct bit pattern, so -0.0 and 0.0 keep their own strings."""
+    col = np.asarray(column)
+    if col.dtype.kind == "b":
+        return np.where(col, "1", "0").tolist()
+    if col.dtype.kind in "iu":
+        return list(map(str, col.tolist()))
+    if col.dtype.kind in "UO":
+        return list(column)
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)  # the kind left: float64
+    text = np.array(["%.12g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _columns_csv(header: list[str], columns) -> str:
+    """A CSV, LF line endings, from equal-length columns: arrays or sequences."""
+    rows = map(",".join, zip(*map(_column_strings, columns), strict=True))
+    return "\n".join(itertools.chain([",".join(header)], rows)) + "\n"
 
 
 def _json_report(obj) -> str:
@@ -192,7 +198,7 @@ def cmd_verify_certificates(args) -> tuple[str, int]:
             ]
         )
     else:
-        text = _csv(["name", "value", "expected", "status"], rows)
+        text = _columns_csv(["name", "value", "expected", "status"], zip(*rows))
     return text, EXIT_NEGATIVE if failures else EXIT_OK
 
 
@@ -211,20 +217,15 @@ def _in_hull(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return inside
 
 
-def _columns_csv(header: list[str], columns) -> str:
-    """A CSV whose columns are equal-length arrays."""
-    return _csv(header, list(zip(*(column.tolist() for column in columns))))
-
-
 def _fig_f_curve() -> str:
-    rows = [[ell, witness.detection_threshold(ell), ""]
-            for ell in np.linspace(-0.5, 0.0, 1001).tolist()]
     low, high = witness.SPLIT_LOW, witness.SPLIT_HIGH
     # (ell, the ell whose threshold is printed, label); iv is the left limit at the jump
     labeled = [(-0.5, -0.5, "i"), (-0.4, -0.4, "ii"), (low, low, "iii"), (high, low, "iv"),
                (high, high, "v"), (-0.2, -0.2, "vi"), (0.0, 0.0, "vii")]
-    rows.extend([ell, witness.detection_threshold(at), label] for ell, at, label in labeled)
-    return _csv(["ell", "mu1_bound", "label"], rows)
+    curve = [(ell, ell, "") for ell in np.linspace(-0.5, 0.0, 1001).tolist()]
+    ell, at, label = zip(*curve, *labeled)
+    return _columns_csv(["ell", "mu1_bound", "label"],
+                        [ell, [witness.detection_threshold(x) for x in at], label])
 
 
 def _fig_phi_bc_region(grid_n: int) -> str:
@@ -243,13 +244,11 @@ def _fig_gen_choi_ub(grid_n: int) -> str:
 
 
 def _fig_upb_interval(samples: int) -> str:
-    rows = []
-    for p in np.linspace(0.5, 0.8, samples):
-        p = float(p)
-        lam = float(matcore.eigvalsh(families.upb_lmi_matrix(p))[-1])
-        verdict = families.upb_classify(p)
-        rows.append([p, lam, lam >= -absppt.LMI_PSD_TOL, verdict.value])
-    return _csv(["p", "lmi_min_eig", "abs_ppt", "classification"], rows)
+    p = np.linspace(0.5, 0.8, samples).tolist()
+    lam = matcore.eigvalsh(np.stack([families.upb_lmi_matrix(x) for x in p]))[:, -1]
+    return _columns_csv(["p", "lmi_min_eig", "abs_ppt", "classification"],
+                        [p, lam, lam >= -absppt.LMI_PSD_TOL,
+                         [families.upb_classify(x).value for x in p]])
 
 
 def cmd_fig_data(args) -> tuple[str, int]:

@@ -171,9 +171,16 @@ def test_fig_data_golden_bytes(capsys, figure, lines, digest):
         # instead of libm pow changes rows here
         (["verify-certificates", "--grid", "80", "--bh-dims", "4", "--format", "json"], 1,
          "d4c0131381499f0cc42b514f1947b62d2747bea2ec1262c3d7fb631c50812543"),
+        (["fig-data", "upb_interval", "--samples", "1"], 2,
+         "471c65a4849baeb6a25c311e534c7c2b7fc876e46145257d37af4c5c9b9bca0a"),
+        (["fig-data", "upb_interval", "--samples", "7"], 8,
+         "dc284d7be44dcf4a0d8d63de57d5c1e87f52e87671b728f2c6aebbb70b5f0c63"),
+        (["verify-certificates", "--grid", "5", "--bh-dims", "4", "6"], 65,
+         "9f47f72a302525905e4610cc0fc98a9c616ed9cd1fd79bd45fcb91a6d21a545d"),
     ],
     ids=["phi_bc_region-2", "phi_bc_region-37", "gen_choi_ub-1", "gen_choi_ub-46",
-         "verify-certificates-80-json"],
+         "verify-certificates-80-json", "upb_interval-1", "upb_interval-7",
+         "verify-certificates-5-csv"],
 )
 def test_golden_bytes_at_other_grids(capsys, argv, lines, digest):
     code, out = run_cli(argv, capsys)
@@ -199,6 +206,11 @@ def test_verify_certificates_rejection_exits_2(monkeypatch, capsys):
     )
     assert code == 2
     assert "rejected: injected failure" in out
+    # the rejected row prints nan for both numbers; every other row as before
+    assert "max-eig breuer-hall n=4,nan,nan,rejected: injected failure" in out.splitlines()
+    assert len(out.splitlines()) == 21
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2bef179c8546a536e26d92a7d72c1086c1bbe0d95bed6b5aae8719f11e5b5afb")
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])

@@ -1,4 +1,5 @@
-"""Hypothesis properties of the linear-algebra and tensor kernels.
+"""Hypothesis properties of the linear-algebra and tensor kernels, and of the
+CLI's CSV writer.
 
 Every property runs under a fixed profile: derandomized example search and
 a bounded example count, so the suite stays deterministic and its run time
@@ -9,10 +10,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from abssep import bipartite, matcore, posmaps, sdpsolve
+from abssep import bipartite, cli, matcore, posmaps, sdpsolve
 
 PROPERTY = settings(derandomize=True, max_examples=20, deadline=None, database=None)
 
@@ -238,3 +239,77 @@ def test_bc_predicates_reject_a_negative_parameter(points, data):
             predicate(bs, cs)
         with pytest.raises(ValueError, match="b, c >= 0"):
             predicate(float(bs[k]), float(cs[k]))
+
+
+def value_by_value_fmt(value) -> str:
+    """The CSV field of one value as the row-by-row writer formatted it; the column
+    writer must print the same string."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "%.12g" % float(value)
+
+
+# zeros of both signs, NaNs of both signs, infinities, subnormals and integers
+# of 1e16 and more stored as floats, where %.12g switches to exponent form
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+                  2.2250738585072014e-308, 1e16, 2.0**53 + 2.0]
+float_values = st.one_of(
+    st.floats(),
+    st.integers(min_value=10**16, max_value=10**22).map(float),
+    st.integers(min_value=-(10**22), max_value=-(10**16)).map(float),
+)
+
+
+def float_columns(size):
+    # drawn with replacement from the special values and a few others, so most
+    # values repeat and the two zeros often sit in one column
+    pools = st.lists(float_values, max_size=4).map(lambda extra: SPECIAL_FLOATS + extra)
+    return pools.flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=size, max_size=size)
+    ).map(lambda values: np.array(values, dtype=np.float64))
+
+
+def int_columns(size):
+    return st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1),
+                    min_size=size, max_size=size).map(lambda v: np.array(v, dtype=np.int64))
+
+
+def bool_columns(size):
+    return st.lists(st.booleans(), min_size=size, max_size=size).map(
+        lambda v: np.array(v, dtype=bool))
+
+
+def str_columns(size):
+    return st.lists(st.text(max_size=6), min_size=size, max_size=size)
+
+
+COLUMN_KINDS = [float_columns, int_columns, bool_columns, str_columns]
+sizes = st.integers(min_value=0, max_value=30)
+
+
+@PROPERTY
+@given(column=sizes.flatmap(float_columns))
+@example(column=np.array([0.0, -0.0, 0.0, math.nan, -0.0]))  # equal values, two bit patterns
+def test_float_column_strings_match_the_value_by_value_formatter(column):
+    assert cli._column_strings(column) == [value_by_value_fmt(v) for v in column]
+
+
+@PROPERTY
+@given(column=st.one_of(*(sizes.flatmap(kind) for kind in (int_columns, bool_columns,
+                                                             str_columns))))
+def test_int_bool_and_str_column_strings_match_the_value_by_value_formatter(column):
+    assert cli._column_strings(column) == [value_by_value_fmt(v) for v in column]
+
+
+@PROPERTY
+@given(size=sizes, data=st.data())
+def test_columns_csv_matches_the_row_by_row_writer(size, data):
+    kinds = data.draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=5))
+    columns = [data.draw(kind(size)) for kind in kinds]
+    header = [f"h{k}" for k in range(len(columns))]
+    rows = [",".join(map(value_by_value_fmt, row)) for row in zip(*columns)]
+    assert cli._columns_csv(header, columns) == "\n".join([",".join(header), *rows]) + "\n"
