@@ -244,11 +244,11 @@ def _fig_gen_choi_ub(grid_n: int) -> str:
 
 
 def _fig_upb_interval(samples: int) -> str:
-    p = np.linspace(0.5, 0.8, samples).tolist()
-    lam = matcore.eigvalsh(np.stack([families.upb_lmi_matrix(x) for x in p]))[:, -1]
+    p = np.linspace(0.5, 0.8, samples)
+    lam = matcore.eigvalsh(families.upb_lmi_matrix(p))[:, -1]
     return _columns_csv(["p", "lmi_min_eig", "abs_ppt", "classification"],
                         [p, lam, lam >= -absppt.LMI_PSD_TOL,
-                         [families.upb_classify(x).value for x in p]])
+                         [c.value for c in families.upb_classify(p)]])
 
 
 def cmd_fig_data(args) -> tuple[str, int]:

@@ -55,9 +55,14 @@ def _check_isotropic(n: int, alpha: float):
         raise InvalidState(f"isotropic parameter alpha = {alpha} outside [{lo:.6g}, 1]")
 
 
-def _check_upb_p(p: float):
-    if not 0.0 < p < 1.0:
-        raise InvalidState(f"mixture parameter p = {p} outside (0, 1)")
+def _check_upb_p(p) -> np.ndarray:
+    """p as a float64 array; raises InvalidState naming the first p outside (0, 1)."""
+    arr = np.asarray(p, dtype=np.float64)
+    inside = (0.0 < arr) & (arr < 1.0)
+    if not inside.all():
+        bad = p if arr.ndim == 0 else arr[~inside][0]
+        raise InvalidState(f"mixture parameter p = {bad} outside (0, 1)")
+    return arr
 
 
 def werner_state(n: int, alpha: float) -> np.ndarray:
@@ -204,24 +209,27 @@ def isotropic_classify(n: int, alpha: float) -> IsotropicClass:
     return IsotropicClass.NOT_ABS_PPT
 
 
-def upb_lmi_matrix(p: float) -> np.ndarray:
-    """The (coinciding) LMIs of the UPB mixture, (1/36)[[8p, 9p-9, ...]]."""
-    _check_upb_p(p)
-    q = 9.0 * p - 9.0
-    return np.array(
-        [
-            [8.0 * p, q, q],
-            [q, 8.0 * p, q],
-            [q, q, 18.0 - 10.0 * p],
-        ]
-    ) / 36.0
+# upb_lmi_matrix(p) = (p _UPB_LMI_SLOPE + _UPB_LMI_OFFSET) / 36, the offset
+# added as the scalar formulas subtract it, so each entry is theirs to the bit
+_UPB_LMI_SLOPE = np.array([[8.0, 9.0, 9.0], [9.0, 8.0, 9.0], [9.0, 9.0, -10.0]])
+_UPB_LMI_OFFSET = np.array([[0.0, -9.0, -9.0], [-9.0, 0.0, -9.0], [-9.0, -9.0, 18.0]])
 
 
-def upb_classify(p: float) -> UpbClass:
-    """Threshold trichotomy; the middle band is only known to be abs PPT."""
-    _check_upb_p(p)
-    if p < UPB_ABS_PPT_THRESHOLD - THRESHOLD_SLACK:
-        return UpbClass.NOT_ABS_PPT
-    if p >= UPB_ABS_SEP_THRESHOLD - THRESHOLD_SLACK:
-        return UpbClass.ABS_PPT_AND_ABS_SEP
-    return UpbClass.ABS_PPT_ONLY_KNOWN
+def upb_lmi_matrix(p) -> np.ndarray:
+    """The (coinciding) LMIs of the UPB mixture, (1/36)[[8p, 9p-9, ...]];
+    (3, 3) for a scalar p, (..., 3, 3) for an array of them."""
+    p = _check_upb_p(p)[..., np.newaxis, np.newaxis]
+    return (p * _UPB_LMI_SLOPE + _UPB_LMI_OFFSET) / 36.0
+
+
+# band edges of upb_classify: NOT_ABS_PPT below the first, ABS_PPT_AND_ABS_SEP from the second
+_UPB_EDGES = np.array([UPB_ABS_PPT_THRESHOLD, UPB_ABS_SEP_THRESHOLD]) - THRESHOLD_SLACK
+_UPB_BANDS = np.array(
+    [UpbClass.NOT_ABS_PPT, UpbClass.ABS_PPT_ONLY_KNOWN, UpbClass.ABS_PPT_AND_ABS_SEP], dtype=object
+)
+
+
+def upb_classify(p):
+    """Threshold trichotomy; the middle band is only known to be abs PPT. A
+    UpbClass for a scalar p, an object array of them for an array."""
+    return _UPB_BANDS[np.searchsorted(_UPB_EDGES, _check_upb_p(p), side="right")]

@@ -13,10 +13,14 @@ Two complementary paths:
   Problems stay below a few hundred variables and blocks below ~100x100,
   so dense Newton steps are both adequate and robust. A block whose data
   is real is stored and solved in float64; only truly complex data, such
-  as a Breuer-Hall map with a complex V, runs in complex arithmetic. The
-  Hessian is one real Gram product per block, over the entries of each
-  L^-1 A_k L^-H, or w^T w for a diagonal block's rows w scaled by their
-  slacks. Far from the centre an exact line search sets the step length.
+  as a Breuer-Hall map with a complex V, runs in complex arithmetic. solve
+  stacks the PSD blocks of each size once, and each Newton step evaluates
+  every size with one batched Cholesky factor, inverse and GEMM pair; the
+  Hessian gains one real Gram product per block size, over the entries of
+  every L^-1 A_k L^-H, and w^T w for the diagonal blocks' rows w scaled by
+  their slacks. Far from the centre an exact line search sets the step
+  length, from the eigenvalues of sum_k dx_k L^-1 A_k L^-H over the stored
+  matrices of that step.
   The diamond SDP is Watrous's in its symmetric form, one Y with blocks
   Y - J, Y + J and s I - Tr_2 Y. Y is real symmetric when J is real, since
   the average of an optimal Y and its conjugate is then optimal too
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -138,49 +143,93 @@ def scalar_inequality(rows: np.ndarray, lower: float) -> AffineBlock:
     return AffineBlock(-lower * np.eye(k), coeffs, rows)
 
 
+@dataclass
+class _StackedBlocks:
+    """A problem's blocks as the barrier evaluates them. Per PSD block size h,
+    in order of first appearance, consts (g, h, h) of its g blocks and their
+    coeffs (g, nv, h, h), or (1, nv, h, h) when all g share one coeffs array.
+    The diagonal blocks' rows (K, nv) and constant diagonals (K,) stack into
+    one, as slack = rows @ x + offsets; both are None without one."""
+
+    groups: list[tuple[np.ndarray, np.ndarray]]
+    rows: np.ndarray | None
+    offsets: np.ndarray | None
+
+
+def _stack_blocks(blocks: list[AffineBlock]) -> _StackedBlocks:
+    by_size: dict[int, list[AffineBlock]] = {}
+    for b in blocks:
+        if b.rows is None:
+            by_size.setdefault(b.size, []).append(b)
+    groups = []
+    for same in by_size.values():
+        shared = all(b.coeffs is same[0].coeffs for b in same)
+        coeffs = same[0].coeffs[np.newaxis] if shared else np.stack([b.coeffs for b in same])
+        groups.append((np.stack([b.const for b in same]), coeffs))
+    diagonal = [b for b in blocks if b.rows is not None]
+    if not diagonal:
+        return _StackedBlocks(groups, None, None)
+    rows = np.concatenate([b.rows for b in diagonal])
+    offsets = np.concatenate([b.const.diagonal().real for b in diagonal])
+    return _StackedBlocks(groups, rows, offsets)
+
+
 def _barrier_derivatives(
-    blocks: list[AffineBlock], x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Gradient and Hessian of -sum_i log det F_i(x), and per block the
-    factor the line search scales by: L^-1, or a diagonal block's slacks.
+    stacked: _StackedBlocks, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Gradient and Hessian of -sum_i log det F_i(x), and the map from a
+    direction dx to the eigenvalues gamma of every L^-1 F_lin(dx) L^-H, along
+    which the barrier is -sum_j log(1 + a gamma_j) plus a constant.
 
     With F_i = L L^H and M_k = L^-1 A_k L^-H, the gradient is -tr(M_k) and
-    the Hessian tr(M_k M_l). One GEMM forms every A_k L^-H and one stacked
-    matmul every M_k^T = (A_k L^-H)^T L^-T. M_k^T is Hermitian as M_k is, so
-    tr(M_k M_l) is the sum over entries of N_k N_l for N_k = Re M_k^T +
-    Im M_k^T: the cross terms pair a symmetric with an antisymmetric matrix
-    and vanish. The Hessian is thus the real Gram matrix V V^T, row k of V
-    the h*h entries of N_k, which in a float64 block is M_k^T itself. A
+    the Hessian tr(M_k M_l). All blocks of one size are evaluated together:
+    one batched Cholesky and inverse, one batched GEMM for every A_k L^-H
+    and one stacked matmul for every M_k^T = (A_k L^-H)^T L^-T, laid out
+    (nv, g, h, h). M_k^T is Hermitian as M_k is, so tr(M_k M_l) is the sum
+    over entries of N_k N_l for N_k = Re M_k^T + Im M_k^T: the cross terms
+    pair a symmetric with an antisymmetric matrix and vanish. The Hessian
+    gains the real Gram matrix V V^T, row k of V the g*h*h entries of N_k,
+    which in a float64 group is M_k^T itself. gamma is the eigenvalues of
+    sum_k dx_k M_k^T, from the complex M_k^T where the group is complex. A
     diagonal block has M_k = diag(w[:, k]) for w = rows / slack, so its
-    terms are -w.sum(0) and w^T w. Raises LinAlgError when a block is not
-    positive definite at x.
+    terms are -w.sum(0) and w^T w, and its gamma w @ dx. Raises LinAlgError
+    when a block is not positive definite at x.
     """
     nv = x.size
     grad = np.zeros(nv)
     hess = np.zeros((nv, nv))
-    scales = []
-    for b in blocks:
-        f = b.eval(x)
-        if b.rows is not None:
-            slack = f.diagonal().real
-            if not np.all(slack > 0.0):
-                raise np.linalg.LinAlgError("diagonal block is not positive")
-            w = b.rows / slack[:, np.newaxis]
-            grad -= w.sum(0)
-            hess += w.T @ w
-            scales.append(slack)
-            continue
-        h = b.size
-        lo_inv = np.linalg.solve(np.linalg.cholesky(f), np.eye(h))
-        right = (b.coeffs.reshape(nv * h, h) @ lo_inv.conj().T).reshape(nv, h, h)
-        mt = np.matmul(right.swapaxes(1, 2), lo_inv.T)  # mt[k] = M_k^T
-        grad -= np.trace(mt, axis1=1, axis2=2).real
-        if np.iscomplexobj(mt):
-            mt = mt.real + mt.imag
-        v = mt.reshape(nv, h * h)
+    mts = []
+    for consts, coeffs in stacked.groups:
+        g, h = consts.shape[:2]
+        f = consts + (x @ coeffs.reshape(-1, nv, h * h)).reshape(-1, h, h)
+        lo_inv = np.linalg.inv(np.linalg.cholesky(f))
+        right = coeffs.reshape(-1, nv * h, h) @ lo_inv.conj().swapaxes(1, 2)  # A_k L^-H
+        mt = np.empty((nv, g, h, h), dtype=right.dtype)  # laid out so that V is a view
+        np.matmul(right.reshape(g, nv, h, h).transpose(1, 0, 3, 2), lo_inv.swapaxes(1, 2), out=mt)
+        del right  # before the fold below allocates
+        grad -= np.einsum("kjaa->k", mt).real
+        v = mt.reshape(nv, g * h * h)
+        if np.iscomplexobj(v):
+            v = v.real + v.imag
         hess += v @ v.T  # v itself on both sides, so numpy calls syrk
-        scales.append(lo_inv)
-    return grad, hess, scales
+        mts.append(mt)
+    w = None
+    if stacked.rows is not None:
+        slack = stacked.rows @ x + stacked.offsets
+        if not np.all(slack > 0.0):
+            raise np.linalg.LinAlgError("diagonal block is not positive")
+        w = stacked.rows / slack[:, np.newaxis]
+        grad -= w.sum(0)
+        hess += w.T @ w
+
+    def gamma(dx: np.ndarray) -> np.ndarray:
+        parts = [np.linalg.eigvalsh((dx @ mt.reshape(nv, -1)).reshape(mt.shape[1:])).ravel()
+                 for mt in mts]
+        if w is not None:
+            parts.append(w @ dx)
+        return np.concatenate(parts)
+
+    return grad, hess, gamma
 
 
 def _line_search(slope: float, gamma: np.ndarray) -> float:
@@ -227,7 +276,7 @@ def solve(
     """
     c = np.asarray(problem.objective, dtype=np.float64)
     nv = c.size
-    blocks = problem.blocks
+    stacked = _stack_blocks(problem.blocks)
     a_mat, b_rhs = problem.eq_mat, problem.eq_rhs
     p = 0 if a_mat is None else a_mat.shape[0]
 
@@ -237,7 +286,7 @@ def solve(
             f"starting point violates the equalities of problem {problem.name!r}"
         )
     try:
-        grad, hess, scales = _barrier_derivatives(blocks, x)
+        grad, hess, gamma_of = _barrier_derivatives(stacked, x)
     except np.linalg.LinAlgError:
         raise NoInteriorPoint(
             f"starting point is not strictly feasible for problem {problem.name!r}"
@@ -251,7 +300,7 @@ def solve(
         kkt[nv:, :nv] = a_mat
     rhs = np.zeros(nv + p)
 
-    m_total = sum(b.size for b in blocks)
+    m_total = sum(b.size for b in problem.blocks)
     t = 1.0
     steps = 0
     while True:
@@ -269,13 +318,8 @@ def solve(
                     f"Newton budget exhausted in problem {problem.name!r}"
                 )
             if math.sqrt(decrement_sq) > _QUADRATIC_PHASE:
-                # eigenvalues of each L^-1 F_lin(dx) L^-H: the barrier along
-                # x + a dx is -sum_j log(1 + a gamma_j) plus a constant
-                gamma = np.concatenate([
-                    (b.rows @ dx) / scale if b.rows is not None
-                    else np.linalg.eigvalsh(scale @ b.lin(dx) @ scale.conj().T)
-                    for b, scale in zip(blocks, scales)
-                ])
+                # the barrier along x + a dx is -sum_j log(1 + a gamma_j) plus a constant
+                gamma = gamma_of(dx)
                 slope = t * float(c @ dx)
                 if gamma.min() >= 0.0 and slope <= 0.0:
                     raise Unbounded(
@@ -284,7 +328,8 @@ def solve(
                 dx *= _line_search(slope, gamma)
             x = x + dx
             steps += 1
-            grad, hess, scales = _barrier_derivatives(blocks, x)
+            del gamma_of  # the old M_k, before the new ones are formed
+            grad, hess, gamma_of = _barrier_derivatives(stacked, x)
         if gap <= tol:
             break
         t /= _MU_REDUCTION

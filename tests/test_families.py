@@ -1,6 +1,7 @@
 """Werner, isotropic, and UPB-mixture families against closed-form thresholds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,3 +195,42 @@ def test_parameter_validation():
         families.isotropic_state(3, -0.2)
     with pytest.raises(InvalidState):
         families.upb_state(0.0)
+
+
+def _reference_upb_lmi(p):
+    q = 9.0 * p - 9.0
+    return np.array([[8.0 * p, q, q], [q, 8.0 * p, q], [q, q, 18.0 - 10.0 * p]]) / 36.0
+
+
+def _reference_upb_class(p):
+    if p < families.UPB_ABS_PPT_THRESHOLD - families.THRESHOLD_SLACK:
+        return UpbClass.NOT_ABS_PPT
+    if p >= families.UPB_ABS_SEP_THRESHOLD - families.THRESHOLD_SLACK:
+        return UpbClass.ABS_PPT_AND_ABS_SEP
+    return UpbClass.ABS_PPT_ONLY_KNOWN
+
+
+def test_upb_lmi_matrix_and_classify_take_an_array_of_p():
+    # entry by entry the scalar formulas, bit for bit, with the band edges and
+    # their neighbours among the points
+    edges = [t - families.THRESHOLD_SLACK for t in (families.UPB_ABS_PPT_THRESHOLD,
+                                                    families.UPB_ABS_SEP_THRESHOLD)]
+    p = np.concatenate([np.linspace(0.01, 0.99, 37), edges, np.nextafter(edges, 0.0)])
+    stack = families.upb_lmi_matrix(p)
+    classes = families.upb_classify(p)
+    assert stack.shape == (p.size, 3, 3) and classes.shape == p.shape
+    for k, x in enumerate(p.tolist()):
+        assert np.array_equal(stack[k], _reference_upb_lmi(x))
+        assert np.array_equal(families.upb_lmi_matrix(x), _reference_upb_lmi(x))
+        assert classes[k] is families.upb_classify(x) is _reference_upb_class(x)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.25, math.nan])
+def test_upb_array_rejects_any_p_outside_the_open_interval(bad):
+    p = np.array([0.5, bad, 0.7, 1.5])
+    message = re.escape(f"mixture parameter p = {bad} outside (0, 1)")
+    for build in (families.upb_lmi_matrix, families.upb_classify):
+        with pytest.raises(InvalidState, match=message):
+            build(p)
+        with pytest.raises(InvalidState, match=message):
+            build(bad)
