@@ -69,8 +69,8 @@ class Spectrum:
     @classmethod
     def from_json(cls, obj: dict) -> "Spectrum":
         try:
-            return cls(int(obj["m"]), int(obj["n"]), obj["values"])
-        except (KeyError, TypeError) as exc:
+            return cls(matcore._json_int(obj["m"]), matcore._json_int(obj["n"]), obj["values"])
+        except (KeyError, TypeError, OverflowError) as exc:
             raise InvalidState(f"malformed spectrum JSON: {exc}") from exc
 
     def dumps(self) -> str:

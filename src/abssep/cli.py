@@ -389,8 +389,8 @@ class _TolAction(argparse.Action):
             tols[name] = float(number)
         except ValueError:
             tols[name] = math.nan
-        if not math.isfinite(tols[name]):
-            raise argparse.ArgumentError(self, f"expected a finite value: {value!r}")
+        if not math.isfinite(tols[name]) or tols[name] < 0.0:
+            raise argparse.ArgumentError(self, f"expected a finite value >= 0: {value!r}")
         setattr(namespace, self.dest, tols)
 
 

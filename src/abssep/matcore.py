@@ -150,17 +150,24 @@ def matrix_to_json(a) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    """A dimension read from JSON as int(value); a float must be integral, so
+    that 1.5 is not read as 1 and 1e400 (inf) raises TypeError, not OverflowError."""
+    if isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode the shared matrix JSON format, rejecting length mismatches."""
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        re = obj["re"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols = _json_int(obj["rows"]), _json_int(obj["cols"])
+        re = np.asarray(obj["re"], dtype=np.float64)
+        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidMatrix(f"malformed matrix JSON: {exc}") from exc
     if rows < 1 or cols < 1:
         raise InvalidMatrix("matrix dims must be positive")
-    im = obj.get("im", [0.0] * (rows * cols))
-    if len(re) != rows * cols or len(im) != rows * cols:
+    if re.shape != (rows * cols,) or im.shape != (rows * cols,):
         raise InvalidMatrix("re/im length does not match rows*cols")
-    m = np.asarray(re, dtype=np.float64) + 1j * np.asarray(im, dtype=np.float64)
-    return as_complex_matrix(m.reshape(rows, cols))
+    return as_complex_matrix((re + 1j * im).reshape(rows, cols))

@@ -3,24 +3,27 @@
 Two complementary paths:
 
 * a log-det barrier solver for the problem shapes used in this package:
-  linear objective, affine PSD blocks, affine equalities, scalar
-  inequalities stacked into one diagonal block. Every problem builder
-  supplies a strictly feasible start that also satisfies the equalities,
-  so each stage centres by feasible-start Newton steps and stops on the
-  Newton decrement (Boyd & Vandenberghe, Convex Optimization, ch. 9-11):
-  the final stage, whose gap is reported, tightly, and the earlier ones,
-  which only supply the next start, loosely (ibid. 11.3.1).
+  linear objective, affine PSD constraints, affine equalities and scalar
+  inequalities. A problem comes in the one layout the barrier evaluates:
+  each AffineBlock is a stack of g PSD constraints of one size h, its
+  const (g, h, h) and its coeffs (g, nv, h, h), or (1, nv, h, h) when all
+  g share one array, and the scalar inequalities are the rows of
+  ineq_mat @ x >= ineq_rhs. Every problem builder supplies a strictly
+  feasible start that also satisfies the equalities, so each stage centres
+  by feasible-start Newton steps and stops on the Newton decrement (Boyd &
+  Vandenberghe, Convex Optimization, ch. 9-11): the final stage, whose gap
+  is reported, tightly, and the earlier ones, which only supply the next
+  start, loosely (ibid. 11.3.1).
   Problems stay below a few hundred variables and blocks below ~100x100,
   so dense Newton steps are both adequate and robust. A block whose data
   is real is stored and solved in float64; only truly complex data, such
-  as a Breuer-Hall map with a complex V, runs in complex arithmetic. solve
-  stacks the PSD blocks of each size once, and each Newton step evaluates
-  every size with one batched Cholesky factor, inverse and GEMM pair; the
-  Hessian gains one real Gram product per block size, over the entries of
-  every L^-1 A_k L^-H, and w^T w for the diagonal blocks' rows w scaled by
-  their slacks. Far from the centre an exact line search sets the step
-  length, from the eigenvalues of sum_k dx_k L^-1 A_k L^-H over the stored
-  matrices of that step.
+  as a Breuer-Hall map with a complex V, runs in complex arithmetic. Each
+  Newton step evaluates every block with one batched Cholesky factor,
+  inverse and GEMM pair; the Hessian gains one real Gram product per block,
+  over the entries of every L^-1 A_k L^-H, and w^T w for the inequality
+  rows w scaled by their slacks. Far from the centre an exact line search
+  sets the step length, from the eigenvalues of sum_k dx_k L^-1 A_k L^-H
+  over the stored matrices of that step.
   The diamond SDP is Watrous's in its symmetric form, one Y with blocks
   Y - J, Y + J and s I - Tr_2 Y. Y is real symmetric when J is real, since
   the average of an optimal Y and its conjugate is then optimal too
@@ -78,35 +81,31 @@ _QUADRATIC_PHASE = 0.25
 
 @dataclass
 class AffineBlock:
-    """PSD constraint const + sum_i x_i coeffs[i] >= 0 (Hermitian h x h). Data
+    """g PSD constraints of one size h, const[i] + sum_k x_k coeffs[i, k] >= 0
+    (Hermitian h x h); coeffs is (1, nv, h, h) when all g share one. Data
     whose imaginary part is all zero is stored as float64."""
 
-    const: np.ndarray   # (h, h)
-    coeffs: np.ndarray  # (nv, h, h)
-    rows: np.ndarray | None = None  # (h, nv) on a diagonal block: diag(rows @ x) + const
+    const: np.ndarray   # (g, h, h)
+    coeffs: np.ndarray  # (g, nv, h, h) or (1, nv, h, h)
 
     def __post_init__(self):
         if not (np.imag(self.const).any() or np.imag(self.coeffs).any()):
             self.const = np.ascontiguousarray(np.real(self.const), dtype=np.float64)
             self.coeffs = np.ascontiguousarray(np.real(self.coeffs), dtype=np.float64)
 
-    @property
-    def size(self) -> int:
-        return self.const.shape[0]
-
     def lin(self, x: np.ndarray) -> np.ndarray:
-        return (x @ self.coeffs.reshape(x.size, -1)).reshape(self.const.shape)
-
-    def eval(self, x: np.ndarray) -> np.ndarray:
-        return self.const + self.lin(x)
+        """sum_k x_k coeffs[:, k], one (h, h) matrix per coeffs array."""
+        h = self.const.shape[-1]
+        return (x @ self.coeffs.reshape(-1, x.size, h * h)).reshape(-1, h, h)
 
 
 @dataclass
 class SdpProblem:
-    """minimize objective @ x over the blocks/equality constraints.
+    """minimize objective @ x subject to the PSD blocks, eq_mat @ x = eq_rhs
+    and ineq_mat @ x >= ineq_rhs.
 
-    interior_point must make every block positive definite and satisfy the
-    equalities.
+    interior_point must make every block positive definite, satisfy the
+    equalities and satisfy the inequalities strictly.
     """
 
     objective: np.ndarray
@@ -114,6 +113,8 @@ class SdpProblem:
     interior_point: np.ndarray
     eq_mat: np.ndarray | None = None
     eq_rhs: np.ndarray | None = None
+    ineq_mat: np.ndarray | None = None
+    ineq_rhs: np.ndarray | None = None
     name: str = ""
 
 
@@ -135,75 +136,36 @@ class DualCertificate:
     expected_value: float = math.nan
 
 
-def scalar_inequality(rows: np.ndarray, lower: float) -> AffineBlock:
-    """rows @ x >= lower for a (k, nv) row matrix, as one k x k diagonal block."""
-    k, nv = rows.shape
-    coeffs = np.zeros((nv, k, k))
-    coeffs[:, np.arange(k), np.arange(k)] = rows.T
-    return AffineBlock(-lower * np.eye(k), coeffs, rows)
-
-
-@dataclass
-class _StackedBlocks:
-    """A problem's blocks as the barrier evaluates them. Per PSD block size h,
-    in order of first appearance, consts (g, h, h) of its g blocks and their
-    coeffs (g, nv, h, h), or (1, nv, h, h) when all g share one coeffs array.
-    The diagonal blocks' rows (K, nv) and constant diagonals (K,) stack into
-    one, as slack = rows @ x + offsets; both are None without one."""
-
-    groups: list[tuple[np.ndarray, np.ndarray]]
-    rows: np.ndarray | None
-    offsets: np.ndarray | None
-
-
-def _stack_blocks(blocks: list[AffineBlock]) -> _StackedBlocks:
-    by_size: dict[int, list[AffineBlock]] = {}
-    for b in blocks:
-        if b.rows is None:
-            by_size.setdefault(b.size, []).append(b)
-    groups = []
-    for same in by_size.values():
-        shared = all(b.coeffs is same[0].coeffs for b in same)
-        coeffs = same[0].coeffs[np.newaxis] if shared else np.stack([b.coeffs for b in same])
-        groups.append((np.stack([b.const for b in same]), coeffs))
-    diagonal = [b for b in blocks if b.rows is not None]
-    if not diagonal:
-        return _StackedBlocks(groups, None, None)
-    rows = np.concatenate([b.rows for b in diagonal])
-    offsets = np.concatenate([b.const.diagonal().real for b in diagonal])
-    return _StackedBlocks(groups, rows, offsets)
-
-
 def _barrier_derivatives(
-    stacked: _StackedBlocks, x: np.ndarray
+    problem: SdpProblem, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Gradient and Hessian of -sum_i log det F_i(x), and the map from a
     direction dx to the eigenvalues gamma of every L^-1 F_lin(dx) L^-H, along
     which the barrier is -sum_j log(1 + a gamma_j) plus a constant.
 
     With F_i = L L^H and M_k = L^-1 A_k L^-H, the gradient is -tr(M_k) and
-    the Hessian tr(M_k M_l). All blocks of one size are evaluated together:
-    one batched Cholesky and inverse, one batched GEMM for every A_k L^-H
-    and one stacked matmul for every M_k^T = (A_k L^-H)^T L^-T, laid out
-    (nv, g, h, h). M_k^T is Hermitian as M_k is, so tr(M_k M_l) is the sum
-    over entries of N_k N_l for N_k = Re M_k^T + Im M_k^T: the cross terms
-    pair a symmetric with an antisymmetric matrix and vanish. The Hessian
-    gains the real Gram matrix V V^T, row k of V the g*h*h entries of N_k,
-    which in a float64 group is M_k^T itself. gamma is the eigenvalues of
-    sum_k dx_k M_k^T, from the complex M_k^T where the group is complex. A
-    diagonal block has M_k = diag(w[:, k]) for w = rows / slack, so its
-    terms are -w.sum(0) and w^T w, and its gamma w @ dx. Raises LinAlgError
-    when a block is not positive definite at x.
+    the Hessian tr(M_k M_l). The g constraints of a block are evaluated
+    together: one batched Cholesky and inverse, one batched GEMM for every
+    A_k L^-H and one stacked matmul for every M_k^T = (A_k L^-H)^T L^-T,
+    laid out (nv, g, h, h). M_k^T is Hermitian as M_k is, so tr(M_k M_l) is
+    the sum over entries of N_k N_l for N_k = Re M_k^T + Im M_k^T: the cross
+    terms pair a symmetric with an antisymmetric matrix and vanish. The
+    Hessian gains the real Gram matrix V V^T, row k of V the g*h*h entries
+    of N_k, which in a float64 block is M_k^T itself. gamma is the
+    eigenvalues of sum_k dx_k M_k^T, from the complex M_k^T where the block
+    is complex. An inequality row is a 1 x 1 constraint: with
+    w = ineq_mat / slack its terms are -w.sum(0) and w^T w, and its gamma
+    w @ dx. Raises LinAlgError when a constraint does not hold strictly at x.
     """
     nv = x.size
     grad = np.zeros(nv)
     hess = np.zeros((nv, nv))
     mts = []
-    for consts, coeffs in stacked.groups:
-        g, h = consts.shape[:2]
-        f = consts + (x @ coeffs.reshape(-1, nv, h * h)).reshape(-1, h, h)
+    for block in problem.blocks:
+        g, h = block.const.shape[:2]
+        f = block.const + block.lin(x)
         lo_inv = np.linalg.inv(np.linalg.cholesky(f))
-        right = coeffs.reshape(-1, nv * h, h) @ lo_inv.conj().swapaxes(1, 2)  # A_k L^-H
+        right = block.coeffs.reshape(-1, nv * h, h) @ lo_inv.conj().swapaxes(1, 2)  # A_k L^-H
         mt = np.empty((nv, g, h, h), dtype=right.dtype)  # laid out so that V is a view
         np.matmul(right.reshape(g, nv, h, h).transpose(1, 0, 3, 2), lo_inv.swapaxes(1, 2), out=mt)
         del right  # before the fold below allocates
@@ -214,11 +176,11 @@ def _barrier_derivatives(
         hess += v @ v.T  # v itself on both sides, so numpy calls syrk
         mts.append(mt)
     w = None
-    if stacked.rows is not None:
-        slack = stacked.rows @ x + stacked.offsets
+    if problem.ineq_mat is not None:
+        slack = problem.ineq_mat @ x - problem.ineq_rhs
         if not np.all(slack > 0.0):
             raise np.linalg.LinAlgError("diagonal block is not positive")
-        w = stacked.rows / slack[:, np.newaxis]
+        w = problem.ineq_mat / slack[:, np.newaxis]
         grad -= w.sum(0)
         hess += w.T @ w
 
@@ -266,7 +228,8 @@ def solve(
     barrier keeps x strictly feasible, and a decreases the objective at least
     as much as the damped step 1/(1+lambda) does. Then full steps converge
     quadratically. t grows by 1/_MU_REDUCTION until m/t <= tol, where m is
-    the total block size. That final stage is centred until lambda^2/2 <=
+    the total size of the PSD constraints plus the number of inequality
+    rows. That final stage is centred until lambda^2/2 <=
     _CENTERED (1e-10), so the gap m/t holds at the returned x; each earlier
     stage only gives the next its start, so it stops at lambda^2/2 <=
     _STAGE_CENTERED (1e-3), which skips its last 2-3 quadratic-phase steps
@@ -276,7 +239,6 @@ def solve(
     """
     c = np.asarray(problem.objective, dtype=np.float64)
     nv = c.size
-    stacked = _stack_blocks(problem.blocks)
     a_mat, b_rhs = problem.eq_mat, problem.eq_rhs
     p = 0 if a_mat is None else a_mat.shape[0]
 
@@ -286,7 +248,7 @@ def solve(
             f"starting point violates the equalities of problem {problem.name!r}"
         )
     try:
-        grad, hess, gamma_of = _barrier_derivatives(stacked, x)
+        grad, hess, gamma_of = _barrier_derivatives(problem, x)
     except np.linalg.LinAlgError:
         raise NoInteriorPoint(
             f"starting point is not strictly feasible for problem {problem.name!r}"
@@ -300,7 +262,9 @@ def solve(
         kkt[nv:, :nv] = a_mat
     rhs = np.zeros(nv + p)
 
-    m_total = sum(b.size for b in problem.blocks)
+    m_total = sum(b.const.shape[0] * b.const.shape[1] for b in problem.blocks)
+    if problem.ineq_rhs is not None:
+        m_total += problem.ineq_rhs.size
     t = 1.0
     steps = 0
     while True:
@@ -329,7 +293,7 @@ def solve(
             x = x + dx
             steps += 1
             del gamma_of  # the old M_k, before the new ones are formed
-            grad, hess, gamma_of = _barrier_derivatives(stacked, x)
+            grad, hess, gamma_of = _barrier_derivatives(problem, x)
         if gap <= tol:
             break
         t /= _MU_REDUCTION
@@ -379,11 +343,9 @@ def min_witness_problem(
 
     nv = total
     blocks = []
-    for tpl in templates:
-        q = tpl.coeffs.shape[0]
-        blocks.append(AffineBlock(np.zeros((q, q)), tpl.coeffs.swapaxes(0, 1)))
-    # lambda_1 >= ... >= lambda_mn >= 0: rows e_j - e_{j+1}, then e_mn
-    blocks.append(scalar_inequality(np.eye(nv) - np.eye(nv, k=1), 0.0))
+    if templates:  # all of one size q
+        coeffs = np.stack([tpl.coeffs.swapaxes(0, 1) for tpl in templates])  # (g, nv, q, q)
+        blocks.append(AffineBlock(np.zeros_like(coeffs[:, 0]), coeffs))
 
     tilt = 1.0 + 0.01 * np.linspace(1.0, -1.0, total)
     start = tilt / tilt.sum()
@@ -392,6 +354,9 @@ def min_witness_problem(
         blocks=blocks,
         eq_mat=np.ones((1, nv)),
         eq_rhs=np.ones(1),
+        # lambda_1 >= ... >= lambda_mn >= 0: rows e_j - e_{j+1}, then e_mn
+        ineq_mat=np.eye(nv) - np.eye(nv, k=1),
+        ineq_rhs=np.zeros(nv),
         interior_point=start,
         name=f"min-witness-{lmi_mode}",
     )
@@ -415,7 +380,7 @@ def min_witness_over_abs_ppt(
 def verify_min_witness_certificate(
     witness_spectrum, dims: tuple[int, int], lmi_mode: str, zs
 ) -> float:
-    """Verify Z_i >= 0, one per LMI block of min_witness_problem(witness_spectrum,
+    """Verify Z_i >= 0, one per LMI constraint of min_witness_problem(witness_spectrum,
     dims, lmi_mode), and return the certified lower bound on its optimum.
 
     With r = c - sum_i A_i*(Z_i), the dual equality asks D^T y + t 1 = r for
@@ -427,18 +392,18 @@ def verify_min_witness_certificate(
     to CERT_PSD_TOL times the size of A_i*(I).
     """
     problem = min_witness_problem(witness_spectrum, dims, lmi_mode)
-    lmi_blocks = problem.blocks[:-1]
-    if len(zs) != len(lmi_blocks):
-        raise CertificateRejected(f"expected {len(lmi_blocks)} dual blocks, got {len(zs)}")
+    lmis = [pair for block in problem.blocks for pair in zip(block.const, block.coeffs)]
+    if len(zs) != len(lmis):
+        raise CertificateRejected(f"expected {len(lmis)} dual blocks, got {len(zs)}")
     r = problem.objective.copy()
     bound = 0.0
-    for i, (block, z) in enumerate(zip(lmi_blocks, zs)):
+    for i, ((const, coeffs), z) in enumerate(zip(lmis, zs)):
         z = np.asarray(z)
-        if z.shape != block.const.shape:
-            raise CertificateRejected(f"Z{i} has shape {z.shape}, expected {block.const.shape}")
+        if z.shape != const.shape:
+            raise CertificateRejected(f"Z{i} has shape {z.shape}, expected {const.shape}")
         _psd_or_reject(z, f"Z{i}")
-        r -= np.real(np.einsum("kab,ba->k", block.coeffs, z))
-        bound -= float(np.real(np.trace(block.const @ z)))
+        r -= np.real(np.einsum("kab,ba->k", coeffs, z))
+        bound -= float(np.real(np.trace(const @ z)))
     return bound + float(np.min(np.cumsum(r) / np.arange(1, r.size + 1)))
 
 
@@ -474,7 +439,7 @@ def _min_s_problem(
 ) -> SdpProblem:
     """minimize s over x = (coefficients of a d x d Y in the _hermitian_basis(d)
     of blocks[0], s), from the start Y = y_diag I and the given s."""
-    nb = blocks[0].coeffs.shape[0] - 1
+    nb = blocks[0].coeffs.shape[1] - 1
     objective = np.zeros(nb + 1)
     objective[nb] = 1.0
     start = np.zeros(nb + 1)
@@ -498,10 +463,10 @@ def diamond_norm_problem(phi: posmaps.MapSpec) -> SdpProblem:
     d = n * n
     jmat = posmaps.choi_matrix(phi)
     basis = _hermitian_basis(d, real=not jmat.imag.any())
-    coeffs = np.concatenate([basis, np.zeros((1, d, d))])  # x = (Y coeffs, s)
+    coeffs = np.concatenate([basis, np.zeros((1, d, d))])[np.newaxis]  # x = (Y coeffs, s)
     traced = bipartite.partial_trace(basis, n, n, "second")
-    cap = np.concatenate([-traced, np.eye(n)[np.newaxis]])  # s I - Tr_2 Y
-    blocks = [AffineBlock(-jmat, coeffs), AffineBlock(jmat, coeffs), AffineBlock(np.zeros((n, n)), cap)]
+    cap = np.concatenate([-traced, np.eye(n)[np.newaxis]])[np.newaxis]  # s I - Tr_2 Y
+    blocks = [AffineBlock(np.stack([-jmat, jmat]), coeffs), AffineBlock(np.zeros((1, n, n)), cap)]
     kappa = matcore.schatten_norm(jmat, "operator") + 1.0
     return _min_s_problem(d, blocks, kappa, kappa * n + 1.0, "diamond-norm")
 
@@ -513,18 +478,16 @@ def max_eig_problem(phi: posmaps.MapSpec) -> SdpProblem:
     jmat = posmaps.choi_matrix(phi)
     basis = _hermitian_basis(d, real=not jmat.imag.any())
     objective = -np.real(np.einsum("kab,ba->k", basis, jmat))
-    pt_basis = bipartite.partial_transpose(basis, n, n)
-    trace_row = -np.real(np.einsum("kaa->k", basis))[np.newaxis, :]
-    blocks = [
-        AffineBlock(np.zeros((d, d)), basis),
-        AffineBlock(np.zeros((d, d)), pt_basis),
-        scalar_inequality(trace_row, -1.0),
-    ]
+    coeffs = np.empty((2,) + basis.shape, dtype=basis.dtype)  # rho, rho^Gamma
+    coeffs[0] = basis
+    coeffs[1] = bipartite.partial_transpose(basis, n, n)
     start = np.zeros(len(basis))
     start[:d] = 1.0 / (2.0 * d)
     return SdpProblem(
         objective=objective,
-        blocks=blocks,
+        blocks=[AffineBlock(np.zeros((2, d, d)), coeffs)],
+        ineq_mat=-np.real(np.einsum("kaa->k", basis))[np.newaxis, :],  # -Tr rho >= -1
+        ineq_rhs=np.array([-1.0]),
         interior_point=start,
         name="max-eig-ppt",
     )
@@ -541,10 +504,12 @@ def max_eig_dual_problem(phi: posmaps.MapSpec) -> SdpProblem:
     d = n * n
     jmat = posmaps.choi_matrix(phi)
     basis = _hermitian_basis(d, real=not jmat.imag.any())
-    pt_basis = bipartite.partial_transpose(basis, n, n)
-    coeffs = np.concatenate([basis, np.zeros((1, d, d))])  # x = (Y coeffs, s)
-    cap = np.concatenate([-pt_basis, np.eye(d)[np.newaxis]])  # s I - J - Y^Gamma
-    blocks = [AffineBlock(np.zeros((d, d)), coeffs), AffineBlock(-jmat, cap)]
+    nb = len(basis)
+    coeffs = np.zeros((2, nb + 1, d, d), dtype=basis.dtype)  # x = (Y coeffs, s)
+    coeffs[0, :nb] = basis  # Y
+    np.negative(bipartite.partial_transpose(basis, n, n), out=coeffs[1, :nb])
+    coeffs[1, nb] = np.eye(d)  # s I - J - Y^Gamma
+    blocks = [AffineBlock(np.stack([np.zeros_like(jmat), -jmat]), coeffs)]
     s = matcore.schatten_norm(jmat, "operator") + 2.0
     return _min_s_problem(d, blocks, 1.0, s, "max-eig-dual")
 
@@ -737,8 +702,8 @@ def verify_max_eig_certificate(phi: posmaps.MapSpec, cert: DualCertificate) -> f
 
 
 def _solver_certificate(problem: SdpProblem, tol: float) -> DualCertificate:
-    """The solver's Y for a min-s problem whose block 0 is Y plus a constant."""
-    return DualCertificate(problem.name, {"Y": problem.blocks[0].lin(solve(problem, tol=tol).x)})
+    """The solver's Y for a min-s problem whose first constraint is Y plus a constant."""
+    return DualCertificate(problem.name, {"Y": problem.blocks[0].lin(solve(problem, tol=tol).x)[0]})
 
 
 def diamond_norm_ub(phi: posmaps.MapSpec, tol: float = DEFAULT_GAP_TOL) -> float:

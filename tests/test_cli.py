@@ -561,6 +561,17 @@ def test_input_errors_exit_3(tmp_path, capsys):
     notjson.write_text("not json at all")
     code, _ = run_cli(["check-spectrum", str(notjson)], capsys)
     assert code == 3
+    # a scalar re or im, an overflowing or a non-integral dimension
+    for argv, text in (
+        (["witness-analyze"], '{"rows": 1, "cols": 1, "re": 5}'),
+        (["witness-analyze"], '{"rows": 1, "cols": 1, "re": [1.0], "im": 0}'),
+        (["witness-analyze"], '{"rows": 1.5, "cols": 1, "re": [1.0]}'),
+        (["check-spectrum"], '{"m": 1e400, "n": 1, "values": [1.0]}'),
+        (["check-spectrum"], '{"m": 1, "n": 1.5, "values": [1.0]}'),
+        (["orbit-scan", "--criterion", "realignment"], '{"m": 1e400, "n": 1, "values": [1.0]}'),
+    ):
+        bad.write_text(text)
+        input_error([argv[0], str(bad), *argv[1:]], capsys)
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):
@@ -643,6 +654,8 @@ def input_error(argv, capsys):
     (["orbit-scan", "SPEC", "--criterion", "realignment", "--seed", "-1"], "--seed"),
     (["orbit-scan", "SPEC", "--criterion", "gen_choi", "--b", "nan"], "b=nan"),
     (["orbit-scan", "SPEC", "--criterion", "gen_choi", "--c", "inf"], "c=inf"),
+    (["check-spectrum", "SPEC", "--tol", "lmi=-1"], "lmi=-1"),
+    (["orbit-scan", "SPEC", "--criterion", "realignment", "--tol", "violation=-1e-9"], "violation=-1e-9"),
 ])
 def test_usage_errors_exit_3(tmp_path, capsys, argv, named):
     path = write_spectrum(tmp_path, families.isotropic_spectrum(3, 0.1))

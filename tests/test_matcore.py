@@ -1,5 +1,7 @@
 """Core linear algebra: eigendecomposition, Schatten norms, PSD tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,16 @@ def test_matrix_json_rejects_mismatch():
         matcore.matrix_from_json({"rows": 2, "cols": 2, "re": [1.0, 2.0, 3.0]})
     with pytest.raises(InvalidMatrix):
         matcore.matrix_from_json({"rows": 2, "cols": 2, "re": [0.0] * 4, "im": [0.0] * 3})
+    # a scalar re or im is not a list of rows*cols entries
+    with pytest.raises(InvalidMatrix):
+        matcore.matrix_from_json({"rows": 1, "cols": 1, "re": 5})
+    with pytest.raises(InvalidMatrix):
+        matcore.matrix_from_json({"rows": 1, "cols": 1, "re": [5.0], "im": 0.0})
+    # a dimension must be an integer, not truncated to one
+    for rows in (1.5, math.inf, math.nan):
+        with pytest.raises(InvalidMatrix, match="malformed"):
+            matcore.matrix_from_json({"rows": rows, "cols": 1, "re": [1.0]})
+    assert matcore.matrix_from_json({"rows": 2.0, "cols": 1, "re": [1.0, 2.0]}).shape == (2, 1)
 
 
 def test_stacked_eigvalsh_and_singular_values_match_per_matrix():

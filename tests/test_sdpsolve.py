@@ -15,16 +15,17 @@ R2 = math.sqrt(2.0)
 
 
 def _ordering_problem(nv):
-    # x_1 >= x_2 >= ... >= x_nv >= 0 as one stacked diagonal block
-    rows = np.eye(nv) - np.eye(nv, k=1)
+    # x_1 >= x_2 >= ... >= x_nv >= 0 as inequality rows, with no PSD block
     obj = np.zeros(nv)
     obj[0] = 1.0
     tilt = 1.0 + 0.01 * np.linspace(1.0, -1.0, nv)
     return sdpsolve.SdpProblem(
         objective=obj,
-        blocks=[sdpsolve.scalar_inequality(rows, 0.0)],
+        blocks=[],
         eq_mat=np.ones((1, nv)),
         eq_rhs=np.ones(1),
+        ineq_mat=np.eye(nv) - np.eye(nv, k=1),
+        ineq_rhs=np.zeros(nv),
         interior_point=tilt / tilt.sum(),
         name="toy-ordering",
     )
@@ -57,7 +58,9 @@ def test_solve_raises_unbounded_at_once():
     # the objective falls without bound along it, so no step is taken
     prob = sdpsolve.SdpProblem(
         objective=np.array([-1.0]),
-        blocks=[sdpsolve.scalar_inequality(np.ones((1, 1)), 0.0)],
+        blocks=[],
+        ineq_mat=np.ones((1, 1)),
+        ineq_rhs=np.zeros(1),
         interior_point=np.ones(1),
         name="ray",
     )
@@ -89,14 +92,6 @@ def test_line_search_beats_the_damped_step():
         a = sdpsolve._line_search(slope, gamma)
         assert np.all(1.0 + a * gamma > 0.0)
         assert phi(a) <= phi(1.0 / (1.0 + math.sqrt(lam_sq))) + 1e-12
-
-
-def test_scalar_inequality_stacks_rows_into_one_diagonal_block():
-    rows = np.array([[1.0, -1.0, 0.0], [0.0, 2.0, 1.0]])
-    block = sdpsolve.scalar_inequality(rows, 0.5)
-    assert block.size == 2
-    x = np.array([0.3, 0.7, -0.4])
-    assert np.allclose(block.eval(x), np.diag(rows @ x - 0.5))
 
 
 def test_threshold_witness_solve_takes_few_newton_steps():
@@ -164,8 +159,8 @@ def test_verify_min_witness_certificate_closed_form_multipliers():
     for mode in ("full", "submatrix2x2"):
         mu = np.sort(rng.standard_normal(9))[::-1]
         mu = mu - (mu.sum() - 1.0) / 9.0
-        zs = [np.zeros((b.size, b.size))
-              for b in sdpsolve.min_witness_problem(mu, (3, 3), mode).blocks[:-1]]
+        zs = [np.zeros_like(const)
+              for b in sdpsolve.min_witness_problem(mu, (3, 3), mode).blocks for const in b.const]
         # with Z = 0 the bound is min_k cumsum(c)_k / k; c = mu reversed is
         # ascending, so that is c_1 = mu_9, the ordering-only optimum at e_1
         lb = sdpsolve.verify_min_witness_certificate(mu, (3, 3), mode, zs)
@@ -175,7 +170,7 @@ def test_verify_min_witness_certificate_closed_form_multipliers():
 
 def test_verify_min_witness_certificate_rejects_malformed_duals():
     mu = np.full(9, 1.0 / 9.0)
-    q = [b.size for b in sdpsolve.min_witness_problem(mu, (3, 3), "full").blocks[:-1]]
+    q = [len(const) for b in sdpsolve.min_witness_problem(mu, (3, 3), "full").blocks for const in b.const]
     with pytest.raises(CertificateRejected, match="dual blocks"):
         sdpsolve.verify_min_witness_certificate(mu, (3, 3), "full", [np.eye(q[0])])
     with pytest.raises(CertificateRejected, match="shape"):
@@ -460,7 +455,7 @@ def test_diamond_norm_ub_certifies_within_the_gap(phi, optimum, tol):
 def test_diamond_solve_takes_few_newton_steps():
     phi = posmaps.dual_map(posmaps.choi_map())
     problem = sdpsolve.diamond_norm_problem(phi)
-    assert [b.size for b in problem.blocks] == [9, 9, 3]
+    assert [b.const.shape for b in problem.blocks] == [(2, 9, 9), (1, 3, 3)]
     sol = sdpsolve.solve(problem, tol=1e-7)
     assert sol.newton_steps <= 60  # 26 measured
     assert sol.gap <= 1e-7
@@ -471,8 +466,8 @@ def _final_half_decrement_sq(problem, sol):
     # lambda^2/2 of the Newton step at the returned x, for the final stage's
     # t = m/gap: the quantity solve compares with _CENTERED before it returns
     nv, p = sol.x.size, 0 if problem.eq_mat is None else problem.eq_mat.shape[0]
-    t = sum(b.size for b in problem.blocks) / sol.gap
-    grad, hess, _ = sdpsolve._barrier_derivatives(sdpsolve._stack_blocks(problem.blocks), sol.x)
+    t = sum(len(const) for const, _ in _constraints(problem)) / sol.gap
+    grad, hess, _ = sdpsolve._barrier_derivatives(problem, sol.x)
     kkt = np.zeros((nv + p, nv + p))
     kkt[:nv, :nv] = hess
     if p:
@@ -520,7 +515,7 @@ def test_only_the_final_stage_is_centred_tightly_on_dual_forms(build, verify, ph
     sol = sdpsolve.solve(problem, tol=tol)
     assert sol.newton_steps <= 36
     assert _final_half_decrement_sq(problem, sol) <= sdpsolve._CENTERED
-    y = problem.blocks[0].lin(sol.x)
+    y = problem.blocks[0].lin(sol.x)[0]
     value = verify(phi, sdpsolve.DualCertificate(problem.name, {"Y": y}))
     assert optimum <= value <= optimum + tol
 
@@ -541,12 +536,12 @@ def _watrous_two_variable_problem(phi):
     big_coeffs[:nb, :d, :d] = basis
     big_coeffs[nb : 2 * nb, d:, d:] = basis
     traced = np.stack([bipartite.partial_trace(basis[k], n, m, "second") for k in range(nb)])
-    blocks = [sdpsolve.AffineBlock(big_const, big_coeffs)]
+    caps = np.zeros((2, nv, n, n), dtype=np.complex128)
     for i in (0, 1):
-        cap = np.zeros((nv, n, n), dtype=np.complex128)
-        cap[i * nb : (i + 1) * nb] = -traced
-        cap[2 * nb + i] = np.eye(n)
-        blocks.append(sdpsolve.AffineBlock(np.zeros((n, n), dtype=np.complex128), cap))
+        caps[i, i * nb : (i + 1) * nb] = -traced
+        caps[i, 2 * nb + i] = np.eye(n)
+    blocks = [sdpsolve.AffineBlock(big_const[np.newaxis], big_coeffs[np.newaxis]),
+              sdpsolve.AffineBlock(np.zeros((2, n, n), dtype=np.complex128), caps)]
     objective = np.zeros(nv)
     objective[2 * nb] = objective[2 * nb + 1] = 0.5
     kappa = matcore.schatten_norm(jmat, "operator") + 1.0
@@ -560,7 +555,7 @@ def test_diamond_symmetric_form_matches_two_variable_watrous_sdp():
     # each primal value lies within its gap above the common optimum
     phi = posmaps.dual_map(posmaps.choi_map())
     full = _watrous_two_variable_problem(phi)
-    assert [b.size for b in full.blocks] == [18, 3, 3]
+    assert [b.const.shape for b in full.blocks] == [(1, 18, 18), (2, 3, 3)]
     old = sdpsolve.solve(full, tol=1e-7)
     new = sdpsolve.solve(sdpsolve.diamond_norm_problem(phi), tol=1e-7)
     assert abs(old.primal_value - new.primal_value) <= old.gap + new.gap
@@ -615,18 +610,36 @@ def test_choi_matrix_is_hermitian(phi):
     assert np.abs(jmat - jmat.conj().T).max() <= 1e-12
 
 
-def _reference_barrier_derivatives(blocks, x):
-    # -tr(F^-1 A_k) and tr(F^-1 A_k F^-1 A_l), one block and one (k, l) at a
-    # time. F^-1 is formed from the Cholesky factor as L^-H L^-1: near the
-    # optimum F has condition numbers of ~1e8, and inverses of F by two
-    # routes differ by ~1e-9 relative, far above the 1e-12 checked here
+def _constraints(problem):
+    # every constraint as its own (const, coeffs) pair, (h, h) and (nv, h, h):
+    # constraint i of each block, then each inequality row a x >= b as the
+    # 1 x 1 constraint [-b] + sum_k x_k [a_k] >= 0
+    for block in problem.blocks:
+        for i, const in enumerate(block.const):
+            yield const, block.coeffs[i if len(block.coeffs) > 1 else 0]
+    if problem.ineq_mat is not None:
+        for row, rhs in zip(problem.ineq_mat, problem.ineq_rhs):
+            yield np.array([[-rhs]]), row[:, np.newaxis, np.newaxis]
+
+
+def _affine(const, coeffs, x):
+    # const + sum_k x_k coeffs[k], summed in the order AffineBlock.lin sums
+    # it: near the optimum one rounding of F moves F^-1 by ~1e-8 relative
+    return const + (x @ coeffs.reshape(x.size, -1)).reshape(coeffs.shape[1:])
+
+
+def _reference_barrier_derivatives(problem, x):
+    # -tr(F^-1 A_k) and tr(F^-1 A_k F^-1 A_l), one constraint matrix and one
+    # (k, l) at a time. F^-1 is formed from the Cholesky factor as L^-H L^-1:
+    # near the optimum F has condition numbers of ~1e8, and inverses of F by
+    # two routes differ by ~1e-9 relative, far above the 1e-12 checked here
     nv = x.size
     grad = np.zeros(nv)
     hess = np.zeros((nv, nv))
-    for block in blocks:
-        lo_inv = np.linalg.inv(np.linalg.cholesky(block.eval(x)))
+    for const, coeffs in _constraints(problem):
+        lo_inv = np.linalg.inv(np.linalg.cholesky(_affine(const, coeffs, x)))
         f_inv = lo_inv.conj().T @ lo_inv
-        fa = [f_inv @ block.coeffs[k] for k in range(nv)]
+        fa = [f_inv @ coeffs[k] for k in range(nv)]
         for k in range(nv):
             grad[k] -= np.trace(fa[k]).real
             for l in range(nv):
@@ -634,26 +647,23 @@ def _reference_barrier_derivatives(blocks, x):
     return grad, hess
 
 
-def _reference_gamma(blocks, x, dx):
-    # the line search's gamma one block at a time: the eigenvalues of
-    # L^-1 F_lin(dx) L^-H, or a diagonal block's (rows @ dx) / slack
+def _reference_gamma(problem, x, dx):
+    # the line search's gamma one constraint matrix at a time: the eigenvalues
+    # of L^-1 F_lin(dx) L^-H, for an inequality row (a @ dx) / slack
     parts = []
-    for block in blocks:
-        f = block.eval(x)
-        if block.rows is not None:
-            parts.append((block.rows @ dx) / f.diagonal().real)
-            continue
-        lo_inv = np.linalg.solve(np.linalg.cholesky(f), np.eye(block.size))
-        parts.append(np.linalg.eigvalsh(lo_inv @ block.lin(dx) @ lo_inv.conj().T))
+    for const, coeffs in _constraints(problem):
+        f = _affine(const, coeffs, x)
+        lo_inv = np.linalg.solve(np.linalg.cholesky(f), np.eye(len(f)))
+        parts.append(np.linalg.eigvalsh(lo_inv @ _affine(0.0, coeffs, dx) @ lo_inv.conj().T))
     return np.concatenate(parts)
 
 
-def _assert_derivatives_match_reference(blocks, x, dx):
-    grad, hess, gamma = sdpsolve._barrier_derivatives(sdpsolve._stack_blocks(blocks), x)
-    ref_grad, ref_hess = _reference_barrier_derivatives(blocks, x)
+def _assert_derivatives_match_reference(problem, x, dx):
+    grad, hess, gamma = sdpsolve._barrier_derivatives(problem, x)
+    ref_grad, ref_hess = _reference_barrier_derivatives(problem, x)
     assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
     assert np.abs(hess - ref_hess).max() <= 1e-12 * np.abs(ref_hess).max()
-    ref_gamma = np.sort(_reference_gamma(blocks, x, dx))
+    ref_gamma = np.sort(_reference_gamma(problem, x, dx))
     assert np.abs(np.sort(gamma(dx)) - ref_gamma).max() <= 1e-12 * np.abs(ref_gamma).max()
 
 
@@ -664,7 +674,7 @@ def _complex_block_problem():
     basis = sdpsolve._hermitian_basis(3)
     start = np.zeros(9)
     start[:3] = matcore.schatten_norm(c, "operator") + 1.0  # Y = start I
-    block = sdpsolve.AffineBlock(c, basis)
+    block = sdpsolve.AffineBlock(c[np.newaxis], basis[np.newaxis])
     assert block.coeffs.dtype == np.complex128
     return sdpsolve.SdpProblem(objective=np.real(np.einsum("kaa->k", basis)), blocks=[block],
                                interior_point=start, name="complex-block")
@@ -698,42 +708,67 @@ def test_barrier_derivatives_match_reference(build):
     late = sdpsolve.solve(problem, tol=1e-7).x
     dx = np.random.default_rng(11).standard_normal(late.size)
     for x in (problem.interior_point, late):
-        _assert_derivatives_match_reference(problem.blocks, x, dx)
+        _assert_derivatives_match_reference(problem, x, dx)
 
 
+# (size h, constraints g, complex, one coeffs array shared by all g)
+block_specs = st.lists(st.tuples(st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=3),
+                                 st.booleans(), st.booleans()),
+                       min_size=1, max_size=5)
 
-# (size, complex, reuse the coeffs of the last earlier block of that size)
-block_specs = st.lists(st.tuples(st.sampled_from([1, 2, 3, 4]), st.booleans(), st.booleans()),
-                       min_size=1, max_size=6)
+
+def _hermitian(rng, shape, is_complex):
+    g = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if is_complex else 0)
+    return g + g.conj().swapaxes(-1, -2)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(specs=block_specs, nv=st.integers(min_value=1, max_value=6),
-       seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_barrier_derivatives_match_reference_on_mixed_block_lists(specs, nv, seed):
-    # sizes repeat and interleave as in [3, 9, 3]; blocks of one size may share
-    # one coeffs array, as diamond's Y - J and Y + J do; one diagonal block last
+       n_rows=st.integers(min_value=0, max_value=3), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_barrier_derivatives_match_reference_on_mixed_block_lists(specs, nv, n_rows, seed):
+    # sizes repeat across blocks, as in [3, 9, 3]; a block's g constraints
+    # may share one coeffs array, as diamond's Y - J and Y + J do; real and
+    # complex blocks mix; 0-3 inequality rows
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(nv)
-    blocks, coeffs_of = [], {}
-    for h, is_complex, reuse in specs:
-        if not (reuse and h in coeffs_of):
-            g = rng.standard_normal((nv, h, h)) + (1j * rng.standard_normal((nv, h, h)) if is_complex else 0)
-            coeffs_of[h] = sdpsolve.AffineBlock(np.zeros((h, h)), g + g.conj().swapaxes(1, 2)).coeffs
-        g = rng.standard_normal((h, h)) + (1j * rng.standard_normal((h, h)) if is_complex else 0)
-        lin = (x @ coeffs_of[h].reshape(nv, -1)).reshape(h, h)
-        blocks.append(sdpsolve.AffineBlock(g @ g.conj().T + np.eye(h) - lin, coeffs_of[h]))  # F(x) > 0
-    rows = rng.standard_normal((3, nv))
-    blocks.append(sdpsolve.scalar_inequality(rows, float((rows @ x).min()) - rng.uniform(0.1, 1.0)))
-    _assert_derivatives_match_reference(blocks, x, rng.standard_normal(nv))
+    blocks = []
+    for h, g, is_complex, shared in specs:
+        coeffs = _hermitian(rng, (1 if shared else g, nv, h, h), is_complex)
+        lin = (x @ coeffs.reshape(-1, nv, h * h)).reshape(-1, h, h)
+        a = rng.standard_normal((g, h, h)) + (1j * rng.standard_normal((g, h, h)) if is_complex else 0)
+        blocks.append(sdpsolve.AffineBlock(a @ a.conj().swapaxes(1, 2) + np.eye(h) - lin, coeffs))  # F(x) > 0
+    problem = sdpsolve.SdpProblem(objective=np.zeros(nv), blocks=blocks, interior_point=x)
+    if n_rows:
+        problem.ineq_mat = rng.standard_normal((n_rows, nv))
+        problem.ineq_rhs = problem.ineq_mat @ x - rng.uniform(0.1, 1.0, n_rows)
+    _assert_derivatives_match_reference(problem, x, rng.standard_normal(nv))
+
+
+def test_builders_emit_one_block_per_constraint_size():
+    # the layout the barrier reads, as each builder writes it: (const, coeffs)
+    # shapes per block, then the inequality rows
+    choi_dual = posmaps.dual_map(posmaps.choi_map())
+
+    def layout(problem):
+        rows = None if problem.ineq_mat is None else (problem.ineq_mat.shape, problem.ineq_rhs.shape)
+        return [(b.const.shape, b.coeffs.shape) for b in problem.blocks], rows
+
+    assert layout(sdpsolve.diamond_norm_problem(choi_dual)) == (
+        [((2, 9, 9), (1, 46, 9, 9)), ((1, 3, 3), (1, 46, 3, 3))], None)
+    assert layout(sdpsolve.max_eig_dual_problem(choi_dual)) == ([((2, 9, 9), (2, 46, 9, 9))], None)
+    assert layout(sdpsolve.max_eig_problem(choi_dual)) == ([((2, 9, 9), (2, 45, 9, 9))], ((1, 45), (1,)))
+    assert layout(_threshold_problem((3, 3), "full")) == ([((2, 3, 3), (2, 9, 3, 3))], ((9, 9), (9,)))
+    assert layout(_threshold_problem((3, 3), "submatrix2x2")) == ([((1, 2, 2), (1, 9, 2, 2))], ((9, 9), (9,)))
+    # min{m, n} = 1 has no LMI: the ordering rows alone
+    assert layout(sdpsolve.min_witness_problem(np.full(3, 1.0 / 3.0), (1, 3))) == ([], ((3, 3), (3,)))
 
 
 def test_one_cholesky_per_block_size_per_newton_step(monkeypatch):
-    # the (3,3) full min-witness problem has two 3 x 3 LMI blocks, factored
-    # together, and a diagonal block, which needs no factor: one Cholesky at
-    # the start and one after each Newton step
+    # the (3,3) full min-witness problem has one block of two 3 x 3 LMIs,
+    # factored together, and inequality rows, which need no factor: one
+    # Cholesky at the start and one after each Newton step
     problem = _threshold_problem((3, 3), "full")
-    assert [b.size for b in problem.blocks if b.rows is None] == [3, 3]
+    assert [b.const.shape for b in problem.blocks] == [(2, 3, 3)]
     calls = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
