@@ -34,7 +34,7 @@ class DomainError(ToolkitError, ValueError):
 
 
 class CertificateRejected(ToolkitError):
-    """A claimed dual-feasible point failed verification."""
+    """A claimed feasible point, primal or dual, failed verification."""
 
 
 class NoInteriorPoint(ToolkitError):

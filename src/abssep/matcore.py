@@ -151,9 +151,10 @@ def matrix_to_json(a) -> dict:
 
 
 def _json_int(value) -> int:
-    """A dimension read from JSON as int(value); a float must be integral, so
-    that 1.5 is not read as 1 and 1e400 (inf) raises TypeError, not OverflowError."""
-    if isinstance(value, float) and not value.is_integer():
+    """A dimension read from JSON as int(value); it must be a JSON number, so
+    true and "2" raise TypeError, and a float must be integral, so that 1.5 is
+    not read as 1 and 1e400 (inf) raises TypeError, not OverflowError."""
+    if isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer():
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
 

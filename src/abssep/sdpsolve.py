@@ -10,10 +10,12 @@ Two complementary paths:
   g share one array, and the scalar inequalities are the rows of
   ineq_mat @ x >= ineq_rhs. Every problem builder supplies a strictly
   feasible start that also satisfies the equalities, so each stage centres
-  by feasible-start Newton steps and stops on the Newton decrement (Boyd &
-  Vandenberghe, Convex Optimization, ch. 9-11): the final stage, whose gap
-  is reported, tightly, and the earlier ones, which only supply the next
-  start, loosely (ibid. 11.3.1).
+  by feasible-start Newton steps (Boyd & Vandenberghe, Convex Optimization,
+  ch. 9-11). Every stage stops by one loose rule on the Newton decrement,
+  and the reported gap (m + sqrt m)/t bounds c.x - p* at such a point
+  (Nesterov, Introductory Lectures on Convex Optimization, 2004, Theorem
+  4.2.7). The Newton system is solved Jacobi-scaled, which keeps A x = b
+  to rounding.
   Problems stay below a few hundred variables and blocks below ~100x100,
   so dense Newton steps are both adequate and robust. A block whose data
   is real is stored and solved in float64; only truly complex data, such
@@ -64,17 +66,16 @@ from .errors import (
 
 DEFAULT_GAP_TOL = 1e-7
 CERT_PSD_TOL = 1e-10
+# |sum(lambda) - 1| a min-witness spectrum may show before its value is used;
+# the solver keeps sum(lambda) = 1 to a few ulps over a solve
+MIN_WITNESS_SUM_TOL = 1e-12
 _MU_REDUCTION = 0.2  # barrier parameter shrink per outer step
-# the final stage is centred once lambda^2/2 (half the squared Newton
-# decrement, an affine-invariant estimate of the barrier objective's excess
-# over its minimum) falls below this: the reported gap m/t holds at its centre
-_CENTERED = 1e-10
-# an earlier stage only gives the next one its start, so it stops here
-# (Boyd & Vandenberghe, Convex Optimization, 11.3.1, "accuracy of centering"),
-# which skips its 2-3 quadratic-phase steps. lambda is then about 0.045, well
-# inside the full-step region lambda <= _QUADRATIC_PHASE (lambda^2/2 ~ 3e-2);
-# stopping near that edge left the primal max-eig solve a singular KKT system
-_STAGE_CENTERED = 1e-3
+# every stage stops once lambda^2/2, half the squared Newton decrement,
+# falls below this: lambda <= 0.045, well inside the full-step region
+# lambda <= _QUADRATIC_PHASE (stopping near its edge left the primal max-eig
+# solve a singular KKT system), and small enough that the gap (m + sqrt m)/t
+# that solve reports covers the centring error
+_CENTERED = 1e-3
 # exact line searches until lambda drops below this, then full steps
 _QUADRATIC_PHASE = 0.25
 
@@ -121,7 +122,7 @@ class SdpProblem:
 @dataclass
 class SdpSolution:
     primal_value: float   # objective at the returned strictly feasible point
-    dual_value: float     # primal_value - duality gap estimate
+    dual_value: float     # primal_value - gap, a lower bound on the optimum
     x: np.ndarray
     gap: float
     newton_steps: int
@@ -179,7 +180,8 @@ def _barrier_derivatives(
     if problem.ineq_mat is not None:
         slack = problem.ineq_mat @ x - problem.ineq_rhs
         if not np.all(slack > 0.0):
-            raise np.linalg.LinAlgError("diagonal block is not positive")
+            row = int(np.flatnonzero(~(slack > 0.0))[0])
+            raise np.linalg.LinAlgError(f"inequality row {row} has slack {slack[row]:.3e}, not > 0")
         w = problem.ineq_mat / slack[:, np.newaxis]
         grad -= w.sum(0)
         hess += w.T @ w
@@ -220,22 +222,22 @@ def solve(
     tol: float = DEFAULT_GAP_TOL,
     max_newton: int = 5000,
 ) -> SdpSolution:
-    """Barrier method; returns values bracketing the optimum within ~tol.
+    """Barrier method; returns values bracketing the optimum within tol.
 
     Stage t centres t c.x - sum_i log det F_i(x) over {A x = b}. While the
     Newton decrement lambda exceeds 1/4, x moves to x + a dx, a from
     _line_search on that objective along the Newton direction dx: the
     barrier keeps x strictly feasible, and a decreases the objective at least
     as much as the damped step 1/(1+lambda) does. Then full steps converge
-    quadratically. t grows by 1/_MU_REDUCTION until m/t <= tol, where m is
-    the total size of the PSD constraints plus the number of inequality
-    rows. That final stage is centred until lambda^2/2 <=
-    _CENTERED (1e-10), so the gap m/t holds at the returned x; each earlier
-    stage only gives the next its start, so it stops at lambda^2/2 <=
-    _STAGE_CENTERED (1e-3), which skips its last 2-3 quadratic-phase steps
-    (Boyd & Vandenberghe, Convex Optimization, 11.3.1, "accuracy of
-    centering"). Raises Unbounded on a ray the objective falls along without
-    bound.
+    quadratically. Every stage stops at lambda^2/2 <= _CENTERED, and t grows
+    by 1/_MU_REDUCTION until gap = (m + sqrt m)/t <= tol, m the total size of
+    the PSD constraints plus the number of inequality rows. A point with
+    lambda = beta < 1 has c.x - p* <= (m + (beta + sqrt m) beta/(1 - beta))/t
+    (Nesterov, Introductory Lectures on Convex Optimization, 2004, Theorem
+    4.2.7), within gap for beta <= 0.045. The Newton system is Jacobi-scaled
+    by diag(H)^-1/2, so that a Hessian diagonal spanning many orders does not
+    lose A dx = 0 to rounding. Raises Unbounded on a ray the objective falls
+    along without bound.
     """
     c = np.asarray(problem.objective, dtype=np.float64)
     nv = c.size
@@ -261,21 +263,20 @@ def solve(
         kkt[:nv, nv:] = a_mat.T
         kkt[nv:, :nv] = a_mat
     rhs = np.zeros(nv + p)
+    scale = np.ones(nv + p)  # D: diag(H)^-1/2 on the x rows, 1 on the multipliers
 
     m_total = sum(b.const.shape[0] * b.const.shape[1] for b in problem.blocks)
     if problem.ineq_rhs is not None:
         m_total += problem.ineq_rhs.size
-    t = 1.0
-    steps = 0
+    t, steps = 1.0, 0
     while True:
-        gap = m_total / t
-        centered = _CENTERED if gap <= tol else _STAGE_CENTERED
         while True:
             kkt[:nv, :nv] = hess
-            rhs[:nv] = -(t * c + grad)
-            dx = np.linalg.solve(kkt, rhs)[:nv]
+            scale[:nv] = 1.0 / np.sqrt(hess.diagonal())
+            rhs[:nv] = -(t * c + grad)  # (D K D) z = D r, dx = D z
+            dx = scale[:nv] * np.linalg.solve(kkt * np.outer(scale, scale), scale * rhs)[:nv]
             decrement_sq = float(dx @ hess @ dx)
-            if decrement_sq / 2.0 <= centered:
+            if decrement_sq / 2.0 <= _CENTERED:
                 break
             if steps >= max_newton:
                 raise MaxIterations(
@@ -294,6 +295,7 @@ def solve(
             steps += 1
             del gamma_of  # the old M_k, before the new ones are formed
             grad, hess, gamma_of = _barrier_derivatives(problem, x)
+        gap = (m_total + math.sqrt(m_total)) / t
         if gap <= tol:
             break
         t /= _MU_REDUCTION
@@ -370,11 +372,32 @@ def min_witness_over_abs_ppt(
 ) -> float:
     """Minimum witness overlap over absolutely PPT spectra (primal value).
 
-    The returned value is attained by a feasible spectrum, so it always
-    upper-bounds the exact optimum; with the default tolerance the two agree
-    to ~1e-8.
+    The returned value is attained by the solver's spectrum, which
+    _verify_min_witness_point checks before it is used, so it upper-bounds
+    the exact optimum, by at most the solver's gap bound, tol.
     """
-    return solve(min_witness_problem(witness_spectrum, dims, lmi_mode), tol=tol).primal_value
+    sol = solve(min_witness_problem(witness_spectrum, dims, lmi_mode), tol=tol)
+    _verify_min_witness_point(sol.x, dims, lmi_mode)
+    return sol.primal_value
+
+
+def _verify_min_witness_point(lam: np.ndarray, dims: tuple[int, int], lmi_mode: str) -> None:
+    """Raise CertificateRejected unless lam is feasible for min_witness_problem:
+    sorted descending, >= 0, summing to 1 within MIN_WITNESS_SUM_TOL, and
+    passing the LMIs of lmi_mode within absppt.LMI_PSD_TOL."""
+    slack = np.append(-np.diff(lam), lam[-1])  # the ordering rows of min_witness_problem
+    if not slack.min() >= 0.0:
+        j = int(np.argmin(slack))
+        raise CertificateRejected(f"ordering row {j} of the spectrum is {slack[j]:.3e} < 0")
+    drift = float(lam.sum()) - 1.0
+    if abs(drift) > MIN_WITNESS_SUM_TOL:
+        raise CertificateRejected(f"spectrum sums to 1 {drift:+.3e}, beyond {MIN_WITNESS_SUM_TOL:g}")
+    templates = (absppt.build_lmis(*dims).matrices if lmi_mode == "full"
+                 else (absppt.necessary_template(lam.size),))
+    for i, tpl in enumerate(templates):
+        lam_min = float(matcore.eigvalsh(tpl.evaluate(lam))[-1])
+        if lam_min < -absppt.LMI_PSD_TOL:
+            raise CertificateRejected(f"LMI {i} is not PSD (min eigenvalue {lam_min:.3e})")
 
 
 def verify_min_witness_certificate(

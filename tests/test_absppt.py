@@ -268,10 +268,13 @@ def test_spectrum_validation_and_json():
     back = Spectrum.from_json(s.to_json())
     assert back.m == 2 and back.n == 3
     assert np.array_equal(back.values, s.values)
-    # 1e400 parses as inf; a dimension must be an integer, not truncated to one
-    for m in (math.inf, math.nan, 1.5):
+    # 1e400 parses as inf; a dimension must be an integer, not truncated to
+    # one, and a JSON number, not true or "1", which int() reads as 1
+    for m in (math.inf, math.nan, 1.5, True, "1"):
         with pytest.raises(InvalidState, match="malformed"):
             Spectrum.from_json({"m": m, "n": 1, "values": [1.0]})
+        with pytest.raises(InvalidState, match="malformed"):
+            Spectrum.from_json({"m": 1, "n": m, "values": [1.0]})
     # tiny negatives clamp to zero
     s2 = Spectrum(2, 2, [0.5, 0.3, 0.2 + 1e-13, -1e-13])
     assert s2.values[-1] == 0.0

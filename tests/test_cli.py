@@ -561,7 +561,8 @@ def test_input_errors_exit_3(tmp_path, capsys):
     notjson.write_text("not json at all")
     code, _ = run_cli(["check-spectrum", str(notjson)], capsys)
     assert code == 3
-    # a scalar re or im, an overflowing or a non-integral dimension
+    # a scalar re or im; an overflowing or a non-integral dimension, or one
+    # that is not a JSON number
     for argv, text in (
         (["witness-analyze"], '{"rows": 1, "cols": 1, "re": 5}'),
         (["witness-analyze"], '{"rows": 1, "cols": 1, "re": [1.0], "im": 0}'),
@@ -569,6 +570,10 @@ def test_input_errors_exit_3(tmp_path, capsys):
         (["check-spectrum"], '{"m": 1e400, "n": 1, "values": [1.0]}'),
         (["check-spectrum"], '{"m": 1, "n": 1.5, "values": [1.0]}'),
         (["orbit-scan", "--criterion", "realignment"], '{"m": 1e400, "n": 1, "values": [1.0]}'),
+        (["check-spectrum"], '{"m": true, "n": 1, "values": [1.0]}'),
+        (["check-spectrum"], '{"m": 1, "n": "1", "values": [1.0]}'),
+        (["witness-analyze"], '{"rows": true, "cols": 1, "re": [1.0]}'),
+        (["witness-analyze"], '{"rows": 1, "cols": "1", "re": [1.0]}'),
     ):
         bad.write_text(text)
         input_error([argv[0], str(bad), *argv[1:]], capsys)

@@ -194,10 +194,13 @@ def test_matrix_json_rejects_mismatch():
         matcore.matrix_from_json({"rows": 1, "cols": 1, "re": 5})
     with pytest.raises(InvalidMatrix):
         matcore.matrix_from_json({"rows": 1, "cols": 1, "re": [5.0], "im": 0.0})
-    # a dimension must be an integer, not truncated to one
-    for rows in (1.5, math.inf, math.nan):
+    # a dimension must be an integer, not truncated to one, and a JSON number:
+    # int() reads true as 1 and "2" as 2
+    for rows in (1.5, math.inf, math.nan, True, False, "2", "1"):
         with pytest.raises(InvalidMatrix, match="malformed"):
             matcore.matrix_from_json({"rows": rows, "cols": 1, "re": [1.0]})
+        with pytest.raises(InvalidMatrix, match="malformed"):
+            matcore.matrix_from_json({"rows": 1, "cols": rows, "re": [1.0]})
     assert matcore.matrix_from_json({"rows": 2.0, "cols": 1, "re": [1.0, 2.0]}).shape == (2, 1)
 
 

@@ -1,5 +1,6 @@
 """Barrier solver and analytic certificate verifiers."""
 
+import functools
 import math
 import re
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abssep import bipartite, matcore, posmaps, sdpsolve, witness
+from abssep import absppt, bipartite, matcore, posmaps, sdpsolve, witness
 from abssep.errors import CertificateRejected, NoInteriorPoint, Unbounded, Unsupported
 
 R2 = math.sqrt(2.0)
@@ -68,6 +69,14 @@ def test_solve_raises_unbounded_at_once():
         sdpsolve.solve(prob, max_newton=1)
 
 
+def test_barrier_names_the_inequality_row_that_fails():
+    # x_2 > x_1 breaks the first ordering row, x_1 - x_2 >= 0
+    prob = _ordering_problem(3)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=re.escape("inequality row 0 has slack -1.000e-01, not > 0")):
+        sdpsolve._barrier_derivatives(prob, np.array([0.3, 0.4, 0.3]))
+
+
 @pytest.mark.parametrize("slope", [-1.5, -2.0, -5.0, -100.0])
 def test_line_search_finds_closed_form_minimizer(slope):
     # slope a - log(1 - a) is least at a = 1 + 1/slope for slope < -1
@@ -102,7 +111,7 @@ def test_threshold_witness_solve_takes_few_newton_steps():
     for ell in ells:
         spec = witness.extremal_witness_spectrum(ell, witness.detection_threshold(ell), 9)
         sol = sdpsolve.solve(sdpsolve.min_witness_problem(spec, (3, 3), "full"), tol=1e-8)
-        assert sol.newton_steps <= 100  # 33-61 measured
+        assert sol.newton_steps <= 100  # 31-52 measured
         assert sol.primal_value >= -1e-9
         assert sol.gap <= 1e-8
 
@@ -110,7 +119,7 @@ def test_threshold_witness_solve_takes_few_newton_steps():
 def test_max_eig_solve_takes_few_newton_steps():
     phi = posmaps.dual_map(posmaps.generalized_choi_map(6.0 / 5.0, 6.0 / 5.0))
     sol = sdpsolve.solve(sdpsolve.max_eig_problem(phi), tol=1e-7)
-    assert sol.newton_steps <= 60  # 25 measured
+    assert sol.newton_steps <= 60  # 23 measured
     # the maximization's bracket is [-primal, -dual]
     assert -sol.primal_value <= 0.6 <= -sol.dual_value
 
@@ -180,6 +189,79 @@ def test_verify_min_witness_certificate_rejects_malformed_duals():
         sdpsolve.verify_min_witness_certificate(
             mu, (3, 3), "full", [np.eye(q[0]), -np.eye(q[1])]
         )
+
+
+def _generic_witness_spectra():
+    # 10 random witness spectra for each shape: generic optima are degenerate,
+    # with ordering rows and lambda_mn >= 0 active, so the Hessian's diagonal
+    # spans many orders of magnitude
+    rng = np.random.default_rng(11)
+    out = []
+    for dims in ((2, 3), (2, 4), (3, 4), (3, 3)):
+        for _ in range(10):
+            mu = np.sort(rng.normal(size=dims[0] * dims[1]))[::-1]
+            out.append((mu / np.abs(mu).sum(), dims))
+    return out
+
+
+@functools.cache
+def _generic_min_witness_solutions(tol):
+    # (mu, dims, mode, solution) for the 80 generic solves at tol; a solve
+    # that raises fails every test that reads them
+    return [(mu, dims, mode, sdpsolve.solve(sdpsolve.min_witness_problem(mu, dims, mode), tol=tol))
+            for mu, dims in _generic_witness_spectra() for mode in ("full", "submatrix2x2")]
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-8, 1e-9])
+def test_min_witness_solves_generic_witnesses_to_feasible_points(tol):
+    # the Jacobi-scaled KKT solve keeps A dx = 0 to rounding on these
+    # degenerate optima: |sum(lambda) - 1| <= 3e-15 measured. Unscaled, the
+    # drift reached 1.9e-9 at 1e-7, and 1 and 15 solves raised at 1e-8 and 1e-9
+    for mu, dims, mode, sol in _generic_min_witness_solutions(tol):
+        lam = sol.x
+        assert abs(lam.sum() - 1.0) <= 1e-12, (dims, mode)
+        assert np.all(np.diff(lam) <= 0.0) and lam[-1] >= 0.0, (dims, mode)
+        spectrum = absppt.Spectrum(dims[0], dims[1], lam)
+        if mode == "full":
+            assert absppt.is_abs_ppt(spectrum) is absppt.AbsPptVerdict.YES, dims
+        else:
+            assert absppt.necessary_2x2(spectrum), dims
+        assert abs(sol.primal_value - float(mu[::-1] @ lam)) <= 1e-15
+        assert sol.gap <= tol
+        sdpsolve._verify_min_witness_point(lam, dims, mode)
+
+
+@pytest.mark.parametrize("loose, tight", [(1e-7, 1e-8), (1e-8, 1e-9)])
+def test_min_witness_generic_values_agree_across_tolerances(loose, tight):
+    # each value lies in [optimum, optimum + tol]
+    for (_, dims, mode, a), (_, _, _, b) in zip(_generic_min_witness_solutions(loose),
+                                                _generic_min_witness_solutions(tight)):
+        assert abs(a.primal_value - b.primal_value) <= loose, (dims, mode)
+
+
+@pytest.mark.parametrize(
+    "lam, mode, message",
+    [
+        ([0.3, 0.4, 0.1, 0.1, 0.1, 0.0], "full", "ordering row 0 of the spectrum is -1.000e-01"),
+        ([0.5, 0.3, 0.1, 0.1, 0.1, -0.1], "full", "ordering row 5 of the spectrum is -1.000e-01"),
+        ([0.2, 0.2, 0.2, 0.2, 0.1 + 1e-11, 0.1], "full", "sums to 1 \\+1.000e-11"),
+        ([1.0, 0.0, 0.0, 0.0, 0.0, 0.0], "full", "LMI 0 is not PSD"),
+        ([1.0, 0.0, 0.0, 0.0, 0.0, 0.0], "submatrix2x2", "LMI 0 is not PSD"),
+    ],
+)
+def test_verify_min_witness_point_names_the_failed_check(lam, mode, message):
+    with pytest.raises(CertificateRejected, match=message):
+        sdpsolve._verify_min_witness_point(np.array(lam), (2, 3), mode)
+
+
+def test_min_witness_over_abs_ppt_rejects_an_infeasible_point(monkeypatch):
+    # a solve that returned a point off sum(lambda) = 1 raises, not its value
+    mu = np.full(6, 1.0 / 6.0)
+    bad = sdpsolve.SdpSolution(primal_value=0.2, dual_value=0.2, x=np.full(6, 0.2), gap=0.0,
+                               newton_steps=1)
+    monkeypatch.setattr(sdpsolve, "solve", lambda problem, tol: bad)
+    with pytest.raises(CertificateRejected, match="sums to 1"):
+        sdpsolve.min_witness_over_abs_ppt(mu, (2, 3), "full")
 
 
 def test_min_witness_full_mode_needs_small_dims():
@@ -464,9 +546,11 @@ def test_diamond_solve_takes_few_newton_steps():
 
 def _final_half_decrement_sq(problem, sol):
     # lambda^2/2 of the Newton step at the returned x, for the final stage's
-    # t = m/gap: the quantity solve compares with _CENTERED before it returns
+    # t = (m + sqrt m)/gap, from an unscaled KKT solve: the quantity solve
+    # compares with _CENTERED before it returns
     nv, p = sol.x.size, 0 if problem.eq_mat is None else problem.eq_mat.shape[0]
-    t = sum(len(const) for const, _ in _constraints(problem)) / sol.gap
+    m = sum(len(const) for const, _ in _constraints(problem))
+    t = (m + math.sqrt(m)) / sol.gap
     grad, hess, _ = sdpsolve._barrier_derivatives(problem, sol.x)
     kkt = np.zeros((nv + p, nv + p))
     kkt[:nv, :nv] = hess
@@ -479,42 +563,57 @@ def _final_half_decrement_sq(problem, sol):
 
 
 def test_only_the_final_stage_is_centred_tightly_on_threshold_witnesses():
-    # earlier stages stop at _STAGE_CENTERED: 61 steps at most were measured,
-    # where centring every stage to _CENTERED took up to 83
+    # named for the tight final centre it once pinned: every stage, the final
+    # one too, now stops at _CENTERED. 31-52 steps measured, where the tight
+    # final centre took 33-61. On the threshold curve the optimum is 0, so
+    # the value attained at the returned point lies in [0, tol]
+    tol = 1e-8
     ells = [(-0.5 + witness.SPLIT_LOW) / 2.0]
     ells += [float(np.random.default_rng(seed).uniform(-0.5, 0.0)) for seed in range(60)]
     for ell in ells:
         spec = witness.extremal_witness_spectrum(ell, witness.detection_threshold(ell), 9)
         problem = sdpsolve.min_witness_problem(spec, (3, 3), "full")
-        sol = sdpsolve.solve(problem, tol=1e-8)
-        assert sol.newton_steps <= 66, ell
+        sol = sdpsolve.solve(problem, tol=tol)
+        assert sol.newton_steps <= 56, ell
         assert _final_half_decrement_sq(problem, sol) <= sdpsolve._CENTERED, ell
+        assert sol.gap <= tol, ell
+        assert 0.0 <= sol.primal_value <= tol, ell
 
 
-@pytest.mark.parametrize("tol", [1e-7, 1e-8, 1e-9])
-@pytest.mark.parametrize(
-    "build, verify, phi, optimum",
-    [
-        pytest.param(sdpsolve.diamond_norm_problem, sdpsolve.verify_diamond_certificate,
-                     posmaps.dual_map(posmaps.choi_map()), 4.0 / 3.0, id="diamond-choi-dual"),
-        pytest.param(sdpsolve.max_eig_dual_problem, sdpsolve.verify_max_eig_certificate,
-                     posmaps.dual_map(posmaps.generalized_choi_map(1.2, 1.2)), 0.6,
-                     id="max-eig-gen-choi-1.2-1.2"),
-        pytest.param(sdpsolve.max_eig_dual_problem, sdpsolve.verify_max_eig_certificate,
-                     posmaps.dual_map(posmaps.generalized_choi_map(0.2, 0.2)), 0.8,
-                     id="max-eig-gen-choi-0.2-0.2"),
-        pytest.param(sdpsolve.max_eig_dual_problem, sdpsolve.verify_max_eig_certificate,
-                     posmaps.dual_map(posmaps.breuer_hall_map(4)), 0.5, id="max-eig-breuer-hall-4"),
-    ],
-)
+_DUAL_FORMS = [
+    pytest.param(sdpsolve.diamond_norm_problem, sdpsolve.verify_diamond_certificate,
+                 posmaps.dual_map(posmaps.choi_map()), 4.0 / 3.0, id="diamond-choi-dual"),
+    pytest.param(sdpsolve.max_eig_dual_problem, sdpsolve.verify_max_eig_certificate,
+                 posmaps.dual_map(posmaps.generalized_choi_map(1.2, 1.2)), 0.6,
+                 id="max-eig-gen-choi-1.2-1.2"),
+    pytest.param(sdpsolve.max_eig_dual_problem, sdpsolve.verify_max_eig_certificate,
+                 posmaps.dual_map(posmaps.generalized_choi_map(0.2, 0.2)), 0.8,
+                 id="max-eig-gen-choi-0.2-0.2"),
+    pytest.param(sdpsolve.max_eig_dual_problem, sdpsolve.verify_max_eig_certificate,
+                 posmaps.dual_map(posmaps.breuer_hall_map(4)), 0.5, id="max-eig-breuer-hall-4"),
+    pytest.param(sdpsolve.diamond_norm_problem, sdpsolve.verify_diamond_certificate,
+                 posmaps.dual_map(posmaps.generalized_choi_map(1.2, 1.2)), 1.8,
+                 id="diamond-gen-choi-1.2-1.2"),
+    pytest.param(sdpsolve.diamond_norm_problem, sdpsolve.verify_diamond_certificate,
+                 posmaps.breuer_hall_map(4), 1.5, id="diamond-breuer-hall-4"),
+    pytest.param(sdpsolve.max_eig_dual_problem, sdpsolve.verify_max_eig_certificate,
+                 posmaps.dual_map(posmaps.choi_map()), 2.0 / 3.0, id="max-eig-choi-dual"),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-8, 1e-9, 1e-10, 1e-11])
+@pytest.mark.parametrize("build, verify, phi, optimum", _DUAL_FORMS)
 def test_only_the_final_stage_is_centred_tightly_on_dual_forms(build, verify, phi, optimum, tol):
-    # 26-32 steps measured, where centring every stage to _CENTERED took
-    # 39-54 (45 for the Choi-dual diamond at 1e-7); the final stage is still
-    # centred to _CENTERED, so the certified bound stays within tol
+    # named for the tight final centre it once pinned, which ran out of
+    # Newton steps at 1e-10 and 1e-11: every stage now stops at _CENTERED,
+    # and the gap bound (m + sqrt m)/t covers the loose centre. 24-35 steps
+    # measured (31-33 at 1e-10, 32-35 at 1e-11), and the certified value of
+    # the solver's Y within [optimum, optimum + tol]
     problem = build(phi)
     sol = sdpsolve.solve(problem, tol=tol)
     assert sol.newton_steps <= 36
     assert _final_half_decrement_sq(problem, sol) <= sdpsolve._CENTERED
+    assert sol.gap <= tol
     y = problem.blocks[0].lin(sol.x)[0]
     value = verify(phi, sdpsolve.DualCertificate(problem.name, {"Y": y}))
     assert optimum <= value <= optimum + tol
