@@ -6,6 +6,12 @@ min = 2, two 3x3 matrices for min = 3). For min{m,n} >= 4 only the
 universal top-left 2x2 necessary condition is evaluated and the verdict
 is downgraded accordingly; the exact families for large dimensions are
 deliberately not constructed here.
+
+build_lmis states each family once (Hildebrand, PRA 76, 052325, 2007), as
+an LmiSet: one read-only (g, mn, q, q) stack whose LMI i at a spectrum is
+sum_j values[j] coeffs[i, j]. Every verdict evaluates it with one stacked
+eigvalsh, and sdpsolve.min_witness_problem takes the same array as its LMI
+block.
 """
 
 from __future__ import annotations
@@ -77,43 +83,47 @@ class Spectrum:
         return json.dumps(self.to_json())
 
 
-class LmiTemplate:
-    """One spectral LMI: 2*lambda_j on the diagonal, lambda_j - lambda_k off it.
+def _lmi(total: int, diag: tuple[int, ...], off: dict) -> np.ndarray:
+    """One spectral LMI as its (total, q, q) coefficients: 2*lambda_j on the
+    diagonal, lambda_j - lambda_k off it.
 
     diag[i] = j puts 2*lambda_j at (i, i); off[(r, c)] = (j, k) puts
     lambda_j - lambda_k at (r, c) and (c, r), with 1-based positions in the
-    descending spectrum. coeffs[r, j, c] is the coefficient of lambda_{j+1}
-    in entry (r, c), so the matrix is values @ coeffs; the same tensor is
-    the LMI's block in sdpsolve.min_witness_problem.
+    descending spectrum. coeffs[j, r, c] is the coefficient of lambda_{j+1}
+    in entry (r, c).
     """
-
-    def __init__(self, total: int, diag: tuple[int, ...], off: dict):
-        q = len(diag)
-        coeffs = np.zeros((q, total, q))
-        for i, idx in enumerate(diag):
-            coeffs[i, idx - 1, i] = 2.0
-        for (r, c), (plus, minus) in off.items():
-            coeffs[r, plus - 1, c] = coeffs[c, plus - 1, r] = 1.0
-            coeffs[r, minus - 1, c] = coeffs[c, minus - 1, r] = -1.0
-        coeffs.flags.writeable = False
-        self.coeffs = coeffs
-
-    def evaluate(self, values: np.ndarray) -> np.ndarray:
-        return values @ self.coeffs
+    q = len(diag)
+    coeffs = np.zeros((total, q, q))
+    for i, idx in enumerate(diag):
+        coeffs[idx - 1, i, i] = 2.0
+    for (r, c), (plus, minus) in off.items():
+        coeffs[plus - 1, r, c] = coeffs[plus - 1, c, r] = 1.0
+        coeffs[minus - 1, r, c] = coeffs[minus - 1, c, r] = -1.0
+    return coeffs
 
 
 @dataclass(frozen=True)
 class LmiSet:
-    m: int
-    n: int
-    exact: bool                       # False: only the 2x2 necessary condition
-    matrices: tuple[LmiTemplate, ...]
+    """g spectral LMIs of one size q on an mn-entry spectrum, as one read-only
+    (g, mn, q, q) stack: LMI i at a spectrum is sum_j values[j] coeffs[i, j].
+    The same array is the LMI block of sdpsolve.min_witness_problem."""
+
+    exact: bool          # False: only the 2x2 necessary condition
+    coeffs: np.ndarray   # (g, mn, q, q)
+
+    def __post_init__(self):
+        self.coeffs.flags.writeable = False
+
+    def evaluate(self, values: np.ndarray) -> np.ndarray:
+        """The (g, q, q) stack of the LMIs at values."""
+        g, total, q, _ = self.coeffs.shape
+        return (values @ self.coeffs.reshape(g, total, q * q)).reshape(g, q, q)
 
 
 @functools.cache
-def necessary_template(total: int) -> LmiTemplate:
+def necessary_lmis(total: int) -> LmiSet:
     """The universal top-left 2x2 condition on an mn = total spectrum."""
-    return LmiTemplate(total, diag=(total, total - 2), off={(0, 1): (total - 1, 1)})
+    return LmiSet(False, _lmi(total, (total, total - 2), {(0, 1): (total - 1, 1)})[None])
 
 
 @functools.cache
@@ -124,37 +134,21 @@ def build_lmis(m: int, n: int) -> LmiSet:
     total = m * n
     q = min(m, n)
     if q == 1:
-        return LmiSet(m, n, True, ())
+        return LmiSet(True, np.zeros((0, total, 1, 1)))
     if q == 2:
-        return LmiSet(m, n, True, (necessary_template(total),))
+        return LmiSet(True, necessary_lmis(total).coeffs)
     if q == 3:
-        l1 = LmiTemplate(
-            total,
-            diag=(total, total - 2, total - 5),
-            off={
-                (0, 1): (total - 1, 1),
-                (0, 2): (total - 3, 2),
-                (1, 2): (total - 4, 3),
-            },
-        )
-        l2 = LmiTemplate(
-            total,
-            diag=(total, total - 3, total - 5),
-            off={
-                (0, 1): (total - 1, 1),
-                (0, 2): (total - 2, 2),
-                (1, 2): (total - 4, 3),
-            },
-        )
-        return LmiSet(m, n, True, (l1, l2))
-    return LmiSet(m, n, False, (necessary_template(total),))
+        return LmiSet(True, np.stack([
+            _lmi(total, (total, total - 2, total - 5),
+                 {(0, 1): (total - 1, 1), (0, 2): (total - 3, 2), (1, 2): (total - 4, 3)}),
+            _lmi(total, (total, total - 3, total - 5),
+                 {(0, 1): (total - 1, 1), (0, 2): (total - 2, 2), (1, 2): (total - 4, 3)}),
+        ]))
+    return necessary_lmis(total)
 
 
 def lmi_min_eigenvalues(s: Spectrum) -> np.ndarray:
-    lmis = build_lmis(s.m, s.n)
-    return np.array(
-        [matcore.eigvalsh(t.evaluate(s.values))[-1] for t in lmis.matrices]
-    )
+    return matcore.eigvalsh(build_lmis(s.m, s.n).evaluate(s.values))[:, -1]
 
 
 def is_abs_ppt(s: Spectrum, tol: float = LMI_PSD_TOL) -> AbsPptVerdict:
@@ -166,15 +160,11 @@ def is_abs_ppt(s: Spectrum, tol: float = LMI_PSD_TOL) -> AbsPptVerdict:
     return AbsPptVerdict.YES if lmis.exact else AbsPptVerdict.NECESSARY_PASSED_ONLY
 
 
-def necessary_2x2_matrix(s: Spectrum) -> np.ndarray:
-    return necessary_template(s.m * s.n).evaluate(s.values)
-
-
 def necessary_2x2(s: Spectrum, tol: float = LMI_PSD_TOL) -> bool:
     """The universal top-left 2x2 condition; necessary for absolute PPT."""
     if s.m * s.n < 3:
         return True
-    return float(matcore.eigvalsh(necessary_2x2_matrix(s))[-1]) >= -tol
+    return float(matcore.eigvalsh(necessary_lmis(s.m * s.n).evaluate(s.values))[0, -1]) >= -tol
 
 
 def gurvits_barnum_value(x, m: int, n: int) -> float:

@@ -235,10 +235,12 @@ def witness_from_schmidt(
 
 
 def _bc(b, c) -> tuple[np.ndarray, np.ndarray]:
-    """b and c as float arrays, over which the predicates below work elementwise; a
-    negative entry is a ValueError. Their np.float_power calls libm pow as Python's
-    ** does, so each verdict matches the scalar formula's."""
+    """b and c as float arrays, over which the predicates below work elementwise; as
+    in MapSpec, a non-finite or negative entry is a ValueError. Their np.float_power
+    calls libm pow as Python's ** does, so each verdict matches the scalar formula's."""
     b, c = np.asarray(b, dtype=np.float64), np.asarray(c, dtype=np.float64)
+    if not (np.isfinite(b).all() and np.isfinite(c).all()):
+        raise ValueError("parameters b, c must be finite")
     if np.any(b < 0) or np.any(c < 0):
         raise ValueError("parameters must satisfy b, c >= 0")
     return b, c
@@ -253,7 +255,8 @@ def is_positive_bc(b, c):
 
 def is_completely_positive_bc(b, c):
     """Phi_{b,c} is completely positive only at (0, 0)."""
-    return (np.abs(b) <= BC_PREDICATE_TOL) & (np.abs(c) <= BC_PREDICATE_TOL)
+    b, c = _bc(b, c)
+    return (b <= BC_PREDICATE_TOL) & (c <= BC_PREDICATE_TOL)
 
 
 def is_indecomposable_bc(b, c):

@@ -322,7 +322,9 @@ def min_witness_problem(
 
     lmi_mode 'full' uses the exact LMI family (min{m,n} <= 3 only);
     'submatrix2x2' keeps only the universal 2x2 necessary condition, a
-    relaxation whose optimum can only be lower.
+    relaxation whose optimum can only be lower. The mode's LmiSet is the
+    problem's one AffineBlock as it stands: its (g, mn, q, q) coeffs array
+    is absppt's, not a copy, with const zero; g = 0 leaves no block.
     """
     m, n = dims
     total = m * n
@@ -337,28 +339,23 @@ def min_witness_problem(
         lmis = absppt.build_lmis(m, n)
         if not lmis.exact:
             raise Unsupported("full LMI mode requires min{m,n} <= 3")
-        templates = lmis.matrices
     elif lmi_mode == "submatrix2x2":
-        templates = (absppt.necessary_template(total),)
+        lmis = absppt.necessary_lmis(total)
     else:
         raise ValueError(f"unknown lmi_mode {lmi_mode!r}")
 
-    nv = total
-    blocks = []
-    if templates:  # all of one size q
-        coeffs = np.stack([tpl.coeffs.swapaxes(0, 1) for tpl in templates])  # (g, nv, q, q)
-        blocks.append(AffineBlock(np.zeros_like(coeffs[:, 0]), coeffs))
+    blocks = [AffineBlock(np.zeros_like(lmis.coeffs[:, 0]), lmis.coeffs)] if len(lmis.coeffs) else []
 
     tilt = 1.0 + 0.01 * np.linspace(1.0, -1.0, total)
     start = tilt / tilt.sum()
     return SdpProblem(
         objective=mu[::-1].copy(),
         blocks=blocks,
-        eq_mat=np.ones((1, nv)),
+        eq_mat=np.ones((1, total)),
         eq_rhs=np.ones(1),
         # lambda_1 >= ... >= lambda_mn >= 0: rows e_j - e_{j+1}, then e_mn
-        ineq_mat=np.eye(nv) - np.eye(nv, k=1),
-        ineq_rhs=np.zeros(nv),
+        ineq_mat=np.eye(total) - np.eye(total, k=1),
+        ineq_rhs=np.zeros(total),
         interior_point=start,
         name=f"min-witness-{lmi_mode}",
     )
@@ -376,28 +373,28 @@ def min_witness_over_abs_ppt(
     _verify_min_witness_point checks before it is used, so it upper-bounds
     the exact optimum, by at most the solver's gap bound, tol.
     """
-    sol = solve(min_witness_problem(witness_spectrum, dims, lmi_mode), tol=tol)
-    _verify_min_witness_point(sol.x, dims, lmi_mode)
+    problem = min_witness_problem(witness_spectrum, dims, lmi_mode)
+    sol = solve(problem, tol=tol)
+    _verify_min_witness_point(problem, sol.x)
     return sol.primal_value
 
 
-def _verify_min_witness_point(lam: np.ndarray, dims: tuple[int, int], lmi_mode: str) -> None:
-    """Raise CertificateRejected unless lam is feasible for min_witness_problem:
-    sorted descending, >= 0, summing to 1 within MIN_WITNESS_SUM_TOL, and
-    passing the LMIs of lmi_mode within absppt.LMI_PSD_TOL."""
-    slack = np.append(-np.diff(lam), lam[-1])  # the ordering rows of min_witness_problem
+def _verify_min_witness_point(problem: SdpProblem, lam: np.ndarray) -> None:
+    """Raise CertificateRejected unless lam is feasible for problem, a
+    min_witness_problem: its ordering rows >= 0, its row sum(lambda) = 1
+    within MIN_WITNESS_SUM_TOL, and its LMIs PSD within absppt.LMI_PSD_TOL."""
+    slack = problem.ineq_mat @ lam - problem.ineq_rhs
     if not slack.min() >= 0.0:
         j = int(np.argmin(slack))
         raise CertificateRejected(f"ordering row {j} of the spectrum is {slack[j]:.3e} < 0")
-    drift = float(lam.sum()) - 1.0
+    drift = float(problem.eq_mat[0] @ lam - problem.eq_rhs[0])
     if abs(drift) > MIN_WITNESS_SUM_TOL:
         raise CertificateRejected(f"spectrum sums to 1 {drift:+.3e}, beyond {MIN_WITNESS_SUM_TOL:g}")
-    templates = (absppt.build_lmis(*dims).matrices if lmi_mode == "full"
-                 else (absppt.necessary_template(lam.size),))
-    for i, tpl in enumerate(templates):
-        lam_min = float(matcore.eigvalsh(tpl.evaluate(lam))[-1])
-        if lam_min < -absppt.LMI_PSD_TOL:
-            raise CertificateRejected(f"LMI {i} is not PSD (min eigenvalue {lam_min:.3e})")
+    for block in problem.blocks:
+        lam_min = matcore.eigvalsh(block.const + block.lin(lam))[:, -1]
+        bad = np.flatnonzero(lam_min < -absppt.LMI_PSD_TOL)
+        if bad.size:
+            raise CertificateRejected(f"LMI {bad[0]} is not PSD (min eigenvalue {lam_min[bad[0]]:.3e})")
 
 
 def verify_min_witness_certificate(
@@ -742,6 +739,6 @@ def max_eig_ub(phi: posmaps.MapSpec, tol: float = DEFAULT_GAP_TOL) -> float:
 
 def min_eig_lb_from_diamond(diamond_ub: float) -> float:
     """(1 - diamond upper bound)/2 lower-bounds the witness eigenvalues."""
-    if diamond_ub < 1.0 - 1e-9:
-        raise ValueError("a diamond norm upper bound cannot be below 1")
+    if not diamond_ub >= 1.0 - 1e-9:
+        raise ValueError(f"a diamond norm upper bound cannot be below 1, got {diamond_ub}")
     return (1.0 - diamond_ub) / 2.0

@@ -47,7 +47,7 @@ def detection_threshold(x: float) -> float:
     Nondecreasing on [-1/2, 0] with range in [1/2, 1]; jumps at SPLIT_HIGH.
     """
     x = float(x)
-    if x < -0.5 - _DOMAIN_SLACK or x > _DOMAIN_SLACK:
+    if not (-0.5 - _DOMAIN_SLACK <= x <= _DOMAIN_SLACK):
         raise DomainError(f"threshold argument {x} outside [-1/2, 0]")
     x = min(0.0, max(-0.5, x))
     if x <= SPLIT_LOW:
@@ -81,7 +81,7 @@ def cannot_detect_abs_ppt(ws: WitnessSummary) -> DetectionVerdict:
     Inconclusive never asserts detectability; beyond the threshold the
     guarantee simply does not apply.
     """
-    if ws.ell < -0.5 - _DOMAIN_SLACK:
+    if not ws.ell >= -0.5 - _DOMAIN_SLACK:
         return DetectionVerdict.INCONCLUSIVE
     if ws.mu1 <= detection_threshold(ws.ell) + 1e-12:
         return DetectionVerdict.GUARANTEED

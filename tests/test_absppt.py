@@ -15,12 +15,16 @@ def dirichlet_spectrum(rng, m, n):
 
 
 def test_build_lmis_shapes():
+    # one (g, mn, q, q) stack per family: g = 0 for min{m,n} = 1, 1 for 2,
+    # 2 for 3, and the necessary 2x2 condition alone above that
     assert absppt.build_lmis(2, 2).exact
-    assert len(absppt.build_lmis(2, 5).matrices) == 1
-    assert len(absppt.build_lmis(3, 3).matrices) == 2
-    assert len(absppt.build_lmis(3, 7).matrices) == 2
+    assert absppt.build_lmis(1, 3).coeffs.shape == (0, 3, 1, 1)
+    assert absppt.build_lmis(2, 5).coeffs.shape == (1, 10, 2, 2)
+    assert absppt.build_lmis(3, 3).coeffs.shape == (2, 9, 3, 3)
+    assert absppt.build_lmis(3, 7).coeffs.shape == (2, 21, 3, 3)
     big = absppt.build_lmis(4, 4)
-    assert not big.exact and len(big.matrices) == 1
+    assert not big.exact and big.coeffs.shape == (1, 16, 2, 2)
+    assert big is absppt.necessary_lmis(16)
 
 
 def test_lmi_2x2_equivalent_inequality():
@@ -42,27 +46,37 @@ def test_lmi_2x3_equivalent_inequality():
         assert (absppt.is_abs_ppt(s) is AbsPptVerdict.YES) == direct
 
 
+def literal_lmis(lam, q):
+    """The LMIs of a 1-indexed spectrum lam of length N = mn, transcribed entry
+    by entry: the 2x2 condition for q = 2, the two 3x3 LMIs for q = 3."""
+    N = lam.size - 1
+    if q == 2:
+        return np.array([[[2 * lam[N], lam[N - 1] - lam[1]], [lam[N - 1] - lam[1], 2 * lam[N - 2]]]])
+    l1 = [
+        [2 * lam[N], lam[N - 1] - lam[1], lam[N - 3] - lam[2]],
+        [lam[N - 1] - lam[1], 2 * lam[N - 2], lam[N - 4] - lam[3]],
+        [lam[N - 3] - lam[2], lam[N - 4] - lam[3], 2 * lam[N - 5]],
+    ]
+    l2 = [
+        [2 * lam[N], lam[N - 1] - lam[1], lam[N - 2] - lam[2]],
+        [lam[N - 1] - lam[1], 2 * lam[N - 3], lam[N - 4] - lam[3]],
+        [lam[N - 2] - lam[2], lam[N - 4] - lam[3], 2 * lam[N - 5]],
+    ]
+    return np.array([l1, l2])
+
+
 def test_lmi_3x3_matches_literal_transcription():
+    # the name is the first shape it pinned; the stacked evaluate of every
+    # family, and the necessary-only set of (4,4), match the transcription bit for bit
     rng = np.random.default_rng(2)
-    s = dirichlet_spectrum(rng, 3, 3)
-    lam = np.concatenate([[np.nan], s.values])  # 1-indexed view
-    l1 = np.array(
-        [
-            [2 * lam[9], lam[8] - lam[1], lam[6] - lam[2]],
-            [lam[8] - lam[1], 2 * lam[7], lam[5] - lam[3]],
-            [lam[6] - lam[2], lam[5] - lam[3], 2 * lam[4]],
-        ]
-    )
-    l2 = np.array(
-        [
-            [2 * lam[9], lam[8] - lam[1], lam[7] - lam[2]],
-            [lam[8] - lam[1], 2 * lam[6], lam[5] - lam[3]],
-            [lam[7] - lam[2], lam[5] - lam[3], 2 * lam[4]],
-        ]
-    )
-    templates = absppt.build_lmis(3, 3).matrices
-    assert np.array_equal(templates[0].evaluate(s.values), l1)
-    assert np.array_equal(templates[1].evaluate(s.values), l2)
+    for (m, n), q in (((3, 3), 3), ((2, 2), 2), ((2, 3), 2), ((3, 4), 3), ((4, 4), 2)):
+        for _ in range(5):
+            s = dirichlet_spectrum(rng, m, n)
+            lam = np.concatenate([[np.nan], s.values])  # 1-indexed view
+            assert np.array_equal(absppt.build_lmis(m, n).evaluate(s.values), literal_lmis(lam, q))
+    lam = np.concatenate([[np.nan], dirichlet_spectrum(rng, 3, 3).values])
+    assert np.array_equal(absppt.necessary_lmis(9).evaluate(lam[1:]), literal_lmis(lam, 2))
+    assert absppt.build_lmis(1, 3).evaluate(np.full(3, 1.0 / 3.0)).shape == (0, 1, 1)
 
 
 def test_is_abs_ppt_uniform():
@@ -221,11 +235,11 @@ def bisection_sample(m, n, rng, tol=absppt.LMI_PSD_TOL):
     total = m * n
     uniform = np.full(total, 1.0 / total)
     draw = np.sort(rng.dirichlet(np.ones(total)))[::-1]
-    lmis = absppt.build_lmis(m, n).matrices
+    lmis = absppt.build_lmis(m, n)
 
     def passes(beta):
         mix = (1.0 - beta) * uniform + beta * draw
-        return all(np.linalg.eigvalsh(t.evaluate(mix))[0] >= -tol for t in lmis)
+        return all(np.linalg.eigvalsh(lmis.evaluate(mix))[:, 0] >= -tol)
 
     lo, hi = 0.0, 1.0
     if passes(1.0):

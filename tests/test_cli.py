@@ -56,6 +56,16 @@ def test_check_spectrum_large_dims_necessary_only(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "NecessaryPassedOnly"
 
 
+def test_check_spectrum_min_dim_one_is_yes_with_no_lmi(tmp_path, capsys):
+    # (1, n) has the empty LMI stack: every valid spectrum is absolutely PPT
+    from abssep.absppt import Spectrum
+
+    path = write_spectrum(tmp_path, Spectrum(1, 3, [0.5, 0.3, 0.2]))
+    code, out = run_cli(["check-spectrum", path], capsys)
+    assert code == 0
+    assert out == '{"dims": [1, 3], "lmi_min_eigenvalue": null, "verdict": "Yes"}\n'
+
+
 def test_witness_analyze_choi_witness(tmp_path, capsys):
     w = posmaps.witness_from_map(
         posmaps.dual_map(posmaps.choi_map()), bipartite.max_entangled(3)

@@ -241,6 +241,26 @@ def test_bc_predicates():
     assert not posmaps.is_exposed_bc(1.0, 1.0)
 
 
+BC_PREDICATES = (posmaps.is_positive_bc, posmaps.is_completely_positive_bc,
+                 posmaps.is_indecomposable_bc, posmaps.is_exposed_bc)
+
+
+@pytest.mark.parametrize("predicate", BC_PREDICATES, ids=lambda p: p.__name__)
+@pytest.mark.parametrize("b, c, message", [
+    (-1e-10, 0.0, "b, c >= 0"), (0.5, -1.0, "b, c >= 0"),
+    (math.nan, 0.5, "finite"), (math.inf, 0.0, "finite"), (0.0, -math.inf, "finite"),
+])
+def test_bc_predicates_take_the_mapspec_parameter_rule(predicate, b, c, message):
+    # MapSpec("generalized_choi", 3, b, c) rejects each of these; so does every
+    # predicate, on scalars and inside an array, rather than return a verdict
+    with pytest.raises(ValueError):
+        posmaps.MapSpec("generalized_choi", 3, b, c)
+    with pytest.raises(ValueError, match=message):
+        predicate(b, c)
+    with pytest.raises(ValueError, match=message):
+        predicate(np.array([1.0, b]), np.array([1.0, c]))
+
+
 def test_mapspec_validation():
     with pytest.raises(InvalidDim):
         posmaps.breuer_hall_map(3)

@@ -234,7 +234,8 @@ def test_bc_predicates_reject_a_negative_parameter(points, data):
     negative = data.draw(st.floats(min_value=-2.0, max_value=-5e-324))
     bs, cs = bc_arrays(points)
     (bs if data.draw(st.booleans()) else cs)[k] = negative
-    for predicate in (posmaps.is_positive_bc, posmaps.is_indecomposable_bc, posmaps.is_exposed_bc):
+    for predicate in (posmaps.is_positive_bc, posmaps.is_completely_positive_bc,
+                      posmaps.is_indecomposable_bc, posmaps.is_exposed_bc):
         with pytest.raises(ValueError, match="b, c >= 0"):
             predicate(bs, cs)
         with pytest.raises(ValueError, match="b, c >= 0"):

@@ -228,7 +228,7 @@ def test_min_witness_solves_generic_witnesses_to_feasible_points(tol):
             assert absppt.necessary_2x2(spectrum), dims
         assert abs(sol.primal_value - float(mu[::-1] @ lam)) <= 1e-15
         assert sol.gap <= tol
-        sdpsolve._verify_min_witness_point(lam, dims, mode)
+        sdpsolve._verify_min_witness_point(sdpsolve.min_witness_problem(mu, dims, mode), lam)
 
 
 @pytest.mark.parametrize("loose, tight", [(1e-7, 1e-8), (1e-8, 1e-9)])
@@ -250,8 +250,30 @@ def test_min_witness_generic_values_agree_across_tolerances(loose, tight):
     ],
 )
 def test_verify_min_witness_point_names_the_failed_check(lam, mode, message):
+    problem = sdpsolve.min_witness_problem(np.full(6, 1.0 / 6.0), (2, 3), mode)
     with pytest.raises(CertificateRejected, match=message):
-        sdpsolve._verify_min_witness_point(np.array(lam), (2, 3), mode)
+        sdpsolve._verify_min_witness_point(problem, np.array(lam))
+
+
+@pytest.mark.parametrize("dims, mode", [((2, 3), "full"), ((3, 3), "full"), ((3, 4), "submatrix2x2"),
+                                        ((4, 4), "submatrix2x2")])
+def test_min_witness_problem_reads_the_read_only_lmi_stack(dims, mode):
+    # the problem's LMI block is absppt's (g, mn, q, q) array itself, not a copy
+    total = dims[0] * dims[1]
+    lmis = absppt.build_lmis(*dims) if mode == "full" else absppt.necessary_lmis(total)
+    assert not lmis.coeffs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        lmis.coeffs[0, 0, 0, 0] = 1.0
+    (block,) = sdpsolve.min_witness_problem(np.full(total, 1.0 / total), dims, mode).blocks
+    assert block.coeffs is lmis.coeffs
+    assert block.const.shape == lmis.coeffs[:, 0].shape and not block.const.any()
+
+
+def test_min_witness_problem_has_no_lmi_block_for_min_dim_one():
+    # the empty g = 0 stack of (1, n): the ordering rows and sum(lambda) = 1 alone
+    problem = sdpsolve.min_witness_problem(np.array([0.5, 0.3, 0.2]), (1, 3), "full")
+    assert problem.blocks == []
+    assert problem.ineq_mat.shape == (3, 3) and problem.eq_mat.shape == (1, 3)
 
 
 def test_min_witness_over_abs_ppt_rejects_an_infeasible_point(monkeypatch):
@@ -466,6 +488,8 @@ def test_min_eig_lb_from_diamond():
         assert np.isclose(sdpsolve.min_eig_lb_from_diamond((n + 2.0) / n), -1.0 / n)
     with pytest.raises(ValueError):
         sdpsolve.min_eig_lb_from_diamond(0.5)
+    with pytest.raises(ValueError, match="got nan"):
+        sdpsolve.min_eig_lb_from_diamond(math.nan)
 
 
 def test_diamond_norm_solver_path():

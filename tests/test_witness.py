@@ -48,6 +48,8 @@ def test_threshold_domain():
         witness.detection_threshold(-0.51)
     with pytest.raises(DomainError):
         witness.detection_threshold(0.01)
+    with pytest.raises(DomainError):  # NaN fails both one-sided comparisons
+        witness.detection_threshold(math.nan)
 
 
 def test_summarize_scaled_identity():
@@ -108,6 +110,9 @@ def test_cannot_detect_inconclusive_beyond_threshold():
     assert witness.cannot_detect_abs_ppt(ws) is DetectionVerdict.INCONCLUSIVE
     deep = witness.WitnessSummary(mu1=0.4, ell=-0.6, neg_count=2, trace=1.0)
     assert witness.cannot_detect_abs_ppt(deep) is DetectionVerdict.INCONCLUSIVE
+    # a NaN ell is outside the domain: no guarantee, though mu1 = 0.3 < 1/2
+    unknown = witness.WitnessSummary(mu1=0.3, ell=math.nan, neg_count=1, trace=1.0)
+    assert witness.cannot_detect_abs_ppt(unknown) is DetectionVerdict.INCONCLUSIVE
 
 
 def test_extremal_witness_spectrum_boundary_case():
