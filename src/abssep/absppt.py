@@ -151,13 +151,18 @@ def lmi_min_eigenvalues(s: Spectrum) -> np.ndarray:
     return matcore.eigvalsh(build_lmis(s.m, s.n).evaluate(s.values))[:, -1]
 
 
-def is_abs_ppt(s: Spectrum, tol: float = LMI_PSD_TOL) -> AbsPptVerdict:
-    """Exact Yes/No for min{m,n} <= 3; NecessaryPassedOnly above that."""
-    lmis = build_lmis(s.m, s.n)
-    mins = lmi_min_eigenvalues(s)
+def lmi_verdict(s: Spectrum, mins: np.ndarray, tol: float = LMI_PSD_TOL) -> AbsPptVerdict:
+    """The verdict on s from its LMI minimum eigenvalues, mins =
+    lmi_min_eigenvalues(s): No when one is below -tol, else Yes where the LMIs
+    are exact and NecessaryPassedOnly where they are not."""
     if mins.size and float(np.min(mins)) < -tol:
         return AbsPptVerdict.NO
-    return AbsPptVerdict.YES if lmis.exact else AbsPptVerdict.NECESSARY_PASSED_ONLY
+    return AbsPptVerdict.YES if build_lmis(s.m, s.n).exact else AbsPptVerdict.NECESSARY_PASSED_ONLY
+
+
+def is_abs_ppt(s: Spectrum, tol: float = LMI_PSD_TOL) -> AbsPptVerdict:
+    """Exact Yes/No for min{m,n} <= 3; NecessaryPassedOnly above that."""
+    return lmi_verdict(s, lmi_min_eigenvalues(s), tol)
 
 
 def necessary_2x2(s: Spectrum, tol: float = LMI_PSD_TOL) -> bool:

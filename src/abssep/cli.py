@@ -29,7 +29,7 @@ EXIT_NEGATIVE = 2
 EXIT_INPUT = 3
 
 ORBIT_CHUNK = 16  # Haar samples per stacked draw; bounds orbit-scan's working memory
-CERT_CHUNK = 64  # maps per stacked certificate check; bounds verify-certificates' working memory
+CERT_CHUNK = 64  # maps per certificate stack, built and verified at once; bounds working memory
 
 HULL_POINTS = (
     (0.0, 0.0),
@@ -39,9 +39,17 @@ HULL_POINTS = (
 )  # counterclockwise
 
 
+def _float_strings(values: np.ndarray, fmt: str) -> list[str]:
+    """fmt % v for each float64 v, formatted once per distinct bit pattern, so
+    -0.0 and 0.0 keep their own strings."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([fmt % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def _column_strings(column) -> list[str]:
-    """The CSV fields of a column: bools as 1/0, ints by str, strings as given, floats
-    by %.12g, once per distinct bit pattern, so -0.0 and 0.0 keep their own strings."""
+    """The CSV fields of a column: bools as 1/0, ints by str, strings as given,
+    floats by %.12g, once per distinct float."""
     col = np.asarray(column)
     if col.dtype.kind == "b":
         return np.where(col, "1", "0").tolist()
@@ -49,9 +57,7 @@ def _column_strings(column) -> list[str]:
         return list(map(str, col.tolist()))
     if col.dtype.kind in "UO":
         return list(column)
-    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)  # the kind left: float64
-    text = np.array(["%.12g" % v for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[inverse].tolist()
+    return _float_strings(col, "%.12g")  # the kind left: float64
 
 
 def _columns_csv(header: list[str], columns) -> str:
@@ -84,8 +90,8 @@ def _count(args, name: str) -> int:
 
 def cmd_check_spectrum(args) -> tuple[str, int]:
     spec = absppt.Spectrum.from_json(_load_json(args.file))
-    verdict = absppt.is_abs_ppt(spec, tol=args.tol["lmi"])
     mins = absppt.lmi_min_eigenvalues(spec)
+    verdict = absppt.lmi_verdict(spec, mins, tol=args.tol["lmi"])
     report = {
         "verdict": verdict.value,
         "lmi_min_eigenvalue": float(np.min(mins)) if mins.size else None,
@@ -112,94 +118,95 @@ def cmd_witness_analyze(args) -> tuple[str, int]:
     return _json_report(report), code
 
 
-def _certificate_row(name: str, result, expected: float, tol: float) -> list:
-    """One verify-certificates row: result is the certified value or the rejection."""
-    if isinstance(result, CertificateRejected):
-        return [name, math.nan, math.nan, f"rejected: {result}"]
-    return [name, result, expected, "ok" if abs(result - expected) <= tol else "mismatch"]
+def _certificate_columns(names, values, expected, failures: dict[int, str], tol: float) -> tuple:
+    """verify-certificates rows as (name, value, expected, status) columns: status
+    is ok where |value - expected| <= tol and mismatch elsewhere, but row k of
+    failures is rejected with that message and prints nan for both numbers."""
+    values, expected = np.array(values, dtype=np.float64), np.array(expected, dtype=np.float64)
+    status = np.where(np.abs(values - expected) <= tol, "ok", "mismatch").tolist()
+    for k, message in failures.items():
+        values[k] = expected[k] = math.nan
+        status[k] = f"rejected: {message}"
+    return names, values, expected, status
 
 
-def _witness_dual_rows(tol: float) -> list[list]:
+def _witness_dual_columns(tol: float) -> tuple:
     """The lower bound 0 on the (3, 3) witness minimization, certified at special ell."""
-    rows = []
-    for ell in (-0.5, -2.0 / 5.0, witness.SPLIT_LOW, -0.3, witness.SPLIT_HIGH,
-                -1.0 / 6.0, -1.0 / 5.0, 0.0):
+    names, values, expected, failures = [], [], [], {}
+    for k, ell in enumerate((-0.5, -2.0 / 5.0, witness.SPLIT_LOW, -0.3, witness.SPLIT_HIGH,
+                             -1.0 / 6.0, -1.0 / 5.0, 0.0)):
         cert = witness.detection_dual_certificate(ell, witness.detection_threshold(ell), 9)
+        names.append(f"witness-dual ell={ell:.6g}")
+        expected.append(cert.expected_value)
         try:
-            result = sdpsolve.verify_min_witness_certificate(
-                cert.values["mu"], (3, 3), "submatrix2x2", [cert.values["Z"]])
+            values.append(sdpsolve.verify_min_witness_certificate(
+                cert.values["mu"], (3, 3), "submatrix2x2", [cert.values["Z"]]))
         except CertificateRejected as exc:
-            result = exc
-        rows.append(_certificate_row(f"witness-dual ell={ell:.6g}", result, cert.expected_value, tol))
-    return rows
+            values.append(math.nan)
+            failures[k] = str(exc)
+    return _certificate_columns(names, values, expected, failures, tol)
 
 
-def _certificate_jobs(bh_dims, grid) -> list[tuple[str, posmaps.MapSpec]]:
-    """(label, map) for every map whose analytic diamond and max-eig certificates
-    verify-certificates checks, in row order: the Choi dual, the duals of the
-    generalized Choi maps on the grid, then Breuer-Hall for each n in bh_dims.
-    The dual of Phi_{b,c} is Phi_{c,b}."""
-    jobs = [("choi-dual", posmaps.dual_map(posmaps.choi_map()))]
-    jobs += [(f"gen-choi({b:.6g},{c:.6g})", posmaps.generalized_choi_map(c, b)) for b, c in grid]
-    jobs += [(f"breuer-hall n={n}", posmaps.dual_map(posmaps.breuer_hall_map(n)))
-             for n in bh_dims]
-    return jobs
+def _map_certificate_columns(labels, certs: sdpsolve.CertificateStack, tol: float) -> tuple:
+    """The diamond and max-eig rows of k maps, as columns: map i gives rows 2i
+    and 2i + 1. Both verifiers check the whole stack at once."""
+    diamond, diamond_checks = sdpsolve.verify_diamond_certificates(certs.jmats, certs.diamond_ys)
+    max_eig, max_eig_checks = sdpsolve.verify_max_eig_certificates(certs.jmats, certs.max_eig_ys)
+    failures = {2 * k: message
+                for k, message in sdpsolve.certificate_failures(diamond_checks).items()}
+    failures.update((2 * k + 1, message)
+                    for k, message in sdpsolve.certificate_failures(max_eig_checks).items())
+    names = [f"{kind} {label}" for label in labels for kind in ("diamond", "max-eig")]
+    return _certificate_columns(
+        names, np.stack([diamond, max_eig], axis=1).ravel(),
+        np.stack([certs.diamond_expected, certs.max_eig_expected], axis=1).ravel(), failures, tol)
 
 
-def _verify_stack(verify, phis, jmats, certs) -> list:
-    """verify's per-map results for the certificates' Y stack; a rejection of the
-    whole stack rejects each map."""
-    try:
-        return verify(phis, jmats, np.stack([cert.values["Y"] for cert in certs]))
-    except CertificateRejected as exc:
-        return [exc] * len(certs)
-
-
-def _map_certificate_rows(jobs, tol: float) -> list[list]:
-    """The diamond and max-eig rows of each (label, map) job. Consecutive maps of
-    one kind and dimension are verified CERT_CHUNK at a time as stacks, from one
-    Choi matrix per map; every map keeps its own row and status, whatever the
-    chunking."""
-    rows = []
-    for _, run in itertools.groupby(jobs, key=lambda job: (job[1].kind, job[1].dim)):
-        run = list(run)
-        for start in range(0, len(run), CERT_CHUNK):
-            labels, phis = zip(*run[start:start + CERT_CHUNK])
-            jmats = posmaps.choi_matrices(phis)
-            diamond = sdpsolve.diamond_certificates(phis, jmats)
-            max_eig = sdpsolve.max_eig_certificates(phis)
-            checked = zip(labels, diamond, max_eig,
-                          _verify_stack(sdpsolve.verify_diamond_certificates, phis, jmats, diamond),
-                          _verify_stack(sdpsolve.verify_max_eig_certificates, phis, jmats, max_eig))
-            for label, dcert, mcert, dres, mres in checked:
-                rows.append(_certificate_row(f"diamond {label}", dres, dcert.expected_value, tol))
-                rows.append(_certificate_row(f"max-eig {label}", mres, mcert.expected_value, tol))
-    return rows
+def _certificate_stacks(bh_dims, b: np.ndarray, c: np.ndarray):
+    """(labels, CertificateStack) of every map whose analytic certificates
+    verify-certificates checks, in row order and CERT_CHUNK maps at a time: the
+    Choi dual and the duals of the generalized Choi maps Phi_{b,c} on the grid,
+    built from (b, c) arrays, then Breuer-Hall, its own dual, for each n in
+    bh_dims. The Choi dual is the dual of Phi_{1,0}."""
+    b, c = np.concatenate([[1.0], b]), np.concatenate([[0.0], c])
+    labels = ["choi-dual"] + [f"gen-choi({x},{y})" for x, y in
+                              zip(_float_strings(b[1:], "%.6g"), _float_strings(c[1:], "%.6g"))]
+    for start in range(0, b.size, CERT_CHUNK):
+        chunk = slice(start, start + CERT_CHUNK)
+        yield labels[chunk], sdpsolve.gen_choi_certificates(b[chunk], c[chunk])
+    for n, run in itertools.groupby(bh_dims):
+        phi, count = posmaps.breuer_hall_map(n), len(list(run))
+        for start in range(0, count, CERT_CHUNK):
+            k = min(CERT_CHUNK, count - start)
+            yield [f"breuer-hall n={n}"] * k, sdpsolve.breuer_hall_certificates([phi] * k)
 
 
 def cmd_verify_certificates(args) -> tuple[str, int]:
     """Check every analytic certificate and print one row each: the witness-dual
-    rows, then a diamond and a max-eig row per map of _certificate_jobs. A row is
-    ok when the verified value is within --tol certificate of the expected one,
-    mismatch when it is not, and rejected when a PSD block or the shape of Y fails;
-    any row that is not ok makes the exit code 2."""
+    rows, then a diamond and a max-eig row per map of _certificate_stacks. A row
+    is ok when the verified value is within --tol certificate of the expected
+    one, mismatch when it is not, and rejected when a PSD block fails; any row
+    that is not ok makes the exit code 2."""
     b, c = _bc_grid(_count(args, "grid"))
-    grid = list(zip(b.tolist(), c.tolist()))
     tol = args.tol["certificate"]
-    jobs = _certificate_jobs(args.bh_dims, grid)
-    rows = _witness_dual_rows(tol) + _map_certificate_rows(jobs, tol)
-    failures = sum(1 for row in rows if row[3] != "ok")
+    parts = [_witness_dual_columns(tol)]
+    parts += [_map_certificate_columns(labels, certs, tol)
+              for labels, certs in _certificate_stacks(args.bh_dims, b, c)]
+    names, values, expected, status = zip(*parts)
+    names, status = list(itertools.chain(*names)), list(itertools.chain(*status))
+    values, expected = np.concatenate(values).tolist(), np.concatenate(expected).tolist()
     if args.format == "json":
         text = _json_report(
             [
-                {"name": r[0], "value": None if math.isnan(r[1]) else r[1],
-                 "expected": None if math.isnan(r[2]) else r[2], "status": r[3]}
-                for r in rows
+                {"name": n, "value": None if math.isnan(v) else v,
+                 "expected": None if math.isnan(e) else e, "status": s}
+                for n, v, e, s in zip(names, values, expected, status)
             ]
         )
     else:
-        text = _columns_csv(["name", "value", "expected", "status"], zip(*rows))
-    return text, EXIT_NEGATIVE if failures else EXIT_OK
+        text = _columns_csv(["name", "value", "expected", "status"],
+                            [names, values, expected, status])
+    return text, EXIT_OK if all(s == "ok" for s in status) else EXIT_NEGATIVE
 
 
 def _bc_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ materialized on demand.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -119,6 +120,18 @@ def breuer_hall_map(n: int, v: np.ndarray | None = None) -> MapSpec:
     return MapSpec("breuer_hall", n, v=v)
 
 
+def _gen_choi_act(b, c, x: np.ndarray) -> np.ndarray:
+    """Phi_{b,c} on every 3 x 3 matrix of a stack x, with b and c broadcast
+    against the leading axes of x."""
+    a = 2.0 - b - c
+    d0, d1, d2 = x[..., 0, 0], x[..., 1, 1], x[..., 2, 2]
+    out = -x
+    out[..., 0, 0] = a * d0 + b * d1 + c * d2
+    out[..., 1, 1] = c * d0 + a * d1 + b * d2
+    out[..., 2, 2] = b * d0 + c * d1 + a * d2
+    return out / 2.0
+
+
 def _act(phis, x: np.ndarray) -> np.ndarray:
     """The closed-form action of a group of maps of one kind and dimension on a
     stack x[k, ..., d, d]: phis[k] maps every matrix of x[k]. Per-map parameters
@@ -131,13 +144,7 @@ def _act(phis, x: np.ndarray) -> np.ndarray:
     per_map = (len(phis),) + (1,) * (x.ndim - 3)  # one value per map, broadcast over x[k]
     if kind == "generalized_choi":
         b, c = np.array([(phi.b, phi.c) for phi in phis]).T.reshape((2,) + per_map)
-        a = 2.0 - b - c
-        d0, d1, d2 = x[..., 0, 0], x[..., 1, 1], x[..., 2, 2]
-        out = -x
-        out[..., 0, 0] = a * d0 + b * d1 + c * d2
-        out[..., 1, 1] = c * d0 + a * d1 + b * d2
-        out[..., 2, 2] = b * d0 + c * d1 + a * d2
-        return out / 2.0
+        return _gen_choi_act(b, c, x)
     n = phis[0].dim
     trace_part = np.trace(x, axis1=-2, axis2=-1)[..., np.newaxis, np.newaxis] * np.eye(n)
     if kind == "reduction":
@@ -165,13 +172,13 @@ def dual_map(phi: MapSpec) -> MapSpec:
     return phi
 
 
-def _id_tensor(phis, x: np.ndarray, id_dim: int) -> np.ndarray:
-    """(id_{id_dim} ⊗ phis[k])(X) for every operator X of a checked stack
-    x[k, ..., id_dim·d, id_dim·d], applying each map to all d x d blocks at once."""
-    d = phis[0].dim
+def _id_tensor(act, d: int, x: np.ndarray, id_dim: int) -> np.ndarray:
+    """(id_{id_dim} ⊗ Phi)(X) for every operator X of a checked stack
+    x[k, ..., id_dim·d, id_dim·d], where act(blocks) applies the maps on M_d,
+    map k to all d x d blocks of x[k] at once."""
     lead = x.shape[:-2]
     blocks = x.reshape(lead + (id_dim, d, id_dim, d)).swapaxes(-3, -2)
-    out = _act(phis, blocks).swapaxes(-3, -2)
+    out = act(blocks).swapaxes(-3, -2)
     return out.reshape(lead + (id_dim * d, id_dim * d))
 
 
@@ -181,7 +188,14 @@ def apply_id_tensor(phi: MapSpec, x, id_dim: int) -> np.ndarray:
     Accepts a stack X[..., id_dim·d, id_dim·d] and maps each operator.
     """
     x = bipartite._check_dims(x, id_dim, phi.dim, stack=True)
-    return _id_tensor((phi,), x[np.newaxis], id_dim)[0]
+    return _id_tensor(functools.partial(_act, (phi,)), phi.dim, x[np.newaxis], id_dim)[0]
+
+
+def _choi_stack(act, k: int, n: int) -> np.ndarray:
+    """J = n (id_n ⊗ Phi)(|psi+><psi+|) of k maps on M_n, as one [k, n², n²] stack;
+    act is as in _id_tensor."""
+    p = bipartite.max_entangled_projector(n)
+    return n * _id_tensor(act, n, np.broadcast_to(p, (k,) + p.shape), n)
 
 
 def choi_matrices(phis) -> np.ndarray:
@@ -190,8 +204,18 @@ def choi_matrices(phis) -> np.ndarray:
     kind, n = phis[0].kind, phis[0].dim
     if any((phi.kind, phi.dim) != (kind, n) for phi in phis):
         raise ValueError("choi_matrices takes maps of one kind and dimension")
-    p = bipartite.max_entangled_projector(n)
-    return n * _id_tensor(phis, np.broadcast_to(p, (len(phis),) + p.shape), n)
+    return _choi_stack(functools.partial(_act, phis), len(phis), n)
+
+
+def generalized_choi_matrices(b, c) -> np.ndarray:
+    """J(Phi_{b[k],c[k]}) for (b, c) arrays of shape (k,), as a [k, 9, 9] stack
+    built in one pass with no MapSpec; entry k equals
+    choi_matrix(generalized_choi_map(b[k], c[k])) bit for bit. A non-finite or
+    negative entry is a ValueError."""
+    b, c = _bc(b, c)
+    per_map = (b.size, 1, 1)  # one value per map, broadcast over its 3 x 3 blocks
+    act = functools.partial(_gen_choi_act, b.reshape(per_map), c.reshape(per_map))
+    return _choi_stack(act, b.size, 3)
 
 
 def choi_matrix(phi: MapSpec) -> np.ndarray:

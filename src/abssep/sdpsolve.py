@@ -37,21 +37,25 @@ Two complementary paths:
   own data and returning the bound it certifies. The analytic certificates
   (the threshold-curve witness duals, and the Choi, generalized Choi and
   Breuer-Hall map certificates) are exact closed forms, so their
-  verification tolerances are much tighter than the solver's. Both
-  certificate builders, diamond_certificates and max_eig_certificates, take
-  a group of maps of one kind and dimension and build its Y as one
-  [k, d, d] stack (Breuer-Hall's max-eig Y map by map). The diamond and
-  max-eig verifiers take the group with [k, d, d] stacks of Choi matrices
-  and Y, with one stacked eigvalsh per PSD block, and report each map's
-  bound or rejection. The one-map builders and verifiers are that code on
-  a stack of one. diamond_norm_ub and max_eig_ub verify the solver's own Y.
+  verification tolerances are much tighter than the solver's. The map
+  certificates are built as stacks: gen_choi_certificates takes (b, c)
+  arrays and builds, for the duals of Phi_{b,c}, the [k, 9, 9] Choi
+  matrices, both SDPs' Y and their expected values with no per-map object;
+  breuer_hall_certificates does the same for a group of Breuer-Hall maps
+  (its max-eig Y map by map). The diamond and max-eig verifiers take
+  [k, d, d] stacks of Choi matrices and Y, read n from their shape, and
+  return the values and, per PSD block, (ok, min eigenvalue) arrays from
+  one stacked eigvalsh each; certificate_failures builds a rejection
+  message only for the certificates that fail. The one-map builders and
+  verifiers are that code on a stack of one. diamond_norm_ub and
+  max_eig_ub verify the solver's own Y.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -539,89 +543,6 @@ def max_eig_dual_problem(phi: posmaps.MapSpec) -> SdpProblem:
 # ----------------------------------------------------------------------------
 
 
-def _certified(values: list[float], blocks) -> list[float | CertificateRejected]:
-    """Entry i is values[i] when matrix i of every (what, stack) block is PSD up to
-    CERT_PSD_TOL, or else a CertificateRejected naming the first block that is not."""
-    tests = [(what, *matcore.psd_test(stack, CERT_PSD_TOL)) for what, stack in blocks]
-    results = []
-    for i, value in enumerate(values):
-        for what, ok, lam_min in tests:
-            if not ok[i]:
-                value = CertificateRejected(f"{what} is not PSD (min eigenvalue {lam_min[i]:.3e})")
-                break
-        results.append(value)
-    return results
-
-
-def _one(results: list) -> float:
-    """The value certified for a one-certificate stack; raises its rejection."""
-    (result,) = results
-    if isinstance(result, CertificateRejected):
-        raise result
-    return result
-
-
-def _psd_or_reject(mat: np.ndarray, what: str) -> None:
-    _one(_certified([0.0], [(what, np.asarray(mat)[np.newaxis])]))
-
-
-def _y_stack(ys, d: int) -> np.ndarray:
-    """ys as a [k, d, d] stack; a Y of another shape is rejected."""
-    ys = np.asarray(ys)
-    if ys.shape[1:] != (d, d):
-        raise CertificateRejected(f"Y has shape {ys.shape[1:]}, expected {(d, d)}")
-    return ys
-
-
-def diamond_certificates(phis, jmats: np.ndarray) -> list[DualCertificate]:
-    """diamond_certificate of each map of a group of one kind and dimension, given
-    their Choi matrices jmats[k]."""
-    n, k = phis[0].dim, len(phis)
-    if phis[0].kind == "breuer_hall":
-        kappa, expected = np.full(k, 2.0), np.full(k, (n + 2.0) / n)
-    else:  # Unsupported outside the generalized Choi family
-        kappa = sum(_gen_choi_params_of_duals(phis))  # b + c
-        expected = (3.0 + kappa) / 3.0
-    ys = jmats + kappa[:, np.newaxis, np.newaxis] * bipartite.max_entangled_projector(n)
-    return [DualCertificate(f"diamond-{phi.kind}", {"Y": y}, e)
-            for phi, y, e in zip(phis, ys, expected.tolist())]
-
-
-def diamond_certificate(phi: posmaps.MapSpec) -> DualCertificate:
-    """Feasible Y for the diamond-norm SDP of the given map.
-
-    Y = J(phi) + kappa |psi+><psi+| with kappa = b + c for the (generalized)
-    Choi family and kappa = 2 for Breuer-Hall; the certified values are
-    (3 + b + c)/3 and (n + 2)/n respectively.
-    """
-    return diamond_certificates((phi,), posmaps.choi_matrices((phi,)))[0]
-
-
-def verify_diamond_certificates(phis, jmats: np.ndarray, ys) -> list[float | CertificateRejected]:
-    """verify_diamond_certificate for a group of maps of one kind and dimension,
-    given their Choi matrices jmats[k] and certificates ys[k], with one stacked
-    eigvalsh per block, one partial trace and one SVD. Entry k is the bound
-    certified for phis[k], or the CertificateRejected naming the block that
-    ys[k] fails; a stack of wrong-shaped Y is rejected as a whole.
-    """
-    n = phis[0].dim
-    ys = _y_stack(ys, n * n)
-    values = matcore.singular_values(bipartite.partial_trace(ys, n, n, "second"))[:, 0]
-    return _certified(values.tolist(), [("Y - J", ys - jmats), ("Y + J", ys + jmats)])
-
-
-def verify_diamond_certificate(phi: posmaps.MapSpec, cert: DualCertificate) -> float:
-    """Verify Y - J >= 0 and Y + J >= 0, the PSD blocks of diamond_norm_problem,
-    and return the certified upper bound ||Tr_2 Y||_op.
-
-    J = J(phi) must be Hermitian: then conjugating Watrous's block matrix
-    [[Y, -J], [-J, Y]] by (1/sqrt2) [[I, I], [I, -I]] gives diag(Y - J, Y + J),
-    so the two checks are his constraint, and their sum 2Y is PSD too.
-    """
-    return _one(verify_diamond_certificates(
-        (phi,), posmaps.choi_matrices((phi,)), [cert.values["Y"]]))
-
-
 def gen_choi_outer(b, c):
     """2b+c >= 3 or b+2c >= 3, elementwise: where it holds, the max-eigenvalue
     certificate for the dual of Phi_{b,c} is Y = 0 and its bound max{b,c}/2."""
@@ -666,59 +587,163 @@ def gen_choi_max_eig_bound(b, c):
     return _gen_choi_closed_forms(b, c)[3][()]
 
 
-def _gen_choi_params_of_duals(phis) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (b, c) with phis[k] the dual of the generalized Choi map Phi_{b[k],c[k]}."""
-    if phis[0].kind != "generalized_choi":
-        raise Unsupported(f"map kind {phis[0].kind!r} is not in the generalized Choi family")
-    c, b = np.array([(phi.b, phi.c) for phi in phis]).T  # the dual of Phi_{b,c} is Phi_{c,b}
-    return b, c
+class CertificateStack(NamedTuple):
+    """The analytic diamond and max-eig certificates of k maps of one kind on
+    M_n: their Choi matrices and, for each SDP, every map's Y with the value
+    that Y should certify."""
+
+    jmats: np.ndarray             # [k, n², n²]
+    diamond_ys: np.ndarray        # [k, n², n²]
+    diamond_expected: np.ndarray  # [k]
+    max_eig_ys: np.ndarray        # [k, n², n²]
+    max_eig_expected: np.ndarray  # [k]
 
 
-def max_eig_certificates(phis) -> list[DualCertificate]:
-    """Feasible Y >= 0 for the PPT max-eigenvalue SDP of each map of a group of one
-    kind and dimension. For the generalized Choi family the two parameter regimes
-    use Y = 0 and the sqrt(xy)-patterned Y, built as one [k, 9, 9] stack, certifying
-    gen_choi_max_eig_bound(b, c); for Breuer-Hall the rank-one rotated maximally
-    entangled Y certifies 1/(n-2)."""
-    if phis[0].kind == "breuer_hall":
-        n = phis[0].dim
-        psi = bipartite.max_entangled(n)
-        p = np.outer(psi, psi.conj())
-        rotations = [bipartite.kron(np.eye(n), phi.v) for phi in phis]
-        return [DualCertificate("max-eig-breuer-hall", {"Y": n / (n - 2.0) * (r @ p @ r.conj().T)},
-                                1.0 / (n - 2.0)) for r in rotations]
-    b, c = _gen_choi_params_of_duals(phis)
+def gen_choi_certificates(b, c) -> CertificateStack:
+    """The certificates of the duals of Phi_{b[k],c[k]}, for (b, c) arrays of
+    shape (k,), built as stacks with no per-map object; the dual of Phi_{b,c}
+    is Phi_{c,b}. The diamond Y = J + (b + c) |psi+><psi+| certifies
+    (3 + b + c)/3. The max-eig Y is 0 where gen_choi_outer and the
+    sqrt(xy)-patterned Y elsewhere, certifying gen_choi_max_eig_bound(b, c)."""
+    b, c = np.asarray(b, dtype=np.float64), np.asarray(c, dtype=np.float64)
+    jmats = posmaps.generalized_choi_matrices(c, b)
+    kappa = b + c
     x, y, root, bound = _gen_choi_closed_forms(b, c)
-    ys = np.zeros((len(phis), 9, 9), dtype=np.complex128)
+    ys = np.zeros((b.size, 9, 9), dtype=np.complex128)
     ys[:, [1, 5, 6], [1, 5, 6]] = x[:, np.newaxis]
     ys[:, [2, 3, 7], [2, 3, 7]] = y[:, np.newaxis]
     ys[:, [1, 2, 5, 3, 6, 7], [3, 6, 7, 1, 2, 5]] = root[:, np.newaxis]  # (1,3), (2,6), (5,7)
-    return [DualCertificate(f"max-eig-gen-choi({bk:g},{ck:g})", {"Y": yk}, e)
-            for bk, ck, yk, e in zip(b.tolist(), c.tolist(), ys, bound.tolist())]
+    diamond_ys = jmats + kappa[:, np.newaxis, np.newaxis] * bipartite.max_entangled_projector(3)
+    return CertificateStack(jmats, diamond_ys, (3.0 + kappa) / 3.0, ys, bound)
+
+
+def breuer_hall_certificates(phis) -> CertificateStack:
+    """The certificates of a group of Breuer-Hall maps of one dimension n, each
+    its own dual. The diamond Y = J + 2 |psi+><psi+| certifies (n + 2)/n; the
+    max-eig Y, rank one, n/(n-2) (I ⊗ V) |psi+><psi+| (I ⊗ V)^H, certifies
+    1/(n - 2)."""
+    n, k = phis[0].dim, len(phis)
+    jmats = posmaps.choi_matrices(phis)
+    psi = bipartite.max_entangled(n)
+    p = np.outer(psi, psi.conj())
+    rotations = [bipartite.kron(np.eye(n), phi.v) for phi in phis]
+    ys = np.stack([n / (n - 2.0) * (r @ p @ r.conj().T) for r in rotations])
+    return CertificateStack(jmats, jmats + 2.0 * bipartite.max_entangled_projector(n),
+                            np.full(k, (n + 2.0) / n), ys, np.full(k, 1.0 / (n - 2.0)))
+
+
+def _certificates(phi: posmaps.MapSpec) -> CertificateStack:
+    """The certificate stack of one map: a Breuer-Hall map, or Phi_{c,b}, the
+    dual of Phi_{b,c}."""
+    if phi.kind == "breuer_hall":
+        return breuer_hall_certificates((phi,))
+    if phi.kind != "generalized_choi":
+        raise Unsupported(f"map kind {phi.kind!r} is not in the generalized Choi family")
+    return gen_choi_certificates(np.array([phi.c]), np.array([phi.b]))
+
+
+def _psd_checks(blocks) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """(what, ok, min eigenvalue) of each (what, stack) block: psd_test of
+    every matrix of the stack with CERT_PSD_TOL."""
+    return [(what, *matcore.psd_test(stack, CERT_PSD_TOL)) for what, stack in blocks]
+
+
+def certificate_failures(checks) -> dict[int, str]:
+    """{k: message} for every certificate k that fails one of a verifier's
+    checks: the CertificateRejected message naming the first block, in the
+    order of checks, that it fails. Certificates that pass build no message."""
+    passed = np.logical_and.reduce([ok for _, ok, _ in checks])
+    failures = {}
+    for k in np.flatnonzero(~passed).tolist():
+        what, _, lam_min = next(check for check in checks if not check[1][k])
+        failures[k] = f"{what} is not PSD (min eigenvalue {lam_min[k]:.3e})"
+    return failures
+
+
+def _one(values, checks) -> float:
+    """The value certified by a one-certificate stack; raises its rejection."""
+    failures = certificate_failures(checks)
+    if failures:
+        raise CertificateRejected(failures[0])
+    return float(values[0])
+
+
+def _psd_or_reject(mat: np.ndarray, what: str) -> None:
+    _one([0.0], _psd_checks([(what, np.asarray(mat)[np.newaxis])]))
+
+
+def _y_stack(ys, jmats: np.ndarray) -> np.ndarray:
+    """ys as a stack shaped like jmats, [k, d, d]; a Y of another shape is rejected."""
+    ys = np.asarray(ys)
+    d = jmats.shape[-1]
+    if ys.shape[1:] != (d, d):
+        raise CertificateRejected(f"Y has shape {ys.shape[1:]}, expected {(d, d)}")
+    return ys
+
+
+def verify_diamond_certificates(jmats: np.ndarray, ys) -> tuple[np.ndarray, list]:
+    """verify_diamond_certificate of k maps on M_n at once: jmats[k] is the
+    Choi matrix of map k and ys[k] its Y, [k, n², n²] stacks, and n is read
+    from their shape. Returns each map's value ||Tr_2 Y||_op, from one partial
+    trace and one SVD, and the checks of its Y - J and Y + J blocks, one
+    stacked eigvalsh each; certificate_failures(checks) names the maps
+    rejected. A stack of wrong-shaped Y is rejected as a whole.
+    """
+    ys = _y_stack(ys, jmats)
+    n = math.isqrt(jmats.shape[-1])
+    values = matcore.singular_values(bipartite.partial_trace(ys, n, n, "second"))[:, 0]
+    return values, _psd_checks([("Y - J", ys - jmats), ("Y + J", ys + jmats)])
+
+
+def diamond_certificate(phi: posmaps.MapSpec) -> DualCertificate:
+    """Feasible Y for the diamond-norm SDP of the given map.
+
+    Y = J(phi) + kappa |psi+><psi+| with kappa = b + c for the (generalized)
+    Choi family and kappa = 2 for Breuer-Hall; the certified values are
+    (3 + b + c)/3 and (n + 2)/n respectively. This is gen_choi_certificates
+    or breuer_hall_certificates on a stack of one.
+    """
+    certs = _certificates(phi)
+    return DualCertificate(f"diamond-{phi.kind}", {"Y": certs.diamond_ys[0]},
+                           float(certs.diamond_expected[0]))
+
+
+def verify_diamond_certificate(phi: posmaps.MapSpec, cert: DualCertificate) -> float:
+    """Verify Y - J >= 0 and Y + J >= 0, the PSD blocks of diamond_norm_problem,
+    and return the certified upper bound ||Tr_2 Y||_op.
+
+    J = J(phi) must be Hermitian: then conjugating Watrous's block matrix
+    [[Y, -J], [-J, Y]] by (1/sqrt2) [[I, I], [I, -I]] gives diag(Y - J, Y + J),
+    so the two checks are his constraint, and their sum 2Y is PSD too.
+    """
+    return _one(*verify_diamond_certificates(posmaps.choi_matrices((phi,)), [cert.values["Y"]]))
+
+
+def verify_max_eig_certificates(jmats: np.ndarray, ys) -> tuple[np.ndarray, list]:
+    """verify_max_eig_certificate of k maps on M_n at once, with jmats and ys
+    as in verify_diamond_certificates. Returns each map's value
+    lambda_max((id ⊗ T)(Y) + J), from one partial transpose and one stacked
+    eigvalsh, and the checks of its Y block; a stack of wrong-shaped Y is
+    rejected as a whole.
+    """
+    ys = _y_stack(ys, jmats)
+    n = math.isqrt(jmats.shape[-1])
+    values = matcore.eigvalsh(bipartite.partial_transpose(ys, n, n) + jmats)[:, 0]
+    return values, _psd_checks([("Y", ys)])
 
 
 def max_eig_certificate(phi: posmaps.MapSpec) -> DualCertificate:
-    """max_eig_certificates for one map."""
-    return max_eig_certificates((phi,))[0]
-
-
-def verify_max_eig_certificates(phis, jmats: np.ndarray, ys) -> list[float | CertificateRejected]:
-    """verify_max_eig_certificate for a group of maps of one kind and dimension,
-    given their Choi matrices jmats[k] and certificates ys[k], with one stacked
-    eigvalsh per constraint and one partial transpose. Entry k is the bound
-    certified for phis[k], or the CertificateRejected of ys[k]; a stack of
-    wrong-shaped Y is rejected as a whole.
-    """
-    n = phis[0].dim
-    ys = _y_stack(ys, n * n)
-    values = matcore.eigvalsh(bipartite.partial_transpose(ys, n, n) + jmats)[:, 0]
-    return _certified(values.tolist(), [("Y", ys)])
+    """Feasible Y >= 0 for the PPT max-eigenvalue SDP of the given map, from
+    gen_choi_certificates or breuer_hall_certificates on a stack of one."""
+    certs = _certificates(phi)
+    name = ("max-eig-breuer-hall" if phi.kind == "breuer_hall"
+            else f"max-eig-gen-choi({phi.c:g},{phi.b:g})")
+    return DualCertificate(name, {"Y": certs.max_eig_ys[0]}, float(certs.max_eig_expected[0]))
 
 
 def verify_max_eig_certificate(phi: posmaps.MapSpec, cert: DualCertificate) -> float:
     """Verify Y >= 0 and return lambda_max((id ⊗ T)(Y) + J(phi))."""
-    return _one(verify_max_eig_certificates(
-        (phi,), posmaps.choi_matrices((phi,)), [cert.values["Y"]]))
+    return _one(*verify_max_eig_certificates(posmaps.choi_matrices((phi,)), [cert.values["Y"]]))
 
 
 def _solver_certificate(problem: SdpProblem, tol: float) -> DualCertificate:

@@ -47,6 +47,27 @@ def test_check_spectrum_isotropic_no(tmp_path, capsys):
     assert report["lmi_min_eigenvalue"] < 0
 
 
+@pytest.mark.parametrize("alpha", [0.2, 0.1])
+def test_check_spectrum_evaluates_the_lmis_once(monkeypatch, tmp_path, capsys, alpha):
+    # one stacked eigvalsh gives both the verdict and lmi_min_eigenvalue, and the
+    # report is the one that is_abs_ppt and a second evaluation would give
+    from abssep import absppt
+
+    spec = families.isotropic_spectrum(3, alpha)
+    mins = absppt.lmi_min_eigenvalues(spec)
+    expected = json.dumps({"verdict": absppt.is_abs_ppt(spec).value,
+                           "lmi_min_eigenvalue": float(np.min(mins)), "dims": [3, 3]},
+                          sort_keys=True) + "\n"
+    path = write_spectrum(tmp_path, spec)
+    calls = []
+    eigvalsh = matcore.eigvalsh
+    monkeypatch.setattr(matcore, "eigvalsh", lambda a: calls.append(np.shape(a)) or eigvalsh(a))
+    code, out = run_cli(["check-spectrum", path], capsys)
+    assert len(calls) == 1
+    assert out == expected
+    assert code == (2 if json.loads(out)["verdict"] == "No" else 0)
+
+
 def test_check_spectrum_large_dims_necessary_only(tmp_path, capsys):
     from abssep.absppt import Spectrum
 
@@ -203,24 +224,30 @@ def test_verify_certificates_rejection_exits_2(monkeypatch, capsys):
     from abssep import sdpsolve
     from abssep.errors import CertificateRejected
 
-    real = sdpsolve.verify_max_eig_certificates
+    argv = ["verify-certificates", "--grid", "2", "--bh-dims", "4"]
+    clean = run_cli(argv, capsys)[1].splitlines()
+    real = sdpsolve.breuer_hall_certificates
+    broken = []
 
-    def flaky(phis, jmats, ys):
-        if phis[0].kind == "breuer_hall":
-            raise CertificateRejected("injected failure")
-        return real(phis, jmats, ys)
+    def indefinite(phis):
+        certs = real(phis)
+        certs.max_eig_ys[:, 1, 1] -= 1e-3  # row 1 of the rank-one Y is zero, so Y loses PSD
+        broken.append((phis[0], certs.max_eig_ys[0].copy()))
+        return certs
 
-    monkeypatch.setattr(sdpsolve, "verify_max_eig_certificates", flaky)
-    code, out = run_cli(
-        ["verify-certificates", "--grid", "2", "--bh-dims", "4"], capsys
-    )
+    monkeypatch.setattr(sdpsolve, "breuer_hall_certificates", indefinite)
+    code, out = run_cli(argv, capsys)
     assert code == 2
-    assert "rejected: injected failure" in out
+    ((phi, y),) = broken
+    with pytest.raises(CertificateRejected, match="Y is not PSD") as info:
+        sdpsolve.verify_max_eig_certificate(phi, sdpsolve.DualCertificate("broken", {"Y": y}))
     # the rejected row prints nan for both numbers; every other row as before
-    assert "max-eig breuer-hall n=4,nan,nan,rejected: injected failure" in out.splitlines()
-    assert len(out.splitlines()) == 21
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "2bef179c8546a536e26d92a7d72c1086c1bbe0d95bed6b5aae8719f11e5b5afb")
+    row = f"max-eig breuer-hall n=4,nan,nan,rejected: {info.value}"
+    lines = out.splitlines()
+    assert len(lines) == len(clean) == 21
+    assert [line for line in lines if line not in clean] == [row]
+    assert [line for line in clean if line not in lines] == [
+        line for line in clean if line.startswith("max-eig breuer-hall n=4,")]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -238,16 +265,31 @@ def test_verify_certificates_bytes_do_not_depend_on_chunk_size(monkeypatch, caps
     assert run_cli(["verify-certificates", *argv], capsys) == expected
 
 
-def _same_map(a, b):
-    return (a.kind, a.dim, a.b, a.c) == (b.kind, b.dim, b.b, b.c)
-
-
-def _grid5_chunk7_jobs(monkeypatch):
-    # 26 generalized Choi maps, the Choi dual first, checked 7 at a time: jobs 9
-    # and 10 sit inside the second chunk, which holds jobs 7 to 13
+def _grid5_chunk7(monkeypatch):
+    # 26 generalized Choi maps, the Choi dual first, checked 7 at a time: maps 9
+    # and 10 sit inside the second chunk, which holds maps 7 to 13. Map j > 0 is
+    # the dual of Phi_{b,c} at grid point j - 1; returns {j: (label, (b, c))}
     monkeypatch.setattr(cli, "CERT_CHUNK", 7)
     axis = np.linspace(0.0, 4.0 / 3.0, 5)
-    return cli._certificate_jobs((4,), [(float(b), float(c)) for b in axis for c in axis])
+    grid = [(float(b), float(c)) for b in axis for c in axis]
+    return {j: (f"gen-choi({grid[j - 1][0]:.6g},{grid[j - 1][1]:.6g})", grid[j - 1])
+            for j in (9, 10)}
+
+
+def _edit_gen_choi_certificates(monkeypatch, edit):
+    # run edit(certs, k, (b, c)) on map k of every stack of certificates that
+    # verify-certificates builds from its (b, c) arrays
+    from abssep import sdpsolve
+
+    real = sdpsolve.gen_choi_certificates
+
+    def edited(b, c):
+        certs = real(b, c)
+        for k, point in enumerate(zip(b.tolist(), c.tolist())):
+            edit(certs, k, point)
+        return certs
+
+    monkeypatch.setattr(sdpsolve, "gen_choi_certificates", edited)
 
 
 def _rows_by_name(out):
@@ -258,30 +300,19 @@ def test_verify_certificates_rejects_one_map_inside_a_chunk(monkeypatch, capsys)
     from abssep import sdpsolve
     from abssep.errors import CertificateRejected
 
-    jobs = _grid5_chunk7_jobs(monkeypatch)
-    (diamond_label, diamond_phi), (max_eig_label, max_eig_phi) = jobs[10], jobs[9]
+    maps = _grid5_chunk7(monkeypatch)
+    (diamond_label, diamond_point), (max_eig_label, max_eig_point) = maps[10], maps[9]
     broken = {}
-    real_diamond, real_max_eig = sdpsolve.diamond_certificates, sdpsolve.max_eig_certificates
 
-    def perturbed_diamond(phis, jmats):
-        certs = real_diamond(phis, jmats)
-        for phi, cert in zip(phis, certs):
-            if _same_map(phi, diamond_phi):
-                cert.values["Y"] = cert.values["Y"].copy()
-                cert.values["Y"][2, 2] -= 1e-3  # breaks PSD of the Y - J block
-                broken["diamond"] = (phi, cert)
-        return certs
+    def edit(certs, k, point):
+        if point == diamond_point:
+            certs.diamond_ys[k, 2, 2] -= 1e-3  # breaks PSD of the Y - J block
+            broken["diamond"] = (point, certs.diamond_ys[k].copy())
+        if point == max_eig_point:
+            certs.max_eig_ys[k, 1, 1] -= 1e-3  # drives an eigenvalue of Y negative
+            broken["max-eig"] = (point, certs.max_eig_ys[k].copy())
 
-    def perturbed_max_eig(phis):
-        certs = real_max_eig(phis)
-        for phi, cert in zip(phis, certs):
-            if _same_map(phi, max_eig_phi):
-                cert.values["Y"][1, 1] -= 1e-3  # drives an eigenvalue of Y negative
-                broken["max-eig"] = (phi, cert)
-        return certs
-
-    monkeypatch.setattr(sdpsolve, "diamond_certificates", perturbed_diamond)
-    monkeypatch.setattr(sdpsolve, "max_eig_certificates", perturbed_max_eig)
+    _edit_gen_choi_certificates(monkeypatch, edit)
     code, out = run_cli(
         ["verify-certificates", "--grid", "5", "--bh-dims", "4", "--format", "json"], capsys)
     assert code == 2
@@ -289,11 +320,12 @@ def test_verify_certificates_rejects_one_map_inside_a_chunk(monkeypatch, capsys)
     assert len(rows) == 8 + 2 * 27
     expected_rejections = {}
     for kind, label in (("diamond", diamond_label), ("max-eig", max_eig_label)):
-        phi, cert = broken[kind]
+        (b, c), y = broken[kind]
+        phi = posmaps.dual_map(posmaps.generalized_choi_map(b, c))
         verify = (sdpsolve.verify_diamond_certificate if kind == "diamond"
                   else sdpsolve.verify_max_eig_certificate)
-        with pytest.raises(CertificateRejected) as info:
-            verify(phi, cert)  # the one-map verifier's message
+        with pytest.raises(CertificateRejected) as info:  # the one-map verifier's message
+            verify(phi, sdpsolve.DualCertificate("broken", {"Y": y}))
         expected_rejections[f"{kind} {label}"] = {
             "value": None, "expected": None, "status": f"rejected: {info.value}"}
     assert "Y - J is not PSD" in expected_rejections[f"diamond {diamond_label}"]["status"]
@@ -306,26 +338,82 @@ def test_verify_certificates_rejects_one_map_inside_a_chunk(monkeypatch, capsys)
 
 
 def test_verify_certificates_flags_one_mismatch_inside_a_chunk(monkeypatch, capsys):
-    from abssep import sdpsolve
+    label, target = _grid5_chunk7(monkeypatch)[10]
 
-    jobs = _grid5_chunk7_jobs(monkeypatch)
-    label, target = jobs[10]
-    real = sdpsolve.diamond_certificates
+    def edit(certs, k, point):
+        if point == target:
+            certs.diamond_expected[k] += 1e-11  # ten times --tol certificate
 
-    def shifted(phis, jmats):
-        certs = real(phis, jmats)
-        for phi, cert in zip(phis, certs):
-            if _same_map(phi, target):
-                cert.expected_value += 1e-11  # ten times --tol certificate
-        return certs
-
-    monkeypatch.setattr(sdpsolve, "diamond_certificates", shifted)
+    _edit_gen_choi_certificates(monkeypatch, edit)
     code, out = run_cli(
         ["verify-certificates", "--grid", "5", "--bh-dims", "4", "--format", "json"], capsys)
     assert code == 2
     rows = _rows_by_name(out)
     assert rows[f"diamond {label}"]["status"] == "mismatch"
     assert sum(row["status"] != "ok" for row in rows.values()) == 1
+
+
+def test_verify_certificates_builds_no_object_per_grid_point(monkeypatch, capsys):
+    # 961 grid points: the certificates come from (b, c) arrays, so the only
+    # MapSpecs are the Breuer-Hall maps and the only DualCertificates the
+    # witness duals
+    from abssep import sdpsolve
+
+    built = []
+    post_init, init = posmaps.MapSpec.__post_init__, sdpsolve.DualCertificate.__init__
+
+    def counted(original, kind):
+        def wrapper(self, *args, **kwargs):
+            built.append(kind)
+            return original(self, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(posmaps.MapSpec, "__post_init__", counted(post_init, "MapSpec"))
+    monkeypatch.setattr(sdpsolve.DualCertificate, "__init__", counted(init, "DualCertificate"))
+    code, out = run_cli(
+        ["verify-certificates", "--grid", "31", "--bh-dims", "4", "6", "8", "--format", "json"],
+        capsys)
+    assert code == 0
+    assert len(json.loads(out)) == 8 + 2 * (1 + 31 * 31 + 3)
+    assert built.count("MapSpec") == 3
+    assert built.count("DualCertificate") == 8
+
+
+@pytest.mark.parametrize("factor, rejected", [(0.5, False), (2.0, True)])
+def test_certificate_psd_tolerance_scales_with_the_block_norm(
+        monkeypatch, capsys, factor, rejected):
+    # a max-eig Y of norm 1e6 whose least eigenvalue is -factor * tol * 1e6: the
+    # PSD check accepts up to CERT_PSD_TOL times max(1, ||Y||_op), so half that
+    # passes and twice that fails, in the grid path and in the one-map verifier
+    from abssep import sdpsolve
+    from abssep.errors import CertificateRejected
+
+    tol, scale = 1e-10, 1e6  # CERT_PSD_TOL, stated here so that a changed constant shows
+    q, _ = np.linalg.qr(np.random.default_rng(23).standard_normal((9, 9)))
+    y = (q * np.r_[scale, np.ones(7), -factor * tol * scale]) @ q.T
+    y = (y + y.T) / 2.0
+    lam = np.linalg.eigvalsh(y)
+    assert abs(lam[0] + factor * tol * scale) < 1e-3 * tol * scale
+    assert lam[-1] == pytest.approx(scale)
+
+    def edit(certs, k, point):
+        if point == (1.0, 0.0):  # the Choi dual
+            certs.max_eig_ys[k] = y
+
+    _edit_gen_choi_certificates(monkeypatch, edit)
+    code, out = run_cli(
+        ["verify-certificates", "--grid", "2", "--bh-dims", "4", "--format", "json"], capsys)
+    assert code == 2
+    status = _rows_by_name(out)["max-eig choi-dual"]["status"]
+    phi = posmaps.dual_map(posmaps.choi_map())
+    cert = sdpsolve.DualCertificate("scaled", {"Y": y})
+    if rejected:
+        assert status == "rejected: Y is not PSD (min eigenvalue -2.000e-04)"
+        with pytest.raises(CertificateRejected, match=re.escape(status[len("rejected: "):])):
+            sdpsolve.verify_max_eig_certificate(phi, cert)
+    else:
+        assert status == "mismatch"  # accepted, but Y certifies a far larger value
+        assert sdpsolve.verify_max_eig_certificate(phi, cert) > scale / 2.0
 
 
 @pytest.mark.parametrize("shift, status", [(1e-6, "rejected"), (1e-11, "mismatch")])

@@ -89,12 +89,14 @@ bc_params = st.floats(min_value=0.0, max_value=4.0 / 3.0)
 @PROPERTY
 @given(points=st.lists(st.tuples(bc_params, bc_params), min_size=1, max_size=12))
 def test_stacked_choi_matrices_equal_one_map_builds(points):
-    maps = [posmaps.choi_map(), posmaps.dual_map(posmaps.choi_map())]
-    maps += [posmaps.dual_map(posmaps.generalized_choi_map(b, c)) for b, c in points]
-    stacked = posmaps.choi_matrices(maps)
-    assert stacked.shape == (len(maps), 9, 9)
-    for phi, jmat in zip(maps, stacked):
-        assert np.array_equal(jmat, posmaps.choi_matrix(phi))
+    # the Choi map and its dual beside drawn Phi_{b,c}, built from (b, c) arrays
+    # with no MapSpec; each map's parameters must reach its own slice
+    points = [(1.0, 0.0), (0.0, 1.0)] + points
+    bs, cs = (np.array(axis) for axis in zip(*points))
+    stacked = posmaps.generalized_choi_matrices(bs, cs)
+    assert stacked.shape == (len(points), 9, 9)
+    for (b, c), jmat in zip(points, stacked):
+        assert np.array_equal(jmat, posmaps.choi_matrix(posmaps.generalized_choi_map(b, c)))
 
 
 @PROPERTY
@@ -217,14 +219,17 @@ def test_bc_predicates_match_the_scalar_formulas(points):
 @PROPERTY
 @given(points=bc_stacks)
 def test_max_eig_certificates_match_the_scalar_build(points):
-    # phis[k] is the dual of Phi_{b,c}, which max_eig_certificates reads back as (b, c)
-    phis = [posmaps.dual_map(posmaps.generalized_choi_map(b, c)) for b, c in points]
-    certs = sdpsolve.max_eig_certificates(phis)
-    assert len(certs) == len(points)
-    for (b, c), cert in zip(points, certs):
-        assert np.array_equal(cert.values["Y"], scalar_certificate_y(b, c))
-        assert cert.expected_value == scalar_bound(b, c)
-        assert cert.name == f"max-eig-gen-choi({b:g},{c:g})"
+    # the stack certifies the duals of Phi_{b,c}, read from the (b, c) arrays
+    certs = sdpsolve.gen_choi_certificates(*bc_arrays(points))
+    assert certs.max_eig_ys.shape == (len(points), 9, 9)
+    for (b, c), y, expected in zip(points, certs.max_eig_ys, certs.max_eig_expected.tolist()):
+        assert np.array_equal(y, scalar_certificate_y(b, c))
+        assert expected == scalar_bound(b, c)
+    b, c = points[0]
+    cert = sdpsolve.max_eig_certificate(posmaps.dual_map(posmaps.generalized_choi_map(b, c)))
+    assert np.array_equal(cert.values["Y"], scalar_certificate_y(b, c))
+    assert cert.expected_value == scalar_bound(b, c)
+    assert cert.name == f"max-eig-gen-choi({b:g},{c:g})"
 
 
 @PROPERTY
@@ -314,3 +319,27 @@ def test_columns_csv_matches_the_row_by_row_writer(size, data):
     header = [f"h{k}" for k in range(len(columns))]
     rows = [",".join(map(value_by_value_fmt, row)) for row in zip(*columns)]
     assert cli._columns_csv(header, columns) == "\n".join([",".join(header), *rows]) + "\n"
+
+
+@PROPERTY
+@given(points=st.lists(st.tuples(bc_params, bc_params), min_size=1, max_size=12))
+def test_grid_certificate_rows_equal_the_one_map_api(points):
+    # verify-certificates' stacked path against the one-map builders and
+    # verifiers, for the duals of Phi_{b,c}: the same value, expected value and
+    # status, compared as repr strings
+    tol = 1e-12
+    bs, cs = bc_arrays(points)
+    names, values, expected, status = cli._map_certificate_columns(
+        [f"map {k}" for k in range(len(points))], sdpsolve.gen_choi_certificates(bs, cs), tol)
+    one_map = []
+    for b, c in points:
+        phi = posmaps.dual_map(posmaps.generalized_choi_map(b, c))
+        for build, verify in ((sdpsolve.diamond_certificate, sdpsolve.verify_diamond_certificate),
+                              (sdpsolve.max_eig_certificate, sdpsolve.verify_max_eig_certificate)):
+            cert = build(phi)
+            value = verify(phi, cert)
+            ok = "ok" if abs(value - cert.expected_value) <= tol else "mismatch"
+            one_map.append((repr(value), repr(cert.expected_value), ok))
+    assert names == [f"{kind} map {k}" for k in range(len(points))
+                     for kind in ("diamond", "max-eig")]
+    assert list(zip(map(repr, values.tolist()), map(repr, expected.tolist()), status)) == one_map

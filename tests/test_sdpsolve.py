@@ -404,7 +404,7 @@ def test_verifiers_reject_a_wrong_shaped_y(kind):
             phi, sdpsolve.DualCertificate("wrong shape", {"Y": np.eye(4)}))
     with pytest.raises(CertificateRejected, match=message):
         getattr(sdpsolve, f"verify_{kind}_certificates")(
-            (phi, phi), posmaps.choi_matrices((phi, phi)), np.stack([np.eye(4)] * 2))
+            posmaps.choi_matrices((phi, phi)), np.stack([np.eye(4)] * 2))
 
 
 def _watrous_block_bound(phi, y0, y1):
