@@ -2,8 +2,10 @@
 
 Commands: check-spectrum, witness-analyze, verify-certificates, fig-data,
 orbit-scan, family. All file I/O uses the shared matrix/spectrum JSON
-formats; CSV output is byte-stable (%.12g, LF line endings) and written
-column by column, each distinct float formatted once.
+formats. Tables are written column by column, each distinct value formatted
+once and the strings gathered back: CSV byte-stable (%.12g, LF line
+endings), and the verify-certificates JSON table byte for byte what
+json.dumps(rows, sort_keys=True) gives for its row dicts.
 
 Exit codes: 0 success, 2 verdict-negative (failed check, rejected
 certificate, violation found), 3 input error, including a bad flag or
@@ -39,31 +41,62 @@ HULL_POINTS = (
 )  # counterclockwise
 
 
-def _float_strings(values: np.ndarray, fmt: str) -> list[str]:
-    """fmt % v for each float64 v, formatted once per distinct bit pattern, so
-    -0.0 and 0.0 keep their own strings."""
+def _float_strings(values: np.ndarray, spec: str, special: dict | None = None) -> list[str]:
+    """format(v, spec) for each float64 v, formatted once per distinct bit
+    pattern, so -0.0 and 0.0 keep their own strings; special, if given, maps
+    the text of each non-finite value to the text printed instead."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array([fmt % v for v in bits.view(np.float64).tolist()], dtype=object)
+    floats = bits.view(np.float64)
+    text = np.array(list(map(format, floats.tolist(), itertools.repeat(spec))), dtype=object)
+    if special is not None:
+        odd = ~np.isfinite(floats)
+        text[odd] = [special[t] for t in text[odd]]
     return text[inverse].tolist()
 
 
 def _column_strings(column) -> list[str]:
     """The CSV fields of a column: bools as 1/0, ints by str, strings as given,
-    floats by %.12g, once per distinct float."""
+    floats by %.12g; each distinct int or float formatted once."""
     col = np.asarray(column)
     if col.dtype.kind == "b":
         return np.where(col, "1", "0").tolist()
     if col.dtype.kind in "iu":
-        return list(map(str, col.tolist()))
+        ints, inverse = np.unique(col, return_inverse=True)
+        return np.array(list(map(str, ints.tolist())), dtype=object)[inverse].tolist()
     if col.dtype.kind in "UO":
         return list(column)
-    return _float_strings(col, "%.12g")  # the kind left: float64
+    return _float_strings(col, ".12g")  # the kind left: float64
 
 
 def _columns_csv(header: list[str], columns) -> str:
     """A CSV, LF line endings, from equal-length columns: arrays or sequences."""
     rows = map(",".join, zip(*map(_column_strings, columns), strict=True))
     return "\n".join(itertools.chain([",".join(header)], rows)) + "\n"
+
+
+# json.dumps spells these floats so; NaN stands for a missing value, None
+_JSON_FLOATS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_strings(column) -> list[str]:
+    """The JSON texts of a column: a float64 array by repr, each distinct float
+    once, NaN as null; any other column is strings, escaped as json.dumps
+    escapes them."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return _float_strings(column, "", _JSON_FLOATS)
+    return list(map(json.encoder.encode_basestring_ascii, column))
+
+
+def _columns_json(header: list[str], columns) -> str:
+    """json.dumps of the list of row dicts {header[k]: columns[k][i]}, keys
+    sorted, plus a newline, byte for byte; written column by column from one
+    row template, with no row dict."""
+    order = sorted(range(len(header)), key=header.__getitem__)
+    template = "{%s}" % ", ".join(
+        json.encoder.encode_basestring_ascii(header[k]).replace("%", "%%") + ": %s"
+        for k in order)
+    rows = zip(*(_json_strings(columns[k]) for k in order), strict=True)
+    return "[" + ", ".join(map(template.__mod__, rows)) + "]\n"
 
 
 def _json_report(obj) -> str:
@@ -170,7 +203,7 @@ def _certificate_stacks(bh_dims, b: np.ndarray, c: np.ndarray):
     bh_dims. The Choi dual is the dual of Phi_{1,0}."""
     b, c = np.concatenate([[1.0], b]), np.concatenate([[0.0], c])
     labels = ["choi-dual"] + [f"gen-choi({x},{y})" for x, y in
-                              zip(_float_strings(b[1:], "%.6g"), _float_strings(c[1:], "%.6g"))]
+                              zip(_float_strings(b[1:], ".6g"), _float_strings(c[1:], ".6g"))]
     for start in range(0, b.size, CERT_CHUNK):
         chunk = slice(start, start + CERT_CHUNK)
         yield labels[chunk], sdpsolve.gen_choi_certificates(b[chunk], c[chunk])
@@ -194,18 +227,11 @@ def cmd_verify_certificates(args) -> tuple[str, int]:
               for labels, certs in _certificate_stacks(args.bh_dims, b, c)]
     names, values, expected, status = zip(*parts)
     names, status = list(itertools.chain(*names)), list(itertools.chain(*status))
-    values, expected = np.concatenate(values).tolist(), np.concatenate(expected).tolist()
+    columns = [names, np.concatenate(values), np.concatenate(expected), status]
     if args.format == "json":
-        text = _json_report(
-            [
-                {"name": n, "value": None if math.isnan(v) else v,
-                 "expected": None if math.isnan(e) else e, "status": s}
-                for n, v, e, s in zip(names, values, expected, status)
-            ]
-        )
+        text = _columns_json(["name", "value", "expected", "status"], columns)
     else:
-        text = _columns_csv(["name", "value", "expected", "status"],
-                            [names, values, expected, status])
+        text = _columns_csv(["name", "value", "expected", "status"], columns)
     return text, EXIT_OK if all(s == "ok" for s in status) else EXIT_NEGATIVE
 
 
@@ -232,7 +258,7 @@ def _fig_f_curve() -> str:
     curve = [(ell, ell, "") for ell in np.linspace(-0.5, 0.0, 1001).tolist()]
     ell, at, label = zip(*curve, *labeled)
     return _columns_csv(["ell", "mu1_bound", "label"],
-                        [ell, [witness.detection_threshold(x) for x in at], label])
+                        [ell, witness.detection_threshold(at), label])
 
 
 def _fig_phi_bc_region(grid_n: int) -> str:

@@ -375,9 +375,16 @@ def min_witness_over_abs_ppt(
 
     The returned value is attained by the solver's spectrum, which
     _verify_min_witness_point checks before it is used, so it upper-bounds
-    the exact optimum, by at most the solver's gap bound, tol.
+    the exact optimum, by at most the solver's gap bound, tol. A problem with
+    no LMI block (min{m,n} = 1) is the ordering LP alone, whose optimum is
+    the vertex lambda = e_1 by rearrangement: its value mu_mn is returned
+    exactly, with no solve.
     """
     problem = min_witness_problem(witness_spectrum, dims, lmi_mode)
+    if not problem.blocks:
+        vertex = np.eye(1, problem.objective.size)[0]
+        _verify_min_witness_point(problem, vertex)
+        return float(problem.objective[0])
     sol = solve(problem, tol=tol)
     _verify_min_witness_point(problem, sol.x)
     return sol.primal_value

@@ -41,20 +41,25 @@ class WitnessSummary:
     trace: float
 
 
-def detection_threshold(x: float) -> float:
+def detection_threshold(x):
     """Largest safe witness eigenvalue as a function of the negative-sum x.
 
     Nondecreasing on [-1/2, 0] with range in [1/2, 1]; jumps at SPLIT_HIGH.
+    A float for a scalar x, an array of them for an array, each entry to the
+    bit what the scalar call gives. Raises DomainError naming the first x
+    outside [-1/2, 0] by more than _DOMAIN_SLACK, or NaN.
     """
-    x = float(x)
-    if not (-0.5 - _DOMAIN_SLACK <= x <= _DOMAIN_SLACK):
-        raise DomainError(f"threshold argument {x} outside [-1/2, 0]")
-    x = min(0.0, max(-0.5, x))
-    if x <= SPLIT_LOW:
-        return (math.sqrt(max(0.0, 1.0 - 4.0 * x * x)) - 2.0 * x + 1.0) / 4.0
-    if x < SPLIT_HIGH:
-        return (1.0 + math.sqrt(2.0)) / 4.0
-    return (math.sqrt(max(0.0, 1.0 + 4.0 * x - 4.0 * x * x)) - 2.0 * x + 3.0) / 4.0
+    arr = np.asarray(x, dtype=np.float64)
+    inside = (-0.5 - _DOMAIN_SLACK <= arr) & (arr <= _DOMAIN_SLACK)
+    if not inside.all():
+        bad = float(arr) if arr.ndim == 0 else float(arr[~inside][0])
+        raise DomainError(f"threshold argument {bad} outside [-1/2, 0]")
+    arr = np.minimum(0.0, np.maximum(-0.5, arr))
+    low = (np.sqrt(np.maximum(0.0, 1.0 - 4.0 * arr * arr)) - 2.0 * arr + 1.0) / 4.0
+    high = (np.sqrt(np.maximum(0.0, 1.0 + 4.0 * arr - 4.0 * arr * arr)) - 2.0 * arr + 3.0) / 4.0
+    middle = (1.0 + math.sqrt(2.0)) / 4.0
+    f = np.where(arr <= SPLIT_LOW, low, np.where(arr < SPLIT_HIGH, middle, high))
+    return float(f) if f.ndim == 0 else f
 
 
 def summarize(w) -> WitnessSummary:

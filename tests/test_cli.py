@@ -316,6 +316,8 @@ def test_verify_certificates_rejects_one_map_inside_a_chunk(monkeypatch, capsys)
     code, out = run_cli(
         ["verify-certificates", "--grid", "5", "--bh-dims", "4", "--format", "json"], capsys)
     assert code == 2
+    # byte for byte what json.dumps prints for these rows, nulls and all
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
     rows = _rows_by_name(out)
     assert len(rows) == 8 + 2 * 27
     expected_rejections = {}

@@ -1,11 +1,12 @@
 """Hypothesis properties of the linear-algebra and tensor kernels, and of the
-CLI's CSV writer.
+CLI's CSV and JSON writers.
 
 Every property runs under a fixed profile: derandomized example search and
 a bounded example count, so the suite stays deterministic and its run time
 stays flat. Matrices are drawn from numpy generators seeded by hypothesis.
 """
 
+import json
 import math
 
 import numpy as np
@@ -262,7 +263,7 @@ def value_by_value_fmt(value) -> str:
 # zeros of both signs, NaNs of both signs, infinities, subnormals and integers
 # of 1e16 and more stored as floats, where %.12g switches to exponent form
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
-                  2.2250738585072014e-308, 1e16, 2.0**53 + 2.0]
+                  2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 2.0**53 + 2.0]
 float_values = st.one_of(
     st.floats(),
     st.integers(min_value=10**16, max_value=10**22).map(float),
@@ -319,6 +320,29 @@ def test_columns_csv_matches_the_row_by_row_writer(size, data):
     header = [f"h{k}" for k in range(len(columns))]
     rows = [",".join(map(value_by_value_fmt, row)) for row in zip(*columns)]
     assert cli._columns_csv(header, columns) == "\n".join([",".join(header), *rows]) + "\n"
+
+
+# quotes, backslashes, control characters, '%' and non-ASCII text, which JSON
+# escapes, among any other characters
+json_text = st.text(alphabet=st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t%é€\U0001f600'),
+                                       st.characters()), max_size=6)
+
+
+def json_columns(size):
+    return st.one_of(float_columns(size),
+                     st.lists(json_text, min_size=size, max_size=size))
+
+
+@PROPERTY
+@given(size=sizes, data=st.data())
+def test_columns_json_matches_json_dumps_of_the_row_dicts(size, data):
+    # NaN is a missing value and prints null, as the row dicts' None did
+    header = data.draw(st.lists(json_text, min_size=1, max_size=5, unique=True))
+    columns = [data.draw(json_columns(size)) for _ in header]
+    lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    rows = [{h: None if isinstance(v, float) and math.isnan(v) else v for h, v in zip(header, row)}
+            for row in zip(*lists)]
+    assert cli._columns_json(header, columns) == json.dumps(rows, sort_keys=True) + "\n"
 
 
 @PROPERTY

@@ -276,6 +276,28 @@ def test_min_witness_problem_has_no_lmi_block_for_min_dim_one():
     assert problem.ineq_mat.shape == (3, 3) and problem.eq_mat.shape == (1, 3)
 
 
+def _min_dim_one_witness_spectra():
+    # 10 random witness spectra for each (1, n): the ordering LP with no LMI block
+    rng = np.random.default_rng(5)
+    out = []
+    for dims in ((1, 2), (1, 3), (1, 4), (1, 6)):
+        for _ in range(10):
+            mu = np.sort(rng.normal(size=dims[1]))[::-1]
+            out.append((mu / np.abs(mu).sum(), dims))
+    return out
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-8, 1e-9])
+def test_min_witness_without_an_lmi_block_is_the_vertex_e1(tol):
+    # the LP's vertices are the flat spectra (1/k, ..., 1/k, 0, ...), worth the
+    # mean of the k smallest mu, so the optimum is lambda = e_1, worth mu_mn.
+    # All 40 solves at each tol used to raise: CertificateRejected on a point
+    # off sum(lambda) = 1, Unbounded, or ZeroDivisionError in the line search
+    for mu, dims in _min_dim_one_witness_spectra():
+        vertices = np.cumsum(mu[::-1]) / np.arange(1, mu.size + 1)
+        assert sdpsolve.min_witness_over_abs_ppt(mu, dims, "full", tol=tol) == mu[-1] == vertices.min()
+
+
 def test_min_witness_over_abs_ppt_rejects_an_infeasible_point(monkeypatch):
     # a solve that returned a point off sum(lambda) = 1 raises, not its value
     mu = np.full(6, 1.0 / 6.0)

@@ -1,6 +1,7 @@
 """Witness summaries, the detection threshold curve, and dual certificates."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,62 @@ def test_threshold_domain():
         witness.detection_threshold(0.01)
     with pytest.raises(DomainError):  # NaN fails both one-sided comparisons
         witness.detection_threshold(math.nan)
+
+
+def test_threshold_domain_edges_are_pinned_by_the_slack():
+    # _DOMAIN_SLACK = 1e-12: 5e-13 beyond an edge is clipped onto it, 1e-11
+    # beyond it is rejected, alone or as one entry of an array
+    for inside in (-0.5 - 5e-13, 5e-13):
+        assert witness.detection_threshold(inside) == witness.detection_threshold(
+            min(0.0, max(-0.5, inside)))
+    np.testing.assert_array_equal(witness.detection_threshold(np.array([-0.5 - 5e-13, 5e-13])),
+                                  [0.5, 1.0])
+    for outside in (-0.5 - 1e-11, 1e-11):
+        with pytest.raises(DomainError, match=re.escape(f"argument {outside} outside")):
+            witness.detection_threshold(outside)
+        with pytest.raises(DomainError, match=re.escape(f"argument {outside} outside")):
+            witness.detection_threshold(np.array([-0.3, 0.0, outside, -0.2, math.nan]))
+    with pytest.raises(DomainError, match="argument nan outside"):  # the first bad entry
+        witness.detection_threshold(np.array([[-0.3, math.nan], [1e-11, -0.1]]))
+
+
+def _threshold_points():
+    # the 1008 ell values of fig-data f_curve, the split points and their
+    # neighbours, and random points of the domain
+    low, high = witness.SPLIT_LOW, witness.SPLIT_HIGH
+    near = [np.nextafter(x, d) for x in (low, high, -0.5, 0.0) for d in (-1.0, 1.0)]
+    rng = np.random.default_rng(24)
+    return np.concatenate([np.linspace(-0.5, 0.0, 1001),
+                           [-0.5, -0.4, low, low, high, -0.2, 0.0, *near],
+                           rng.uniform(-0.5 - 1e-12, 1e-12, 2000)])
+
+
+def test_threshold_on_an_array_equals_the_scalar_calls_bit_for_bit():
+    xs = _threshold_points()
+    scalar = [witness.detection_threshold(float(x)) for x in xs]
+    assert all(type(f) is float for f in scalar)
+    array = witness.detection_threshold(xs)
+    assert array.shape == xs.shape and array.dtype == np.float64
+    assert array.tolist() == scalar
+    assert array.view(np.int64).tolist() == np.array(scalar).view(np.int64).tolist()
+    grid = witness.detection_threshold(xs[:1000].reshape(10, 100))
+    np.testing.assert_array_equal(grid, array[:1000].reshape(10, 100))
+
+
+def test_cannot_detect_slack_is_pinned_from_both_sides():
+    # mu1 <= f(ell) + 1e-12: 5e-13 above the threshold is still guaranteed,
+    # 1e-11 above it is not; ell = -1/2 - 1e-11 lies outside the domain even
+    # with a small mu1, ell = -1/2 - 5e-13 inside it
+    for ell in (-0.45, witness.SPLIT_LOW, -0.3, -0.1, 0.0):
+        f = witness.detection_threshold(ell)
+        inside = witness.WitnessSummary(mu1=f + 5e-13, ell=ell, neg_count=1, trace=1.0)
+        beyond = witness.WitnessSummary(mu1=f + 1e-11, ell=ell, neg_count=1, trace=1.0)
+        assert witness.cannot_detect_abs_ppt(inside) is DetectionVerdict.GUARANTEED, ell
+        assert witness.cannot_detect_abs_ppt(beyond) is DetectionVerdict.INCONCLUSIVE, ell
+    edge = witness.WitnessSummary(mu1=0.4, ell=-0.5 - 5e-13, neg_count=2, trace=1.0)
+    assert witness.cannot_detect_abs_ppt(edge) is DetectionVerdict.GUARANTEED
+    deep = witness.WitnessSummary(mu1=0.4, ell=-0.5 - 1e-11, neg_count=2, trace=1.0)
+    assert witness.cannot_detect_abs_ppt(deep) is DetectionVerdict.INCONCLUSIVE
 
 
 def test_summarize_scaled_identity():
