@@ -31,7 +31,7 @@ EXIT_NEGATIVE = 2
 EXIT_INPUT = 3
 
 ORBIT_CHUNK = 16  # Haar samples per stacked draw; bounds orbit-scan's working memory
-CERT_CHUNK = 64  # maps per certificate stack, built and verified at once; bounds working memory
+CERT_CHUNK = 128  # maps per certificate stack, built and verified at once; bounds working memory
 
 HULL_POINTS = (
     (0.0, 0.0),

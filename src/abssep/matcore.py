@@ -5,9 +5,12 @@ Eigenvalues and singular values come from LAPACK through numpy
 package's contract on top: Hermitian gating, descending order with a
 deterministic tie order, and PSD tests with explicit tolerances.
 
-Matrices are plain numpy arrays throughout; ``hermitize`` is the gateway
-that enforces the Hermitian contract (inputs further than HERMITIZE_TOL
-from their Hermitian part are rejected, anything closer is symmetrized).
+Matrices are plain numpy arrays throughout. ``hermitize`` enforces the
+Hermitian contract: inputs further than HERMITIZE_TOL from their Hermitian
+part are rejected, anything closer is symmetrized to (A + A†)/2. eigvalsh
+and eigh hand LAPACK that symmetrized stack, or the input itself, uncopied,
+where it has exactly the bits (A + A†)/2 would have: A == A† entry by
+entry, with no -0.0 part and none above half the float64 maximum.
 """
 
 from __future__ import annotations
@@ -69,15 +72,15 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.square(np.abs(x)).sum(axis=(-2, -1)))
 
 
-def hermitize(a) -> np.ndarray:
-    """Return the exactly Hermitian form (A + A†)/2, rejecting far-from-Hermitian input.
-
-    Accepts a stack [..., n, n]; the defect gate applies to each matrix.
-    """
+def _square_stack(a) -> np.ndarray:
     m = as_complex_matrix(a, stack=True)
     if m.shape[-2] != m.shape[-1]:
         raise InvalidMatrix(f"Hermitian matrix must be square, got {m.shape}")
-    mh = m.conj().swapaxes(-1, -2)
+    return m
+
+
+def _symmetrized(m: np.ndarray, mh: np.ndarray) -> np.ndarray:
+    """(m + mh)/2, mh = m†, after the defect gate on each matrix of the stack."""
     defect = _frobenius(m - mh)
     if (defect > HERMITIZE_TOL).any():  # a smaller defect passes whatever the norm of the matrix
         bad = defect > HERMITIZE_TOL * (1.0 + _frobenius(m))
@@ -86,12 +89,45 @@ def hermitize(a) -> np.ndarray:
     return (m + mh) / 2.0
 
 
+def hermitize(a) -> np.ndarray:
+    """Return the exactly Hermitian form (A + A†)/2, rejecting far-from-Hermitian input.
+
+    Accepts a stack [..., n, n]; the defect gate applies to each matrix. The
+    result is always a new array.
+    """
+    m = _square_stack(a)
+    return _symmetrized(m, m.conj().swapaxes(-1, -2))
+
+
+# the bits of -0.0, read as an int64
+_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
+_HALF_MAX = np.finfo(np.float64).max / 2.0
+
+
+def _hermitian(a) -> np.ndarray:
+    """The stack eigvalsh and eigh hand to LAPACK: hermitize(a), or a itself
+    where that has the same bits. If m == m† entry by entry, m + m† is 2m
+    exactly and halving it gives m back, with two exceptions: the complex
+    division by 2 turns a -0.0 part into +0.0, and a part above half the
+    float64 maximum overflows. Input that is not m† goes to the defect gate
+    before anything is copied."""
+    m = _square_stack(a)
+    mh = m.conj().swapaxes(-1, -2)
+    if (m == mh).all():
+        m = np.ascontiguousarray(m)  # for the float64 view of its parts
+        parts = m.view(np.float64)
+        if (not (parts.view(np.int64) == _NEGATIVE_ZERO).any()
+                and -_HALF_MAX <= parts.min(initial=0.0) and parts.max(initial=0.0) <= _HALF_MAX):
+            return m
+    return _symmetrized(m, mh)
+
+
 def eigh(a) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix (or stack), eigenvalues descending.
 
     Ties are broken deterministically by LAPACK's ascending index.
     """
-    d, q = np.linalg.eigh(hermitize(a))
+    d, q = np.linalg.eigh(_hermitian(a))
     order = np.argsort(-d, axis=-1, kind="stable")
     return EigenDecomposition(
         np.take_along_axis(d, order, -1),
@@ -101,7 +137,7 @@ def eigh(a) -> EigenDecomposition:
 
 def eigvalsh(a) -> np.ndarray:
     """Eigenvalues only (descending), of a matrix or of each matrix of a stack."""
-    d = np.linalg.eigvalsh(hermitize(a))
+    d = np.linalg.eigvalsh(_hermitian(a))
     return -np.sort(-d, axis=-1, kind="stable")  # the same tie order as eigh
 
 

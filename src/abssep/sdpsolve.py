@@ -206,7 +206,9 @@ def _line_search(slope: float, gamma: np.ndarray) -> float:
     or slope > 0, by 1-D Newton steps from a = 0, damped by 1/(1 + delta)
     until their decrement delta is at most _QUADRATIC_PHASE, then one full
     step. At a = 0, delta is lambda, so the first iterate is 1/(1 + lambda).
-    gamma is short, so Python floats beat numpy calls."""
+    gamma is short, so Python floats beat numpy calls. Where phi'' is 0 to
+    working precision, phi is linear and has no minimizer to step to: that
+    raises Unbounded if phi falls along the direction, Unsupported if not."""
     gamma = gamma.tolist()
     a = 0.0
     while True:
@@ -215,6 +217,12 @@ def _line_search(slope: float, gamma: np.ndarray) -> float:
             ratio = g / (1.0 + a * g)
             d1 -= ratio
             d2 += ratio * ratio
+        if d2 == 0.0:
+            if d1 < 0.0:
+                raise Unbounded(f"line search: phi is linear to working precision "
+                                f"with phi' = {d1:.3e} < 0, so it has no minimizer")
+            raise Unsupported(f"line search needs a descent direction, "
+                              f"but phi is linear with phi' = {d1:.3e} >= 0")
         decrement = abs(d1) / math.sqrt(d2)
         if decrement <= _QUADRATIC_PHASE:
             return a - d1 / d2

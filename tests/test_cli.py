@@ -250,14 +250,14 @@ def test_verify_certificates_rejection_exits_2(monkeypatch, capsys):
         line for line in clean if line.startswith("max-eig breuer-hall n=4,")]
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("chunk", [1, 7, 64, 128])
 @pytest.mark.parametrize("argv", [
     [],
     ["--grid", "31", "--bh-dims", "4", "6", "8", "--format", "json"],
     ["--grid", "6", "--bh-dims", "4", "4", "6", "6", "6"],
 ], ids=["default", "grid31-json", "repeated-bh"])
 def test_verify_certificates_bytes_do_not_depend_on_chunk_size(monkeypatch, capsys, argv, chunk):
-    # 442, 962 and 37 generalized Choi maps, none a multiple of 7 or 64; the
+    # 442, 962 and 37 generalized Choi maps, none a multiple of 7, 64 or 128; the
     # reference checks each run of maps of one kind as a single stack
     monkeypatch.setattr(cli, "CERT_CHUNK", 10**6)
     expected = run_cli(["verify-certificates", *argv], capsys)

@@ -242,3 +242,134 @@ def test_stack_gates_apply_to_each_matrix():
         matcore.is_psd(stack)
     with pytest.raises(InvalidMatrix):
         matcore.schatten_norm(stack, "trace")
+
+
+# reference for eigvalsh, eigh and psd_test, which must match it bit for bit:
+# always symmetrize to (m + m†)/2, then sort the eigenvalues descending
+def _symmetrized(m):
+    m = np.asarray(m, dtype=np.complex128)
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _old_eigvalsh(m):
+    return -np.sort(-np.linalg.eigvalsh(_symmetrized(m)), axis=-1, kind="stable")
+
+
+def _old_eigh(m):
+    d, q = np.linalg.eigh(_symmetrized(m))
+    order = np.argsort(-d, axis=-1, kind="stable")
+    return np.take_along_axis(d, order, -1), np.take_along_axis(q, order[..., np.newaxis, :], -1)
+
+
+def _old_psd_test(m, tol=matcore.DEFAULT_PSD_TOL):
+    w = _old_eigvalsh(m)
+    op = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
+    return w[..., -1] >= -tol * np.maximum(1.0, op), w[..., -1]
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+def _gateway_inputs():
+    from abssep import bipartite, posmaps, sdpsolve
+
+    rng = np.random.default_rng(15)
+    real = rng.standard_normal((6, 5, 5))
+    m = np.array([[2, 0, -1], [0, -0.0, -1], [-1, -1, 0]], dtype=np.complex128)
+    signed = np.array([random_hermitian(rng, 4) for _ in range(3)])
+    signed[1, 0, 2] = signed[1, 2, 0] = -0.0  # a real part of -0.0 on both sides
+    signed[2, 1, 3] = complex(0.5, -0.0)
+    signed[2, 3, 1] = complex(0.5, 0.0)
+    grid = np.linspace(0.0, 4.0 / 3.0, 31)
+    b, c = (v.ravel() for v in np.meshgrid(grid, grid))
+    gen = sdpsolve.gen_choi_certificates(b, c)
+    bh = sdpsolve.breuer_hall_certificates([posmaps.breuer_hall_map(8)])
+    skewed = random_hermitian(rng, 6)
+    skewed[0, 3] += 1e-12
+    return {
+        "real": real + real.swapaxes(-1, -2),
+        "complex": np.array([random_hermitian(rng, n) for n in (7, 7, 7)]),
+        "M": m,
+        "signed-zero": signed,
+        "gen-choi-jmats": gen.jmats,
+        "gen-choi-diamond": gen.diamond_ys - gen.jmats,
+        "gen-choi-max-eig": bipartite.partial_transpose(gen.max_eig_ys, 3, 3) + gen.jmats,
+        "breuer-hall-8": bh.diamond_ys + bh.jmats,
+        "breuer-hall-8-max-eig": bh.max_eig_ys,
+        "defect-1e-12": skewed,
+        "half-max": np.array([[matcore._HALF_MAX, 1.0], [1.0, -matcore._HALF_MAX]]),
+        "transposed": random_hermitian(rng, 5).T,
+    }
+
+
+@pytest.mark.parametrize("name", list(_gateway_inputs()))
+def test_gateway_is_bit_identical_to_symmetrizing_first(name):
+    a = _gateway_inputs()[name]
+    before = a.copy()
+    assert np.array_equal(_bits(matcore.eigvalsh(a)), _bits(_old_eigvalsh(a)))
+    d, q = matcore.eigh(a)
+    d_old, q_old = _old_eigh(a)
+    assert np.array_equal(_bits(d), _bits(d_old))
+    assert np.array_equal(_bits(q), _bits(q_old))
+    (ok, lam_min), (ok_old, lam_min_old) = matcore.psd_test(a), _old_psd_test(a)
+    assert np.array_equal(ok, ok_old)
+    assert np.array_equal(_bits(lam_min), _bits(lam_min_old))
+    h = matcore.hermitize(a)
+    assert h is not a
+    assert np.array_equal(_bits(h), _bits(_symmetrized(a)))
+    assert np.array_equal(_bits(a), _bits(before))  # neither call wrote to its input
+
+
+def test_gateway_passes_exact_input_uncopied_and_symmetrizes_the_rest():
+    inputs = _gateway_inputs()
+    for name in ("complex", "gen-choi-diamond", "breuer-hall-8", "half-max"):
+        a = inputs[name].astype(np.complex128)
+        assert matcore._hermitian(a) is a, name
+    # -0.0 parts, a defect, and a transposed view, which is copied first
+    for name in ("M", "signed-zero", "gen-choi-jmats", "defect-1e-12", "transposed"):
+        assert matcore._hermitian(inputs[name]) is not inputs[name], name
+
+
+def test_m_with_a_negative_zero_is_not_its_own_hermitian_part():
+    # LAPACK reads the -0.0 of M differently from the +0.0 that (M + M†)/2
+    # holds there, so a fast path that hands M over because M == M† by value
+    # changes the middle eigenvalue in its last bits
+    m = _gateway_inputs()["M"]
+    assert np.array_equal(m, m.conj().T)
+    assert not np.array_equal(_bits(np.linalg.eigvalsh(m)), _bits(_old_eigvalsh(m)))
+    assert np.array_equal(_bits(matcore.eigvalsh(m)), _bits(_old_eigvalsh(m)))
+
+
+def test_gateway_keeps_the_overflow_of_a_part_above_half_max():
+    # m + m† overflows, so (m + m†)/2 is not m: the gateway symmetrizes, and
+    # LAPACK returns the same NaNs as before, not the finite eigenvalues of m
+    big = np.array([[2.0**1023, 1.0], [1.0, 0.0]])
+    assert np.isfinite(np.linalg.eigvalsh(big)).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(matcore.eigvalsh(big)).all()
+        assert np.array_equal(_bits(matcore.eigvalsh(big)), _bits(_old_eigvalsh(big)))
+
+
+@pytest.mark.parametrize("norm", [1.0, 1e6])
+@pytest.mark.parametrize("factor, rejected", [(2.0, True), (0.5, False)])
+def test_hermitize_tolerance_is_pinned_from_both_sides(norm, factor, rejected):
+    # the gate is defect > 1e-8 (1 + ||m||_F), stated here and not read from
+    # HERMITIZE_TOL, so a loosened or purely absolute gate fails one case
+    rng = np.random.default_rng(16)
+    h = random_hermitian(rng, 4)
+    h *= norm / np.linalg.norm(h)
+    delta = factor * 1e-8 * (1.0 + norm) / math.sqrt(2.0)  # ||m - m†||_F = sqrt(2) delta
+    skewed = h.copy()
+    skewed[0, 1] += delta
+    assert abs(np.linalg.norm(skewed) - norm) <= 1e-6 * norm
+    if rejected:
+        with pytest.raises(InvalidMatrix, match="not Hermitian"):
+            matcore.hermitize(skewed)
+        with pytest.raises(InvalidMatrix, match="not Hermitian"):
+            matcore.eigvalsh(skewed)
+    else:
+        sym = matcore.hermitize(skewed)
+        assert np.array_equal(sym, _symmetrized(skewed))
+        assert np.array_equal(sym, sym.conj().T)
+        assert np.array_equal(_bits(matcore.eigvalsh(skewed)), _bits(_old_eigvalsh(skewed)))

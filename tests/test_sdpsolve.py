@@ -84,6 +84,17 @@ def test_line_search_finds_closed_form_minimizer(slope):
     assert abs(a - (1.0 + 1.0 / slope)) <= 1e-12
 
 
+@pytest.mark.parametrize("slope, gamma, error", [
+    (-1.0, 0.0, Unbounded),
+    (-1.0, -1e-170, Unbounded),  # gamma^2 underflows: phi is linear to working precision
+    (1.0, 0.0, Unsupported),
+], ids=["falling", "falling-underflow", "rising"])
+def test_line_search_on_a_linear_phi_raises_a_named_error(slope, gamma, error):
+    # phi'' = 0, so Newton's step -phi'/phi'' once divided by zero
+    with pytest.raises(error, match="linear"):
+        sdpsolve._line_search(slope, np.array([gamma]))
+
+
 def test_line_search_beats_the_damped_step():
     # along a Newton direction, slope - sum(gamma) = -lambda^2 with
     # lambda^2 = sum(gamma^2), and the damped step was 1/(1 + lambda)
