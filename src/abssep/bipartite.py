@@ -205,9 +205,10 @@ def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
 
 
 def _haar_sampler(n: int):
-    """haar_unitaries(n, keys) as a function of keys alone. It builds its Philox
-    generator once and re-keys it per slice, so a scan drawing stack after stack
-    pays the ~20 us build, some 5% of a 16-draw n = 9 stack, only once."""
+    """draw(keys): n x n Haar unitaries, one per Philox key (see stream_keys);
+    slice i equals haar_unitary(n, g) for g a fresh Philox generator keyed
+    keys[i], and one QR does all. One generator is built and re-keyed per slice,
+    so a scan drawing stack after stack pays its ~20 us build only once."""
     if n < 1:
         raise InvalidDim("n must be >= 1")
     bitgen = np.random.Philox(0)
@@ -223,15 +224,6 @@ def _haar_sampler(n: int):
         return _haar_from_ginibre(g[:, 0] + 1j * g[:, 1])
 
     return draw
-
-
-def haar_unitaries(n: int, keys) -> np.ndarray:
-    """A stack of Haar-distributed unitaries, one per Philox key in keys (see stream_keys).
-
-    Slice i equals haar_unitary(n, g) for g a fresh Philox generator keyed keys[i],
-    whatever the stack; one generator is re-keyed per slice, and one QR does all.
-    """
-    return _haar_sampler(n)(keys)
 
 
 def haar_unitary(n: int, seed: int | np.random.Generator) -> np.ndarray:

@@ -46,9 +46,9 @@ Two complementary paths:
   [k, d, d] stacks of Choi matrices and Y, read n from their shape, and
   return the values and, per PSD block, (ok, min eigenvalue) arrays from
   one stacked eigvalsh each; certificate_failures builds a rejection
-  message only for the certificates that fail. The one-map builders and
-  verifiers are that code on a stack of one. diamond_norm_ub and
-  max_eig_ub verify the solver's own Y.
+  message only for the certificates that fail. diamond_norm_ub and
+  max_eig_ub verify the solver's own Y through them as a stack of one, and
+  max_eig_certificate and verify_max_eig_certificate are one map's max-eig case.
 """
 
 from __future__ import annotations
@@ -534,7 +534,7 @@ def max_eig_problem(phi: posmaps.MapSpec) -> SdpProblem:
 
 def max_eig_dual_problem(phi: posmaps.MapSpec) -> SdpProblem:
     """Dual of sup Tr(J rho) over PPT states rho, whose feasible Y are the
-    certificates verify_max_eig_certificate checks: minimize s over Y (real
+    certificates verify_max_eig_certificates checks: minimize s over Y (real
     symmetric when J is real, else Hermitian) with Y >= 0 and
     s I - J - Y^Gamma >= 0, for J = J(phi) and Gamma the partial transpose.
     Y = I, s = ||J||_op + 2 is strictly feasible, as I^Gamma = I.
@@ -647,16 +647,6 @@ def breuer_hall_certificates(phis) -> CertificateStack:
                             np.full(k, (n + 2.0) / n), ys, np.full(k, 1.0 / (n - 2.0)))
 
 
-def _certificates(phi: posmaps.MapSpec) -> CertificateStack:
-    """The certificate stack of one map: a Breuer-Hall map, or Phi_{c,b}, the
-    dual of Phi_{b,c}."""
-    if phi.kind == "breuer_hall":
-        return breuer_hall_certificates((phi,))
-    if phi.kind != "generalized_choi":
-        raise Unsupported(f"map kind {phi.kind!r} is not in the generalized Choi family")
-    return gen_choi_certificates(np.array([phi.c]), np.array([phi.b]))
-
-
 def _psd_checks(blocks) -> list[tuple[str, np.ndarray, np.ndarray]]:
     """(what, ok, min eigenvalue) of each (what, stack) block: psd_test of
     every matrix of the stack with CERT_PSD_TOL."""
@@ -688,21 +678,26 @@ def _psd_or_reject(mat: np.ndarray, what: str) -> None:
 
 
 def _y_stack(ys, jmats: np.ndarray) -> np.ndarray:
-    """ys as a stack shaped like jmats, [k, d, d]; a Y of another shape is rejected."""
+    """ys as a stack shaped like jmats, [k, d, d]; any other shape is rejected."""
     ys = np.asarray(ys)
     d = jmats.shape[-1]
     if ys.shape[1:] != (d, d):
         raise CertificateRejected(f"Y has shape {ys.shape[1:]}, expected {(d, d)}")
+    if len(ys) != len(jmats):
+        raise CertificateRejected(f"expected {len(jmats)} Y, one per Choi matrix, got {len(ys)}")
     return ys
 
 
 def verify_diamond_certificates(jmats: np.ndarray, ys) -> tuple[np.ndarray, list]:
-    """verify_diamond_certificate of k maps on M_n at once: jmats[k] is the
-    Choi matrix of map k and ys[k] its Y, [k, n², n²] stacks, and n is read
-    from their shape. Returns each map's value ||Tr_2 Y||_op, from one partial
-    trace and one SVD, and the checks of its Y - J and Y + J blocks, one
-    stacked eigvalsh each; certificate_failures(checks) names the maps
-    rejected. A stack of wrong-shaped Y is rejected as a whole.
+    """Verify Y - J >= 0 and Y + J >= 0, the PSD blocks of diamond_norm_problem,
+    for k maps on M_n at once: jmats[k] is the Choi matrix of map k and ys[k]
+    its Y, [k, n², n²] stacks (n read from their shape; a stack of another
+    shape is rejected whole). Returns each map's certified upper bound
+    ||Tr_2 Y||_op, from one partial trace and one SVD, and the checks of its
+    two blocks, one stacked eigvalsh each, whose failures certificate_failures
+    names. Each J must be Hermitian: then conjugating Watrous's [[Y, -J],
+    [-J, Y]] by (1/sqrt2) [[I, I], [I, -I]] gives diag(Y - J, Y + J), so the
+    two checks are his constraint, and their sum 2Y is PSD too.
     """
     ys = _y_stack(ys, jmats)
     n = math.isqrt(jmats.shape[-1])
@@ -710,37 +705,11 @@ def verify_diamond_certificates(jmats: np.ndarray, ys) -> tuple[np.ndarray, list
     return values, _psd_checks([("Y - J", ys - jmats), ("Y + J", ys + jmats)])
 
 
-def diamond_certificate(phi: posmaps.MapSpec) -> DualCertificate:
-    """Feasible Y for the diamond-norm SDP of the given map.
-
-    Y = J(phi) + kappa |psi+><psi+| with kappa = b + c for the (generalized)
-    Choi family and kappa = 2 for Breuer-Hall; the certified values are
-    (3 + b + c)/3 and (n + 2)/n respectively. This is gen_choi_certificates
-    or breuer_hall_certificates on a stack of one.
-    """
-    certs = _certificates(phi)
-    return DualCertificate(f"diamond-{phi.kind}", {"Y": certs.diamond_ys[0]},
-                           float(certs.diamond_expected[0]))
-
-
-def verify_diamond_certificate(phi: posmaps.MapSpec, cert: DualCertificate) -> float:
-    """Verify Y - J >= 0 and Y + J >= 0, the PSD blocks of diamond_norm_problem,
-    and return the certified upper bound ||Tr_2 Y||_op.
-
-    J = J(phi) must be Hermitian: then conjugating Watrous's block matrix
-    [[Y, -J], [-J, Y]] by (1/sqrt2) [[I, I], [I, -I]] gives diag(Y - J, Y + J),
-    so the two checks are his constraint, and their sum 2Y is PSD too.
-    """
-    return _one(*verify_diamond_certificates(posmaps.choi_matrices((phi,)), [cert.values["Y"]]))
-
-
 def verify_max_eig_certificates(jmats: np.ndarray, ys) -> tuple[np.ndarray, list]:
-    """verify_max_eig_certificate of k maps on M_n at once, with jmats and ys
-    as in verify_diamond_certificates. Returns each map's value
+    """Verify Y >= 0 for k maps on M_n at once, with jmats and ys as in
+    verify_diamond_certificates. Returns each map's certified bound
     lambda_max((id ⊗ T)(Y) + J), from one partial transpose and one stacked
-    eigvalsh, and the checks of its Y block; a stack of wrong-shaped Y is
-    rejected as a whole.
-    """
+    eigvalsh, and the checks of its Y block."""
     ys = _y_stack(ys, jmats)
     n = math.isqrt(jmats.shape[-1])
     values = matcore.eigvalsh(bipartite.partial_transpose(ys, n, n) + jmats)[:, 0]
@@ -749,32 +718,36 @@ def verify_max_eig_certificates(jmats: np.ndarray, ys) -> tuple[np.ndarray, list
 
 def max_eig_certificate(phi: posmaps.MapSpec) -> DualCertificate:
     """Feasible Y >= 0 for the PPT max-eigenvalue SDP of the given map, from
-    gen_choi_certificates or breuer_hall_certificates on a stack of one."""
-    certs = _certificates(phi)
-    name = ("max-eig-breuer-hall" if phi.kind == "breuer_hall"
-            else f"max-eig-gen-choi({phi.c:g},{phi.b:g})")
+    breuer_hall_certificates, or from gen_choi_certificates for Phi_{c,b},
+    the dual of Phi_{b,c}, on a stack of one."""
+    if phi.kind == "breuer_hall":
+        name, certs = "max-eig-breuer-hall", breuer_hall_certificates((phi,))
+    elif phi.kind == "generalized_choi":
+        name = f"max-eig-gen-choi({phi.c:g},{phi.b:g})"
+        certs = gen_choi_certificates(np.array([phi.c]), np.array([phi.b]))
+    else:
+        raise Unsupported(f"map kind {phi.kind!r} is not in the generalized Choi family")
     return DualCertificate(name, {"Y": certs.max_eig_ys[0]}, float(certs.max_eig_expected[0]))
 
 
 def verify_max_eig_certificate(phi: posmaps.MapSpec, cert: DualCertificate) -> float:
-    """Verify Y >= 0 and return lambda_max((id ⊗ T)(Y) + J(phi))."""
+    """verify_max_eig_certificates of cert's Y for J(phi), a stack of one."""
     return _one(*verify_max_eig_certificates(posmaps.choi_matrices((phi,)), [cert.values["Y"]]))
-
-
-def _solver_certificate(problem: SdpProblem, tol: float) -> DualCertificate:
-    """The solver's Y for a min-s problem whose first constraint is Y plus a constant."""
-    return DualCertificate(problem.name, {"Y": problem.blocks[0].lin(solve(problem, tol=tol).x)[0]})
 
 
 def diamond_norm_ub(phi: posmaps.MapSpec, tol: float = DEFAULT_GAP_TOL) -> float:
     """Upper bound on the diamond norm: the verified bound of the solver's Y."""
-    return verify_diamond_certificate(phi, _solver_certificate(diamond_norm_problem(phi), tol))
+    problem = diamond_norm_problem(phi)
+    ys = problem.blocks[0].lin(solve(problem, tol=tol).x)[:1]  # Y, the linear part of constraint 0
+    return _one(*verify_diamond_certificates(posmaps.choi_matrices((phi,)), ys))
 
 
 def max_eig_ub(phi: posmaps.MapSpec, tol: float = DEFAULT_GAP_TOL) -> float:
     """Upper bound on eigenvalues of (id ⊗ phi)(|v><v|) over unit vectors:
     the verified bound of the solver's Y for max_eig_dual_problem."""
-    return verify_max_eig_certificate(phi, _solver_certificate(max_eig_dual_problem(phi), tol))
+    problem = max_eig_dual_problem(phi)
+    ys = problem.blocks[0].lin(solve(problem, tol=tol).x)[:1]  # Y, the linear part of constraint 0
+    return _one(*verify_max_eig_certificates(posmaps.choi_matrices((phi,)), ys))
 
 
 def min_eig_lb_from_diamond(diamond_ub: float) -> float:

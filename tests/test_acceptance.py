@@ -21,6 +21,13 @@ def _report(num: int, text: str) -> None:
     print(f"criterion {num}: PASS - {text}")
 
 
+def _diamond_bound(phi, certs) -> float:
+    # the bound that certs, the analytic certificates of phi as a stack of one,
+    # certify through the stacked diamond verifier against J(phi)
+    return sdpsolve._one(*sdpsolve.verify_diamond_certificates(
+        posmaps.choi_matrices((phi,)), certs.diamond_ys))
+
+
 def test_criterion_01_threshold_special_values():
     """f(-1/2)=1/2, f(-2/5)=3/5, f(-1/5)=9/10, f((1-sqrt2)/2)=(2+sqrt2)/4,
     f(-1/6)=(10+sqrt2)/12, all exact to 1e-12."""
@@ -97,7 +104,8 @@ def test_criterion_04_choi_dual_eigenvalue_window():
     v_max[0], v_max[1] = math.sqrt(2.0 / 3.0), math.sqrt(1.0 / 3.0)
     w_max = posmaps.witness_from_map(phi, v_max)
     assert abs(matcore.eigvalsh(w_max)[0] - 2.0 / 3.0) <= 1e-9
-    dval = sdpsolve.verify_diamond_certificate(phi, sdpsolve.diamond_certificate(phi))
+    # the Choi dual is the dual of Phi_{1,0}
+    dval = _diamond_bound(phi, sdpsolve.gen_choi_certificates(np.array([1.0]), np.array([0.0])))
     assert abs(dval - 4.0 / 3.0) <= 1e-12
     assert abs(sdpsolve.min_eig_lb_from_diamond(dval) + 1.0 / 6.0) <= 1e-12
     mval = sdpsolve.verify_max_eig_certificate(phi, sdpsolve.max_eig_certificate(phi))
@@ -114,9 +122,7 @@ def test_criterion_05_generalized_choi_grid():
         for c in axis:
             b, c = float(b), float(c)
             phi = posmaps.dual_map(posmaps.generalized_choi_map(b, c))
-            dval = sdpsolve.verify_diamond_certificate(
-                phi, sdpsolve.diamond_certificate(phi)
-            )
+            dval = _diamond_bound(phi, sdpsolve.gen_choi_certificates(np.array([b]), np.array([c])))
             assert abs(dval - (3.0 + b + c) / 3.0) <= 1e-12
             case1 = 2.0 * b + c >= 3.0 or b + 2.0 * c >= 3.0
             if not case1:
@@ -180,7 +186,7 @@ def test_criterion_06_breuer_hall():
             v /= np.linalg.norm(v)
             eigs = matcore.eigvalsh(posmaps.witness_from_map(phi, v))
             assert eigs[-1] >= lo and eigs[0] <= hi
-        dval = sdpsolve.verify_diamond_certificate(phi, sdpsolve.diamond_certificate(phi))
+        dval = _diamond_bound(phi, sdpsolve.breuer_hall_certificates((phi,)))
         assert abs(dval - (n + 2.0) / n) <= 1e-12
         mval = sdpsolve.verify_max_eig_certificate(phi, sdpsolve.max_eig_certificate(phi))
         assert abs(mval - 1.0 / (n - 2.0)) <= 1e-12

@@ -305,17 +305,15 @@ def test_operator_schmidt_zeroes_only_below_rank_tolerance():
     assert np.allclose(os.coefficients[:2], ref[:2], atol=1e-14)
 
 
-def test_haar_unitaries_stack_matches_single_draws():
+def test_haar_sampler_stack_matches_single_draws():
     streams = [5, 0, 2**32 - 1]
     keys = bipartite.stream_keys(4, streams)
     for n in (1, 4, 9, 16):
-        stack = bipartite.haar_unitaries(n, keys)
+        stack = bipartite._haar_sampler(n)(keys)
         assert stack.shape == (3, n, n)
         for u, s in zip(stack, streams):
             assert np.array_equal(u, bipartite.haar_unitary(n, bipartite.rng_stream(4, stream=s)))
             assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-10
-    with pytest.raises(InvalidDim):
-        bipartite.haar_unitaries(0, keys)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2024, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5])
@@ -386,11 +384,11 @@ def test_partial_transpose_and_trace_keep_real_input_real():
 
 def test_haar_sampler_reuses_one_generator_across_stacks():
     # the orbit scan draws chunk after chunk from one sampler; each chunk
-    # equals a fresh haar_unitaries stack and the single rng_stream draws
+    # equals the stack of a fresh sampler and the single rng_stream draws
     keys = bipartite.stream_keys(9, np.arange(7))
     draw = bipartite._haar_sampler(4)
     chunks = [draw(keys[:3]), draw(keys[3:4]), draw(keys[4:])]
-    assert np.array_equal(np.concatenate(chunks), bipartite.haar_unitaries(4, keys))
+    assert np.array_equal(np.concatenate(chunks), bipartite._haar_sampler(4)(keys))
     for i, u in enumerate(np.concatenate(chunks)):
         assert np.array_equal(u, bipartite.haar_unitary(4, bipartite.rng_stream(9, stream=i)))
     assert draw(keys[:0]).shape == (0, 4, 4)

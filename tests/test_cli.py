@@ -323,11 +323,10 @@ def test_verify_certificates_rejects_one_map_inside_a_chunk(monkeypatch, capsys)
     expected_rejections = {}
     for kind, label in (("diamond", diamond_label), ("max-eig", max_eig_label)):
         (b, c), y = broken[kind]
-        phi = posmaps.dual_map(posmaps.generalized_choi_map(b, c))
-        verify = (sdpsolve.verify_diamond_certificate if kind == "diamond"
-                  else sdpsolve.verify_max_eig_certificate)
-        with pytest.raises(CertificateRejected) as info:  # the one-map verifier's message
-            verify(phi, sdpsolve.DualCertificate("broken", {"Y": y}))
+        jmats = posmaps.choi_matrices((posmaps.dual_map(posmaps.generalized_choi_map(b, c)),))
+        verify = getattr(sdpsolve, f"verify_{kind.replace('-', '_')}_certificates")
+        with pytest.raises(CertificateRejected) as info:  # the message of a stack of one
+            sdpsolve._one(*verify(jmats, y[np.newaxis]))
         expected_rejections[f"{kind} {label}"] = {
             "value": None, "expected": None, "status": f"rejected: {info.value}"}
     assert "Y - J is not PSD" in expected_rejections[f"diamond {diamond_label}"]["status"]

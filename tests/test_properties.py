@@ -347,23 +347,24 @@ def test_columns_json_matches_json_dumps_of_the_row_dicts(size, data):
 
 @PROPERTY
 @given(points=st.lists(st.tuples(bc_params, bc_params), min_size=1, max_size=12))
-def test_grid_certificate_rows_equal_the_one_map_api(points):
-    # verify-certificates' stacked path against the one-map builders and
-    # verifiers, for the duals of Phi_{b,c}: the same value, expected value and
-    # status, compared as repr strings
+def test_grid_certificate_rows_equal_stacks_of_one(points):
+    # verify-certificates' stacked path against each map's own stack of one,
+    # verified against the J of its MapSpec, for the duals of Phi_{b,c}: the
+    # same value, expected value and status, compared as repr strings
     tol = 1e-12
     bs, cs = bc_arrays(points)
     names, values, expected, status = cli._map_certificate_columns(
         [f"map {k}" for k in range(len(points))], sdpsolve.gen_choi_certificates(bs, cs), tol)
     one_map = []
     for b, c in points:
-        phi = posmaps.dual_map(posmaps.generalized_choi_map(b, c))
-        for build, verify in ((sdpsolve.diamond_certificate, sdpsolve.verify_diamond_certificate),
-                              (sdpsolve.max_eig_certificate, sdpsolve.verify_max_eig_certificate)):
-            cert = build(phi)
-            value = verify(phi, cert)
-            ok = "ok" if abs(value - cert.expected_value) <= tol else "mismatch"
-            one_map.append((repr(value), repr(cert.expected_value), ok))
+        certs = sdpsolve.gen_choi_certificates(np.array([b]), np.array([c]))
+        jmats = posmaps.choi_matrices((posmaps.dual_map(posmaps.generalized_choi_map(b, c)),))
+        for verify, ys, claimed in (
+                (sdpsolve.verify_diamond_certificates, certs.diamond_ys, certs.diamond_expected),
+                (sdpsolve.verify_max_eig_certificates, certs.max_eig_ys, certs.max_eig_expected)):
+            value, claimed = sdpsolve._one(*verify(jmats, ys)), float(claimed[0])
+            ok = "ok" if abs(value - claimed) <= tol else "mismatch"
+            one_map.append((repr(value), repr(claimed), ok))
     assert names == [f"{kind} map {k}" for k in range(len(points))
                      for kind in ("diamond", "max-eig")]
     assert list(zip(map(repr, values.tolist()), map(repr, expected.tolist()), status)) == one_map

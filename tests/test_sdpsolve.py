@@ -324,15 +324,30 @@ def test_min_witness_full_mode_needs_small_dims():
         sdpsolve.min_witness_over_abs_ppt(np.full(16, 1.0 / 16.0), (4, 4), "full")
 
 
+def _one_map_certificates(phi):
+    # the analytic certificates of one map, a stack of one from the builders the
+    # CLI's grid reads: a Breuer-Hall map, or Phi_{c,b}, the dual of Phi_{b,c}
+    if phi.kind == "breuer_hall":
+        return sdpsolve.breuer_hall_certificates((phi,))
+    return sdpsolve.gen_choi_certificates(np.array([phi.c]), np.array([phi.b]))
+
+
+def _verify_one(kind, phi, y):
+    # the value the stacked verifier of kind certifies for J(phi) and one Y;
+    # raises its rejection
+    verify = getattr(sdpsolve, f"verify_{kind}_certificates")
+    return sdpsolve._one(*verify(posmaps.choi_matrices((phi,)), np.asarray(y)[np.newaxis]))
+
+
 def test_diamond_certificate_choi_dual():
     phi = posmaps.dual_map(posmaps.choi_map())
-    value = sdpsolve.verify_diamond_certificate(phi, sdpsolve.diamond_certificate(phi))
+    value = _verify_one("diamond", phi, _one_map_certificates(phi).diamond_ys[0])
     assert abs(value - 4.0 / 3.0) <= 1e-12
 
 
 def test_diamond_certificate_matches_literal_display():
     phi = posmaps.dual_map(posmaps.choi_map())
-    y = sdpsolve.diamond_certificate(phi).values["Y"]
+    y = _one_map_certificates(phi).diamond_ys[0]
     literal = np.zeros((9, 9))
     sixth = [
         (0, 0, 5.0), (1, 1, 3.0), (4, 4, 5.0), (5, 5, 3.0), (6, 6, 3.0), (8, 8, 5.0),
@@ -362,7 +377,7 @@ def test_gen_choi_certificates_on_grid():
     for b in np.linspace(0.0, 4.0 / 3.0, 5):
         for c in np.linspace(0.0, 4.0 / 3.0, 5):
             phi = posmaps.dual_map(posmaps.generalized_choi_map(float(b), float(c)))
-            dval = sdpsolve.verify_diamond_certificate(phi, sdpsolve.diamond_certificate(phi))
+            dval = _verify_one("diamond", phi, _one_map_certificates(phi).diamond_ys[0])
             assert abs(dval - (3.0 + b + c) / 3.0) <= 1e-12
             cert = sdpsolve.max_eig_certificate(phi)
             mval = sdpsolve.verify_max_eig_certificate(phi, cert)
@@ -401,11 +416,11 @@ def test_gen_choi_xy_identity():
 def test_breuer_hall_certificates():
     for n in (4, 6):
         phi = posmaps.dual_map(posmaps.breuer_hall_map(n))
-        cert = sdpsolve.diamond_certificate(phi)
-        dval = sdpsolve.verify_diamond_certificate(phi, cert)
+        y = _one_map_certificates(phi).diamond_ys[0]
+        dval = _verify_one("diamond", phi, y)
         assert abs(dval - (n + 2.0) / n) <= 1e-12
         # the partial trace of Y collapses to ((n+2)/n) I
-        traced = bipartite.partial_trace(cert.values["Y"], n, n, "second")
+        traced = bipartite.partial_trace(y, n, n, "second")
         assert np.allclose(traced, (n + 2.0) / n * np.eye(n), atol=1e-12)
         mcert = sdpsolve.max_eig_certificate(phi)
         mval = sdpsolve.verify_max_eig_certificate(phi, mcert)
@@ -414,11 +429,10 @@ def test_breuer_hall_certificates():
 
 def test_certificates_reject_perturbations():
     phi = posmaps.dual_map(posmaps.choi_map())
-    cert = sdpsolve.diamond_certificate(phi)
-    cert.values["Y"] = cert.values["Y"].copy()
-    cert.values["Y"][2, 2] -= 1e-3  # breaks PSD of the Y - J block
+    y = _one_map_certificates(phi).diamond_ys[0].copy()
+    y[2, 2] -= 1e-3  # breaks PSD of the Y - J block
     with pytest.raises(CertificateRejected):
-        sdpsolve.verify_diamond_certificate(phi, cert)
+        _verify_one("diamond", phi, y)
     cert2 = sdpsolve.max_eig_certificate(phi)
     cert2.values["Y"] = cert2.values["Y"].copy()
     cert2.values["Y"][1, 1] -= 1e-3  # drives an eigenvalue of Y negative
@@ -429,15 +443,29 @@ def test_certificates_reject_perturbations():
 @pytest.mark.parametrize("kind", ["diamond", "max_eig"])
 def test_verifiers_reject_a_wrong_shaped_y(kind):
     # a 4 x 4 Y for the 9 x 9 Choi dual is a failed certificate, not a numpy or
-    # dimension error, in the one-map verifier and in the stacked one
+    # dimension error, in a stack of one and in a longer stack
     phi = posmaps.dual_map(posmaps.choi_map())
     message = re.escape("Y has shape (4, 4), expected (9, 9)")
     with pytest.raises(CertificateRejected, match=message):
-        getattr(sdpsolve, f"verify_{kind}_certificate")(
-            phi, sdpsolve.DualCertificate("wrong shape", {"Y": np.eye(4)}))
+        _verify_one(kind, phi, np.eye(4))
     with pytest.raises(CertificateRejected, match=message):
         getattr(sdpsolve, f"verify_{kind}_certificates")(
             posmaps.choi_matrices((phi, phi)), np.stack([np.eye(4)] * 2))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 4])
+@pytest.mark.parametrize("kind", ["diamond", "max_eig"])
+def test_verifiers_reject_a_stack_of_another_length(kind, count):
+    # one Y would broadcast over all 3 maps and "certify" them with one PSD
+    # check, and 2 Y for 3 maps would raise numpy's broadcast error: both are
+    # failed certificates that name the two lengths
+    certs = sdpsolve.gen_choi_certificates(np.array([1.0, 1.2, 0.5]), np.array([0.0, 1.2, 0.9]))
+    verify = getattr(sdpsolve, f"verify_{kind}_certificates")
+    ys = getattr(certs, f"{kind}_ys")
+    values, checks = verify(certs.jmats, ys)
+    assert values.shape == (3,) and not sdpsolve.certificate_failures(checks)
+    with pytest.raises(CertificateRejected, match=f"^expected 3 Y, one per Choi matrix, got {count}$"):
+        verify(certs.jmats, np.concatenate([ys, ys])[:count])
 
 
 def _watrous_block_bound(phi, y0, y1):
@@ -458,9 +486,8 @@ def test_diamond_verifier_equals_watrous_block_reference():
             for b in axis for c in axis]
     maps += [posmaps.dual_map(posmaps.breuer_hall_map(n)) for n in (4, 6)]
     for phi in maps:
-        cert = sdpsolve.diamond_certificate(phi)
-        y = cert.values["Y"]
-        assert sdpsolve.verify_diamond_certificate(phi, cert) == _watrous_block_bound(phi, y, y)
+        y = _one_map_certificates(phi).diamond_ys[0]
+        assert _verify_one("diamond", phi, y) == _watrous_block_bound(phi, y, y)
 
 
 @pytest.mark.parametrize("sign, failing", [(1.0, "Y + J"), (-1.0, "Y - J")])
@@ -473,7 +500,7 @@ def test_diamond_verifier_and_reference_reject_the_same_y(sign, failing):
     with pytest.raises(CertificateRejected):
         _watrous_block_bound(phi, y, y)
     with pytest.raises(CertificateRejected, match=re.escape(f"{failing} is not PSD")):
-        sdpsolve.verify_diamond_certificate(phi, sdpsolve.DualCertificate("perturbed", {"Y": y}))
+        _verify_one("diamond", phi, y)
 
 
 def test_gen_choi_bound_never_below_the_solver_value():
@@ -549,6 +576,27 @@ def test_max_eig_solver_path():
     assert abs(value - 2.0 / 3.0) <= 1e-6
     cert_value = sdpsolve.verify_max_eig_certificate(phi, sdpsolve.max_eig_certificate(phi))
     assert value >= cert_value - 1e-6
+
+
+@pytest.mark.parametrize("ub, failing, x0", [(sdpsolve.diamond_norm_ub, "Y - J", 0.0),
+                                             (sdpsolve.max_eig_ub, "Y", -1.0)])
+def test_solver_bounds_reject_an_indefinite_y(monkeypatch, ub, failing, x0):
+    # a solve whose Y fails the verifier raises the verifier's rejection, not
+    # a bound: x = 0 gives the diamond Y = 0, so Y - J = -J, and x = -e_0 the
+    # max-eig Y = -E_00, the first basis matrix
+    phi = posmaps.dual_map(posmaps.choi_map())
+
+    def fake_solve(problem, tol):
+        x = np.zeros(problem.objective.size)
+        x[0] = x0
+        return sdpsolve.SdpSolution(primal_value=0.0, dual_value=0.0, x=x, gap=0.0, newton_steps=0)
+
+    monkeypatch.setattr(sdpsolve, "solve", fake_solve)
+    lam_min = matcore.eigvalsh(-posmaps.choi_matrix(phi))[-1] if failing == "Y - J" else -1.0
+    assert lam_min < -0.5
+    message = f"{failing} is not PSD (min eigenvalue {lam_min:.3e})"
+    with pytest.raises(CertificateRejected, match=f"^{re.escape(message)}$"):
+        ub(phi)
 
 
 def _tol_cases(maps):
@@ -638,29 +686,29 @@ def test_only_the_final_stage_is_centred_tightly_on_threshold_witnesses():
 
 
 _DUAL_FORMS = [
-    pytest.param(sdpsolve.diamond_norm_problem, sdpsolve.verify_diamond_certificate,
+    pytest.param(sdpsolve.diamond_norm_problem, "diamond",
                  posmaps.dual_map(posmaps.choi_map()), 4.0 / 3.0, id="diamond-choi-dual"),
-    pytest.param(sdpsolve.max_eig_dual_problem, sdpsolve.verify_max_eig_certificate,
+    pytest.param(sdpsolve.max_eig_dual_problem, "max_eig",
                  posmaps.dual_map(posmaps.generalized_choi_map(1.2, 1.2)), 0.6,
                  id="max-eig-gen-choi-1.2-1.2"),
-    pytest.param(sdpsolve.max_eig_dual_problem, sdpsolve.verify_max_eig_certificate,
+    pytest.param(sdpsolve.max_eig_dual_problem, "max_eig",
                  posmaps.dual_map(posmaps.generalized_choi_map(0.2, 0.2)), 0.8,
                  id="max-eig-gen-choi-0.2-0.2"),
-    pytest.param(sdpsolve.max_eig_dual_problem, sdpsolve.verify_max_eig_certificate,
+    pytest.param(sdpsolve.max_eig_dual_problem, "max_eig",
                  posmaps.dual_map(posmaps.breuer_hall_map(4)), 0.5, id="max-eig-breuer-hall-4"),
-    pytest.param(sdpsolve.diamond_norm_problem, sdpsolve.verify_diamond_certificate,
+    pytest.param(sdpsolve.diamond_norm_problem, "diamond",
                  posmaps.dual_map(posmaps.generalized_choi_map(1.2, 1.2)), 1.8,
                  id="diamond-gen-choi-1.2-1.2"),
-    pytest.param(sdpsolve.diamond_norm_problem, sdpsolve.verify_diamond_certificate,
+    pytest.param(sdpsolve.diamond_norm_problem, "diamond",
                  posmaps.breuer_hall_map(4), 1.5, id="diamond-breuer-hall-4"),
-    pytest.param(sdpsolve.max_eig_dual_problem, sdpsolve.verify_max_eig_certificate,
+    pytest.param(sdpsolve.max_eig_dual_problem, "max_eig",
                  posmaps.dual_map(posmaps.choi_map()), 2.0 / 3.0, id="max-eig-choi-dual"),
 ]
 
 
 @pytest.mark.parametrize("tol", [1e-7, 1e-8, 1e-9, 1e-10, 1e-11])
-@pytest.mark.parametrize("build, verify, phi, optimum", _DUAL_FORMS)
-def test_only_the_final_stage_is_centred_tightly_on_dual_forms(build, verify, phi, optimum, tol):
+@pytest.mark.parametrize("build, kind, phi, optimum", _DUAL_FORMS)
+def test_only_the_final_stage_is_centred_tightly_on_dual_forms(build, kind, phi, optimum, tol):
     # named for the tight final centre it once pinned, which ran out of
     # Newton steps at 1e-10 and 1e-11: every stage now stops at _CENTERED,
     # and the gap bound (m + sqrt m)/t covers the loose centre. 24-35 steps
@@ -671,8 +719,7 @@ def test_only_the_final_stage_is_centred_tightly_on_dual_forms(build, verify, ph
     assert sol.newton_steps <= 36
     assert _final_half_decrement_sq(problem, sol) <= sdpsolve._CENTERED
     assert sol.gap <= tol
-    y = problem.blocks[0].lin(sol.x)[0]
-    value = verify(phi, sdpsolve.DualCertificate(problem.name, {"Y": y}))
+    value = _verify_one(kind, phi, problem.blocks[0].lin(sol.x)[0])
     assert optimum <= value <= optimum + tol
 
 
