@@ -44,11 +44,13 @@ Two complementary paths:
   breuer_hall_certificates does the same for a group of Breuer-Hall maps
   (its max-eig Y map by map). The diamond and max-eig verifiers take
   [k, d, d] stacks of Choi matrices and Y, read n from their shape, and
-  return the values and, per PSD block, (ok, min eigenvalue) arrays from
-  one stacked eigvalsh each; certificate_failures builds a rejection
-  message only for the certificates that fail. diamond_norm_ub and
-  max_eig_ub verify the solver's own Y through them as a stack of one, and
-  max_eig_certificate and verify_max_eig_certificate are one map's max-eig case.
+  return the values and, per PSD block, its (ok, min eigenvalue) checks:
+  one stacked shifted Cholesky (matcore.psd_screen) decides a block that
+  passes whole, and only a block it does not pass gets a stacked eigvalsh
+  (matcore.psd_test); certificate_failures builds a rejection message only
+  for the certificates that fail. diamond_norm_ub and max_eig_ub verify the
+  solver's own Y through them as a stack of one, and max_eig_certificate
+  and verify_max_eig_certificate are one map's max-eig case.
 """
 
 from __future__ import annotations
@@ -647,10 +649,19 @@ def breuer_hall_certificates(phis) -> CertificateStack:
                             np.full(k, (n + 2.0) / n), ys, np.full(k, 1.0 / (n - 2.0)))
 
 
-def _psd_checks(blocks) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """(what, ok, min eigenvalue) of each (what, stack) block: psd_test of
-    every matrix of the stack with CERT_PSD_TOL."""
-    return [(what, *matcore.psd_test(stack, CERT_PSD_TOL)) for what, stack in blocks]
+def _psd_checks(blocks) -> list[tuple[str, np.ndarray, np.ndarray | None]]:
+    """(what, ok, min eigenvalue) of each (what, stack) block: the verdict of
+    psd_test with CERT_PSD_TOL on every matrix of the stack. matcore.psd_screen
+    passes a stack whole with no eigenvalue, and then ok is all True and the
+    min eigenvalue None; only a stack it does not pass goes to psd_test, whose
+    verdicts and min eigenvalues name the failures."""
+    checks = []
+    for what, stack in blocks:
+        if matcore.psd_screen(stack, CERT_PSD_TOL):
+            checks.append((what, np.ones(np.shape(stack)[:-2], dtype=bool), None))
+        else:
+            checks.append((what, *matcore.psd_test(stack, CERT_PSD_TOL)))
+    return checks
 
 
 def certificate_failures(checks) -> dict[int, str]:
@@ -693,11 +704,11 @@ def verify_diamond_certificates(jmats: np.ndarray, ys) -> tuple[np.ndarray, list
     for k maps on M_n at once: jmats[k] is the Choi matrix of map k and ys[k]
     its Y, [k, n², n²] stacks (n read from their shape; a stack of another
     shape is rejected whole). Returns each map's certified upper bound
-    ||Tr_2 Y||_op, from one partial trace and one SVD, and the checks of its
-    two blocks, one stacked eigvalsh each, whose failures certificate_failures
-    names. Each J must be Hermitian: then conjugating Watrous's [[Y, -J],
-    [-J, Y]] by (1/sqrt2) [[I, I], [I, -I]] gives diag(Y - J, Y + J), so the
-    two checks are his constraint, and their sum 2Y is PSD too.
+    ||Tr_2 Y||_op, from one partial trace and one SVD, and the _psd_checks
+    of its two blocks, whose failures certificate_failures names. Each J must
+    be Hermitian: then conjugating Watrous's [[Y, -J], [-J, Y]] by
+    (1/sqrt2) [[I, I], [I, -I]] gives diag(Y - J, Y + J), so the two checks
+    are his constraint, and their sum 2Y is PSD too.
     """
     ys = _y_stack(ys, jmats)
     n = math.isqrt(jmats.shape[-1])

@@ -380,6 +380,96 @@ def test_verify_certificates_builds_no_object_per_grid_point(monkeypatch, capsys
     assert built.count("DualCertificate") == 8
 
 
+def test_verify_certificates_screens_every_psd_block_with_no_fallback(monkeypatch, capsys):
+    # 8 generalized-Choi chunks and 3 Breuer-Hall groups, each with a diamond
+    # and a max-eig stack: eigvalsh runs only for the 11 stacks of max-eig
+    # values, and the screen decides all 41 PSD stacks (3 per stack pair and
+    # the 8 witness-dual Z), so a screen constant that sent a valid
+    # certificate to psd_test would show here
+    calls = {"eigvalsh": 0, "psd_screen": 0, "psd_test": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(matcore, name, counted(name, getattr(matcore, name)))
+    code, _ = run_cli(
+        ["verify-certificates", "--grid", "31", "--bh-dims", "4", "6", "8", "--format", "json"],
+        capsys)
+    assert code == 0
+    assert calls == {"eigvalsh": 11, "psd_screen": 41, "psd_test": 0}
+
+
+def _reference_min_eigenvalue(a):
+    # psd_test's least eigenvalue, from LAPACK on the symmetrized matrix
+    a = np.asarray(a, dtype=np.complex128)
+    return np.linalg.eigvalsh((a + a.conj().T) / 2.0)[0]
+
+
+def test_verify_certificates_rejects_only_the_planted_blocks(monkeypatch, capsys):
+    # grid 31 checks maps 0-127 as its first chunk; map j > 0 is the dual of
+    # Phi_{b,c} at grid point j - 1. Map 77 gets Y = J, so Y - J = 0 passes and
+    # Y + J = 2J fails; map 100 gets Y = 0, which fails both blocks and is named
+    # by the first, Y - J; the second of three Breuer-Hall n = 8 maps gets -Y as
+    # its max-eig Y. Those three rows print the rejection message and nan; every
+    # other row keeps its bytes
+    from abssep import sdpsolve
+
+    argv = ["verify-certificates", "--grid", "31", "--bh-dims", "4", "6", "8", "8", "8"]
+    clean = run_cli(argv, capsys)[1].splitlines()
+    axis = np.linspace(0.0, 4.0 / 3.0, 31)
+    grid = [(float(b), float(c)) for b in axis for c in axis]
+    planted = {77: grid[76], 100: grid[99]}
+    seen, rows = {}, {}
+
+    def label(point):
+        return f"gen-choi({point[0]:.6g},{point[1]:.6g})"
+
+    def edit(certs, k, point):
+        if point == planted[77]:
+            certs.diamond_ys[k] = certs.jmats[k]
+            lam = _reference_min_eigenvalue(2.0 * certs.jmats[k])
+            rows[f"diamond {label(point)}"] = f"Y + J is not PSD (min eigenvalue {lam:.3e})"
+        elif point == planted[100]:
+            certs.diamond_ys[k] = 0.0
+            lam = _reference_min_eigenvalue(-certs.jmats[k])
+            assert lam < -0.1 and _reference_min_eigenvalue(certs.jmats[k]) < -0.1  # both fail
+            rows[f"diamond {label(point)}"] = f"Y - J is not PSD (min eigenvalue {lam:.3e})"
+        else:
+            return
+        seen[point] = k
+
+    _edit_gen_choi_certificates(monkeypatch, edit)
+    real_bh = sdpsolve.breuer_hall_certificates
+
+    def breuer_hall(phis):
+        certs = real_bh(phis)
+        if phis[0].dim == 8:
+            assert len(phis) == 3
+            certs.max_eig_ys[1] *= -1.0
+            lam = _reference_min_eigenvalue(certs.max_eig_ys[1])
+            rows["max-eig breuer-hall n=8"] = f"Y is not PSD (min eigenvalue {lam:.3e})"
+        return certs
+
+    monkeypatch.setattr(sdpsolve, "breuer_hall_certificates", breuer_hall)
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert seen == {planted[77]: 77, planted[100]: 100}  # both in the first chunk of 128
+    assert cli.CERT_CHUNK == 128
+    lines = out.splitlines()
+    assert len(lines) == len(clean)
+    changed = [(before, after) for before, after in zip(clean, lines) if before != after]
+    assert [after for _, after in changed] == [
+        f"{name},nan,nan,rejected: {message}" for name, message in rows.items()]
+    assert all(before.startswith(f"{name},") for (before, _), name in zip(changed, rows))
+    # the Breuer-Hall n = 8 rows that changed: the second map's max-eig row only
+    bh8 = [k for k, line in enumerate(clean) if line.startswith("max-eig breuer-hall n=8,")]
+    assert [k for k in bh8 if lines[k] != clean[k]] == bh8[1:2]
+
+
 @pytest.mark.parametrize("factor, rejected", [(0.5, False), (2.0, True)])
 def test_certificate_psd_tolerance_scales_with_the_block_norm(
         monkeypatch, capsys, factor, rejected):

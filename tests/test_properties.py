@@ -54,6 +54,80 @@ def test_eigenvalues_invariant_under_unitary_conjugation(n, seed):
     assert np.allclose(matcore.eigvalsh(rotated), matcore.eigvalsh(a), rtol=0.0, atol=1e-12 * n * scale)
 
 
+PLANTED_K = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0)
+
+
+def planted_blocks(d, real, norm, k_drawn, seed):
+    """(k, A) for each k of PLANTED_K and k_drawn: A = Q diag(lambda) Q^H, exactly
+    Hermitian, with Q Haar (orthogonal when real), lambda_max = norm (none for
+    d = 1), the rest in [0, norm] and the least eigenvalue planted at -k tau,
+    tau = CERT_PSD_TOL max(1, ||A||_op)."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + (0.0 if real else 1j * rng.standard_normal((d, d)))
+    q = np.linalg.qr(g)[0]
+    top = norm if d > 1 else 0.0
+    tau = sdpsolve.CERT_PSD_TOL * max(1.0, top)
+    middle = rng.uniform(0.0, top, max(d - 2, 0))
+    for k in (*PLANTED_K, k_drawn):
+        spectrum = np.concatenate([[top] if d > 1 else [], middle, [-k * tau]])
+        a = (q * spectrum) @ q.conj().T
+        yield k, (a + a.conj().T) / 2.0
+
+
+def negative_zero_imag(a):
+    signed = np.array(a, dtype=np.complex128)
+    signed.imag[signed.imag == 0.0] = -0.0
+    return signed
+
+
+def screen_agrees_with_psd_test(a, k=None):
+    # the screen accepts only what psd_test accepts; it rejects every block
+    # whose least eigenvalue lies below -0.75 tau, since its shift is at most
+    # tau/2 and the rounding of the factorization far below tau/4; and it
+    # accepts every PSD block, so no PSD certificate falls back to eigvalsh
+    tol = sdpsolve.CERT_PSD_TOL
+    screened = matcore.psd_screen(a, tol)
+    if screened:
+        assert matcore.psd_test(a, tol)[0].all()
+    if k is not None and k >= 0.75:
+        assert not screened
+    if k == 0.0:
+        assert screened
+    return screened
+
+
+@PROPERTY
+@given(d=st.integers(min_value=1, max_value=64), real=st.booleans(),
+       log_norm=st.floats(min_value=-4.0, max_value=8.0),
+       k=st.floats(min_value=0.0, max_value=3.0), seed=seeds)
+@example(d=16, real=False, log_norm=0.0, k=0.8, seed=1)
+@example(d=64, real=True, log_norm=8.0, k=0.8, seed=2)
+@example(d=1, real=True, log_norm=-4.0, k=0.0, seed=3)
+def test_psd_screen_accepts_only_what_psd_test_accepts(d, real, log_norm, k, seed):
+    # dims 1-64, real and complex, norms 1e-4 to 1e8, least eigenvalue -k tau
+    for planted, a in planted_blocks(d, real, 10.0**log_norm, k, seed):
+        screened = screen_agrees_with_psd_test(a, planted)
+        # the same block with -0.0 imaginary parts, which the gateway symmetrizes
+        assert screen_agrees_with_psd_test(negative_zero_imag(a), planted) == screened
+
+
+@PROPERTY
+@given(d=st.integers(min_value=1, max_value=64), real=st.booleans(),
+       log_norm=st.floats(min_value=-4.0, max_value=8.0), seed=seeds)
+def test_psd_screen_accepts_exactly_rank_one_blocks(d, real, log_norm, seed):
+    # v v^H is exactly Hermitian and PSD with d - 1 zero eigenvalues; with its
+    # zero imaginary parts negated, and the zero matrix with +0.0 and -0.0
+    # parts, a stack of them passes whole, and one block whose least
+    # eigenvalue is -2 tau fails the whole stack
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(d) + (0.0 if real else 1j * rng.standard_normal(d))
+    a = 10.0**log_norm * np.outer(v, v.conj()) / np.vdot(v, v).real
+    blocks = np.stack([a, negative_zero_imag(a), np.zeros((d, d)), -np.zeros((d, d))])
+    assert screen_agrees_with_psd_test(blocks) and all(map(screen_agrees_with_psd_test, blocks))
+    bad = next(a for k, a in planted_blocks(d, real, 10.0**log_norm, 2.0, seed) if k == 2.0)
+    assert not screen_agrees_with_psd_test(np.concatenate([blocks, bad[np.newaxis]]))
+
+
 @PROPERTY
 @given(
     seed=st.integers(min_value=0, max_value=2**160 - 1),

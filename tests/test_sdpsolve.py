@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abssep import absppt, bipartite, matcore, posmaps, sdpsolve, witness
-from abssep.errors import CertificateRejected, NoInteriorPoint, Unbounded, Unsupported
+from abssep.errors import (
+    CertificateRejected,
+    InvalidMatrix,
+    NoInteriorPoint,
+    Unbounded,
+    Unsupported,
+)
 
 R2 = math.sqrt(2.0)
 
@@ -451,6 +457,42 @@ def test_verifiers_reject_a_wrong_shaped_y(kind):
     with pytest.raises(CertificateRejected, match=message):
         getattr(sdpsolve, f"verify_{kind}_certificates")(
             posmaps.choi_matrices((phi, phi)), np.stack([np.eye(4)] * 2))
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("nan", "matrix has non-finite entries"),
+    ("far", "matrix is not Hermitian (defect 1.414e+00)"),
+])
+def test_psd_checks_raise_the_gateway_messages(defect, message):
+    # the screen runs first, through the gateway of eigvalsh, so NaN input and
+    # far-from-Hermitian input raise psd_test's InvalidMatrix, message and all
+    stack = np.stack([np.eye(3, dtype=np.complex128)] * 4)
+    if defect == "nan":
+        stack[2, 1, 1] = np.nan
+    else:
+        stack[2, 0, 1] = 1.0  # its mirror stays 0
+    for check in (lambda: matcore.psd_test(stack, sdpsolve.CERT_PSD_TOL),
+                  lambda: matcore.psd_screen(stack, sdpsolve.CERT_PSD_TOL),
+                  lambda: sdpsolve._psd_checks([("Y", stack)])):
+        with pytest.raises(InvalidMatrix, match=f"^{re.escape(message)}$"):
+            check()
+
+
+def test_psd_checks_fall_back_to_psd_test_for_a_failing_stack_only():
+    # a stack the screen passes reports no eigenvalue; the stack with one
+    # failing matrix is decided by psd_test, bit for bit, every verdict and
+    # least eigenvalue of it
+    good = np.stack([np.eye(4), np.diag([1.0, 2.0, 0.0, 3.0])])
+    bad = good.copy()
+    bad[1, 2, 2] = -1e-3
+    checks = sdpsolve._psd_checks([("Y - J", good), ("Y + J", bad)])
+    assert [what for what, _, _ in checks] == ["Y - J", "Y + J"]
+    assert checks[0][1].tolist() == [True, True] and checks[0][2] is None
+    ok, lam_min = matcore.psd_test(bad, sdpsolve.CERT_PSD_TOL)
+    assert checks[1][1].tolist() == ok.tolist() == [True, False]
+    assert np.array_equal(checks[1][2], lam_min)
+    assert sdpsolve.certificate_failures(checks) == {
+        1: "Y + J is not PSD (min eigenvalue -1.000e-03)"}
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 4])
