@@ -15,7 +15,9 @@ Two complementary paths:
   and the reported gap (m + sqrt m)/t bounds c.x - p* at such a point
   (Nesterov, Introductory Lectures on Convex Optimization, 2004, Theorem
   4.2.7). The Newton system is solved Jacobi-scaled, which keeps A x = b
-  to rounding.
+  to rounding. Each solve lays out every block once, as views of its
+  coefficients, and writes each step's scaled KKT system in place into
+  arrays it allocates once.
   Problems stay below a few hundred variables and blocks below ~100x100,
   so dense Newton steps are both adequate and robust. A block whose data
   is real is stored and solved in float64; only truly complex data, such
@@ -75,6 +77,15 @@ CERT_PSD_TOL = 1e-10
 # |sum(lambda) - 1| a min-witness spectrum may show before its value is used;
 # the solver keeps sum(lambda) = 1 to a few ulps over a solve
 MIN_WITNESS_SUM_TOL = 1e-12
+# |A x0 - b| a start may show, relative to max(1, |b|): a builder's start is
+# on its equalities to the rounding of one dot product, 1 ulp up to 8 x 8
+EQ_START_TOL = 8 * 2.0**-52  # 8 ulps of 1; np.finfo at import cost ~0.3 MiB of peak RSS
+# rise a witness spectrum may show between neighbours and still count as
+# sorted descending: tied entries from two closed forms differ by ~1e-16
+WITNESS_SORT_SLACK = 1e-12
+# how far below 1 a diamond-norm upper bound may read: a trace-preserving
+# positive map has norm >= 1, which a bound misses only by rounding, ~1e-15
+DIAMOND_FLOOR_SLACK = 1e-9
 _MU_REDUCTION = 0.2  # barrier parameter shrink per outer step
 # every stage stops once lambda^2/2, half the squared Newton decrement,
 # falls below this: lambda <= 0.045, well inside the full-step region
@@ -143,8 +154,19 @@ class DualCertificate:
     expected_value: float = math.nan
 
 
+def _layout(problem: SdpProblem, nv: int) -> list[tuple]:
+    """Each block as the barrier reads it, built once per solve: its coeffs
+    viewed (-1, nv, h*h) for F_lin(x) and (-1, nv*h, h) for every A_k L^-H,
+    views and not copies; its const, or None where const is all zero and
+    coeffs holds all g arrays; and whether F, const + F_lin, is complex."""
+    return [(b.coeffs.reshape(-1, nv, h * h), b.coeffs.reshape(-1, nv * h, h),
+             None if len(b.coeffs) == len(b.const) and not b.const.any() else b.const,
+             np.iscomplexobj(b.const) or np.iscomplexobj(b.coeffs))
+            for b in problem.blocks for h in [b.const.shape[-1]]]
+
+
 def _barrier_derivatives(
-    problem: SdpProblem, x: np.ndarray
+    problem: SdpProblem, x: np.ndarray, layout: list[tuple] | None = None
 ) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Gradient and Hessian of -sum_i log det F_i(x), and the map from a
     direction dx to the eigenvalues gamma of every L^-1 F_lin(dx) L^-H, along
@@ -163,34 +185,40 @@ def _barrier_derivatives(
     is complex. An inequality row is a 1 x 1 constraint: with
     w = ineq_mat / slack its terms are -w.sum(0) and w^T w, and its gamma
     w @ dx. Raises LinAlgError when a constraint does not hold strictly at x.
+    solve passes the _layout it builds once; without one it is built here.
     """
     nv = x.size
-    grad = np.zeros(nv)
-    hess = np.zeros((nv, nv))
-    mts = []
-    for block in problem.blocks:
-        g, h = block.const.shape[:2]
-        f = block.const + block.lin(x)
+    if layout is None:
+        layout = _layout(problem, nv)
+    terms, mts = [], []  # (tr M_k, Gram matrix) per block, then the rows'
+    for lin, gemm, const, is_complex in layout:
+        h = gemm.shape[-1]
+        f = (x @ lin).reshape(-1, h, h)
+        if const is not None:
+            f = const + f
+        g = len(f)
         lo_inv = np.linalg.inv(np.linalg.cholesky(f))
-        right = block.coeffs.reshape(-1, nv * h, h) @ lo_inv.conj().swapaxes(1, 2)  # A_k L^-H
+        right = gemm @ (lo_inv.conj() if is_complex else lo_inv).swapaxes(1, 2)  # A_k L^-H
         mt = np.empty((nv, g, h, h), dtype=right.dtype)  # laid out so that V is a view
         np.matmul(right.reshape(g, nv, h, h).transpose(1, 0, 3, 2), lo_inv.swapaxes(1, 2), out=mt)
         del right  # before the fold below allocates
-        grad -= np.einsum("kjaa->k", mt).real
         v = mt.reshape(nv, g * h * h)
-        if np.iscomplexobj(v):
+        if is_complex:
             v = v.real + v.imag
-        hess += v @ v.T  # v itself on both sides, so numpy calls syrk
+        terms.append((np.einsum("kjaa->k", mt).real, v @ v.T))  # v on both sides: syrk
         mts.append(mt)
     w = None
     if problem.ineq_mat is not None:
         slack = problem.ineq_mat @ x - problem.ineq_rhs
-        if not np.all(slack > 0.0):
+        if not slack.min() > 0.0:
             row = int(np.flatnonzero(~(slack > 0.0))[0])
             raise np.linalg.LinAlgError(f"inequality row {row} has slack {slack[row]:.3e}, not > 0")
         w = problem.ineq_mat / slack[:, np.newaxis]
-        grad -= w.sum(0)
-        hess += w.T @ w
+        terms.append((w.sum(0), w.T @ w))
+    grad, hess = -terms[0][0], terms[0][1]  # the sums start from the first terms
+    for trace, gram in terms[1:]:
+        grad -= trace
+        hess += gram
 
     def gamma(dx: np.ndarray) -> np.ndarray:
         parts = [np.linalg.eigvalsh((dx @ mt.reshape(nv, -1)).reshape(mt.shape[1:])).ravel()
@@ -250,8 +278,11 @@ def solve(
     (Nesterov, Introductory Lectures on Convex Optimization, 2004, Theorem
     4.2.7), within gap for beta <= 0.045. The Newton system is Jacobi-scaled
     by diag(H)^-1/2, so that a Hessian diagonal spanning many orders does not
-    lose A dx = 0 to rounding. Raises Unbounded on a ray the objective falls
-    along without bound.
+    lose A dx = 0 to rounding. The block layout is built once per solve, and
+    every step writes H, D, r, D K D and D r in place, into arrays allocated
+    once. The start must satisfy A x = b to EQ_START_TOL relative to
+    max(1, |b|). Raises Unbounded on a ray the objective falls along without
+    bound.
     """
     c = np.asarray(problem.objective, dtype=np.float64)
     nv = c.size
@@ -259,25 +290,29 @@ def solve(
     p = 0 if a_mat is None else a_mat.shape[0]
 
     x = np.asarray(problem.interior_point, dtype=np.float64).copy()
-    if p and not np.allclose(a_mat @ x, b_rhs):
+    if p and not np.all(np.abs(a_mat @ x - b_rhs) <= EQ_START_TOL * np.maximum(1.0, np.abs(b_rhs))):
         raise NoInteriorPoint(
             f"starting point violates the equalities of problem {problem.name!r}"
         )
+    layout = _layout(problem, nv)
     try:
-        grad, hess, gamma_of = _barrier_derivatives(problem, x)
+        grad, hess, gamma_of = _barrier_derivatives(problem, x, layout)
     except np.linalg.LinAlgError:
         raise NoInteriorPoint(
             f"starting point is not strictly feasible for problem {problem.name!r}"
         ) from None
 
     # KKT system of the equality-constrained Newton step; the primal
-    # residual is zero because every iterate satisfies A x = b
+    # residual is zero because every iterate satisfies A x = b. Each step
+    # writes H, D and r into these arrays and D K D, D r into the scaled pair
     kkt = np.zeros((nv + p, nv + p))
     if p:
         kkt[:nv, nv:] = a_mat.T
         kkt[nv:, :nv] = a_mat
     rhs = np.zeros(nv + p)
     scale = np.ones(nv + p)  # D: diag(H)^-1/2 on the x rows, 1 on the multipliers
+    kkt_h, rhs_x, scale_x = kkt[:nv, :nv], rhs[:nv], scale[:nv]
+    scaled_kkt, scaled_rhs = np.empty_like(kkt), np.empty_like(rhs)
 
     m_total = sum(b.const.shape[0] * b.const.shape[1] for b in problem.blocks)
     if problem.ineq_rhs is not None:
@@ -285,10 +320,12 @@ def solve(
     t, steps = 1.0, 0
     while True:
         while True:
-            kkt[:nv, :nv] = hess
-            scale[:nv] = 1.0 / np.sqrt(hess.diagonal())
-            rhs[:nv] = -(t * c + grad)  # (D K D) z = D r, dx = D z
-            dx = scale[:nv] * np.linalg.solve(kkt * np.outer(scale, scale), scale * rhs)[:nv]
+            kkt_h[...] = hess
+            np.divide(1.0, np.sqrt(hess.diagonal(), out=scale_x), out=scale_x)
+            np.negative(np.add(np.multiply(t, c, out=rhs_x), grad, out=rhs_x), out=rhs_x)
+            np.multiply(np.multiply.outer(scale, scale, out=scaled_kkt), kkt, out=scaled_kkt)
+            np.multiply(scale, rhs, out=scaled_rhs)  # (D K D) z = D r, dx = D z
+            dx = scale_x * np.linalg.solve(scaled_kkt, scaled_rhs)[:nv]
             decrement_sq = float(dx @ hess @ dx)
             if decrement_sq / 2.0 <= _CENTERED:
                 break
@@ -308,7 +345,7 @@ def solve(
             x = x + dx
             steps += 1
             del gamma_of  # the old M_k, before the new ones are formed
-            grad, hess, gamma_of = _barrier_derivatives(problem, x)
+            grad, hess, gamma_of = _barrier_derivatives(problem, x, layout)
         gap = (m_total + math.sqrt(m_total)) / t
         if gap <= tol:
             break
@@ -347,7 +384,7 @@ def min_witness_problem(
         raise ValueError(f"witness spectrum must have length {total}")
     if not np.all(np.isfinite(mu)):
         raise ValueError("witness spectrum must be finite")
-    if np.any(np.diff(mu) > 1e-12):
+    if np.any(np.diff(mu) > WITNESS_SORT_SLACK):
         raise ValueError("witness spectrum must be sorted descending")
     if lmi_mode == "full":
         lmis = absppt.build_lmis(m, n)
@@ -763,6 +800,6 @@ def max_eig_ub(phi: posmaps.MapSpec, tol: float = DEFAULT_GAP_TOL) -> float:
 
 def min_eig_lb_from_diamond(diamond_ub: float) -> float:
     """(1 - diamond upper bound)/2 lower-bounds the witness eigenvalues."""
-    if not diamond_ub >= 1.0 - 1e-9:
+    if not diamond_ub >= 1.0 - DIAMOND_FLOOR_SLACK:
         raise ValueError(f"a diamond norm upper bound cannot be below 1, got {diamond_ub}")
     return (1.0 - diamond_ub) / 2.0

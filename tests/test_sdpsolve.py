@@ -1,8 +1,14 @@
 """Barrier solver and analytic certificate verifiers."""
 
 import functools
+import hashlib
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +19,7 @@ from abssep import absppt, bipartite, matcore, posmaps, sdpsolve, witness
 from abssep.errors import (
     CertificateRejected,
     InvalidMatrix,
+    MaxIterations,
     NoInteriorPoint,
     Unbounded,
     Unsupported,
@@ -52,11 +59,54 @@ def test_solve_requires_interior_point():
         sdpsolve.solve(prob)
 
 
-def test_solve_rejects_start_off_the_equalities():
+@pytest.mark.parametrize("start", [
+    np.array([0.4, 0.3, 0.2, 0.05]),  # strictly ordered, sums to 0.95
+    # np.allclose's rtol of 1e-5 once let this start through, and the solve
+    # returned a point summing to 1 + 1e-7
+    _ordering_problem(4).interior_point * (1.0 + 1e-7),
+], ids=["off-by-5e-2", "off-by-1e-7"])
+def test_solve_rejects_start_off_the_equalities(start):
     prob = _ordering_problem(4)
-    prob.interior_point = np.array([0.4, 0.3, 0.2, 0.05])  # strictly ordered, sums to 0.95
-    with pytest.raises(NoInteriorPoint):
+    prob.interior_point = start
+    with pytest.raises(NoInteriorPoint, match="violates the equalities"):
         sdpsolve.solve(prob)
+
+
+def _start_is_accepted(prob):
+    # with no Newton step allowed, a start that passes every check of solve
+    # ends in MaxIterations, or returns where it is centred already (1 x 1);
+    # a rejected one raises NoInteriorPoint first
+    try:
+        sdpsolve.solve(prob, max_newton=0)
+    except MaxIterations:
+        pass
+    return True
+
+
+# EQ_START_TOL is 8 ulps of 1, 1.78e-15, and the builder's start is within 1
+# ulp: 4 ulps more pass, and 40 fail, as they would not at a tolerance 10x looser
+@pytest.mark.parametrize("shift, accepted", [(8.9e-16, True), (8.9e-15, False)])
+def test_eq_start_tol_is_pinned_from_both_sides(shift, accepted):
+    prob = _threshold_problem((3, 3), "full")
+    prob.interior_point = prob.interior_point.copy()
+    prob.interior_point[0] += shift
+    if accepted:
+        assert _start_is_accepted(prob)
+    else:
+        with pytest.raises(NoInteriorPoint):
+            sdpsolve.solve(prob, max_newton=0)
+
+
+def test_every_builder_start_is_accepted():
+    choi_dual = posmaps.dual_map(posmaps.choi_map())
+    for build in (sdpsolve.diamond_norm_problem, sdpsolve.max_eig_problem, sdpsolve.max_eig_dual_problem):
+        assert _start_is_accepted(build(choi_dual))
+    for m in range(1, 9):
+        for n in range(max(m, 2), 9):  # absppt.necessary_lmis(1) raises IndexError
+            mu = np.linspace(1.0, -1.0, m * n) / (m * n)
+            modes = ("full", "submatrix2x2") if min(m, n) <= 3 else ("submatrix2x2",)
+            for mode in modes:
+                assert _start_is_accepted(sdpsolve.min_witness_problem(mu, (m, n), mode)), (m, n, mode)
 
 
 @pytest.mark.filterwarnings("error")
@@ -177,6 +227,19 @@ def test_min_witness_rejects_non_finite_spectrum():
         mu = np.full(9, 1.0 / 9.0)
         mu[4] = bad
         with pytest.raises(ValueError, match="finite"):
+            sdpsolve.min_witness_problem(mu, (3, 3), "submatrix2x2")
+
+
+@pytest.mark.parametrize("rise, accepted", [(5e-13, True), (5e-12, False)])
+def test_witness_sort_slack_is_pinned_from_both_sides(rise, accepted):
+    # mu_5 above mu_4 by half WITNESS_SORT_SLACK still counts as sorted; by 5x,
+    # which a slack 10x looser would accept, it does not
+    mu = np.linspace(0.3, -0.1, 9)
+    mu[4] = mu[3] + rise
+    if accepted:
+        assert sdpsolve.min_witness_problem(mu, (3, 3), "submatrix2x2").objective[4] == mu[4]
+    else:
+        with pytest.raises(ValueError, match="sorted descending"):
             sdpsolve.min_witness_problem(mu, (3, 3), "submatrix2x2")
 
 
@@ -575,8 +638,6 @@ def test_max_eig_certificate_dominates_sampled_witnesses():
 
 
 def test_solver_newton_budget():
-    from abssep.errors import MaxIterations
-
     with pytest.raises(MaxIterations):
         sdpsolve.solve(_ordering_problem(6), tol=1e-9, max_newton=2)
 
@@ -592,6 +653,18 @@ def test_min_eig_lb_from_diamond():
         sdpsolve.min_eig_lb_from_diamond(0.5)
     with pytest.raises(ValueError, match="got nan"):
         sdpsolve.min_eig_lb_from_diamond(math.nan)
+
+
+@pytest.mark.parametrize("below, accepted", [(5e-10, True), (5e-9, False)])
+def test_diamond_floor_slack_is_pinned_from_both_sides(below, accepted):
+    # half DIAMOND_FLOOR_SLACK below 1 is accepted; 5x, which a slack 10x
+    # looser would accept, is not
+    ub = 1.0 - below
+    if accepted:
+        assert sdpsolve.min_eig_lb_from_diamond(ub) == (1.0 - ub) / 2.0
+    else:
+        with pytest.raises(ValueError, match="cannot be below 1"):
+            sdpsolve.min_eig_lb_from_diamond(ub)
 
 
 def test_diamond_norm_solver_path():
@@ -1019,3 +1092,94 @@ def test_one_cholesky_per_block_size_per_newton_step(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
     sol = sdpsolve.solve(problem, tol=1e-8)
     assert calls == [(2, 3, 3)] * (sol.newton_steps + 1)
+
+
+def _complex_breuer_hall_4():
+    # V = U V0 U^T for a Haar U: complex data, so its blocks stay complex128
+    u = bipartite.haar_unitary(4, 7)
+    return posmaps.breuer_hall_map(4, u @ posmaps.breuer_hall_default_v(4) @ u.T)
+
+
+def test_layout_holds_views_of_the_block_data():
+    # the once-per-solve layout copies nothing, drops an all-zero const, and
+    # keeps one whose coeffs are shared, where const broadcasts lin to g
+    problem = _threshold_problem((3, 3), "full")
+    (block,), ((lin, gemm, const, is_complex),) = problem.blocks, sdpsolve._layout(problem, 9)
+    assert lin.shape == (2, 9, 9) and gemm.shape == (2, 27, 3)
+    assert np.shares_memory(lin, block.coeffs) and np.shares_memory(gemm, block.coeffs)
+    assert const is None and not is_complex
+    diamond = sdpsolve.diamond_norm_problem(posmaps.dual_map(posmaps.choi_map()))
+    assert [lay[2] is block.const for lay, block in zip(sdpsolve._layout(diamond, 46), diamond.blocks)] == [
+        True, False]
+    assert sdpsolve._layout(sdpsolve.max_eig_dual_problem(_complex_breuer_hall_4()), 257)[0][3]
+    shared = sdpsolve.AffineBlock(np.zeros((2, 3, 3)), sdpsolve._hermitian_basis(3)[np.newaxis])
+    shared_problem = sdpsolve.SdpProblem(objective=np.zeros(9), blocks=[shared],
+                                         interior_point=np.r_[np.ones(3), np.zeros(6)])
+    assert sdpsolve._layout(shared_problem, 9)[0][2] is shared.const
+    x = shared_problem.interior_point
+    _assert_derivatives_match_reference(shared_problem, x, np.random.default_rng(3).standard_normal(9))
+    with_layout = sdpsolve._barrier_derivatives(shared_problem, x, sdpsolve._layout(shared_problem, 9))
+    without = sdpsolve._barrier_derivatives(shared_problem, x)
+    for a, b in zip(with_layout[:2], without[:2]):
+        assert a.tobytes() == b.tobytes()
+    # a complex const with real coeffs makes F, and so L^-1, complex
+    const = _complex_block_problem().blocks[0].const
+    mixed = sdpsolve.AffineBlock(const, sdpsolve._hermitian_basis(3, real=True)[np.newaxis])
+    mixed_problem = sdpsolve.SdpProblem(objective=np.zeros(6), blocks=[mixed],
+                                        interior_point=np.r_[np.full(3, 2.0), np.zeros(3)])  # F = 2 I + C > 0
+    assert mixed.coeffs.dtype == np.float64 and sdpsolve._layout(mixed_problem, 6)[0][3]
+    _assert_derivatives_match_reference(mixed_problem, mixed_problem.interior_point,
+                                        np.random.default_rng(4).standard_normal(6))
+
+
+# sha256 of sol.x and the Newton steps of _solver_bits, with one BLAS thread
+# (numpy 2.4, OpenBLAS 0.3.31): a change that moves the rounding of any
+# iterate must replace these and say why
+_SOLVER_BITS = {
+    "min-witness-3x3-full": ("62b9cace1e7ee596ce6c302f6a077aa3320ab53fa257e1e6ef0e55d5bb4625ec", 51),
+    "min-witness-3x3-2x2": ("e29962ee7c4141f3f0a9bca43de623220baf4999387d09a7e3e4750f2f6522f0", 30),
+    "min-witness-3x4-full": ("689f5c95fa1007c1eb6b0bedcaafdd280c4b7f8fd36604f2a36c89a677a24d0f", 52),
+    "max-eig-choi-dual": ("e14bc2108a3d3d60d7c6d15efe0b76a415ecd4623311002b591e8111e86601d6", 23),
+    "diamond-choi-dual": ("bc1391ace0df6fb7957ff10c55ec64eff5c7aa5cfa585b37552a38f4d9dd4285", 26),
+    "max-eig-dual-complex-bh4": ("80dd85494a3de6782d61f5ff101a252d61bcd0ee682b3c26a4977037809bb501", 25),
+}
+
+
+def _solver_bits():
+    # {name: (sha256 of sol.x, newton_steps)} for one problem of each shape;
+    # the Breuer-Hall problem runs the complex path
+    ell = (-0.5 + witness.SPLIT_LOW) / 2.0
+    choi_dual = posmaps.dual_map(posmaps.choi_map())
+
+    def branch_a(dims, mode):
+        spec = witness.extremal_witness_spectrum(ell, witness.detection_threshold(ell), dims[0] * dims[1])
+        return sdpsolve.min_witness_problem(spec, dims, mode)
+
+    cases = {
+        "min-witness-3x3-full": (branch_a((3, 3), "full"), 1e-8),
+        "min-witness-3x3-2x2": (branch_a((3, 3), "submatrix2x2"), 1e-8),
+        "min-witness-3x4-full": (branch_a((3, 4), "full"), 1e-8),
+        "max-eig-choi-dual": (sdpsolve.max_eig_problem(choi_dual), 1e-7),
+        "diamond-choi-dual": (sdpsolve.diamond_norm_problem(choi_dual), 1e-7),
+        "max-eig-dual-complex-bh4": (sdpsolve.max_eig_dual_problem(_complex_breuer_hall_4()), 1e-7),
+    }
+    assert cases["max-eig-dual-complex-bh4"][0].blocks[0].coeffs.dtype == np.complex128
+    bits = {}
+    for name, (problem, tol) in cases.items():
+        sol = sdpsolve.solve(problem, tol=tol)
+        bits[name] = (hashlib.sha256(sol.x.tobytes()).hexdigest(), sol.newton_steps)
+    return bits
+
+
+def test_solver_bits_are_pinned():
+    # in a fresh process with one BLAS thread, as perfbench runs: the
+    # Breuer-Hall solve's 257-variable Gram and KKT products round
+    # differently when OpenBLAS splits them over threads
+    env = dict(os.environ, PYTHONPATH=str(Path(sdpsolve.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, test_sdpsolve; print(json.dumps(test_sdpsolve._solver_bits()))"],
+        cwd=Path(__file__).parent, capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert {k: tuple(v) for k, v in json.loads(proc.stdout).items()} == _SOLVER_BITS
