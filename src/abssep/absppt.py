@@ -122,7 +122,10 @@ class LmiSet:
 
 @functools.cache
 def necessary_lmis(total: int) -> LmiSet:
-    """The universal top-left 2x2 condition on an mn = total spectrum."""
+    """The universal top-left 2x2 condition on an mn = total spectrum; the
+    empty family for total < 3, whose spectrum has no lambda_{mn-2}."""
+    if total < 3:
+        return LmiSet(False, np.zeros((0, total, 2, 2)))
     return LmiSet(False, _lmi(total, (total, total - 2), {(0, 1): (total - 1, 1)})[None])
 
 

@@ -62,6 +62,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import absppt, bipartite, matcore, posmaps
 from .errors import (
@@ -165,6 +166,37 @@ def _layout(problem: SdpProblem, nv: int) -> list[tuple]:
             for b in problem.blocks for h in [b.const.shape[-1]]]
 
 
+def _lapack_errors(message: str) -> np.errstate:
+    """The errstate numpy.linalg runs its LAPACK gufuncs under, as a
+    decorator: a gufunc that fails sets the invalid flag, which raises
+    LinAlgError(message); over, divide and under are ignored."""
+    def call(err, flag):
+        raise np.linalg.LinAlgError(message)
+    return np.errstate(call=call, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+# numpy.linalg's own gufuncs, called as np.linalg calls them (see solve);
+# each errstate covers only the gufuncs, not the caller's other ufuncs
+@_lapack_errors("Matrix is not positive definite")
+def _inverse_factor(f: np.ndarray, is_complex: bool) -> np.ndarray:
+    """L^-1 for each F = L L^H of the (g, h, h) stack f."""
+    sig = "D->D" if is_complex else "d->d"
+    return _umath_linalg.inv(_umath_linalg.cholesky_lo(f, signature=sig), signature=sig)
+
+
+@_lapack_errors("Singular matrix")
+def _kkt_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    return _umath_linalg.solve1(kkt, rhs, signature="dd->d")
+
+
+@_lapack_errors("Eigenvalues did not converge")
+def _eigenvalues(stacks: list[tuple[np.ndarray, bool]]) -> list[np.ndarray]:
+    """The eigenvalues of each Hermitian (g, h, h) stack, flat, given with its
+    complex flag."""
+    return [_umath_linalg.eigvalsh_lo(s, signature="D->d" if is_complex else "d->d").ravel()
+            for s, is_complex in stacks]
+
+
 def _barrier_derivatives(
     problem: SdpProblem, x: np.ndarray, layout: list[tuple] | None = None
 ) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
@@ -184,7 +216,10 @@ def _barrier_derivatives(
     eigenvalues of sum_k dx_k M_k^T, from the complex M_k^T where the block
     is complex. An inequality row is a 1 x 1 constraint: with
     w = ineq_mat / slack its terms are -w.sum(0) and w^T w, and its gamma
-    w @ dx. Raises LinAlgError when a constraint does not hold strictly at x.
+    w @ dx. The factor and inverse (_inverse_factor) and gamma's eigenvalues
+    (_eigenvalues) call LAPACK directly, since np.linalg's wrapper costs more
+    than LAPACK on these small stacks. Raises LinAlgError when a constraint
+    does not hold strictly at x.
     solve passes the _layout it builds once; without one it is built here.
     """
     nv = x.size
@@ -197,7 +232,7 @@ def _barrier_derivatives(
         if const is not None:
             f = const + f
         g = len(f)
-        lo_inv = np.linalg.inv(np.linalg.cholesky(f))
+        lo_inv = _inverse_factor(f, is_complex)
         right = gemm @ (lo_inv.conj() if is_complex else lo_inv).swapaxes(1, 2)  # A_k L^-H
         mt = np.empty((nv, g, h, h), dtype=right.dtype)  # laid out so that V is a view
         np.matmul(right.reshape(g, nv, h, h).transpose(1, 0, 3, 2), lo_inv.swapaxes(1, 2), out=mt)
@@ -206,7 +241,7 @@ def _barrier_derivatives(
         if is_complex:
             v = v.real + v.imag
         terms.append((np.einsum("kjaa->k", mt).real, v @ v.T))  # v on both sides: syrk
-        mts.append(mt)
+        mts.append((mt, is_complex))
     w = None
     if problem.ineq_mat is not None:
         slack = problem.ineq_mat @ x - problem.ineq_rhs
@@ -221,8 +256,8 @@ def _barrier_derivatives(
         hess += gram
 
     def gamma(dx: np.ndarray) -> np.ndarray:
-        parts = [np.linalg.eigvalsh((dx @ mt.reshape(nv, -1)).reshape(mt.shape[1:])).ravel()
-                 for mt in mts]
+        parts = _eigenvalues([((dx @ mt.reshape(nv, -1)).reshape(mt.shape[1:]), is_complex)
+                              for mt, is_complex in mts])
         if w is not None:
             parts.append(w @ dx)
         return np.concatenate(parts)
@@ -280,9 +315,13 @@ def solve(
     by diag(H)^-1/2, so that a Hessian diagonal spanning many orders does not
     lose A dx = 0 to rounding. The block layout is built once per solve, and
     every step writes H, D, r, D K D and D r in place, into arrays allocated
-    once. The start must satisfy A x = b to EQ_START_TOL relative to
-    max(1, |b|). Raises Unbounded on a ray the objective falls along without
-    bound.
+    once. A step is a few LAPACK calls on small arrays, on which np.linalg's
+    per-call wrapper (conversion, type promotion, a fresh errstate) cost more
+    than LAPACK, so the factor, inverse, KKT solve and eigenvalues call
+    numpy.linalg's gufuncs directly: the same kernels, so every iterate keeps
+    its bits, and a failure raises np.linalg's LinAlgError. The start must
+    satisfy A x = b to EQ_START_TOL relative to max(1, |b|). Raises Unbounded
+    on a ray the objective falls along without bound.
     """
     c = np.asarray(problem.objective, dtype=np.float64)
     nv = c.size
@@ -325,7 +364,7 @@ def solve(
             np.negative(np.add(np.multiply(t, c, out=rhs_x), grad, out=rhs_x), out=rhs_x)
             np.multiply(np.multiply.outer(scale, scale, out=scaled_kkt), kkt, out=scaled_kkt)
             np.multiply(scale, rhs, out=scaled_rhs)  # (D K D) z = D r, dx = D z
-            dx = scale_x * np.linalg.solve(scaled_kkt, scaled_rhs)[:nv]
+            dx = scale_x * _kkt_solve(scaled_kkt, scaled_rhs)[:nv]
             decrement_sq = float(dx @ hess @ dx)
             if decrement_sq / 2.0 <= _CENTERED:
                 break

@@ -27,6 +27,14 @@ def test_build_lmis_shapes():
     assert big is absppt.necessary_lmis(16)
 
 
+@pytest.mark.parametrize("total", [1, 2])
+def test_necessary_lmis_is_empty_below_three_levels(total):
+    # the 2x2 condition reads lambda_{mn-2}, which mn < 3 lacks: the empty
+    # family, as necessary_2x2 holds it true there
+    lmis = absppt.necessary_lmis(total)
+    assert not lmis.exact and lmis.coeffs.shape == (0, total, 2, 2)
+
+
 def test_lmi_2x2_equivalent_inequality():
     # L1 >= 0 on (2,2) iff lambda_1 <= lambda_3 + 2 sqrt(lambda_2 lambda_4)
     rng = np.random.default_rng(0)

@@ -102,7 +102,7 @@ def test_every_builder_start_is_accepted():
     for build in (sdpsolve.diamond_norm_problem, sdpsolve.max_eig_problem, sdpsolve.max_eig_dual_problem):
         assert _start_is_accepted(build(choi_dual))
     for m in range(1, 9):
-        for n in range(max(m, 2), 9):  # absppt.necessary_lmis(1) raises IndexError
+        for n in range(m, 9):
             mu = np.linspace(1.0, -1.0, m * n) / (m * n)
             modes = ("full", "submatrix2x2") if min(m, n) <= 3 else ("submatrix2x2",)
             for mode in modes:
@@ -365,6 +365,15 @@ def _min_dim_one_witness_spectra():
             mu = np.sort(rng.normal(size=dims[1]))[::-1]
             out.append((mu / np.abs(mu).sum(), dims))
     return out
+
+
+@pytest.mark.parametrize("mode", ["full", "submatrix2x2"])
+def test_min_witness_on_one_or_two_levels_is_mu_mn(mode):
+    # mn < 3 has no lambda_{mn-2}, so the 2x2 relaxation is the empty family
+    # too, and may not read above the full mode's exact mu_mn: at (1, 2) it
+    # used to build [[2 l2, -l1], [-l1, 2 l2]] and return 0.4333 here
+    assert sdpsolve.min_witness_over_abs_ppt([1.0], (1, 1), mode) == 1.0
+    assert sdpsolve.min_witness_over_abs_ppt([0.7, 0.3], (1, 2), mode) == 0.3
 
 
 @pytest.mark.parametrize("tol", [1e-7, 1e-8, 1e-9])
@@ -1088,10 +1097,119 @@ def test_one_cholesky_per_block_size_per_newton_step(monkeypatch):
     problem = _threshold_problem((3, 3), "full")
     assert [b.const.shape for b in problem.blocks] == [(2, 3, 3)]
     calls = []
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+    inverse_factor = sdpsolve._inverse_factor
+    monkeypatch.setattr(sdpsolve, "_inverse_factor",
+                        lambda f, is_complex: calls.append(f.shape) or inverse_factor(f, is_complex))
     sol = sdpsolve.solve(problem, tol=1e-8)
     assert calls == [(2, 3, 3)] * (sol.newton_steps + 1)
+
+
+def test_newton_steps_call_no_numpy_linalg_function(monkeypatch):
+    # the step calls LAPACK's gufuncs itself: a problem from each builder, and
+    # a complex block, solves with np.linalg's cholesky, inv, solve and
+    # eigvalsh all raising, and each solve runs the line search, whose gamma
+    # takes eigenvalues
+    choi_dual = posmaps.dual_map(posmaps.choi_map())
+    problems = [_threshold_problem((3, 3), "full"), sdpsolve.diamond_norm_problem(choi_dual),
+                sdpsolve.max_eig_problem(choi_dual), sdpsolve.max_eig_dual_problem(choi_dual),
+                _complex_block_problem()]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called in a Newton step")
+
+    for name in ("cholesky", "inv", "solve", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    calls = []
+    line_search = sdpsolve._line_search
+    monkeypatch.setattr(sdpsolve, "_line_search", lambda *args: calls.append(1) or line_search(*args))
+    for problem in problems:
+        calls.clear()
+        assert sdpsolve.solve(problem).newton_steps > 0 and calls, problem.name
+
+
+def _hermitian_stack(rng, shape, is_complex, shift):
+    a = rng.standard_normal(shape)
+    if is_complex:
+        a = a + 1j * rng.standard_normal(shape)
+    return a @ a.conj().swapaxes(1, 2) + shift * np.eye(shape[-1])
+
+
+@pytest.mark.parametrize("shape, is_complex", [((2, 3, 3), False), ((1, 2, 2), False), ((2, 9, 9), False),
+                                               ((1, 3, 3), True)])
+def test_direct_lapack_calls_equal_numpy_linalg_bit_for_bit(shape, is_complex):
+    # the solver's block shapes; the direct gufunc calls return np.linalg's
+    # arrays, dtype and bits, and leave the caller's errstate as it was
+    rng = np.random.default_rng(shape[-1] + 10 * is_complex)
+    f = _hermitian_stack(rng, shape, is_complex, 0.1)
+    before = np.geterr()
+    ours, ref = sdpsolve._inverse_factor(f, is_complex), np.linalg.inv(np.linalg.cholesky(f))
+    assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+    indefinite = _hermitian_stack(rng, shape, is_complex, -2.0)
+    (ours,) = sdpsolve._eigenvalues([(indefinite, is_complex)])
+    ref = np.linalg.eigvalsh(indefinite).ravel()
+    assert ours.dtype == ref.dtype == np.float64 and ours.tobytes() == ref.tobytes()
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("n", [10, 46])
+def test_kkt_solve_equals_numpy_linalg_bit_for_bit(n):
+    # a bordered system [[H, a], [a^T, 0]] of the sizes of the (3,3)
+    # min-witness and Choi diamond steps
+    rng = np.random.default_rng(n)
+    kkt = np.zeros((n, n))
+    kkt[:-1, :-1] = _hermitian_stack(rng, (1, n - 1, n - 1), False, 0.1)[0]
+    kkt[:-1, -1] = kkt[-1, :-1] = 1.0
+    rhs = rng.standard_normal(n)
+    before = np.geterr()
+    assert sdpsolve._kkt_solve(kkt, rhs).tobytes() == np.linalg.solve(kkt, rhs).tobytes()
+    assert np.geterr() == before
+
+
+def _numpy_message(call, *args):
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        call(*args)
+    return str(info.value)
+
+
+def test_direct_lapack_calls_raise_numpy_linalg_errors():
+    # a non-PD block, a singular KKT system and a stack LAPACK cannot
+    # diagonalize raise np.linalg's own LinAlgError texts, and the caller's
+    # errstate is the same after the raise
+    before = np.geterr()
+    not_pd = np.array([[[1.0, 2.0], [2.0, 1.0]]])
+    for is_complex in (False, True):
+        f = not_pd.astype(np.complex128) if is_complex else not_pd
+        assert _numpy_message(sdpsolve._inverse_factor, f, is_complex) == _numpy_message(np.linalg.cholesky, f) == (
+            "Matrix is not positive definite")
+    singular = np.ones((10, 10))
+    assert _numpy_message(sdpsolve._kkt_solve, singular, np.ones(10)) == _numpy_message(
+        np.linalg.solve, singular, np.ones(10)) == "Singular matrix"
+    nan = np.full((1, 3, 3), np.nan)
+    assert _numpy_message(sdpsolve._eigenvalues, [(nan, False)]) == _numpy_message(np.linalg.eigvalsh, nan) == (
+        "Eigenvalues did not converge")
+    assert np.geterr() == before
+
+
+def test_primal_max_eig_grid_outcomes_are_pinned():
+    # the README's count for the primal max-eig SDP, a known open defect, on
+    # the duals of Phi_{b,c} over linspace(0, 4/3, 9)^2 at tol 1e-8: 61 solve,
+    # 16 raise on a singular KKT system and 4 on a Cholesky factor, the step
+    # having left the cone
+    axis = np.linspace(0.0, 4.0 / 3.0, 9)
+    outcomes, not_pd = {}, []
+    for b in axis:
+        for c in axis:
+            phi = posmaps.dual_map(posmaps.generalized_choi_map(b, c))
+            try:
+                sdpsolve.solve(sdpsolve.max_eig_problem(phi), tol=1e-8)
+                outcome = "ok"
+            except np.linalg.LinAlgError as exc:
+                outcome = str(exc)
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+            if outcome == "Matrix is not positive definite":
+                not_pd.append((b, c))
+    assert outcomes == {"ok": 61, "Singular matrix": 16, "Matrix is not positive definite": 4}
+    assert not_pd == [(axis[3], axis[8]), (axis[5], axis[8]), (axis[8], axis[5]), (axis[8], axis[7])]
 
 
 def _complex_breuer_hall_4():
