@@ -30,7 +30,11 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 2
 EXIT_INPUT = 3
 
-ORBIT_CHUNK = 16  # Haar samples per stacked draw; bounds orbit-scan's working memory
+# matrix entries per orbit-scan stack: a chunk holds max(1, ORBIT_ENTRIES // d²) Haar
+# samples of d x d, d = mn. This bounds the per-chunk stacks (the draws, the rotated
+# states and what the criterion builds from them); the keys and the output stay
+# O(count), at 24 bytes per sample.
+ORBIT_ENTRIES = 4096
 CERT_CHUNK = 128  # maps per certificate stack, built and verified at once; bounds working memory
 
 HULL_POINTS = (
@@ -300,9 +304,11 @@ def _orbit_violations(spec, criterion, b, c, seed, count) -> np.ndarray:
     """Violation of the criterion on each of count Haar rotations of the spectrum.
 
     Sample i is rotated by a unitary drawn from rng_stream(seed, i), keyed by
-    one stream_keys call for all samples and drawn by one re-keyed generator;
-    samples are processed ORBIT_CHUNK at a time as one stack, so the result
-    does not depend on the chunking.
+    one stream_keys call for all samples and drawn by one re-keyed generator.
+    Samples are processed as stacks of at most ORBIT_ENTRIES matrix entries:
+    all 100 of a default scan at d = mn <= 6, 50 at a time at d = 9, 16 at
+    d = 16. Each sample has its own stream key, so the result does not depend
+    on the chunking.
     """
     m, n = spec.m, spec.n
     if criterion == "realignment":
@@ -318,8 +324,9 @@ def _orbit_violations(spec, criterion, b, c, seed, count) -> np.ndarray:
     out = np.empty(count)
     keys = bipartite.stream_keys(seed, np.arange(count))
     haar_unitaries = bipartite._haar_sampler(m * n)
-    for start in range(0, count, ORBIT_CHUNK):
-        stop = min(start + ORBIT_CHUNK, count)
+    chunk = max(1, ORBIT_ENTRIES // (m * n) ** 2)
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
         u = haar_unitaries(keys[start:stop])
         rho = (u * spec.values) @ u.conj().swapaxes(-1, -2)
         if phi is None:

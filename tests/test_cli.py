@@ -613,6 +613,8 @@ SPEC_33 = [0.2, 0.15, 0.12, 0.11, 0.1, 0.1, 0.08, 0.07, 0.07]
 SPEC_44 = [0.08, 0.075, 0.07, 0.068, 0.066, 0.064, 0.062, 0.062,
            0.06, 0.06, 0.058, 0.056, 0.055, 0.054, 0.052, 0.058]
 PURE_33 = [1.0] + [0.0] * 8
+SPEC_23 = [0.3, 0.2, 0.15, 0.15, 0.1, 0.1]
+SPEC_24 = [0.2, 0.16, 0.14, 0.12, 0.11, 0.1, 0.09, 0.08]
 
 # orbit-scan output captured from the per-sample loop the chunked scan replaced
 GOLDEN_ORBIT = [
@@ -638,6 +640,21 @@ GOLDEN_ORBIT = [
     ((3, 3, PURE_33), ["--criterion", "choi", "--samples", "17", "--seed", "2"], 2,
      '{"criterion": "choi", "max_violation": 0.146834349316344, "samples": 17, '
      '"seed": 2, "tolerance": 1e-08, "verdict": "No", "violated": true}\n'),
+    # one sample past a full stack of ORBIT_ENTRIES // (mn)² samples (113, 64 and 50),
+    # captured from the scan that took 16 samples per stack
+    ((2, 3, SPEC_23), ["--criterion", "realignment", "--samples", "130", "--seed", "11"], 0,
+     '{"criterion": "realignment", "max_violation": -0.314950555345235, "samples": 130, '
+     '"seed": 11, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
+    ((2, 4, SPEC_24), ["--criterion", "realignment", "--samples", "65", "--seed", "11"], 0,
+     '{"criterion": "realignment", "max_violation": -0.47630613584189363, "samples": 65, '
+     '"seed": 11, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
+    ((3, 3, SPEC_33), ["--criterion", "choi", "--samples", "51", "--seed", "11"], 0,
+     '{"criterion": "choi", "max_violation": -0.07457671543822476, "samples": 51, '
+     '"seed": 11, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
+    ((3, 3, SPEC_33), ["--criterion", "gen_choi", "--samples", "51", "--seed", "11",
+                       "--b", "1.2", "--c", "1.2"], 0,
+     '{"criterion": "gen_choi", "max_violation": -0.05759937417422228, "samples": 51, '
+     '"seed": 11, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
 ]
 
 
@@ -669,7 +686,7 @@ def reference_violations(spec, criterion, seed, count, b=1.2, c=1.2):
 
 @pytest.mark.parametrize("criterion, dims, values", [
     ("realignment", (3, 3), SPEC_33),
-    ("realignment", (2, 3), [0.3, 0.2, 0.15, 0.15, 0.1, 0.1]),
+    ("realignment", (2, 3), SPEC_23),
     ("choi", (3, 3), SPEC_33),
     ("gen_choi", (3, 3), SPEC_33),
     ("breuer_hall", (4, 4), SPEC_44),
@@ -683,14 +700,66 @@ def test_orbit_violations_match_per_sample_loop(criterion, dims, values, count):
     assert np.array_equal(got, reference_violations(spec, criterion, 13, count))
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64])
-def test_orbit_violations_do_not_depend_on_chunk_size(monkeypatch, chunk):
+@pytest.mark.parametrize("entries", [81, 7 * 81, 64 * 81, 80])
+def test_orbit_violations_do_not_depend_on_chunk_size(monkeypatch, entries):
+    # at d = 9 these budgets give chunks of 1, 7 and 64 samples; one below 81
+    # entries still gives chunks of 1
     from abssep.absppt import Spectrum
 
     spec = Spectrum(3, 3, SPEC_33)
     expected = cli._orbit_violations(spec, "choi", 1.0, 0.0, 4, 33)
-    monkeypatch.setattr(cli, "ORBIT_CHUNK", chunk)
+    monkeypatch.setattr(cli, "ORBIT_ENTRIES", entries)
     assert np.array_equal(cli._orbit_violations(spec, "choi", 1.0, 0.0, 4, 33), expected)
+
+
+def test_orbit_scan_calls_no_numpy_linalg_function(tmp_path, capsys, monkeypatch):
+    # the Haar draws, realignment SVDs and eigenvalues call LAPACK's gufuncs
+    # themselves, as does the LMI test of an absolutely PPT draw
+    from abssep import absppt
+    from abssep.absppt import Spectrum
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called in an orbit scan")
+
+    for name in ("qr", "svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for dims, spec, criterion in [((3, 3), SPEC_33, "realignment"), ((3, 3), SPEC_33, "choi"),
+                                  ((3, 3), SPEC_33, "gen_choi"), ((4, 4), SPEC_44, "breuer_hall")]:
+        path = write_spectrum(tmp_path, Spectrum(*dims, spec))
+        code, out = run_cli(["orbit-scan", path, "--criterion", criterion, "--samples", "20"], capsys)
+        assert code == 0 and json.loads(out)["violated"] is False, criterion
+    assert absppt.is_abs_ppt(absppt.sample_abs_ppt_spectrum(3, 3, 5)) is absppt.AbsPptVerdict.YES
+
+
+def _orbit_chunks(m, n, count):
+    """The number of samples in each stack _orbit_violations draws, for a
+    realignment scan of count samples on (m, n)."""
+    from abssep.absppt import Spectrum
+
+    sizes = []
+    sampler = bipartite._haar_sampler
+
+    def counting_sampler(d):
+        draw = sampler(d)
+        return lambda keys: sizes.append(len(keys)) or draw(keys)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bipartite, "_haar_sampler", counting_sampler)
+        cli._orbit_violations(Spectrum(m, n, [1.0 / (m * n)] * (m * n)), "realignment", 0.0, 0.0, 1, count)
+    return sizes
+
+
+@pytest.mark.parametrize("dims, chunk", [((2, 2), 256), ((2, 3), 113), ((2, 4), 64), ((3, 3), 50),
+                                         ((4, 4), 16), ((5, 5), 6)])
+def test_orbit_chunk_is_the_entry_budget_over_d_squared(dims, chunk):
+    assert _orbit_chunks(*dims, 2 * chunk + 1) == [chunk, chunk, 1]
+    assert _orbit_chunks(*dims, 100)[0] == min(chunk, 100)
+
+
+def test_no_orbit_chunk_holds_more_entries_than_the_budget():
+    for d in range(1, math.isqrt(cli.ORBIT_ENTRIES) + 1):
+        sizes = _orbit_chunks(1, d, cli.ORBIT_ENTRIES // (d * d) + 1)
+        assert sizes[0] * d * d <= cli.ORBIT_ENTRIES < (sizes[0] + 1) * d * d, d
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
