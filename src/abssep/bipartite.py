@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from . import matcore
 from .errors import InvalidDim, InvalidMatrix, InvalidVector
@@ -197,23 +196,11 @@ def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
     return g[0] + 1j * g[1]
 
 
-@matcore._lapack_errors("Incorrect argument found while performing QR factorization")
-def _qr_in_place(a: np.ndarray) -> np.ndarray:
-    """Q of the QR of each matrix of the complex stack a[..., n, n], by the
-    gufuncs numpy.linalg.qr calls; a is overwritten with the factored form,
-    R on and above its diagonal, as numpy.linalg.qr leaves its own copy."""
-    return _umath_linalg.qr_reduced(a, _umath_linalg.qr_r_raw(a, signature="D->D"),
-                                    signature="DD->D")
-
-
 def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     """Haar unitaries from Ginibre draws z[..., n, n]: QR with the phases of R's diagonal
-    divided out (Mezzadri, Notices AMS 54, 2007). The QR factors z/sqrt(2), a fresh
-    array, in place, so R's diagonal is read from it: numpy.linalg.qr's bits
-    without its copy of the input and its triu copy of R."""
-    a = z / np.sqrt(2.0)
-    q = _qr_in_place(a)
-    d = np.diagonal(a, axis1=-2, axis2=-1)
+    divided out (Mezzadri, Notices AMS 54, 2007)."""
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., np.newaxis, :]
 
 

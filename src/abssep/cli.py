@@ -30,11 +30,13 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 2
 EXIT_INPUT = 3
 
-# matrix entries per orbit-scan stack: a chunk holds max(1, ORBIT_ENTRIES // d²) Haar
-# samples of d x d, d = mn. This bounds the per-chunk stacks (the draws, the rotated
-# states and what the criterion builds from them); the keys and the output stay
+# An orbit-scan stack holds max(ORBIT_CHUNK, ORBIT_ENTRIES // d²) Haar samples of
+# d x d, d = mn. Up to d = 16 the budget bounds the per-chunk stacks (the draws, the
+# rotated states and what the criterion builds from them) at the entries of a (4,4)
+# stack of 16; above it a stack holds 16 samples. The keys and the output stay
 # O(count), at 24 bytes per sample.
-ORBIT_ENTRIES = 4096
+ORBIT_CHUNK = 16  # fewest Haar samples per stacked draw
+ORBIT_ENTRIES = 4096  # matrix entries per stacked draw, where that is more samples
 CERT_CHUNK = 128  # maps per certificate stack, built and verified at once; bounds working memory
 
 HULL_POINTS = (
@@ -305,10 +307,10 @@ def _orbit_violations(spec, criterion, b, c, seed, count) -> np.ndarray:
 
     Sample i is rotated by a unitary drawn from rng_stream(seed, i), keyed by
     one stream_keys call for all samples and drawn by one re-keyed generator.
-    Samples are processed as stacks of at most ORBIT_ENTRIES matrix entries:
-    all 100 of a default scan at d = mn <= 6, 50 at a time at d = 9, 16 at
-    d = 16. Each sample has its own stream key, so the result does not depend
-    on the chunking.
+    Samples are processed max(ORBIT_CHUNK, ORBIT_ENTRIES // d²) at a time as
+    one stack, d = mn: all 100 of a default scan at d <= 6, 50 at d = 9 and
+    16 at d >= 16. Each sample has its own stream key, so the result does not
+    depend on the chunking.
     """
     m, n = spec.m, spec.n
     if criterion == "realignment":
@@ -324,7 +326,7 @@ def _orbit_violations(spec, criterion, b, c, seed, count) -> np.ndarray:
     out = np.empty(count)
     keys = bipartite.stream_keys(seed, np.arange(count))
     haar_unitaries = bipartite._haar_sampler(m * n)
-    chunk = max(1, ORBIT_ENTRIES // (m * n) ** 2)
+    chunk = max(ORBIT_CHUNK, ORBIT_ENTRIES // (m * n) ** 2)
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
         u = haar_unitaries(keys[start:stop])

@@ -1,13 +1,11 @@
 """Dense complex Hermitian linear algebra.
 
-Eigenvalues and singular values come from LAPACK: eigh through
-``numpy.linalg.eigh``, eigvalsh and singular_values through numpy.linalg's
-own gufuncs (``eigvalsh_lo`` and ``svd``), called directly under
-_lapack_errors, the errstate numpy.linalg runs them under, so that they skip
-its per-call wrapper and keep its bits. This module adds the package's
-contract on top: Hermitian gating, descending order with a deterministic tie
-order, and PSD tests with explicit tolerances. psd_screen decides, by one
-shifted Cholesky and no eigenvalue, a stack that psd_test would accept whole.
+Eigenvalues and singular values come from LAPACK through numpy
+(``numpy.linalg.eigh``/``eigvalsh`` and ``svd``); this module adds the
+package's contract on top: Hermitian gating, descending order with a
+deterministic tie order, and PSD tests with explicit tolerances. psd_screen
+decides, by one shifted Cholesky and no eigenvalue, a stack that psd_test
+would accept whole.
 
 Matrices are plain numpy arrays throughout. ``hermitize`` enforces the
 Hermitian contract: inputs further than HERMITIZE_TOL from their Hermitian
@@ -22,7 +20,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import InvalidMatrix
 
@@ -49,31 +46,6 @@ class PsdReport:
 
     def __repr__(self) -> str:
         return f"PsdReport(ok={self.ok}, min_eigenvalue={self.min_eigenvalue:.3e})"
-
-
-def _lapack_errors(message: str) -> np.errstate:
-    """The errstate numpy.linalg runs its LAPACK gufuncs under, as a
-    decorator: a gufunc that fails sets the invalid flag, which raises
-    LinAlgError(message); over, divide and under are ignored. A function it
-    decorates should call only gufuncs, so that no other ufunc's invalid flag
-    turns into a LinAlgError."""
-    def call(err, flag):
-        raise np.linalg.LinAlgError(message)
-    return np.errstate(call=call, invalid="call", over="ignore", divide="ignore", under="ignore")
-
-
-@_lapack_errors("Eigenvalues did not converge")
-def _eigenvalues_lo(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of each matrix of the complex Hermitian stack m,
-    as numpy.linalg.eigvalsh gives them."""
-    return _umath_linalg.eigvalsh_lo(m, signature="D->d")
-
-
-@_lapack_errors("SVD did not converge")
-def _svd_values(m: np.ndarray) -> np.ndarray:
-    """Descending singular values of each matrix of the complex stack m, as
-    numpy.linalg.svd(m, compute_uv=False) gives them."""
-    return _umath_linalg.svd(m, signature="D->d")
 
 
 def _finite_matrix(m: np.ndarray, stack: bool) -> np.ndarray:
@@ -167,13 +139,13 @@ def eigh(a) -> EigenDecomposition:
 
 def eigvalsh(a) -> np.ndarray:
     """Eigenvalues only (descending), of a matrix or of each matrix of a stack."""
-    d = _eigenvalues_lo(_hermitian(a))
+    d = np.linalg.eigvalsh(_hermitian(a))
     return -np.sort(-d, axis=-1, kind="stable")  # the same tie order as eigh
 
 
 def singular_values(a) -> np.ndarray:
     """Singular values (descending), of a matrix or of each matrix of a stack, by SVD."""
-    return _svd_values(as_complex_matrix(a, stack=True))
+    return np.linalg.svd(as_complex_matrix(a, stack=True), compute_uv=False)
 
 
 def schatten_norm(a, kind: str) -> float:

