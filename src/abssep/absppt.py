@@ -169,10 +169,9 @@ def is_abs_ppt(s: Spectrum, tol: float = LMI_PSD_TOL) -> AbsPptVerdict:
 
 
 def necessary_2x2(s: Spectrum, tol: float = LMI_PSD_TOL) -> bool:
-    """The universal top-left 2x2 condition; necessary for absolute PPT."""
-    if s.m * s.n < 3:
-        return True
-    return float(matcore.eigvalsh(necessary_lmis(s.m * s.n).evaluate(s.values))[0, -1]) >= -tol
+    """The universal top-left 2x2 condition, necessary for absolute PPT; vacuous below mn = 3."""
+    lam_min = matcore.eigvalsh(necessary_lmis(s.m * s.n).evaluate(s.values))[:, -1]
+    return bool((lam_min >= -tol).all())
 
 
 def gurvits_barnum_value(x, m: int, n: int) -> float:

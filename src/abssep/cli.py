@@ -171,19 +171,17 @@ def _certificate_columns(names, values, expected, failures: dict[int, str], tol:
 
 def _witness_dual_columns(tol: float) -> tuple:
     """The lower bound 0 on the (3, 3) witness minimization, certified at special ell."""
-    names, values, expected, failures = [], [], [], {}
+    names, values, failures = [], [], {}
     for k, ell in enumerate((-0.5, -2.0 / 5.0, witness.SPLIT_LOW, -0.3, witness.SPLIT_HIGH,
                              -1.0 / 6.0, -1.0 / 5.0, 0.0)):
-        cert = witness.detection_dual_certificate(ell, witness.detection_threshold(ell), 9)
+        mu, z = witness.detection_dual_certificate(ell, 9)
         names.append(f"witness-dual ell={ell:.6g}")
-        expected.append(cert.expected_value)
         try:
-            values.append(sdpsolve.verify_min_witness_certificate(
-                cert.values["mu"], (3, 3), "submatrix2x2", [cert.values["Z"]]))
+            values.append(sdpsolve.verify_min_witness_certificate(mu, (3, 3), "submatrix2x2", [z]))
         except CertificateRejected as exc:
             values.append(math.nan)
             failures[k] = str(exc)
-    return _certificate_columns(names, values, expected, failures, tol)
+    return _certificate_columns(names, values, [0.0] * len(names), failures, tol)
 
 
 def _map_certificate_columns(labels, certs: sdpsolve.CertificateStack, tol: float) -> tuple:

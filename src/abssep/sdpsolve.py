@@ -39,9 +39,10 @@ Two complementary paths:
   own data and returning the bound it certifies. The analytic certificates
   (the threshold-curve witness duals, and the Choi, generalized Choi and
   Breuer-Hall map certificates) are exact closed forms, so their
-  verification tolerances are much tighter than the solver's. The map
-  certificates are built as stacks: gen_choi_certificates takes (b, c)
-  arrays and builds, for the duals of Phi_{b,c}, the [k, 9, 9] Choi
+  verification tolerances are much tighter than the solver's. Each is plain
+  arrays: a witness dual its spectrum and Z blocks, a map certificate its Y.
+  The map certificates are built as stacks: gen_choi_certificates takes
+  (b, c) arrays and builds, for the duals of Phi_{b,c}, the [k, 9, 9] Choi
   matrices, both SDPs' Y and their expected values with no per-map object;
   breuer_hall_certificates does the same for a group of Breuer-Hall maps
   (its max-eig Y map by map). The diamond and max-eig verifiers take
@@ -58,7 +59,7 @@ Two complementary paths:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -146,15 +147,6 @@ class SdpSolution:
     newton_steps: int
 
 
-@dataclass
-class DualCertificate:
-    """A dual-feasible point, analytic or from the solver, with its claimed value."""
-
-    name: str
-    values: dict[str, np.ndarray] = field(default_factory=dict)
-    expected_value: float = math.nan
-
-
 def _layout(problem: SdpProblem, nv: int) -> list[tuple]:
     """Each block as the barrier reads it, built once per solve: its coeffs
     viewed (-1, nv, h*h) for F_lin(x) and (-1, nv*h, h) for every A_k L^-H,
@@ -198,7 +190,7 @@ def _eigenvalues(stacks: list[tuple[np.ndarray, bool]]) -> list[np.ndarray]:
 
 
 def _barrier_derivatives(
-    problem: SdpProblem, x: np.ndarray, layout: list[tuple] | None = None
+    problem: SdpProblem, x: np.ndarray, layout: list[tuple]
 ) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Gradient and Hessian of -sum_i log det F_i(x), and the map from a
     direction dx to the eigenvalues gamma of every L^-1 F_lin(dx) L^-H, along
@@ -219,12 +211,10 @@ def _barrier_derivatives(
     w @ dx. The factor and inverse (_inverse_factor) and gamma's eigenvalues
     (_eigenvalues) call LAPACK directly, since np.linalg's wrapper costs more
     than LAPACK on these small stacks. Raises LinAlgError when a constraint
-    does not hold strictly at x.
-    solve passes the _layout it builds once; without one it is built here.
+    does not hold strictly at x. layout is _layout(problem, x.size), which
+    solve builds once.
     """
     nv = x.size
-    if layout is None:
-        layout = _layout(problem, nv)
     terms, mts = [], []  # (tr M_k, Gram matrix) per block, then the rows'
     for lin, gemm, const, is_complex in layout:
         h = gemm.shape[-1]
@@ -488,7 +478,7 @@ def _verify_min_witness_point(problem: SdpProblem, lam: np.ndarray) -> None:
     if abs(drift) > MIN_WITNESS_SUM_TOL:
         raise CertificateRejected(f"spectrum sums to 1 {drift:+.3e}, beyond {MIN_WITNESS_SUM_TOL:g}")
     for block in problem.blocks:
-        lam_min = matcore.eigvalsh(block.const + block.lin(lam))[:, -1]
+        lam_min = matcore.eigvalsh(block.lin(lam))[:, -1]
         bad = np.flatnonzero(lam_min < -absppt.LMI_PSD_TOL)
         if bad.size:
             raise CertificateRejected(f"LMI {bad[0]} is not PSD (min eigenvalue {lam_min[bad[0]]:.3e})")
@@ -506,22 +496,22 @@ def verify_min_witness_certificate(
     t <= min_k cumsum(r)_k / k. By weak duality every feasible spectrum
     scores at least that t. A Z_i whose least eigenvalue is negative but
     above -CERT_PSD_TOL is used as given, so the bound is certified only up
-    to CERT_PSD_TOL times the size of A_i*(I).
+    to CERT_PSD_TOL times the size of A_i*(I). Shapes are checked before
+    PSD, and the first Z_i that fails is named.
     """
     problem = min_witness_problem(witness_spectrum, dims, lmi_mode)
-    lmis = [pair for block in problem.blocks for pair in zip(block.const, block.coeffs)]
+    lmis = [coeffs for block in problem.blocks for coeffs in block.coeffs]  # A_i, (mn, q, q)
     if len(zs) != len(lmis):
         raise CertificateRejected(f"expected {len(lmis)} dual blocks, got {len(zs)}")
+    zs = [np.asarray(z) for z in zs]
+    for i, (coeffs, z) in enumerate(zip(lmis, zs)):
+        if z.shape != coeffs.shape[1:]:
+            raise CertificateRejected(f"Z{i} has shape {z.shape}, expected {coeffs.shape[1:]}")
     r = problem.objective.copy()
-    bound = 0.0
-    for i, ((const, coeffs), z) in enumerate(zip(lmis, zs)):
-        z = np.asarray(z)
-        if z.shape != const.shape:
-            raise CertificateRejected(f"Z{i} has shape {z.shape}, expected {const.shape}")
-        _psd_or_reject(z, f"Z{i}")
+    for coeffs, z in zip(lmis, zs):
         r -= np.real(np.einsum("kab,ba->k", coeffs, z))
-        bound -= float(np.real(np.trace(const @ z)))
-    return bound + float(np.min(np.cumsum(r) / np.arange(1, r.size + 1)))
+    return _one([np.min(np.cumsum(r) / np.arange(1, r.size + 1))],
+                _psd_checks([(f"Z{i}", z[np.newaxis]) for i, z in enumerate(zs)]))
 
 
 # ----------------------------------------------------------------------------
@@ -760,10 +750,6 @@ def _one(values, checks) -> float:
     return float(values[0])
 
 
-def _psd_or_reject(mat: np.ndarray, what: str) -> None:
-    _one([0.0], _psd_checks([(what, np.asarray(mat)[np.newaxis])]))
-
-
 def _y_stack(ys, jmats: np.ndarray) -> np.ndarray:
     """ys as a stack shaped like jmats, [k, d, d]; any other shape is rejected."""
     ys = np.asarray(ys)
@@ -803,23 +789,22 @@ def verify_max_eig_certificates(jmats: np.ndarray, ys) -> tuple[np.ndarray, list
     return values, _psd_checks([("Y", ys)])
 
 
-def max_eig_certificate(phi: posmaps.MapSpec) -> DualCertificate:
+def max_eig_certificate(phi: posmaps.MapSpec) -> np.ndarray:
     """Feasible Y >= 0 for the PPT max-eigenvalue SDP of the given map, from
     breuer_hall_certificates, or from gen_choi_certificates for Phi_{c,b},
     the dual of Phi_{b,c}, on a stack of one."""
     if phi.kind == "breuer_hall":
-        name, certs = "max-eig-breuer-hall", breuer_hall_certificates((phi,))
+        certs = breuer_hall_certificates((phi,))
     elif phi.kind == "generalized_choi":
-        name = f"max-eig-gen-choi({phi.c:g},{phi.b:g})"
         certs = gen_choi_certificates(np.array([phi.c]), np.array([phi.b]))
     else:
         raise Unsupported(f"map kind {phi.kind!r} is not in the generalized Choi family")
-    return DualCertificate(name, {"Y": certs.max_eig_ys[0]}, float(certs.max_eig_expected[0]))
+    return certs.max_eig_ys[0]
 
 
-def verify_max_eig_certificate(phi: posmaps.MapSpec, cert: DualCertificate) -> float:
-    """verify_max_eig_certificates of cert's Y for J(phi), a stack of one."""
-    return _one(*verify_max_eig_certificates(posmaps.choi_matrices((phi,)), [cert.values["Y"]]))
+def verify_max_eig_certificate(phi: posmaps.MapSpec, y) -> float:
+    """verify_max_eig_certificates of Y for J(phi), a stack of one."""
+    return _one(*verify_max_eig_certificates(posmaps.choi_matrices((phi,)), [y]))
 
 
 def diamond_norm_ub(phi: posmaps.MapSpec, tol: float = DEFAULT_GAP_TOL) -> float:

@@ -5,9 +5,9 @@ sum ell of its negative eigenvalues. The piecewise threshold curve gives,
 for each ell in [-1/2, 0], the largest mu1 for which the witness provably
 cannot detect entanglement in any absolutely PPT state; the guarantee is
 certified by an explicit feasible point of the dual of the corresponding
-witness-minimization SDP: detection_dual_certificate builds it as a
-sdpsolve.DualCertificate, and sdpsolve.verify_min_witness_certificate
-checks it against sdpsolve.min_witness_problem in submatrix2x2 mode.
+witness-minimization SDP: detection_dual_certificate builds it as arrays
+(mu, Z), and sdpsolve.verify_min_witness_certificate checks it against
+sdpsolve.min_witness_problem in submatrix2x2 mode.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import matcore, sdpsolve
+from . import matcore
 from .errors import DomainError, ToolkitError, UnnormalizedWitness
 
 # branch split points of the threshold curve
@@ -108,41 +108,24 @@ def extremal_witness_spectrum(ell: float, mu1: float, mn: int) -> np.ndarray:
     return spec
 
 
-def detection_dual_certificate(ell: float, mu1: float, mn: int) -> sdpsolve.DualCertificate:
+def detection_dual_certificate(ell: float, mn: int) -> tuple[np.ndarray, np.ndarray]:
     """Analytic dual feasible point of the witness minimization at mu1 = f(ell).
 
-    values["mu"] is the extremal witness spectrum it certifies and values["Z"]
-    the 2x2 dual block [[aa, bb], [bb, cc]] of the submatrix2x2 LMI of
-    sdpsolve.min_witness_problem; verify_min_witness_certificate turns it into
-    the lower bound 0 on the overlap. The middle branch delegates to the low
-    branch at SPLIT_LOW (monotonicity of the threshold covers the gap).
+    Returns (mu, Z): the extremal witness spectrum of length mn it certifies,
+    and the 2x2 dual block [[aa, bb], [bb, cc]] of the submatrix2x2 LMI of
+    sdpsolve.min_witness_problem, which verify_min_witness_certificate turns
+    into the lower bound 0 on the overlap. detection_threshold raises the
+    DomainError of an ell outside [-1/2, 0]. The middle branch delegates to
+    the low branch at SPLIT_LOW (monotonicity of the threshold covers the gap).
     """
-    if not (-0.5 - _DOMAIN_SLACK <= ell <= _DOMAIN_SLACK):
-        raise DomainError(f"ell = {ell} outside [-1/2, 0]")
-    if abs(mu1 - detection_threshold(ell)) > 1e-9:
-        raise DomainError("certificate is only defined on the threshold mu1 = f(ell)")
-    if ell <= SPLIT_LOW:
-        case = "a"
-    elif ell < SPLIT_HIGH:
-        case, ell, mu1 = "b", SPLIT_LOW, detection_threshold(SPLIT_LOW)
-    else:
-        case = "c"
-    if case in ("a", "b"):
-        aa = (ell + 2.0 * mu1) / 2.0
-        bb = -ell / 2.0
-        cc = (1.0 - 2.0 * mu1 - ell) / 2.0
-    else:
-        aa = mu1 / 2.0
-        bb = (1.0 - mu1 - ell) / 2.0
-        cc = (1.0 - mu1) / 2.0
-    return sdpsolve.DualCertificate(
-        name=f"witness-dual-{case}",
-        values={
-            "mu": extremal_witness_spectrum(ell, mu1, mn),
-            "Z": np.array([[aa, bb], [bb, cc]]),
-        },
-        expected_value=0.0,
-    )
+    mu1 = detection_threshold(ell)
+    if SPLIT_LOW < ell < SPLIT_HIGH:  # middle branch: the low branch's point at SPLIT_LOW
+        ell, mu1 = SPLIT_LOW, detection_threshold(SPLIT_LOW)
+    if ell <= SPLIT_LOW:  # low branch
+        aa, bb, cc = (ell + 2.0 * mu1) / 2.0, -ell / 2.0, (1.0 - 2.0 * mu1 - ell) / 2.0
+    else:  # high branch
+        aa, bb, cc = mu1 / 2.0, (1.0 - mu1 - ell) / 2.0, (1.0 - mu1) / 2.0
+    return extremal_witness_spectrum(ell, mu1, mn), np.array([[aa, bb], [bb, cc]])
 
 
 def realignment_witness_bounds(m: int, n: int) -> tuple[float, float]:

@@ -33,6 +33,7 @@ def test_necessary_lmis_is_empty_below_three_levels(total):
     # family, as necessary_2x2 holds it true there
     lmis = absppt.necessary_lmis(total)
     assert not lmis.exact and lmis.coeffs.shape == (0, total, 2, 2)
+    assert absppt.necessary_2x2(Spectrum(1, total, np.full(total, 1.0 / total))) is True
 
 
 def test_lmi_2x2_equivalent_inequality():

@@ -45,10 +45,10 @@ def test_criterion_01_threshold_special_values():
 
 
 def test_criterion_02_dual_certificates_and_weak_duality():
-    """50 threshold points per case: each certificate's certified lower bound
-    on the 2x2 witness minimization is 0 to 1e-10 and at most the solver's
-    value, its dual block has bb² = aa*cc to 1e-12, and the SDP stays
-    >= -1e-9."""
+    """50 threshold points per case: each certificate is its branch's closed
+    form, its certified lower bound on the 2x2 witness minimization is 0 to
+    1e-10 and at most the solver's value, its dual block has bb² = aa*cc to
+    1e-12, and the SDP stays >= -1e-9."""
     mn = 9
     eps = 1e-6
     samples = {
@@ -60,13 +60,17 @@ def test_criterion_02_dual_certificates_and_weak_duality():
         for ell in ells:
             ell = float(ell)
             mu1 = witness.detection_threshold(ell)
-            cert = witness.detection_dual_certificate(ell, mu1, mn)
-            assert cert.name == f"witness-dual-{case}"
-            lb = sdpsolve.verify_min_witness_certificate(
-                cert.values["mu"], (3, 3), "submatrix2x2", [cert.values["Z"]]
-            )
+            mu, z = witness.detection_dual_certificate(ell, mn)
+            (aa, bb), (_, cc) = z
+            if case == "c":
+                assert aa == mu1 / 2.0
+            else:  # the middle branch certifies the low branch's point at SPLIT_LOW
+                at = witness.SPLIT_LOW if case == "b" else ell
+                f_at = witness.detection_threshold(at)
+                assert (aa, bb) == ((at + 2.0 * f_at) / 2.0, -at / 2.0)
+                assert np.array_equal(mu, witness.extremal_witness_spectrum(at, f_at, mn))
+            lb = sdpsolve.verify_min_witness_certificate(mu, (3, 3), "submatrix2x2", [z])
             assert abs(lb) <= 1e-10
-            (aa, bb), (_, cc) = cert.values["Z"]
             assert abs(bb**2 - aa * cc) <= 1e-12
             spec = witness.extremal_witness_spectrum(ell, mu1, mn)
             value = sdpsolve.min_witness_over_abs_ppt(

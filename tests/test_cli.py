@@ -240,7 +240,7 @@ def test_verify_certificates_rejection_exits_2(monkeypatch, capsys):
     assert code == 2
     ((phi, y),) = broken
     with pytest.raises(CertificateRejected, match="Y is not PSD") as info:
-        sdpsolve.verify_max_eig_certificate(phi, sdpsolve.DualCertificate("broken", {"Y": y}))
+        sdpsolve.verify_max_eig_certificate(phi, y)
     # the rejected row prints nan for both numbers; every other row as before
     row = f"max-eig breuer-hall n=4,nan,nan,rejected: {info.value}"
     lines = out.splitlines()
@@ -356,28 +356,28 @@ def test_verify_certificates_flags_one_mismatch_inside_a_chunk(monkeypatch, caps
 
 def test_verify_certificates_builds_no_object_per_grid_point(monkeypatch, capsys):
     # 961 grid points: the certificates come from (b, c) arrays, so the only
-    # MapSpecs are the Breuer-Hall maps and the only DualCertificates the
-    # witness duals
-    from abssep import sdpsolve
+    # MapSpecs are the Breuer-Hall maps and the only per-point certificates
+    # the witness duals
+    from abssep import witness
 
     built = []
-    post_init, init = posmaps.MapSpec.__post_init__, sdpsolve.DualCertificate.__init__
+    post_init, dual = posmaps.MapSpec.__post_init__, witness.detection_dual_certificate
 
     def counted(original, kind):
-        def wrapper(self, *args, **kwargs):
+        def wrapper(*args, **kwargs):
             built.append(kind)
-            return original(self, *args, **kwargs)
+            return original(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(posmaps.MapSpec, "__post_init__", counted(post_init, "MapSpec"))
-    monkeypatch.setattr(sdpsolve.DualCertificate, "__init__", counted(init, "DualCertificate"))
+    monkeypatch.setattr(witness, "detection_dual_certificate", counted(dual, "witness dual"))
     code, out = run_cli(
         ["verify-certificates", "--grid", "31", "--bh-dims", "4", "6", "8", "--format", "json"],
         capsys)
     assert code == 0
     assert len(json.loads(out)) == 8 + 2 * (1 + 31 * 31 + 3)
     assert built.count("MapSpec") == 3
-    assert built.count("DualCertificate") == 8
+    assert built.count("witness dual") == 8
 
 
 def test_verify_certificates_screens_every_psd_block_with_no_fallback(monkeypatch, capsys):
@@ -497,14 +497,13 @@ def test_certificate_psd_tolerance_scales_with_the_block_norm(
     assert code == 2
     status = _rows_by_name(out)["max-eig choi-dual"]["status"]
     phi = posmaps.dual_map(posmaps.choi_map())
-    cert = sdpsolve.DualCertificate("scaled", {"Y": y})
     if rejected:
         assert status == "rejected: Y is not PSD (min eigenvalue -2.000e-04)"
         with pytest.raises(CertificateRejected, match=re.escape(status[len("rejected: "):])):
-            sdpsolve.verify_max_eig_certificate(phi, cert)
+            sdpsolve.verify_max_eig_certificate(phi, y)
     else:
         assert status == "mismatch"  # accepted, but Y certifies a far larger value
-        assert sdpsolve.verify_max_eig_certificate(phi, cert) > scale / 2.0
+        assert sdpsolve.verify_max_eig_certificate(phi, y) > scale / 2.0
 
 
 @pytest.mark.parametrize("shift, status", [(1e-6, "rejected"), (1e-11, "mismatch")])
@@ -513,13 +512,13 @@ def test_verify_certificates_flags_corrupted_witness_dual(monkeypatch, capsys, s
 
     real = witness.detection_dual_certificate
 
-    def corrupted(ell, mu1, mn):
-        cert = real(ell, mu1, mn)
+    def corrupted(ell, mn):
+        mu, z = real(ell, mn)
         if status == "rejected":
-            cert.values["Z"][1, 1] -= shift  # the rank-one block loses PSD
+            z[1, 1] -= shift  # the rank-one block loses PSD
         else:
-            cert.values["Z"][0, 0] += shift  # still PSD, but certifies less than 0
-        return cert
+            z[0, 0] += shift  # still PSD, but certifies less than 0
+        return mu, z
 
     monkeypatch.setattr(witness, "detection_dual_certificate", corrupted)
     code, out = run_cli(

@@ -30,6 +30,23 @@ def test_runtime_imports_are_stdlib_numpy_or_the_package():
         assert not extra, f"{path.name} imports {sorted(extra)}"
 
 
+def _package_imports(path: pathlib.Path):
+    """The package's modules that one module imports relatively, by
+    `from . import module` or `from .module import name`."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield from [node.module] if node.module else (alias.name for alias in node.names)
+
+
+def test_witness_imports_no_solver():
+    # the threshold curve and its dual certificates are closed forms: witness
+    # reads and tests with no solver in its import graph
+    witness = PACKAGE / "witness.py"
+    assert set(_package_imports(witness)) == {"errors", "matcore"}
+    assert "abssep" not in set(_imported_roots(witness))
+    assert "sdpsolve" in set(_package_imports(PACKAGE / "cli.py"))  # the walk sees imports
+
+
 def _abssep_reads(path: pathlib.Path):
     """(module, attribute) of every module.attribute read in one file, where
     module is bound by `from abssep import module` anywhere in that file."""

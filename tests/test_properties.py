@@ -301,10 +301,8 @@ def test_max_eig_certificates_match_the_scalar_build(points):
         assert np.array_equal(y, scalar_certificate_y(b, c))
         assert expected == scalar_bound(b, c)
     b, c = points[0]
-    cert = sdpsolve.max_eig_certificate(posmaps.dual_map(posmaps.generalized_choi_map(b, c)))
-    assert np.array_equal(cert.values["Y"], scalar_certificate_y(b, c))
-    assert cert.expected_value == scalar_bound(b, c)
-    assert cert.name == f"max-eig-gen-choi({b:g},{c:g})"
+    y = sdpsolve.max_eig_certificate(posmaps.dual_map(posmaps.generalized_choi_map(b, c)))
+    assert np.array_equal(y, scalar_certificate_y(b, c))
 
 
 @PROPERTY

@@ -130,7 +130,7 @@ def test_barrier_names_the_inequality_row_that_fails():
     prob = _ordering_problem(3)
     with pytest.raises(np.linalg.LinAlgError,
                        match=re.escape("inequality row 0 has slack -1.000e-01, not > 0")):
-        sdpsolve._barrier_derivatives(prob, np.array([0.3, 0.4, 0.3]))
+        sdpsolve._barrier_derivatives(prob, np.array([0.3, 0.4, 0.3]), sdpsolve._layout(prob, 3))
 
 
 @pytest.mark.parametrize("slope", [-1.5, -2.0, -5.0, -100.0])
@@ -269,6 +269,20 @@ def test_verify_min_witness_certificate_rejects_malformed_duals():
         sdpsolve.verify_min_witness_certificate(
             mu, (3, 3), "full", [np.eye(q[0]), -np.eye(q[1])]
         )
+
+
+def test_verify_min_witness_certificate_checks_every_shape_before_psd():
+    # the full (3, 3) problem has two 3 x 3 blocks; as _y_stack orders it for
+    # the map verifiers, a wrong shape anywhere is named before any PSD failure
+    mu = witness.extremal_witness_spectrum(-0.3, witness.detection_threshold(-0.3), 9)
+    zero = np.zeros((3, 3))
+    ordering_bound = np.min(np.cumsum(mu[::-1]) / np.arange(1, 10))  # Z = 0: the ordering LP's
+    assert sdpsolve.verify_min_witness_certificate(mu, (3, 3), "full", [zero, zero]) == ordering_bound
+    indefinite = np.diag([1.0, -1e-3, 1.0])
+    with pytest.raises(CertificateRejected, match=r"^Z1 is not PSD \(min eigenvalue -1.000e-03\)$"):
+        sdpsolve.verify_min_witness_certificate(mu, (3, 3), "full", [zero, indefinite])
+    with pytest.raises(CertificateRejected, match=r"^Z1 has shape \(2, 2\), expected \(3, 3\)$"):
+        sdpsolve.verify_min_witness_certificate(mu, (3, 3), "full", [indefinite, np.eye(2)])
 
 
 def _generic_witness_spectra():
@@ -438,8 +452,8 @@ def test_diamond_certificate_matches_literal_display():
 
 def test_max_eig_certificate_choi_dual():
     phi = posmaps.dual_map(posmaps.choi_map())
-    cert = sdpsolve.max_eig_certificate(phi)
-    value = sdpsolve.verify_max_eig_certificate(phi, cert)
+    y = sdpsolve.max_eig_certificate(phi)
+    value = sdpsolve.verify_max_eig_certificate(phi, y)
     assert abs(value - 2.0 / 3.0) <= 1e-12
     literal = np.zeros((9, 9))
     sixth = [
@@ -448,19 +462,19 @@ def test_max_eig_certificate_choi_dual():
     ]
     for r, s, v in sixth:
         literal[r, s] = literal[s, r] = v / 6.0
-    assert np.allclose(cert.values["Y"], literal, atol=1e-14)
+    assert np.allclose(y, literal, atol=1e-14)
 
 
 def test_gen_choi_certificates_on_grid():
     for b in np.linspace(0.0, 4.0 / 3.0, 5):
         for c in np.linspace(0.0, 4.0 / 3.0, 5):
             phi = posmaps.dual_map(posmaps.generalized_choi_map(float(b), float(c)))
-            dval = _verify_one("diamond", phi, _one_map_certificates(phi).diamond_ys[0])
+            certs = _one_map_certificates(phi)
+            dval = _verify_one("diamond", phi, certs.diamond_ys[0])
             assert abs(dval - (3.0 + b + c) / 3.0) <= 1e-12
-            cert = sdpsolve.max_eig_certificate(phi)
-            mval = sdpsolve.verify_max_eig_certificate(phi, cert)
-            assert abs(mval - cert.expected_value) <= 1e-12
-            assert cert.expected_value == sdpsolve.gen_choi_max_eig_bound(float(b), float(c))
+            mval = sdpsolve.verify_max_eig_certificate(phi, sdpsolve.max_eig_certificate(phi))
+            assert abs(mval - certs.max_eig_expected[0]) <= 1e-12
+            assert certs.max_eig_expected[0] == sdpsolve.gen_choi_max_eig_bound(float(b), float(c))
     # the psi+ correction below b + c = 2/3, and the first case
     assert sdpsolve.gen_choi_max_eig_bound(0.0, 0.0) == 1.5
     assert sdpsolve.gen_choi_max_eig_bound(1.2, 1.2) == 0.6
@@ -500,8 +514,7 @@ def test_breuer_hall_certificates():
         # the partial trace of Y collapses to ((n+2)/n) I
         traced = bipartite.partial_trace(y, n, n, "second")
         assert np.allclose(traced, (n + 2.0) / n * np.eye(n), atol=1e-12)
-        mcert = sdpsolve.max_eig_certificate(phi)
-        mval = sdpsolve.verify_max_eig_certificate(phi, mcert)
+        mval = sdpsolve.verify_max_eig_certificate(phi, sdpsolve.max_eig_certificate(phi))
         assert abs(mval - 1.0 / (n - 2.0)) <= 1e-12
 
 
@@ -511,11 +524,10 @@ def test_certificates_reject_perturbations():
     y[2, 2] -= 1e-3  # breaks PSD of the Y - J block
     with pytest.raises(CertificateRejected):
         _verify_one("diamond", phi, y)
-    cert2 = sdpsolve.max_eig_certificate(phi)
-    cert2.values["Y"] = cert2.values["Y"].copy()
-    cert2.values["Y"][1, 1] -= 1e-3  # drives an eigenvalue of Y negative
+    y2 = sdpsolve.max_eig_certificate(phi).copy()
+    y2[1, 1] -= 1e-3  # drives an eigenvalue of Y negative
     with pytest.raises(CertificateRejected):
-        sdpsolve.verify_max_eig_certificate(phi, cert2)
+        sdpsolve.verify_max_eig_certificate(phi, y2)
 
 
 @pytest.mark.parametrize("kind", ["diamond", "max_eig"])
@@ -588,7 +600,7 @@ def _watrous_block_bound(phi, y0, y1):
     n = m = phi.dim
     jmat = posmaps.choi_matrix(phi)
     big = np.block([[y0, -jmat], [-jmat.conj().T, y1]])
-    sdpsolve._psd_or_reject(big, "diamond block matrix")
+    sdpsolve._one([0.0], sdpsolve._psd_checks([("diamond block matrix", big[np.newaxis])]))
     val0 = matcore.schatten_norm(bipartite.partial_trace(y0, n, m, "second"), "operator")
     val1 = matcore.schatten_norm(bipartite.partial_trace(y1, n, m, "second"), "operator")
     return 0.5 * (val0 + val1)
@@ -780,7 +792,7 @@ def _final_half_decrement_sq(problem, sol):
     nv, p = sol.x.size, 0 if problem.eq_mat is None else problem.eq_mat.shape[0]
     m = sum(len(const) for const, _ in _constraints(problem))
     t = (m + math.sqrt(m)) / sol.gap
-    grad, hess, _ = sdpsolve._barrier_derivatives(problem, sol.x)
+    grad, hess, _ = sdpsolve._barrier_derivatives(problem, sol.x, sdpsolve._layout(problem, nv))
     kkt = np.zeros((nv + p, nv + p))
     kkt[:nv, :nv] = hess
     if p:
@@ -986,7 +998,7 @@ def _reference_gamma(problem, x, dx):
 
 
 def _assert_derivatives_match_reference(problem, x, dx):
-    grad, hess, gamma = sdpsolve._barrier_derivatives(problem, x)
+    grad, hess, gamma = sdpsolve._barrier_derivatives(problem, x, sdpsolve._layout(problem, x.size))
     ref_grad, ref_hess = _reference_barrier_derivatives(problem, x)
     assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
     assert np.abs(hess - ref_hess).max() <= 1e-12 * np.abs(ref_hess).max()
@@ -1236,10 +1248,6 @@ def test_layout_holds_views_of_the_block_data():
     assert sdpsolve._layout(shared_problem, 9)[0][2] is shared.const
     x = shared_problem.interior_point
     _assert_derivatives_match_reference(shared_problem, x, np.random.default_rng(3).standard_normal(9))
-    with_layout = sdpsolve._barrier_derivatives(shared_problem, x, sdpsolve._layout(shared_problem, 9))
-    without = sdpsolve._barrier_derivatives(shared_problem, x)
-    for a, b in zip(with_layout[:2], without[:2]):
-        assert a.tobytes() == b.tobytes()
     # a complex const with real coeffs makes F, and so L^-1, complex
     const = _complex_block_problem().blocks[0].const
     mixed = sdpsolve.AffineBlock(const, sdpsolve._hermitian_basis(3, real=True)[np.newaxis])

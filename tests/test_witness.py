@@ -184,10 +184,8 @@ def test_extremal_witness_spectrum_boundary_case():
         assert np.all(np.diff(spec) <= 1e-12)
 
 
-def _certified_bound(cert, dims=(3, 3)):
-    return sdpsolve.verify_min_witness_certificate(
-        cert.values["mu"], dims, "submatrix2x2", [cert.values["Z"]]
-    )
+def _certified_bound(mu, z, dims=(3, 3)):
+    return sdpsolve.verify_min_witness_certificate(mu, dims, "submatrix2x2", [z])
 
 
 @pytest.mark.parametrize(
@@ -195,49 +193,56 @@ def _certified_bound(cert, dims=(3, 3)):
     [-0.5, -0.45, -1.0 / (2.0 * R2), -0.3, -0.25, (1.0 - R2) / 2.0, -0.15, -1.0 / 6.0, 0.0],
 )
 def test_dual_certificate_verifies(ell):
-    mu1 = witness.detection_threshold(ell)
-    cert = witness.detection_dual_certificate(ell, mu1, 9)
-    assert cert.expected_value == 0.0
-    assert abs(_certified_bound(cert)) <= 1e-10
+    mu, z = witness.detection_dual_certificate(ell, 9)
+    assert abs(_certified_bound(mu, z)) <= 1e-10
     # the dual block is rank one: bb^2 = aa cc
-    assert abs(np.linalg.det(cert.values["Z"])) <= 1e-12
+    assert abs(np.linalg.det(z)) <= 1e-12
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 4), (4, 4)])
 def test_dual_certificate_verifies_for_other_sizes(dims):
     mn = dims[0] * dims[1]
     for ell in np.linspace(-0.5, 0.0, 21):
-        cert = witness.detection_dual_certificate(float(ell), witness.detection_threshold(ell), mn)
-        assert abs(_certified_bound(cert, dims)) <= 1e-10
+        mu, z = witness.detection_dual_certificate(float(ell), mn)
+        assert abs(_certified_bound(mu, z, dims)) <= 1e-10
+
+
+def _low_branch_block(ell, mu1):
+    return np.array([[(ell + 2.0 * mu1) / 2.0, -ell / 2.0],
+                     [-ell / 2.0, (1.0 - 2.0 * mu1 - ell) / 2.0]])
 
 
 def test_dual_certificate_case_assignment():
-    assert witness.detection_dual_certificate(-0.5, 0.5, 9).name == "witness-dual-a"
-    mid = witness.detection_dual_certificate(-0.3, (1.0 + R2) / 4.0, 9)
-    assert mid.name == "witness-dual-b"
-    split = witness.extremal_witness_spectrum(
-        witness.SPLIT_LOW, witness.detection_threshold(witness.SPLIT_LOW), 9
-    )
-    assert np.array_equal(mid.values["mu"], split)
+    # each branch by its closed-form dual block: the low branch at ell, the
+    # middle one at the low branch's point SPLIT_LOW, the high one at ell
+    low_mu, low_z = witness.detection_dual_certificate(-0.5, 9)
+    assert witness.detection_threshold(-0.5) == 0.5
+    assert np.array_equal(low_z, _low_branch_block(-0.5, 0.5))
+    assert np.array_equal(low_mu, witness.extremal_witness_spectrum(-0.5, 0.5, 9))
+    assert abs(witness.detection_threshold(-0.3) - (1.0 + R2) / 4.0) <= 1e-9
+    mid_mu, mid_z = witness.detection_dual_certificate(-0.3, 9)
+    split_mu1 = witness.detection_threshold(witness.SPLIT_LOW)
+    assert np.array_equal(mid_z, _low_branch_block(witness.SPLIT_LOW, split_mu1))
+    split = witness.extremal_witness_spectrum(witness.SPLIT_LOW, split_mu1, 9)
+    assert np.array_equal(mid_mu, split)
     mu1 = witness.detection_threshold(-0.1)
-    hi = witness.detection_dual_certificate(-0.1, mu1, 9)
-    assert hi.name == "witness-dual-c"
-    assert np.array_equal(hi.values["mu"], witness.extremal_witness_spectrum(-0.1, mu1, 9))
+    hi_mu, hi_z = witness.detection_dual_certificate(-0.1, 9)
+    bb = (1.0 - mu1 + 0.1) / 2.0
+    assert np.array_equal(hi_z, [[mu1 / 2.0, bb], [bb, (1.0 - mu1) / 2.0]])
+    assert np.array_equal(hi_mu, witness.extremal_witness_spectrum(-0.1, mu1, 9))
 
 
 def test_dual_certificate_rejects_perturbations():
-    cert = witness.detection_dual_certificate(-0.45, witness.detection_threshold(-0.45), 9)
-    z = cert.values["Z"]
-    cert.values["Z"] = z - np.diag([1e-3, 0.0])  # no longer PSD
+    mu, z = witness.detection_dual_certificate(-0.45, 9)
     with pytest.raises(CertificateRejected):
-        _certified_bound(cert)
-    cert.values["Z"] = z + np.diag([1e-3, 0.0])  # PSD, but certifies less than 0
-    assert _certified_bound(cert) < -1e-5
+        _certified_bound(mu, z - np.diag([1e-3, 0.0]))  # no longer PSD
+    assert _certified_bound(mu, z + np.diag([1e-3, 0.0])) < -1e-5  # PSD, but certifies less than 0
 
 
-def test_dual_certificate_requires_threshold_mu1():
+@pytest.mark.parametrize("ell", [-0.51, 0.01, math.nan])
+def test_dual_certificate_rejects_ell_outside_the_domain(ell):
     with pytest.raises(DomainError):
-        witness.detection_dual_certificate(-0.4, 0.7, 9)
+        witness.detection_dual_certificate(ell, 9)
 
 
 def test_realignment_witness_bounds_values():
