@@ -121,10 +121,12 @@ class LmiSet:
 
 
 @functools.cache
-def necessary_lmis(total: int) -> LmiSet:
-    """The universal top-left 2x2 condition on an mn = total spectrum; the
-    empty family for total < 3, whose spectrum has no lambda_{mn-2}."""
-    if total < 3:
+def necessary_lmis(m: int, n: int) -> LmiSet:
+    """The universal top-left 2x2 condition on an m x n spectrum; the empty
+    family when min{m,n} = 1, where every state is separable (this holds every
+    mn < 3, whose spectrum has no lambda_{mn-2})."""
+    total = m * n
+    if min(m, n) == 1:
         return LmiSet(False, np.zeros((0, total, 2, 2)))
     return LmiSet(False, _lmi(total, (total, total - 2), {(0, 1): (total - 1, 1)})[None])
 
@@ -139,7 +141,7 @@ def build_lmis(m: int, n: int) -> LmiSet:
     if q == 1:
         return LmiSet(True, np.zeros((0, total, 1, 1)))
     if q == 2:
-        return LmiSet(True, necessary_lmis(total).coeffs)
+        return LmiSet(True, necessary_lmis(m, n).coeffs)
     if q == 3:
         return LmiSet(True, np.stack([
             _lmi(total, (total, total - 2, total - 5),
@@ -147,7 +149,7 @@ def build_lmis(m: int, n: int) -> LmiSet:
             _lmi(total, (total, total - 3, total - 5),
                  {(0, 1): (total - 1, 1), (0, 2): (total - 2, 2), (1, 2): (total - 4, 3)}),
         ]))
-    return necessary_lmis(total)
+    return necessary_lmis(m, n)
 
 
 def lmi_min_eigenvalues(s: Spectrum) -> np.ndarray:
@@ -169,8 +171,9 @@ def is_abs_ppt(s: Spectrum, tol: float = LMI_PSD_TOL) -> AbsPptVerdict:
 
 
 def necessary_2x2(s: Spectrum, tol: float = LMI_PSD_TOL) -> bool:
-    """The universal top-left 2x2 condition, necessary for absolute PPT; vacuous below mn = 3."""
-    lam_min = matcore.eigvalsh(necessary_lmis(s.m * s.n).evaluate(s.values))[:, -1]
+    """The universal top-left 2x2 condition, necessary for absolute PPT;
+    vacuous when min{m,n} = 1."""
+    lam_min = matcore.eigvalsh(necessary_lmis(s.m, s.n).evaluate(s.values))[:, -1]
     return bool((lam_min >= -tol).all())
 
 
@@ -194,9 +197,10 @@ def gurvits_barnum_abs_sep(x, m: int, n: int) -> bool:
 
 
 def rank_deficient_classification(s: Spectrum) -> RankVerdict:
-    """Rank logic: a rank-deficient spectrum can only be absolutely PPT if it
-    is the uniform rank-(mn-1) projector spectrum, which sits inside the
-    separable ball; full-rank spectra carry no such shortcut."""
+    """Rank logic: when min{m,n} >= 2, a rank-deficient spectrum can only be
+    absolutely PPT if it is the uniform rank-(mn-1) projector spectrum, which
+    sits inside the separable ball; when min{m,n} = 1 every spectrum is
+    absolutely separable. Full-rank spectra carry no such shortcut."""
     if s.values[-1] > 1e-12:
         return RankVerdict.FULL_RANK_REQUIRED
     if not necessary_2x2(s):

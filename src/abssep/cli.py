@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import absppt, bipartite, families, matcore, posmaps, sdpsolve, witness
-from .errors import CertificateRejected, ToolkitError
+from .errors import CertificateRejected, DomainError, ToolkitError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
@@ -37,7 +37,7 @@ EXIT_INPUT = 3
 # O(count), at 24 bytes per sample.
 ORBIT_CHUNK = 16  # fewest Haar samples per stacked draw
 ORBIT_ENTRIES = 4096  # matrix entries per stacked draw, where that is more samples
-CERT_CHUNK = 128  # maps per certificate stack, built and verified at once; bounds working memory
+CERT_CHUNK = 128  # grid maps per stack, built and verified at once; bounds working memory
 
 HULL_POINTS = (
     (0.0, 0.0),
@@ -143,9 +143,10 @@ def cmd_witness_analyze(args) -> tuple[str, int]:
     w = matcore.matrix_from_json(_load_json(args.file))
     summary = witness.summarize(w)
     verdict = witness.cannot_detect_abs_ppt(summary)
-    threshold = (
-        witness.detection_threshold(summary.ell) if summary.ell >= -0.5 else None
-    )
+    try:
+        threshold = witness.detection_threshold(summary.ell)
+    except DomainError:
+        threshold = None
     report = {
         "mu1": summary.mu1,
         "ell": summary.ell,
@@ -201,21 +202,18 @@ def _map_certificate_columns(labels, certs: sdpsolve.CertificateStack, tol: floa
 
 def _certificate_stacks(bh_dims, b: np.ndarray, c: np.ndarray):
     """(labels, CertificateStack) of every map whose analytic certificates
-    verify-certificates checks, in row order and CERT_CHUNK maps at a time: the
-    Choi dual and the duals of the generalized Choi maps Phi_{b,c} on the grid,
-    built from (b, c) arrays, then Breuer-Hall, its own dual, for each n in
-    bh_dims. The Choi dual is the dual of Phi_{1,0}."""
+    verify-certificates checks, in row order: the Choi dual and the duals of the
+    generalized Choi maps Phi_{b,c} on the grid, built from (b, c) arrays
+    CERT_CHUNK maps at a time, then Breuer-Hall, its own dual, one stack of one
+    for each n in bh_dims. The Choi dual is the dual of Phi_{1,0}."""
     b, c = np.concatenate([[1.0], b]), np.concatenate([[0.0], c])
     labels = ["choi-dual"] + [f"gen-choi({x},{y})" for x, y in
                               zip(_float_strings(b[1:], ".6g"), _float_strings(c[1:], ".6g"))]
     for start in range(0, b.size, CERT_CHUNK):
         chunk = slice(start, start + CERT_CHUNK)
         yield labels[chunk], sdpsolve.gen_choi_certificates(b[chunk], c[chunk])
-    for n, run in itertools.groupby(bh_dims):
-        phi, count = posmaps.breuer_hall_map(n), len(list(run))
-        for start in range(0, count, CERT_CHUNK):
-            k = min(CERT_CHUNK, count - start)
-            yield [f"breuer-hall n={n}"] * k, sdpsolve.breuer_hall_certificates([phi] * k)
+    for n in bh_dims:
+        yield [f"breuer-hall n={n}"], sdpsolve.breuer_hall_certificates(posmaps.breuer_hall_map(n))
 
 
 def cmd_verify_certificates(args) -> tuple[str, int]:

@@ -4,8 +4,9 @@ Ships the maps used throughout the toolkit: identity, transpose, the
 reduction map, the two-parameter generalized Choi family Phi_{b,c} on M_3
 (a := 2-b-c; the Choi map is Phi_{1,0}), which alone reads b and c, and the
 Breuer-Hall map on even dimensions, which alone reads V. Each map exposes a
-closed-form action; Choi matrices, duals and id ⊗ map applications are
-materialized on demand.
+closed-form action, applied to one matrix or a whole stack; Choi matrices,
+duals and id ⊗ map applications are materialized on demand. Only
+generalized_choi_matrices builds many maps at once, from (b, c) arrays.
 """
 
 from __future__ import annotations
@@ -132,27 +133,21 @@ def _gen_choi_act(b, c, x: np.ndarray) -> np.ndarray:
     return out / 2.0
 
 
-def _act(phis, x: np.ndarray) -> np.ndarray:
-    """The closed-form action of a group of maps of one kind and dimension on a
-    stack x[k, ..., d, d]: phis[k] maps every matrix of x[k]. Per-map parameters
-    are broadcast over the stack, so the whole group takes one pass."""
-    kind = phis[0].kind
+def _act(phi: MapSpec, x: np.ndarray) -> np.ndarray:
+    """The closed-form action of phi on every dim x dim matrix of a stack x."""
+    kind = phi.kind
     if kind == "identity":
         return x.copy()
     if kind == "transpose":
         return np.swapaxes(x, -1, -2).copy()
-    per_map = (len(phis),) + (1,) * (x.ndim - 3)  # one value per map, broadcast over x[k]
     if kind == "generalized_choi":
-        b, c = np.array([(phi.b, phi.c) for phi in phis]).T.reshape((2,) + per_map)
-        return _gen_choi_act(b, c, x)
-    n = phis[0].dim
+        return _gen_choi_act(phi.b, phi.c, x)
+    n = phi.dim
     trace_part = np.trace(x, axis1=-2, axis2=-1)[..., np.newaxis, np.newaxis] * np.eye(n)
     if kind == "reduction":
         return (trace_part - x) / (n - 1)
     if kind == "breuer_hall":
-        v = np.stack([phi.v for phi in phis]).reshape(per_map + (n, n))
-        vh = v.conj().swapaxes(-1, -2)
-        return (trace_part - x - v @ np.swapaxes(x, -1, -2) @ vh) / (n - 2)
+        return (trace_part - x - phi.v @ np.swapaxes(x, -1, -2) @ phi.v.conj().T) / (n - 2)
     raise AssertionError(kind)
 
 
@@ -161,7 +156,7 @@ def apply(phi: MapSpec, x) -> np.ndarray:
     x = matcore.as_complex_matrix(x)
     if x.shape != (phi.dim, phi.dim):
         raise InvalidDim(f"matrix shape {x.shape} does not match map dim {phi.dim}")
-    return _act((phi,), x[np.newaxis])[0]
+    return _act(phi, x)
 
 
 def dual_map(phi: MapSpec) -> MapSpec:
@@ -174,8 +169,8 @@ def dual_map(phi: MapSpec) -> MapSpec:
 
 def _id_tensor(act, d: int, x: np.ndarray, id_dim: int) -> np.ndarray:
     """(id_{id_dim} ⊗ Phi)(X) for every operator X of a checked stack
-    x[k, ..., id_dim·d, id_dim·d], where act(blocks) applies the maps on M_d,
-    map k to all d x d blocks of x[k] at once."""
+    x[..., id_dim·d, id_dim·d], where act(blocks) applies Phi on M_d to all
+    d x d blocks at once."""
     lead = x.shape[:-2]
     blocks = x.reshape(lead + (id_dim, d, id_dim, d)).swapaxes(-3, -2)
     out = act(blocks).swapaxes(-3, -2)
@@ -188,23 +183,7 @@ def apply_id_tensor(phi: MapSpec, x, id_dim: int) -> np.ndarray:
     Accepts a stack X[..., id_dim·d, id_dim·d] and maps each operator.
     """
     x = bipartite._check_dims(x, id_dim, phi.dim, stack=True)
-    return _id_tensor(functools.partial(_act, (phi,)), phi.dim, x[np.newaxis], id_dim)[0]
-
-
-def _choi_stack(act, k: int, n: int) -> np.ndarray:
-    """J = n (id_n ⊗ Phi)(|psi+><psi+|) of k maps on M_n, as one [k, n², n²] stack;
-    act is as in _id_tensor."""
-    p = bipartite.max_entangled_projector(n)
-    return n * _id_tensor(act, n, np.broadcast_to(p, (k,) + p.shape), n)
-
-
-def choi_matrices(phis) -> np.ndarray:
-    """J(Phi) = n (id_n ⊗ Phi)(|psi+><psi+|) of each map of a group of one kind
-    and dimension, as a [k, n², n²] stack built in one pass."""
-    kind, n = phis[0].kind, phis[0].dim
-    if any((phi.kind, phi.dim) != (kind, n) for phi in phis):
-        raise ValueError("choi_matrices takes maps of one kind and dimension")
-    return _choi_stack(functools.partial(_act, phis), len(phis), n)
+    return _id_tensor(functools.partial(_act, phi), phi.dim, x, id_dim)
 
 
 def generalized_choi_matrices(b, c) -> np.ndarray:
@@ -215,12 +194,13 @@ def generalized_choi_matrices(b, c) -> np.ndarray:
     b, c = _bc(b, c)
     per_map = (b.size, 1, 1)  # one value per map, broadcast over its 3 x 3 blocks
     act = functools.partial(_gen_choi_act, b.reshape(per_map), c.reshape(per_map))
-    return _choi_stack(act, b.size, 3)
+    p = bipartite.max_entangled_projector(3)
+    return 3 * _id_tensor(act, 3, np.broadcast_to(p, (b.size,) + p.shape), 3)
 
 
 def choi_matrix(phi: MapSpec) -> np.ndarray:
     """J(Phi) = n (id_n ⊗ Phi)(|psi+><psi+|)."""
-    return choi_matrices((phi,))[0]
+    return phi.dim * apply_id_tensor(phi, bipartite.max_entangled_projector(phi.dim), phi.dim)
 
 
 def witness_from_map(phi: MapSpec, v) -> np.ndarray:

@@ -44,8 +44,8 @@ Two complementary paths:
   The map certificates are built as stacks: gen_choi_certificates takes
   (b, c) arrays and builds, for the duals of Phi_{b,c}, the [k, 9, 9] Choi
   matrices, both SDPs' Y and their expected values with no per-map object;
-  breuer_hall_certificates does the same for a group of Breuer-Hall maps
-  (its max-eig Y map by map). The diamond and max-eig verifiers take
+  breuer_hall_certificates does the same for one Breuer-Hall map, as a
+  stack of one. The diamond and max-eig verifiers take
   [k, d, d] stacks of Choi matrices and Y, read n from their shape, and
   return the values and, per PSD block, its (ok, min eigenvalue) checks:
   one stacked shifted Cholesky (matcore.psd_screen) decides a block that
@@ -420,7 +420,7 @@ def min_witness_problem(
         if not lmis.exact:
             raise Unsupported("full LMI mode requires min{m,n} <= 3")
     elif lmi_mode == "submatrix2x2":
-        lmis = absppt.necessary_lmis(total)
+        lmis = absppt.necessary_lmis(m, n)
     else:
         raise ValueError(f"unknown lmi_mode {lmi_mode!r}")
 
@@ -700,19 +700,17 @@ def gen_choi_certificates(b, c) -> CertificateStack:
     return CertificateStack(jmats, diamond_ys, (3.0 + kappa) / 3.0, ys, bound)
 
 
-def breuer_hall_certificates(phis) -> CertificateStack:
-    """The certificates of a group of Breuer-Hall maps of one dimension n, each
-    its own dual. The diamond Y = J + 2 |psi+><psi+| certifies (n + 2)/n; the
-    max-eig Y, rank one, n/(n-2) (I ⊗ V) |psi+><psi+| (I ⊗ V)^H, certifies
-    1/(n - 2)."""
-    n, k = phis[0].dim, len(phis)
-    jmats = posmaps.choi_matrices(phis)
-    psi = bipartite.max_entangled(n)
-    p = np.outer(psi, psi.conj())
-    rotations = [bipartite.kron(np.eye(n), phi.v) for phi in phis]
-    ys = np.stack([n / (n - 2.0) * (r @ p @ r.conj().T) for r in rotations])
+def breuer_hall_certificates(phi: posmaps.MapSpec) -> CertificateStack:
+    """The certificates of one Breuer-Hall map on M_n, its own dual, as stacks
+    of one. The diamond Y = J + 2 |psi+><psi+| certifies (n + 2)/n; the
+    max-eig Y, rank one, n/(n-2) (I ⊗ V*) |psi+><psi+| (I ⊗ V*)^H, certifies
+    1/(n - 2): its partial transpose cancels the V X^T V^H term of J."""
+    n = phi.dim
+    jmats = posmaps.choi_matrix(phi)[np.newaxis]
+    r = bipartite.kron(np.eye(n), phi.v.conj())
+    y = n / (n - 2.0) * (r @ bipartite.max_entangled_projector(n) @ r.conj().T)
     return CertificateStack(jmats, jmats + 2.0 * bipartite.max_entangled_projector(n),
-                            np.full(k, (n + 2.0) / n), ys, np.full(k, 1.0 / (n - 2.0)))
+                            np.array([(n + 2.0) / n]), y[np.newaxis], np.array([1.0 / (n - 2.0)]))
 
 
 def _psd_checks(blocks) -> list[tuple[str, np.ndarray, np.ndarray | None]]:
@@ -794,7 +792,7 @@ def max_eig_certificate(phi: posmaps.MapSpec) -> np.ndarray:
     breuer_hall_certificates, or from gen_choi_certificates for Phi_{c,b},
     the dual of Phi_{b,c}, on a stack of one."""
     if phi.kind == "breuer_hall":
-        certs = breuer_hall_certificates((phi,))
+        certs = breuer_hall_certificates(phi)
     elif phi.kind == "generalized_choi":
         certs = gen_choi_certificates(np.array([phi.c]), np.array([phi.b]))
     else:
@@ -804,14 +802,14 @@ def max_eig_certificate(phi: posmaps.MapSpec) -> np.ndarray:
 
 def verify_max_eig_certificate(phi: posmaps.MapSpec, y) -> float:
     """verify_max_eig_certificates of Y for J(phi), a stack of one."""
-    return _one(*verify_max_eig_certificates(posmaps.choi_matrices((phi,)), [y]))
+    return _one(*verify_max_eig_certificates(posmaps.choi_matrix(phi)[np.newaxis], [y]))
 
 
 def diamond_norm_ub(phi: posmaps.MapSpec, tol: float = DEFAULT_GAP_TOL) -> float:
     """Upper bound on the diamond norm: the verified bound of the solver's Y."""
     problem = diamond_norm_problem(phi)
     ys = problem.blocks[0].lin(solve(problem, tol=tol).x)[:1]  # Y, the linear part of constraint 0
-    return _one(*verify_diamond_certificates(posmaps.choi_matrices((phi,)), ys))
+    return _one(*verify_diamond_certificates(posmaps.choi_matrix(phi)[np.newaxis], ys))
 
 
 def max_eig_ub(phi: posmaps.MapSpec, tol: float = DEFAULT_GAP_TOL) -> float:
@@ -819,7 +817,7 @@ def max_eig_ub(phi: posmaps.MapSpec, tol: float = DEFAULT_GAP_TOL) -> float:
     the verified bound of the solver's Y for max_eig_dual_problem."""
     problem = max_eig_dual_problem(phi)
     ys = problem.blocks[0].lin(solve(problem, tol=tol).x)[:1]  # Y, the linear part of constraint 0
-    return _one(*verify_max_eig_certificates(posmaps.choi_matrices((phi,)), ys))
+    return _one(*verify_max_eig_certificates(posmaps.choi_matrix(phi)[np.newaxis], ys))
 
 
 def min_eig_lb_from_diamond(diamond_ub: float) -> float:

@@ -24,16 +24,22 @@ def test_build_lmis_shapes():
     assert absppt.build_lmis(3, 7).coeffs.shape == (2, 21, 3, 3)
     big = absppt.build_lmis(4, 4)
     assert not big.exact and big.coeffs.shape == (1, 16, 2, 2)
-    assert big is absppt.necessary_lmis(16)
+    assert big is absppt.necessary_lmis(4, 4)
 
 
-@pytest.mark.parametrize("total", [1, 2])
-def test_necessary_lmis_is_empty_below_three_levels(total):
-    # the 2x2 condition reads lambda_{mn-2}, which mn < 3 lacks: the empty
-    # family, as necessary_2x2 holds it true there
-    lmis = absppt.necessary_lmis(total)
-    assert not lmis.exact and lmis.coeffs.shape == (0, total, 2, 2)
-    assert absppt.necessary_2x2(Spectrum(1, total, np.full(total, 1.0 / total))) is True
+@pytest.mark.parametrize("dims", [(1, 1), (1, 2), (1, 3), (4, 1)])
+def test_necessary_lmis_is_empty_below_three_levels(dims):
+    # every state on a 1 x n system is separable, and mn < 3 has no
+    # lambda_{mn-2} for the 2x2 condition to read: the empty family, as
+    # necessary_2x2 holds it true there, on the pure spectrum e_1 too, which
+    # the 2x2 condition fails at (1, 3) and (4, 1)
+    m, n = dims
+    lmis = absppt.necessary_lmis(m, n)
+    assert not lmis.exact and lmis.coeffs.shape == (0, m * n, 2, 2)
+    pure = np.eye(m * n)[0]
+    assert absppt.is_abs_ppt(Spectrum(m, n, pure)) is absppt.AbsPptVerdict.YES
+    assert absppt.necessary_2x2(Spectrum(m, n, np.full(m * n, 1.0 / (m * n)))) is True
+    assert absppt.necessary_2x2(Spectrum(m, n, pure)) is True
 
 
 def test_lmi_2x2_equivalent_inequality():
@@ -84,7 +90,7 @@ def test_lmi_3x3_matches_literal_transcription():
             lam = np.concatenate([[np.nan], s.values])  # 1-indexed view
             assert np.array_equal(absppt.build_lmis(m, n).evaluate(s.values), literal_lmis(lam, q))
     lam = np.concatenate([[np.nan], dirichlet_spectrum(rng, 3, 3).values])
-    assert np.array_equal(absppt.necessary_lmis(9).evaluate(lam[1:]), literal_lmis(lam, 2))
+    assert np.array_equal(absppt.necessary_lmis(3, 3).evaluate(lam[1:]), literal_lmis(lam, 2))
     assert absppt.build_lmis(1, 3).evaluate(np.full(3, 1.0 / 3.0)).shape == (0, 1, 1)
 
 
@@ -199,6 +205,9 @@ def test_rank_deficient_classification():
     bad = Spectrum(3, 3, [0.3, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.0])
     with pytest.raises(InvalidState):
         absppt.rank_deficient_classification(bad)
+    # on 1 x 3 every spectrum is absolutely separable, the pure one too
+    pure = Spectrum(1, 3, [1.0, 0.0, 0.0])
+    assert absppt.rank_deficient_classification(pure) is RankVerdict.ABSOLUTELY_SEPARABLE
 
 
 def test_sampler_outputs_pass_independent_lmi_check():

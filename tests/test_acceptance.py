@@ -25,7 +25,7 @@ def _diamond_bound(phi, certs) -> float:
     # the bound that certs, the analytic certificates of phi as a stack of one,
     # certify through the stacked diamond verifier against J(phi)
     return sdpsolve._one(*sdpsolve.verify_diamond_certificates(
-        posmaps.choi_matrices((phi,)), certs.diamond_ys))
+        posmaps.choi_matrix(phi)[np.newaxis], certs.diamond_ys))
 
 
 def test_criterion_01_threshold_special_values():
@@ -190,7 +190,7 @@ def test_criterion_06_breuer_hall():
             v /= np.linalg.norm(v)
             eigs = matcore.eigvalsh(posmaps.witness_from_map(phi, v))
             assert eigs[-1] >= lo and eigs[0] <= hi
-        dval = _diamond_bound(phi, sdpsolve.breuer_hall_certificates((phi,)))
+        dval = _diamond_bound(phi, sdpsolve.breuer_hall_certificates(phi))
         assert abs(dval - (n + 2.0) / n) <= 1e-12
         mval = sdpsolve.verify_max_eig_certificate(phi, sdpsolve.max_eig_certificate(phi))
         assert abs(mval - 1.0 / (n - 2.0)) <= 1e-12

@@ -108,6 +108,25 @@ def test_witness_analyze_scaled_identity(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "Guaranteed"
 
 
+def test_witness_analyze_prints_the_threshold_it_guarantees_by(tmp_path, capsys):
+    # Haar rotations of the (2,2) flip witness S/2, whose ell is -1/2: in some
+    # (59 of these 200 with reference LAPACK) it reads just below, where the
+    # threshold used to print null beside a Guaranteed verdict
+    flip = bipartite.swap_operator(2) / 2.0
+    path = tmp_path / "w.json"
+    below = 0
+    for seed in range(200):
+        u = bipartite.haar_unitary(4, seed)
+        path.write_text(json.dumps(matcore.matrix_to_json(u @ flip @ u.conj().T)))
+        code, out = run_cli(["witness-analyze", str(path)], capsys)
+        report = json.loads(out)
+        assert (code, report["verdict"]) == (0, "Guaranteed")
+        assert report["threshold"] is not None
+        assert report["mu1"] <= report["threshold"] + 1e-12
+        below += report["ell"] < -0.5
+    assert below > 0
+
+
 def test_witness_analyze_inconclusive(tmp_path, capsys):
     # extremal witness spectrum with mu1 beyond the threshold
     from abssep.witness import extremal_witness_spectrum
@@ -229,10 +248,10 @@ def test_verify_certificates_rejection_exits_2(monkeypatch, capsys):
     real = sdpsolve.breuer_hall_certificates
     broken = []
 
-    def indefinite(phis):
-        certs = real(phis)
+    def indefinite(phi):
+        certs = real(phi)
         certs.max_eig_ys[:, 1, 1] -= 1e-3  # row 1 of the rank-one Y is zero, so Y loses PSD
-        broken.append((phis[0], certs.max_eig_ys[0].copy()))
+        broken.append((phi, certs.max_eig_ys[0].copy()))
         return certs
 
     monkeypatch.setattr(sdpsolve, "breuer_hall_certificates", indefinite)
@@ -323,7 +342,7 @@ def test_verify_certificates_rejects_one_map_inside_a_chunk(monkeypatch, capsys)
     expected_rejections = {}
     for kind, label in (("diamond", diamond_label), ("max-eig", max_eig_label)):
         (b, c), y = broken[kind]
-        jmats = posmaps.choi_matrices((posmaps.dual_map(posmaps.generalized_choi_map(b, c)),))
+        jmats = posmaps.choi_matrix(posmaps.dual_map(posmaps.generalized_choi_map(b, c)))[np.newaxis]
         verify = getattr(sdpsolve, f"verify_{kind.replace('-', '_')}_certificates")
         with pytest.raises(CertificateRejected) as info:  # the message of a stack of one
             sdpsolve._one(*verify(jmats, y[np.newaxis]))
@@ -444,19 +463,22 @@ def test_verify_certificates_rejects_only_the_planted_blocks(monkeypatch, capsys
 
     _edit_gen_choi_certificates(monkeypatch, edit)
     real_bh = sdpsolve.breuer_hall_certificates
+    bh8_calls = []
 
-    def breuer_hall(phis):
-        certs = real_bh(phis)
-        if phis[0].dim == 8:
-            assert len(phis) == 3
-            certs.max_eig_ys[1] *= -1.0
-            lam = _reference_min_eigenvalue(certs.max_eig_ys[1])
-            rows["max-eig breuer-hall n=8"] = f"Y is not PSD (min eigenvalue {lam:.3e})"
+    def breuer_hall(phi):
+        certs = real_bh(phi)
+        if phi.dim == 8:
+            bh8_calls.append(phi)
+            if len(bh8_calls) == 2:
+                certs.max_eig_ys[0] *= -1.0
+                lam = _reference_min_eigenvalue(certs.max_eig_ys[0])
+                rows["max-eig breuer-hall n=8"] = f"Y is not PSD (min eigenvalue {lam:.3e})"
         return certs
 
     monkeypatch.setattr(sdpsolve, "breuer_hall_certificates", breuer_hall)
     code, out = run_cli(argv, capsys)
     assert code == 2
+    assert len(bh8_calls) == 3
     assert seen == {planted[77]: 77, planted[100]: 100}  # both in the first chunk of 128
     assert cli.CERT_CHUNK == 128
     lines = out.splitlines()

@@ -284,7 +284,7 @@ def _gateway_inputs():
     grid = np.linspace(0.0, 4.0 / 3.0, 31)
     b, c = (v.ravel() for v in np.meshgrid(grid, grid))
     gen = sdpsolve.gen_choi_certificates(b, c)
-    bh = sdpsolve.breuer_hall_certificates([posmaps.breuer_hall_map(8)])
+    bh = sdpsolve.breuer_hall_certificates(posmaps.breuer_hall_map(8))
     skewed = random_hermitian(rng, 6)
     skewed[0, 3] += 1e-12
     return {

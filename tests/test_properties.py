@@ -174,21 +174,6 @@ def test_stacked_choi_matrices_equal_one_map_builds(points):
         assert np.array_equal(jmat, posmaps.choi_matrix(posmaps.generalized_choi_map(b, c)))
 
 
-@PROPERTY
-@given(n=st.sampled_from([4, 6, 8]), seed=seeds)
-def test_stacked_breuer_hall_choi_matrices_equal_one_map_builds(n, seed):
-    # the default V beside a rotated one, U V U^T, in one group: each map's V
-    # must reach its own slice
-    u = bipartite.haar_unitary(n, seed)
-    v = posmaps.breuer_hall_default_v(n)
-    maps = [posmaps.breuer_hall_map(n), posmaps.breuer_hall_map(n, u @ v @ u.T)]
-    stacked = posmaps.choi_matrices(maps)
-    assert stacked.shape == (2, n * n, n * n)
-    for phi, jmat in zip(maps, stacked):
-        assert np.array_equal(jmat, posmaps.choi_matrix(phi))
-    assert not np.allclose(stacked[0], stacked[1])
-
-
 # (b, c) stacks over [0, 2]², with points on the lines where the closed forms
 # switch case: 2b + c = 3 and b + 2c = 3 (gen_choi_outer), b + c = 2 (the
 # second-case denominator 6(2 - b - c) is 0) and b = c (indecomposability)
@@ -430,7 +415,7 @@ def test_grid_certificate_rows_equal_stacks_of_one(points):
     one_map = []
     for b, c in points:
         certs = sdpsolve.gen_choi_certificates(np.array([b]), np.array([c]))
-        jmats = posmaps.choi_matrices((posmaps.dual_map(posmaps.generalized_choi_map(b, c)),))
+        jmats = posmaps.choi_matrix(posmaps.dual_map(posmaps.generalized_choi_map(b, c)))[np.newaxis]
         for verify, ys, claimed in (
                 (sdpsolve.verify_diamond_certificates, certs.diamond_ys, certs.diamond_expected),
                 (sdpsolve.verify_max_eig_certificates, certs.max_eig_ys, certs.max_eig_expected)):

@@ -354,7 +354,7 @@ def test_verify_min_witness_point_names_the_failed_check(lam, mode, message):
 def test_min_witness_problem_reads_the_read_only_lmi_stack(dims, mode):
     # the problem's LMI block is absppt's (g, mn, q, q) array itself, not a copy
     total = dims[0] * dims[1]
-    lmis = absppt.build_lmis(*dims) if mode == "full" else absppt.necessary_lmis(total)
+    lmis = absppt.build_lmis(*dims) if mode == "full" else absppt.necessary_lmis(*dims)
     assert not lmis.coeffs.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         lmis.coeffs[0, 0, 0, 0] = 1.0
@@ -388,6 +388,10 @@ def test_min_witness_on_one_or_two_levels_is_mu_mn(mode):
     # used to build [[2 l2, -l1], [-l1, 2 l2]] and return 0.4333 here
     assert sdpsolve.min_witness_over_abs_ppt([1.0], (1, 1), mode) == 1.0
     assert sdpsolve.min_witness_over_abs_ppt([0.7, 0.3], (1, 2), mode) == 0.3
+    # on 1 x 3 and 3 x 1 every spectrum is absolutely separable, so the 2x2
+    # relaxation is the empty family there too: it used to return 0.1475 at (1, 3)
+    for dims in ((1, 3), (3, 1)):
+        assert sdpsolve.min_witness_over_abs_ppt([0.7, 0.2, 0.1], dims, mode) == 0.1
 
 
 @pytest.mark.parametrize("tol", [1e-7, 1e-8, 1e-9])
@@ -420,7 +424,7 @@ def _one_map_certificates(phi):
     # the analytic certificates of one map, a stack of one from the builders the
     # CLI's grid reads: a Breuer-Hall map, or Phi_{c,b}, the dual of Phi_{b,c}
     if phi.kind == "breuer_hall":
-        return sdpsolve.breuer_hall_certificates((phi,))
+        return sdpsolve.breuer_hall_certificates(phi)
     return sdpsolve.gen_choi_certificates(np.array([phi.c]), np.array([phi.b]))
 
 
@@ -428,7 +432,7 @@ def _verify_one(kind, phi, y):
     # the value the stacked verifier of kind certifies for J(phi) and one Y;
     # raises its rejection
     verify = getattr(sdpsolve, f"verify_{kind}_certificates")
-    return sdpsolve._one(*verify(posmaps.choi_matrices((phi,)), np.asarray(y)[np.newaxis]))
+    return sdpsolve._one(*verify(posmaps.choi_matrix(phi)[np.newaxis], np.asarray(y)[np.newaxis]))
 
 
 def test_diamond_certificate_choi_dual():
@@ -518,6 +522,29 @@ def test_breuer_hall_certificates():
         assert abs(mval - 1.0 / (n - 2.0)) <= 1e-12
 
 
+def test_breuer_hall_with_a_rotated_v():
+    # V = U V0 U^T, complex and skew-symmetric: J(phi) is sum_ij |i><j| ⊗ Phi(|i><j|)
+    # for the closed form Phi(X) = (Tr X I - X - V X^T V^H)/(n - 2) written here,
+    # and both certificates, built from this V, certify the default V's values
+    n = 4
+    u = bipartite.haar_unitary(n, 7)
+    v = u @ posmaps.breuer_hall_default_v(n) @ u.T
+    assert v.imag.any()
+    phi = posmaps.breuer_hall_map(n, v)
+    expect = np.zeros((n * n, n * n), dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            e = np.zeros((n, n))
+            e[i, j] = 1.0
+            expect += np.kron(e, (np.trace(e) * np.eye(n) - e - v @ e.T @ v.conj().T) / (n - 2))
+    assert np.allclose(posmaps.choi_matrix(phi), expect, rtol=0.0, atol=1e-14)
+    y = sdpsolve.max_eig_certificate(phi)
+    assert abs(sdpsolve.verify_max_eig_certificate(phi, y) - 1.0 / (n - 2.0)) <= 1e-12
+    dval = _verify_one("diamond", phi, sdpsolve.breuer_hall_certificates(phi).diamond_ys[0])
+    assert abs(dval - (n + 2.0) / n) <= 1e-12
+    assert not np.allclose(y, sdpsolve.max_eig_certificate(posmaps.breuer_hall_map(n)))
+
+
 def test_certificates_reject_perturbations():
     phi = posmaps.dual_map(posmaps.choi_map())
     y = _one_map_certificates(phi).diamond_ys[0].copy()
@@ -540,7 +567,7 @@ def test_verifiers_reject_a_wrong_shaped_y(kind):
         _verify_one(kind, phi, np.eye(4))
     with pytest.raises(CertificateRejected, match=message):
         getattr(sdpsolve, f"verify_{kind}_certificates")(
-            posmaps.choi_matrices((phi, phi)), np.stack([np.eye(4)] * 2))
+            np.stack([posmaps.choi_matrix(phi)] * 2), np.stack([np.eye(4)] * 2))
 
 
 @pytest.mark.parametrize("defect, message", [
