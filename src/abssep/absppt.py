@@ -27,6 +27,10 @@ from . import bipartite, matcore
 from .errors import InvalidDim, InvalidState, Unsupported
 
 LMI_PSD_TOL = 1e-10  # absolute tolerance on LMI minimum eigenvalues
+SPECTRUM_CLAMP_TOL = 1e-12  # eigenvalues down to -this are a PSD state's rounding, clipped to 0
+SPECTRUM_SUM_TOL = 1e-10  # |sum - 1| a Spectrum may keep: JSON decimals and rounding
+GB_RADIUS_SLACK = 1e-12  # rounding of gurvits_barnum_value (~mn u) still inside radius 1
+RANK_ZERO_TOL = 1e-12  # a least eigenvalue at or below this counts as 0 in the rank logic
 
 
 class AbsPptVerdict(Enum):
@@ -56,11 +60,11 @@ class Spectrum:
             raise InvalidState(f"expected {self.m * self.n} eigenvalues, got {v.size}")
         if not np.all(np.isfinite(v)):
             raise InvalidState("spectrum has non-finite entries")
-        if np.min(v) < -1e-12:
+        if np.min(v) < -SPECTRUM_CLAMP_TOL:
             raise InvalidState(f"negative eigenvalue {np.min(v):.3e} below clamp tolerance")
         v = np.clip(v, 0.0, None)
         v = np.sort(v)[::-1]
-        if abs(float(np.sum(v)) - 1.0) > 1e-10:
+        if abs(float(np.sum(v)) - 1.0) > SPECTRUM_SUM_TOL:
             raise InvalidState(f"spectrum sums to {np.sum(v):.12g}, expected 1")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -193,7 +197,7 @@ def gurvits_barnum_value(x, m: int, n: int) -> float:
 
 def gurvits_barnum_abs_sep(x, m: int, n: int) -> bool:
     """True certifies absolute separability (ball of radius 1 around I)."""
-    return gurvits_barnum_value(x, m, n) <= 1.0 + 1e-12
+    return gurvits_barnum_value(x, m, n) <= 1.0 + GB_RADIUS_SLACK
 
 
 def rank_deficient_classification(s: Spectrum) -> RankVerdict:
@@ -201,7 +205,7 @@ def rank_deficient_classification(s: Spectrum) -> RankVerdict:
     absolutely PPT if it is the uniform rank-(mn-1) projector spectrum, which
     sits inside the separable ball; when min{m,n} = 1 every spectrum is
     absolutely separable. Full-rank spectra carry no such shortcut."""
-    if s.values[-1] > 1e-12:
+    if s.values[-1] > RANK_ZERO_TOL:
         return RankVerdict.FULL_RANK_REQUIRED
     if not necessary_2x2(s):
         raise InvalidState(

@@ -10,6 +10,12 @@ json.dumps(rows, sort_keys=True) gives for its row dicts.
 Exit codes: 0 success, 2 verdict-negative (failed check, rejected
 certificate, violation found), 3 input error, including a bad flag or
 config-file line.
+
+The functions that call the package's modules import them in their own
+body, so a process loads only what its command uses. Every command loads
+absppt (the parser's LMI tolerance), with matcore and bipartite; orbit-scan
+adds posmaps, witness-analyze witness, family families, verify-certificates
+sdpsolve, posmaps and witness, and fig-data what its figure needs.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import sys
 
 import numpy as np
 
-from . import absppt, bipartite, families, matcore, posmaps, sdpsolve, witness
 from .errors import CertificateRejected, DomainError, ToolkitError
 
 EXIT_OK = 0
@@ -128,6 +133,7 @@ def _count(args, name: str) -> int:
 
 
 def cmd_check_spectrum(args) -> tuple[str, int]:
+    from . import absppt
     spec = absppt.Spectrum.from_json(_load_json(args.file))
     mins = absppt.lmi_min_eigenvalues(spec)
     verdict = absppt.lmi_verdict(spec, mins, tol=args.tol["lmi"])
@@ -140,6 +146,7 @@ def cmd_check_spectrum(args) -> tuple[str, int]:
 
 
 def cmd_witness_analyze(args) -> tuple[str, int]:
+    from . import matcore, witness
     w = matcore.matrix_from_json(_load_json(args.file))
     summary = witness.summarize(w)
     verdict = witness.cannot_detect_abs_ppt(summary)
@@ -172,6 +179,7 @@ def _certificate_columns(names, values, expected, failures: dict[int, str], tol:
 
 def _witness_dual_columns(tol: float) -> tuple:
     """The lower bound 0 on the (3, 3) witness minimization, certified at special ell."""
+    from . import sdpsolve, witness
     names, values, failures = [], [], {}
     for k, ell in enumerate((-0.5, -2.0 / 5.0, witness.SPLIT_LOW, -0.3, witness.SPLIT_HIGH,
                              -1.0 / 6.0, -1.0 / 5.0, 0.0)):
@@ -185,9 +193,11 @@ def _witness_dual_columns(tol: float) -> tuple:
     return _certificate_columns(names, values, [0.0] * len(names), failures, tol)
 
 
-def _map_certificate_columns(labels, certs: sdpsolve.CertificateStack, tol: float) -> tuple:
-    """The diamond and max-eig rows of k maps, as columns: map i gives rows 2i
-    and 2i + 1. Both verifiers check the whole stack at once."""
+def _map_certificate_columns(labels, certs, tol: float) -> tuple:
+    """The diamond and max-eig rows of the k maps of an sdpsolve.CertificateStack,
+    as columns: map i gives rows 2i and 2i + 1. Both verifiers check the whole
+    stack at once."""
+    from . import sdpsolve
     diamond, diamond_checks = sdpsolve.verify_diamond_certificates(certs.jmats, certs.diamond_ys)
     max_eig, max_eig_checks = sdpsolve.verify_max_eig_certificates(certs.jmats, certs.max_eig_ys)
     failures = {2 * k: message
@@ -206,6 +216,7 @@ def _certificate_stacks(bh_dims, b: np.ndarray, c: np.ndarray):
     generalized Choi maps Phi_{b,c} on the grid, built from (b, c) arrays
     CERT_CHUNK maps at a time, then Breuer-Hall, its own dual, one stack of one
     for each n in bh_dims. The Choi dual is the dual of Phi_{1,0}."""
+    from . import posmaps, sdpsolve
     b, c = np.concatenate([[1.0], b]), np.concatenate([[0.0], c])
     labels = ["choi-dual"] + [f"gen-choi({x},{y})" for x, y in
                               zip(_float_strings(b[1:], ".6g"), _float_strings(c[1:], ".6g"))]
@@ -253,6 +264,7 @@ def _in_hull(b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _fig_f_curve() -> str:
+    from . import witness
     low, high = witness.SPLIT_LOW, witness.SPLIT_HIGH
     # (ell, the ell whose threshold is printed, label); iv is the left limit at the jump
     labeled = [(-0.5, -0.5, "i"), (-0.4, -0.4, "ii"), (low, low, "iii"), (high, low, "iv"),
@@ -264,6 +276,7 @@ def _fig_f_curve() -> str:
 
 
 def _fig_phi_bc_region(grid_n: int) -> str:
+    from . import posmaps
     b, c = _bc_grid(grid_n)
     return _columns_csv(
         ["b", "c", "positive", "indecomposable", "exposed", "hull_member"],
@@ -272,6 +285,7 @@ def _fig_phi_bc_region(grid_n: int) -> str:
 
 
 def _fig_gen_choi_ub(grid_n: int) -> str:
+    from . import sdpsolve
     b, c = _bc_grid(grid_n)
     case = np.where(sdpsolve.gen_choi_outer(b, c), 1, np.where(b + c >= 2.0 / 3.0, 2, 0))
     return _columns_csv(["b", "c", "case", "mu1_bound"],
@@ -279,6 +293,7 @@ def _fig_gen_choi_ub(grid_n: int) -> str:
 
 
 def _fig_upb_interval(samples: int) -> str:
+    from . import absppt, families, matcore
     p = np.linspace(0.5, 0.8, samples)
     lam = matcore.eigvalsh(families.upb_lmi_matrix(p))[:, -1]
     return _columns_csv(["p", "lmi_min_eig", "abs_ppt", "classification"],
@@ -308,6 +323,7 @@ def _orbit_violations(spec, criterion, b, c, seed, count) -> np.ndarray:
     16 at d >= 16. Each sample has its own stream key, so the result does not
     depend on the chunking.
     """
+    from . import bipartite, matcore, posmaps
     m, n = spec.m, spec.n
     if criterion == "realignment":
         phi = None
@@ -336,6 +352,7 @@ def _orbit_violations(spec, criterion, b, c, seed, count) -> np.ndarray:
 
 
 def cmd_orbit_scan(args) -> tuple[str, int]:
+    from . import absppt
     spec = absppt.Spectrum.from_json(_load_json(args.file))
     if args.criterion in {"choi", "gen_choi"} and (spec.m, spec.n) != (3, 3):
         raise ValueError("Choi-family criteria need a (3, 3) spectrum")
@@ -361,6 +378,7 @@ def cmd_orbit_scan(args) -> tuple[str, int]:
 
 
 def cmd_family(args) -> tuple[str, int]:
+    from . import families, matcore
     if args.kind == "werner":
         if args.n is None or args.alpha is None:
             raise ValueError("werner needs --n and --alpha")
@@ -463,6 +481,7 @@ def _config_flags(path: str) -> list[str]:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    from . import absppt
     parser = _Parser(
         prog="abssep",
         description="Spectral separability toolkit: absolute-PPT checks, "

@@ -68,6 +68,7 @@ from numpy.linalg import _umath_linalg
 from . import absppt, bipartite, matcore, posmaps
 from .errors import (
     CertificateRejected,
+    InvalidMatrix,
     MaxIterations,
     NoInteriorPoint,
     Unbounded,
@@ -496,8 +497,9 @@ def verify_min_witness_certificate(
     t <= min_k cumsum(r)_k / k. By weak duality every feasible spectrum
     scores at least that t. A Z_i whose least eigenvalue is negative but
     above -CERT_PSD_TOL is used as given, so the bound is certified only up
-    to CERT_PSD_TOL times the size of A_i*(I). Shapes are checked before
-    PSD, and the first Z_i that fails is named.
+    to CERT_PSD_TOL times the size of A_i*(I). Every Z_i's shape is checked
+    first, then each Z_i in turn through _psd_checks, before the bound is
+    computed, and the first Z_i that fails is named.
     """
     problem = min_witness_problem(witness_spectrum, dims, lmi_mode)
     lmis = [coeffs for block in problem.blocks for coeffs in block.coeffs]  # A_i, (mn, q, q)
@@ -507,11 +509,11 @@ def verify_min_witness_certificate(
     for i, (coeffs, z) in enumerate(zip(lmis, zs)):
         if z.shape != coeffs.shape[1:]:
             raise CertificateRejected(f"Z{i} has shape {z.shape}, expected {coeffs.shape[1:]}")
+    checks = _psd_checks([(f"Z{i}", z[np.newaxis]) for i, z in enumerate(zs)])
     r = problem.objective.copy()
     for coeffs, z in zip(lmis, zs):
         r -= np.real(np.einsum("kab,ba->k", coeffs, z))
-    return _one([np.min(np.cumsum(r) / np.arange(1, r.size + 1))],
-                _psd_checks([(f"Z{i}", z[np.newaxis]) for i, z in enumerate(zs)]))
+    return _one([np.min(np.cumsum(r) / np.arange(1, r.size + 1))], checks)
 
 
 # ----------------------------------------------------------------------------
@@ -718,10 +720,18 @@ def _psd_checks(blocks) -> list[tuple[str, np.ndarray, np.ndarray | None]]:
     psd_test with CERT_PSD_TOL on every matrix of the stack. matcore.psd_screen
     passes a stack whole with no eigenvalue, and then ok is all True and the
     min eigenvalue None; only a stack it does not pass goes to psd_test, whose
-    verdicts and min eigenvalues name the failures."""
+    verdicts and min eigenvalues name the failures. A block the Hermitian
+    gateway of the screen refuses, a non-finite one or one too far from
+    Hermitian, raises CertificateRejected naming it, as in "Y: matrix is not
+    Hermitian (defect ...)"; so verifiers run these checks before computing
+    a value from the blocks."""
     checks = []
     for what, stack in blocks:
-        if matcore.psd_screen(stack, CERT_PSD_TOL):
+        try:
+            screened = matcore.psd_screen(stack, CERT_PSD_TOL)
+        except InvalidMatrix as exc:
+            raise CertificateRejected(f"{what}: {exc}") from None
+        if screened:
             checks.append((what, np.ones(np.shape(stack)[:-2], dtype=bool), None))
         else:
             checks.append((what, *matcore.psd_test(stack, CERT_PSD_TOL)))
@@ -771,9 +781,10 @@ def verify_diamond_certificates(jmats: np.ndarray, ys) -> tuple[np.ndarray, list
     are his constraint, and their sum 2Y is PSD too.
     """
     ys = _y_stack(ys, jmats)
+    checks = _psd_checks([("Y - J", ys - jmats), ("Y + J", ys + jmats)])
     n = math.isqrt(jmats.shape[-1])
     values = matcore.singular_values(bipartite.partial_trace(ys, n, n, "second"))[:, 0]
-    return values, _psd_checks([("Y - J", ys - jmats), ("Y + J", ys + jmats)])
+    return values, checks
 
 
 def verify_max_eig_certificates(jmats: np.ndarray, ys) -> tuple[np.ndarray, list]:
@@ -782,9 +793,10 @@ def verify_max_eig_certificates(jmats: np.ndarray, ys) -> tuple[np.ndarray, list
     lambda_max((id ⊗ T)(Y) + J), from one partial transpose and one stacked
     eigvalsh, and the checks of its Y block."""
     ys = _y_stack(ys, jmats)
+    checks = _psd_checks([("Y", ys)])
     n = math.isqrt(jmats.shape[-1])
     values = matcore.eigvalsh(bipartite.partial_transpose(ys, n, n) + jmats)[:, 0]
-    return values, _psd_checks([("Y", ys)])
+    return values, checks
 
 
 def max_eig_certificate(phi: posmaps.MapSpec) -> np.ndarray:

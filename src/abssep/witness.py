@@ -26,6 +26,12 @@ SPLIT_LOW = -1.0 / (2.0 * math.sqrt(2.0))   # approx -0.353553
 SPLIT_HIGH = (1.0 - math.sqrt(2.0)) / 2.0   # approx -0.207107
 
 _DOMAIN_SLACK = 1e-12
+TRACE_TOL = 1e-9  # |tr W - 1| a witness may have; summarize does not renormalize
+# ell and (1 - ||W||_tr)/2, from the same eigenvalues, differ by |tr W - 1|/2 plus
+# rounding: below TRACE_TOL/2 once the trace check passes, so no input reaches
+# this check's refusing side, and only its accepting side is pinned
+ELL_AGREEMENT_TOL = 1e-9
+THRESHOLD_SLACK = 1e-12  # mu1 this far above the threshold is rounding: still Guaranteed
 
 
 class DetectionVerdict(Enum):
@@ -66,12 +72,12 @@ def summarize(w) -> WitnessSummary:
     """Eigenvalue summary of a unit-trace Hermitian witness."""
     eigs = matcore.eigvalsh(w)
     trace = float(np.sum(eigs))
-    if abs(trace - 1.0) > 1e-9:
+    if abs(trace - 1.0) > TRACE_TOL:
         raise UnnormalizedWitness(f"witness trace is {trace:.12g}, expected 1")
     neg = eigs[eigs < 0.0]
     ell = float(np.sum(neg))
     ell_from_trace_norm = (1.0 - float(np.sum(np.abs(eigs)))) / 2.0
-    if abs(ell - ell_from_trace_norm) > 1e-9:
+    if abs(ell - ell_from_trace_norm) > ELL_AGREEMENT_TOL:
         raise ToolkitError("negative-eigenvalue sum disagrees with trace-norm formula")
     # count only eigenvalues beyond the eigensolver's backward error, size*eps*max|lambda|
     noise = eigs.size * np.finfo(np.float64).eps * float(np.max(np.abs(eigs)))
@@ -88,7 +94,7 @@ def cannot_detect_abs_ppt(ws: WitnessSummary) -> DetectionVerdict:
     """
     if not ws.ell >= -0.5 - _DOMAIN_SLACK:
         return DetectionVerdict.INCONCLUSIVE
-    if ws.mu1 <= detection_threshold(ws.ell) + 1e-12:
+    if ws.mu1 <= detection_threshold(ws.ell) + THRESHOLD_SLACK:
         return DetectionVerdict.GUARANTEED
     return DetectionVerdict.INCONCLUSIVE
 

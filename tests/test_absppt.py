@@ -319,3 +319,45 @@ def test_spectrum_from_state():
     rho /= np.trace(rho).real
     s = Spectrum.from_state(rho, 3, 3)
     assert np.allclose(s.values, np.linalg.eigvalsh(rho)[::-1], atol=1e-10)
+
+
+def _gb_operator(value: float) -> np.ndarray:
+    """A diagonal (2, 2) operator whose gurvits_barnum_value is value: 1 + a u
+    with u a unit vector orthogonal to the ones, a² = d v² / (d - v²)."""
+    u = np.array([3.0, -1.0, -1.0, -1.0]) / math.sqrt(12.0)
+    return np.diag(1.0 + math.sqrt(4.0 * value**2 / (4.0 - value**2)) * u)
+
+
+# (what, the tolerance's value, a call at a multiple x of it that returns
+# whether the input is accepted): SPECTRUM_CLAMP_TOL, SPECTRUM_SUM_TOL,
+# GB_RADIUS_SLACK and RANK_ZERO_TOL each accept at 0.9 of the value and refuse
+# at 1.1, so loosening or tightening one tenfold fails a side. The values are
+# literals, so that the inputs do not move with the constants
+TOLERANCE_BOUNDARIES = [
+    ("clamp", 1e-12, lambda x: Spectrum(2, 2, [0.4, 0.3, 0.3 + x, -x]).values[-1] == 0.0),
+    ("sum", 1e-10, lambda x: Spectrum(2, 2, [0.4 + x, 0.3, 0.2, 0.1]).values[0] == 0.4 + x),
+    ("gurvits-barnum", 1e-12,
+     lambda x: absppt.gurvits_barnum_abs_sep(_gb_operator(1.0 + x), 2, 2)),
+    ("rank", 1e-12,
+     lambda x: absppt.rank_deficient_classification(
+         Spectrum(2, 2, [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0 - x, x]))
+     is RankVerdict.ABSOLUTELY_SEPARABLE),
+]
+
+
+@pytest.mark.parametrize("what, tol, accepts", TOLERANCE_BOUNDARIES,
+                         ids=[t[0] for t in TOLERANCE_BOUNDARIES])
+def test_named_tolerances_hold_their_boundary(what, tol, accepts):
+    assert accepts(0.9 * tol)
+    try:
+        refused = not accepts(1.1 * tol)
+    except InvalidState:  # the spectrum checks refuse by raising
+        refused = True
+    assert refused
+
+
+def test_gb_operator_lands_on_its_value():
+    # the gurvits-barnum boundary inputs sit where they are meant to, well
+    # within the 0.1 tol margin of the test above
+    for value in (1.0 + 0.9e-12, 1.0 + 1.1e-12):
+        assert abs(absppt.gurvits_barnum_value(_gb_operator(value), 2, 2) - value) <= 2e-14

@@ -977,3 +977,26 @@ def test_module_entry_points_run_without_warnings():
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["classification"] == "Unknown"
+
+
+def test_verify_certificates_prints_a_non_hermitian_dual_as_rejected(monkeypatch, capsys):
+    # a witness dual Z off by more than the Hermitian gateway allows is a
+    # rejected row, exit 2, not an input error; every other row keeps its bytes
+    from abssep import witness
+
+    argv = ["verify-certificates", "--grid", "3", "--bh-dims", "4"]
+    clean = run_cli(argv, capsys)[1].splitlines()
+    real = witness.detection_dual_certificate
+
+    def skewed(ell, mn):
+        mu, z = real(ell, mn)
+        return mu, (z + np.array([[0.0, 5.0], [0.0, 0.0]]) if ell == -0.3 else z)
+
+    monkeypatch.setattr(witness, "detection_dual_certificate", skewed)
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    lines = out.splitlines()
+    changed = [k for k, (a, b) in enumerate(zip(clean, lines)) if a != b]
+    assert len(lines) == len(clean) and changed == [4]
+    assert lines[4] == ("witness-dual ell=-0.3,nan,nan,"
+                        "rejected: Z0: matrix is not Hermitian (defect 7.071e+00)")

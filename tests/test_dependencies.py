@@ -1,11 +1,20 @@
 """numpy is the package's only runtime dependency: every module under
 src/abssep imports only the standard library, numpy and the package itself.
-The benchmark harness under perfbench/ reads only names the package has."""
+The benchmark harness under perfbench/ reads only names the package has.
+The package loads its submodules on first use, with the same public names,
+and each command loads only the modules it calls. The private numpy gufuncs
+the solver calls exist, with the signatures it passes."""
 
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
 import sys
+
+import numpy as np
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "abssep"
@@ -70,3 +79,113 @@ def test_perfbench_reads_only_names_the_package_has():
     missing = sorted({f"{name}: abssep.{module}.{attr}" for name, module, attr in reads
                       if not hasattr(importlib.import_module(f"abssep.{module}"), attr)})
     assert not missing, missing
+
+
+# the public surface of abssep, as the package listed it when it imported
+# every submodule eagerly; loading on first use keeps it name for name
+PUBLIC_NAMES = [
+    "AbsPptVerdict", "DetectionVerdict", "MapSpec", "Spectrum", "WitnessSummary", "absppt",
+    "apply_id_tensor", "bipartite", "breuer_hall_map", "cannot_detect_abs_ppt", "choi_map",
+    "choi_matrix", "detection_threshold", "diamond_norm_ub", "dual_map", "eigh", "eigvalsh",
+    "families", "generalized_choi_map", "haar_unitary", "is_abs_ppt", "is_psd", "kron",
+    "matcore", "max_eig_ub", "max_entangled", "min_witness_over_abs_ppt", "operator_schmidt",
+    "partial_trace", "partial_transpose", "posmaps", "realign", "reduction_map",
+    "sample_abs_ppt_spectrum", "schatten_norm", "sdpsolve", "solve", "summarize",
+    "swap_operator", "vector_schmidt", "witness", "witness_from_map", "witness_from_schmidt",
+]
+SUBMODULES = ["absppt", "bipartite", "families", "matcore", "posmaps", "sdpsolve", "witness"]
+
+
+def test_every_public_name_is_its_modules_own_object():
+    import abssep
+
+    assert abssep.__all__ == PUBLIC_NAMES
+    for name in abssep.__all__:
+        value = getattr(abssep, name)
+        if name in SUBMODULES:
+            assert value is sys.modules[f"abssep.{name}"] is importlib.import_module(f"abssep.{name}")
+        else:
+            assert value is getattr(sys.modules[value.__module__], name), name
+
+
+def test_dir_and_star_import_cover_all():
+    import abssep
+
+    assert set(abssep.__all__) <= set(dir(abssep))
+    namespace = {}
+    exec("from abssep import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(abssep.__all__)
+
+
+def test_an_unknown_name_raises_the_standard_attribute_error():
+    import abssep
+
+    with pytest.raises(AttributeError, match=r"^module 'abssep' has no attribute 'no_such_name'$"):
+        abssep.no_such_name
+    with pytest.raises(ImportError, match="cannot import name 'no_such_name' from 'abssep'"):
+        exec("from abssep import no_such_name", {})
+
+
+# run in a fresh process: print, at exit, the abssep modules it has loaded
+_REPORT_MODULES = ("import atexit, sys\n"
+                   "atexit.register(lambda: print(*sorted(m for m in sys.modules\n"
+                   "    if m.split('.')[0] == 'abssep'), file=sys.stderr))\n")
+# `python -m abssep ARGS`, as runpy runs it, after _REPORT_MODULES
+_RUN_MAIN = "import runpy\nsys.argv[0] = 'abssep'\nrunpy.run_module('abssep', run_name='__main__')\n"
+
+
+def _loaded_modules(code: str, *args: str) -> set[str]:
+    """The abssep modules loaded by a fresh process that runs code with args."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _REPORT_MODULES + code, *args], env=env,
+                          cwd=ROOT, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+@pytest.fixture(scope="module")
+def spectrum_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spectra") / "uniform33.json"
+    path.write_text(json.dumps({"m": 3, "n": 3, "values": [1.0 / 9.0] * 9}))
+    return str(path)
+
+
+def test_each_command_loads_only_the_modules_it_uses(spectrum_file):
+    # every command needs the LMI tolerance absppt defines for its parser; what
+    # else a command loads is what it calls, and no command loads them all
+    base = {"abssep", "abssep.cli", "abssep.errors", "abssep.matcore", "abssep.bipartite",
+            "abssep.absppt"}
+    assert _loaded_modules("import abssep") == {"abssep"}
+    assert _loaded_modules(_RUN_MAIN, "check-spectrum", spectrum_file) == base
+    assert _loaded_modules(_RUN_MAIN, "orbit-scan", spectrum_file, "--criterion", "choi",
+                           "--samples", "3") == base | {"abssep.posmaps"}
+    assert _loaded_modules(_RUN_MAIN, "family", "werner", "--n", "3", "--alpha", "0.2") == (
+        base | {"abssep.families"})
+    assert _loaded_modules(_RUN_MAIN, "verify-certificates", "--grid", "2", "--bh-dims", "4") == (
+        base | {"abssep.posmaps", "abssep.sdpsolve", "abssep.witness"})
+
+
+@pytest.mark.parametrize("name, signature", [
+    ("cholesky_lo", "d->d"), ("cholesky_lo", "D->D"), ("inv", "d->d"), ("inv", "D->D"),
+    ("solve1", "dd->d"), ("eigvalsh_lo", "d->d"), ("eigvalsh_lo", "D->d"),
+])
+def test_the_private_numpy_gufuncs_the_solver_calls(name, signature):
+    # sdpsolve calls numpy.linalg's LAPACK gufuncs directly, by these names and
+    # signatures; a numpy without one fails here, not inside a solve
+    from numpy.linalg import _umath_linalg
+
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((2, 4, 4))
+    if signature[0] == "D":
+        a = a + 1j * rng.standard_normal((2, 4, 4))
+    a = a @ a.conj().swapaxes(-1, -2) + 4.0 * np.eye(4)  # Hermitian positive definite
+    gufunc = getattr(_umath_linalg, name)
+    if name == "solve1":
+        b = rng.standard_normal((2, 4))
+        got, want = gufunc(a, b, signature=signature), np.linalg.solve(a, b[..., np.newaxis])[..., 0]
+    else:
+        got = gufunc(a, signature=signature)
+        want = {"cholesky_lo": np.linalg.cholesky, "inv": np.linalg.inv,
+                "eigvalsh_lo": np.linalg.eigvalsh}[name](a)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -576,17 +576,45 @@ def test_verifiers_reject_a_wrong_shaped_y(kind):
 ])
 def test_psd_checks_raise_the_gateway_messages(defect, message):
     # the screen runs first, through the gateway of eigvalsh, so NaN input and
-    # far-from-Hermitian input raise psd_test's InvalidMatrix, message and all
+    # far-from-Hermitian input raise psd_test's InvalidMatrix, message and all;
+    # _psd_checks raises it as a rejected certificate that names the block
     stack = np.stack([np.eye(3, dtype=np.complex128)] * 4)
     if defect == "nan":
         stack[2, 1, 1] = np.nan
     else:
         stack[2, 0, 1] = 1.0  # its mirror stays 0
     for check in (lambda: matcore.psd_test(stack, sdpsolve.CERT_PSD_TOL),
-                  lambda: matcore.psd_screen(stack, sdpsolve.CERT_PSD_TOL),
-                  lambda: sdpsolve._psd_checks([("Y", stack)])):
+                  lambda: matcore.psd_screen(stack, sdpsolve.CERT_PSD_TOL)):
         with pytest.raises(InvalidMatrix, match=f"^{re.escape(message)}$"):
             check()
+    with pytest.raises(CertificateRejected, match=f"^Y: {re.escape(message)}$"):
+        sdpsolve._psd_checks([("Y", stack)])
+
+
+def test_a_non_hermitian_or_non_finite_block_is_a_rejected_certificate():
+    # a Z or Y that the Hermitian gateway refuses is a failed certificate, named
+    # by its block, not an InvalidMatrix from inside the value's computation
+    mu, z = witness.detection_dual_certificate(-0.45, 9)
+    with pytest.raises(CertificateRejected,
+                       match=r"^Z0: matrix is not Hermitian \(defect 7\.071e\+00\)$"):
+        sdpsolve.verify_min_witness_certificate(mu, (3, 3), "submatrix2x2",
+                                                [z + np.array([[0.0, 5.0], [0.0, 0.0]])])
+    phi = posmaps.breuer_hall_map(4)
+    y = sdpsolve.max_eig_certificate(phi)
+    skew, nan = y.copy(), y.copy()
+    skew[0, 1] += 1.0
+    nan[0, 1] = np.nan
+    with pytest.raises(CertificateRejected,
+                       match=r"^Y: matrix is not Hermitian \(defect 1\.414e\+00\)$"):
+        sdpsolve.verify_max_eig_certificate(phi, skew)
+    for kind, block in (("diamond", "Y - J"), ("max_eig", "Y")):
+        with pytest.raises(CertificateRejected, match=f"^{re.escape(block)}: matrix has non-finite"):
+            _verify_one(kind, phi, nan)
+    # the gateway's own slack still passes: a defect below HERMITIZE_TOL verifies
+    # to the value of the exact certificate, to rounding
+    near = y.copy()
+    near[0, 1] += 1e-10
+    assert abs(sdpsolve.verify_max_eig_certificate(phi, near) - 0.5) <= 1e-9
 
 
 def test_psd_checks_fall_back_to_psd_test_for_a_failing_stack_only():

@@ -296,3 +296,34 @@ def test_guaranteed_witness_never_detects_sampled_orbits():
             u = bipartite.haar_unitary(9, rng)
             rho = (u * spec.values) @ u.conj().T
             assert np.trace(w @ rho).real >= -1e-8
+
+
+def _diagonal_witness(trace_error: float) -> np.ndarray:
+    # a witness with one negative eigenvalue and trace 1 + trace_error
+    return np.diag([0.6 + trace_error, 0.3, 0.2, 0.1, 0.0, 0.0, 0.0, 0.0, -0.2])
+
+
+@pytest.mark.parametrize("trace_error, accepted", [(0.9e-9, True), (1.1e-9, False)])
+def test_trace_tol_boundary(trace_error, accepted):
+    # TRACE_TOL = 1e-9: a witness off unit trace by 0.9e-9 is summarized, by
+    # 1.1e-9 refused. The accepted one also pins ELL_AGREEMENT_TOL from below:
+    # its two ell differ by 4.5e-10, which a tenfold tighter tolerance refuses
+    w = _diagonal_witness(trace_error)
+    if not accepted:
+        with pytest.raises(UnnormalizedWitness):
+            witness.summarize(w)
+        return
+    summary = witness.summarize(w)
+    assert summary.ell == -0.2 and summary.neg_count == 1
+    trace_norm_ell = (1.0 - float(np.sum(np.abs(np.diag(w))))) / 2.0
+    assert abs(summary.ell - trace_norm_ell) > 4e-10
+
+
+@pytest.mark.parametrize("excess, verdict", [
+    (0.9e-12, DetectionVerdict.GUARANTEED), (1.1e-12, DetectionVerdict.INCONCLUSIVE)])
+def test_threshold_slack_boundary(excess, verdict):
+    # THRESHOLD_SLACK = 1e-12: mu1 that far above the threshold is still Guaranteed
+    for ell in (-0.45, -0.3, -0.1):
+        mu1 = witness.detection_threshold(ell) + excess
+        summary = witness.WitnessSummary(mu1=mu1, ell=ell, neg_count=1, trace=1.0)
+        assert witness.cannot_detect_abs_ppt(summary) is verdict
