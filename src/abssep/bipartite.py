@@ -2,10 +2,11 @@
 
 Kronecker products, partial trace/transpose, the realignment rearrangement,
 operator- and vector-Schmidt decompositions, standard states and operators,
-and Haar-random unitary sampling. A stack of Haar draws takes its Philox keys
-from stream_keys, which derives SeedSequence(seed, spawn_key=(i,))'s key for
-every stream i in one vectorized pass, and re-keys one generator per draw, built
-once per scan; the draws equal those from one rng_stream(seed, i) per stream.
+and Haar-random unitary sampling. A stack of k Haar unitaries is drawn from one
+generator in one call, _haar_from_ginibre(_ginibre(rng, n, k)): slice i equals
+the i-th of k haar_unitary(n, rng) calls, so a stack drawn in chunks equals one
+drawn whole, and the first k draws of a generator do not depend on how many
+follow.
 
 Index convention: an operator X on M_m ⊗ M_n is an (mn)x(mn) array whose
 row index is the row-major pair (i, k) with i in [m], k in [n]. The
@@ -152,48 +153,12 @@ def rng_stream(seed: int, stream: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-# numpy's SeedSequence on 32-bit words: its k-th hash XORs a word with INIT·MULT^k,
-# multiplies by INIT·MULT^(k+1) and folds the high half in. Entropy words are hashed
-# (A) and mixed (MIX) into a pool of 4; the output is the pool hashed again (B).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash(words: np.ndarray, init: int, mult: int, first: int) -> np.ndarray:
-    """Hashes first, ..., first + 3 of words[..., 0], ..., words[..., 3]."""
-    h = [init * pow(mult, k, 1 << 32) & _MASK32 for k in range(first, first + 5)]
-    h = np.array(h, dtype=np.uint64)
-    words = (words ^ h[:4]) * h[1:] & _MASK32
-    return words ^ words >> 16
-
-
-def stream_keys(seed: int, streams) -> np.ndarray:
-    """Philox keys of rng_stream(seed, s) for each s in streams, a (k, 2) uint64 array.
-
-    Row i is SeedSequence(seed, spawn_key=(streams[i],)).generate_state(2, np.uint64).
-    Only the stream word's mix and the output hash differ between streams.
-    """
-    seed, s = int(seed), np.asarray(streams)
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    if s.ndim != 1 or s.size and (s.dtype.kind not in "iu" or s.min() < 0 or s.max() > _MASK32):
-        raise ValueError("streams must be a 1-d sequence of integers in [0, 2**32)")
-    # A spawned sequence pads the seed words with zeros to the pool size, so its pool
-    # before the stream word is that of the padded words alone, after 4 hashes each.
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    pool = np.random.SeedSequence(words).pool.astype(np.uint64)
-    v = _hash(s.astype(np.uint64)[:, np.newaxis], _INIT_A, _MULT_A, 4 * len(words))
-    v = _MIX_L * pool - _MIX_R * v & _MASK32  # mix the stream word into each pool word
-    v = _hash(v ^ v >> 16, _INIT_B, _MULT_B, 0)  # generate_state's output hash
-    return v[:, 0::2] | v[:, 1::2] << 32
-
-
-def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Complex Ginibre matrix A + iB, A and B drawn from rng in one call."""
-    g = rng.standard_normal((2, n, n))
-    return g[0] + 1j * g[1]
+def _ginibre(rng: np.random.Generator, n: int, count: int | None = None) -> np.ndarray:
+    """Complex Ginibre matrix A + iB, A and B drawn from rng in one call; or a
+    [count, n, n] stack of them, all drawn in one call, whose slice i is the
+    matrix that the i-th of count single calls would draw."""
+    g = rng.standard_normal((2, n, n) if count is None else (count, 2, n, n))
+    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
 
 
 def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
@@ -202,28 +167,6 @@ def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(z / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., np.newaxis, :]
-
-
-def _haar_sampler(n: int):
-    """draw(keys): n x n Haar unitaries, one per Philox key (see stream_keys);
-    slice i equals haar_unitary(n, g) for g a fresh Philox generator keyed
-    keys[i], and one QR does all. One generator is built and re-keyed per slice,
-    so a scan drawing stack after stack pays its ~20 us build only once."""
-    if n < 1:
-        raise InvalidDim("n must be >= 1")
-    bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
-    state = bitgen.state  # counter 0 and an empty buffer, as in any fresh generator
-
-    def draw(keys) -> np.ndarray:
-        g = np.empty((len(keys), 2, n, n))
-        for k, key in enumerate(keys):
-            state["state"]["key"] = key
-            bitgen.state = state
-            rng.standard_normal(out=g[k])
-        return _haar_from_ginibre(g[:, 0] + 1j * g[:, 1])
-
-    return draw
 
 
 def haar_unitary(n: int, seed: int | np.random.Generator) -> np.ndarray:

@@ -38,8 +38,8 @@ EXIT_INPUT = 3
 # An orbit-scan stack holds max(ORBIT_CHUNK, ORBIT_ENTRIES // d²) Haar samples of
 # d x d, d = mn. Up to d = 16 the budget bounds the per-chunk stacks (the draws, the
 # rotated states and what the criterion builds from them) at the entries of a (4,4)
-# stack of 16; above it a stack holds 16 samples. The keys and the output stay
-# O(count), at 24 bytes per sample.
+# stack of 16; above it a stack holds 16 samples. The output stays O(count), at
+# 8 bytes per sample.
 ORBIT_CHUNK = 16  # fewest Haar samples per stacked draw
 ORBIT_ENTRIES = 4096  # matrix entries per stacked draw, where that is more samples
 CERT_CHUNK = 128  # grid maps per stack, built and verified at once; bounds working memory
@@ -50,6 +50,11 @@ HULL_POINTS = (
     (6.0 / 5.0, 6.0 / 5.0),
     (0.0, 3.0 * (math.sqrt(2.0) - 1.0)),
 )  # counterclockwise
+# how far below 0 _in_hull's edge functions may fall at a point it counts as in the
+# hull: a point computed on a slanted edge, x0 + t (x1 - x0), y0 + t (y1 - y0),
+# reads up to ~1.5e-16 either side of 0. The grid points on edges (the axes and the
+# vertex (6/5, 6/5)) read exactly 0, so the phi_bc_region grid never uses it
+HULL_EDGE_TOL = 1e-12
 
 
 def _float_strings(values: np.ndarray, spec: str, special: dict | None = None) -> list[str]:
@@ -193,17 +198,36 @@ def _witness_dual_columns(tol: float) -> tuple:
     return _certificate_columns(names, values, [0.0] * len(names), failures, tol)
 
 
+def _verified(verify, jmats: np.ndarray, ys) -> tuple[np.ndarray, dict[int, str]]:
+    """(values, {k: message}) of a stacked verifier on k maps, checked in one
+    call. A stack it rejects whole (a wrong shape, a non-finite or non-Hermitian
+    Y) is checked again one map at a time, so only the maps at fault print
+    rejected, with nan for their value."""
+    from . import sdpsolve
+    try:
+        values, checks = verify(jmats, ys)
+    except CertificateRejected:
+        values, failures = np.full(len(jmats), math.nan), {}
+        for k in range(len(jmats)):
+            try:
+                values[k] = sdpsolve._one(*verify(jmats[k:k + 1], ys[k:k + 1]))
+            except CertificateRejected as exc:
+                failures[k] = str(exc)
+        return values, failures
+    return values, sdpsolve.certificate_failures(checks)
+
+
 def _map_certificate_columns(labels, certs, tol: float) -> tuple:
     """The diamond and max-eig rows of the k maps of an sdpsolve.CertificateStack,
-    as columns: map i gives rows 2i and 2i + 1. Both verifiers check the whole
-    stack at once."""
+    as columns: map i gives rows 2i and 2i + 1. Each verifier checks the whole
+    stack at once, unless it rejects the stack whole (see _verified)."""
     from . import sdpsolve
-    diamond, diamond_checks = sdpsolve.verify_diamond_certificates(certs.jmats, certs.diamond_ys)
-    max_eig, max_eig_checks = sdpsolve.verify_max_eig_certificates(certs.jmats, certs.max_eig_ys)
-    failures = {2 * k: message
-                for k, message in sdpsolve.certificate_failures(diamond_checks).items()}
-    failures.update((2 * k + 1, message)
-                    for k, message in sdpsolve.certificate_failures(max_eig_checks).items())
+    diamond, diamond_failures = _verified(
+        sdpsolve.verify_diamond_certificates, certs.jmats, certs.diamond_ys)
+    max_eig, max_eig_failures = _verified(
+        sdpsolve.verify_max_eig_certificates, certs.jmats, certs.max_eig_ys)
+    failures = {2 * k: message for k, message in diamond_failures.items()}
+    failures.update((2 * k + 1, message) for k, message in max_eig_failures.items())
     names = [f"{kind} {label}" for label in labels for kind in ("diamond", "max-eig")]
     return _certificate_columns(
         names, np.stack([diamond, max_eig], axis=1).ravel(),
@@ -259,7 +283,7 @@ def _in_hull(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Elementwise: (b, c) lies in the convex hull of HULL_POINTS."""
     inside = np.ones(b.shape, dtype=bool)
     for (x0, y0), (x1, y1) in zip(HULL_POINTS, HULL_POINTS[1:] + HULL_POINTS[:1]):
-        inside &= (x1 - x0) * (c - y0) - (y1 - y0) * (b - x0) >= -1e-12
+        inside &= (x1 - x0) * (c - y0) - (y1 - y0) * (b - x0) >= -HULL_EDGE_TOL
     return inside
 
 
@@ -316,12 +340,14 @@ def cmd_fig_data(args) -> tuple[str, int]:
 def _orbit_violations(spec, criterion, b, c, seed, count) -> np.ndarray:
     """Violation of the criterion on each of count Haar rotations of the spectrum.
 
-    Sample i is rotated by a unitary drawn from rng_stream(seed, i), keyed by
-    one stream_keys call for all samples and drawn by one re-keyed generator.
-    Samples are processed max(ORBIT_CHUNK, ORBIT_ENTRIES // d²) at a time as
-    one stack, d = mn: all 100 of a default scan at d <= 6, 50 at d = 9 and
-    16 at d >= 16. Each sample has its own stream key, so the result does not
-    depend on the chunking.
+    Every unitary comes from one generator, rng_stream(seed, 0): sample i is
+    rotated by the i-th of count bipartite.haar_unitary(mn, rng) draws. So the
+    first k samples of a scan are those of any longer scan with the same seed,
+    and a one-sample scan draws what haar_unitary(mn, rng_stream(seed, 0))
+    does. Samples are processed max(ORBIT_CHUNK, ORBIT_ENTRIES // d²) at a
+    time as one stack, d = mn, its Ginibre normals drawn in one call: all 100
+    of a default scan at d <= 6, 50 at d = 9 and 16 at d >= 16. The stacks
+    take the draws in order, so the result does not depend on the chunking.
     """
     from . import bipartite, matcore, posmaps
     m, n = spec.m, spec.n
@@ -336,12 +362,11 @@ def _orbit_violations(spec, criterion, b, c, seed, count) -> np.ndarray:
     else:
         raise ValueError(f"unknown criterion {criterion!r}")
     out = np.empty(count)
-    keys = bipartite.stream_keys(seed, np.arange(count))
-    haar_unitaries = bipartite._haar_sampler(m * n)
+    rng = bipartite.rng_stream(seed, 0)
     chunk = max(ORBIT_CHUNK, ORBIT_ENTRIES // (m * n) ** 2)
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
-        u = haar_unitaries(keys[start:stop])
+        u = bipartite._haar_from_ginibre(bipartite._ginibre(rng, m * n, stop - start))
         rho = (u * spec.values) @ u.conj().swapaxes(-1, -2)
         if phi is None:
             trace_norms = matcore.singular_values(bipartite.realign(rho, m, n)).sum(axis=-1)

@@ -305,36 +305,21 @@ def test_operator_schmidt_zeroes_only_below_rank_tolerance():
     assert np.allclose(os.coefficients[:2], ref[:2], atol=1e-14)
 
 
-def test_haar_sampler_stack_matches_single_draws():
-    streams = [5, 0, 2**32 - 1]
-    keys = bipartite.stream_keys(4, streams)
+def test_stacked_haar_draw_matches_single_draws():
+    # slice i of one stacked draw is the i-th haar_unitary draw of the same generator,
+    # and stacks drawn one after another equal one stack drawn whole
     for n in (1, 4, 9, 16):
-        stack = bipartite._haar_sampler(n)(keys)
+        rng = bipartite.rng_stream(4, 0)
+        stack = bipartite._haar_from_ginibre(bipartite._ginibre(rng, n, 3))
         assert stack.shape == (3, n, n)
-        for u, s in zip(stack, streams):
-            assert np.array_equal(u, bipartite.haar_unitary(n, bipartite.rng_stream(4, stream=s)))
+        rng = bipartite.rng_stream(4, 0)
+        for u in stack:
+            assert np.array_equal(u, bipartite.haar_unitary(n, rng))
             assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-10
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2024, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5])
-def test_stream_keys_match_seed_sequence(seed):
-    # 2**130 + 5 has five 32-bit words, one more than SeedSequence's pool
-    streams = [*range(41), 2**32 - 1]
-    expected = [
-        np.random.SeedSequence(seed, spawn_key=(s,)).generate_state(2, np.uint64) for s in streams
-    ]
-    keys = bipartite.stream_keys(seed, streams)
-    assert keys.dtype == np.uint64
-    assert np.array_equal(keys, expected)
-    # the key Philox takes from that sequence
-    philox = bipartite.rng_stream(seed, streams[-1]).bit_generator
-    assert np.array_equal(keys[-1], philox.state["state"]["key"])
-
-
-@pytest.mark.parametrize("seed, stream", [(3, -1), (3, 2**32), (-1, 0)])
-def test_stream_keys_reject_negative_seeds_and_streams_outside_one_word(seed, stream):
-    with pytest.raises(ValueError):
-        bipartite.stream_keys(seed, [0, stream])
+    rng = bipartite.rng_stream(9, 0)
+    chunks = [bipartite._ginibre(rng, 4, k) for k in (3, 1, 0, 3)]
+    assert chunks[2].shape == (0, 4, 4)
+    assert np.array_equal(np.concatenate(chunks), bipartite._ginibre(bipartite.rng_stream(9, 0), 4, 7))
 
 
 def test_stacked_realign_matches_per_matrix():
@@ -380,17 +365,3 @@ def test_partial_transpose_and_trace_keep_real_input_real():
         assert op(np.eye(6, dtype=int)).dtype == np.float64
     with pytest.raises(InvalidMatrix):
         bipartite.partial_transpose(np.full((6, 6), np.nan), 2, 3)
-
-
-def test_haar_sampler_reuses_one_generator_across_stacks():
-    # the orbit scan draws chunk after chunk from one sampler; each chunk
-    # equals the stack of a fresh sampler and the single rng_stream draws
-    keys = bipartite.stream_keys(9, np.arange(7))
-    draw = bipartite._haar_sampler(4)
-    chunks = [draw(keys[:3]), draw(keys[3:4]), draw(keys[4:])]
-    assert np.array_equal(np.concatenate(chunks), bipartite._haar_sampler(4)(keys))
-    for i, u in enumerate(np.concatenate(chunks)):
-        assert np.array_equal(u, bipartite.haar_unitary(4, bipartite.rng_stream(9, stream=i)))
-    assert draw(keys[:0]).shape == (0, 4, 4)
-    with pytest.raises(InvalidDim):
-        bipartite._haar_sampler(0)

@@ -576,6 +576,18 @@ def test_fig_data_phi_bc_region_hull(tmp_path, capsys):
     assert outside[5] == "0"
 
 
+@pytest.mark.parametrize("fraction, inside", [(0.9, True), (1.1, False)])
+def test_hull_edge_tol_boundary(fraction, inside):
+    # HULL_EDGE_TOL = 1e-12: a point below the b axis, an edge of the hull, by
+    # fraction * 1e-12 in its edge function (3(sqrt2 - 1) c) is in the hull at 0.9
+    # and out of it at 1.1; so is one left of the c axis
+    (x1, _), (_, y3) = cli.HULL_POINTS[1], cli.HULL_POINTS[3]
+    offset = -fraction * 1e-12
+    b = np.array([0.5, offset / y3])
+    c = np.array([offset / x1, 0.5])
+    assert cli._in_hull(b, c).tolist() == [inside, inside]
+
+
 def test_fig_data_gen_choi_ub_values(tmp_path, capsys):
     code, out = run_cli(["fig-data", "gen_choi_ub", "--grid", "21"], capsys)
     assert code == 0
@@ -637,44 +649,43 @@ PURE_33 = [1.0] + [0.0] * 8
 SPEC_23 = [0.3, 0.2, 0.15, 0.15, 0.1, 0.1]
 SPEC_24 = [0.2, 0.16, 0.14, 0.12, 0.11, 0.1, 0.09, 0.08]
 
-# orbit-scan output captured from the per-sample loop the chunked scan replaced
+# orbit-scan output, its max_violation the max of reference_violations below
 GOLDEN_ORBIT = [
     ((3, 3, SPEC_33), ["--criterion", "realignment", "--samples", "40", "--seed", "9"], 0,
-     '{"criterion": "realignment", "max_violation": -0.3853543398703815, "samples": 40, '
+     '{"criterion": "realignment", "max_violation": -0.38894935205373615, "samples": 40, '
      '"seed": 9, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
     ((3, 3, SPEC_33), ["--criterion", "choi", "--samples", "40", "--seed", "9"], 0,
-     '{"criterion": "choi", "max_violation": -0.07418105524737659, "samples": 40, '
+     '{"criterion": "choi", "max_violation": -0.07550559459676234, "samples": 40, '
      '"seed": 9, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
     ((3, 3, SPEC_33), ["--criterion", "gen_choi", "--samples", "40", "--seed", "9",
                        "--b", "1.2", "--c", "1.2"], 0,
-     '{"criterion": "gen_choi", "max_violation": -0.05637078935413884, "samples": 40, '
+     '{"criterion": "gen_choi", "max_violation": -0.05845137872268671, "samples": 40, '
      '"seed": 9, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
     ((4, 4, SPEC_44), ["--criterion", "breuer_hall", "--samples", "40", "--seed", "9"], 0,
-     '{"criterion": "breuer_hall", "max_violation": -0.05344286061810128, "samples": 40, '
+     '{"criterion": "breuer_hall", "max_violation": -0.05346256848479202, "samples": 40, '
      '"seed": 9, "tolerance": 1e-08, "verdict": "NecessaryPassedOnly", "violated": false}\n'),
     ((4, 4, SPEC_44), ["--criterion", "realignment", "--samples", "40", "--seed", "9"], 0,
-     '{"criterion": "realignment", "max_violation": -0.6523471509714702, "samples": 40, '
+     '{"criterion": "realignment", "max_violation": -0.6526184375611459, "samples": 40, '
      '"seed": 9, "tolerance": 1e-08, "verdict": "NecessaryPassedOnly", "violated": false}\n'),
     ((3, 3, PURE_33), ["--criterion", "realignment", "--samples", "17", "--seed", "2"], 2,
-     '{"criterion": "realignment", "max_violation": 1.6566826138580582, "samples": 17, '
+     '{"criterion": "realignment", "max_violation": 1.4904131648196253, "samples": 17, '
      '"seed": 2, "tolerance": 1e-08, "verdict": "No", "violated": true}\n'),
     ((3, 3, PURE_33), ["--criterion", "choi", "--samples", "17", "--seed", "2"], 2,
-     '{"criterion": "choi", "max_violation": 0.146834349316344, "samples": 17, '
+     '{"criterion": "choi", "max_violation": 0.1415465320894902, "samples": 17, '
      '"seed": 2, "tolerance": 1e-08, "verdict": "No", "violated": true}\n'),
-    # one sample past a full stack of ORBIT_ENTRIES // (mn)² samples (113, 64 and 50),
-    # captured from the scan that took 16 samples per stack
+    # one sample past a full stack of ORBIT_ENTRIES // (mn)² samples (113, 64 and 50)
     ((2, 3, SPEC_23), ["--criterion", "realignment", "--samples", "130", "--seed", "11"], 0,
-     '{"criterion": "realignment", "max_violation": -0.314950555345235, "samples": 130, '
+     '{"criterion": "realignment", "max_violation": -0.3139713165350825, "samples": 130, '
      '"seed": 11, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
     ((2, 4, SPEC_24), ["--criterion", "realignment", "--samples", "65", "--seed", "11"], 0,
-     '{"criterion": "realignment", "max_violation": -0.47630613584189363, "samples": 65, '
+     '{"criterion": "realignment", "max_violation": -0.47451418609838325, "samples": 65, '
      '"seed": 11, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
     ((3, 3, SPEC_33), ["--criterion", "choi", "--samples", "51", "--seed", "11"], 0,
-     '{"criterion": "choi", "max_violation": -0.07457671543822476, "samples": 51, '
+     '{"criterion": "choi", "max_violation": -0.07444202208280358, "samples": 51, '
      '"seed": 11, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
     ((3, 3, SPEC_33), ["--criterion", "gen_choi", "--samples", "51", "--seed", "11",
                        "--b", "1.2", "--c", "1.2"], 0,
-     '{"criterion": "gen_choi", "max_violation": -0.05759937417422228, "samples": 51, '
+     '{"criterion": "gen_choi", "max_violation": -0.0610838361169793, "samples": 51, '
      '"seed": 11, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
 ]
 
@@ -687,16 +698,60 @@ def test_orbit_scan_golden_bytes(tmp_path, capsys, spec, argv, code, expected):
     assert run_cli(["orbit-scan", path, *argv], capsys) == (code, expected)
 
 
+# max_violation of each GOLDEN_ORBIT scan at --samples 1, recorded when sample i was
+# drawn from rng_stream(seed, i): sample 0 came from rng_stream(seed, 0) then too
+ONE_SAMPLE_MAX = ["-0.41311348967158745", "-0.07866299263583676", "-0.06884126588585912",
+                  "-0.05471562054954321", "-0.655635187388728", "1.465370459928173",
+                  "0.11567076943765969", "-0.36668339647100556", "-0.4962498191115111",
+                  "-0.0793968297299329", "-0.06675062039297422"]
+
+
+@pytest.mark.parametrize("golden, max_violation", zip(GOLDEN_ORBIT, ONE_SAMPLE_MAX))
+def test_one_sample_orbit_scan_bytes_are_pinned(tmp_path, capsys, golden, max_violation):
+    from abssep.absppt import Spectrum
+
+    spec, argv, code, expected = golden
+    report = json.loads(expected)
+    samples = argv.index("--samples") + 1
+    argv = argv[:samples] + ["1"] + argv[samples + 1:]
+    expected = re.sub(r'"max_violation": [^,]*, "samples": \d+',
+                      f'"max_violation": {max_violation}, "samples": 1', expected)
+    assert (float(max_violation) > 1e-8) is report["violated"]
+    path = write_spectrum(tmp_path, Spectrum(*spec))
+    assert run_cli(["orbit-scan", path, *argv], capsys) == (code, expected)
+
+
+@pytest.mark.parametrize("criterion, dims, values, k", [
+    ("realignment", (2, 3), SPEC_23, 1),
+    ("realignment", (2, 3), SPEC_23, 40),  # 3k = 120 spans two stacks of 113
+    ("choi", (3, 3), SPEC_33, 2),
+    ("choi", (3, 3), SPEC_33, 20),  # 3k = 60 spans two stacks of 50
+])
+def test_short_scan_reports_the_first_samples_of_a_longer_one(tmp_path, capsys, criterion,
+                                                               dims, values, k):
+    from abssep.absppt import Spectrum
+
+    spec = Spectrum(*dims, values)
+    violations = reference_violations(spec, criterion, 7, 3 * k)
+    path = write_spectrum(tmp_path, spec)
+    for count in (k, 3 * k):
+        argv = ["orbit-scan", path, "--criterion", criterion, "--samples", str(count), "--seed", "7"]
+        _, out = run_cli(argv, capsys)
+        assert json.loads(out)["max_violation"] == np.max(violations[:count])
+
+
 def reference_violations(spec, criterion, seed, count, b=1.2, c=1.2):
-    """One Haar rotation at a time, through the single-matrix kernels."""
+    """One Haar rotation at a time, through the single-matrix kernels, each
+    unitary the next haar_unitary draw of one rng_stream(seed, 0)."""
     phi = {
         "choi": posmaps.choi_map,
         "gen_choi": lambda: posmaps.generalized_choi_map(b, c),
         "breuer_hall": lambda: posmaps.breuer_hall_map(spec.n),
     }.get(criterion, lambda: None)()
     out = []
-    for i in range(count):
-        u = bipartite.haar_unitary(spec.m * spec.n, bipartite.rng_stream(seed, stream=i))
+    rng = bipartite.rng_stream(seed, 0)
+    for _ in range(count):
+        u = bipartite.haar_unitary(spec.m * spec.n, rng)
         rho = (u * spec.values) @ u.conj().T
         if phi is None:
             out.append(bipartite.realign_trace_norm(rho, spec.m, spec.n) - 1.0)
@@ -740,14 +795,14 @@ def _orbit_chunks(m, n, count):
     from abssep.absppt import Spectrum
 
     sizes = []
-    sampler = bipartite._haar_sampler
+    ginibre = bipartite._ginibre
 
-    def counting_sampler(d):
-        draw = sampler(d)
-        return lambda keys: sizes.append(len(keys)) or draw(keys)
+    def counting_ginibre(rng, d, k=None):
+        sizes.append(k)
+        return ginibre(rng, d, k)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bipartite, "_haar_sampler", counting_sampler)
+        patch.setattr(bipartite, "_ginibre", counting_ginibre)
         cli._orbit_violations(Spectrum(m, n, [1.0 / (m * n)] * (m * n)), "realignment", 0.0, 0.0, 1, count)
     return sizes
 
@@ -1000,3 +1055,25 @@ def test_verify_certificates_prints_a_non_hermitian_dual_as_rejected(monkeypatch
     assert len(lines) == len(clean) and changed == [4]
     assert lines[4] == ("witness-dual ell=-0.3,nan,nan,"
                         "rejected: Z0: matrix is not Hermitian (defect 7.071e+00)")
+
+
+def test_verify_certificates_rejects_only_the_map_a_stack_verifier_refuses(monkeypatch, capsys):
+    # a NaN in one grid map's max-eig Y makes the stacked verifier refuse the whole
+    # stack; the maps are then verified one at a time, so only that map's row is
+    # rejected, exit 2, and every other row keeps its bytes
+    argv = ["verify-certificates", "--grid", "3", "--bh-dims", "4"]
+    clean = run_cli(argv, capsys)[1].splitlines()
+    target = (float(np.linspace(0.0, 4.0 / 3.0, 3)[1]), 0.0)
+
+    def edit(certs, k, point):
+        if point == target:
+            certs.max_eig_ys[k, 0, 0] = np.nan
+
+    _edit_gen_choi_certificates(monkeypatch, edit)
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    lines = out.splitlines()
+    changed = [k for k, (a, b) in enumerate(zip(clean, lines)) if a != b]
+    assert len(lines) == len(clean) == 31 and len(changed) == 1
+    assert lines[changed[0]] == ("max-eig gen-choi(0.666667,0),nan,nan,"
+                                 "rejected: Y: matrix has non-finite entries")

@@ -165,10 +165,13 @@ def test_each_command_loads_only_the_modules_it_uses(spectrum_file):
         base | {"abssep.posmaps", "abssep.sdpsolve", "abssep.witness"})
 
 
-@pytest.mark.parametrize("name, signature", [
+SOLVER_GUFUNCS = [
     ("cholesky_lo", "d->d"), ("cholesky_lo", "D->D"), ("inv", "d->d"), ("inv", "D->D"),
     ("solve1", "dd->d"), ("eigvalsh_lo", "d->d"), ("eigvalsh_lo", "D->d"),
-])
+]
+
+
+@pytest.mark.parametrize("name, signature", SOLVER_GUFUNCS)
 def test_the_private_numpy_gufuncs_the_solver_calls(name, signature):
     # sdpsolve calls numpy.linalg's LAPACK gufuncs directly, by these names and
     # signatures; a numpy without one fails here, not inside a solve
@@ -189,3 +192,41 @@ def test_the_private_numpy_gufuncs_the_solver_calls(name, signature):
                 "eigvalsh_lo": np.linalg.eigvalsh}[name](a)
     assert got.dtype == want.dtype and got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def _private_linalg(path: pathlib.Path) -> tuple[list[str], set[str]]:
+    """(ways in, names read) of numpy.linalg._umath_linalg in one module: each
+    import of it, or attribute path to it such as np.linalg._umath_linalg, as
+    text, and the names read off an imported alias; a use of the alias other
+    than a name read counts as the name "<other use>"."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    ways, aliases = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                if "_umath_linalg" in f"{node.module}.{alias.name}":
+                    ways.append(f"from {node.module} import {alias.name}")
+                    aliases.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            ways += [f"import {alias.name}" for alias in node.names if "_umath_linalg" in alias.name]
+        elif isinstance(node, ast.Attribute) and node.attr == "_umath_linalg":
+            ways.append(ast.unparse(node))
+    reads = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id in aliases]
+    uses = sum(isinstance(node, ast.Name) and node.id in aliases for node in ast.walk(tree))
+    return ways, set(reads) | ({"<other use>"} if uses > len(reads) else set())
+
+
+def test_only_the_solver_calls_private_numpy_gufuncs():
+    # numpy.linalg._umath_linalg is private numpy: only sdpsolve imports it, and
+    # only for the gufuncs test_the_private_numpy_gufuncs_the_solver_calls checks.
+    # Calling another one (a direct QR or SVD, say) means extending that test
+    # and settling which numpy versions the package supports
+    allowed = {name for name, _ in SOLVER_GUFUNCS}
+    for path in sorted(PACKAGE.glob("*.py")):
+        ways, reads = _private_linalg(path)
+        if path.name == "sdpsolve.py":
+            assert ways == ["from numpy.linalg import _umath_linalg"]
+            assert reads and reads <= allowed, f"sdpsolve reads {sorted(reads - allowed)}"
+        else:
+            assert not ways and not reads, f"{path.name} reaches _umath_linalg: {ways}"

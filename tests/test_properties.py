@@ -129,13 +129,14 @@ def test_psd_screen_accepts_exactly_rank_one_blocks(d, real, log_norm, seed):
 
 
 @PROPERTY
-@given(
-    seed=st.integers(min_value=0, max_value=2**160 - 1),
-    stream=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_stream_keys_match_seed_sequence(seed, stream):
-    expected = np.random.SeedSequence(seed, spawn_key=(stream,)).generate_state(2, np.uint64)
-    assert np.array_equal(bipartite.stream_keys(seed, [stream])[0], expected)
+@given(seed=st.integers(min_value=0, max_value=2**160 - 1), n=factor_dims,
+       sizes=st.lists(st.integers(min_value=0, max_value=5), max_size=4))
+def test_stacked_ginibre_draws_do_not_depend_on_the_split(seed, n, sizes):
+    # consecutive stacks from one generator concatenate to one stack drawn whole
+    rng = bipartite.rng_stream(seed, 0)
+    parts = [bipartite._ginibre(rng, n, k) for k in sizes]
+    whole = bipartite._ginibre(bipartite.rng_stream(seed, 0), n, sum(sizes))
+    assert np.array_equal(np.concatenate(parts) if parts else whole, whole)
 
 
 @PROPERTY

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from abssep import bipartite, matcore, posmaps, sdpsolve, witness
-from abssep.errors import CertificateRejected, DomainError, UnnormalizedWitness
+from abssep.errors import CertificateRejected, DomainError, ToolkitError, UnnormalizedWitness
 from abssep.witness import DetectionVerdict
 
 R2 = math.sqrt(2.0)
@@ -306,8 +306,8 @@ def _diagonal_witness(trace_error: float) -> np.ndarray:
 @pytest.mark.parametrize("trace_error, accepted", [(0.9e-9, True), (1.1e-9, False)])
 def test_trace_tol_boundary(trace_error, accepted):
     # TRACE_TOL = 1e-9: a witness off unit trace by 0.9e-9 is summarized, by
-    # 1.1e-9 refused. The accepted one also pins ELL_AGREEMENT_TOL from below:
-    # its two ell differ by 4.5e-10, which a tenfold tighter tolerance refuses
+    # 1.1e-9 refused. The accepted one's ell is the sum of its negative
+    # eigenvalues: (1 - ||W||_tr)/2 differs from it by |tr W - 1|/2 = 4.5e-10
     w = _diagonal_witness(trace_error)
     if not accepted:
         with pytest.raises(UnnormalizedWitness):
@@ -327,3 +327,35 @@ def test_threshold_slack_boundary(excess, verdict):
         mu1 = witness.detection_threshold(ell) + excess
         summary = witness.WitnessSummary(mu1=mu1, ell=ell, neg_count=1, trace=1.0)
         assert witness.cannot_detect_abs_ppt(summary) is verdict
+
+
+def _scaled(ops, scale):
+    return [math.sqrt(scale) * op for op in ops]
+
+
+@pytest.mark.parametrize("fraction, accepted", [(0.9, True), (1.1, False)])
+def test_hs_orthonormal_tol_boundary(fraction, accepted):
+    # HS_ORTHONORMAL_TOL = 1e-8 per operator: three traceless matrix units scaled
+    # by sqrt(1 + e) have ||G - I||_F = e sqrt(3), set to fraction * 3e-8
+    units = [np.zeros((3, 3)) for _ in range(3)]
+    for op, (i, j) in zip(units, [(0, 1), (1, 0), (1, 2)]):
+        op[i, j] = 1.0
+    a_ops = _scaled(units, 1.0 + fraction * 1e-8 * math.sqrt(3.0))
+    if accepted:
+        assert witness.schmidt_trace_bound(a_ops, units) == 0.0
+    else:
+        with pytest.raises(ValueError, match="not Hilbert-Schmidt orthonormal"):
+            witness.schmidt_trace_bound(a_ops, units)
+
+
+@pytest.mark.parametrize("fraction, accepted", [(0.9, True), (1.1, False)])
+def test_trace_bound_slack_boundary(fraction, accepted):
+    # TRACE_BOUND_SLACK = 1e-8: at m = n = 2, A = B = sqrt(1 + e) I/sqrt(2) passes
+    # the orthonormality check (e < HS_ORTHONORMAL_TOL) and exceeds sqrt(mn) = 2
+    # by 2e, set to fraction * 1e-8
+    ops = _scaled([np.eye(2) / math.sqrt(2.0)], 1.0 + fraction * 1e-8 / 2.0)
+    if accepted:
+        assert witness.schmidt_trace_bound(ops, ops) == pytest.approx(2.0 + fraction * 1e-8, abs=1e-14)
+    else:
+        with pytest.raises(ToolkitError, match="trace bound violated"):
+            witness.schmidt_trace_bound(ops, ops)
