@@ -33,7 +33,7 @@ class OperatorSchmidt(NamedTuple):
 
 
 def _check_dims(x: np.ndarray, m: int, n: int, stack: bool = False) -> np.ndarray:
-    return _check_shape(matcore.as_complex_matrix(x, stack=stack), m, n)
+    return _check_shape(matcore._as_matrix(x, stack=stack), m, n)
 
 
 def _check_shape(x: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -45,8 +45,9 @@ def _check_shape(x: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with the (i,k),(j,l) pairing convention."""
-    return np.kron(matcore.as_complex_matrix(a), matcore.as_complex_matrix(b))
+    """Kronecker product with the (i,k),(j,l) pairing convention; float64 where
+    a and b are both real, else complex128."""
+    return np.kron(matcore._as_matrix(a), matcore._as_matrix(b))
 
 
 def partial_transpose(x, m: int, n: int) -> np.ndarray:
@@ -129,8 +130,9 @@ def max_entangled(n: int) -> np.ndarray:
 
 
 def max_entangled_projector(n: int) -> np.ndarray:
-    v = max_entangled(n)
-    return np.outer(v, v.conj())
+    """|psi+><psi+| for max_entangled(n), as a real float64 matrix."""
+    v = max_entangled(n).real
+    return np.outer(v, v)
 
 
 def swap_operator(n: int) -> np.ndarray:
@@ -158,7 +160,9 @@ def _ginibre(rng: np.random.Generator, n: int, count: int | None = None) -> np.n
     [count, n, n] stack of them, all drawn in one call, whose slice i is the
     matrix that the i-th of count single calls would draw."""
     g = rng.standard_normal((2, n, n) if count is None else (count, 2, n, n))
-    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    z = np.empty(g.shape[:-3] + (n, n), dtype=np.complex128)
+    z.real, z.imag = g[..., 0, :, :], g[..., 1, :, :]
+    return z
 
 
 def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:

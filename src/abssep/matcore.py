@@ -1,4 +1,4 @@
-"""Dense complex Hermitian linear algebra.
+"""Dense Hermitian linear algebra, real symmetric or complex.
 
 Eigenvalues and singular values come from LAPACK through numpy
 (``numpy.linalg.eigh``/``eigvalsh`` and ``svd``); this module adds the
@@ -7,12 +7,12 @@ deterministic tie order, and PSD tests with explicit tolerances. psd_screen
 decides, by one shifted Cholesky and no eigenvalue, a stack that psd_test
 would accept whole.
 
-Matrices are plain numpy arrays throughout. ``hermitize`` enforces the
-Hermitian contract: inputs further than HERMITIZE_TOL from their Hermitian
-part are rejected, anything closer is symmetrized to (A + A†)/2. eigvalsh
-and eigh hand LAPACK that symmetrized stack, or the input itself, uncopied,
-where it has exactly the bits (A + A†)/2 would have: A == A† entry by
-entry, with no -0.0 part and none above half the float64 maximum.
+Matrices are plain numpy arrays throughout: a real one is float64 and goes
+to the real LAPACK drivers, any other is complex128. ``hermitize`` enforces
+the Hermitian contract: inputs further than HERMITIZE_TOL from their
+Hermitian part are rejected, anything closer is symmetrized to (A + A†)/2.
+eigvalsh and eigh hand LAPACK that symmetrized stack, or the input itself,
+uncopied, where it has exactly the bits (A + A†)/2 would have (_hermitian).
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def as_complex_matrix(a, stack: bool = False) -> np.ndarray:
 
 
 def _as_matrix(a, stack: bool = False) -> np.ndarray:
-    """as_complex_matrix, but float64 where a is real: for entry maps such as a
-    partial transpose, which keep a real matrix real."""
+    """as_complex_matrix, but float64 where a is real: the input of every
+    function that keeps real data real, the spectral ones included."""
     m = np.asarray(a)
     m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
     return _finite_matrix(m, stack)
@@ -75,7 +75,7 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
 
 
 def _square_stack(a) -> np.ndarray:
-    m = as_complex_matrix(a, stack=True)
+    m = _as_matrix(a, stack=True)
     if m.shape[-2] != m.shape[-1]:
         raise InvalidMatrix(f"Hermitian matrix must be square, got {m.shape}")
     return m
@@ -95,7 +95,7 @@ def hermitize(a) -> np.ndarray:
     """Return the exactly Hermitian form (A + A†)/2, rejecting far-from-Hermitian input.
 
     Accepts a stack [..., n, n]; the defect gate applies to each matrix. The
-    result is always a new array.
+    result is always a new array, float64 where a is real.
     """
     m = _square_stack(a)
     return _symmetrized(m, m.conj().swapaxes(-1, -2))
@@ -108,19 +108,21 @@ _HALF_MAX = np.finfo(np.float64).max / 2.0
 
 def _hermitian(a) -> np.ndarray:
     """The stack eigvalsh and eigh hand to LAPACK: hermitize(a), or a itself
-    where that has the same bits. If m == m† entry by entry, m + m† is 2m
-    exactly and halving it gives m back, with two exceptions: the complex
-    division by 2 turns a -0.0 part into +0.0, and a part above half the
-    float64 maximum overflows. Input that is not m† goes to the defect gate
-    before anything is copied."""
+    where (m + m†)/2 has the bits of m. That holds where no part is above half
+    the float64 maximum, so m + m† does not overflow, and a real m equals mᵀ bit
+    for bit (-0.0 facing +0.0 would halve to +0.0), or a complex m equals m†
+    with no -0.0 part (complex halving turns it into +0.0). Input that is not
+    m† goes to the defect gate before anything is copied."""
     m = _square_stack(a)
     mh = m.conj().swapaxes(-1, -2)
-    if (m == mh).all():
+    if m.dtype == np.float64:
+        exact, parts = (m.view(np.int64) == mh.view(np.int64)).all(), m
+    elif exact := (m == mh).all():
         m = np.ascontiguousarray(m)  # for the float64 view of its parts
         parts = m.view(np.float64)
-        if (not (parts.view(np.int64) == _NEGATIVE_ZERO).any()
-                and -_HALF_MAX <= parts.min(initial=0.0) and parts.max(initial=0.0) <= _HALF_MAX):
-            return m
+        exact = not (parts.view(np.int64) == _NEGATIVE_ZERO).any()
+    if exact and -_HALF_MAX <= parts.min(initial=0.0) and parts.max(initial=0.0) <= _HALF_MAX:
+        return m
     return _symmetrized(m, mh)
 
 
@@ -145,12 +147,12 @@ def eigvalsh(a) -> np.ndarray:
 
 def singular_values(a) -> np.ndarray:
     """Singular values (descending), of a matrix or of each matrix of a stack, by SVD."""
-    return np.linalg.svd(as_complex_matrix(a, stack=True), compute_uv=False)
+    return np.linalg.svd(_as_matrix(a, stack=True), compute_uv=False)
 
 
 def schatten_norm(a, kind: str) -> float:
     """Schatten norm: kind is 'trace', 'frobenius' or 'operator'."""
-    m = as_complex_matrix(a)
+    m = _as_matrix(a)
     if kind == "frobenius":
         return float(np.linalg.norm(m))
     if kind == "trace":
@@ -174,20 +176,18 @@ def psd_screen(a, tol: float) -> bool:
     with no eigenvalue; False decides nothing, and the caller runs psd_test.
 
     The stack passes the Hermitian gateway of eigvalsh (the same checks and
-    InvalidMatrix messages) and is taken real if its imaginary parts are all
-    zero. Each d x d matrix A is shifted to A + sI, s = (tol/2) max(1, max_i
-    |a_ii|), for one stacked Cholesky. As |a_ii| <= ||A||_op, s is at most half
-    of psd_test's allowance tol max(1, ||A||_op). A factorization that
-    completes is exact for A + sI + E with ||E||_2 <= ~d² u ||A + sI|| (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.5;
-    u = 2^-53), so lambda_min(A) >= -s - ||E||. Precondition: tol/2 far above
-    d² u, so that ||E|| and eigvalsh's own error fit in the other half of the
-    allowance; at tol = 1e-10 and d = 64, d² u is 5e-13 against 5e-11. numpy
+    InvalidMatrix messages) and keeps its dtype. Each d x d matrix A is
+    shifted to A + sI, s = (tol/2) max(1, max_i |a_ii|), for one stacked
+    Cholesky. As |a_ii| <= ||A||_op, s is at most half of psd_test's
+    allowance tol max(1, ||A||_op). A factorization that completes is exact
+    for A + sI + E with ||E||_2 <= ~d² u ||A + sI|| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 10.5; u = 2^-53), so
+    lambda_min(A) >= -s - ||E||. Precondition: tol/2 far above d² u, so that
+    ||E|| and eigvalsh's own error fit in the other half of the allowance; at
+    tol = 1e-10 and d = 64, d² u is 5e-13 against 5e-11. numpy
     raises for the whole stack when one matrix fails to factor.
     """
     m = _hermitian(a)
-    if not m.imag.any():
-        m = m.real
     n = m.shape[-1]
     shifted = m.copy()  # contiguous, so its diagonal is every (n + 1)-th entry
     diagonal = shifted.reshape(*m.shape[:-2], n * n)[..., :: n + 1]

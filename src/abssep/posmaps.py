@@ -21,6 +21,8 @@ from . import bipartite, matcore
 from .errors import DegenerateWitness, InvalidDim, InvalidMatrix, InvalidVector
 
 BC_PREDICATE_TOL = 1e-9
+BH_SKEW_TOL = 1e-10  # ||V^T + V||_F a Breuer-Hall V may have, far above its rounding
+BH_UNITARY_TOL = 1e-10  # ||V^H V - I||_F it may have
 
 # kind: (the fields it reads, its rule on the dimension n >= 1, the error when n
 # breaks that rule); a field that a kind does not read must keep its default
@@ -35,7 +37,8 @@ _KINDS = {
 
 
 def breuer_hall_default_v(n: int) -> np.ndarray:
-    """The anti-diagonal skew-symmetric unitary (+1 top half, -1 bottom half)."""
+    """The anti-diagonal skew-symmetric unitary (+1 top half, -1 bottom half), as
+    complex128; MapSpec stores it, as any V with zero imaginary part, as float64."""
     _, admits, message = _KINDS["breuer_hall"]
     if not admits(n):
         raise InvalidDim(message)
@@ -50,8 +53,9 @@ class MapSpec:
     """A positive linear map on M_dim, checked against its kind's rules in
     _KINDS: only generalized_choi reads b and c (finite, >= 0), and only
     breuer_hall reads v (a skew-symmetric unitary, default
-    breuer_hall_default_v(dim), stored as a read-only copy). Equal maps hash
-    equal; two V compare as np.array_equal does."""
+    breuer_hall_default_v(dim), stored as a read-only copy, float64 where its
+    imaginary part is zero). Equal maps hash equal; two V compare as
+    np.array_equal does."""
 
     kind: str
     dim: int
@@ -84,11 +88,11 @@ class MapSpec:
             v = matcore.as_complex_matrix(breuer_hall_default_v(n) if self.v is None else self.v)
             if v.shape != (n, n):
                 raise InvalidMatrix("Breuer-Hall V has the wrong shape")
-            if np.linalg.norm(v.T + v) > 1e-10:
+            if np.linalg.norm(v.T + v) > BH_SKEW_TOL:
                 raise InvalidMatrix("Breuer-Hall V must be skew-symmetric")
-            if np.linalg.norm(v.conj().T @ v - np.eye(n)) > 1e-10:
+            if np.linalg.norm(v.conj().T @ v - np.eye(n)) > BH_UNITARY_TOL:
                 raise InvalidMatrix("Breuer-Hall V must be unitary")
-            v = v.copy()
+            v = (v if v.imag.any() else v.real).copy()
             v.flags.writeable = False
             object.__setattr__(self, "v", v)
             # + 0.0 turns -0.0 into 0.0, so equal keys are exactly np.array_equal
@@ -187,8 +191,8 @@ def apply_id_tensor(phi: MapSpec, x, id_dim: int) -> np.ndarray:
 
 
 def generalized_choi_matrices(b, c) -> np.ndarray:
-    """J(Phi_{b[k],c[k]}) for (b, c) arrays of shape (k,), as a [k, 9, 9] stack
-    built in one pass with no MapSpec; entry k equals
+    """J(Phi_{b[k],c[k]}) for (b, c) arrays of shape (k,), as a [k, 9, 9] float64
+    stack built in one pass with no MapSpec; entry k equals
     choi_matrix(generalized_choi_map(b[k], c[k])) bit for bit. A non-finite or
     negative entry is a ValueError."""
     b, c = _bc(b, c)
@@ -199,7 +203,8 @@ def generalized_choi_matrices(b, c) -> np.ndarray:
 
 
 def choi_matrix(phi: MapSpec) -> np.ndarray:
-    """J(Phi) = n (id_n ⊗ Phi)(|psi+><psi+|)."""
+    """J(Phi) = n (id_n ⊗ Phi)(|psi+><psi+|): float64, but complex128 for a
+    Breuer-Hall map with a complex V."""
     return phi.dim * apply_id_tensor(phi, bipartite.max_entangled_projector(phi.dim), phi.dim)
 
 

@@ -689,12 +689,13 @@ def gen_choi_certificates(b, c) -> CertificateStack:
     shape (k,), built as stacks with no per-map object; the dual of Phi_{b,c}
     is Phi_{c,b}. The diamond Y = J + (b + c) |psi+><psi+| certifies
     (3 + b + c)/3. The max-eig Y is 0 where gen_choi_outer and the
-    sqrt(xy)-patterned Y elsewhere, certifying gen_choi_max_eig_bound(b, c)."""
+    sqrt(xy)-patterned Y elsewhere, certifying gen_choi_max_eig_bound(b, c).
+    Every stack is float64."""
     b, c = np.asarray(b, dtype=np.float64), np.asarray(c, dtype=np.float64)
     jmats = posmaps.generalized_choi_matrices(c, b)
     kappa = b + c
     x, y, root, bound = _gen_choi_closed_forms(b, c)
-    ys = np.zeros((b.size, 9, 9), dtype=np.complex128)
+    ys = np.zeros((b.size, 9, 9))
     ys[:, [1, 5, 6], [1, 5, 6]] = x[:, np.newaxis]
     ys[:, [2, 3, 7], [2, 3, 7]] = y[:, np.newaxis]
     ys[:, [1, 2, 5, 3, 6, 7], [3, 6, 7, 1, 2, 5]] = root[:, np.newaxis]  # (1,3), (2,6), (5,7)
@@ -706,7 +707,8 @@ def breuer_hall_certificates(phi: posmaps.MapSpec) -> CertificateStack:
     """The certificates of one Breuer-Hall map on M_n, its own dual, as stacks
     of one. The diamond Y = J + 2 |psi+><psi+| certifies (n + 2)/n; the
     max-eig Y, rank one, n/(n-2) (I ⊗ V*) |psi+><psi+| (I ⊗ V*)^H, certifies
-    1/(n - 2): its partial transpose cancels the V X^T V^H term of J."""
+    1/(n - 2): its partial transpose cancels the V X^T V^H term of J. Real V
+    gives float64 stacks."""
     n = phi.dim
     jmats = posmaps.choi_matrix(phi)[np.newaxis]
     r = bipartite.kron(np.eye(n), phi.v.conj())

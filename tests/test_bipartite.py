@@ -365,3 +365,30 @@ def test_partial_transpose_and_trace_keep_real_input_real():
         assert op(np.eye(6, dtype=int)).dtype == np.float64
     with pytest.raises(InvalidMatrix):
         bipartite.partial_transpose(np.full((6, 6), np.nan), 2, 3)
+
+
+@pytest.mark.parametrize("count, n", [(100, 4), (100, 6), (50, 9), (16, 16), (None, 3)])
+def test_ginibre_has_the_bits_of_a_plus_ib(count, n):
+    # the orbit stack shapes, and one matrix: writing the real and imaginary
+    # parts of one complex stack gives the bits A + 1j B gives
+    z = bipartite._ginibre(bipartite.rng_stream(36, 0), n, count)
+    g = bipartite.rng_stream(36, 0).standard_normal((2, n, n) if count is None else (count, 2, n, n))
+    old = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    assert z.dtype == np.complex128 and z.shape == old.shape
+    assert np.array_equal(z.view(np.int64), old.view(np.int64))
+
+
+def test_kron_realign_and_projector_keep_real_input_real():
+    rng = np.random.default_rng(17)
+    a, b = rng.standard_normal((2, 2)), rng.standard_normal((3, 3))
+    assert bipartite.kron(a, b).dtype == np.float64
+    assert np.array_equal(bipartite.kron(a, b), bipartite.kron(a + 0j, b).real)
+    assert bipartite.kron(a, b + 0j).dtype == np.complex128
+    x = rng.standard_normal((4, 6, 6))
+    assert bipartite.realign(x, 2, 3).dtype == np.float64
+    assert np.array_equal(bipartite.realign(x, 2, 3), bipartite.realign(x + 0j, 2, 3).real)
+    for n in (1, 3, 8):
+        p = bipartite.max_entangled_projector(n)
+        v = bipartite.max_entangled(n)
+        assert p.dtype == np.float64
+        assert np.array_equal(p, np.outer(v, v.conj()).real)

@@ -173,7 +173,7 @@ def test_verify_certificates_small_grid(tmp_path, capsys):
     [
         ([], 897, "27a99714b399c9f49e1fd4e817161ad3b45590991cb25cb009ce735a2a252334"),
         (["--grid", "31", "--bh-dims", "4", "6", "8", "--format", "json"], None,
-         "240146440dca90ee8cdfbc7ad681750ed43ab78e32f39d4c4f8ef10af2bbbf2e"),
+         "4ec5599aaf465357e360a5c0cfd4dc07b5ed2c1e4d41ca3d5b47a374b390a268"),
     ],
 )
 def test_verify_certificates_golden_bytes(capsys, argv, lines, digest):
@@ -220,7 +220,7 @@ def test_fig_data_golden_bytes(capsys, figure, lines, digest):
         # every value at full precision; a port that squares with numpy's ** 2
         # instead of libm pow changes rows here
         (["verify-certificates", "--grid", "80", "--bh-dims", "4", "--format", "json"], 1,
-         "d4c0131381499f0cc42b514f1947b62d2747bea2ec1262c3d7fb631c50812543"),
+         "addf86c062788014c463b939c7d546ed2f3f7ec9802efe36b8a7ed2645b9c8df"),
         (["fig-data", "upb_interval", "--samples", "1"], 2,
          "471c65a4849baeb6a25c311e534c7c2b7fc876e46145257d37af4c5c9b9bca0a"),
         (["fig-data", "upb_interval", "--samples", "7"], 8,

@@ -245,9 +245,11 @@ def test_stack_gates_apply_to_each_matrix():
 
 
 # reference for eigvalsh, eigh and psd_test, which must match it bit for bit:
-# always symmetrize to (m + m†)/2, then sort the eigenvalues descending
+# always symmetrize to (m + m†)/2, in float64 for real m and complex128 for any
+# other, then sort the eigenvalues descending
 def _symmetrized(m):
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.asarray(m)
+    m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64)
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
@@ -281,6 +283,8 @@ def _gateway_inputs():
     signed[1, 0, 2] = signed[1, 2, 0] = -0.0  # a real part of -0.0 on both sides
     signed[2, 1, 3] = complex(0.5, -0.0)
     signed[2, 3, 1] = complex(0.5, 0.0)
+    mirrored_zero = real[0] + real[0].T
+    mirrored_zero[1, 3], mirrored_zero[3, 1] = -0.0, 0.0  # equal by value, not by bits
     grid = np.linspace(0.0, 4.0 / 3.0, 31)
     b, c = (v.ravel() for v in np.meshgrid(grid, grid))
     gen = sdpsolve.gen_choi_certificates(b, c)
@@ -291,44 +295,69 @@ def _gateway_inputs():
         "real": real + real.swapaxes(-1, -2),
         "complex": np.array([random_hermitian(rng, n) for n in (7, 7, 7)]),
         "M": m,
+        "real-M": m.real,
         "signed-zero": signed,
+        "mirrored-zero": mirrored_zero,
         "gen-choi-jmats": gen.jmats,
         "gen-choi-diamond": gen.diamond_ys - gen.jmats,
         "gen-choi-max-eig": bipartite.partial_transpose(gen.max_eig_ys, 3, 3) + gen.jmats,
         "breuer-hall-8": bh.diamond_ys + bh.jmats,
         "breuer-hall-8-max-eig": bh.max_eig_ys,
         "defect-1e-12": skewed,
+        "real-defect-1e-12": skewed.real,
         "half-max": np.array([[matcore._HALF_MAX, 1.0], [1.0, -matcore._HALF_MAX]]),
         "transposed": random_hermitian(rng, 5).T,
+        "real-transposed": (real[1] + real[1].T).T,
     }
 
 
-@pytest.mark.parametrize("name", list(_gateway_inputs()))
-def test_gateway_is_bit_identical_to_symmetrizing_first(name):
+# every input as given, and every real one also as complex128, which must take
+# the complex path exactly as before: symmetrized in complex arithmetic
+_GATEWAY_CASES = [(name, cast) for name, a in _gateway_inputs().items()
+                  for cast in ((None,) if np.iscomplexobj(a) else (None, np.complex128))]
+
+
+@pytest.mark.parametrize("name, cast", _GATEWAY_CASES,
+                         ids=[name + ("-as-complex" if cast else "") for name, cast in _GATEWAY_CASES])
+def test_gateway_is_bit_identical_to_symmetrizing_first(name, cast):
+    # a real stack runs the real LAPACK driver on float64 (a + aᵀ)/2, a complex
+    # one the complex driver on (a + a†)/2; each keeps its dtype throughout
     a = _gateway_inputs()[name]
+    if cast is not None:
+        a = a.astype(cast)
     before = a.copy()
     assert np.array_equal(_bits(matcore.eigvalsh(a)), _bits(_old_eigvalsh(a)))
     d, q = matcore.eigh(a)
     d_old, q_old = _old_eigh(a)
+    assert q.dtype == q_old.dtype == a.dtype
     assert np.array_equal(_bits(d), _bits(d_old))
     assert np.array_equal(_bits(q), _bits(q_old))
     (ok, lam_min), (ok_old, lam_min_old) = matcore.psd_test(a), _old_psd_test(a)
     assert np.array_equal(ok, ok_old)
     assert np.array_equal(_bits(lam_min), _bits(lam_min_old))
     h = matcore.hermitize(a)
-    assert h is not a
+    assert h is not a and h.dtype == a.dtype
     assert np.array_equal(_bits(h), _bits(_symmetrized(a)))
     assert np.array_equal(_bits(a), _bits(before))  # neither call wrote to its input
 
 
 def test_gateway_passes_exact_input_uncopied_and_symmetrizes_the_rest():
     inputs = _gateway_inputs()
+    # complex: equal to m† with no -0.0 part; real: equal to mᵀ bit for bit,
+    # -0.0 included, so the real certificate stacks pass as they are built
     for name in ("complex", "gen-choi-diamond", "breuer-hall-8", "half-max"):
         a = inputs[name].astype(np.complex128)
         assert matcore._hermitian(a) is a, name
-    # -0.0 parts, a defect, and a transposed view, which is copied first
-    for name in ("M", "signed-zero", "gen-choi-jmats", "defect-1e-12", "transposed"):
-        assert matcore._hermitian(inputs[name]) is not inputs[name], name
+    for name in ("real", "real-M", "gen-choi-jmats", "gen-choi-diamond", "gen-choi-max-eig",
+                 "breuer-hall-8", "breuer-hall-8-max-eig", "half-max", "real-transposed"):
+        assert inputs[name].dtype == np.float64, name
+        assert matcore._hermitian(inputs[name]) is inputs[name], name
+    # -0.0 parts, mirrored zeros of opposite sign, a defect, and a complex
+    # transposed view, which is copied first
+    for name in ("M", "signed-zero", "gen-choi-jmats", "mirrored-zero", "defect-1e-12",
+                 "real-defect-1e-12", "transposed"):
+        a = inputs[name].astype(np.complex128) if name == "gen-choi-jmats" else inputs[name]
+        assert matcore._hermitian(a) is not a, name
 
 
 def test_m_with_a_negative_zero_is_not_its_own_hermitian_part():

@@ -321,6 +321,49 @@ def test_mapspec_equality_and_hash():
     assert posmaps.identity_map(3) != "identity"
 
 
+def test_mapspec_stores_a_v_with_zero_imaginary_part_as_float64():
+    # the default V, a real V and the same V as complex128 with +0.0 or -0.0
+    # imaginary parts are one float64 V, one map and one hash; i V stays complex
+    v = posmaps.breuer_hall_default_v(6)
+    maps = [posmaps.breuer_hall_map(6), posmaps.breuer_hall_map(6, v.real),
+            posmaps.breuer_hall_map(6, v), posmaps.breuer_hall_map(6, v.real - 0j)]
+    assert all(phi.v.dtype == np.float64 and np.array_equal(phi.v, v) for phi in maps)
+    assert len(set(maps)) == 1 and len({hash(phi) for phi in maps}) == 1
+    rotated = posmaps.breuer_hall_map(6, 1j * v)
+    assert rotated.v.dtype == np.complex128 and rotated != maps[0]
+    assert posmaps.choi_matrix(maps[0]).dtype == np.float64
+    assert posmaps.choi_matrix(rotated).dtype == np.complex128
+
+
+@pytest.mark.parametrize("phase", [1.0, 1j])
+@pytest.mark.parametrize("factor, rejected", [(1.1, True), (0.9, False)])
+def test_breuer_hall_skew_tolerance_is_pinned_from_both_sides(phase, factor, rejected):
+    # ||V^T + V||_F = 2 delta from delta on one diagonal entry, against 1e-10
+    # stated here; V^H V - I moves by ~sqrt(2) delta, still inside its own 1e-10
+    v = phase * posmaps.breuer_hall_default_v(4)
+    v[0, 0] += factor * 1e-10 / 2.0
+    assert np.linalg.norm(v.conj().T @ v - np.eye(4)) < 0.8e-10
+    if rejected:
+        with pytest.raises(InvalidMatrix, match="skew-symmetric"):
+            posmaps.breuer_hall_map(4, v)
+    else:
+        assert np.array_equal(posmaps.breuer_hall_map(4, v).v, v)
+
+
+@pytest.mark.parametrize("phase", [1.0, 1j])
+@pytest.mark.parametrize("factor, rejected", [(1.1, True), (0.9, False)])
+def test_breuer_hall_unitary_tolerance_is_pinned_from_both_sides(phase, factor, rejected):
+    # (1 + eps) V stays exactly skew-symmetric, and ||V^H V - I||_F is
+    # ((1 + eps)² - 1) sqrt(4) ~ 4 eps, against 1e-10 stated here
+    v = phase * (1.0 + factor * 1e-10 / 4.0) * posmaps.breuer_hall_default_v(4)
+    assert np.linalg.norm(v.T + v) == 0.0
+    if rejected:
+        with pytest.raises(InvalidMatrix, match="unitary"):
+            posmaps.breuer_hall_map(4, v)
+    else:
+        assert np.array_equal(posmaps.breuer_hall_map(4, v).v, v)
+
+
 def test_breuer_hall_custom_v():
     # any skew-symmetric unitary is accepted; rotate the default one
     n = 4

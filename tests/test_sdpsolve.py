@@ -1364,3 +1364,41 @@ def test_solver_bits_are_pinned():
     )
     assert proc.returncode == 0, proc.stderr
     assert {k: tuple(v) for k, v in json.loads(proc.stdout).items()} == _SOLVER_BITS
+
+
+def test_real_certificates_stay_float64_down_to_lapack(monkeypatch):
+    # the grid chunk with the Choi dual, and Breuer-Hall n = 4, 6, 8 with the
+    # default V: every Choi matrix and Y is float64, and so is every stack the
+    # verifiers hand to LAPACK; a complex V keeps the complex path and 0.5
+    from abssep import cli
+
+    seen = []
+
+    def recording(lapack):
+        def call(a, *args, **kwargs):
+            seen.append(a.dtype)
+            return lapack(a, *args, **kwargs)
+        return call
+
+    for name in ("eigvalsh", "svd", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    grid = np.linspace(0.0, 4.0 / 3.0, 31)
+    b, c = (v.ravel()[: cli.CERT_CHUNK - 1] for v in np.meshgrid(grid, grid, indexing="ij"))
+    stacks = [sdpsolve.gen_choi_certificates(np.r_[1.0, b], np.r_[0.0, c])]
+    stacks += [sdpsolve.breuer_hall_certificates(posmaps.breuer_hall_map(n)) for n in (4, 6, 8)]
+    assert posmaps.choi_matrix(posmaps.dual_map(posmaps.choi_map())).dtype == np.float64
+    for n in (4, 6, 8):
+        assert posmaps.choi_matrix(posmaps.breuer_hall_map(n)).dtype == np.float64
+    for certs in stacks:
+        assert certs.jmats.dtype == certs.diamond_ys.dtype == certs.max_eig_ys.dtype == np.float64
+        _, diamond = sdpsolve.verify_diamond_certificates(certs.jmats, certs.diamond_ys)
+        _, max_eig = sdpsolve.verify_max_eig_certificates(certs.jmats, certs.max_eig_ys)
+        assert not sdpsolve.certificate_failures(diamond + max_eig)
+    assert len(seen) >= 3 * len(stacks) and set(seen) == {np.dtype(np.float64)}
+    seen.clear()
+    complex_v = _complex_breuer_hall_4()
+    certs = sdpsolve.breuer_hall_certificates(complex_v)
+    assert certs.jmats.dtype == certs.diamond_ys.dtype == certs.max_eig_ys.dtype == np.complex128
+    value = sdpsolve.verify_max_eig_certificate(complex_v, certs.max_eig_ys[0])
+    assert value == pytest.approx(0.5, abs=1e-12)
+    assert np.dtype(np.complex128) in seen
