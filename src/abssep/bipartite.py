@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matcore
-from .errors import InvalidDim, InvalidMatrix, InvalidVector
+from .errors import InvalidDim, InvalidVector
 
 VECTOR_NORM_TOL = 1e-9
 
@@ -190,16 +190,3 @@ def random_density(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
-
-def min_unitary_overlap(spec_a, spec_b) -> float:
-    """min_U Tr(A U B U†) for Hermitian A, B given by descending spectra.
-
-    Equals sum_j a_j b_{n-j+1}, the anti-aligned pairing.
-    """
-    a = np.asarray(spec_a, dtype=np.float64)
-    b = np.asarray(spec_b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InvalidMatrix("spectra must be 1-d arrays of equal length")
-    if np.any(np.diff(a) > 1e-12) or np.any(np.diff(b) > 1e-12):
-        raise InvalidMatrix("spectra must be sorted descending")
-    return float(np.dot(a, b[::-1]))

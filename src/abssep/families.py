@@ -18,6 +18,9 @@ from . import absppt, bipartite, matcore
 from .errors import InvalidDim, InvalidState, InvalidVector
 
 THRESHOLD_SLACK = 1e-12
+# what validate_upb lets a UPB vector keep of |‖v‖ - 1|, of its second Schmidt
+# coefficient and of |<v_i|v_j>|: the rounding of vectors built in floating point
+UPB_VECTOR_TOL = 1e-10
 
 UPB_ABS_PPT_THRESHOLD = 9.0 * (10.0 - math.sqrt(17.0)) / 83.0   # approx 0.6373
 UPB_ABS_SEP_THRESHOLD = 1.0 - 1.0 / math.sqrt(10.0)             # approx 0.6838
@@ -65,12 +68,6 @@ def _check_upb_p(p) -> np.ndarray:
     return arr
 
 
-def werner_state(n: int, alpha: float) -> np.ndarray:
-    _check_werner(n, alpha)
-    s = bipartite.swap_operator(n)
-    return (np.eye(n * n) - alpha * s) / (n * n - n * alpha)
-
-
 def werner_spectrum(n: int, alpha: float) -> absppt.Spectrum:
     """(1 -+ alpha) eigenvalues with multiplicities n(n+1)/2 and n(n-1)/2."""
     _check_werner(n, alpha)
@@ -78,11 +75,6 @@ def werner_spectrum(n: int, alpha: float) -> absppt.Spectrum:
     sym = np.full(n * (n + 1) // 2, (1.0 - alpha) / norm)
     anti = np.full(n * (n - 1) // 2, (1.0 + alpha) / norm)
     return absppt.Spectrum(n, n, np.concatenate([sym, anti]))
-
-
-def isotropic_state(n: int, alpha: float) -> np.ndarray:
-    _check_isotropic(n, alpha)
-    return (1.0 - alpha) / (n * n) * np.eye(n * n) + alpha * bipartite.max_entangled_projector(n)
 
 
 def isotropic_spectrum(n: int, alpha: float) -> absppt.Spectrum:
@@ -110,20 +102,19 @@ def tiles_upb() -> list[np.ndarray]:
 
 def validate_upb(vectors: list[np.ndarray]) -> None:
     """Check five mutually orthogonal product unit vectors in C³ ⊗ C³."""
-    tol = 1e-10
     if len(vectors) != 5:
         raise InvalidVector("a UPB in C³ ⊗ C³ has exactly five vectors")
     for v in vectors:
         vv = np.asarray(v).ravel()
         if vv.size != 9:
             raise InvalidVector("UPB vectors must live in C³ ⊗ C³")
-        if abs(np.linalg.norm(vv) - 1.0) > tol:
+        if abs(np.linalg.norm(vv) - 1.0) > UPB_VECTOR_TOL:
             raise InvalidVector("UPB vectors must be unit norm")
-        if bipartite.vector_schmidt(vv, 3, 3)[1] > tol:
+        if bipartite.vector_schmidt(vv, 3, 3)[1] > UPB_VECTOR_TOL:
             raise InvalidVector("UPB vectors must be product vectors")
     for i in range(5):
         for j in range(i + 1, 5):
-            if abs(np.vdot(vectors[i], vectors[j])) > tol:
+            if abs(np.vdot(vectors[i], vectors[j])) > UPB_VECTOR_TOL:
                 raise InvalidVector(f"UPB vectors {i} and {j} are not orthogonal")
 
 
@@ -187,13 +178,6 @@ def werner_classify(n: int, alpha: float) -> WernerClass:
     if alpha > 1.0 / n or alpha < -1.0 / (n - 1.0) - THRESHOLD_SLACK:
         return WernerClass.NOT_ABS_PPT
     return WernerClass.UNKNOWN
-
-
-def werner_abs_ppt_verdict(n: int, alpha: float) -> absppt.AbsPptVerdict:
-    """Exact LMI verdict; only available at desk scale (n <= 3)."""
-    if n > 3:
-        raise InvalidDim("exact Werner absolute-PPT check is limited to n <= 3")
-    return absppt.is_abs_ppt(werner_spectrum(n, alpha))
 
 
 def isotropic_threshold(n: int) -> float:

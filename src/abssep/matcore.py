@@ -207,17 +207,6 @@ def is_psd(a, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     return PsdReport(ok, lam_min)
 
 
-def matrix_to_json(a) -> dict:
-    """Encode a matrix in the shared JSON format (row-major re/im lists)."""
-    m = as_complex_matrix(a)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "re": [float(v) for v in m.real.ravel()],
-        "im": [float(v) for v in m.imag.ravel()],
-    }
-
-
 def _json_int(value) -> int:
     """A dimension read from JSON as int(value); it must be a JSON number, so
     true and "2" raise TypeError, and a float must be integral, so that 1.5 is
@@ -228,7 +217,8 @@ def _json_int(value) -> int:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Decode the shared matrix JSON format, rejecting length mismatches."""
+    """Decode the shared matrix JSON format, rejecting length mismatches: float64
+    where "im" is absent or all zero, else complex128."""
     try:
         rows, cols = _json_int(obj["rows"]), _json_int(obj["cols"])
         re = np.asarray(obj["re"], dtype=np.float64)
@@ -239,4 +229,4 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise InvalidMatrix("matrix dims must be positive")
     if re.shape != (rows * cols,) or im.shape != (rows * cols,):
         raise InvalidMatrix("re/im length does not match rows*cols")
-    return as_complex_matrix((re + 1j * im).reshape(rows, cols))
+    return _as_matrix((re + 1j * im if im.any() else re).reshape(rows, cols))

@@ -23,6 +23,7 @@ from .errors import DegenerateWitness, InvalidDim, InvalidMatrix, InvalidVector
 BC_PREDICATE_TOL = 1e-9
 BH_SKEW_TOL = 1e-10  # ||V^T + V||_F a Breuer-Hall V may have, far above its rounding
 BH_UNITARY_TOL = 1e-10  # ||V^H V - I||_F it may have
+WITNESS_TRACE_FLOOR = 1e-12  # a |Tr W| below this is rounding, not a trace to normalize by
 
 # kind: (the fields it reads, its rule on the dimension n >= 1, the error when n
 # breaks that rule); a field that a kind does not read must keep its default
@@ -99,14 +100,6 @@ class MapSpec:
             object.__setattr__(self, "_v_key", (v + 0.0).tobytes())
 
 
-def identity_map(n: int) -> MapSpec:
-    return MapSpec("identity", n)
-
-
-def transpose_map(n: int) -> MapSpec:
-    return MapSpec("transpose", n)
-
-
 def reduction_map(n: int) -> MapSpec:
     """X -> (Tr(X) I - X) / (n - 1); on M_3 this equals Phi_{1,1}."""
     return MapSpec("reduction", n)
@@ -153,14 +146,6 @@ def _act(phi: MapSpec, x: np.ndarray) -> np.ndarray:
     if kind == "breuer_hall":
         return (trace_part - x - phi.v @ np.swapaxes(x, -1, -2) @ phi.v.conj().T) / (n - 2)
     raise AssertionError(kind)
-
-
-def apply(phi: MapSpec, x) -> np.ndarray:
-    """Apply the map's closed-form action to a dim x dim matrix."""
-    x = matcore.as_complex_matrix(x)
-    if x.shape != (phi.dim, phi.dim):
-        raise InvalidDim(f"matrix shape {x.shape} does not match map dim {phi.dim}")
-    return _act(phi, x)
 
 
 def dual_map(phi: MapSpec) -> MapSpec:
@@ -238,7 +223,7 @@ def witness_from_schmidt(
     for i in range(k):
         w -= bipartite.kron(os.left_ops[i], os.right_ops[i])
     tr = np.trace(w)
-    if abs(tr) < 1e-12:
+    if abs(tr) < WITNESS_TRACE_FLOOR:
         raise DegenerateWitness("witness trace vanishes; cannot normalize")
     return matcore.hermitize(w / tr)
 

@@ -235,7 +235,8 @@ def test_criterion_07_realignment_empirical():
 def test_criterion_08_family_thresholds():
     """Werner LMI minimum eigenvalues match 2-2n*alpha / 2+2(n-1)*alpha for
     n <= 6; isotropic transition sits at 2/(2+n²) within 1e-6 for n = 2, 3;
-    UPB thresholds reproduce to 1e-10."""
+    UPB thresholds reproduce to 1e-10, the absolutely separable one on the
+    Gurvits-Barnum ball."""
     for n in range(2, 7):
         for alpha in np.linspace(-1.0, 1.0, 41):
             alpha = float(alpha)
@@ -264,8 +265,13 @@ def test_criterion_08_family_thresholds():
         else:
             lo = mid
     assert abs(hi - p_star) <= 1e-10
-    x = 8.0 * families.upb_state(families.UPB_ABS_SEP_THRESHOLD)
-    assert abs(float(np.linalg.norm(x - np.eye(9))) ** 2 - 1.0) <= 1e-10
+    # the separable ball (Gurvits & Barnum, PRA 66, 062311, 2002): at
+    # 1 - 1/sqrt(10) the mixture 8 rho sits on the sphere of radius 1 around I
+    # (reading 1 + 9e-16), and 1e-6 below it outside (1 + 2.8e-6)
+    p_sep = families.UPB_ABS_SEP_THRESHOLD
+    assert abs(absppt.gurvits_barnum_value(8.0 * families.upb_state(p_sep), 3, 3) - 1.0) <= 1e-12
+    assert absppt.gurvits_barnum_abs_sep(8.0 * families.upb_state(p_sep), 3, 3)
+    assert not absppt.gurvits_barnum_abs_sep(families.upb_state(p_sep - 1e-6), 3, 3)
     _report(8, "Werner, isotropic and UPB thresholds reproduced")
 
 

@@ -244,36 +244,6 @@ def test_rng_stream_split_determinism():
     assert not np.array_equal(a1, b)
 
 
-def test_min_unitary_overlap_examples():
-    assert bipartite.min_unitary_overlap([1.0, 0.0], [1.0, 0.0]) == 0.0
-    assert bipartite.min_unitary_overlap([0.5, 0.5], [0.5, 0.5]) == 0.5
-
-
-def test_min_unitary_overlap_is_orbit_minimum():
-    rng = np.random.default_rng(9)
-    a = np.sort(rng.standard_normal(9))[::-1]
-    b = np.sort(rng.standard_normal(9))[::-1]
-    lower = bipartite.min_unitary_overlap(a, b)
-    amat = np.diag(a)
-    stream = bipartite.rng_stream(77)
-    seen = []
-    for _ in range(1000):
-        u = bipartite.haar_unitary(9, stream)
-        seen.append(np.trace(amat @ u @ np.diag(b) @ u.conj().T).real)
-    assert lower <= min(seen) + 1e-10
-    # the reversing permutation attains the bound
-    perm = np.eye(9)[:, ::-1]
-    attained = np.trace(amat @ perm @ np.diag(b) @ perm.T).real
-    assert np.isclose(attained, lower, atol=1e-12)
-
-
-def test_min_unitary_overlap_validation():
-    with pytest.raises(InvalidMatrix):
-        bipartite.min_unitary_overlap([1.0, 0.0], [1.0])
-    with pytest.raises(InvalidMatrix):
-        bipartite.min_unitary_overlap([0.0, 1.0], [1.0, 0.0])
-
-
 def test_realign_trace_norm_exact_on_product_pure_states():
     rng = np.random.default_rng(11)
     worst = 0.0

@@ -28,6 +28,13 @@ def write_spectrum(tmp_path, spec, name="spec.json"):
     return str(path)
 
 
+def matrix_json(a) -> str:
+    """a in the matrix JSON format witness-analyze reads: row-major re and im lists."""
+    a = np.asarray(a, dtype=np.complex128)
+    return json.dumps({"rows": a.shape[0], "cols": a.shape[1],
+                       "re": a.real.ravel().tolist(), "im": a.imag.ravel().tolist()})
+
+
 def test_check_spectrum_uniform_yes(tmp_path, capsys):
     from abssep.absppt import Spectrum
 
@@ -92,7 +99,7 @@ def test_witness_analyze_choi_witness(tmp_path, capsys):
         posmaps.dual_map(posmaps.choi_map()), bipartite.max_entangled(3)
     )
     path = tmp_path / "w.json"
-    path.write_text(json.dumps(matcore.matrix_to_json(w)))
+    path.write_text(matrix_json(w))
     code, out = run_cli(["witness-analyze", str(path)], capsys)
     report = json.loads(out)
     assert code == 0
@@ -102,7 +109,7 @@ def test_witness_analyze_choi_witness(tmp_path, capsys):
 
 def test_witness_analyze_scaled_identity(tmp_path, capsys):
     path = tmp_path / "w.json"
-    path.write_text(json.dumps(matcore.matrix_to_json(np.eye(9) / 9.0)))
+    path.write_text(matrix_json(np.eye(9) / 9.0))
     code, out = run_cli(["witness-analyze", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["verdict"] == "Guaranteed"
@@ -117,7 +124,7 @@ def test_witness_analyze_prints_the_threshold_it_guarantees_by(tmp_path, capsys)
     below = 0
     for seed in range(200):
         u = bipartite.haar_unitary(4, seed)
-        path.write_text(json.dumps(matcore.matrix_to_json(u @ flip @ u.conj().T)))
+        path.write_text(matrix_json(u @ flip @ u.conj().T))
         code, out = run_cli(["witness-analyze", str(path)], capsys)
         report = json.loads(out)
         assert (code, report["verdict"]) == (0, "Guaranteed")
@@ -133,7 +140,7 @@ def test_witness_analyze_inconclusive(tmp_path, capsys):
 
     w = np.diag(extremal_witness_spectrum(-0.4, 0.62, 9))
     path = tmp_path / "w.json"
-    path.write_text(json.dumps(matcore.matrix_to_json(w)))
+    path.write_text(matrix_json(w))
     code, out = run_cli(["witness-analyze", str(path)], capsys)
     assert code == 2
     assert json.loads(out)["verdict"] == "Inconclusive"

@@ -3,7 +3,9 @@ src/abssep imports only the standard library, numpy and the package itself.
 The benchmark harness under perfbench/ reads only names the package has.
 The package loads its submodules on first use, with the same public names,
 and each command loads only the modules it calls. The private numpy gufuncs
-the solver calls exist, with the signatures it passes."""
+the solver calls exist, with the signatures it passes. Every function and
+class the package defines is reached from a command, an export, a paper
+claim or the benchmark."""
 
 import ast
 import importlib
@@ -12,6 +14,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -58,12 +61,17 @@ def test_witness_imports_no_solver():
 
 def _abssep_reads(path: pathlib.Path):
     """(module, attribute) of every module.attribute read in one file, where
-    module is bound by `from abssep import module` anywhere in that file."""
+    module is bound by `from abssep import module` anywhere in that file, and
+    (module, name) of every `from abssep.module import name`."""
     tree = ast.parse(path.read_text(), filename=str(path))
     modules = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "abssep":
+        if not (isinstance(node, ast.ImportFrom) and node.level == 0):
+            continue
+        if node.module == "abssep":
             modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        elif node.module.startswith("abssep."):
+            yield from ((node.module.removeprefix("abssep."), alias.name) for alias in node.names)
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
                 and isinstance(node.value, ast.Name) and node.value.id in modules):
@@ -79,6 +87,90 @@ def test_perfbench_reads_only_names_the_package_has():
     missing = sorted({f"{name}: abssep.{module}.{attr}" for name, module, attr in reads
                       if not hasattr(importlib.import_module(f"abssep.{module}"), attr)})
     assert not missing, missing
+
+
+def _unreached(sources: dict[str, str], roots) -> list[str]:
+    """"module.name" of each module-level function and class of a package,
+    given as {module: source}, that no root reaches, sorted. roots are (module,
+    name) pairs, and every other module-level statement is a root too. From
+    each reached node the walk follows a bare name to its module's own
+    definition or to one bound by `from .module import name`, and module.attr
+    where `from . import module` binds module, anywhere in the file."""
+    defs, work, scope, modules = {}, [], {}, {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        scope[module] = names = {}
+        modules[module] = bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        bound[alias.asname or alias.name] = alias.name
+                    else:
+                        names[alias.asname or alias.name] = (node.module, alias.name)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[module, node.name] = node
+                names[node.name] = (module, node.name)
+            else:
+                work.append((module, node))
+    reached = {root for root in roots if root in defs}
+    work += [(module, defs[module, name]) for module, name in reached]
+    while work:
+        module, node = work.pop()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                target = scope[module].get(sub.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                target = (modules[module].get(sub.value.id), sub.attr)
+            else:
+                continue
+            if target in defs and target not in reached:
+                reached.add(target)
+                work.append((target[0], defs[target]))
+    return sorted(f"{module}.{name}" for module, name in defs.keys() - reached)
+
+
+def _reachability_roots() -> set[tuple[str, str]]:
+    """What keeps a definition in the package: the command line (cli.main), the
+    exports (__all__ and the PEP 562 hooks that serve them), the paper's claims
+    (what tests/test_acceptance.py reads) and the benchmark (what perfbench
+    reads)."""
+    import abssep
+
+    roots = {("cli", "main"), ("__init__", "__getattr__"), ("__init__", "__dir__")}
+    for name in abssep.__all__:
+        value = getattr(abssep, name)
+        if not isinstance(value, types.ModuleType):
+            roots.add((value.__module__.removeprefix("abssep."), name))
+    for path in [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]:
+        roots.update(_abssep_reads(path))
+    return roots
+
+
+def test_every_definition_is_reached_from_a_root():
+    # a function that only its own unit tests call is not kept: delete it, or
+    # make a command, an export, a paper claim or the benchmark use it
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unreached(sources, _reachability_roots()) == []
+
+
+def test_the_reachability_walk_reports_what_no_root_reaches():
+    # b.only_from_orphan is called, but only from a.orphan, which nothing calls;
+    # the rest is reached through each kind of edge the walk follows
+    sources = {
+        "a": ("from . import b\nfrom .c import helper as h\n\nX = b.used\n\n\n"
+              "def main():\n    return h()\n\n\ndef orphan():\n    return b.only_from_orphan()\n"),
+        "b": ("def used():\n    pass\n\n\ndef only_from_orphan():\n    pass\n\n\n"
+              "class Base:\n    pass\n\n\nclass Child(Base):\n    pass\n"),
+        "c": "def helper():\n    from . import b\n    return b.Child\n",
+    }
+    assert _unreached(sources, {("a", "main")}) == ["a.orphan", "b.only_from_orphan"]
+    assert _unreached(sources, {("a", "main"), ("a", "orphan")}) == []
+    # planted in the package itself, a function is found, and what it calls stays reached
+    package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    package["posmaps"] += "\n\ndef _planted(phi, x):\n    return apply_id_tensor(phi, x, 1)\n"
+    assert _unreached(package, _reachability_roots()) == ["posmaps._planted"]
 
 
 # the public surface of abssep, as the package listed it when it imported

@@ -12,18 +12,16 @@ from abssep.errors import InvalidDim, InvalidState, InvalidVector
 from abssep.families import IsotropicClass, UpbClass, WernerClass
 
 
-def test_werner_state_at_zero_is_maximally_mixed():
-    assert np.allclose(families.werner_state(3, 0.0), np.eye(9) / 9.0)
-
-
 def test_family_spectra_match_materialized_states():
-    for n, alpha in ((2, 0.4), (3, -0.3), (3, 0.25)):
-        rho = families.werner_state(n, alpha)
+    # the states built here from their definitions: Werner (I - alpha S)/(n² - n alpha),
+    # isotropic (1 - alpha)/n² I + alpha |psi+><psi+|
+    for n, alpha in ((2, 0.4), (3, -0.3), (3, 0.25), (3, 0.0)):
+        rho = (np.eye(n * n) - alpha * bipartite.swap_operator(n)) / (n * n - n * alpha)
         assert np.allclose(
             matcore.eigvalsh(rho), families.werner_spectrum(n, alpha).values, atol=1e-10
         )
     for n, alpha in ((2, 0.3), (3, 0.15), (3, -0.05)):
-        rho = families.isotropic_state(n, alpha)
+        rho = (1.0 - alpha) / (n * n) * np.eye(n * n) + alpha * bipartite.max_entangled_projector(n)
         assert np.allclose(
             matcore.eigvalsh(rho), families.isotropic_spectrum(n, alpha).values, atol=1e-10
         )
@@ -76,13 +74,11 @@ def test_werner_gurvits_barnum_mechanism():
             assert absppt.gurvits_barnum_abs_sep(x, n, n)
 
 
-def test_werner_abs_ppt_verdict_gap_band():
+def test_werner_gap_band_is_abs_ppt_at_n_3():
     # the open band is absolutely PPT at desk scale
     for alpha in np.linspace(-0.5, -1.0 / 3.0, 7):
-        assert families.werner_abs_ppt_verdict(3, float(alpha)) is AbsPptVerdict.YES
-    assert families.werner_abs_ppt_verdict(3, -0.51) is AbsPptVerdict.NO
-    with pytest.raises(InvalidDim):
-        families.werner_abs_ppt_verdict(4, 0.0)
+        assert absppt.is_abs_ppt(families.werner_spectrum(3, float(alpha))) is AbsPptVerdict.YES
+    assert absppt.is_abs_ppt(families.werner_spectrum(3, -0.51)) is AbsPptVerdict.NO
 
 
 def test_isotropic_classify_boundary():
@@ -157,10 +153,33 @@ def test_validate_upb_rejects_bad_sets():
         families.validate_upb(tampered)
 
 
+@pytest.mark.parametrize("factor, accepted", [(0.9, True), (1.1, False)])
+@pytest.mark.parametrize("check", ["unit norm", "product", "orthogonal"])
+def test_upb_vector_tol_boundary(check, factor, accepted):
+    # each check of validate_upb at e = 0.9 and 1.1 times 1e-10: vector 0 off
+    # unit norm by e; vector 0 with second Schmidt coefficient e; vector 2 at
+    # overlap e with vector 0 and e/2 with vector 3, still a unit product vector
+    e, basis, r2 = factor * 1e-10, np.eye(3), math.sqrt(2.0)
+    vecs = families.tiles_upb()
+    if check == "unit norm":
+        vecs[0] = (1.0 + e) * vecs[0]
+    elif check == "product":  # vecs[0] is e_0 ⊗ (e_0 - e_1)/√2
+        other = np.kron(basis[1], (basis[0] + basis[1]) / r2)
+        vecs[0] = math.sqrt(1.0 - e * e) * vecs[0] + e * other
+    else:  # vecs[2] is (e_0 - e_1)/√2 ⊗ e_2
+        second = math.sqrt(1.0 - 2.0 * e * e) * basis[2] + e * (basis[0] - basis[1])
+        vecs[2] = np.kron((basis[0] - basis[1]) / r2, second)
+    if accepted:
+        families.validate_upb(vecs)
+    else:
+        with pytest.raises(InvalidVector, match="0 and 2" if check == "orthogonal" else check):
+            families.validate_upb(vecs)
+
+
 def test_small_dims_agreement_with_lmi_classification():
     # exact LMI test agrees with the closed-form family classifications
     for alpha in np.linspace(-1.0, 1.0, 41):
-        verdict = families.werner_abs_ppt_verdict(3, float(alpha))
+        verdict = absppt.is_abs_ppt(families.werner_spectrum(3, float(alpha)))
         cls = families.werner_classify(3, float(alpha))
         if cls is WernerClass.ABS_SEP:
             assert verdict is AbsPptVerdict.YES
@@ -188,11 +207,11 @@ def test_small_dims_agreement_with_lmi_classification():
 
 def test_parameter_validation():
     with pytest.raises(InvalidState):
-        families.werner_state(3, 1.5)
+        families.werner_spectrum(3, 1.5)
     with pytest.raises(InvalidDim):
-        families.werner_state(1, 0.0)
+        families.werner_spectrum(1, 0.0)
     with pytest.raises(InvalidState):
-        families.isotropic_state(3, -0.2)
+        families.isotropic_spectrum(3, -0.2)
     with pytest.raises(InvalidState):
         families.upb_state(0.0)
 

@@ -180,8 +180,20 @@ def test_singular_values_match_numpy():
 def test_matrix_json_roundtrip():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    back = matcore.matrix_from_json(matcore.matrix_to_json(a))
-    assert np.allclose(back, a, atol=1e-15)
+    obj = {"rows": 3, "cols": 4, "re": a.real.ravel().tolist(), "im": a.imag.ravel().tolist()}
+    back = matcore.matrix_from_json(obj)
+    assert back.dtype == np.complex128 and np.array_equal(back, a)
+
+
+def test_matrix_from_json_keeps_a_real_matrix_real():
+    # float64 where im is absent or all zero, -0.0 included; complex128 where
+    # any im entry is not zero, however small
+    re = [1.0, -2.0, 0.5, 3.0]
+    for im in ({}, {"im": [0.0] * 4}, {"im": [-0.0, 0.0, 0.0, -0.0]}):
+        m = matcore.matrix_from_json({"rows": 2, "cols": 2, "re": re, **im})
+        assert m.dtype == np.float64 and np.array_equal(m, np.reshape(re, (2, 2)))
+    m = matcore.matrix_from_json({"rows": 2, "cols": 2, "re": re, "im": [0.0, 5e-324, 0.0, 0.0]})
+    assert m.dtype == np.complex128 and m[0, 1] == complex(-2.0, 5e-324)
 
 
 def test_matrix_json_rejects_mismatch():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from abssep import bipartite, matcore, posmaps
-from abssep.errors import InvalidDim, InvalidMatrix, InvalidVector
+from abssep.errors import DegenerateWitness, InvalidDim, InvalidMatrix, InvalidVector
 
 
 def random_hermitian(rng, n):
@@ -20,7 +20,7 @@ def random_unit(rng, n):
 
 
 def test_choi_map_on_identity():
-    assert np.allclose(posmaps.apply(posmaps.choi_map(), np.eye(3)), np.eye(3))
+    assert np.allclose(posmaps.apply_id_tensor(posmaps.choi_map(), np.eye(3), 1), np.eye(3))
 
 
 def test_reduction_equals_phi11():
@@ -30,13 +30,13 @@ def test_reduction_equals_phi11():
     for _ in range(10):
         x = random_hermitian(rng, 3)
         expect = (np.trace(x) * np.eye(3) - x) / 2
-        assert np.allclose(posmaps.apply(phi11, x), expect, atol=1e-13)
-        assert np.allclose(posmaps.apply(red, x), expect, atol=1e-13)
+        assert np.allclose(posmaps.apply_id_tensor(phi11, x, 1), expect, atol=1e-13)
+        assert np.allclose(posmaps.apply_id_tensor(red, x, 1), expect, atol=1e-13)
 
 
 def test_breuer_hall_on_identity():
     for n in (4, 6):
-        out = posmaps.apply(posmaps.breuer_hall_map(n), np.eye(n))
+        out = posmaps.apply_id_tensor(posmaps.breuer_hall_map(n), np.eye(n), 1)
         assert np.allclose(out, np.eye(n), atol=1e-13)
 
 
@@ -47,14 +47,15 @@ def test_generalized_at_10_equals_choi():
     assert choi == gen  # one representation: the Choi map is Phi_{1,0}
     for _ in range(10):
         x = random_hermitian(rng, 3)
-        assert np.array_equal(posmaps.apply(gen, x), posmaps.apply(choi, x))
+        assert np.array_equal(posmaps.apply_id_tensor(gen, x, 1),
+                              posmaps.apply_id_tensor(choi, x, 1))
 
 
 def test_maps_are_linear_and_hermiticity_preserving():
     rng = np.random.default_rng(2)
     maps = [
-        posmaps.identity_map(3),
-        posmaps.transpose_map(3),
+        posmaps.MapSpec("identity", 3),
+        posmaps.MapSpec("transpose", 3),
         posmaps.reduction_map(3),
         posmaps.choi_map(),
         posmaps.generalized_choi_map(0.7, 1.2),
@@ -63,17 +64,17 @@ def test_maps_are_linear_and_hermiticity_preserving():
     for phi in maps:
         d = phi.dim
         x, y = random_hermitian(rng, d), random_hermitian(rng, d)
-        lhs = posmaps.apply(phi, 2.0 * x - 0.5 * y)
-        rhs = 2.0 * posmaps.apply(phi, x) - 0.5 * posmaps.apply(phi, y)
+        lhs = posmaps.apply_id_tensor(phi, 2.0 * x - 0.5 * y, 1)
+        rhs = 2.0 * posmaps.apply_id_tensor(phi, x, 1) - 0.5 * posmaps.apply_id_tensor(phi, y, 1)
         assert np.allclose(lhs, rhs, atol=1e-12)
-        out = posmaps.apply(phi, x)
+        out = posmaps.apply_id_tensor(phi, x, 1)
         assert np.linalg.norm(out - out.conj().T) <= 1e-12
 
 
 def test_choi_matrix_of_identity():
     n = 2
     expect = 2.0 * bipartite.max_entangled_projector(n)
-    assert np.allclose(posmaps.choi_matrix(posmaps.identity_map(n)), expect, atol=1e-14)
+    assert np.allclose(posmaps.choi_matrix(posmaps.MapSpec("identity", n)), expect, atol=1e-14)
 
 
 def test_choi_matrix_dual_max_eigenvalue_formula():
@@ -100,7 +101,7 @@ def test_choi_dual_choi_matrix_matches_display():
 def test_dual_identity_on_random_pairs():
     rng = np.random.default_rng(3)
     maps = [
-        posmaps.transpose_map(3),
+        posmaps.MapSpec("transpose", 3),
         posmaps.reduction_map(3),
         posmaps.choi_map(),
         posmaps.generalized_choi_map(0.4, 1.1),
@@ -111,20 +112,20 @@ def test_dual_identity_on_random_pairs():
         dual = posmaps.dual_map(phi)
         for _ in range(100):
             x, y = random_hermitian(rng, d), random_hermitian(rng, d)
-            lhs = np.trace(posmaps.apply(phi, x) @ y)
-            rhs = np.trace(x @ posmaps.apply(dual, y))
+            lhs = np.trace(posmaps.apply_id_tensor(phi, x, 1) @ y)
+            rhs = np.trace(x @ posmaps.apply_id_tensor(dual, y, 1))
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
 def test_transpose_and_reduction_self_dual():
-    assert posmaps.dual_map(posmaps.transpose_map(3)) == posmaps.transpose_map(3)
+    assert posmaps.dual_map(posmaps.MapSpec("transpose", 3)) == posmaps.MapSpec("transpose", 3)
     assert posmaps.dual_map(posmaps.reduction_map(3)) == posmaps.reduction_map(3)
 
 
 def test_apply_id_tensor_matches_partial_transpose():
     rng = np.random.default_rng(4)
     x = random_hermitian(rng, 12)
-    out = posmaps.apply_id_tensor(posmaps.transpose_map(4), x, 3)
+    out = posmaps.apply_id_tensor(posmaps.MapSpec("transpose", 4), x, 3)
     assert np.allclose(out, bipartite.partial_transpose(x, 3, 4), atol=1e-14)
 
 
@@ -214,6 +215,20 @@ def test_witness_from_schmidt_detects_max_entangled():
     assert overlap < 0.0
 
 
+@pytest.mark.parametrize("trace, degenerate", [
+    (0.9e-12, True), (-0.9e-12, True), (1.1e-12, False), (-1.1e-12, False)])
+def test_witness_trace_floor_boundary(trace, degenerate):
+    # I - I ⊗ sI on M_2 ⊗ M_2 has trace 4(1 - s): this trace, exactly. Below
+    # 1e-12 in size it is rounding and the witness is refused; above, it is
+    # normalized to I/4
+    os = bipartite.OperatorSchmidt(np.ones(1), [np.eye(2)], [(1.0 - trace / 4.0) * np.eye(2)])
+    if degenerate:
+        with pytest.raises(DegenerateWitness, match="vanishes"):
+            posmaps.witness_from_schmidt(os, 2, 2)
+    else:
+        assert np.array_equal(posmaps.witness_from_schmidt(os, 2, 2), np.eye(4) / 4.0)
+
+
 def test_witness_from_schmidt_frobenius_bound():
     rng = np.random.default_rng(9)
     bound = np.sqrt(2.0 / (9.0 - 3.0))
@@ -276,7 +291,7 @@ def test_mapspec_validation():
     with pytest.raises(InvalidVector):
         posmaps.witness_from_map(posmaps.choi_map(), np.ones(9))
     with pytest.raises(InvalidDim):
-        posmaps.apply(posmaps.choi_map(), np.eye(4))
+        posmaps.apply_id_tensor(posmaps.choi_map(), np.eye(4), 1)
     # the reduction map divides by n - 1, so M_1 is rejected by MapSpec itself
     for make in (lambda: posmaps.MapSpec("reduction", 1), lambda: posmaps.reduction_map(1)):
         with pytest.raises(InvalidDim, match="n >= 2"):
@@ -315,10 +330,10 @@ def test_mapspec_equality_and_hash():
     assert posmaps.choi_map() == posmaps.generalized_choi_map(1.0, 0.0)
     assert hash(posmaps.choi_map()) == hash(posmaps.generalized_choi_map(1.0, 0.0))
     assert posmaps.generalized_choi_map(0.3, 0.7) != posmaps.generalized_choi_map(0.7, 0.3)
-    assert posmaps.identity_map(3) == posmaps.identity_map(3)
-    assert posmaps.identity_map(3) != posmaps.transpose_map(3)
+    assert posmaps.MapSpec("identity", 3) == posmaps.MapSpec("identity", 3)
+    assert posmaps.MapSpec("identity", 3) != posmaps.MapSpec("transpose", 3)
     assert posmaps.reduction_map(3) != posmaps.reduction_map(4)
-    assert posmaps.identity_map(3) != "identity"
+    assert posmaps.MapSpec("identity", 3) != "identity"
 
 
 def test_mapspec_stores_a_v_with_zero_imaginary_part_as_float64():
@@ -371,7 +386,7 @@ def test_breuer_hall_custom_v():
     u = bipartite.haar_unitary(n, rng)
     v = u @ posmaps.breuer_hall_default_v(n) @ u.T
     phi = posmaps.breuer_hall_map(n, v=v)
-    assert np.allclose(posmaps.apply(phi, np.eye(n)), np.eye(n), atol=1e-12)
+    assert np.allclose(posmaps.apply_id_tensor(phi, np.eye(n), 1), np.eye(n), atol=1e-12)
 
 
 def random_antisymmetric_unitary(rng, n):
@@ -409,8 +424,8 @@ def reference_action(phi, x):
 @pytest.mark.parametrize(
     "make_phi",
     [
-        lambda rng: posmaps.identity_map(3),
-        lambda rng: posmaps.transpose_map(4),
+        lambda rng: posmaps.MapSpec("identity", 3),
+        lambda rng: posmaps.MapSpec("transpose", 4),
         lambda rng: posmaps.reduction_map(3),
         lambda rng: posmaps.choi_map(),
         lambda rng: posmaps.generalized_choi_map(0.7, 0.4),
@@ -434,8 +449,6 @@ def test_stacked_apply_id_tensor_matches_blockwise_loop(make_phi, id_dim):
             expect[i * d:(i + 1) * d, j * d:(j + 1) * d] = reference_action(phi, block)
     out = posmaps.apply_id_tensor(phi, x, id_dim)
     assert np.allclose(out, expect, rtol=0.0, atol=1e-13)
-    single = posmaps.apply(phi, x[:d, :d])
-    assert np.allclose(single, reference_action(phi, x[:d, :d]), rtol=0.0, atol=1e-13)
     # the action never writes into its input
     assert np.array_equal(x, x0)
     # a stack of operators maps each one as a single operator would

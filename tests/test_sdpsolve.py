@@ -196,6 +196,24 @@ def test_min_witness_uniform_spectrum():
     assert abs(value - 1.0 / 9.0) <= 1e-6
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_min_witness_objective_is_the_unitary_orbit_minimum(dims):
+    # the rearrangement lemma behind the objective mu[::-1]: for descending
+    # lambda and mu, Tr(diag(mu) U diag(lambda) U†) over unitaries U is least,
+    # sum_j lambda_j mu_{mn-j+1}, where U reverses the order
+    total = dims[0] * dims[1]
+    flip = np.eye(total)[:, ::-1]
+    rng = bipartite.rng_stream(19)
+    for _ in range(5):
+        lam = np.sort(rng.dirichlet(np.ones(total)))[::-1]
+        mu = np.sort(rng.uniform(-1.0, 1.0, total))[::-1]
+        value = sdpsolve.min_witness_problem(mu, dims).objective @ lam
+        for _ in range(40):
+            u = bipartite.haar_unitary(total, rng)
+            assert value <= np.trace(np.diag(mu) @ u @ np.diag(lam) @ u.conj().T).real + 1e-12
+        assert abs(np.trace(np.diag(mu) @ flip @ np.diag(lam) @ flip.T) - value) <= 1e-15
+
+
 def test_min_witness_boundary_witness_is_zero():
     spec = witness.extremal_witness_spectrum(-0.4, 0.6, 9)
     relaxed = sdpsolve.min_witness_over_abs_ppt(spec, (3, 3), "submatrix2x2")
@@ -986,8 +1004,8 @@ def test_solvers_on_a_complex_breuer_hall_map():
 @pytest.mark.parametrize(
     "phi",
     [
-        posmaps.identity_map(3),
-        posmaps.transpose_map(3),
+        posmaps.MapSpec("identity", 3),
+        posmaps.MapSpec("transpose", 3),
         # choi_map() is Phi_{1,0}; its case keeps the name "choi"
         pytest.param(posmaps.choi_map(), id="choi-3-0-0"),
         posmaps.generalized_choi_map(1.2, 1.2),
