@@ -1,12 +1,11 @@
 """Tensor-product structure on M_m ⊗ M_n.
 
-Kronecker products, partial trace/transpose, the realignment rearrangement,
-operator- and vector-Schmidt decompositions, standard states and operators,
-and Haar-random unitary sampling. A stack of k Haar unitaries is drawn from one
-generator in one call, _haar_from_ginibre(_ginibre(rng, n, k)): slice i equals
-the i-th of k haar_unitary(n, rng) calls, so a stack drawn in chunks equals one
-drawn whole, and the first k draws of a generator do not depend on how many
-follow.
+Kronecker products, partial trace/transpose, the realignment rearrangement
+and its trace norm, operator- and vector-Schmidt decompositions, standard
+states and operators, and Haar-random unitary sampling. A stack of k Ginibre
+matrices is drawn from one generator in one call, _ginibre(rng, n, k): slice
+i is the i-th of k single draws, so a stack drawn in chunks equals one drawn
+whole.
 
 Index convention: an operator X on M_m ⊗ M_n is an (mn)x(mn) array whose
 row index is the row-major pair (i, k) with i in [m], k in [n]. The
@@ -16,6 +15,7 @@ i.e. R(|i><j| ⊗ |k><l|) = |i><k| ⊗ |j><l|.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -79,9 +79,39 @@ def realign(x, m: int, n: int) -> np.ndarray:
     return x.reshape(lead + (m, n, m, n)).swapaxes(-3, -2).reshape(lead + (m * m, n * n))
 
 
-def realign_trace_norm(x, m: int, n: int) -> float:
-    """Trace norm of the realigned operator (the realignment criterion value)."""
-    return matcore.schatten_norm(realign(x, m, n), "trace")
+def _hermitian_basis(h: int, real: bool = False) -> np.ndarray:
+    """Real basis of the Hermitian h x h matrices: E_ii, then E_ij + E_ji and iE_ij - iE_ji
+    for each i < j in row-major order. With real, of the real symmetric ones, h(h+1)/2
+    of them: E_ii, symmetric. An SDP builder passes real when its data J is real: then
+    the average of an optimal Hermitian Y and its conjugate is feasible and optimal too."""
+    out = np.zeros((h * (h + 1) // 2 if real else h * h, h, h),
+                   dtype=np.float64 if real else np.complex128)
+    out[np.arange(h), np.arange(h), np.arange(h)] = 1.0
+    i, j = np.triu_indices(h, 1)
+    k = h + (1 if real else 2) * np.arange(i.size)
+    out[k, i, j] = out[k, j, i] = 1.0
+    if not real:
+        out[k + 1, i, j], out[k + 1, j, i] = 1.0j, -1.0j
+    return out
+
+
+@functools.cache
+def _correlation_basis(h: int) -> np.ndarray:
+    """V_h†, read-only: row a is vec(G_a)†, G_a = _hermitian_basis(h)[a] / ||.||_F."""
+    rows = _hermitian_basis(h).reshape(h * h, h * h).conj()
+    rows[h:] /= np.sqrt(2.0)  # the off-diagonal pairs, of norm √2
+    rows.flags.writeable = False
+    return rows
+
+
+def realign_trace_norm(x, m: int, n: int) -> float | np.ndarray:
+    """||R(X)||_1 of a Hermitian X, or of each operator of a Hermitian stack: the real
+    SVD of C = V_m† R(X) conj(V_n), C_ab = Tr(X (G_a ⊗ H_b)) (de Vicente, QIC 7, 2007),
+    which has the singular values of R(X). As ||X - X†||_F = 2 ||Im C||_F and ||X||_F =
+    ||C||_F, X is refused as matcore's Hermitian gateway refuses it."""
+    c = _correlation_basis(m) @ realign(x, m, n) @ _correlation_basis(n).T
+    matcore._defect_gate(2.0 * matcore._frobenius(c.imag), c)
+    return matcore.singular_values(c.real).sum(axis=-1)
 
 
 def operator_schmidt(x, m: int, n: int) -> OperatorSchmidt:
@@ -103,10 +133,10 @@ def operator_schmidt(x, m: int, n: int) -> OperatorSchmidt:
 
 
 def _check_unit_vector(v, length: int | None = None) -> np.ndarray:
-    v = np.asarray(v, dtype=np.complex128).ravel()
+    v = np.ravel(v).astype(np.complex128 if np.iscomplexobj(v) else np.float64, copy=False)
     if length is not None and v.size != length:
         raise InvalidVector(f"expected a vector of length {length}, got {v.size}")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    if not np.isfinite(v).all():
         raise InvalidVector("vector has non-finite entries")
     nv = float(np.linalg.norm(v))
     if abs(nv - 1.0) > VECTOR_NORM_TOL:
@@ -121,17 +151,17 @@ def vector_schmidt(v, m: int, n: int) -> np.ndarray:
 
 
 def max_entangled(n: int) -> np.ndarray:
-    """The standard maximally entangled unit vector (1/sqrt(n)) sum_i |ii>."""
+    """The standard maximally entangled unit vector (1/sqrt(n)) sum_i |ii>, float64."""
     if n < 1:
         raise InvalidDim("n must be >= 1")
-    v = np.zeros(n * n, dtype=np.complex128)
+    v = np.zeros(n * n)
     v[:: n + 1] = 1.0 / np.sqrt(n)
     return v
 
 
 def max_entangled_projector(n: int) -> np.ndarray:
     """|psi+><psi+| for max_entangled(n), as a real float64 matrix."""
-    v = max_entangled(n).real
+    v = max_entangled(n)
     return np.outer(v, v)
 
 
@@ -165,20 +195,15 @@ def _ginibre(rng: np.random.Generator, n: int, count: int | None = None) -> np.n
     return z
 
 
-def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from Ginibre draws z[..., n, n]: QR with the phases of R's diagonal
-    divided out (Mezzadri, Notices AMS 54, 2007)."""
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., np.newaxis, :]
-
-
 def haar_unitary(n: int, seed: int | np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary from a seed or a generator."""
+    """Haar-distributed unitary from a seed or a generator: the QR factor of a Ginibre
+    draw, R's diagonal phases divided out (Mezzadri, Notices AMS 54, 2007)."""
     if n < 1:
         raise InvalidDim("n must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else rng_stream(seed)
-    return _haar_from_ginibre(_ginibre(rng, n))
+    q, r = np.linalg.qr(_ginibre(rng, n) / np.sqrt(2.0))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def random_density(dim: int, seed: int | np.random.Generator) -> np.ndarray:

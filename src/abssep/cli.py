@@ -43,6 +43,8 @@ EXIT_INPUT = 3
 ORBIT_CHUNK = 16  # fewest Haar samples per stacked draw
 ORBIT_ENTRIES = 4096  # matrix entries per stacked draw, where that is more samples
 CERT_CHUNK = 128  # grid maps per stack, built and verified at once; bounds working memory
+VIOLATION_TOL = 1e-8  # --tol default: an orbit-scan value above it is a violation, not rounding
+CERTIFICATE_TOL = 1e-12  # --tol default: a certificate row within it of its closed form is ok
 
 HULL_POINTS = (
     (0.0, 0.0),
@@ -340,14 +342,15 @@ def cmd_fig_data(args) -> tuple[str, int]:
 def _orbit_violations(spec, criterion, b, c, seed, count) -> np.ndarray:
     """Violation of the criterion on each of count Haar rotations of the spectrum.
 
-    Every unitary comes from one generator, rng_stream(seed, 0): sample i is
-    rotated by the i-th of count bipartite.haar_unitary(mn, rng) draws. So the
-    first k samples of a scan are those of any longer scan with the same seed,
-    and a one-sample scan draws what haar_unitary(mn, rng_stream(seed, 0))
-    does. Samples are processed max(ORBIT_CHUNK, ORBIT_ENTRIES // d²) at a
-    time as one stack, d = mn, its Ginibre normals drawn in one call: all 100
-    of a default scan at d <= 6, 50 at d = 9 and 16 at d >= 16. The stacks
-    take the draws in order, so the result does not depend on the chunking.
+    Every rotation comes from one generator, rng_stream(seed, 0): sample i is
+    Q_i Λ Q_i†, Q_i the QR factor of the i-th Ginibre draw. The i-th
+    bipartite.haar_unitary(mn, rng) call returns U_i = Q_i D_i, whose phases
+    D_i cancel against Λ, and its 1/√2 prescale leaves Q_i as it is in exact
+    arithmetic: the state is U_i Λ U_i† up to rounding. Samples are processed
+    max(ORBIT_CHUNK, ORBIT_ENTRIES // d²) at a time as one stack, d = mn, its
+    Ginibre normals drawn in one call, the stacks taking the draws in order:
+    the result does not depend on the chunking, and the first k samples of a
+    scan are those of any longer scan with the same seed.
     """
     from . import bipartite, matcore, posmaps
     m, n = spec.m, spec.n
@@ -366,11 +369,10 @@ def _orbit_violations(spec, criterion, b, c, seed, count) -> np.ndarray:
     chunk = max(ORBIT_CHUNK, ORBIT_ENTRIES // (m * n) ** 2)
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
-        u = bipartite._haar_from_ginibre(bipartite._ginibre(rng, m * n, stop - start))
-        rho = (u * spec.values) @ u.conj().swapaxes(-1, -2)
+        q = np.linalg.qr(bipartite._ginibre(rng, m * n, stop - start))[0]
+        rho = (q * spec.values) @ q.conj().swapaxes(-1, -2)
         if phi is None:
-            trace_norms = matcore.singular_values(bipartite.realign(rho, m, n)).sum(axis=-1)
-            out[start:stop] = trace_norms - 1.0
+            out[start:stop] = bipartite.realign_trace_norm(rho, m, n) - 1.0
         else:
             out[start:stop] = -matcore.eigvalsh(posmaps.apply_id_tensor(phi, rho, m))[..., -1]
     return out
@@ -527,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bh-dims", type=int, nargs="+", default=(4, 6), help="default: 4 6")
     p.add_argument("--grid", type=int, default=21, help="points per (b, c) axis; default: 21")
     p.add_argument("--format", choices=["csv", "json"], default="csv", help="default: csv")
-    _add_tol(p, certificate=1e-12)
+    _add_tol(p, certificate=CERTIFICATE_TOL)
     p.set_defaults(func=cmd_verify_certificates)
 
     p = subs.add_parser("fig-data", help="emit figure data as CSV")
@@ -549,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=2024, help="default: 2024")
     p.add_argument("--samples", type=int, default=200, help="Haar samples; default: 200")
-    _add_tol(p, violation=1e-8)
+    _add_tol(p, violation=VIOLATION_TOL)
     p.set_defaults(func=cmd_orbit_scan)
 
     p = subs.add_parser("family", help="parametric family reports")

@@ -81,13 +81,17 @@ def _square_stack(a) -> np.ndarray:
     return m
 
 
-def _symmetrized(m: np.ndarray, mh: np.ndarray) -> np.ndarray:
-    """(m + mh)/2, mh = m†, after the defect gate on each matrix of the stack."""
-    defect = _frobenius(m - mh)
+def _defect_gate(defect: np.ndarray, m: np.ndarray) -> None:
+    """Refuse a defect ||A - A†||_F above HERMITIZE_TOL (1 + ||A||_F), ||A||_F that of m."""
     if (defect > HERMITIZE_TOL).any():  # a smaller defect passes whatever the norm of the matrix
         bad = defect > HERMITIZE_TOL * (1.0 + _frobenius(m))
         if bad.any():
             raise InvalidMatrix(f"matrix is not Hermitian (defect {defect[bad].flat[0]:.3e})")
+
+
+def _symmetrized(m: np.ndarray, mh: np.ndarray) -> np.ndarray:
+    """(m + mh)/2, mh = m†, after the defect gate on each matrix of the stack."""
+    _defect_gate(_frobenius(m - mh), m)
     return (m + mh) / 2.0
 
 

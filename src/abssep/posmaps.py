@@ -131,7 +131,7 @@ def _gen_choi_act(b, c, x: np.ndarray) -> np.ndarray:
 
 
 def _act(phi: MapSpec, x: np.ndarray) -> np.ndarray:
-    """The closed-form action of phi on every dim x dim matrix of a stack x."""
+    """The closed-form action of phi on every dim x dim matrix of a stack x (not breuer_hall)."""
     kind = phi.kind
     if kind == "identity":
         return x.copy()
@@ -139,12 +139,9 @@ def _act(phi: MapSpec, x: np.ndarray) -> np.ndarray:
         return np.swapaxes(x, -1, -2).copy()
     if kind == "generalized_choi":
         return _gen_choi_act(phi.b, phi.c, x)
-    n = phi.dim
-    trace_part = np.trace(x, axis1=-2, axis2=-1)[..., np.newaxis, np.newaxis] * np.eye(n)
     if kind == "reduction":
-        return (trace_part - x) / (n - 1)
-    if kind == "breuer_hall":
-        return (trace_part - x - phi.v @ np.swapaxes(x, -1, -2) @ phi.v.conj().T) / (n - 2)
+        trace = np.trace(x, axis1=-2, axis2=-1)[..., np.newaxis, np.newaxis]
+        return (trace * np.eye(phi.dim) - x) / (phi.dim - 1)
     raise AssertionError(kind)
 
 
@@ -169,10 +166,18 @@ def _id_tensor(act, d: int, x: np.ndarray, id_dim: int) -> np.ndarray:
 def apply_id_tensor(phi: MapSpec, x, id_dim: int) -> np.ndarray:
     """(id_{id_dim} ⊗ Phi)(X), applying the map to every d x d block at once.
 
-    Accepts a stack X[..., id_dim·d, id_dim·d] and maps each operator.
+    Accepts a stack X[..., id_dim·d, id_dim·d] and maps each operator. Breuer-Hall
+    takes two products per operator, (Tr_2 X ⊗ I - X - (I ⊗ V) X^Γ (I ⊗ V)†)/(d - 2),
+    exact for a real V, where I ⊗ V is a signed permutation.
     """
     x = bipartite._check_dims(x, id_dim, phi.dim, stack=True)
-    return _id_tensor(functools.partial(_act, phi), phi.dim, x, id_dim)
+    if phi.kind != "breuer_hall":
+        return _id_tensor(functools.partial(_act, phi), phi.dim, x, id_dim)
+    n, w = phi.dim, np.kron(np.eye(id_dim), phi.v)
+    blocks = x.reshape(x.shape[:-2] + (id_dim, n, id_dim, n))
+    trace = np.trace(blocks, axis1=-3, axis2=-1)[..., :, None, :, None] * np.eye(n)[:, None]
+    x_gamma = blocks.swapaxes(-3, -1).reshape(x.shape)
+    return (trace.reshape(x.shape) - x - w @ x_gamma @ w.conj().T) / (n - 2)
 
 
 def generalized_choi_matrices(b, c) -> np.ndarray:
@@ -194,22 +199,23 @@ def choi_matrix(phi: MapSpec) -> np.ndarray:
 
 
 def witness_from_map(phi: MapSpec, v) -> np.ndarray:
-    """(id ⊗ Phi)(|v><v|); unit trace whenever the map is trace-preserving.
+    """(id ⊗ Phi)(|v><v|), float64 where v and the map are real; unit trace
+    whenever the map is trace-preserving.
 
     Callers interested in the witness of a map's dual pass dual_map(phi).
     """
-    v = np.asarray(v, dtype=np.complex128).ravel()
+    v = np.asarray(v)
     if v.size % phi.dim != 0:
         raise InvalidVector("vector length is not a multiple of the map dimension")
     m = v.size // phi.dim
-    v = bipartite._check_unit_vector(v, m * phi.dim)
+    v = bipartite._check_unit_vector(v)
     return apply_id_tensor(phi, np.outer(v, v.conj()), m)
 
 
 def witness_from_schmidt(
     os: bipartite.OperatorSchmidt, m: int, n: int, k: int | None = None
 ) -> np.ndarray:
-    """Unit-trace witness (I - sum_{i<=k} A_i ⊗ B_i) / Tr(...).
+    """Unit-trace witness (I - sum_{i<=k} A_i ⊗ B_i) / Tr(...), float64 for real terms.
 
     Only the terms of the decomposition count: k defaults to the Schmidt
     rank, and the orthonormal completion at zero coefficients never enters.
@@ -219,9 +225,9 @@ def witness_from_schmidt(
         k = rank
     if not 1 <= k <= rank:
         raise ValueError(f"k must be in 1..{rank} (the Schmidt rank), got {k}")
-    w = np.eye(m * n, dtype=np.complex128)
+    w = np.eye(m * n)
     for i in range(k):
-        w -= bipartite.kron(os.left_ops[i], os.right_ops[i])
+        w = w - bipartite.kron(os.left_ops[i], os.right_ops[i])
     tr = np.trace(w)
     if abs(tr) < WITNESS_TRACE_FLOOR:
         raise DegenerateWitness("witness trace vanishes; cannot normalize")

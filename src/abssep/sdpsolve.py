@@ -521,32 +521,10 @@ def verify_min_witness_certificate(
 # ----------------------------------------------------------------------------
 
 
-def _hermitian_basis(h: int, real: bool = False) -> np.ndarray:
-    """Real basis of the Hermitian h x h matrices: E_ii, symmetric, antisymmetric.
-    With real, of the real symmetric ones, h(h+1)/2 of them: E_ii, symmetric.
-    A builder passes real when its data J is real: then the average of an
-    optimal Hermitian Y and its conjugate is feasible and optimal too."""
-    out = np.zeros((h * (h + 1) // 2 if real else h * h, h, h),
-                   dtype=np.float64 if real else np.complex128)
-    k = 0
-    for i in range(h):
-        out[k, i, i] = 1.0
-        k += 1
-    for i in range(h):
-        for j in range(i + 1, h):
-            out[k, i, j] = out[k, j, i] = 1.0
-            k += 1
-            if not real:
-                out[k, i, j] = 1.0j
-                out[k, j, i] = -1.0j
-                k += 1
-    return out
-
-
 def _min_s_problem(
     d: int, blocks: list[AffineBlock], y_diag: float, s: float, name: str
 ) -> SdpProblem:
-    """minimize s over x = (coefficients of a d x d Y in the _hermitian_basis(d)
+    """minimize s over x = (coefficients of a d x d Y in bipartite._hermitian_basis(d)
     of blocks[0], s), from the start Y = y_diag I and the given s."""
     nb = blocks[0].coeffs.shape[1] - 1
     objective = np.zeros(nb + 1)
@@ -571,7 +549,7 @@ def diamond_norm_problem(phi: posmaps.MapSpec) -> SdpProblem:
     n = phi.dim
     d = n * n
     jmat = posmaps.choi_matrix(phi)
-    basis = _hermitian_basis(d, real=not jmat.imag.any())
+    basis = bipartite._hermitian_basis(d, real=not jmat.imag.any())
     coeffs = np.concatenate([basis, np.zeros((1, d, d))])[np.newaxis]  # x = (Y coeffs, s)
     traced = bipartite.partial_trace(basis, n, n, "second")
     cap = np.concatenate([-traced, np.eye(n)[np.newaxis]])[np.newaxis]  # s I - Tr_2 Y
@@ -585,7 +563,7 @@ def max_eig_problem(phi: posmaps.MapSpec) -> SdpProblem:
     n = phi.dim
     d = n * n
     jmat = posmaps.choi_matrix(phi)
-    basis = _hermitian_basis(d, real=not jmat.imag.any())
+    basis = bipartite._hermitian_basis(d, real=not jmat.imag.any())
     objective = -np.real(np.einsum("kab,ba->k", basis, jmat))
     coeffs = np.empty((2,) + basis.shape, dtype=basis.dtype)  # rho, rho^Gamma
     coeffs[0] = basis
@@ -612,7 +590,7 @@ def max_eig_dual_problem(phi: posmaps.MapSpec) -> SdpProblem:
     n = phi.dim
     d = n * n
     jmat = posmaps.choi_matrix(phi)
-    basis = _hermitian_basis(d, real=not jmat.imag.any())
+    basis = bipartite._hermitian_basis(d, real=not jmat.imag.any())
     nb = len(basis)
     coeffs = np.zeros((2, nb + 1, d, d), dtype=basis.dtype)  # x = (Y coeffs, s)
     coeffs[0, :nb] = basis  # Y

@@ -275,17 +275,23 @@ def test_operator_schmidt_zeroes_only_below_rank_tolerance():
     assert np.allclose(os.coefficients[:2], ref[:2], atol=1e-14)
 
 
-def test_stacked_haar_draw_matches_single_draws():
-    # slice i of one stacked draw is the i-th haar_unitary draw of the same generator,
-    # and stacks drawn one after another equal one stack drawn whole
+def test_stacked_ginibre_draw_matches_single_draws():
+    # slice i of one stacked draw is the i-th single draw of the same generator,
+    # which haar_unitary turns into a unitary, and stacks drawn one after another
+    # equal one stack drawn whole
     for n in (1, 4, 9, 16):
-        rng = bipartite.rng_stream(4, 0)
-        stack = bipartite._haar_from_ginibre(bipartite._ginibre(rng, n, 3))
+        stack = bipartite._ginibre(bipartite.rng_stream(4, 0), n, 3)
         assert stack.shape == (3, n, n)
-        rng = bipartite.rng_stream(4, 0)
-        for u in stack:
-            assert np.array_equal(u, bipartite.haar_unitary(n, rng))
+        rng, haar_rng = bipartite.rng_stream(4, 0), bipartite.rng_stream(4, 0)
+        for z in stack:
+            assert np.array_equal(z, bipartite._ginibre(rng, n))
+            u = bipartite.haar_unitary(n, haar_rng)
             assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-10
+            # U = Q D: the QR factor of the same draw up to diagonal phases
+            q = np.linalg.qr(z)[0]
+            phases = np.diagonal(q.conj().T @ u)
+            assert np.allclose(np.abs(phases), 1.0, rtol=0.0, atol=1e-12)
+            assert np.allclose(q * phases, u, rtol=0.0, atol=1e-12)
     rng = bipartite.rng_stream(9, 0)
     chunks = [bipartite._ginibre(rng, 4, k) for k in (3, 1, 0, 3)]
     assert chunks[2].shape == (0, 4, 4)
@@ -362,3 +368,80 @@ def test_kron_realign_and_projector_keep_real_input_real():
         v = bipartite.max_entangled(n)
         assert p.dtype == np.float64
         assert np.array_equal(p, np.outer(v, v.conj()).real)
+
+
+def test_max_entangled_and_unit_vectors_keep_real_input_real():
+    # real input stays float64 and complex input complex128
+    for n in (1, 3, 4):
+        v = bipartite.max_entangled(n)
+        assert v.dtype == np.float64
+        assert np.array_equal(v, np.eye(n).ravel() / np.sqrt(n))
+    assert bipartite._check_unit_vector([0.6, 0.8]).dtype == np.float64
+    assert bipartite._check_unit_vector(np.array([1.0, 0.0], dtype=np.float32)).dtype == np.float64
+    assert bipartite._check_unit_vector([0.6, 0.8j]).dtype == np.complex128
+    real = bipartite.vector_schmidt(bipartite.max_entangled(3), 3, 3)
+    cplx = bipartite.vector_schmidt(bipartite.max_entangled(3) + 0j, 3, 3)
+    assert np.allclose(real, cplx, rtol=0.0, atol=1e-15)
+    with pytest.raises(InvalidVector, match="non-finite"):
+        bipartite._check_unit_vector([np.nan, 1.0])
+    with pytest.raises(InvalidVector, match="non-finite"):
+        bipartite._check_unit_vector([1.0, complex(0.0, np.inf)])
+
+
+@pytest.mark.parametrize("excess, rejected", [
+    (0.9e-9, False), (-0.9e-9, False), (1.1e-9, True), (-1.1e-9, True)])
+def test_vector_norm_tol_boundary(excess, rejected):
+    # |v| = 1 + excess, exactly up to one rounding of 1 + excess: a unit vector
+    # within 1e-9 in norm is accepted, one further out refused
+    v = [1.0 + excess, 0.0, 0.0, 0.0]
+    if rejected:
+        with pytest.raises(InvalidVector, match="not unit norm"):
+            bipartite.vector_schmidt(v, 2, 2)
+    else:
+        assert np.array_equal(bipartite.vector_schmidt(v, 2, 2), [1.0 + excess, 0.0])
+
+
+@pytest.mark.parametrize("scale", [0.5, 5e5])
+@pytest.mark.parametrize("factor, rejected", [(0.9, False), (1.1, True)])
+def test_realign_trace_norm_hermitian_gate_boundary(scale, factor, rejected):
+    # X = scale I_4 + i s E_00 on M_2 ⊗ M_2: ||X - X†||_F = 2s and ||X||_F ~ 2 scale,
+    # so matcore's gate, defect > 1e-8 (1 + ||X||_F), sits at s = 0.5e-8 (1 + 2 scale);
+    # realign_trace_norm refuses what eigvalsh refuses, at ||X||_F 1 and 1e6
+    s = factor * 0.5e-8 * (1.0 + 2.0 * scale)
+    x = scale * np.eye(4) + 0j
+    x[0, 0] += 1j * s
+    if rejected:
+        with pytest.raises(InvalidMatrix, match="not Hermitian"):
+            bipartite.realign_trace_norm(x, 2, 2)
+        with pytest.raises(InvalidMatrix, match="not Hermitian"):
+            matcore.eigvalsh(x)
+    else:
+        # the value of the Hermitian part scale I_4, whose realignment is scale vec(I) vec(I)ᵀ
+        assert abs(bipartite.realign_trace_norm(x, 2, 2) - 2.0 * scale) <= 1e-15 * scale
+        matcore.eigvalsh(x)
+
+
+def test_stacked_realign_trace_norm_equals_one_matrix_at_a_time():
+    rng = np.random.default_rng(38)
+    for m, n in [(1, 1), (1, 4), (2, 3), (3, 2), (3, 3), (4, 4)]:
+        rho = np.array([random_state(rng, m * n) for _ in range(5)])
+        got = bipartite.realign_trace_norm(rho, m, n)
+        assert got.shape == (5,)
+        for k in range(5):
+            one = bipartite.realign_trace_norm(rho[k], m, n)
+            assert isinstance(one, float) and one == got[k]
+    # a real symmetric input gives the value of its complex copy
+    x = rng.standard_normal((3, 6, 6))
+    x = x + x.swapaxes(-1, -2)
+    assert np.allclose(bipartite.realign_trace_norm(x, 2, 3),
+                       bipartite.realign_trace_norm(x + 0j, 2, 3), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_correlation_basis_is_unitary_and_hermitian(h):
+    # row a is vec(G_a)†, G_a Hermitian with unit Hilbert-Schmidt norm
+    rows = bipartite._correlation_basis(h)
+    assert np.allclose(rows @ rows.conj().T, np.eye(h * h), rtol=0.0, atol=1e-15)
+    g = rows.conj().reshape(h * h, h, h)
+    assert np.array_equal(g, g.conj().swapaxes(-1, -2))
+    assert not rows.flags.writeable

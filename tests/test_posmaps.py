@@ -456,3 +456,72 @@ def test_stacked_apply_id_tensor_matches_blockwise_loop(make_phi, id_dim):
     out_stack = posmaps.apply_id_tensor(phi, stack, id_dim)
     for k in range(3):
         assert np.array_equal(out_stack[k], posmaps.apply_id_tensor(phi, stack[k], id_dim))
+
+
+def block_breuer_hall(v, x, m):
+    """The Breuer-Hall formula (Tr(Y) I - Y - V Yᵀ V†)/(n - 2) on every n x n block Y
+    of each operator of a stack x[..., mn, mn], all blocks as one stack."""
+    n = v.shape[0]
+    blocks = x.reshape(x.shape[:-2] + (m, n, m, n)).swapaxes(-3, -2)
+    trace = np.trace(blocks, axis1=-2, axis2=-1)[..., np.newaxis, np.newaxis]
+    out = (trace * np.eye(n) - blocks - v @ blocks.swapaxes(-1, -2) @ v.conj().T) / (n - 2)
+    return out.swapaxes(-3, -2).reshape(x.shape)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("complex_v", [False, True], ids=["default_v", "complex_v"])
+def test_whole_matrix_breuer_hall_equals_the_block_formula(n, complex_v):
+    # for the default V, I ⊗ V is a signed permutation and both forms are exact:
+    # the same bits. For a complex V the two products sum the same terms in a
+    # different order, within 4 n u ||X||_F (0.17 n u ||X||_F was the largest seen
+    # over 180 stacks)
+    rng = np.random.default_rng(380 + n)
+    phi = posmaps.breuer_hall_map(n, random_antisymmetric_unitary(rng, n) if complex_v else None)
+    assert (phi.v.dtype == np.complex128) is complex_v
+    for m in (1, 2, 3):
+        x = rng.standard_normal((4, m * n, m * n)) + 1j * rng.standard_normal((4, m * n, m * n))
+        got = posmaps.apply_id_tensor(phi, x, m)
+        expect = block_breuer_hall(phi.v, x, m)
+        if complex_v:
+            err = np.linalg.norm(got - expect, axis=(-2, -1))
+            assert (err <= 4 * n * 2.0**-53 * np.linalg.norm(x, axis=(-2, -1))).all()
+        else:
+            assert np.array_equal(got, expect)
+    if not complex_v:  # a real operator and a real V give a real image
+        p = bipartite.max_entangled_projector(n)
+        assert posmaps.apply_id_tensor(phi, p, n).dtype == np.float64
+        assert np.array_equal(posmaps.apply_id_tensor(phi, p, n), block_breuer_hall(phi.v, p, n))
+
+
+def test_witness_builders_keep_real_input_real():
+    # float64 from real vectors, maps and Schmidt terms; complex128 where any is complex
+    phi = posmaps.dual_map(posmaps.choi_map())
+    w = posmaps.witness_from_map(phi, bipartite.max_entangled(3))
+    assert w.dtype == np.float64
+    assert np.array_equal(w, posmaps.witness_from_map(phi, bipartite.max_entangled(3) + 0j).real)
+    assert posmaps.witness_from_map(phi, bipartite.max_entangled(3) + 0j).dtype == np.complex128
+    v = posmaps.breuer_hall_default_v(4) * 1j
+    assert posmaps.witness_from_map(posmaps.breuer_hall_map(4, v),
+                                    bipartite.max_entangled(4)).dtype == np.complex128
+    rng = np.random.default_rng(38)
+    g = rng.standard_normal((9, 9))
+    rho = g @ g.T / np.trace(g @ g.T)
+    real = posmaps.witness_from_schmidt(bipartite.operator_schmidt(rho, 3, 3), 3, 3)
+    cplx = posmaps.witness_from_schmidt(bipartite.operator_schmidt(rho + 0j, 3, 3), 3, 3)
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    assert np.allclose(real, cplx, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("factor, inside", [(0.9, True), (1.1, False)])
+def test_bc_predicate_tol_boundary(factor, inside):
+    # b or |b - c| at 0.9e-9 reads as 0 (CP, decomposable), at 1.1e-9 as positive
+    e = factor * 1e-9
+    assert bool(posmaps.is_completely_positive_bc(e, 0.0)) is inside
+    assert bool(posmaps.is_completely_positive_bc(0.0, e)) is inside
+    # Phi_{0.5, 0.5 + e} is positive (b + c <= 1 + 1e-9 or bc >= (b + c - 1)²)
+    # and not CP, so it is indecomposable exactly when |b - c| > 1e-9
+    assert bool(posmaps.is_positive_bc(0.5, 0.5 + e))
+    assert bool(posmaps.is_indecomposable_bc(0.5, 0.5 + e)) is not inside
+    # (1 + e, 0) is on the curve bc = (b + c - 1)² up to e² ~ 1e-18, and b != c:
+    # it is exposed exactly when b + c > 1 + 1e-9
+    assert bool(posmaps.is_exposed_bc(1.0 + e, 0.0)) is not inside

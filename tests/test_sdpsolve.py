@@ -938,7 +938,7 @@ def _watrous_two_variable_problem(phi):
     n = m = phi.dim
     d = n * m
     jmat = posmaps.choi_matrix(phi)
-    basis = sdpsolve._hermitian_basis(d)
+    basis = bipartite._hermitian_basis(d)
     nb = d * d
     nv = 2 * nb + 2  # Y0 coeffs, Y1 coeffs, s0, s1
     big_const = np.zeros((2 * d, 2 * d), dtype=np.complex128)
@@ -1083,7 +1083,7 @@ def _complex_block_problem():
     # minimize tr Y over Hermitian 3x3 Y with Y + C >= 0 for a complex C: one
     # block that stays complex128
     c = np.array([[1.0, 0.5j, 0.2 - 0.3j], [-0.5j, 0.4, 0.1j], [0.2 + 0.3j, -0.1j, -0.6]])
-    basis = sdpsolve._hermitian_basis(3)
+    basis = bipartite._hermitian_basis(3)
     start = np.zeros(9)
     start[:3] = matcore.schatten_norm(c, "operator") + 1.0  # Y = start I
     block = sdpsolve.AffineBlock(c[np.newaxis], basis[np.newaxis])
@@ -1315,7 +1315,7 @@ def test_layout_holds_views_of_the_block_data():
     assert [lay[2] is block.const for lay, block in zip(sdpsolve._layout(diamond, 46), diamond.blocks)] == [
         True, False]
     assert sdpsolve._layout(sdpsolve.max_eig_dual_problem(_complex_breuer_hall_4()), 257)[0][3]
-    shared = sdpsolve.AffineBlock(np.zeros((2, 3, 3)), sdpsolve._hermitian_basis(3)[np.newaxis])
+    shared = sdpsolve.AffineBlock(np.zeros((2, 3, 3)), bipartite._hermitian_basis(3)[np.newaxis])
     shared_problem = sdpsolve.SdpProblem(objective=np.zeros(9), blocks=[shared],
                                          interior_point=np.r_[np.ones(3), np.zeros(6)])
     assert sdpsolve._layout(shared_problem, 9)[0][2] is shared.const
@@ -1323,7 +1323,7 @@ def test_layout_holds_views_of_the_block_data():
     _assert_derivatives_match_reference(shared_problem, x, np.random.default_rng(3).standard_normal(9))
     # a complex const with real coeffs makes F, and so L^-1, complex
     const = _complex_block_problem().blocks[0].const
-    mixed = sdpsolve.AffineBlock(const, sdpsolve._hermitian_basis(3, real=True)[np.newaxis])
+    mixed = sdpsolve.AffineBlock(const, bipartite._hermitian_basis(3, real=True)[np.newaxis])
     mixed_problem = sdpsolve.SdpProblem(objective=np.zeros(6), blocks=[mixed],
                                         interior_point=np.r_[np.full(3, 2.0), np.zeros(3)])  # F = 2 I + C > 0
     assert mixed.coeffs.dtype == np.float64 and sdpsolve._layout(mixed_problem, 6)[0][3]

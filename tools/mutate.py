@@ -54,7 +54,10 @@ MUTANTS = [
     ("sdpsolve.py", "DIAMOND_FLOOR_SLACK",
      ["tests/test_sdpsolve.py::test_diamond_floor_slack_is_pinned_from_both_sides"]),
     ("matcore.py", "HERMITIZE_TOL",
-     ["tests/test_matcore.py::test_hermitize_tolerance_is_pinned_from_both_sides"]),
+     ["tests/test_matcore.py::test_hermitize_tolerance_is_pinned_from_both_sides",
+      "tests/test_bipartite.py::test_realign_trace_norm_hermitian_gate_boundary"]),
+    ("bipartite.py", "VECTOR_NORM_TOL", ["tests/test_bipartite.py::test_vector_norm_tol_boundary"]),
+    ("posmaps.py", "BC_PREDICATE_TOL", ["tests/test_posmaps.py::test_bc_predicate_tol_boundary"]),
     ("posmaps.py", "BH_SKEW_TOL",
      ["tests/test_posmaps.py::test_breuer_hall_skew_tolerance_is_pinned_from_both_sides"]),
     ("posmaps.py", "BH_UNITARY_TOL",
