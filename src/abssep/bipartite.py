@@ -166,14 +166,11 @@ def max_entangled_projector(n: int) -> np.ndarray:
 
 
 def swap_operator(n: int) -> np.ndarray:
-    """The swap S(|a> ⊗ |b>) = |b> ⊗ |a> on C^n ⊗ C^n."""
+    """The swap S(|a> ⊗ |b>) = |b> ⊗ |a> on C^n ⊗ C^n, a permutation, as float64:
+    row (i, k) of S is row (k, i) of the identity."""
     if n < 1:
         raise InvalidDim("n must be >= 1")
-    s = np.zeros((n * n, n * n), dtype=np.complex128)
-    for i in range(n):
-        for k in range(n):
-            s[i * n + k, k * n + i] = 1.0
-    return s
+    return np.eye(n * n)[np.arange(n * n).reshape(n, n).T.ravel()]
 
 
 def rng_stream(seed: int, stream: int | None = None) -> np.random.Generator:

@@ -86,8 +86,8 @@ def isotropic_spectrum(n: int, alpha: float) -> absppt.Spectrum:
 
 
 def tiles_upb() -> list[np.ndarray]:
-    """The Tiles unextendible product basis in C³ ⊗ C³ (five product vectors)."""
-    e = np.eye(3, dtype=np.complex128)
+    """The Tiles unextendible product basis in C³ ⊗ C³ (five real product vectors)."""
+    e = np.eye(3)
     r2 = math.sqrt(2.0)
     ones = (e[0] + e[1] + e[2]) / math.sqrt(3.0)
     vecs = [
@@ -119,12 +119,13 @@ def validate_upb(vectors: list[np.ndarray]) -> None:
 
 
 def upb_complement_state(vectors: list[np.ndarray] | None = None) -> np.ndarray:
-    """The PPT entangled state (I - sum |v_i><v_i|) / 4 from a UPB."""
+    """The PPT entangled state (I - sum |v_i><v_i|) / 4 from a UPB: float64 for
+    real vectors, as the Tiles UPB, else complex128."""
     vecs = tiles_upb() if vectors is None else vectors
     validate_upb(vecs)
-    proj = np.eye(9, dtype=np.complex128)
+    proj = np.eye(9)
     for v in vecs:
-        proj -= np.outer(v, np.conj(v))
+        proj = proj - np.outer(v, np.conj(v))
     return proj / 4.0
 
 

@@ -7,12 +7,13 @@ deterministic tie order, and PSD tests with explicit tolerances. psd_screen
 decides, by one shifted Cholesky and no eigenvalue, a stack that psd_test
 would accept whole.
 
-Matrices are plain numpy arrays throughout: a real one is float64 and goes
-to the real LAPACK drivers, any other is complex128. ``hermitize`` enforces
-the Hermitian contract: inputs further than HERMITIZE_TOL from their
-Hermitian part are rejected, anything closer is symmetrized to (A + A†)/2.
-eigvalsh and eigh hand LAPACK that symmetrized stack, or the input itself,
-uncopied, where it has exactly the bits (A + A†)/2 would have (_hermitian).
+Matrices are plain numpy arrays throughout, read through one normalizer,
+_as_matrix: a real one is float64 and goes to the real LAPACK drivers, any
+other is complex128. ``hermitize`` is the one Hermitian gateway: inputs
+further than HERMITIZE_TOL from their Hermitian part are rejected, anything
+closer is symmetrized to (A + A†)/2, and input that already has exactly the
+bits of (A + A†)/2 is handed over uncopied. eigvalsh, eigh and psd_screen
+hand LAPACK what it returns.
 """
 
 from __future__ import annotations
@@ -48,7 +49,12 @@ class PsdReport:
         return f"PsdReport(ok={self.ok}, min_eigenvalue={self.min_eigenvalue:.3e})"
 
 
-def _finite_matrix(m: np.ndarray, stack: bool) -> np.ndarray:
+def _as_matrix(a, stack: bool = False) -> np.ndarray:
+    """Validate and return a finite matrix, or with stack=True a stack [..., r, c]:
+    float64 where a is real, else complex128: the package's one matrix
+    normalizer, so that real data stays real."""
+    m = np.asarray(a)
+    m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
     if (m.ndim < 2 if stack else m.ndim != 2) or m.shape[-2] < 1 or m.shape[-1] < 1:
         raise InvalidMatrix(f"expected a 2-d matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -56,29 +62,9 @@ def _finite_matrix(m: np.ndarray, stack: bool) -> np.ndarray:
     return m
 
 
-def as_complex_matrix(a, stack: bool = False) -> np.ndarray:
-    """Validate and return a finite complex matrix, or with stack=True a stack [..., r, c]."""
-    return _finite_matrix(np.asarray(a, dtype=np.complex128), stack)
-
-
-def _as_matrix(a, stack: bool = False) -> np.ndarray:
-    """as_complex_matrix, but float64 where a is real: the input of every
-    function that keeps real data real, the spectral ones included."""
-    m = np.asarray(a)
-    m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
-    return _finite_matrix(m, stack)
-
-
 def _frobenius(x: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack x[..., r, c]."""
     return np.sqrt(np.square(np.abs(x)).sum(axis=(-2, -1)))
-
-
-def _square_stack(a) -> np.ndarray:
-    m = _as_matrix(a, stack=True)
-    if m.shape[-2] != m.shape[-1]:
-        raise InvalidMatrix(f"Hermitian matrix must be square, got {m.shape}")
-    return m
 
 
 def _defect_gate(defect: np.ndarray, m: np.ndarray) -> None:
@@ -89,35 +75,27 @@ def _defect_gate(defect: np.ndarray, m: np.ndarray) -> None:
             raise InvalidMatrix(f"matrix is not Hermitian (defect {defect[bad].flat[0]:.3e})")
 
 
-def _symmetrized(m: np.ndarray, mh: np.ndarray) -> np.ndarray:
-    """(m + mh)/2, mh = m†, after the defect gate on each matrix of the stack."""
-    _defect_gate(_frobenius(m - mh), m)
-    return (m + mh) / 2.0
-
-
-def hermitize(a) -> np.ndarray:
-    """Return the exactly Hermitian form (A + A†)/2, rejecting far-from-Hermitian input.
-
-    Accepts a stack [..., n, n]; the defect gate applies to each matrix. The
-    result is always a new array, float64 where a is real.
-    """
-    m = _square_stack(a)
-    return _symmetrized(m, m.conj().swapaxes(-1, -2))
-
-
 # the bits of -0.0, read as an int64
 _NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
 _HALF_MAX = np.finfo(np.float64).max / 2.0
 
 
-def _hermitian(a) -> np.ndarray:
-    """The stack eigvalsh and eigh hand to LAPACK: hermitize(a), or a itself
-    where (m + m†)/2 has the bits of m. That holds where no part is above half
-    the float64 maximum, so m + m† does not overflow, and a real m equals mᵀ bit
-    for bit (-0.0 facing +0.0 would halve to +0.0), or a complex m equals m†
-    with no -0.0 part (complex halving turns it into +0.0). Input that is not
-    m† goes to the defect gate before anything is copied."""
-    m = _square_stack(a)
+def hermitize(a) -> np.ndarray:
+    """The Hermitian gateway: (A + A†)/2 of a matrix, or of each matrix of a stack
+    [..., n, n], float64 where a is real, refusing input further than
+    HERMITIZE_TOL from it (_defect_gate).
+
+    The input itself comes back, uncopied, where it has exactly the bits
+    (A + A†)/2 would have. That holds where no part is above half the float64
+    maximum, so A + A† does not overflow, and a real A equals Aᵀ bit for bit
+    (-0.0 facing +0.0 would halve to +0.0), or a complex A equals A† with no
+    -0.0 part (complex halving turns it into +0.0). Input that is not A† goes
+    to the defect gate before anything is copied. Callers must not write to
+    the result.
+    """
+    m = _as_matrix(a, stack=True)
+    if m.shape[-2] != m.shape[-1]:
+        raise InvalidMatrix(f"Hermitian matrix must be square, got {m.shape}")
     mh = m.conj().swapaxes(-1, -2)
     if m.dtype == np.float64:
         exact, parts = (m.view(np.int64) == mh.view(np.int64)).all(), m
@@ -127,7 +105,8 @@ def _hermitian(a) -> np.ndarray:
         exact = not (parts.view(np.int64) == _NEGATIVE_ZERO).any()
     if exact and -_HALF_MAX <= parts.min(initial=0.0) and parts.max(initial=0.0) <= _HALF_MAX:
         return m
-    return _symmetrized(m, mh)
+    _defect_gate(_frobenius(m - mh), m)
+    return (m + mh) / 2.0
 
 
 def eigh(a) -> EigenDecomposition:
@@ -135,7 +114,7 @@ def eigh(a) -> EigenDecomposition:
 
     Ties are broken deterministically by LAPACK's ascending index.
     """
-    d, q = np.linalg.eigh(_hermitian(a))
+    d, q = np.linalg.eigh(hermitize(a))
     order = np.argsort(-d, axis=-1, kind="stable")
     return EigenDecomposition(
         np.take_along_axis(d, order, -1),
@@ -145,7 +124,7 @@ def eigh(a) -> EigenDecomposition:
 
 def eigvalsh(a) -> np.ndarray:
     """Eigenvalues only (descending), of a matrix or of each matrix of a stack."""
-    d = np.linalg.eigvalsh(_hermitian(a))
+    d = np.linalg.eigvalsh(hermitize(a))
     return -np.sort(-d, axis=-1, kind="stable")  # the same tie order as eigh
 
 
@@ -179,8 +158,8 @@ def psd_screen(a, tol: float) -> bool:
     """True only if psd_test(a, tol) accepts every matrix of the stack, decided
     with no eigenvalue; False decides nothing, and the caller runs psd_test.
 
-    The stack passes the Hermitian gateway of eigvalsh (the same checks and
-    InvalidMatrix messages) and keeps its dtype. Each d x d matrix A is
+    The stack passes hermitize, as in eigvalsh (the same checks and
+    InvalidMatrix messages), and keeps its dtype. Each d x d matrix A is
     shifted to A + sI, s = (tol/2) max(1, max_i |a_ii|), for one stacked
     Cholesky. As |a_ii| <= ||A||_op, s is at most half of psd_test's
     allowance tol max(1, ||A||_op). A factorization that completes is exact
@@ -191,7 +170,7 @@ def psd_screen(a, tol: float) -> bool:
     tol = 1e-10 and d = 64, d² u is 5e-13 against 5e-11. numpy
     raises for the whole stack when one matrix fails to factor.
     """
-    m = _hermitian(a)
+    m = hermitize(a)
     n = m.shape[-1]
     shifted = m.copy()  # contiguous, so its diagonal is every (n + 1)-th entry
     diagonal = shifted.reshape(*m.shape[:-2], n * n)[..., :: n + 1]

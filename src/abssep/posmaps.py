@@ -38,14 +38,13 @@ _KINDS = {
 
 
 def breuer_hall_default_v(n: int) -> np.ndarray:
-    """The anti-diagonal skew-symmetric unitary (+1 top half, -1 bottom half), as
-    complex128; MapSpec stores it, as any V with zero imaginary part, as float64."""
+    """The anti-diagonal skew-symmetric unitary (+1 top half, -1 bottom half), a
+    signed permutation, as float64."""
     _, admits, message = _KINDS["breuer_hall"]
     if not admits(n):
         raise InvalidDim(message)
-    v = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        v[i, n - 1 - i] = 1.0 if i < n // 2 else -1.0
+    v = np.zeros((n, n))
+    v[np.arange(n), np.arange(n)[::-1]] = np.repeat([1.0, -1.0], n // 2)
     return v
 
 
@@ -54,9 +53,9 @@ class MapSpec:
     """A positive linear map on M_dim, checked against its kind's rules in
     _KINDS: only generalized_choi reads b and c (finite, >= 0), and only
     breuer_hall reads v (a skew-symmetric unitary, default
-    breuer_hall_default_v(dim), stored as a read-only copy, float64 where its
-    imaginary part is zero). Equal maps hash equal; two V compare as
-    np.array_equal does."""
+    breuer_hall_default_v(dim), stored as a read-only copy, float64 where it
+    is real or its imaginary part is zero). Equal maps hash equal; two V
+    compare as np.array_equal does."""
 
     kind: str
     dim: int
@@ -86,7 +85,7 @@ class MapSpec:
             if self.b < 0 or self.c < 0:
                 raise ValueError("generalized Choi parameters must satisfy b, c >= 0")
         elif kind == "breuer_hall":
-            v = matcore.as_complex_matrix(breuer_hall_default_v(n) if self.v is None else self.v)
+            v = matcore._as_matrix(breuer_hall_default_v(n) if self.v is None else self.v)
             if v.shape != (n, n):
                 raise InvalidMatrix("Breuer-Hall V has the wrong shape")
             if np.linalg.norm(v.T + v) > BH_SKEW_TOL:

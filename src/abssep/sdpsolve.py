@@ -76,6 +76,9 @@ from .errors import (
 )
 
 DEFAULT_GAP_TOL = 1e-7
+# the gap bound (m + sqrt m)/t at which min_witness_over_abs_ppt stops by
+# default: how far its value may lie above the exact minimum overlap
+MIN_WITNESS_GAP_TOL = 1e-8
 CERT_PSD_TOL = 1e-10
 # |sum(lambda) - 1| a min-witness spectrum may show before its value is used;
 # the solver keeps sum(lambda) = 1 to a few ulps over a solve
@@ -297,7 +300,9 @@ def solve(
     _line_search on that objective along the Newton direction dx: the
     barrier keeps x strictly feasible, and a decreases the objective at least
     as much as the damped step 1/(1+lambda) does. Then full steps converge
-    quadratically. Every stage stops at lambda^2/2 <= _CENTERED, and t grows
+    quadratically; one whose end the barrier refuses, as where a near
+    singular K gives a wrong lambda, is replaced by the line search's step.
+    Every stage stops at lambda^2/2 <= _CENTERED, and t grows
     by 1/_MU_REDUCTION until gap = (m + sqrt m)/t <= tol, m the total size of
     the PSD constraints plus the number of inequality rows. A point with
     lambda = beta < 1 has c.x - p* <= (m + (beta + sqrt m) beta/(1 - beta))/t
@@ -344,6 +349,15 @@ def solve(
     kkt_h, rhs_x, scale_x = kkt[:nv, :nv], rhs[:nv], scale[:nv]
     scaled_kkt, scaled_rhs = np.empty_like(kkt), np.empty_like(rhs)
 
+    def searched(dx: np.ndarray, gamma_of) -> np.ndarray:
+        # dx scaled by the exact line search of stage t: the barrier along
+        # x + a dx is -sum_j log(1 + a gamma_j) plus a constant
+        gamma = gamma_of(dx)
+        slope = t * float(c @ dx)
+        if gamma.min() >= 0.0 and slope <= 0.0:
+            raise Unbounded(f"objective of problem {problem.name!r} is unbounded below")
+        return dx * _line_search(slope, gamma)
+
     m_total = sum(b.const.shape[0] * b.const.shape[1] for b in problem.blocks)
     if problem.ineq_rhs is not None:
         m_total += problem.ineq_rhs.size
@@ -363,19 +377,23 @@ def solve(
                 raise MaxIterations(
                     f"Newton budget exhausted in problem {problem.name!r}"
                 )
-            if math.sqrt(decrement_sq) > _QUADRATIC_PHASE:
-                # the barrier along x + a dx is -sum_j log(1 + a gamma_j) plus a constant
-                gamma = gamma_of(dx)
-                slope = t * float(c @ dx)
-                if gamma.min() >= 0.0 and slope <= 0.0:
-                    raise Unbounded(
-                        f"objective of problem {problem.name!r} is unbounded below"
-                    )
-                dx *= _line_search(slope, gamma)
-            x = x + dx
+            full = math.sqrt(decrement_sq) <= _QUADRATIC_PHASE
+            if not full:
+                dx = searched(dx, gamma_of)
             steps += 1
             del gamma_of  # the old M_k, before the new ones are formed
-            grad, hess, gamma_of = _barrier_derivatives(problem, x, layout)
+            x_next = x + dx
+            try:
+                grad, hess, gamma_of = _barrier_derivatives(problem, x_next, layout)
+            except np.linalg.LinAlgError:
+                if not full:
+                    raise
+                # the full step left the cone, which the computed lambda can
+                # hide where K is near singular: search along dx from x instead
+                dx = searched(dx, _barrier_derivatives(problem, x, layout)[2])
+                x_next = x + dx
+                grad, hess, gamma_of = _barrier_derivatives(problem, x_next, layout)
+            x = x_next
         gap = (m_total + math.sqrt(m_total)) / t
         if gap <= tol:
             break
@@ -446,7 +464,7 @@ def min_witness_over_abs_ppt(
     witness_spectrum,
     dims: tuple[int, int],
     lmi_mode: str = "full",
-    tol: float = 1e-8,
+    tol: float = MIN_WITNESS_GAP_TOL,
 ) -> float:
     """Minimum witness overlap over absolutely PPT spectra (primal value).
 

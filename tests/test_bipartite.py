@@ -216,6 +216,16 @@ def test_max_entangled_and_swap():
         bipartite.max_entangled(0)
 
 
+def test_swap_operator_swaps_the_factors():
+    # S(|a> ⊗ |b>) = |b> ⊗ |a> on every pair of basis vectors, exactly
+    for n in range(1, 5):
+        s, e = bipartite.swap_operator(n), np.eye(n)
+        for a in range(n):
+            for b in range(n):
+                assert np.array_equal(s @ np.kron(e[a], e[b]), np.kron(e[b], e[a]))
+        assert np.array_equal(s, s.T) and np.array_equal(s @ s, np.eye(n * n))
+
+
 def test_haar_unitary_is_unitary_and_deterministic():
     for seed in range(5):
         u = bipartite.haar_unitary(5, seed)

@@ -595,6 +595,37 @@ def test_hull_edge_tol_boundary(fraction, inside):
     assert cli._in_hull(b, c).tolist() == [inside, inside]
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("fraction, ok", [(0.9, True), (1.1, False)])
+def test_certificate_tol_boundary(monkeypatch, capsys, sign, fraction, ok):
+    # CERTIFICATE_TOL = 1e-12, the --tol certificate default: a witness-dual row
+    # fraction * 1e-12 from its expected 0 reads ok at 0.9 and mismatch at 1.1
+    from abssep import sdpsolve
+
+    monkeypatch.setattr(sdpsolve, "verify_min_witness_certificate",
+                        lambda *args: sign * fraction * 1e-12)
+    code, out = run_cli(["verify-certificates", "--grid", "3", "--bh-dims", "4"], capsys)
+    rows = [line.rsplit(",", 3) for line in out.splitlines()[1:]]  # a map name holds commas
+    duals = [row[3] for row in rows if row[0].startswith("witness-dual")]
+    assert len(duals) == 8 and len(rows) == 30
+    assert all(row[3] == "ok" for row in rows if not row[0].startswith("witness-dual"))
+    assert duals == ["ok" if ok else "mismatch"] * 8
+    assert code == (cli.EXIT_OK if ok else cli.EXIT_NEGATIVE)
+
+
+@pytest.mark.parametrize("fraction, violated", [(0.9, False), (1.1, True)])
+def test_violation_tol_boundary(monkeypatch, tmp_path, capsys, fraction, violated):
+    # VIOLATION_TOL = 1e-8, the --tol violation default: a largest orbit-scan
+    # value of fraction * 1e-8 is rounding at 0.9 and a violation at 1.1
+    path = write_spectrum(tmp_path, families.isotropic_spectrum(3, 0.1))
+    monkeypatch.setattr(cli, "_orbit_violations", lambda *args: np.array([-1.0, fraction * 1e-8]))
+    code, out = run_cli(["orbit-scan", path, "--criterion", "realignment"], capsys)
+    report = json.loads(out)
+    assert (report["max_violation"], report["tolerance"]) == (fraction * 1e-8, 1e-8)
+    assert report["violated"] is violated
+    assert code == (cli.EXIT_NEGATIVE if violated else cli.EXIT_OK)
+
+
 def test_fig_data_gen_choi_ub_values(tmp_path, capsys):
     code, out = run_cli(["fig-data", "gen_choi_ub", "--grid", "21"], capsys)
     assert code == 0

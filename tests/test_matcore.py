@@ -196,6 +196,28 @@ def test_matrix_from_json_keeps_a_real_matrix_real():
     assert m.dtype == np.complex128 and m[0, 1] == complex(-2.0, 5e-324)
 
 
+def test_every_builder_of_a_real_operator_returns_float64():
+    # the dtype rule: real data is float64, so it reaches the real LAPACK drivers
+    from abssep import bipartite, families, posmaps
+
+    maps = [posmaps.MapSpec("identity", 3), posmaps.MapSpec("transpose", 3),
+            posmaps.reduction_map(3), posmaps.choi_map(), posmaps.generalized_choi_map(0.5, 1.2),
+            posmaps.breuer_hall_map(4), posmaps.breuer_hall_map(6)]
+    built = {
+        "swap_operator": bipartite.swap_operator(3),
+        "max_entangled": bipartite.max_entangled(3),
+        "max_entangled_projector": bipartite.max_entangled_projector(3),
+        "upb_complement_state": families.upb_complement_state(),
+        "upb_state": families.upb_state(0.5),
+        "breuer_hall_default_v": posmaps.breuer_hall_default_v(4),
+        "matrix_from_json": matcore.matrix_from_json(
+            {"rows": 2, "cols": 2, "re": [1.0, 2.0, 2.0, 1.0], "im": [0.0] * 4}),
+    }
+    built.update((f"tiles_upb[{k}]", v) for k, v in enumerate(families.tiles_upb()))
+    built.update((f"choi_matrix({phi.kind}, {phi.dim})", posmaps.choi_matrix(phi)) for phi in maps)
+    assert [name for name, a in built.items() if a.dtype != np.float64] == []
+
+
 def test_matrix_json_rejects_mismatch():
     with pytest.raises(InvalidMatrix):
         matcore.matrix_from_json({"rows": 2, "cols": 2, "re": [1.0, 2.0, 3.0]})
@@ -347,10 +369,10 @@ def test_gateway_is_bit_identical_to_symmetrizing_first(name, cast):
     (ok, lam_min), (ok_old, lam_min_old) = matcore.psd_test(a), _old_psd_test(a)
     assert np.array_equal(ok, ok_old)
     assert np.array_equal(_bits(lam_min), _bits(lam_min_old))
-    h = matcore.hermitize(a)
-    assert h is not a and h.dtype == a.dtype
+    h = matcore.hermitize(a)  # a itself where it already has these bits
+    assert h.dtype == a.dtype
     assert np.array_equal(_bits(h), _bits(_symmetrized(a)))
-    assert np.array_equal(_bits(a), _bits(before))  # neither call wrote to its input
+    assert np.array_equal(_bits(a), _bits(before))  # no call wrote to its input
 
 
 def test_gateway_passes_exact_input_uncopied_and_symmetrizes_the_rest():
@@ -359,17 +381,17 @@ def test_gateway_passes_exact_input_uncopied_and_symmetrizes_the_rest():
     # -0.0 included, so the real certificate stacks pass as they are built
     for name in ("complex", "gen-choi-diamond", "breuer-hall-8", "half-max"):
         a = inputs[name].astype(np.complex128)
-        assert matcore._hermitian(a) is a, name
+        assert matcore.hermitize(a) is a, name
     for name in ("real", "real-M", "gen-choi-jmats", "gen-choi-diamond", "gen-choi-max-eig",
                  "breuer-hall-8", "breuer-hall-8-max-eig", "half-max", "real-transposed"):
         assert inputs[name].dtype == np.float64, name
-        assert matcore._hermitian(inputs[name]) is inputs[name], name
+        assert matcore.hermitize(inputs[name]) is inputs[name], name
     # -0.0 parts, mirrored zeros of opposite sign, a defect, and a complex
     # transposed view, which is copied first
     for name in ("M", "signed-zero", "gen-choi-jmats", "mirrored-zero", "defect-1e-12",
                  "real-defect-1e-12", "transposed"):
         a = inputs[name].astype(np.complex128) if name == "gen-choi-jmats" else inputs[name]
-        assert matcore._hermitian(a) is not a, name
+        assert matcore.hermitize(a) is not a, name
 
 
 def test_m_with_a_negative_zero_is_not_its_own_hermitian_part():

@@ -318,7 +318,7 @@ def test_mapspec_equality_and_hash():
     assert first == second and hash(first) == hash(second)
     assert first.v is not second.v and not first.v.flags.writeable
     v = posmaps.breuer_hall_default_v(4)
-    signed_zero = v.copy()
+    signed_zero = v.astype(np.complex128)  # the default V is float64
     signed_zero[0, 0] = complex(-0.0, -0.0)  # np.array_equal to v
     assert posmaps.breuer_hall_map(4, signed_zero) == first
     assert hash(posmaps.breuer_hall_map(4, signed_zero)) == hash(first)
@@ -341,7 +341,8 @@ def test_mapspec_stores_a_v_with_zero_imaginary_part_as_float64():
     # imaginary parts are one float64 V, one map and one hash; i V stays complex
     v = posmaps.breuer_hall_default_v(6)
     maps = [posmaps.breuer_hall_map(6), posmaps.breuer_hall_map(6, v.real),
-            posmaps.breuer_hall_map(6, v), posmaps.breuer_hall_map(6, v.real - 0j)]
+            posmaps.breuer_hall_map(6, v.astype(np.complex128)),
+            posmaps.breuer_hall_map(6, v.real - 0j)]
     assert all(phi.v.dtype == np.float64 and np.array_equal(phi.v, v) for phi in maps)
     assert len(set(maps)) == 1 and len({hash(phi) for phi in maps}) == 1
     rotated = posmaps.breuer_hall_map(6, 1j * v)

@@ -47,6 +47,8 @@ MUTANTS = [
     ("witness.py", "HS_ORTHONORMAL_TOL", ["tests/test_witness.py::test_hs_orthonormal_tol_boundary"]),
     ("witness.py", "TRACE_BOUND_SLACK", ["tests/test_witness.py::test_trace_bound_slack_boundary"]),
     ("cli.py", "HULL_EDGE_TOL", ["tests/test_cli.py::test_hull_edge_tol_boundary"]),
+    ("cli.py", "VIOLATION_TOL", ["tests/test_cli.py::test_violation_tol_boundary"]),
+    ("cli.py", "CERTIFICATE_TOL", ["tests/test_cli.py::test_certificate_tol_boundary"]),
     ("sdpsolve.py", "EQ_START_TOL",
      ["tests/test_sdpsolve.py::test_eq_start_tol_is_pinned_from_both_sides"]),
     ("sdpsolve.py", "WITNESS_SORT_SLACK",
