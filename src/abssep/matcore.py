@@ -3,9 +3,12 @@
 Eigenvalues and singular values come from LAPACK through numpy
 (``numpy.linalg.eigh``/``eigvalsh`` and ``svd``); this module adds the
 package's contract on top: Hermitian gating, descending order with a
-deterministic tie order, and PSD tests with explicit tolerances. psd_screen
-decides, by one shifted Cholesky and no eigenvalue, a stack that psd_test
-would accept whole.
+deterministic tie order, and PSD tests with explicit tolerances. One
+shifted Cholesky per matrix (_cholesky_passes, numpy's own LAPACK potrf
+gufunc) stands in for eigenvalues where a bound is all a caller reads:
+psd_screen decides a stack that psd_test would accept whole, and
+least_eigenvalue sends to eigvalsh only the matrices that could lie below
+the least eigenvalue found so far.
 
 Matrices are plain numpy arrays throughout, read through one normalizer,
 _as_matrix: a real one is float64 and goes to the real LAPACK drivers, any
@@ -13,19 +16,25 @@ other is complex128. ``hermitize`` is the one Hermitian gateway: inputs
 further than HERMITIZE_TOL from their Hermitian part are rejected, anything
 closer is symmetrized to (A + A†)/2, and input that already has exactly the
 bits of (A + A†)/2 is handed over uncopied. eigvalsh, eigh and psd_screen
-hand LAPACK what it returns.
+hand LAPACK what it returns, and so does least_eigenvalue.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InvalidMatrix
 
 HERMITIZE_TOL = 1e-8
 DEFAULT_PSD_TOL = 1e-9
+# least_eigenvalue decomposes this many matrices of a stack to seed an infinite floor
+SCREEN_SEEDS = 8
+# least_eigenvalue's shift above its floor, in units of d³ u (ν + |floor|) (derived there)
+SCREEN_MARGIN = 8.0
 
 
 class EigenDecomposition(NamedTuple):
@@ -154,32 +163,87 @@ def psd_test(a, tol: float = DEFAULT_PSD_TOL) -> tuple[np.ndarray, np.ndarray]:
     return lam_min >= -tol * np.maximum(1.0, op), lam_min
 
 
+def _cholesky_passes(m: np.ndarray, shift) -> np.ndarray:
+    """Whether each matrix of the Hermitian stack m[..., n, n], its diagonal
+    moved by shift (a scalar, or [..., 1]), has a Cholesky factorization that
+    runs to completion: one stacked LAPACK potrf through numpy's own gufunc,
+    which writes NaN over the factor of a matrix that fails and raises the
+    invalid flag, here ignored."""
+    n = m.shape[-1]
+    shifted = m.copy()  # contiguous, so its diagonal is every (n + 1)-th entry
+    shifted.reshape(*m.shape[:-2], n * n)[..., :: n + 1] += shift
+    signature = "D->D" if m.dtype == np.complex128 else "d->d"
+    with np.errstate(all="ignore"):  # as numpy.linalg runs it, less the LinAlgError
+        factor = _umath_linalg.cholesky_lo(shifted, signature=signature)
+    return ~np.isnan(factor[..., 0, 0])
+
+
 def psd_screen(a, tol: float) -> bool:
     """True only if psd_test(a, tol) accepts every matrix of the stack, decided
     with no eigenvalue; False decides nothing, and the caller runs psd_test.
 
     The stack passes hermitize, as in eigvalsh (the same checks and
     InvalidMatrix messages), and keeps its dtype. Each d x d matrix A is
-    shifted to A + sI, s = (tol/2) max(1, max_i |a_ii|), for one stacked
-    Cholesky. As |a_ii| <= ||A||_op, s is at most half of psd_test's
-    allowance tol max(1, ||A||_op). A factorization that completes is exact
-    for A + sI + E with ||E||_2 <= ~d² u ||A + sI|| (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., Thm 10.5; u = 2^-53), so
+    shifted to A + sI, s = (tol/2) max(1, max_i |a_ii|), for one Cholesky
+    each (_cholesky_passes). As |a_ii| <= ||A||_op, s is at most half of
+    psd_test's allowance tol max(1, ||A||_op). A factorization that completes
+    is exact for A + sI + E with ||E||_2 <= ~d² u ||A + sI|| (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., Thm 10.5; u = 2^-53), so
     lambda_min(A) >= -s - ||E||. Precondition: tol/2 far above d² u, so that
     ||E|| and eigvalsh's own error fit in the other half of the allowance; at
-    tol = 1e-10 and d = 64, d² u is 5e-13 against 5e-11. numpy
-    raises for the whole stack when one matrix fails to factor.
+    tol = 1e-10 and d = 64, d² u is 5e-13 against 5e-11. The stack passes
+    when every matrix does.
     """
     m = hermitize(a)
-    n = m.shape[-1]
-    shifted = m.copy()  # contiguous, so its diagonal is every (n + 1)-th entry
-    diagonal = shifted.reshape(*m.shape[:-2], n * n)[..., :: n + 1]
-    diagonal += (tol / 2.0) * np.maximum(1.0, np.abs(diagonal).max(axis=-1, keepdims=True))
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    diagonal = np.diagonal(m, axis1=-2, axis2=-1)
+    shift = (tol / 2.0) * np.maximum(1.0, np.abs(diagonal).max(axis=-1, keepdims=True))
+    return bool(_cholesky_passes(m, shift).all())
+
+
+def _least(m: np.ndarray, floor: float) -> float:
+    """min(floor, least eigenvalue of the Hermitian stack m[k, d, d]), from LAPACK."""
+    return min(floor, float(np.linalg.eigvalsh(m)[:, 0].min()))
+
+
+def least_eigenvalue(a, floor: float = math.inf) -> float:
+    """min(floor, eigvalsh(a)[..., -1].min()), with the same bits (up to the
+    sign of a zero), deciding most matrices of the stack with no eigenvalue.
+
+    floor is +inf or finite. The stack passes hermitize, as in eigvalsh. With
+    an infinite floor the first SCREEN_SEEDS matrices are decomposed to seed
+    it. Every other matrix H (d x d) gets one Cholesky of S = fl(H - tI),
+    t = fl(floor + delta) (_cholesky_passes); only the matrices where that
+    fails go to eigvalsh. A pass proves that eigvalsh would return
+    lambda_min(H) >= floor, so that H cannot move the result.
+
+    The margin delta = SCREEN_MARGIN d³ u (ν + |floor|), u = 2^-53 and ν the
+    largest |h_ij| of the stack, so that ||H||_2 <= dν. It covers:
+    - the shift's rounding: S = H - tI + D, ||D||_2 <= u(ν + |t|);
+    - the Cholesky backward error: a factorization that completes is exact
+      for S + E, |E| <= γ_{d+1} |R̂ᵀ||R̂| (Higham, Accuracy and Stability of
+      Numerical Algorithms, 2nd ed., Thm 10.5), so ||E||_2 <= 1.02 d(d+1) u
+      ||S||_2 <= 2.04 d³ u (ν + |t|), and lambda_min(H) >= t - ||D|| - ||E||;
+    - eigvalsh's own error, |λ̂ - λ| <= p(d) u ||H||_2 (LAPACK Users' Guide,
+      3rd ed., §4.7), taken with p(d) = d², so at most d³ u ν;
+    - the rounding of t, u |floor + delta|.
+    These add to below 5.2 d³ u (ν + |floor|) once delta <= (ν + |floor|)/100,
+    which holds for d³ below 1e13; SCREEN_MARGIN = 8 leaves room, complex
+    arithmetic's larger rounding constants among it. At d = 9 and
+    ν + |floor| = 1, delta is 6.5e-13. A larger margin sends more matrices to
+    eigvalsh. A smaller one, down to the true rounding errors (~d u ||H|| in
+    practice), changes no result, only the count of matrices decomposed.
+    """
+    m = hermitize(a)
+    d = m.shape[-1]
+    m = m.reshape(-1, d, d)
+    if floor == math.inf:
+        floor, m = _least(m[:SCREEN_SEEDS], floor), m[SCREEN_SEEDS:]
+    if len(m):
+        delta = SCREEN_MARGIN * d**3 * 2.0**-53 * (float(np.abs(m).max()) + abs(floor))
+        fails = ~_cholesky_passes(m, -(floor + delta))
+        if fails.any():
+            floor = _least(m[fails], floor)
+    return float(floor)
 
 
 def is_psd(a, tol: float = DEFAULT_PSD_TOL) -> PsdReport:

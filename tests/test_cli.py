@@ -618,7 +618,7 @@ def test_violation_tol_boundary(monkeypatch, tmp_path, capsys, fraction, violate
     # VIOLATION_TOL = 1e-8, the --tol violation default: a largest orbit-scan
     # value of fraction * 1e-8 is rounding at 0.9 and a violation at 1.1
     path = write_spectrum(tmp_path, families.isotropic_spectrum(3, 0.1))
-    monkeypatch.setattr(cli, "_orbit_violations", lambda *args: np.array([-1.0, fraction * 1e-8]))
+    monkeypatch.setattr(cli, "_orbit_violations", lambda *args: fraction * 1e-8)
     code, out = run_cli(["orbit-scan", path, "--criterion", "realignment"], capsys)
     report = json.loads(out)
     assert (report["max_violation"], report["tolerance"]) == (fraction * 1e-8, 1e-8)
@@ -808,11 +808,33 @@ def reference_violations(spec, criterion, seed, count, b=1.2, c=1.2):
 ])
 @pytest.mark.parametrize("count", [1, 15, 16, 17, 40])
 def test_orbit_violations_match_per_sample_loop(criterion, dims, values, count):
+    # the scan's worst violation has the bits of the per-sample maximum, though
+    # the map scans decompose only the samples that can set it
     from abssep.absppt import Spectrum
 
     spec = Spectrum(*dims, values)
     got = cli._orbit_violations(spec, criterion, 1.2, 1.2, 13, count)
-    assert np.array_equal(got, reference_violations(spec, criterion, 13, count))
+    want = reference_violations(spec, criterion, 13, count).max()
+    assert type(got) is float and np.float64(got).view(np.int64) == want.view(np.int64)
+
+
+def test_a_map_scan_decomposes_only_the_samples_that_can_set_its_worst_violation(monkeypatch):
+    # 100 choi samples in two stacks of 50: the first stack's 8 seeds set the
+    # floor, and the screen sends few of the other 92 samples to eigvalsh
+    # (10 at this seed); the scan still reports the per-sample maximum
+    from abssep.absppt import Spectrum
+
+    spec = Spectrum(3, 3, SPEC_33)
+    want = reference_violations(spec, "choi", 1, 100).max()
+    rows, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        rows.append(int(np.prod(a.shape[:-2], dtype=int)))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert cli._orbit_violations(spec, "choi", 1.2, 1.2, 1, 100) == want
+    assert rows[0] == 8 and sum(rows) <= 25
 
 
 @pytest.mark.parametrize("dims, values", [((2, 3), SPEC_23), ((3, 3), SPEC_33),

@@ -55,6 +55,18 @@ def test_werner_classify_trichotomy():
     assert families.werner_classify(3, -1.0 / 3.0) is WernerClass.ABS_SEP
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_werner_lower_edge_of_the_open_band_holds_the_slack(n):
+    # alpha = -1/(n-1) closes the open band from below: on the edge, and within
+    # THRESHOLD_SLACK = 1e-12 beyond it, the class is unknown; 2e-12 beyond, not
+    # absolutely PPT (at n = 2 the edge is alpha = -1, the end of the domain)
+    edge = -1.0 / (n - 1.0)
+    assert families.werner_classify(n, edge) is WernerClass.UNKNOWN
+    if n > 2:
+        assert families.werner_classify(n, edge - 0.5e-12) is WernerClass.UNKNOWN
+        assert families.werner_classify(n, edge - 2e-12) is WernerClass.NOT_ABS_PPT
+
+
 def test_werner_lmi_min_eigs_closed_form_vs_numeric():
     for n in range(2, 7):
         for alpha in np.linspace(-1.0, 1.0, 21):

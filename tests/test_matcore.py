@@ -436,3 +436,57 @@ def test_hermitize_tolerance_is_pinned_from_both_sides(norm, factor, rejected):
         assert np.array_equal(sym, _symmetrized(skewed))
         assert np.array_equal(sym, sym.conj().T)
         assert np.array_equal(_bits(matcore.eigvalsh(skewed)), _bits(_old_eigvalsh(skewed)))
+
+
+def _eigvalsh_rows(monkeypatch) -> list[int]:
+    """The number of matrices each numpy.linalg.eigvalsh call decomposes, from now on."""
+    rows, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        rows.append(int(np.prod(a.shape[:-2], dtype=int)))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return rows
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_least_eigenvalue_decomposes_no_matrix_well_above_its_floor(monkeypatch, real):
+    # 30 matrices with least eigenvalue 1 or more: against the floor 0.5 none
+    # reaches eigvalsh; with an infinite floor only the SCREEN_SEEDS = 8 seeds
+    # do, the first of them at 0.25 and the rest screened against it
+    rng = np.random.default_rng(41)
+    g = rng.standard_normal((30, 6, 6)) + (0.0 if real else 1j * rng.standard_normal((30, 6, 6)))
+    stack = g @ g.conj().swapaxes(-1, -2) + np.eye(6)
+    rows = _eigvalsh_rows(monkeypatch)
+    assert matcore.least_eigenvalue(stack, 0.5) == 0.5 and rows == []
+    stack[0] = np.diag([0.25, 1.0, 2.0, 3.0, 4.0, 5.0])
+    assert matcore.least_eigenvalue(stack) == 0.25 and rows == [8]
+
+
+@pytest.mark.parametrize("place, decomposed", [(3.0, 0), (0.5, 1)])
+def test_least_eigenvalue_margin_is_pinned(monkeypatch, place, decomposed):
+    # H = diag(floor + place delta, 1) with floor 0.25 and delta = 8 d³ u (ν + |floor|)
+    # = 80 u, stated here and not read from SCREEN_MARGIN. At 3 delta H passes
+    # the screen, which a margin 10x larger would send to eigvalsh. At 0.5 delta,
+    # inside the proved error bound, H goes to eigvalsh, which a margin 10x
+    # smaller would let through. Only this count pins that side: 0.1x still
+    # exceeds the true rounding, so no input makes its result wrong
+    floor = 0.25
+    delta = 8.0 * 2**3 * 2.0**-53 * (1.0 + floor)
+    h = np.diag([floor + place * delta, 1.0])
+    rows = _eigvalsh_rows(monkeypatch)
+    assert matcore.least_eigenvalue(h, floor) == floor
+    assert sum(rows) == decomposed
+
+
+def test_least_eigenvalue_keeps_the_gateway():
+    # the whole stack passes hermitize, screened matrices and seeds alike
+    rng = np.random.default_rng(42)
+    stack = np.array([random_hermitian(rng, 3) + 10.0 * np.eye(3) for _ in range(12)])
+    stack[10, 0, 1] += 1e-3
+    with pytest.raises(InvalidMatrix, match="not Hermitian"):
+        matcore.least_eigenvalue(stack, 0.0)
+    stack[10, 0, 1] = np.nan
+    with pytest.raises(InvalidMatrix, match="non-finite"):
+        matcore.least_eigenvalue(stack)

@@ -340,9 +340,12 @@ def test_mapspec_stores_a_v_with_zero_imaginary_part_as_float64():
     # the default V, a real V and the same V as complex128 with +0.0 or -0.0
     # imaginary parts are one float64 V, one map and one hash; i V stays complex
     v = posmaps.breuer_hall_default_v(6)
+    negative_zero = v.astype(np.complex128)
+    negative_zero.imag = -0.0
+    assert np.signbit(negative_zero.imag).all()
     maps = [posmaps.breuer_hall_map(6), posmaps.breuer_hall_map(6, v.real),
             posmaps.breuer_hall_map(6, v.astype(np.complex128)),
-            posmaps.breuer_hall_map(6, v.real - 0j)]
+            posmaps.breuer_hall_map(6, negative_zero)]
     assert all(phi.v.dtype == np.float64 and np.array_equal(phi.v, v) for phi in maps)
     assert len(set(maps)) == 1 and len({hash(phi) for phi in maps}) == 1
     rotated = posmaps.breuer_hall_map(6, 1j * v)

@@ -152,6 +152,55 @@ def test_psd_screen_accepts_exactly_rank_one_blocks(d, real, log_norm, seed):
     assert not screen_agrees_with_psd_test(np.concatenate([blocks, bad[np.newaxis]]))
 
 
+def float_bits(x) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+@PROPERTY
+@given(d=st.integers(min_value=1, max_value=16), count=st.integers(min_value=1, max_value=40),
+       real=st.booleans(), log_norm=st.floats(min_value=-4.0, max_value=4.0),
+       exact=st.booleans(), duplicated=st.booleans(), planted=st.booleans(),
+       floor=st.sampled_from(["inf", "member", "ulp above the least", "negative", "above"]),
+       seed=seeds)
+@example(d=9, count=50, real=False, log_norm=0.0, exact=False, duplicated=True, planted=True,
+         floor="inf", seed=0)
+@example(d=1, count=12, real=True, log_norm=0.0, exact=True, duplicated=False, planted=True,
+         floor="member", seed=1)
+@example(d=16, count=40, real=False, log_norm=0.0, exact=False, duplicated=False, planted=False,
+         floor="ulp above the least", seed=2)
+def test_least_eigenvalue_has_the_bits_of_eigvalsh(d, count, real, log_norm, exact, duplicated,
+                                                  planted, floor, seed):
+    # least_eigenvalue(a, floor) against min(floor, eigvalsh(a)[..., -1].min()),
+    # bit for bit: real and complex stacks, exactly Hermitian or Hermitian only
+    # to rounding (the gateway's two paths), with matrices repeated, with two
+    # diagonal matrices whose least eigenvalues lie 1 ulp apart at the bottom of
+    # the stack, and with an infinite floor, the least eigenvalue of one of its
+    # matrices, the float 1 ulp above the least of them (whose matrix a screen
+    # with no margin lets through now and then), a negative floor below the
+    # stack, or one above all of it
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((count, d, d)) + (0.0 if real else 1j * rng.standard_normal((count, d, d)))
+    a = 10.0**log_norm * (g + g.conj().swapaxes(-1, -2))
+    if not exact:
+        a = a + 1e-14 * 10.0**log_norm * rng.standard_normal(a.shape)
+    if duplicated:
+        a[count // 2:] = a[: count - count // 2]
+    if planted and count >= 2:
+        low = matcore.eigvalsh(a)[..., -1].min()
+        i, j = rng.choice(count, 2, replace=False)
+        for k, value in ((i, low), (j, np.nextafter(low, -np.inf))):
+            a[k] = np.diag(np.r_[value, value + 10.0**log_norm * rng.uniform(0.1, 1.0, d - 1)])
+    least = matcore.eigvalsh(a)[..., -1]
+    floor = {"inf": math.inf, "member": least.flat[rng.integers(least.size)],
+             "ulp above the least": np.nextafter(least.min(), np.inf),
+             "negative": -10.0**log_norm * rng.uniform(4.0 * d, 8.0 * d),
+             "above": least.max() + 10.0**log_norm}[floor]
+    stack = a[0] if count == 1 else a
+    got = matcore.least_eigenvalue(stack, floor)
+    assert type(got) is float
+    assert float_bits(got) == float_bits(min(floor, matcore.eigvalsh(stack)[..., -1].min()))
+
+
 @PROPERTY
 @given(seed=st.integers(min_value=0, max_value=2**160 - 1), n=factor_dims,
        sizes=st.lists(st.integers(min_value=0, max_value=5), max_size=4))

@@ -367,6 +367,17 @@ def test_verify_min_witness_point_names_the_failed_check(lam, mode, message):
         sdpsolve._verify_min_witness_point(problem, np.array(lam))
 
 
+def test_verify_min_witness_point_reads_the_least_eigenvalue_of_each_lmi():
+    # the pure spectrum e1 on (3, 3): both full LMIs are 3 x 3 with eigenvalues
+    # 1, 0 and -1, so only the least one rejects this state, which is not
+    # absolutely PPT; a check of the middle eigenvalue would accept it
+    lam = np.eye(9)[0]
+    assert np.array_equal(matcore.eigvalsh(absppt.build_lmis(3, 3).evaluate(lam)), [[1, 0, -1]] * 2)
+    problem = sdpsolve.min_witness_problem(np.full(9, 1.0 / 9.0), (3, 3), "full")
+    with pytest.raises(CertificateRejected, match=r"LMI 0 is not PSD \(min eigenvalue -1.000e\+00\)"):
+        sdpsolve._verify_min_witness_point(problem, lam)
+
+
 @pytest.mark.parametrize("dims, mode", [((2, 3), "full"), ((3, 3), "full"), ((3, 4), "submatrix2x2"),
                                         ((4, 4), "submatrix2x2")])
 def test_min_witness_problem_reads_the_read_only_lmi_stack(dims, mode):
@@ -1429,8 +1440,11 @@ def test_real_certificates_stay_float64_down_to_lapack(monkeypatch):
             return lapack(a, *args, **kwargs)
         return call
 
-    for name in ("eigvalsh", "svd", "cholesky"):
+    for name in ("eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    # matcore.psd_screen factors through numpy's own Cholesky gufunc
+    lapack = matcore._umath_linalg
+    monkeypatch.setattr(lapack, "cholesky_lo", recording(lapack.cholesky_lo))
     grid = np.linspace(0.0, 4.0 / 3.0, 31)
     b, c = (v.ravel()[: cli.CERT_CHUNK - 1] for v in np.meshgrid(grid, grid, indexing="ij"))
     stacks = [sdpsolve.gen_choi_certificates(np.r_[1.0, b], np.r_[0.0, c])]

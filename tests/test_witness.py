@@ -116,6 +116,17 @@ def test_summarize_scaled_identity():
     assert ws.neg_count == 0
 
 
+@pytest.mark.parametrize("eigs, neg_count", [
+    ([0.5, 0.5, 1e-15, -1e-15], 1),  # noise floor 4 eps 0.5 = 4.4e-16 < 1e-15
+    ([2.0, 1e-15, -1e-15, -1.0], 1),  # noise floor 4 eps 2 = 1.8e-15 > 1e-15
+])
+def test_summarize_counts_negative_eigenvalues_beyond_the_noise_floor(eigs, neg_count):
+    # the floor is size eps max|lambda|: -1e-15 counts where max|lambda| = 0.5
+    # and is noise where it is 2, the other way round from eps / max|lambda|
+    ws = witness.summarize(np.diag(eigs))
+    assert ws.neg_count == neg_count
+
+
 def test_summarize_choi_dual_witness_at_max_entangled():
     w = posmaps.witness_from_map(
         posmaps.dual_map(posmaps.choi_map()), bipartite.max_entangled(3)
@@ -232,6 +243,20 @@ def test_dual_certificate_case_assignment():
     assert np.array_equal(hi_mu, witness.extremal_witness_spectrum(-0.1, mu1, 9))
 
 
+def test_dual_certificate_at_split_high_certifies_its_own_point():
+    # f jumps at SPLIT_HIGH, where it takes the high branch's value (2 + √2)/4;
+    # the certificate there is the high branch's at (SPLIT_HIGH, f(SPLIT_HIGH)),
+    # not the middle branch's point at SPLIT_LOW, which also verifies to 0
+    ell = witness.SPLIT_HIGH
+    mu1 = witness.detection_threshold(ell)
+    assert abs(mu1 - (2.0 + R2) / 4.0) <= 1e-12
+    mu, z = witness.detection_dual_certificate(ell, 9)
+    assert np.array_equal(mu, witness.extremal_witness_spectrum(ell, mu1, 9))
+    bb = (1.0 - mu1 - ell) / 2.0
+    assert np.array_equal(z, [[mu1 / 2.0, bb], [bb, (1.0 - mu1) / 2.0]])
+    assert abs(_certified_bound(mu, z)) <= 1e-10
+
+
 def test_dual_certificate_rejects_perturbations():
     mu, z = witness.detection_dual_certificate(-0.45, 9)
     with pytest.raises(CertificateRejected):
@@ -251,6 +276,21 @@ def test_realignment_witness_bounds_values():
     assert np.isclose(mu1_upper, 1.0 / math.sqrt(3.0), atol=1e-14)
     _, mu_big = witness.realignment_witness_bounds(40, 40)
     assert mu_big < 0.04
+
+
+@pytest.mark.parametrize("dims, ell_lower, mu1_upper", [
+    ((2, 2), -0.5, 1.0), ((2, 3), -0.419211, 0.750533), ((3, 2), -0.419211, 0.750533),
+    ((3, 3), -0.366025, 0.577350), ((3, 4), -0.338399, 0.484050), ((4, 4), -0.316497, 0.408248),
+])
+def test_realignment_witness_bounds_match_the_table(dims, ell_lower, mu1_upper):
+    # the closed forms at six decimals, m = 2 and n = 2 included; (2, 2) is exact
+    got = witness.realignment_witness_bounds(*dims)
+    assert abs(got[0] - ell_lower) <= 5e-7 and abs(got[1] - mu1_upper) <= 5e-7
+    if dims == (2, 2):
+        assert got == (-0.5, 1.0)
+    for bad in ((1, dims[1]), (dims[0], 1)):
+        with pytest.raises(ValueError, match="m, n >= 2"):
+            witness.realignment_witness_bounds(*bad)
 
 
 def test_schmidt_trace_bound_saturation_and_zero():
