@@ -464,20 +464,18 @@ def test_least_eigenvalue_decomposes_no_matrix_well_above_its_floor(monkeypatch,
     assert matcore.least_eigenvalue(stack) == 0.25 and rows == [8]
 
 
-@pytest.mark.parametrize("place, decomposed", [(3.0, 0), (0.5, 1)])
-def test_least_eigenvalue_margin_is_pinned(monkeypatch, place, decomposed):
-    # H = diag(floor + place delta, 1) with floor 0.25 and delta = 8 d³ u (ν + |floor|)
-    # = 80 u, stated here and not read from SCREEN_MARGIN. At 3 delta H passes
-    # the screen, which a margin 10x larger would send to eigvalsh. At 0.5 delta,
-    # inside the proved error bound, H goes to eigvalsh, which a margin 10x
-    # smaller would let through. Only this count pins that side: 0.1x still
-    # exceeds the true rounding, so no input makes its result wrong
+def test_least_eigenvalue_screens_a_matrix_three_margins_above_its_floor(monkeypatch):
+    # H = diag(floor + 3 delta, 1) with floor 0.25 and delta = 8 d³ u (ν + |floor|)
+    # = 80 u, stated here and not read from SCREEN_MARGIN. H passes the screen,
+    # which a margin 10x larger would send to eigvalsh. A tighter margin stays
+    # valid down to the true rounding, far below delta, so no test pins the
+    # other side
     floor = 0.25
     delta = 8.0 * 2**3 * 2.0**-53 * (1.0 + floor)
-    h = np.diag([floor + place * delta, 1.0])
+    h = np.diag([floor + 3.0 * delta, 1.0])
     rows = _eigvalsh_rows(monkeypatch)
     assert matcore.least_eigenvalue(h, floor) == floor
-    assert sum(rows) == decomposed
+    assert rows == []
 
 
 def test_least_eigenvalue_keeps_the_gateway():

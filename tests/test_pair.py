@@ -92,3 +92,15 @@ def test_verdict_applies_claims_bounds_and_correctness():
     summary["orbit"]["peak_rss_mb"] = pair.summarize([(40.0, 45.0)] * 10, "lower")  # +12.5%, bound 10%
     worse = pair.verdict(summary, _runs(), BENCHMARK, [("orbit", "items_per_s")])
     assert not worse["ok"] and worse["bounds"].startswith("orbit peak_rss_mb worse (+12.5%")
+
+
+def test_the_runner_fixes_pairs_workloads_and_run_length_and_asks_for_seeds():
+    # a first seed must be given; the pair count, the workloads and the run
+    # length are not options
+    with pytest.raises(SystemExit):
+        pair.parse_args(["parent", "change", "--out", "BENCH.json"])
+    args = pair.parse_args(["parent", "change", "--out", "BENCH.json", "--seed", "4301"])
+    assert args.seed == 4301 and pair.PAIRS == 10
+    for knob in ("--pairs", "--workloads", "--seconds"):
+        with pytest.raises(SystemExit):
+            pair.parse_args(["parent", "change", "--out", "BENCH.json", "--seed", "1", knob, "2"])

@@ -58,7 +58,6 @@ MUTANTS = [
     ("matcore.py", "HERMITIZE_TOL",
      ["tests/test_matcore.py::test_hermitize_tolerance_is_pinned_from_both_sides",
       "tests/test_bipartite.py::test_realign_trace_norm_hermitian_gate_boundary"]),
-    ("matcore.py", "SCREEN_MARGIN", ["tests/test_matcore.py::test_least_eigenvalue_margin_is_pinned"]),
     ("bipartite.py", "VECTOR_NORM_TOL", ["tests/test_bipartite.py::test_vector_norm_tol_boundary"]),
     ("posmaps.py", "BC_PREDICATE_TOL", ["tests/test_posmaps.py::test_bc_predicate_tol_boundary"]),
     ("posmaps.py", "BH_SKEW_TOL",

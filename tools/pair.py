@@ -1,19 +1,22 @@
 """Paired benchmark runs of two source trees, and the acceptance rule over them.
 
-    python3 tools/pair.py PARENT_TREE CHANGE_TREE --out BENCH_N.json \
-        [--workloads orbit certify solve] [--pairs 10] [--seed 4101] \
-        [--seconds S] [--claim orbit:items_per_s] [--label N] [--parent-commit SHA]
+    python3 tools/pair.py PARENT_TREE CHANGE_TREE --out BENCH_N.json --seed S0 \
+        [--claim orbit:items_per_s] [--label N] [--parent-commit SHA]
 
 Each tree is a source checkout with its own perfbench/ and src/, such as a
-`git archive` copy of the parent commit and a copy of the change. For each
-workload, pair k runs `python3 perfbench/run.py --workload W --seed S
---seconds T` once in each tree, the parent first when k is even and the
-change first when k is odd, with seed S = --seed + (workload index) x pairs
-+ k and T the `run_seconds` of BENCHMARK.json unless --seconds is given.
-Runs go one at a time, so the two sides never compete for the host.
+`git archive` copy of the parent commit and one of the change. For each
+workload of BENCHMARK.json, pair k = 0..PAIRS-1 runs `python3
+perfbench/run.py --workload W --seed S --seconds T` once in each tree, the
+parent first when k is even and the change first when k is odd, with seed
+S = S0 + (workload index) x PAIRS + k and T the `run_seconds` of
+BENCHMARK.json. S0 has no default, so that each use picks seeds on purpose,
+none of them used while the change was written. Runs go one at a time, so
+the two sides never compete for the host.
 
 The output file holds every run and, per workload and end-to-end metric,
 each side's median and quartiles, the change's wins and the parent's IQR.
+Its host entry is what the runs themselves report: python, numpy, BLAS name,
+version and thread count, and CPU count, one entry per distinct set.
 Its verdict applies the rule the benchmark is judged by, reading the bounds
 of BENCHMARK.json and never writing it:
 - a claimed metric improves when the change wins at least nine tenths of
@@ -35,14 +38,12 @@ import argparse
 import json
 import os
 import pathlib
-import platform
 import statistics
 import subprocess
 import sys
 
-import numpy as np
-
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+PAIRS = 10  # pairs of runs per workload
 WIN_SHARE = 0.9  # the share of pairs a claimed metric must win
 
 
@@ -128,8 +129,9 @@ def verdict(summary: dict, runs: list[dict], benchmark: dict, claims: list[tuple
     return out
 
 
-def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in tree: its final JSON line."""
+def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One perfbench run in tree: its final JSON line, and the host entries
+    of its provenance line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -137,7 +139,11 @@ def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> di
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
         sys.exit(f"error: {' '.join(cmd)} in {tree} exited {proc.returncode}")
-    return json.loads(lines[-1])
+    provenance = next(json.loads(line)["provenance"] for line in lines
+                      if line.startswith('{"provenance"'))
+    host = {key: provenance[key] for key in ("python", "numpy", "nproc")}
+    host["blas"] = {key: provenance["blas"][key] for key in ("name", "version", "threads")}
+    return json.loads(lines[-1]), host
 
 
 def parse_args(argv=None):
@@ -145,10 +151,7 @@ def parse_args(argv=None):
     p.add_argument("parent", type=pathlib.Path)
     p.add_argument("change", type=pathlib.Path)
     p.add_argument("--out", type=pathlib.Path, required=True)
-    p.add_argument("--workloads", nargs="+", default=None)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=None)
+    p.add_argument("--seed", type=int, required=True, help="the first seed, S0")
     p.add_argument("--claim", action="append", default=[], help="workload:metric")
     p.add_argument("--label", default="")
     p.add_argument("--parent-commit", default=None)
@@ -158,17 +161,19 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
-    seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
     claims = [tuple(c.split(":", 1)) for c in args.claim]
     metric_names = [m["name"] for m in benchmark["end_to_end"]]
-    runs, summary = [], {}
+    runs, summary, hosts = [], {}, []
     for w, workload in enumerate(workloads):
-        for k in range(args.pairs):
-            seed = args.seed + w * args.pairs + k
+        for k in range(PAIRS):
+            seed = args.seed + w * PAIRS + k
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for position, side in enumerate(order):
-                result = run_once(getattr(args, side), workload, seed, seconds)
+                result, host = run_once(getattr(args, side), workload, seed, seconds)
+                if host not in hosts:
+                    hosts.append(host)
                 runs.append({"side": side, "workload": workload, "seed": seed, "first": position == 0,
                              "correct": result["correct"], "attempted": result["attempted"],
                              "failed": result["failed"],
@@ -186,12 +191,11 @@ def main(argv=None) -> int:
         "label": args.label,
         "parent_commit": args.parent_commit,
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
-        "protocol": (f"{args.pairs} pairs per workload, workloads {', '.join(workloads)} back to back; "
+        "protocol": (f"{PAIRS} pairs per workload, workloads {', '.join(workloads)} back to back; "
                      f"seeds from {args.seed}, one per pair; the parent runs first in even pairs "
                      "(0-based) and the change in odd ones; one run at a time; "
                      "PYTHONDONTWRITEBYTECODE=1; run.py pins BLAS to one thread"),
-        "host": {"python": platform.python_version(), "numpy": np.__version__,
-                 "nproc": os.cpu_count()},
+        "host": hosts,
         "summary": summary,
         "verdict": verdict(summary, runs, benchmark, claims),
         "runs": runs,
