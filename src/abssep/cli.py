@@ -353,8 +353,11 @@ def _orbit_violations(spec, criterion, b, c, seed, count) -> float:
     the result does not depend on the chunking, and the first k samples of a
     scan are those of any longer scan with the same seed. A map criterion
     carries the least eigenvalue found so far from stack to stack
-    (matcore.least_eigenvalue), so a sample that cannot go below it is never
-    decomposed; the result has the bits of the per-sample maximum.
+    (matcore.least_eigenvalue), and realignment the largest trace norm
+    (bipartite.realign_trace_norm_max), so a sample that cannot pass it is
+    never decomposed: for realignment only at 2 ⊗ n and n ⊗ 2, where a
+    row-norm bound decides most samples. The result has the bits of the
+    per-sample maximum.
     """
     from . import bipartite, matcore, posmaps
     m, n = spec.m, spec.n
@@ -375,7 +378,7 @@ def _orbit_violations(spec, criterion, b, c, seed, count) -> float:
         q = np.linalg.qr(bipartite._ginibre(rng, m * n, min(chunk, count - start)))[0]
         rho = (q * spec.values) @ q.conj().swapaxes(-1, -2)
         if phi is None:
-            top = max(top, float(bipartite.realign_trace_norm(rho, m, n).max()))
+            top = bipartite.realign_trace_norm_max(rho, m, n, top)
         else:
             least = matcore.least_eigenvalue(posmaps.apply_id_tensor(phi, rho, m), least)
     return top - 1.0 if phi is None else -least

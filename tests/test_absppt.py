@@ -118,6 +118,20 @@ def test_is_abs_ppt_necessary_only_for_large_dims():
     assert absppt.is_abs_ppt(s) is AbsPptVerdict.NECESSARY_PASSED_ONLY
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4)])
+def test_lmi_verdict_holds_an_lmi_at_minus_tol(dims):
+    # the edge is exact: a least LMI eigenvalue of exactly -LMI_PSD_TOL passes,
+    # the float just below it fails; where the LMIs are not exact, passing
+    # them reads NecessaryPassedOnly
+    s = Spectrum(*dims, np.full(dims[0] * dims[1], 1.0 / (dims[0] * dims[1])))
+    passed = AbsPptVerdict.YES if dims != (4, 4) else AbsPptVerdict.NECESSARY_PASSED_ONLY
+    edge = -absppt.LMI_PSD_TOL
+    assert absppt.lmi_verdict(s, np.array([edge])) is passed
+    assert absppt.lmi_verdict(s, np.array([0.5, edge])) is passed
+    assert absppt.lmi_verdict(s, np.array([np.nextafter(edge, -1.0)])) is AbsPptVerdict.NO
+    assert absppt.lmi_verdict(s, np.array([0.5, np.nextafter(edge, -1.0)])) is AbsPptVerdict.NO
+
+
 def test_yes_implies_necessary_2x2():
     rng = np.random.default_rng(3)
     for _ in range(100):

@@ -802,6 +802,8 @@ def reference_violations(spec, criterion, seed, count, b=1.2, c=1.2):
 @pytest.mark.parametrize("criterion, dims, values", [
     ("realignment", (3, 3), SPEC_33),
     ("realignment", (2, 3), SPEC_23),
+    ("realignment", (3, 2), SPEC_23),
+    ("realignment", (2, 4), SPEC_24),
     ("choi", (3, 3), SPEC_33),
     ("gen_choi", (3, 3), SPEC_33),
     ("breuer_hall", (4, 4), SPEC_44),
@@ -809,13 +811,26 @@ def reference_violations(spec, criterion, seed, count, b=1.2, c=1.2):
 @pytest.mark.parametrize("count", [1, 15, 16, 17, 40])
 def test_orbit_violations_match_per_sample_loop(criterion, dims, values, count):
     # the scan's worst violation has the bits of the per-sample maximum, though
-    # the map scans decompose only the samples that can set it
+    # the map scans and the 2 ⊗ n and n ⊗ 2 realignment scans decompose only the
+    # samples that can set it
     from abssep.absppt import Spectrum
 
     spec = Spectrum(*dims, values)
     got = cli._orbit_violations(spec, criterion, 1.2, 1.2, 13, count)
     want = reference_violations(spec, criterion, 13, count).max()
     assert type(got) is float and np.float64(got).view(np.int64) == want.view(np.int64)
+
+
+def _lapack_rows(monkeypatch, name) -> list[int]:
+    """The number of matrices in each stack that reaches np.linalg.<name>, in call order."""
+    rows, kernel = [], getattr(np.linalg, name)
+
+    def counting(a, *args, **kwargs):
+        rows.append(int(np.prod(a.shape[:-2], dtype=int)))
+        return kernel(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return rows
 
 
 def test_a_map_scan_decomposes_only_the_samples_that_can_set_its_worst_violation(monkeypatch):
@@ -826,15 +841,24 @@ def test_a_map_scan_decomposes_only_the_samples_that_can_set_its_worst_violation
 
     spec = Spectrum(3, 3, SPEC_33)
     want = reference_violations(spec, "choi", 1, 100).max()
-    rows, eigvalsh = [], np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        rows.append(int(np.prod(a.shape[:-2], dtype=int)))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rows = _lapack_rows(monkeypatch, "eigvalsh")
     assert cli._orbit_violations(spec, "choi", 1.2, 1.2, 1, 100) == want
     assert rows[0] == 8 and sum(rows) <= 25
+
+
+def test_a_2_by_4_realignment_scan_decomposes_only_the_samples_that_can_set_its_worst_violation(
+        monkeypatch):
+    # 100 samples in stacks of 64 and 36: the first stack's 4 seeds of largest
+    # row bound set the floor, and the screen sends few of the other 96 samples
+    # to the SVD (13 at this seed, 17 decompositions in all); the scan still
+    # reports the per-sample maximum
+    from abssep.absppt import Spectrum
+
+    spec = Spectrum(2, 4, SPEC_24)
+    want = reference_violations(spec, "realignment", 1, 100).max()
+    rows = _lapack_rows(monkeypatch, "svd")
+    assert cli._orbit_violations(spec, "realignment", 0.0, 0.0, 1, 100) == want
+    assert rows[0] == 4 and sum(rows) <= 17
 
 
 @pytest.mark.parametrize("dims, values", [((2, 3), SPEC_23), ((3, 3), SPEC_33),
@@ -851,11 +875,11 @@ def test_orbit_states_are_the_haar_rotations_up_to_rounding(monkeypatch, dims, v
     d = spec.m * spec.n
     stacks = []
 
-    def capture(x, m, n):
+    def capture(x, m, n, floor):
         stacks.append(x)
-        return np.zeros(x.shape[0])
+        return 0.0
 
-    monkeypatch.setattr(bipartite, "realign_trace_norm", capture)
+    monkeypatch.setattr(bipartite, "realign_trace_norm_max", capture)
     cli._orbit_violations(spec, "realignment", 0.0, 0.0, 21, 40)
     rho = np.concatenate(stacks)
     assert rho.shape == (40, d, d)

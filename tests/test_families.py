@@ -67,6 +67,34 @@ def test_werner_lower_edge_of_the_open_band_holds_the_slack(n):
         assert families.werner_classify(n, edge - 2e-12) is WernerClass.NOT_ABS_PPT
 
 
+# (edge, the side beyond it, the classifier, the class at the edge and up to
+# THRESHOLD_SLACK beyond it, the class further out): each edge keeps its inside
+# class 0.5e-12 beyond it and loses it 2e-12 beyond, so THRESHOLD_SLACK = 1e-12
+# loosened or tightened tenfold fails a side. The offsets are literals, so
+# that the inputs do not move with the constant. The open band's lower edge
+# -1/(n-1) is pinned the same way above
+SLACK_EDGES = [
+    ("werner 1/n", 1.0 / 3.0, 1.0, lambda a: families.werner_classify(3, a),
+     WernerClass.ABS_SEP, WernerClass.NOT_ABS_PPT),
+    ("werner -1/n", -1.0 / 3.0, -1.0, lambda a: families.werner_classify(3, a),
+     WernerClass.ABS_SEP, WernerClass.UNKNOWN),
+    ("isotropic", 2.0 / 11.0, 1.0, lambda a: families.isotropic_classify(3, a),
+     IsotropicClass.ABS_SEP, IsotropicClass.NOT_ABS_PPT),
+    ("upb abs ppt", families.UPB_ABS_PPT_THRESHOLD, -1.0, families.upb_classify,
+     UpbClass.ABS_PPT_ONLY_KNOWN, UpbClass.NOT_ABS_PPT),
+    ("upb abs sep", families.UPB_ABS_SEP_THRESHOLD, -1.0, families.upb_classify,
+     UpbClass.ABS_PPT_AND_ABS_SEP, UpbClass.ABS_PPT_ONLY_KNOWN),
+]
+
+
+@pytest.mark.parametrize("edge, beyond, classify, inside, outside", [e[1:] for e in SLACK_EDGES],
+                         ids=[e[0] for e in SLACK_EDGES])
+def test_threshold_slack_holds_every_edge_from_both_sides(edge, beyond, classify, inside, outside):
+    assert classify(edge) is inside
+    assert classify(edge + beyond * 0.5e-12) is inside
+    assert classify(edge + beyond * 2e-12) is outside
+
+
 def test_werner_lmi_min_eigs_closed_form_vs_numeric():
     for n in range(2, 7):
         for alpha in np.linspace(-1.0, 1.0, 21):

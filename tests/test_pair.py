@@ -104,3 +104,22 @@ def test_the_runner_fixes_pairs_workloads_and_run_length_and_asks_for_seeds():
     for knob in ("--pairs", "--workloads", "--seconds"):
         with pytest.raises(SystemExit):
             pair.parse_args(["parent", "change", "--out", "BENCH.json", "--seed", "1", knob, "2"])
+
+
+@pytest.mark.parametrize("claim", ["orbit:op_p50_msx", "orbits:op_p50_ms", "orbit", "orbit:",
+                                   ":items_per_s", "orbit:matcore.self_s"])
+def test_a_bad_claim_is_an_argument_error_before_the_first_run(monkeypatch, capsys, claim):
+    # a claim must name a workload and an end-to-end metric of BENCHMARK.json;
+    # any other is refused, exit 2, before a run starts, not after the ~16 min
+    # of all of them
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(pair, "run_once", no_run)
+    with pytest.raises(SystemExit) as exit_info:
+        pair.main(["parent", "change", "--out", "BENCH.json", "--seed", "1", "--claim", claim])
+    assert exit_info.value.code == 2
+    assert f"--claim {claim!r}" in capsys.readouterr().err
+    args = pair.parse_args(["parent", "change", "--out", "BENCH.json", "--seed", "1",
+                            "--claim", "orbit:op_p50_ms", "--claim", "solve:items_per_s"])
+    assert args.claim == [("orbit", "op_p50_ms"), ("solve", "items_per_s")]

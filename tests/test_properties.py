@@ -260,6 +260,42 @@ def test_stacked_realign_trace_norm_matches_the_complex_svd(dims, count, rank, l
     assert (np.abs(got - ref) <= bound).all()
 
 
+@PROPERTY
+@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4), (1, 3)]),
+       count=st.integers(min_value=1, max_value=40),
+       spectrum=st.sampled_from(["near uniform", "maximally mixed", "pure"]),
+       duplicated=st.booleans(),
+       floor=st.sampled_from(["-inf", "member", "ulp above the largest", "above"]), seed=seeds)
+@example(dims=(2, 4), count=40, spectrum="near uniform", duplicated=False, floor="-inf", seed=0)
+@example(dims=(3, 2), count=40, spectrum="near uniform", duplicated=True, floor="member", seed=1)
+@example(dims=(2, 2), count=40, spectrum="maximally mixed", duplicated=False,
+         floor="ulp above the largest", seed=2)
+def test_realign_trace_norm_max_has_the_bits_of_the_stacked_svd(dims, count, spectrum, duplicated,
+                                                               floor, seed):
+    # realign_trace_norm_max(x, m, n, floor) against max(floor,
+    # realign_trace_norm(x, m, n).max()), bit for bit: Haar rotations Q Λ Q† of a
+    # spectrum near the uniform one, of the maximally mixed one (every sample
+    # the same state) and of a pure one, samples repeated, and an infinite
+    # floor, one sample's own value, the float 1 ulp above the largest (which
+    # a screen with no margin could let through) or one above every sample
+    m, n = dims
+    d = m * n
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((count, d, d, 2)) @ [1.0, 1j])[0]
+    values = {"near uniform": rng.dirichlet(np.full(d, 50.0)), "maximally mixed": np.full(d, 1.0 / d),
+              "pure": np.eye(d)[0]}[spectrum]
+    rho = (q * values) @ q.conj().swapaxes(-1, -2)
+    if duplicated:
+        rho[count // 2:] = rho[: count - count // 2]
+    norms = bipartite.realign_trace_norm(rho, m, n)
+    floor = {"-inf": -math.inf, "member": float(norms[rng.integers(count)]),
+             "ulp above the largest": float(np.nextafter(norms.max(), np.inf)),
+             "above": float(norms.max()) + 1.0}[floor]
+    got = bipartite.realign_trace_norm_max(rho[0] if count == 1 else rho, m, n, floor)
+    assert type(got) is float
+    assert float_bits(got) == float_bits(max(floor, norms.max()))
+
+
 bc_params = st.floats(min_value=0.0, max_value=4.0 / 3.0)
 
 

@@ -66,6 +66,9 @@ MUTANTS = [
      ["tests/test_posmaps.py::test_breuer_hall_unitary_tolerance_is_pinned_from_both_sides"]),
     ("posmaps.py", "WITNESS_TRACE_FLOOR", ["tests/test_posmaps.py::test_witness_trace_floor_boundary"]),
     ("families.py", "UPB_VECTOR_TOL", ["tests/test_families.py::test_upb_vector_tol_boundary"]),
+    ("families.py", "THRESHOLD_SLACK",
+     ["tests/test_families.py::test_threshold_slack_holds_every_edge_from_both_sides",
+      "tests/test_families.py::test_werner_lower_edge_of_the_open_band_holds_the_slack"]),
 ]
 
 

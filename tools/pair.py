@@ -29,7 +29,8 @@ of BENCHMARK.json and never writing it:
 - every run must read correct, and the change may fail no more ops than
   the parent.
 The script exits 0 when every claim is met and nothing else fails the rule,
-1 otherwise.
+1 otherwise. A --claim that is not a workload and an end-to-end metric of
+BENCHMARK.json is an argument error (exit 2), found before the first run.
 """
 
 from __future__ import annotations
@@ -155,7 +156,17 @@ def parse_args(argv=None):
     p.add_argument("--claim", action="append", default=[], help="workload:metric")
     p.add_argument("--label", default="")
     p.add_argument("--parent-commit", default=None)
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    metrics = [m["name"] for m in benchmark["end_to_end"]]
+    claims = [tuple(c.split(":", 1)) for c in args.claim]
+    for text, claim in zip(args.claim, claims):  # checked here, not after the runs
+        if len(claim) != 2 or claim[0] not in workloads or claim[1] not in metrics:
+            p.error(f"--claim {text!r} is not workload:metric, with a workload of "
+                    f"{', '.join(workloads)} and a metric of {', '.join(metrics)}")
+    args.claim = claims
+    return args
 
 
 def main(argv=None) -> int:
@@ -163,7 +174,6 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in benchmark["workloads"]]
     seconds = benchmark["run_seconds"]
-    claims = [tuple(c.split(":", 1)) for c in args.claim]
     metric_names = [m["name"] for m in benchmark["end_to_end"]]
     runs, summary, hosts = [], {}, []
     for w, workload in enumerate(workloads):
@@ -197,7 +207,7 @@ def main(argv=None) -> int:
                      "PYTHONDONTWRITEBYTECODE=1; run.py pins BLAS to one thread"),
         "host": hosts,
         "summary": summary,
-        "verdict": verdict(summary, runs, benchmark, claims),
+        "verdict": verdict(summary, runs, benchmark, args.claim),
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
