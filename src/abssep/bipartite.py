@@ -5,8 +5,8 @@ and its trace norm, operator- and vector-Schmidt decompositions, standard
 states and operators, and Haar-random unitary sampling. Both trace-norm
 kernels read one correlation matrix C (_correlation), whose Hermitian gate
 runs on every stack: realign_trace_norm returns each operator's value, and
-realign_trace_norm_max only the largest above a floor, which at 2 ⊗ n and
-n ⊗ 2 a row-norm bound on C decides for most operators with no SVD. A stack
+realign_trace_norm_max only the largest above a floor, which at 2 ⊗ n a
+row-norm bound on C decides for most operators with no SVD. A stack
 of k Ginibre matrices is drawn from one generator in one call, _ginibre(rng,
 n, k): slice i is the i-th of k single draws, so a stack drawn in chunks
 equals one drawn whole.
@@ -145,18 +145,20 @@ def realign_trace_norm_max(x, m: int, n: int, floor: float = -math.inf) -> float
     to the SVD only the operators of the stack that can move the result.
 
     floor is -inf or finite. Every operator passes _correlation's Hermitian gate.
-    Where min(m, n) = 2, the side of C whose factor is 2 has 4 entries: C's
-    rows for (2, n), its columns for (n, 2). Write C as 4 x b, that side as
-    rows, b = max(m², n²), and rotate it by the orthogonal Helmert rotation O
-    (_HELMERT_2), whose first row picks out the identity component. As
-    ||C||_1 = ||OC||_1 <= sum_i ||(OC)_i||_2, each operator's trace norm is at
-    most its row bound B. With an infinite floor, the REALIGN_SCREEN_SEEDS
-    operators of largest B are decomposed to seed it; then only the operators
-    with fl(B + delta) > floor go to the SVD. Elsewhere the whole stack goes to
-    one stacked SVD: at min(m, n) = 1, B is ||C||_F = ||X||_F, the same for every
-    operator of an orbit, and at min(m, n) >= 3 the bound sends nearly every
-    orbit sample to the SVD (82-100 of 100 at (3,3), 100 of 100 at (4,4), over
-    ten spectra drawn at radius 0.5-0.95 in the Gurvits-Barnum ball).
+    Where m = 2 and n >= 2, C is 4 x b, b = n², with one row per entry of M_2's
+    basis. Rotate its rows by the orthogonal Helmert rotation O (_HELMERT_2),
+    whose first row picks out the identity component. As ||C||_1 = ||OC||_1 <=
+    sum_i ||(OC)_i||_2, each operator's trace norm is at most its row bound B.
+    With an infinite floor, the REALIGN_SCREEN_SEEDS operators of largest B are
+    decomposed to seed it; then only the operators with fl(B + delta) > floor
+    go to the SVD, and those whose B is NaN (a C that overflowed, which the
+    SVD refuses) with them. Elsewhere the whole stack goes to one stacked SVD:
+    at min(m, n) = 1, B is ||C||_F = ||X||_F, the same for every operator of
+    an orbit; at min(m, n) >= 3 the bound sends nearly every orbit sample to
+    the SVD (82-100 of 100 at (3,3), 100 of 100 at (4,4), over ten spectra
+    drawn at radius 0.5-0.95 in the Gurvits-Barnum ball); and n ⊗ 2, n >= 3,
+    whose bound would sum C's columns, is left unscreened until a measured
+    workload scans it.
 
     The saving rests on one property of the stack: most operators' bounds
     fall more than delta below the largest trace norm found so far. Where all
@@ -164,8 +166,8 @@ def realign_trace_norm_max(x, m: int, n: int, floor: float = -math.inf) -> float
     orbit scan of the maximally mixed spectrum is that case: every sample is
     the same state and all 100 are decomposed. In ten alternating process
     pairs against one stacked SVD (one BLAS thread, 2-core x86-64 host), such
-    a scan took 0.648 -> 0.701 ms at (2,2) (+8%), 1.279 -> 1.350 ms at (2,4)
-    (+6%) and 1.214 -> 1.449 ms at (4,2) (+19%).
+    a scan took 0.648 -> 0.701 ms at (2,2) (+8%) and 1.279 -> 1.350 ms at (2,4)
+    (+6%).
 
     The margin delta = REALIGN_SCREEN_MARGIN b³ u ν, u = 2^-53 and ν the largest
     |c_ij| of the stack, so that ||C||_2 <= ||C||_F <= 2√b ν, ||C||_1 <= 4√b ν
@@ -179,7 +181,7 @@ def realign_trace_norm_max(x, m: int, n: int, floor: float = -math.inf) -> float
       error below (b/2 + 2) u (Higham, 2nd ed., §3.1), on a norm of at most
       √(2b) ν, and the sum of the 4 norms one of 3.01 u: (2b + 8)√(2b) + 17√b;
     - gesdd's per-value error, |σ̂_i - σ_i| <= p u ||C||_2 (LAPACK Users'
-      Guide, 3rd ed., §4.9), summed over the min(m², n²) = 4 values: 8 p √b.
+      Guide, 3rd ed., §4.9), summed over the 4 values: 8 p √b.
       The Guide only calls p "a modestly growing function" of the shape:
       p = b² is assumed here, not proved, and the bits of the result rest
       on it;
@@ -196,15 +198,14 @@ def realign_trace_norm_max(x, m: int, n: int, floor: float = -math.inf) -> float
     """
     c = _correlation(x, m, n)
     c = c.reshape(-1, *c.shape[-2:])
-    if min(m, n) != 2:
+    if m != 2 or n == 1:
         return _top(c, floor)
-    y, side = (_HELMERT_2 @ c, -1) if m == 2 else (c @ _HELMERT_2.T, -2)  # OC, or C Oᵀ
-    bound = np.sqrt(np.square(y).sum(axis=side)).sum(axis=-1)
+    bound = np.sqrt(np.square(_HELMERT_2 @ c).sum(axis=-1)).sum(axis=-1)
     if floor == -math.inf:
         seeds = np.argsort(-bound, kind="stable")[:REALIGN_SCREEN_SEEDS]
         floor, bound[seeds] = _top(c[seeds], floor), -math.inf
-    delta = REALIGN_SCREEN_MARGIN * max(m * m, n * n) ** 3 * 2.0**-53 * float(np.abs(c).max())
-    fails = bound + delta > floor
+    delta = REALIGN_SCREEN_MARGIN * n**6 * 2.0**-53 * float(np.abs(c).max())
+    fails = ~(bound + delta <= floor)  # a NaN bound fails
     return _top(c[fails], floor) if fails.any() else floor
 
 

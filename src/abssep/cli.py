@@ -355,9 +355,8 @@ def _orbit_violations(spec, criterion, b, c, seed, count) -> float:
     carries the least eigenvalue found so far from stack to stack
     (matcore.least_eigenvalue), and realignment the largest trace norm
     (bipartite.realign_trace_norm_max), so a sample that cannot pass it is
-    never decomposed: for realignment only at 2 ⊗ n and n ⊗ 2, where a
-    row-norm bound decides most samples. The result has the bits of the
-    per-sample maximum.
+    never decomposed: for realignment only at 2 ⊗ n, where a row-norm bound
+    decides most samples. The result has the bits of the per-sample maximum.
     """
     from . import bipartite, matcore, posmaps
     m, n = spec.m, spec.n

@@ -1,5 +1,7 @@
 """Tensor structure: partial operations, realignment, Schmidt, Haar sampling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -450,46 +452,50 @@ def test_stacked_realign_trace_norm_equals_one_matrix_at_a_time():
                        bipartite.realign_trace_norm(x + 0j, 2, 3), rtol=1e-15, atol=0.0)
 
 
-def _svd_rows(monkeypatch) -> list[int]:
-    """The number of matrices in each stack that reaches np.linalg.svd, in call order."""
-    rows, svd = [], np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        rows.append(int(np.prod(a.shape[:-2], dtype=int)))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return rows
-
-
-@pytest.mark.parametrize("dims", [(2, 2), (2, 4), (4, 2)])
-def test_realign_trace_norm_max_screens_an_operator_three_margins_below_its_floor(monkeypatch, dims):
+@pytest.mark.parametrize("dims", [(2, 2), (2, 4)])
+def test_realign_trace_norm_max_screens_an_operator_three_margins_below_its_floor(lapack_rows, dims):
     # X = I/d, d = mn: R(X) = vec(I_m) vec(I_n)ᵀ / d has rank one, so its row
     # bound B equals ||R(X)||_1 = √(mn)/d, and the largest |c_ij| is 1/d. With
-    # delta = 8 b³ u / d, b = max(m², n²), stated here and not read from
+    # delta = 8 b³ u / d, b = n², stated here and not read from
     # REALIGN_SCREEN_MARGIN, and the floor 3 delta above B, X passes the screen,
     # which a margin 10x larger would send to the SVD. A tighter margin stays
     # valid down to the true rounding (~√b u), far below delta, so no test pins
     # the other side
     m, n = dims
     d = m * n
-    delta = 8.0 * max(m * m, n * n) ** 3 * 2.0**-53 / d
+    delta = 8.0 * n**6 * 2.0**-53 / d
     floor = np.sqrt(d) / d + 3.0 * delta
-    rows = _svd_rows(monkeypatch)
+    rows = lapack_rows("svd")
     assert bipartite.realign_trace_norm_max(np.eye(d) / d, m, n, floor) == floor
     assert rows == []
     assert abs(bipartite.realign_trace_norm_max(np.eye(d) / d, m, n) - np.sqrt(d) / d) <= 1e-15
     assert rows == [1]  # an infinite floor is seeded by the SVD
 
 
-@pytest.mark.parametrize("dims", [(1, 3), (3, 3), (4, 4)])
-def test_realign_trace_norm_max_sends_the_whole_stack_to_one_svd_off_2_by_n(monkeypatch, dims):
-    # no screen where min(m, n) != 2, even under a floor above every operator
+@pytest.mark.parametrize("dims", [(1, 3), (3, 3), (4, 4), (3, 2), (4, 2), (2, 1)])
+def test_realign_trace_norm_max_sends_the_whole_stack_to_one_svd_off_2_by_n(lapack_rows, dims):
+    # no screen unless m = 2 and n >= 2, even under a floor above every operator
     m, n = dims
     x = np.broadcast_to(np.eye(m * n) / (m * n), (5, m * n, m * n))
-    rows = _svd_rows(monkeypatch)
+    rows = lapack_rows("svd")
     assert bipartite.realign_trace_norm_max(x, m, n, 10.0) == 10.0
     assert rows == [5]
+
+
+@pytest.mark.parametrize("floor", [10.0, -math.inf])
+def test_realign_trace_norm_max_refuses_an_operator_whose_correlation_overflows(floor):
+    # 1.7e308 (I ⊗ σ_x) is finite and Hermitian, but its C has entries
+    # (1.7e308 + 1.7e308)/√2 = inf in both diagonal rows, which the Helmert
+    # rotation turns into inf - inf: a NaN row bound. It must reach the SVD and
+    # be refused as realign_trace_norm refuses it, not be screened out under
+    # the floor, among four ordinary operators (more than REALIGN_SCREEN_SEEDS)
+    x = np.broadcast_to(np.eye(4) / 4, (5, 4, 4)).copy()
+    x[2] = 1.7e308 * np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the input's
+        with pytest.raises(InvalidMatrix, match="non-finite"):
+            bipartite.realign_trace_norm(x, 2, 2)
+        with pytest.raises(InvalidMatrix, match="non-finite"):
+            bipartite.realign_trace_norm_max(x, 2, 2, floor)
 
 
 @pytest.mark.parametrize("h", [1, 2, 3, 4])

@@ -811,8 +811,8 @@ def reference_violations(spec, criterion, seed, count, b=1.2, c=1.2):
 @pytest.mark.parametrize("count", [1, 15, 16, 17, 40])
 def test_orbit_violations_match_per_sample_loop(criterion, dims, values, count):
     # the scan's worst violation has the bits of the per-sample maximum, though
-    # the map scans and the 2 ⊗ n and n ⊗ 2 realignment scans decompose only the
-    # samples that can set it
+    # the map scans and the 2 ⊗ n realignment scans decompose only the samples
+    # that can set it; the (3,2) and (3,3) realignment scans decompose them all
     from abssep.absppt import Spectrum
 
     spec = Spectrum(*dims, values)
@@ -821,19 +821,7 @@ def test_orbit_violations_match_per_sample_loop(criterion, dims, values, count):
     assert type(got) is float and np.float64(got).view(np.int64) == want.view(np.int64)
 
 
-def _lapack_rows(monkeypatch, name) -> list[int]:
-    """The number of matrices in each stack that reaches np.linalg.<name>, in call order."""
-    rows, kernel = [], getattr(np.linalg, name)
-
-    def counting(a, *args, **kwargs):
-        rows.append(int(np.prod(a.shape[:-2], dtype=int)))
-        return kernel(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, name, counting)
-    return rows
-
-
-def test_a_map_scan_decomposes_only_the_samples_that_can_set_its_worst_violation(monkeypatch):
+def test_a_map_scan_decomposes_only_the_samples_that_can_set_its_worst_violation(lapack_rows):
     # 100 choi samples in two stacks of 50: the first stack's 8 seeds set the
     # floor, and the screen sends few of the other 92 samples to eigvalsh
     # (10 at this seed); the scan still reports the per-sample maximum
@@ -841,13 +829,13 @@ def test_a_map_scan_decomposes_only_the_samples_that_can_set_its_worst_violation
 
     spec = Spectrum(3, 3, SPEC_33)
     want = reference_violations(spec, "choi", 1, 100).max()
-    rows = _lapack_rows(monkeypatch, "eigvalsh")
+    rows = lapack_rows("eigvalsh")
     assert cli._orbit_violations(spec, "choi", 1.2, 1.2, 1, 100) == want
     assert rows[0] == 8 and sum(rows) <= 25
 
 
 def test_a_2_by_4_realignment_scan_decomposes_only_the_samples_that_can_set_its_worst_violation(
-        monkeypatch):
+        lapack_rows):
     # 100 samples in stacks of 64 and 36: the first stack's 4 seeds of largest
     # row bound set the floor, and the screen sends few of the other 96 samples
     # to the SVD (13 at this seed, 17 decompositions in all); the scan still
@@ -856,7 +844,7 @@ def test_a_2_by_4_realignment_scan_decomposes_only_the_samples_that_can_set_its_
 
     spec = Spectrum(2, 4, SPEC_24)
     want = reference_violations(spec, "realignment", 1, 100).max()
-    rows = _lapack_rows(monkeypatch, "svd")
+    rows = lapack_rows("svd")
     assert cli._orbit_violations(spec, "realignment", 0.0, 0.0, 1, 100) == want
     assert rows[0] == 4 and sum(rows) <= 17
 
