@@ -472,6 +472,20 @@ def test_realign_trace_norm_max_screens_an_operator_three_margins_below_its_floo
     assert rows == [1]  # an infinite floor is seeded by the SVD
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_realign_trace_norm_max_keeps_an_operator_whose_bound_is_its_trace_norm(n):
+    # X = I/2 ⊗ σ: R(X) = vec(I/2) vec(σ)ᵀ has rank one, and the Helmert rotation
+    # leaves C one nonzero row, so the row bound B equals ||R(X)||_1 in exact
+    # arithmetic. Computed, B reads below the SVD sum for 4, 8 and 11 of these 40
+    # σ at n = 2, 3 and 4. With the floor 1 ulp below that sum, only the margin
+    # keeps such an operator from being screened out: a margin of 0 returns the floor
+    rng = np.random.default_rng(45)
+    for _ in range(40):
+        x = np.kron(np.eye(2) / 2.0, random_state(rng, n))
+        svd_sum = bipartite.realign_trace_norm(x, 2, n)
+        assert bipartite.realign_trace_norm_max(x, 2, n, np.nextafter(svd_sum, -np.inf)) == svd_sum
+
+
 @pytest.mark.parametrize("dims", [(1, 3), (3, 3), (4, 4), (3, 2), (4, 2), (2, 1)])
 def test_realign_trace_norm_max_sends_the_whole_stack_to_one_svd_off_2_by_n(lapack_rows, dims):
     # no screen unless m = 2 and n >= 2, even under a floor above every operator

@@ -84,16 +84,6 @@ def test_check_spectrum_large_dims_necessary_only(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "NecessaryPassedOnly"
 
 
-def test_check_spectrum_min_dim_one_is_yes_with_no_lmi(tmp_path, capsys):
-    # (1, n) has the empty LMI stack: every valid spectrum is absolutely PPT
-    from abssep.absppt import Spectrum
-
-    path = write_spectrum(tmp_path, Spectrum(1, 3, [0.5, 0.3, 0.2]))
-    code, out = run_cli(["check-spectrum", path], capsys)
-    assert code == 0
-    assert out == '{"dims": [1, 3], "lmi_min_eigenvalue": null, "verdict": "Yes"}\n'
-
-
 def test_witness_analyze_choi_witness(tmp_path, capsys):
     w = posmaps.witness_from_map(
         posmaps.dual_map(posmaps.choi_map()), bipartite.max_entangled(3)
@@ -173,77 +163,6 @@ def test_verify_certificates_small_grid(tmp_path, capsys):
     witness_rows = [r for r in rows if r["name"].startswith("witness-dual")]
     assert len(witness_rows) == 8
     assert all(r["value"] == 0.0 == r["expected"] for r in witness_rows)
-
-
-@pytest.mark.parametrize(
-    "argv, lines, digest",
-    [
-        ([], 897, "27a99714b399c9f49e1fd4e817161ad3b45590991cb25cb009ce735a2a252334"),
-        (["--grid", "31", "--bh-dims", "4", "6", "8", "--format", "json"], None,
-         "4ec5599aaf465357e360a5c0cfd4dc07b5ed2c1e4d41ca3d5b47a374b390a268"),
-    ],
-)
-def test_verify_certificates_golden_bytes(capsys, argv, lines, digest):
-    # every certified value, byte for byte; a change to any row shows here
-    code, out = run_cli(["verify-certificates", *argv], capsys)
-    assert code == 0
-    if lines is not None:
-        assert len(out.splitlines()) == lines
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize(
-    "figure, lines, digest",
-    [
-        ("f_curve", 1009, "500192ae0ed0c41d018e5478fed3ff1cc8145d0912ce59be7b98027d3991c73b"),
-        ("phi_bc_region", 14642,
-         "74f7f81533c55c6f2f78e2ae99db3edbbcb46656fbe844f2b31d2d60e29cd1a4"),
-        ("gen_choi_ub", 14642,
-         "6f002553439f07dee080909579989c2ee980fcc93ffd96edcde9b316c9ae87f7"),
-        ("upb_interval", 302, "a5fe85a6aecf23de7e14d184f83853788214fb761a62312e93c67d98269c0c5b"),
-    ],
-)
-def test_fig_data_golden_bytes(capsys, figure, lines, digest):
-    # the default CSV of each figure, byte for byte; its values are closed forms,
-    # plus upb_interval's eigenvalues of a small matrix (all above 1e-4 in
-    # magnitude), printed with %.12g, far coarser than LAPACK's rounding
-    code, out = run_cli(["fig-data", figure], capsys)
-    assert code == 0
-    assert len(out.splitlines()) == lines
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize(
-    "argv, lines, digest",
-    [
-        (["fig-data", "phi_bc_region", "--grid", "2"], 5,
-         "83516e3b3da812f8ecc03512584d8f2322cff2419e4bc75095a2c9de862b6913"),
-        (["fig-data", "phi_bc_region", "--grid", "37"], 1370,
-         "e70d9b3ad44d52d4887ff54e1857764cd1abceb408d5823a6c83d82229856a51"),
-        (["fig-data", "gen_choi_ub", "--grid", "1"], 2,
-         "b891cf741df19e8e79119d3536b4ca4519a9a8c09eee7c5d3d8e27016feb7a0c"),
-        (["fig-data", "gen_choi_ub", "--grid", "46"], 2117,
-         "9972b39c02edc4a8c313e0258b46c81397f04db5987ff93763c6098e322a210a"),
-        # every value at full precision; a port that squares with numpy's ** 2
-        # instead of libm pow changes rows here
-        (["verify-certificates", "--grid", "80", "--bh-dims", "4", "--format", "json"], 1,
-         "addf86c062788014c463b939c7d546ed2f3f7ec9802efe36b8a7ed2645b9c8df"),
-        (["fig-data", "upb_interval", "--samples", "1"], 2,
-         "471c65a4849baeb6a25c311e534c7c2b7fc876e46145257d37af4c5c9b9bca0a"),
-        (["fig-data", "upb_interval", "--samples", "7"], 8,
-         "dc284d7be44dcf4a0d8d63de57d5c1e87f52e87671b728f2c6aebbb70b5f0c63"),
-        (["verify-certificates", "--grid", "5", "--bh-dims", "4", "6"], 65,
-         "9f47f72a302525905e4610cc0fc98a9c616ed9cd1fd79bd45fcb91a6d21a545d"),
-    ],
-    ids=["phi_bc_region-2", "phi_bc_region-37", "gen_choi_ub-1", "gen_choi_ub-46",
-         "verify-certificates-80-json", "upb_interval-1", "upb_interval-7",
-         "verify-certificates-5-csv"],
-)
-def test_golden_bytes_at_other_grids(capsys, argv, lines, digest):
-    code, out = run_cli(argv, capsys)
-    assert code == 0
-    assert len(out.splitlines()) == lines
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_certificates_rejection_exits_2(monkeypatch, capsys):
@@ -687,76 +606,248 @@ PURE_33 = [1.0] + [0.0] * 8
 SPEC_23 = [0.3, 0.2, 0.15, 0.15, 0.1, 0.1]
 SPEC_24 = [0.2, 0.16, 0.14, 0.12, 0.11, 0.1, 0.09, 0.08]
 
-# orbit-scan output, its max_violation the max of reference_violations below
-GOLDEN_ORBIT = [
-    ((3, 3, SPEC_33), ["--criterion", "realignment", "--samples", "40", "--seed", "9"], 0,
-     '{"criterion": "realignment", "max_violation": -0.38894935205373626, "samples": 40, '
-     '"seed": 9, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
-    ((3, 3, SPEC_33), ["--criterion", "choi", "--samples", "40", "--seed", "9"], 0,
-     '{"criterion": "choi", "max_violation": -0.07550559459676226, "samples": 40, '
-     '"seed": 9, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
-    ((3, 3, SPEC_33), ["--criterion", "gen_choi", "--samples", "40", "--seed", "9",
-                       "--b", "1.2", "--c", "1.2"], 0,
-     '{"criterion": "gen_choi", "max_violation": -0.05845137872268669, "samples": 40, '
-     '"seed": 9, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
-    ((4, 4, SPEC_44), ["--criterion", "breuer_hall", "--samples", "40", "--seed", "9"], 0,
-     '{"criterion": "breuer_hall", "max_violation": -0.05346256848479204, "samples": 40, '
-     '"seed": 9, "tolerance": 1e-08, "verdict": "NecessaryPassedOnly", "violated": false}\n'),
-    ((4, 4, SPEC_44), ["--criterion", "realignment", "--samples", "40", "--seed", "9"], 0,
-     '{"criterion": "realignment", "max_violation": -0.6526184375611458, "samples": 40, '
-     '"seed": 9, "tolerance": 1e-08, "verdict": "NecessaryPassedOnly", "violated": false}\n'),
-    ((3, 3, PURE_33), ["--criterion", "realignment", "--samples", "17", "--seed", "2"], 2,
-     '{"criterion": "realignment", "max_violation": 1.4904131648196244, "samples": 17, '
-     '"seed": 2, "tolerance": 1e-08, "verdict": "No", "violated": true}\n'),
-    ((3, 3, PURE_33), ["--criterion", "choi", "--samples", "17", "--seed", "2"], 2,
-     '{"criterion": "choi", "max_violation": 0.14154653208949, "samples": 17, '
-     '"seed": 2, "tolerance": 1e-08, "verdict": "No", "violated": true}\n'),
+def _spectrum(m, n, values) -> str:
+    return json.dumps({"m": m, "n": n, "values": values})
+
+
+# the files a CORPUS command names as {name}
+CORPUS_INPUTS = {
+    "spec33": _spectrum(3, 3, SPEC_33),
+    "spec44": _spectrum(4, 4, SPEC_44),
+    "pure33": _spectrum(3, 3, PURE_33),
+    "spec23": _spectrum(2, 3, SPEC_23),
+    "spec24": _spectrum(2, 4, SPEC_24),
+    "spec13": _spectrum(1, 3, [0.5, 0.3, 0.2]),
+    "short33": _spectrum(3, 3, [0.5, 0.5]),
+    "notjson": "not json at all",
+    "mixed9": matrix_json(np.eye(9) / 9.0),
+    "extremal9": matrix_json(np.diag([0.62, 0.62, 0.16, 0.0, 0.0, 0.0, 0.0, 0.0, -0.4])),
+    "skew2": matrix_json([[0.0, 1.0], [0.0, 0.0]]),
+    "scan_cfg": "seed = 11\nsamples = 6\ntol.violation = 1e-6  # loose\n",
+    "bad_cfg": "tol.lmi\n",
+}
+
+# (command, exit code, stdout lines, stdout sha256, stderr): every byte each command
+# prints. A change that moves bytes replaces only the entries it moves, each with
+# the tuple its failure message gives, and lists them in CHANGES.md
+CORPUS = [
+    # verify-certificates: every certified value at full precision (repr in JSON); a port
+    # that squares with numpy's ** 2 instead of libm pow changes grid 80's rows
+    ("verify-certificates", 0, 897,
+     "27a99714b399c9f49e1fd4e817161ad3b45590991cb25cb009ce735a2a252334", ""),
+    ("verify-certificates --grid 31 --bh-dims 4 6 8 --format json", 0, 1,
+     "4ec5599aaf465357e360a5c0cfd4dc07b5ed2c1e4d41ca3d5b47a374b390a268", ""),
+    ("verify-certificates --grid 80 --bh-dims 4 --format json", 0, 1,
+     "addf86c062788014c463b939c7d546ed2f3f7ec9802efe36b8a7ed2645b9c8df", ""),
+    ("verify-certificates --grid 5 --bh-dims 4 6", 0, 65,
+     "9f47f72a302525905e4610cc0fc98a9c616ed9cd1fd79bd45fcb91a6d21a545d", ""),
+    # exit 2 on the generalized-Choi corner defect: b = c = 1 - 2^-53 lies on these grids,
+    # and its row reads max-eig gen-choi(1,1),0.5,2.66666666667,mismatch
+    ("verify-certificates --grid 89", 2, 15857,
+     "2a96d4ef46ca20931a44925e6498b9dc3bd1b9979ca96294d4dc77603f311acd", ""),
+    ("verify-certificates --grid 121", 2, 29297,
+     "bb46ea0b4a343c8298d863fbd7789a825b809bb99ad42db77f5fc59247bc1c0c", ""),
+    ("verify-certificates --grid 3 --bh-dims 4 --tol certificate=1e-17", 2, 31,
+     "c5db9c225e95de9ab0e8dd0b1005a8a80a9b7588140e04cca873fdb326d60d09", ""),
+    # fig-data: closed forms, plus upb_interval's eigenvalues of a small matrix (all
+    # above 1e-4 in magnitude) printed with %.12g, far coarser than LAPACK's rounding
+    ("fig-data f_curve", 0, 1009,
+     "500192ae0ed0c41d018e5478fed3ff1cc8145d0912ce59be7b98027d3991c73b", ""),
+    ("fig-data phi_bc_region", 0, 14642,
+     "74f7f81533c55c6f2f78e2ae99db3edbbcb46656fbe844f2b31d2d60e29cd1a4", ""),
+    ("fig-data gen_choi_ub", 0, 14642,
+     "6f002553439f07dee080909579989c2ee980fcc93ffd96edcde9b316c9ae87f7", ""),
+    ("fig-data upb_interval", 0, 302,
+     "a5fe85a6aecf23de7e14d184f83853788214fb761a62312e93c67d98269c0c5b", ""),
+    ("fig-data phi_bc_region --grid 2", 0, 5,
+     "83516e3b3da812f8ecc03512584d8f2322cff2419e4bc75095a2c9de862b6913", ""),
+    ("fig-data phi_bc_region --grid 37", 0, 1370,
+     "e70d9b3ad44d52d4887ff54e1857764cd1abceb408d5823a6c83d82229856a51", ""),
+    ("fig-data gen_choi_ub --grid 1", 0, 2,
+     "b891cf741df19e8e79119d3536b4ca4519a9a8c09eee7c5d3d8e27016feb7a0c", ""),
+    ("fig-data gen_choi_ub --grid 46", 0, 2117,
+     "9972b39c02edc4a8c313e0258b46c81397f04db5987ff93763c6098e322a210a", ""),
+    ("fig-data upb_interval --samples 1", 0, 2,
+     "471c65a4849baeb6a25c311e534c7c2b7fc876e46145257d37af4c5c9b9bca0a", ""),
+    ("fig-data upb_interval --samples 7", 0, 8,
+     "dc284d7be44dcf4a0d8d63de57d5c1e87f52e87671b728f2c6aebbb70b5f0c63", ""),
+    # orbit-scan: sample i is Q_i Λ Q_i†, Q_i the QR factor of the i-th Ginibre draw of
+    # rng_stream(seed, 0), so --samples 1 pins the first draw of each longer scan
+    ("orbit-scan {spec33} --criterion realignment --samples 40 --seed 9", 0, 1,
+     "a6a77c34493918152eef8746923b8311b3fb6f6349ba76998dbd7241bf09bce1", ""),
+    ("orbit-scan {spec33} --criterion choi --samples 40 --seed 9", 0, 1,
+     "ff0aa65be8e264a250563cf55d3442b0901487845b00dffc7dc817c94625205a", ""),
+    ("orbit-scan {spec33} --criterion gen_choi --samples 40 --seed 9 --b 1.2 --c 1.2", 0, 1,
+     "6228897e92247e504802ce280ffc26bbda444c6da8d0ba85f9cb2bf1eae00651", ""),
+    ("orbit-scan {spec44} --criterion breuer_hall --samples 40 --seed 9", 0, 1,
+     "b5db06022c0390ef65cba10b27da7156803bbeb1dec98208f4529ca10e3e9f53", ""),
+    ("orbit-scan {spec44} --criterion realignment --samples 40 --seed 9", 0, 1,
+     "b8aafc7f0921fbf6fc079becc0a91afc5ac9ebb496228ee26bc7fc0d91be772a", ""),
+    ("orbit-scan {pure33} --criterion realignment --samples 17 --seed 2", 2, 1,
+     "9f6689f3741ef56d18c29a9014a4ddd55d5e836df4521370d2fb34379027633f", ""),
+    ("orbit-scan {pure33} --criterion choi --samples 17 --seed 2", 2, 1,
+     "70ca67ec18369a2b32c4cac1769a05f096e134f0f3bb3008ee76c6fc156575b5", ""),
     # one sample past a full stack of ORBIT_ENTRIES // (mn)² samples (113, 64 and 50)
-    ((2, 3, SPEC_23), ["--criterion", "realignment", "--samples", "130", "--seed", "11"], 0,
-     '{"criterion": "realignment", "max_violation": -0.3139713165350825, "samples": 130, '
-     '"seed": 11, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
-    ((2, 4, SPEC_24), ["--criterion", "realignment", "--samples", "65", "--seed", "11"], 0,
-     '{"criterion": "realignment", "max_violation": -0.4745141860983835, "samples": 65, '
-     '"seed": 11, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
-    ((3, 3, SPEC_33), ["--criterion", "choi", "--samples", "51", "--seed", "11"], 0,
-     '{"criterion": "choi", "max_violation": -0.07444202208280364, "samples": 51, '
-     '"seed": 11, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
-    ((3, 3, SPEC_33), ["--criterion", "gen_choi", "--samples", "51", "--seed", "11",
-                       "--b", "1.2", "--c", "1.2"], 0,
-     '{"criterion": "gen_choi", "max_violation": -0.061083836116979304, "samples": 51, '
-     '"seed": 11, "tolerance": 1e-08, "verdict": "Yes", "violated": false}\n'),
+    ("orbit-scan {spec23} --criterion realignment --samples 130 --seed 11", 0, 1,
+     "35cf357f1c29d4e16668f2af138a683ef6148a1e1c5ad579767aa5444ad31d8e", ""),
+    ("orbit-scan {spec24} --criterion realignment --samples 65 --seed 11", 0, 1,
+     "b0842c8e9a8f982d5ac61ff6410d606fa97036be747cb63f3e76865cbc1aa3e8", ""),
+    ("orbit-scan {spec33} --criterion choi --samples 51 --seed 11", 0, 1,
+     "544e4b79cf5b3992d48b8697f62b7f630d743a3c2c4069dd2b75ddabeda7eaf9", ""),
+    ("orbit-scan {spec33} --criterion gen_choi --samples 51 --seed 11 --b 1.2 --c 1.2", 0, 1,
+     "0a07c7c10597b46dfdabd02ea0b149222497a81a40b09b205d134b0bfe80d61a", ""),
+    ("orbit-scan {spec33} --criterion realignment --samples 1 --seed 9", 0, 1,
+     "954985ba49e8c568cdc39c6e0f39a29ff4a16fb7c25bd100119b8a748b2a1f27", ""),
+    ("orbit-scan {spec33} --criterion choi --samples 1 --seed 9", 0, 1,
+     "33823a0ae17959dfdc2d1dd71b4aa6d98526fae38db22c611d4294cf998353fb", ""),
+    ("orbit-scan {spec33} --criterion gen_choi --samples 1 --seed 9 --b 1.2 --c 1.2", 0, 1,
+     "cbe9e7eba858fdd8bba5abffb318f92e045eb39c1a6d81a451d0327df6599582", ""),
+    ("orbit-scan {spec44} --criterion breuer_hall --samples 1 --seed 9", 0, 1,
+     "2fd1e18432ba0de70caffbef59e51a704d7cc0d020b3fcc76d983165870f661a", ""),
+    ("orbit-scan {spec44} --criterion realignment --samples 1 --seed 9", 0, 1,
+     "7f1649b9bfbb2c0fab0dfc8c32aa8ff2c6acc982dd5f48b41088861a4b3d9e5a", ""),
+    ("orbit-scan {pure33} --criterion realignment --samples 1 --seed 2", 2, 1,
+     "284707a72d3826ab11d79d8035c798d7dcf3649b00481085f3e3a13b4247aee2", ""),
+    ("orbit-scan {pure33} --criterion choi --samples 1 --seed 2", 2, 1,
+     "3db842f6c181d9ad74559c9dcdd4098dc68074dc121baefb9b4fa3e30f9fe0b3", ""),
+    ("orbit-scan {spec23} --criterion realignment --samples 1 --seed 11", 0, 1,
+     "2b9179086f387e6057aa4e7a7f1675a9c1cce0e42baedf00fc3b5698c48f9241", ""),
+    ("orbit-scan {spec24} --criterion realignment --samples 1 --seed 11", 0, 1,
+     "d37f5b661445eff263e189a74544f5e3c0884018e9a6cfc77ba53ec1f9850eb4", ""),
+    ("orbit-scan {spec33} --criterion choi --samples 1 --seed 11", 0, 1,
+     "b504dab0259c8856af0d21b3489ff2e22261dc1dd7f9dac35efe51301a2e4b22", ""),
+    ("orbit-scan {spec33} --criterion gen_choi --samples 1 --seed 11 --b 1.2 --c 1.2", 0, 1,
+     "60ca9baa44450275bd6b573c0a7b604067dc21e0992a7180f33a3d11b7022744", ""),
+    ("orbit-scan {spec33} --criterion realignment --samples 200 --seed 9", 0, 1,
+     "ff0fc8b313779f9776c0c946b792167a3304ac126804695f1a9e588b3d1b3452", ""),
+    ("orbit-scan {spec33} --criterion choi --samples 200 --seed 9", 0, 1,
+     "ae75d6494b052452e22c1703ff13f71f8838241bd72b017cfdf8057b18cbd5bf", ""),
+    ("orbit-scan {spec33} --criterion gen_choi --samples 200 --seed 9 --b 1.2 --c 1.2", 0, 1,
+     "16b6b8e04ad3191560673aa8f700c39ae54e51a1cd83c36b8d8a078de38e71ee", ""),
+    ("orbit-scan {spec44} --criterion breuer_hall --samples 200 --seed 9", 0, 1,
+     "1bc0dc267519d376edc5019fb91b6bc01cad5c9638f8420d165368df23e24512", ""),
+    ("orbit-scan {spec44} --criterion realignment --samples 200 --seed 9", 0, 1,
+     "b4a215d92ee006d1e2b067fbd29ddcfd6a89e3fa36d08c8e089b0fec122ceba6", ""),
+    ("orbit-scan {pure33} --criterion realignment --samples 200 --seed 2", 2, 1,
+     "e95ac4fe74ab07108ceb499d54f710d2afe0a81843740615b11ac2861b4f2af1", ""),
+    ("orbit-scan {pure33} --criterion choi --samples 200 --seed 2", 2, 1,
+     "ff8e8903a88fdd4009c19042f2436301d6e21e60a68d7f03d8f36dfbed9a3901", ""),
+    ("orbit-scan {spec23} --criterion realignment --samples 200 --seed 11", 0, 1,
+     "95b6380e0d4c1533495840621010eb45baa2bc6daa02991e5f1be68ce2a068ea", ""),
+    ("orbit-scan {spec24} --criterion realignment --samples 200 --seed 11", 0, 1,
+     "8a135f796b486f2d62743458b2e744fec32216aaf800e482767fbd8a2e9dd114", ""),
+    ("orbit-scan {spec33} --criterion choi --samples 200 --seed 11", 0, 1,
+     "2c8da0eb6891ad9e7e4bf6afc51eb7b9bec777d511bfe54fdb5f50896b6a9fd6", ""),
+    ("orbit-scan {spec33} --criterion gen_choi --samples 200 --seed 11 --b 1.2 --c 1.2", 0, 1,
+     "75c8e6bd8c9563ca214d792b287745d4e6f84ff13645f2ccd802a171f48e01d6", ""),
+    ("orbit-scan {spec33} --criterion choi --config {scan_cfg}", 0, 1,
+     "9ef1134eedd3dd809c594059f0a92dd7dcb67e6d192c001390b30eb998db8a59", ""),
+    ("orbit-scan {spec33} --criterion choi --config {scan_cfg} --samples 3", 0, 1,
+     "1d3da16b518a43d7de1d93fcba8aa18020945330d6c1351fb6f890ea1a85d54f", ""),
+    # check-spectrum Yes, No, NecessaryPassedOnly, and (1, n) with its empty LMI stack
+    ("check-spectrum {spec33}", 0, 1,
+     "a5d9be9af17cf2ca667098201083066b1fb2205593df9b35d60b5987b5d201a6", ""),
+    ("check-spectrum {pure33}", 2, 1,
+     "7a6be264c13c56a53b2cbe5fd505da8ef70712826e84a4bc9381e55fcb4781e3", ""),
+    ("check-spectrum {spec44}", 0, 1,
+     "3526296eef7be1ccce54988f72c069c60137c11d4624399aec6298afb1808b77", ""),
+    ("check-spectrum {spec13}", 0, 1,
+     "5f0bc698ffcf1ab8309456d1e11fbb72c49754617624fbef05b70b624f634fce", ""),
+    # witness-analyze Guaranteed, and Inconclusive with mu1 beyond the threshold
+    ("witness-analyze {mixed9}", 0, 1,
+     "d545353b52de9fbcc61575f5cdd3e85893c7a543833eef752cb1c77915471872", ""),
+    ("witness-analyze {extremal9}", 2, 1,
+     "0867a4d0b08d4ebf7c586182dfd3ca1af6449f09428494481f1d3852387d1bc6", ""),
+    ("family werner --n 3 --alpha -0.45", 0, 1,
+     "300a8690aa1ee4935657c10813b9ddd5068fc413879afbda1ab75130a8c21052", ""),
+    ("family isotropic --n 3 --alpha 0.18", 0, 1,
+     "81b026eae4e3fb0dffa96473ea0981d5880cc0139bff5c9dea5ef0e94118c23b", ""),
+    ("family upb --p 0.65", 0, 1,
+     "140de10fc747c34ddf2cd292b2d37f08a5905e26fe3e693ed7016c0df1ab8036", ""),
+    # input errors: exit 3, nothing on stdout; a --config cannot supply a required flag
+    ("orbit-scan {spec33} --criterion realignment --samples 0", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: --samples must be at least 1, got 0\n"),
+    ("orbit-scan {spec33} --criterion realignment --samples -3", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: --samples must be at least 1, got -3\n"),
+    ("fig-data upb_interval --samples 0", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: --samples must be at least 1, got 0\n"),
+    ("fig-data upb_interval --samples -3", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: --samples must be at least 1, got -3\n"),
+    ("fig-data phi_bc_region --grid 0", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: --grid must be at least 1, got 0\n"),
+    ("fig-data phi_bc_region --grid -2", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: --grid must be at least 1, got -2\n"),
+    ("fig-data gen_choi_ub --grid 0", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: --grid must be at least 1, got 0\n"),
+    ("fig-data gen_choi_ub --grid -2", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: --grid must be at least 1, got -2\n"),
+    ("verify-certificates --grid 0", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: --grid must be at least 1, got 0\n"),
+    ("verify-certificates --grid -2", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: --grid must be at least 1, got -2\n"),
+    ("verify-certificates --grid 2 --bh-dims 5", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: Breuer-Hall dimension must be even and >= 4\n"),
+    ("orbit-scan {spec33} --criterion realignment --seed -1", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: --seed must be nonnegative, got -1\n"),
+    ("orbit-scan {spec33} --criterion realignment --tol violaton=1", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: argument --tol: expected NAME=VALUE, NAME in violation: 'violaton=1'\n"),
+    ("orbit-scan {spec33} --criterion breuer_hall", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: Breuer-Hall criterion needs (n, n) dims with even n >= 4\n"),
+    ("orbit-scan {spec23} --criterion choi", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: Choi-family criteria need a (3, 3) spectrum\n"),
+    ("check-spectrum {short33}", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: expected 9 eigenvalues, got 2\n"),
+    ("check-spectrum {notjson}", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: Expecting value: line 1 column 1 (char 0)\n"),
+    ("check-spectrum no-such-file.json", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: [Errno 2] No such file or directory: 'no-such-file.json'\n"),
+    ("check-spectrum {spec33} --config {bad_cfg}", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: malformed config line 'tol.lmi\\n'\n"),
+    ("orbit-scan {spec33} --config {scan_cfg}", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: the following arguments are required: --criterion\n"),
+    ("witness-analyze {skew2}", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: matrix is not Hermitian (defect 1.414e+00)\n"),
+    ("family werner --n 3", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: werner needs --n and --alpha\n"),
+    ("family isotropic --n 3 --alpha 2", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: isotropic parameter alpha = 2.0 outside [-0.125, 1]\n"),
+    ("family upb", 3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: upb needs --p\n"),
 ]
 
 
-@pytest.mark.parametrize("spec, argv, code, expected", GOLDEN_ORBIT)
-def test_orbit_scan_golden_bytes(tmp_path, capsys, spec, argv, code, expected):
-    from abssep.absppt import Spectrum
-
-    path = write_spectrum(tmp_path, Spectrum(*spec))
-    assert run_cli(["orbit-scan", path, *argv], capsys) == (code, expected)
-
-
-# max_violation of each GOLDEN_ORBIT scan at --samples 1: the violation of its first
-# sample, the state Q Λ Q† of the first Ginibre draw of rng_stream(seed, 0)
-ONE_SAMPLE_MAX = ["-0.41311348967158734", "-0.07866299263583672", "-0.0688412658858591",
-                  "-0.05471562054954319", "-0.6556351873887281", "1.4653704599281716",
-                  "0.11567076943765975", "-0.366683396471005", "-0.49624981911151145",
-                  "-0.07939682972993287", "-0.06675062039297422"]
-
-
-@pytest.mark.parametrize("golden, max_violation", zip(GOLDEN_ORBIT, ONE_SAMPLE_MAX))
-def test_one_sample_orbit_scan_bytes_are_pinned(tmp_path, capsys, golden, max_violation):
-    from abssep.absppt import Spectrum
-
-    spec, argv, code, expected = golden
-    report = json.loads(expected)
-    samples = argv.index("--samples") + 1
-    argv = argv[:samples] + ["1"] + argv[samples + 1:]
-    expected = re.sub(r'"max_violation": [^,]*, "samples": \d+',
-                      f'"max_violation": {max_violation}, "samples": 1', expected)
-    assert (float(max_violation) > 1e-8) is report["violated"]
-    path = write_spectrum(tmp_path, Spectrum(*spec))
-    assert run_cli(["orbit-scan", path, *argv], capsys) == (code, expected)
+@pytest.mark.parametrize("entry", CORPUS, ids=[entry[0] for entry in CORPUS])
+def test_cli_corpus(tmp_path, capsys, entry):
+    paths = {name: tmp_path / name for name in CORPUS_INPUTS}
+    for name, text in CORPUS_INPUTS.items():
+        paths[name].write_text(text)
+    code = cli.main([arg.format(**paths) for arg in entry[0].split()])
+    out, err = capsys.readouterr()
+    actual = (entry[0], code, len(out.splitlines()), hashlib.sha256(out.encode()).hexdigest(), err)
+    assert actual == entry, f"the command now gives {actual!r}"
 
 
 @pytest.mark.parametrize("criterion, dims, values, k", [
@@ -919,17 +1010,6 @@ def test_orbit_chunk_sizes_are_pinned(dims, chunk):
     assert chunk * d * d <= cli.ORBIT_ENTRIES or chunk == cli.ORBIT_CHUNK
 
 
-@pytest.mark.parametrize("samples", ["0", "-3"])
-def test_samples_below_one_is_an_input_error(tmp_path, capsys, samples):
-    path = write_spectrum(tmp_path, families.isotropic_spectrum(3, 0.1))
-    for argv in (["orbit-scan", path, "--criterion", "realignment"], ["fig-data", "upb_interval"]):
-        code = cli.main(argv + ["--samples", samples])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
-
-
 def test_orbit_scan_tolerance_does_not_leak_between_calls(tmp_path, capsys):
     path = write_spectrum(tmp_path, families.isotropic_spectrum(3, 0.1))
     args = ["orbit-scan", path, "--criterion", "realignment", "--samples", "4", "--seed", "5"]
@@ -1080,14 +1160,6 @@ def input_error(argv, capsys):
 def test_usage_errors_exit_3(tmp_path, capsys, argv, named):
     path = write_spectrum(tmp_path, families.isotropic_spectrum(3, 0.1))
     assert named in input_error([path if a == "SPEC" else a for a in argv], capsys)
-
-
-@pytest.mark.parametrize("grid", ["0", "-2"])
-@pytest.mark.parametrize("argv", [["fig-data", "phi_bc_region"], ["fig-data", "gen_choi_ub"],
-                                  ["verify-certificates"]])
-def test_grid_below_one_is_an_input_error(capsys, argv, grid):
-    err = input_error(argv + ["--grid", grid], capsys)
-    assert err == f"error: --grid must be at least 1, got {grid}\n"
 
 
 @pytest.mark.parametrize("argv, config, named", [

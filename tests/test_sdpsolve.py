@@ -367,6 +367,20 @@ def test_verify_min_witness_point_names_the_failed_check(lam, mode, message):
         sdpsolve._verify_min_witness_point(problem, np.array(lam))
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("drift, accepted", [(0.9e-12, True), (1.1e-12, False)])
+def test_min_witness_sum_tol_is_pinned_from_both_sides(sign, drift, accepted):
+    # the uniform (3, 3) spectrum scaled by 1 ± drift sums to 1 ± drift, to ~1e-16;
+    # MIN_WITNESS_SUM_TOL = 1e-12 accepts 0.9e-12 and refuses 1.1e-12
+    problem = sdpsolve.min_witness_problem(np.full(9, 1.0 / 9.0), (3, 3), "full")
+    lam = np.full(9, 1.0 / 9.0) * (1.0 + sign * drift)
+    if accepted:
+        sdpsolve._verify_min_witness_point(problem, lam)
+    else:
+        with pytest.raises(CertificateRejected, match=r"sums to 1 [+-]1.100e-12, beyond 1e-12"):
+            sdpsolve._verify_min_witness_point(problem, lam)
+
+
 def test_verify_min_witness_point_reads_the_least_eigenvalue_of_each_lmi():
     # the pure spectrum e1 on (3, 3): both full LMIs are 3 x 3 with eigenvalues
     # 1, 0 and -1, so only the least one rejects this state, which is not

@@ -1,18 +1,20 @@
 """Cold-start timing of abssep CLI commands in two source trees, run in pairs.
 
-    python3 tools/cold_cli.py BASE CHANGE [--pairs N] [--command "ARGS"]... [--json OUT]
+    python3 tools/cold_cli.py PARENT CHANGE [--pairs N] [--command "ARGS"]... [--json OUT]
 
-BASE and CHANGE are source checkouts (each with src/abssep). Every command
+PARENT and CHANGE are source checkouts (each with src/abssep). Every command
 runs as ``python -m abssep ARGS`` in a fresh process per tree and pair, with
 one BLAS thread and PYTHONDONTWRITEBYTECODE set; a tree with a bytecode
 cache under src/abssep is refused, so each process compiles the package
-modules it imports (numpy keeps its installed cache). Pair k runs BASE
+modules it imports (numpy keeps its installed cache). Pair k runs PARENT
 first when k is even and CHANGE first when it is odd. Within a pair both
-trees must give the same stdout and exit code, or the script stops. For each command it prints the median and quartiles of
-each side's wall time, the change of the medians, and in how many pairs
-CHANGE was faster. ``{spectrum}`` and ``{witness}`` in ARGS name a uniform
-(3, 3) spectrum and a (3, 3) witness file that the script writes; the default
-commands are the five in DEFAULT_COMMANDS.
+trees must give the same stdout and exit code, or the script stops. For
+each command it prints the median and quartiles of each side's wall time,
+the change of the medians, and in how many pairs CHANGE was faster, all as
+tools/pair.py's summarize gives them for a lower-is-better metric.
+``{spectrum}`` and ``{witness}`` in ARGS name a uniform (3, 3) spectrum and
+a (3, 3) witness file that the script writes; the default commands are the
+five in DEFAULT_COMMANDS.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
+
+import pair  # tools/pair.py; a script's own directory is on sys.path
 
 DEFAULT_COMMANDS = (
     "check-spectrum {spectrum}",
@@ -59,40 +62,36 @@ def _run(tree: str, args: list[str]) -> tuple[float, int, bytes]:
     return time.perf_counter() - t0, proc.returncode, proc.stdout
 
 
-def _summary(times: list[float]) -> dict[str, float]:
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    return {"median_ms": 1e3 * median, "q1_ms": 1e3 * q1, "q3_ms": 1e3 * q3}
-
-
-def pair_series(base: str, change: str, command: str, pairs: int, inputs: dict) -> dict:
-    """Time one command over the given number of alternating pairs."""
+def pair_series(parent: str, change: str, command: str, pairs: int, inputs: dict) -> dict:
+    """Time one command over the given number of alternating pairs: pair.summarize
+    of the (parent, change) wall times in ms, with the command and its exit code."""
     args = command.format(**inputs).split()
-    times = {"base": [], "change": []}
+    times = []
     for k in range(pairs):
-        order = ("base", "change") if k % 2 == 0 else ("change", "base")
-        outputs = {}
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        elapsed, outputs = {}, {}
         for side in order:
-            elapsed, code, stdout = _run(base if side == "base" else change, args)
-            times[side].append(elapsed)
-            outputs[side] = (code, stdout)
-        if outputs["base"] != outputs["change"]:
+            seconds, code, stdout = _run(parent if side == "parent" else change, args)
+            elapsed[side], outputs[side] = seconds, (code, stdout)
+        if outputs["parent"] != outputs["change"]:
             sys.exit(f"error: {command!r}: stdout or exit code differ in pair {k} "
-                     f"(exit {outputs['base'][0]} vs {outputs['change'][0]})")
-    base_s, change_s = _summary(times["base"]), _summary(times["change"])
-    return {
-        "command": command,
-        "pairs": pairs,
-        "exit_code": outputs["base"][0],
-        "base": base_s,
-        "change": change_s,
-        "median_change_pct": 100.0 * (change_s["median_ms"] / base_s["median_ms"] - 1.0),
-        "change_wins": sum(c < b for b, c in zip(times["base"], times["change"])),
-    }
+                     f"(exit {outputs['parent'][0]} vs {outputs['change'][0]})")
+        times.append((1e3 * elapsed["parent"], 1e3 * elapsed["change"]))
+    return {"command": command, "exit_code": outputs["parent"][0], **pair.summarize(times, "lower")}
+
+
+def report_line(r: dict) -> str:
+    """One printed line of a pair_series result."""
+    p, c = r["parent"], r["change"]
+    return (f"{r['command']}: parent {p['median']:.1f} ms [{p['q1']:.1f}, {p['q3']:.1f}]"
+            f"  change {c['median']:.1f} ms [{c['q1']:.1f}, {c['q3']:.1f}]"
+            f"  {r['change_pct']:+.1f}%  faster in {r['change_wins']}/{len(r['per_pair'])}"
+            f"  exit {r['exit_code']}")
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("base", help="source tree of the parent")
+    p.add_argument("parent", help="source tree of the parent")
     p.add_argument("change", help="source tree of the change")
     p.add_argument("--pairs", type=int, default=30, help="alternating pairs; default: 30")
     p.add_argument("--command", action="append", help="CLI arguments; repeatable")
@@ -100,20 +99,16 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
-    for tree in (args.base, args.change):
+    for tree in (args.parent, args.change):
         if os.path.isdir(os.path.join(tree, "src", "abssep", "__pycache__")):
             p.error(f"{tree}/src/abssep has a bytecode cache; delete it for a cold start")
     results = []
     with tempfile.TemporaryDirectory() as workdir:
         inputs = _write_inputs(workdir)
         for command in args.command or DEFAULT_COMMANDS:
-            r = pair_series(args.base, args.change, command, args.pairs, inputs)
+            r = pair_series(args.parent, args.change, command, args.pairs, inputs)
             results.append(r)
-            b, c = r["base"], r["change"]
-            print(f"{command}: base {b['median_ms']:.1f} ms [{b['q1_ms']:.1f}, {b['q3_ms']:.1f}]"
-                  f"  change {c['median_ms']:.1f} ms [{c['q1_ms']:.1f}, {c['q3_ms']:.1f}]"
-                  f"  {r['median_change_pct']:+.1f}%  faster in {r['change_wins']}/{r['pairs']}"
-                  f"  exit {r['exit_code']}", flush=True)
+            print(report_line(r), flush=True)
     if args.json:
         host = {"python": platform.python_version(), "machine": platform.machine(),
                 "cpus": os.cpu_count()}

@@ -55,6 +55,10 @@ MUTANTS = [
      ["tests/test_sdpsolve.py::test_witness_sort_slack_is_pinned_from_both_sides"]),
     ("sdpsolve.py", "DIAMOND_FLOOR_SLACK",
      ["tests/test_sdpsolve.py::test_diamond_floor_slack_is_pinned_from_both_sides"]),
+    ("sdpsolve.py", "MIN_WITNESS_SUM_TOL",
+     ["tests/test_sdpsolve.py::test_min_witness_sum_tol_is_pinned_from_both_sides"]),
+    ("sdpsolve.py", "CERT_PSD_TOL",
+     ["tests/test_cli.py::test_certificate_psd_tolerance_scales_with_the_block_norm"]),
     ("matcore.py", "HERMITIZE_TOL",
      ["tests/test_matcore.py::test_hermitize_tolerance_is_pinned_from_both_sides",
       "tests/test_bipartite.py::test_realign_trace_norm_hermitian_gate_boundary"]),
