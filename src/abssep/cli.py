@@ -590,7 +590,7 @@ def main(argv=None) -> int:
             with open(args.out, "w", newline="\n") as fh:
                 fh.write(text)
         return code
-    except (ToolkitError, ValueError, OSError) as exc:
+    except (ToolkitError, ValueError, OSError, MemoryError) as exc:  # MemoryError: input too large
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -3,9 +3,9 @@
 Eigenvalues and singular values come from LAPACK through numpy
 (``numpy.linalg.eigh``/``eigvalsh`` and ``svd``); this module adds the
 package's contract on top: Hermitian gating, descending order with a
-deterministic tie order, and PSD tests with explicit tolerances. One
-shifted Cholesky per matrix (_cholesky_passes, numpy's own LAPACK potrf
-gufunc) stands in for eigenvalues where a bound is all a caller reads:
+deterministic tie order, and PSD tests with explicit tolerances. Where a
+bound is all a caller reads, one shifted Cholesky per matrix with a proved
+rounding bound (_cholesky_floor) shows lambda_min >= t with no eigenvalue:
 psd_screen decides a stack that psd_test would accept whole, and
 least_eigenvalue sends to eigvalsh only the matrices that could lie below
 the least eigenvalue found so far.
@@ -33,8 +33,9 @@ HERMITIZE_TOL = 1e-8
 DEFAULT_PSD_TOL = 1e-9
 # least_eigenvalue decomposes this many matrices of a stack to seed an infinite floor
 SCREEN_SEEDS = 8
-# least_eigenvalue's shift above its floor, in units of d³ u (ν + |floor|) (derived there)
-SCREEN_MARGIN = 8.0
+# least_eigenvalue's margin for eigvalsh's error, in units of d³ u (ν + |floor|) (derived there)
+SCREEN_MARGIN = 2.0
+_U, _ETA = 2.0**-53, 2.0**-1074  # float64's unit roundoff and least positive subnormal
 
 
 class EigenDecomposition(NamedTuple):
@@ -163,17 +164,42 @@ def psd_test(a, tol: float = DEFAULT_PSD_TOL) -> tuple[np.ndarray, np.ndarray]:
     return lam_min >= -tol * np.maximum(1.0, op), lam_min
 
 
-def _cholesky_passes(m: np.ndarray, shift) -> np.ndarray:
-    """Whether each matrix of the Hermitian stack m[..., n, n], its diagonal
-    moved by shift (a scalar, or [..., 1]), has a Cholesky factorization that
-    runs to completion: one stacked LAPACK potrf through numpy's own gufunc,
-    which writes NaN over the factor of a matrix that fails and raises the
-    invalid flag, here ignored."""
-    n = m.shape[-1]
-    shifted = m.copy()  # contiguous, so its diagonal is every (n + 1)-th entry
-    shifted.reshape(*m.shape[:-2], n * n)[..., :: n + 1] += shift
+def _cholesky_floor(m: np.ndarray, t) -> np.ndarray:
+    """Whether one Cholesky proves lambda_min(H) >= t, for each matrix H of the
+    Hermitian stack m[..., d, d], t a float or one per matrix: True where the
+    Cholesky of S = fl(fl(H - tI) - cI) completes (numpy's LAPACK potrf
+    gufunc writes NaN over the factor of a matrix that fails). False decides
+    nothing. The shift c = 3(d+1) u τ + 4d(d+1) η, g_i = fl(h_ii - t),
+    τ = fl(Σ|g_i|), u = 2^-53, η = 2^-1074, bounds the rounding. Rump (BIT
+    Numer. Math. 46, 2006) proves such a bound for real data; here it is
+    derived for complex data too, underflow included (sections of Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed.):
+    - Model. Each factor entry comes from the Cholesky formulas, blocked or
+      not, a sum in any order (Lemma 8.4 holds for any order), divided by a
+      pivot or multiplied by its reciprocal; an operation gives (x op y)(1 + δ)
+      + ε, |δ| <= u, |ε| <= η/2, ε = 0 for + and -. Complex data are real
+      arithmetic on parts (§3.6): a part of a sum of k complex products is a
+      real sum of 2k products, and |Re a Re b| + |Im a Im b| <= |a||b|. A completed
+      factorization had no overflow, which would reach a later pivot as -inf or NaN.
+    - So LLᴴ = S + E, |e_ij| <= α (|L||Lᴴ|)_ij + β_ij, α = √2 γ_2d (γ_k = ku/(1 - ku);
+      real data need γ_{d+1}, Thm 10.3), underflow β_ij <= √2 (2d + l_jj) η, β_ii <= 2dη.
+    - Rump's step. ||l_i||² = s_ii + e_ii gives Σ||l_i||² <= Λ = (tr S + 2d²η)/(1 - α);
+      |L||Lᴴ| <= ρρᵀ, ρ_i = ||l_i|| (Cauchy-Schwarz), and l_jj <= (1 + Λ)/2, so
+      ||E||_2 <= (α + dη) Λ + √2 d(2d + 1) η.
+    - The pivots are positive and rounding is monotone, so 0 < s_ii <= g_i and
+      tr S <= Σ|g_i|; the two subtractions move h_ii - t - c by <= 2u g_i (2.5).
+    So lambda_min(H) - t >= c - ||E||_2 - 2u max g_i >= 0: for d up to 10^7 the
+    computed c, its own rounding included, exceeds ((α + dη)/(1 - α) + 2u)
+    Σ|g_i| + (α + dη) 2d²η/(1 - α) + √2 d(2d + 1) η.
+    """
+    d = m.shape[-1]
+    shifted = m.copy()  # contiguous, so its diagonal is every (d + 1)-th entry
+    diagonal = shifted.reshape(*m.shape[:-2], d * d)[..., :: d + 1]
     signature = "D->D" if m.dtype == np.complex128 else "d->d"
-    with np.errstate(all="ignore"):  # as numpy.linalg runs it, less the LinAlgError
+    with np.errstate(all="ignore"):  # an overflow fails the matrix, here as in potrf
+        g = diagonal.real - np.asarray(t)[..., np.newaxis]
+        diagonal[...] = g - (3 * (d + 1) * _U * np.abs(g).sum(axis=-1, keepdims=True)
+                             + 4 * d * (d + 1) * _ETA)
         factor = _umath_linalg.cholesky_lo(shifted, signature=signature)
     return ~np.isnan(factor[..., 0, 0])
 
@@ -183,21 +209,15 @@ def psd_screen(a, tol: float) -> bool:
     with no eigenvalue; False decides nothing, and the caller runs psd_test.
 
     The stack passes hermitize, as in eigvalsh (the same checks and
-    InvalidMatrix messages), and keeps its dtype. Each d x d matrix A is
-    shifted to A + sI, s = (tol/2) max(1, max_i |a_ii|), for one Cholesky
-    each (_cholesky_passes). As |a_ii| <= ||A||_op, s is at most half of
-    psd_test's allowance tol max(1, ||A||_op). A factorization that completes
-    is exact for A + sI + E with ||E||_2 <= ~d² u ||A + sI|| (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., Thm 10.5; u = 2^-53), so
-    lambda_min(A) >= -s - ||E||. Precondition: tol/2 far above d² u, so that
-    ||E|| and eigvalsh's own error fit in the other half of the allowance; at
-    tol = 1e-10 and d = 64, d² u is 5e-13 against 5e-11. The stack passes
-    when every matrix does.
+    InvalidMatrix messages), and keeps its dtype. Each d x d matrix A needs
+    lambda_min(A) >= -(tol/2) max(1, max_i |a_ii|) proved by _cholesky_floor:
+    as |a_ii| <= ||A||_2, half of psd_test's allowance tol max(1, ||A||_2). The
+    other half holds eigvalsh's error p(d) u ||A||_2 (p(d) = d² assumed, as in
+    least_eigenvalue) once d² u <= tol/4, so for d up to 470 at tol = 1e-10.
     """
     m = hermitize(a)
-    diagonal = np.diagonal(m, axis1=-2, axis2=-1)
-    shift = (tol / 2.0) * np.maximum(1.0, np.abs(diagonal).max(axis=-1, keepdims=True))
-    return bool(_cholesky_passes(m, shift).all())
+    diagonal = np.abs(np.diagonal(m, axis1=-2, axis2=-1)).max(axis=-1)
+    return bool(_cholesky_floor(m, -(tol / 2.0) * np.maximum(1.0, diagonal)).all())
 
 
 def _least(m: np.ndarray, floor: float) -> float:
@@ -211,42 +231,20 @@ def least_eigenvalue(a, floor: float = math.inf) -> float:
 
     floor is +inf or finite. The stack passes hermitize, as in eigvalsh. With
     an infinite floor the first SCREEN_SEEDS matrices are decomposed to seed
-    it. Every other matrix H (d x d) gets one Cholesky of S = fl(H - tI),
-    t = fl(floor + delta) (_cholesky_passes); only the matrices where that
-    fails go to eigvalsh. A pass shows that eigvalsh would return
-    lambda_min(H) >= floor, so that H cannot move the result, under the one
-    assumption on eigvalsh's error stated below.
-
-    The saving rests on one property of the stack: most matrices have a least
-    eigenvalue more than delta above the least one. Where nearly all lie
-    within delta of each other, each pays the Cholesky and eigvalsh both. A
-    100-sample orbit scan of the maximally mixed spectrum is that case: every
-    sample is the same state, all 100 are decomposed, and the scan is ~4%
-    slower than eigvalsh alone at (3,3) with the Choi map and ~10% slower at
-    (4,4) with the Breuer-Hall map (five alternating process pairs, one BLAS
-    thread, a shared 2-core x86-64 host).
-
-    The margin delta = SCREEN_MARGIN d³ u (ν + |floor|), u = 2^-53 and ν the
-    largest |h_ij| of the stack, so that ||H||_2 <= dν. It covers:
-    - the shift's rounding: S = H - tI + D, ||D||_2 <= u(ν + |t|);
-    - the Cholesky backward error: a factorization that completes is exact
-      for S + E, |E| <= γ_{d+1} |R̂ᵀ||R̂| (Higham, Accuracy and Stability of
-      Numerical Algorithms, 2nd ed., Thm 10.5), so ||E||_2 <= 1.02 d(d+1) u
-      ||S||_2 <= 2.04 d³ u (ν + |t|), and lambda_min(H) >= t - ||D|| - ||E||;
-    - eigvalsh's own error, |λ̂ - λ| <= p(d) u ||H||_2 (LAPACK Users' Guide,
-      3rd ed., §4.7), so at most d³ u ν if p(d) <= d². The Guide only calls
-      p(d) "a modestly growing function of d": p(d) = d² is assumed here, not
-      proved, and the bits of the result rest on it;
-    - the rounding of t, u |floor + delta|.
-    These add to below 5.2 d³ u (ν + |floor|) once delta <= (ν + |floor|)/100,
-    which holds for d³ below 1e13; SCREEN_MARGIN = 8 leaves room, complex
-    arithmetic's larger rounding constants among it. At d = 9 and
-    ν + |floor| = 1, delta is 6.5e-13. The rounding errors seen in practice
-    are ~d u ||H|| for the Cholesky and for eigvalsh alike, so delta exceeds
-    them by a factor of about 8d² (~650 at d = 9); that headroom, not the
-    assumed p(d), is what the bits lean on in practice. A larger margin sends
-    more matrices to eigvalsh. A smaller one, down to those errors, changes no
-    result, only the count of matrices decomposed.
+    it. Every other matrix H (d x d) goes to eigvalsh only where
+    _cholesky_floor does not prove lambda_min(H) >= t = fl(floor + delta).
+    Where it does, eigvalsh returns at least floor, so H cannot move the
+    result, given eigvalsh's error |λ̂ - λ| <= p(d) u ||H||_2 (LAPACK Users'
+    Guide, 3rd ed., §4.7). The Guide only calls p(d) "a modestly growing
+    function of d": p(d) = d² is assumed here, not proved, and the bits rest
+    on it. With ν the largest |h_ij| of the stack, ||H||_2 <= dν, so the error
+    is at most d³ u ν; delta = SCREEN_MARGIN d³ u (ν + |floor|), SCREEN_MARGIN
+    = 2, covers it and the roundings of delta and t. That is ~2d² times the
+    ~d u ||H|| eigvalsh's error reads in practice, a headroom the bits lean on
+    more than on the assumed p(d); a smaller margin, down to that error, moves
+    only the count of matrices decomposed. Where the least eigenvalues all lie
+    within delta of each other (the maximally mixed orbit), each matrix pays
+    the Cholesky and eigvalsh both: a 100-sample (3,3) Choi scan runs ~4% slower.
     """
     m = hermitize(a)
     d = m.shape[-1]
@@ -254,8 +252,8 @@ def least_eigenvalue(a, floor: float = math.inf) -> float:
     if floor == math.inf:
         floor, m = _least(m[:SCREEN_SEEDS], floor), m[SCREEN_SEEDS:]
     if len(m):
-        delta = SCREEN_MARGIN * d**3 * 2.0**-53 * (float(np.abs(m).max()) + abs(floor))
-        fails = ~_cholesky_passes(m, -(floor + delta))
+        delta = SCREEN_MARGIN * d**3 * _U * (float(np.abs(m).max()) + abs(floor))
+        fails = ~_cholesky_floor(m, floor + delta)
         if fails.any():
             floor = _least(m[fails], floor)
     return float(floor)

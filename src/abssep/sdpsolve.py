@@ -48,8 +48,8 @@ Two complementary paths:
   stack of one. The diamond and max-eig verifiers take
   [k, d, d] stacks of Choi matrices and Y, read n from their shape, and
   return the values and, per PSD block, its (ok, min eigenvalue) checks:
-  one stacked shifted Cholesky (matcore.psd_screen) decides a block that
-  passes whole, and only a block it does not pass gets a stacked eigvalsh
+  matcore.psd_screen, one stacked Cholesky with a proved rounding bound,
+  passes a block whole, and only a block it does not pass gets a stacked eigvalsh
   (matcore.psd_test); certificate_failures builds a rejection message only
   for the certificates that fail. diamond_norm_ub and max_eig_ub verify the
   solver's own Y through them as a stack of one, and max_eig_certificate

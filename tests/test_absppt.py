@@ -132,6 +132,15 @@ def test_lmi_verdict_holds_an_lmi_at_minus_tol(dims):
     assert absppt.lmi_verdict(s, np.array([0.5, np.nextafter(edge, -1.0)])) is AbsPptVerdict.NO
 
 
+@pytest.mark.parametrize("factor, passed", [(0.9, True), (1.1, False)])
+def test_lmi_psd_tol_is_pinned_from_both_sides(factor, passed):
+    # the allowance on a least LMI eigenvalue is 1e-10, stated here and not
+    # read from LMI_PSD_TOL: 0.9 of it below 0 passes, 1.1 of it fails
+    s = Spectrum(3, 3, np.full(9, 1.0 / 9.0))
+    verdict = absppt.lmi_verdict(s, np.array([0.5, -factor * 1e-10]))
+    assert verdict is (AbsPptVerdict.YES if passed else AbsPptVerdict.NO)
+
+
 def test_yes_implies_necessary_2x2():
     rng = np.random.default_rng(3)
     for _ in range(100):

@@ -75,6 +75,31 @@ def test_check_spectrum_evaluates_the_lmis_once(monkeypatch, tmp_path, capsys, a
     assert code == (2 if json.loads(out)["verdict"] == "No" else 0)
 
 
+@pytest.mark.parametrize("m, n", [(2, 3), (2, 4), (3, 4)])
+def test_check_spectrum_is_the_same_at_n_by_m(tmp_path, capsys, m, n):
+    # the verdict, exit code and lmi_min_eigenvalue do not depend on which
+    # factor is the smaller: a spread spectrum (No), an absolutely PPT draw,
+    # the maximally mixed one and a concentrated one (Yes)
+    from abssep import absppt
+
+    rng = np.random.default_rng(m * n)
+    spectra = [rng.dirichlet(np.ones(m * n)), absppt.sample_abs_ppt_spectrum(m, n, rng).values,
+               np.full(m * n, 1.0 / (m * n)), rng.dirichlet(np.full(m * n, 20.0))]
+    verdicts = set()
+    for values in spectra:
+        reports = []
+        for dims in ((m, n), (n, m)):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"m": dims[0], "n": dims[1], "values": values.tolist()}))
+            code, out = run_cli(["check-spectrum", str(path)], capsys)
+            report = json.loads(out)
+            assert report.pop("dims") == list(dims)
+            reports.append((code, report))
+        assert reports[0] == reports[1]
+        verdicts.add(reports[0][1]["verdict"])
+    assert verdicts == {"No", "Yes"}
+
+
 def test_check_spectrum_large_dims_necessary_only(tmp_path, capsys):
     from abssep.absppt import Spectrum
 
@@ -1138,6 +1163,23 @@ def input_error(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.endswith("\n")
     return captured.err
+
+
+@pytest.mark.parametrize("argv, module, allocator", [
+    (["family", "werner", "--n", "100000", "--alpha", "0.1"], families, "werner_spectrum"),
+    (["verify-certificates", "--grid", "100000"], cli, "_bc_grid"),
+], ids=["family", "verify-certificates"])
+def test_an_allocation_too_large_for_the_host_is_an_input_error(monkeypatch, capsys, argv,
+                                                                  module, allocator):
+    # the input sizes an array past this host's memory: numpy raises MemoryError
+    # (37.3 GiB for family werner --n 100000), which exits 3 with its message
+    message = "Unable to allocate 37.3 GiB for an array with shape (100000, 50000)"
+
+    def allocate(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(module, allocator, allocate)
+    assert input_error(argv, capsys) == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, named", [

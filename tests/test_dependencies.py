@@ -312,7 +312,7 @@ def _private_linalg(path: pathlib.Path) -> tuple[list[str], set[str]]:
 def test_only_the_solver_calls_private_numpy_gufuncs():
     # numpy.linalg._umath_linalg is private numpy: only sdpsolve imports it, for
     # the gufuncs test_the_private_numpy_gufuncs_the_solver_calls checks, and
-    # matcore, for cholesky_lo alone (its shifted-Cholesky screens). Calling
+    # matcore, for cholesky_lo alone (_cholesky_floor). Calling
     # another one (a direct QR or SVD, say) means extending that test and
     # settling which numpy versions the package supports
     allowed = {"sdpsolve.py": {name for name, _ in SOLVER_GUFUNCS}, "matcore.py": {"cholesky_lo"}}
@@ -324,3 +324,16 @@ def test_only_the_solver_calls_private_numpy_gufuncs():
             assert reads and not extra, f"{path.name} reads {sorted(extra)}"
         else:
             assert not ways and not reads, f"{path.name} reaches _umath_linalg: {ways}"
+
+
+def test_every_private_numpy_gufunc_the_package_reads_is_a_ufunc():
+    # each name the package reads off numpy.linalg._umath_linalg, found by the
+    # AST walk of _private_linalg, must be a gufunc of the installed numpy,
+    # which may drop or rename any of them: numpy 2.4.6 is the only version
+    # verified, and pyproject.toml's floor, numpy>=1.24, is not
+    from numpy.linalg import _umath_linalg
+
+    names = set().union(*(_private_linalg(path)[1] for path in sorted(PACKAGE.glob("*.py"))))
+    assert {"cholesky_lo", "inv", "solve1", "eigvalsh_lo"} <= names
+    for name in sorted(names):
+        assert isinstance(getattr(_umath_linalg, name, None), np.ufunc), name

@@ -1,6 +1,7 @@
 """Core linear algebra: eigendecomposition, Schatten norms, PSD tests."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -167,6 +168,73 @@ def test_is_psd_closed_under_sum():
         a, b = g1 @ g1.conj().T, g2 @ g2.conj().T
         assert matcore.is_psd(a) and matcore.is_psd(b)
         assert matcore.is_psd(a + b)
+
+
+@pytest.mark.parametrize("norm", [1.0, 1e3])
+@pytest.mark.parametrize("factor, accepted", [(0.9, True), (1.1, False)])
+def test_default_psd_tol_is_pinned_from_both_sides(norm, factor, accepted):
+    # is_psd's default allowance is 1e-9 max(1, ||A||), stated here and not read
+    # from DEFAULT_PSD_TOL: a least eigenvalue 0.9 of it below 0 passes, 1.1 fails
+    a = norm * np.diag([1.0, -factor * 1e-9])
+    report = matcore.is_psd(a)
+    assert report.ok is accepted and report.min_eigenvalue == a[1, 1]
+
+
+U = 2.0**-53
+
+
+@pytest.mark.parametrize("z", [1.0, 1j])
+def test_cholesky_floor_is_pinned_by_a_block_three_bounds_above_its_floor(z):
+    # H = [[1.5, b z*], [b z, 1.5]], b = 1 - 54u, |z| = 1, has lambda_min(H) =
+    # 0.5 + 54u exactly. At t = 0.5 the rounding bound is 3(d+1) u Σ|h_ii - t|
+    # = 18u (plus a subnormal), stated here and not read from the code, so H
+    # sits three bounds above t and passes, where a bound 10x larger refuses
+    # it; at t = lambda_min(H) it is refused, the floor given per matrix
+    b = 1.0 - 54 * U
+    h = np.array([[1.5, b * np.conj(z)], [b * z, 1.5]])
+    assert h.dtype == (np.float64 if z == 1.0 else np.complex128)
+    assert matcore._cholesky_floor(h, 0.5)
+    got = matcore._cholesky_floor(np.stack([h, h, h]), np.array([0.5, 0.5 + 54 * U, 0.5]))
+    assert got.tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("a, c, z, t", [
+    ("0x1.6ad85ef4cf9dap+0", "0x1.b75e1aa4e8b20p+0", ("0x1.9adb1763524e8p+0", None),
+     "-0x1.70de438f16ce0p-5"),
+    ("0x1.63fa2bb515630p+0", "0x1.c93e25a5e1130p+0",
+     ("-0x1.9670d6a4144d0p+0", "0x1.91aaee61b94ebp-3"), "-0x1.827496d489e60p-6"),
+], ids=["real", "complex"])
+def test_cholesky_floor_refuses_a_block_just_below_its_floor(a, c, z, t):
+    # H = [[a, z*], [z, c]] with lambda_min(H) below t by less than its
+    # rounding, shown in exact arithmetic: (a - t)(c - t) < |z|². A bound a
+    # tenth as large lets each block through (OpenBLAS, x86-64), the bound
+    # itself refuses it
+    a, c, t = float.fromhex(a), float.fromhex(c), float.fromhex(t)
+    z = float.fromhex(z[0]) + (0.0 if z[1] is None else 1j * float.fromhex(z[1]))
+    h = np.array([[a, np.conj(z)], [z, c]])
+    exact = Fraction(a) - Fraction(t), Fraction(c) - Fraction(t)
+    assert exact[0] * exact[1] < Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+    assert not matcore._cholesky_floor(h, t)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_cholesky_floor_proves_no_floor_above_a_least_eigenvalue(real):
+    # 2000 blocks [[a, z*], [z, c]] whose least eigenvalue lies some ulps from
+    # t, above or below: every block the function passes has lambda_min >= t,
+    # checked in exact arithmetic, and it passes some
+    rng = np.random.default_rng(5)
+    a, c = rng.uniform(0.5, 2.0, (2, 2000))
+    t = rng.uniform(-1.0, 0.4, 2000)
+    z = np.sqrt((a - t) * (c - t)) * (1.0 + rng.uniform(-64.0, 4.0, 2000) * U)
+    if not real:
+        z = z * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2000))
+    h = np.zeros((2000, 2, 2), dtype=z.dtype)
+    h[:, 0, 0], h[:, 1, 1], h[:, 1, 0], h[:, 0, 1] = a, c, z, np.conj(z)
+    passed = matcore._cholesky_floor(h, t)
+    assert 0 < passed.sum() < 2000
+    for k in np.flatnonzero(passed):
+        x, y, w = Fraction(a[k]) - Fraction(t[k]), Fraction(c[k]) - Fraction(t[k]), complex(z[k])
+        assert x >= 0 and x * y >= Fraction(w.real) ** 2 + Fraction(w.imag) ** 2
 
 
 def test_singular_values_match_numpy():
@@ -465,13 +533,14 @@ def test_least_eigenvalue_decomposes_no_matrix_well_above_its_floor(monkeypatch,
 
 
 def test_least_eigenvalue_screens_a_matrix_three_margins_above_its_floor(monkeypatch):
-    # H = diag(floor + 3 delta, 1) with floor 0.25 and delta = 8 d³ u (ν + |floor|)
-    # = 80 u, stated here and not read from SCREEN_MARGIN. H passes the screen,
-    # which a margin 10x larger would send to eigvalsh. A tighter margin stays
-    # valid down to the true rounding, far below delta, so no test pins the
-    # other side
+    # H = diag(floor + 3 delta, 1) with floor 0.25 and delta = 2 d³ u (ν + |floor|)
+    # = 20 u, stated here and not read from SCREEN_MARGIN. H passes the screen,
+    # whose Cholesky adds its own rounding bound, 3(d+1) u Σ|h_ii - t| ~ 7 u,
+    # and which a margin 10x larger would send to eigvalsh. A tighter margin
+    # stays valid down to the true rounding, far below delta, so no test pins
+    # the other side
     floor = 0.25
-    delta = 8.0 * 2**3 * 2.0**-53 * (1.0 + floor)
+    delta = 2.0 * 2**3 * 2.0**-53 * (1.0 + floor)
     h = np.diag([floor + 3.0 * delta, 1.0])
     rows = _eigvalsh_rows(monkeypatch)
     assert matcore.least_eigenvalue(h, floor) == floor

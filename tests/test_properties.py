@@ -563,3 +563,47 @@ def test_grid_certificate_rows_equal_stacks_of_one(points):
     assert names == [f"{kind} map {k}" for k in range(len(points))
                      for kind in ("diamond", "max-eig")]
     assert list(zip(map(repr, values.tolist()), map(repr, expected.tolist()), status)) == one_map
+
+
+def assert_windows_hold(phi, certs, seed):
+    # the verified max-eig value bounds lambda_max of every W_v = (id ⊗ phi)(|v><v|),
+    # and min_eig_lb_from_diamond of the verified diamond value bounds lambda_min,
+    # for 64 random unit v and |psi+>, to a slack of 8 ulps of ||W_v||
+    diamond, checks = sdpsolve.verify_diamond_certificates(certs.jmats, certs.diamond_ys)
+    assert sdpsolve.certificate_failures(checks) == {}
+    max_eig, checks = sdpsolve.verify_max_eig_certificates(certs.jmats, certs.max_eig_ys)
+    assert sdpsolve.certificate_failures(checks) == {}
+    floor = sdpsolve.min_eig_lb_from_diamond(float(diamond[0]))
+    n = phi.dim
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((64, n * n)) + 1j * rng.standard_normal((64, n * n))
+    v = np.concatenate([v / np.linalg.norm(v, axis=1, keepdims=True),
+                        bipartite.max_entangled(n)[np.newaxis]])
+    lam = matcore.eigvalsh(posmaps.apply_id_tensor(phi, v[:, :, None] * v.conj()[:, None, :], n))
+    slack = 8 * 2.0**-52 * np.abs(lam).max(axis=1)
+    assert np.all(lam[:, 0] <= max_eig[0] + slack)
+    assert np.all(lam[:, -1] >= floor - slack)
+
+
+bc_grid = st.sampled_from(np.linspace(0.0, 4.0 / 3.0, 31).tolist())
+
+
+@PROPERTY
+@given(bc=st.one_of(st.tuples(bc_params, bc_params), st.tuples(bc_grid, bc_grid)), seed=seeds)
+@example(bc=(0.0, 0.0), seed=0)
+@example(bc=(1.0, 1.0), seed=1)
+def test_certified_gen_choi_windows_hold_against_sampled_witnesses(bc, seed):
+    # gen_choi_certificates(b, c) certifies the dual of Phi_{b,c}, Phi_{c,b}:
+    # the oracle is W_v's own spectrum, which shares no formula with the bounds
+    b, c = bc
+    certs = sdpsolve.gen_choi_certificates(np.array([b]), np.array([c]))
+    assert_windows_hold(posmaps.generalized_choi_map(c, b), certs, seed)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_certified_breuer_hall_windows_hold_against_sampled_witnesses(n):
+    # a complex V = Uᵀ V0 U, skew-symmetric and unitary for a Haar U
+    u = bipartite.haar_unitary(n, 7)
+    phi = posmaps.breuer_hall_map(n, u.T @ posmaps.breuer_hall_default_v(n) @ u)
+    assert np.iscomplexobj(phi.v)
+    assert_windows_hold(phi, sdpsolve.breuer_hall_certificates(phi), n)

@@ -31,6 +31,13 @@ def test_threshold_monotone_and_bounded():
     assert np.all(np.diff(ys) >= -1e-14)
     assert ys.min() >= 0.5 - 1e-14
     assert ys.max() <= 1.0 + 1e-14
+    # with no slack at the 8 floats on each side of each split
+    for split in (witness.SPLIT_LOW, witness.SPLIT_HIGH):
+        xs = [split]
+        for _ in range(8):
+            xs = [np.nextafter(xs[0], -1.0), *xs, np.nextafter(xs[-1], 1.0)]
+        ys = np.array([f(float(x)) for x in xs])
+        assert np.all(np.diff(ys) >= 0.0)
 
 
 def test_threshold_jump_and_continuity():

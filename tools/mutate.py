@@ -37,6 +37,7 @@ MUTANTS = [
      ["tests/test_absppt.py::test_named_tolerances_hold_their_boundary[gurvits-barnum]"]),
     ("absppt.py", "RANK_ZERO_TOL",
      ["tests/test_absppt.py::test_named_tolerances_hold_their_boundary[rank]"]),
+    ("absppt.py", "LMI_PSD_TOL", ["tests/test_absppt.py::test_lmi_psd_tol_is_pinned_from_both_sides"]),
     ("witness.py", "_DOMAIN_SLACK",
      ["tests/test_witness.py::test_threshold_domain_edges_are_pinned_by_the_slack",
       "tests/test_witness.py::test_cannot_detect_slack_is_pinned_from_both_sides"]),
@@ -62,6 +63,8 @@ MUTANTS = [
     ("matcore.py", "HERMITIZE_TOL",
      ["tests/test_matcore.py::test_hermitize_tolerance_is_pinned_from_both_sides",
       "tests/test_bipartite.py::test_realign_trace_norm_hermitian_gate_boundary"]),
+    ("matcore.py", "DEFAULT_PSD_TOL",
+     ["tests/test_matcore.py::test_default_psd_tol_is_pinned_from_both_sides"]),
     ("bipartite.py", "VECTOR_NORM_TOL", ["tests/test_bipartite.py::test_vector_norm_tol_boundary"]),
     ("posmaps.py", "BC_PREDICATE_TOL", ["tests/test_posmaps.py::test_bc_predicate_tol_boundary"]),
     ("posmaps.py", "BH_SKEW_TOL",
