@@ -167,9 +167,10 @@ def psd_test(a, tol: float = DEFAULT_PSD_TOL) -> tuple[np.ndarray, np.ndarray]:
 def _cholesky_floor(m: np.ndarray, t) -> np.ndarray:
     """Whether one Cholesky proves lambda_min(H) >= t, for each matrix H of the
     Hermitian stack m[..., d, d], t a float or one per matrix: True where the
-    Cholesky of S = fl(fl(H - tI) - cI) completes (numpy's LAPACK potrf
-    gufunc writes NaN over the factor of a matrix that fails). False decides
-    nothing. The shift c = 3(d+1) u τ + 4d(d+1) η, g_i = fl(h_ii - t),
+    Cholesky of S = fl(fl(H - tI) - cI) completes, read off its last pivot
+    (numpy's potrf gufunc writes NaN over a factor that fails, and a NaN pivot,
+    which potrf lets through, reaches the last one). False decides nothing.
+    The shift c = 3(d+1) u τ + 4d(d+1) η, g_i = fl(h_ii - t),
     τ = fl(Σ|g_i|), u = 2^-53, η = 2^-1074, bounds the rounding. Rump (BIT
     Numer. Math. 46, 2006) proves such a bound for real data; here it is
     derived for complex data too, underflow included (sections of Higham,
@@ -201,7 +202,7 @@ def _cholesky_floor(m: np.ndarray, t) -> np.ndarray:
         diagonal[...] = g - (3 * (d + 1) * _U * np.abs(g).sum(axis=-1, keepdims=True)
                              + 4 * d * (d + 1) * _ETA)
         factor = _umath_linalg.cholesky_lo(shifted, signature=signature)
-    return ~np.isnan(factor[..., 0, 0])
+    return ~np.isnan(factor[..., -1, -1])
 
 
 def psd_screen(a, tol: float) -> bool:

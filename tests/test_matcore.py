@@ -217,6 +217,18 @@ def test_cholesky_floor_refuses_a_block_just_below_its_floor(a, c, z, t):
     assert not matcore._cholesky_floor(h, t)
 
 
+def test_psd_screen_refuses_a_block_whose_cholesky_meets_a_nan_pivot():
+    # parts above half the float64 maximum symmetrize to inf, and the
+    # factorization of I + inf (e_1 e_3ᵀ + e_3 e_1ᵀ) computes 0 x inf at the
+    # third pivot; potrf lets that NaN through, so the first entry of the
+    # factor is 1 and only the last pivot shows the failure
+    m = np.eye(3)
+    m[0, 2] = m[2, 0] = 1.5e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not matcore._cholesky_floor(matcore.hermitize(m), 0.0)
+        assert not matcore.psd_screen(m, 1e-10)
+
+
 @pytest.mark.parametrize("real", [True, False])
 def test_cholesky_floor_proves_no_floor_above_a_least_eigenvalue(real):
     # 2000 blocks [[a, z*], [z, c]] whose least eigenvalue lies some ulps from
